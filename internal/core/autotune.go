@@ -98,7 +98,7 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 
 	h := fam.Pairs[0]
 	k0 := scratch.Metrics().KernelTimeNs
-	if thrust.TransformHash(scratch, dataBuf, hashBuf, n, h.A, h.B, minwise.Prime) != nil {
+	if thrust.TransformHash(scratch, dataBuf, hashBuf, n, h) != nil {
 		return m
 	}
 	k1 := scratch.Metrics().KernelTimeNs
@@ -134,12 +134,12 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 		kf0 := scratch.Metrics().KernelTimeNs
 		fusedLaunches := 1.0
 		if !o.UseFullSort {
-			if thrust.FusedHashTopS(scratch, nil, fusedData, o.dataBits, segs, s, h.A, h.B, minwise.Prime, outBuf, 0) != nil {
+			if thrust.FusedHashTopS(scratch, nil, fusedData, o.dataBits, segs, s, h, outBuf, 0) != nil {
 				return m
 			}
 		} else {
 			fusedLaunches = 2 // fused sort + gather
-			if thrust.FusedHashSort(scratch, nil, fusedData, o.dataBits, segs, h.A, h.B, minwise.Prime, hashBuf) != nil ||
+			if thrust.FusedHashSort(scratch, nil, fusedData, o.dataBits, segs, h, hashBuf) != nil ||
 				gatherTopS(scratch, nil, hashBuf, segs, s, outBuf, 0) != nil {
 				return m
 			}

@@ -511,19 +511,19 @@ func needsHashBuf(o Options) bool {
 // transform_hash + top-s sequence. All forms write the trial's
 // sentinel-padded minima rows at out[outBase:...] and are bit-identical.
 func trialKernels(dev *gpusim.Device, st *gpusim.Stream, img batchImage, hashBuf *gpusim.Buffer,
-	segs thrust.Segments, s int, o Options, dataWords int, a, b uint64,
+	segs thrust.Segments, s int, o Options, dataWords int, h minwise.HashPair,
 	outBuf *gpusim.Buffer, outBase int) error {
 
 	if o.fusedPlan {
 		if !o.UseFullSort {
-			return thrust.FusedHashTopS(dev, st, img.buf, img.bits, segs, s, a, b, minwise.Prime, outBuf, outBase)
+			return thrust.FusedHashTopS(dev, st, img.buf, img.bits, segs, s, h, outBuf, outBase)
 		}
-		if err := thrust.FusedHashSort(dev, st, img.buf, img.bits, segs, a, b, minwise.Prime, hashBuf); err != nil {
+		if err := thrust.FusedHashSort(dev, st, img.buf, img.bits, segs, h, hashBuf); err != nil {
 			return err
 		}
 		return gatherTopS(dev, st, hashBuf, segs, s, outBuf, outBase)
 	}
-	if err := thrust.TransformHashOnStream(dev, st, img.buf, hashBuf, dataWords, a, b, minwise.Prime); err != nil {
+	if err := thrust.TransformHashOnStream(dev, st, img.buf, hashBuf, dataWords, h); err != nil {
 		return err
 	}
 	return topSKernel(dev, st, hashBuf, segs, s, outBuf, outBase, o.UseFullSort)
@@ -570,7 +570,7 @@ func runTrialsSync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
 				return err
 			}
 		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h.A, h.B, outBuf, 0); err != nil {
+		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h, outBuf, 0); err != nil {
 			return err
 		}
 		if err := dev.CopyD2H(hostOut, outBuf, 0); err != nil {
@@ -649,7 +649,7 @@ func runTrialsAsync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
 				return err
 			}
 		}
-		if err := trialKernels(dev, l.stream, img, l.hash, segs, s, o, dataWords, h.A, h.B, l.out, 0); err != nil {
+		if err := trialKernels(dev, l.stream, img, l.hash, segs, s, o, dataWords, h, l.out, 0); err != nil {
 			return err
 		}
 		if err := dev.CopyD2HAsync(l.stream, l.host, l.out, 0); err != nil {

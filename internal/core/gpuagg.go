@@ -122,7 +122,7 @@ func runTrialsGPUAgg(dev *gpusim.Device, in *SegGraph, plan batchPlan, segs thru
 				return err
 			}
 		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h.A, h.B, outBuf, 0); err != nil {
+		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h, outBuf, 0); err != nil {
 			return err
 		}
 		if err := shingleKeyKernel(dev, outBuf, flagBuf, ownerBuf, numPieces, s, uint32(trial), keyHi, keyLo, valBuf); err != nil {

@@ -174,7 +174,7 @@ func (w *shingleLanes) Enqueue(item, lane int) error {
 	for trial := t0; trial < t1; trial++ {
 		h := w.fam.Pairs[trial]
 		if err := trialKernels(w.dev, l.stream, img, l.hash, segs, w.s, w.o,
-			len(w.hostData), h.A, h.B, l.out, (trial-t0)*numPieces*w.s); err != nil {
+			len(w.hostData), h, l.out, (trial-t0)*numPieces*w.s); err != nil {
 			return err
 		}
 	}

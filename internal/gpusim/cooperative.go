@@ -86,33 +86,33 @@ func (d *Device) LaunchCooperative(gridDim, blockDim, sharedWords int, kernel fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Contexts, their accounting copy and the scratch are reused
+			// across this worker's blocks; tg.Wait orders each block's
+			// threads before the next block's.
+			ctxs := make([]CoopCtx, blockDim)
+			ws := getWorkerState(blockDim)
+			defer workerPool.Put(ws)
+			plain := ws.ctxs[:blockDim]
 			var local launchStats
 			for b := range blockCh {
 				shared := make([]uint32, sharedWords)
 				bar := newBarrier(blockDim)
-				ctxs := make([]CoopCtx, blockDim)
 				var tg sync.WaitGroup
 				for t := 0; t < blockDim; t++ {
-					ctxs[t] = CoopCtx{
-						ThreadCtx: ThreadCtx{
-							Block: b, Thread: t,
-							BlockDim: blockDim, GridDim: gridDim,
-						},
-						shared:  shared,
-						barrier: bar,
-					}
+					c := &ctxs[t]
+					c.reset(b, t, blockDim, gridDim)
+					c.shared, c.barrier = shared, bar
 					tg.Add(1)
-					go func(c *CoopCtx) {
+					go func() {
 						defer tg.Done()
 						kernel(c)
-					}(&ctxs[t])
+					}()
 				}
 				tg.Wait()
-				plain := make([]ThreadCtx, blockDim)
 				for i := range ctxs {
 					plain[i] = ctxs[i].ThreadCtx
 				}
-				accumulateBlock(&local, plain, warp)
+				accumulateBlock(&local, plain, warp, &ws.acc)
 			}
 			totalMu.Lock()
 			total.warpSerialOps += local.warpSerialOps

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -171,19 +170,16 @@ func (d *Device) executeGrid(gridDim, blockDim int, kernel Kernel) launchStats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Reuse thread contexts per worker to avoid per-thread allocs.
-			ctxs := make([]ThreadCtx, blockDim)
+			ws := getWorkerState(blockDim)
+			defer workerPool.Put(ws)
+			ctxs := ws.ctxs[:blockDim]
 			var local launchStats
 			for b := range next {
 				for t := 0; t < blockDim; t++ {
-					ctxs[t] = ThreadCtx{
-						Block: b, Thread: t,
-						BlockDim: blockDim, GridDim: gridDim,
-						runs: ctxs[t].runs[:0],
-					}
+					ctxs[t].reset(b, t, blockDim, gridDim)
 					kernel(&ctxs[t])
 				}
-				accumulateBlock(&local, ctxs, warp)
+				accumulateBlock(&local, ctxs, warp, &ws.acc)
 			}
 			totalMu.Lock()
 			total.warpSerialOps += local.warpSerialOps
@@ -202,9 +198,51 @@ func (d *Device) executeGrid(gridDim, blockDim int, kernel Kernel) launchStats {
 	return total
 }
 
+// workerState is one executor worker's reusable host state: its thread
+// contexts (whose run traces keep their capacity) and accounting scratch.
+// Pooled across launches, so a warm launch allocates neither.
+type workerState struct {
+	ctxs []ThreadCtx
+	acc  accountScratch
+}
+
+var workerPool = sync.Pool{New: func() any { return new(workerState) }}
+
+// getWorkerState takes a pooled worker state with room for blockDim
+// threads. Return it with workerPool.Put once the launch's blocks are done.
+func getWorkerState(blockDim int) *workerState {
+	ws := workerPool.Get().(*workerState)
+	if cap(ws.ctxs) < blockDim {
+		ws.ctxs = make([]ThreadCtx, blockDim)
+	}
+	return ws
+}
+
+// accountScratch is the reusable buffers through which accumulateBlock and
+// warpTransactions fold a block into launchStats without allocating per
+// block, warp or access site. The zero value is ready to use.
+type accountScratch struct {
+	active []laneRun // one access site's active lanes
+	segs   []int64   // distinct 128-byte segments among a prefix of active
+}
+
+// laneRun is one lane's run at the access site being analysed.
+type laneRun struct {
+	start int64
+	count int64
+}
+
+// reset prepares a reused context for thread t of block b, keeping the
+// capacity of its run trace.
+func (c *ThreadCtx) reset(b, t, blockDim, gridDim int) {
+	c.Block, c.Thread, c.BlockDim, c.GridDim = b, t, blockDim, gridDim
+	c.ops, c.shared, c.extra = 0, 0, 0
+	c.runs = c.runs[:0]
+}
+
 // accumulateBlock folds one executed block's thread contexts into the stats,
 // applying the SIMT divergence and coalescing models warp by warp.
-func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int) {
+func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int, sc *accountScratch) {
 	for w := 0; w < len(ctxs); w += warp {
 		end := w + warp
 		if end > len(ctxs) {
@@ -225,7 +263,7 @@ func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int) {
 		}
 		st.warpSerialOps += maxOps * int64(warp)
 
-		st.transactions += warpTransactions(lanes)
+		st.transactions += warpTransactions(lanes, sc)
 		for i := range lanes {
 			for _, r := range lanes[i].runs {
 				st.accesses += int64(r.count)
@@ -249,7 +287,13 @@ const segWords = 32
 // steps with the active set shrinking as shorter lanes finish gives the
 // total. Mixed strides fall back to fully uncoalesced (one transaction per
 // access).
-func warpTransactions(lanes []ThreadCtx) int64 {
+//
+// The order among lanes of equal count does not matter: a prefix's segment
+// count is used only where the count drops after it, and there the prefix
+// is exactly the set of lanes with count ≥ that count. So an in-place
+// insertion sort and a linear scan over the few distinct segments give the
+// same total as any other sort and set.
+func warpTransactions(lanes []ThreadCtx, sc *accountScratch) int64 {
 	maxRuns := 0
 	for i := range lanes {
 		if len(lanes[i].runs) > maxRuns {
@@ -257,13 +301,8 @@ func warpTransactions(lanes []ThreadCtx) int64 {
 		}
 	}
 	var total int64
-	type laneRun struct {
-		start int64
-		count int64
-	}
-	active := make([]laneRun, 0, len(lanes))
 	for k := 0; k < maxRuns; k++ {
-		active = active[:0]
+		active := sc.active[:0]
 		var stride int32
 		mixed := false
 		first := true
@@ -280,6 +319,7 @@ func warpTransactions(lanes []ThreadCtx) int64 {
 			}
 			active = append(active, laneRun{r.start, int64(r.count)})
 		}
+		sc.active = active
 		if len(active) == 0 {
 			continue
 		}
@@ -291,25 +331,40 @@ func warpTransactions(lanes []ThreadCtx) int64 {
 		}
 		// Sort lanes by count descending: the active set at step t is a
 		// prefix.
-		sort.Slice(active, func(i, j int) bool { return active[i].count > active[j].count })
-		// D[j] = distinct segments among the first j+1 lanes' starts.
-		segs := make(map[int64]bool, len(active))
-		d := make([]int64, len(active))
-		for j, a := range active {
-			segs[a.start/segWords] = true
-			d[j] = int64(len(segs))
+		for j := 1; j < len(active); j++ {
+			a := active[j]
+			i := j
+			for i > 0 && active[i-1].count < a.count {
+				active[i] = active[i-1]
+				i--
+			}
+			active[i] = a
 		}
-		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes.
-		for j := 0; j < len(active); j++ {
+		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes, which touch
+		// the distinct segments among the first j+1 lanes' starts.
+		segs := sc.segs[:0]
+		for j, a := range active {
+			seg := a.start / segWords
+			seen := false
+			// Neighbouring lanes mostly share a segment: scan newest first.
+			for i := len(segs) - 1; i >= 0; i-- {
+				if segs[i] == seg {
+					seen = true
+					break
+				}
+			}
+			if !seen {
+				segs = append(segs, seg)
+			}
 			var lower int64
 			if j+1 < len(active) {
 				lower = active[j+1].count
 			}
-			steps := active[j].count - lower
-			if steps > 0 {
-				total += d[j] * steps
+			if steps := a.count - lower; steps > 0 {
+				total += int64(len(segs)) * steps
 			}
 		}
+		sc.segs = segs
 	}
 	return total
 }

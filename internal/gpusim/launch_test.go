@@ -2,6 +2,8 @@ package gpusim
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -227,6 +229,40 @@ func TestRunOverflowChargedUncoalesced(t *testing.T) {
 	}
 }
 
+// TestReusedContextsStartClean: executor workers reuse thread contexts
+// across blocks and launches, so every block must start from zeroed
+// counters and an empty run trace — overflow included.
+func TestReusedContextsStartClean(t *testing.T) {
+	d := MustNew(K20Config())
+	buf := d.MustMalloc(64)
+	defer buf.Free()
+	const grid, block, reads = 64, 64, maxRunsPerThread + 6
+	kernel := func(ctx *ThreadCtx) {
+		ctx.Ops(5)
+		ctx.SharedAccess(2)
+		for i := 0; i < reads; i++ {
+			ctx.GlobalRead(buf, ctx.Thread%8, 1, 1)
+		}
+	}
+	var first Metrics
+	for launch := 0; launch < 2; launch++ {
+		before := d.Metrics()
+		if err := d.Launch(grid, block, kernel); err != nil {
+			t.Fatal(err)
+		}
+		m := d.Metrics().Sub(before)
+		if m.ThreadOps != grid*block*5 || m.GlobalAccesses != grid*block*reads {
+			t.Fatalf("launch %d: ThreadOps = %d, GlobalAccesses = %d; want %d, %d",
+				launch, m.ThreadOps, m.GlobalAccesses, grid*block*5, grid*block*reads)
+		}
+		if launch == 0 {
+			first = m
+		} else if m != first {
+			t.Fatalf("second launch metrics %+v differ from first %+v", m, first)
+		}
+	}
+}
+
 func TestRooflineComputeVsMemoryBound(t *testing.T) {
 	// A compute-heavy kernel's time should scale with ops; a memory-heavy
 	// kernel's with transactions.
@@ -410,5 +446,177 @@ func TestOccupancyDisabled(t *testing.T) {
 	want := float64(32*2496*100)/(2496*706e6*0.85)*1e9 + cfg.KernelLaunchNs
 	if math.Abs(d.HostTime()-want) > want*0.01 {
 		t.Fatalf("occupancy-disabled time = %v, want %v", d.HostTime(), want)
+	}
+}
+
+// refWarpTransactions is the original map + sort.Slice coalescing analysis,
+// kept as the reference the allocation-free warpTransactions must match.
+func refWarpTransactions(lanes []ThreadCtx) int64 {
+	maxRuns := 0
+	for i := range lanes {
+		if len(lanes[i].runs) > maxRuns {
+			maxRuns = len(lanes[i].runs)
+		}
+	}
+	var total int64
+	type laneRun struct {
+		start int64
+		count int64
+	}
+	active := make([]laneRun, 0, len(lanes))
+	for k := 0; k < maxRuns; k++ {
+		active = active[:0]
+		var stride int32
+		mixed := false
+		first := true
+		for i := range lanes {
+			if k >= len(lanes[i].runs) {
+				continue
+			}
+			r := lanes[i].runs[k]
+			if first {
+				stride = r.stride
+				first = false
+			} else if r.stride != stride {
+				mixed = true
+			}
+			active = append(active, laneRun{r.start, int64(r.count)})
+		}
+		if len(active) == 0 {
+			continue
+		}
+		if mixed {
+			for _, a := range active {
+				total += a.count
+			}
+			continue
+		}
+		// Sort lanes by count descending: the active set at step t is a
+		// prefix.
+		sort.Slice(active, func(i, j int) bool { return active[i].count > active[j].count })
+		// D[j] = distinct segments among the first j+1 lanes' starts.
+		segs := make(map[int64]bool, len(active))
+		d := make([]int64, len(active))
+		for j, a := range active {
+			segs[a.start/segWords] = true
+			d[j] = int64(len(segs))
+		}
+		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes.
+		for j := 0; j < len(active); j++ {
+			var lower int64
+			if j+1 < len(active) {
+				lower = active[j+1].count
+			}
+			steps := active[j].count - lower
+			if steps > 0 {
+				total += d[j] * steps
+			}
+		}
+	}
+	return total
+}
+
+// randomBlock builds a block of recorded thread contexts from a byte
+// source (a seeded generator or fuzz input): a thread count that often
+// leaves a partial last warp, lanes with no runs, ragged run lists, lanes
+// past maxRunsPerThread, counts drawn from a small set so ties are common,
+// starts that often share a segment, and sites whose stride usually agrees
+// across lanes but sometimes does not.
+func randomBlock(next func() int) []ThreadCtx {
+	buf := &Buffer{base: int64(next()) * 4096}
+	ctxs := make([]ThreadCtx, 1+next()%100)
+	var siteStride [maxRunsPerThread + 8]int
+	for k := range siteStride {
+		siteStride[k] = []int{0, 1, 2, 32}[next()%4]
+	}
+	counts := []int{1, 2, 3, 5, 8, 13, 100}
+	for i := range ctxs {
+		nRuns := next() % 6
+		switch next() % 8 {
+		case 0:
+			nRuns = 0
+		case 1:
+			nRuns = maxRunsPerThread + next()%8
+		}
+		for k := 0; k < nRuns; k++ {
+			stride := siteStride[k%len(siteStride)]
+			if next()%10 == 0 {
+				stride = next() % 40
+			}
+			start := next() * (1 + next()%40)
+			ctxs[i].record(buf, start, counts[next()%len(counts)], stride, next()%2 == 0)
+		}
+	}
+	return ctxs
+}
+
+// checkAgainstReference compares the allocation-free accounting with the
+// reference on every warp of ctxs, and the whole block's transaction total
+// (partial last warp and overflow charges included).
+func checkAgainstReference(t *testing.T, ctxs []ThreadCtx, sc *accountScratch) {
+	t.Helper()
+	const warp = 32
+	var want int64
+	for w := 0; w < len(ctxs); w += warp {
+		lanes := ctxs[w:min(w+warp, len(ctxs))]
+		ref := refWarpTransactions(lanes)
+		if got := warpTransactions(lanes, sc); got != ref {
+			t.Fatalf("warp at lane %d of %d: warpTransactions = %d, reference %d", w, len(ctxs), got, ref)
+		}
+		want += ref
+		for i := range lanes {
+			want += lanes[i].extra
+		}
+	}
+	var st launchStats
+	accumulateBlock(&st, ctxs, warp, sc)
+	if st.transactions != want {
+		t.Fatalf("block of %d: accumulateBlock transactions = %d, reference %d", len(ctxs), st.transactions, want)
+	}
+}
+
+func TestWarpTransactionsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	next := func() int { return rng.Intn(256) }
+	sc := new(accountScratch)
+	for iter := 0; iter < 500; iter++ {
+		checkAgainstReference(t, randomBlock(next), sc)
+	}
+}
+
+func FuzzWarpTransactions(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 40, 1, 1, 1, 1, 0, 0, 3, 9, 200, 4, 5, 6})
+	f.Add([]byte{255, 99, 3, 2, 1, 0, 1, 1, 64, 2, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		i := 0
+		next := func() int {
+			if i >= len(data) {
+				return 0
+			}
+			i++
+			return int(data[i-1])
+		}
+		checkAgainstReference(t, randomBlock(next), new(accountScratch))
+	})
+}
+
+// TestAccumulateBlockAllocatesNothing guards the per-worker scratch: a warm
+// accounting pass over a full block must not allocate per block, warp or
+// access site.
+func TestAccumulateBlockAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	buf := &Buffer{base: 1 << 20}
+	ctxs := make([]ThreadCtx, 256)
+	for i := range ctxs {
+		ctxs[i].record(buf, rng.Intn(4096), 1+rng.Intn(8), 1, false)
+		ctxs[i].record(buf, rng.Intn(4096), 1+rng.Intn(8), 32, true)
+		ctxs[i].Ops(rng.Intn(100))
+	}
+	sc := new(accountScratch)
+	var st launchStats
+	accumulateBlock(&st, ctxs, 32, sc)
+	if n := testing.AllocsPerRun(100, func() { accumulateBlock(&st, ctxs, 32, sc) }); n != 0 {
+		t.Fatalf("accumulateBlock allocates %v times per block, want 0", n)
 	}
 }

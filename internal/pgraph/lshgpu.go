@@ -260,7 +260,7 @@ func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.
 	}
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: ns}
 	for j, h := range fam.Pairs {
-		if err := thrust.TransformHash(dev, dataBuf, tmpBuf, len(data), h.A, h.B, minwise.Prime); err != nil {
+		if err := thrust.TransformHash(dev, dataBuf, tmpBuf, len(data), h); err != nil {
 			return err
 		}
 		if err := thrust.SegmentedTopSAt(dev, nil, tmpBuf, segs, 1, sigBuf, j*ne+sp.Lo); err != nil {

@@ -88,7 +88,7 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 	}
 	fam := minwise.NewFamily(1, lshFamilySeed)
 	probe(kLSHHash, float64(n), swUnpackThreads(n), func() error {
-		return thrust.TransformHash(scratch, dataBuf, tmpBuf, n, fam.Pairs[0].A, fam.Pairs[0].B, minwise.Prime)
+		return thrust.TransformHash(scratch, dataBuf, tmpBuf, n, fam.Pairs[0])
 	})
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: nseg}
 	probe(kLSHTopS, float64(n), segThreads(nseg), func() error {

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"gpclust/internal/gpusim"
+	"gpclust/internal/minwise"
 )
 
 // Packed-image kernels. The host packs residues and adjacency values
@@ -152,7 +153,7 @@ func UnpackResidues(d *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer,
 // FusedHashTopS fuses TransformHash with SegmentedTopS into one launch:
 // for each segment the owning thread reads the segment's values — from the
 // packed image directly when dataBits > 0, from full-width words when
-// dataBits == 0 — applies the min-wise hash (a·v + b) mod prime to each,
+// dataBits == 0 — applies the min-wise hash h to each,
 // and maintains the running s minima with the same insertion scan as
 // SegmentedTopS, writing them sentinel-padded at out[outBase+seg*s:...).
 // The fusion eliminates one kernel launch and the full-width hash buffer's
@@ -162,7 +163,7 @@ func UnpackResidues(d *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer,
 // decides where fusion wins. Segment offsets index values (not packed
 // words) in both modes, so the two modes are interchangeable bit for bit.
 func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dataBits int,
-	segs Segments, s int, a, b, prime uint64, out *gpusim.Buffer, outBase int) error {
+	segs Segments, s int, h minwise.HashPair, out *gpusim.Buffer, outBase int) error {
 
 	if s <= 0 {
 		return fmt.Errorf("thrust: FusedHashTopS with s=%d", s)
@@ -202,7 +203,7 @@ func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 			} else {
 				v = w[lo+i]
 			}
-			return uint32((a*uint64(v) + b) % prime)
+			return h.Apply(v)
 		}
 		dst := out.Words()[outBase+seg*s : outBase+(seg+1)*s]
 		elemOps := hashOps
@@ -266,7 +267,7 @@ func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 // followed by SegmentedSort would have produced, so the downstream top-s
 // gather is unchanged.
 func FusedHashSort(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dataBits int,
-	segs Segments, a, b, prime uint64, dst *gpusim.Buffer) error {
+	segs Segments, h minwise.HashPair, dst *gpusim.Buffer) error {
 
 	if dataBits < 0 || dataBits > 32 {
 		return fmt.Errorf("thrust: FusedHashSort width %d outside [0,32]", dataBits)
@@ -305,7 +306,7 @@ func FusedHashSort(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 			} else {
 				v = w[lo+i]
 			}
-			t[i] = uint32((a*uint64(v) + b) % prime)
+			t[i] = h.Apply(v)
 		}
 		if n <= segSortThreshold {
 			insertionSort(t)

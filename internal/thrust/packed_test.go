@@ -145,7 +145,7 @@ func TestFusedHashTopSMatchesSplit(t *testing.T) {
 		segs := Segments{Offsets: offBuf, NumSegs: tc.segs}
 		hashes := d.MustMalloc(max(n, 1))
 		want := d.MustMalloc(tc.segs * tc.s)
-		if err := TransformHash(d, data, hashes, n, h.A, h.B, minwise.Prime); err != nil {
+		if err := TransformHash(d, data, hashes, n, h); err != nil {
 			t.Fatal(err)
 		}
 		if err := SegmentedTopS(d, hashes, segs, tc.s, want); err != nil {
@@ -155,7 +155,7 @@ func TestFusedHashTopSMatchesSplit(t *testing.T) {
 
 		// Fused, full-width.
 		got := d.MustMalloc(tc.segs * tc.s)
-		if err := FusedHashTopS(d, nil, data, 0, segs, tc.s, h.A, h.B, minwise.Prime, got, 0); err != nil {
+		if err := FusedHashTopS(d, nil, data, 0, segs, tc.s, h, got, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range download(t, d, got, tc.segs*tc.s) {
@@ -167,7 +167,7 @@ func TestFusedHashTopSMatchesSplit(t *testing.T) {
 		// Fused, packed image.
 		packed := gpusim.PackBits(vals, 5)
 		pBuf := upload(t, d, append(packed, 0))
-		if err := FusedHashTopS(d, nil, pBuf, 5, segs, tc.s, h.A, h.B, minwise.Prime, got, 0); err != nil {
+		if err := FusedHashTopS(d, nil, pBuf, 5, segs, tc.s, h, got, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range download(t, d, got, tc.segs*tc.s) {
@@ -200,7 +200,7 @@ func TestFusedHashSortMatchesSplit(t *testing.T) {
 	offBuf := upload(t, d, offs)
 	segs := Segments{Offsets: offBuf, NumSegs: len(offs) - 1}
 	want := d.MustMalloc(max(n, 1))
-	if err := TransformHash(d, data, want, n, h.A, h.B, minwise.Prime); err != nil {
+	if err := TransformHash(d, data, want, n, h); err != nil {
 		t.Fatal(err)
 	}
 	if err := SegmentedSort(d, want, segs); err != nil {
@@ -209,7 +209,7 @@ func TestFusedHashSortMatchesSplit(t *testing.T) {
 	wantOut := download(t, d, want, n)
 
 	got := d.MustMalloc(max(n, 1))
-	if err := FusedHashSort(d, nil, data, 0, segs, h.A, h.B, minwise.Prime, got); err != nil {
+	if err := FusedHashSort(d, nil, data, 0, segs, h, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range download(t, d, got, n) {
@@ -220,7 +220,7 @@ func TestFusedHashSortMatchesSplit(t *testing.T) {
 
 	packed := gpusim.PackBits(vals, 5)
 	pBuf := upload(t, d, append(packed, 0))
-	if err := FusedHashSort(d, nil, pBuf, 5, segs, h.A, h.B, minwise.Prime, got); err != nil {
+	if err := FusedHashSort(d, nil, pBuf, 5, segs, h, got); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range download(t, d, got, n) {

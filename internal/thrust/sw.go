@@ -79,12 +79,14 @@ type SWConfig struct {
 	Obs *obs.Recorder
 }
 
-// swRows is the reusable thread-local DP state (H and E rows of the Gotoh
-// recurrence). A sync.Pool bounds allocation across the simulator's
-// concurrently executing threads; rows are fully reinitialized per pair, so
-// reuse cannot affect results.
+// swRows is the reusable thread-local DP state: the H and E rows of the
+// Gotoh recurrence and both operands' residue codes, decoded once per pair.
+// A sync.Pool bounds allocation across the simulator's concurrently
+// executing threads; every row is fully rewritten per pair, so reuse cannot
+// affect results.
 type swRows struct {
 	h, e []int32
+	a, b []int32
 }
 
 var swPool = sync.Pool{New: func() any { return new(swRows) }}
@@ -160,50 +162,48 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 		ctx.GlobalRead(buf, cfg.SeqBase+aw0, aw1-aw0, 1)
 		ctx.GlobalRead(buf, cfg.SeqBase+bw0, bw1-bw0, 1)
 
-		tw := tblBuf.Words()
-		code := func(off int) int32 {
-			return int32(w[cfg.SeqBase+off>>2] >> (8 * (off & 3)) & 0xff)
-		}
-		if cfg.SeqBits > 0 {
-			seq := w[cfg.SeqBase:]
-			mask := packedMask(cfg.SeqBits)
-			code = func(off int) int32 {
-				return int32(packedAt(seq, off, cfg.SeqBits, mask))
-			}
-		}
-		score := func(ca, cb int32) int32 {
-			return int32(tw[cfg.TableBase+int(ca)*cfg.Alphabet+int(cb)])
-		}
-
 		const negInf = -1 << 30
 		rows := swPool.Get().(*swRows)
-		if cap(rows.h) < bLen+1 {
-			rows.h = make([]int32, bLen+1)
-			rows.e = make([]int32, bLen+1)
+		rows.a = decodeResidues(rows.a, w[cfg.SeqBase:], aOff, aLen, cfg.SeqBits)
+		rows.b = decodeResidues(rows.b, w[cfg.SeqBase:], bOff, bLen, cfg.SeqBits)
+		if cap(rows.h) < bLen {
+			rows.h = make([]int32, bLen)
+			rows.e = make([]int32, bLen)
 		}
-		h, e := rows.h[:bLen+1], rows.e[:bLen+1]
+		// h[j], e[j] hold column j+1 of the DP; column 0 is H = 0 throughout.
+		bc := rows.b
+		h, e := rows.h[:len(bc)], rows.e[:len(bc)]
 		for j := range h {
 			h[j] = 0
 			e[j] = negInf
 		}
+		// Query-profile form: each a-residue selects its substitution row
+		// once, and the inner loop indexes it by the b-residue directly. The
+		// row runs to the table's end, as the flat [ca·Alphabet+cb] index
+		// did, so the index is checked against the table alone.
+		tw := tblBuf.Words()
+		gapExt, gapOpenExt := cfg.GapExtend, cfg.GapOpen+cfg.GapExtend
 		var best int32
-		for i := 1; i <= aLen; i++ {
-			ca := code(aOff + i - 1)
-			var diag int32
+		for _, ca := range rows.a {
+			prof := tw[cfg.TableBase+int(ca)*cfg.Alphabet:]
+			var diag, left int32 // H[i-1][j-1] and H[i][j-1]
 			var f int32 = negInf
-			for j := 1; j <= bLen; j++ {
-				e[j] = max(e[j]-cfg.GapExtend, h[j]-cfg.GapOpen-cfg.GapExtend)
-				f = max(f-cfg.GapExtend, h[j-1]-cfg.GapOpen-cfg.GapExtend)
-				v := diag + score(ca, code(bOff+j-1))
+			for j, cb := range bc {
+				hj := h[j]
+				ej := max(e[j]-gapExt, hj-gapOpenExt)
+				e[j] = ej
+				f = max(f-gapExt, left-gapOpenExt)
+				v := diag + int32(prof[cb])
 				if v < 0 {
 					v = 0
 				}
-				v = max(v, e[j], f)
+				v = max(v, ej, f)
 				if v < 0 {
 					v = 0
 				}
-				diag = h[j]
+				diag = hj
 				h[j] = v
+				left = v
 				if v > best {
 					best = v
 				}
@@ -221,4 +221,26 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 		ctx.SharedAccess(cells)
 		ctx.Ops(cells*cellOps + aLen + bLen)
 	})
+}
+
+// decodeResidues writes the n residue codes starting at residue off of seq
+// into dst (grown if needed) and returns it: 4 codes per little-endian word
+// when bits is 0, else the bit-continuous packed image of that width.
+func decodeResidues(dst []int32, seq []uint32, off, n, bits int) []int32 {
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	if bits == 0 {
+		for i := range dst {
+			p := off + i
+			dst[i] = int32(seq[p>>2] >> (8 * (p & 3)) & 0xff)
+		}
+		return dst
+	}
+	mask := packedMask(bits)
+	for i := range dst {
+		dst[i] = int32(packedAt(seq, off+i, bits, mask))
+	}
+	return dst
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"gpclust/internal/gpusim"
+	"gpclust/internal/minwise"
 )
 
 // elemsPerThread is the grid-stride work granularity of elementwise
@@ -76,16 +77,16 @@ func Transform(d *gpusim.Device, src, dst *gpusim.Buffer, n int, f func(uint32) 
 // device instructions.
 const hashOps = 6
 
-// TransformHash computes dst[i] = (a·src[i] + b) mod P over n elements —
-// the min-wise permutation hash h_i of Section III-B, fused to avoid
-// per-element closure dispatch. P is minwise.Prime.
-func TransformHash(d *gpusim.Device, src, dst *gpusim.Buffer, n int, a, b, prime uint64) error {
-	return TransformHashOnStream(d, nil, src, dst, n, a, b, prime)
+// TransformHash computes dst[i] = h(src[i]) = (A·src[i] + B) mod P over n
+// elements — the min-wise permutation hash h_i of Section III-B, fused to
+// avoid per-element closure dispatch. P is the constant minwise.Prime.
+func TransformHash(d *gpusim.Device, src, dst *gpusim.Buffer, n int, h minwise.HashPair) error {
+	return TransformHashOnStream(d, nil, src, dst, n, h)
 }
 
 // TransformHashOnStream is TransformHash enqueued on a stream (nil stream =
 // synchronous), used by the asynchronous-transfer pipeline.
-func TransformHashOnStream(d *gpusim.Device, s *gpusim.Stream, src, dst *gpusim.Buffer, n int, a, b, prime uint64) error {
+func TransformHashOnStream(d *gpusim.Device, s *gpusim.Stream, src, dst *gpusim.Buffer, n int, h minwise.HashPair) error {
 	if n < 0 || n > src.Len() || n > dst.Len() {
 		return fmt.Errorf("thrust: TransformHash over %d elements with buffers of %d/%d", n, src.Len(), dst.Len())
 	}
@@ -99,7 +100,7 @@ func TransformHashOnStream(d *gpusim.Device, s *gpusim.Stream, src, dst *gpusim.
 		s, t := src.Words(), dst.Words()
 		count := 0
 		for i := gid; i < n; i += total {
-			t[i] = uint32((a*uint64(s[i]) + b) % prime)
+			t[i] = h.Apply(s[i])
 			count++
 		}
 		if count > 0 {

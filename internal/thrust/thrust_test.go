@@ -85,7 +85,7 @@ func TestTransformHashMatchesMinwise(t *testing.T) {
 	out := d.MustMalloc(n)
 	defer in.Free()
 	defer out.Free()
-	if err := TransformHash(d, in, out, n, h.A, h.B, minwise.Prime); err != nil {
+	if err := TransformHash(d, in, out, n, h); err != nil {
 		t.Fatal(err)
 	}
 	got := download(t, d, out, n)
@@ -425,7 +425,7 @@ func BenchmarkTransformHash(b *testing.B) {
 	defer out.Free()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = TransformHash(d, in, out, n, 48271, 11, minwise.Prime)
+		_ = TransformHash(d, in, out, n, minwise.HashPair{A: 48271, B: 11})
 	}
 }
 
@@ -530,7 +530,7 @@ func TestStreamVariantsDeferHostClock(t *testing.T) {
 
 	st := d.NewStream()
 	before := d.HostTime()
-	if err := TransformHashOnStream(d, st, in, out, n, 48271, 11, minwise.Prime); err != nil {
+	if err := TransformHashOnStream(d, st, in, out, n, minwise.HashPair{A: 48271, B: 11}); err != nil {
 		t.Fatal(err)
 	}
 	segs := Segments{Offsets: off, NumSegs: 8}

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
-# full test suite, the invariants-build sweep, fuzz smoke, and a race sweep
-# of the concurrent packages (host-parallel backend, pGraph worker pool,
-# device simulator). Run from the repository root; exits non-zero on any
-# failure.
+# full test suite, the benchmark module, the invariants-build sweep, fuzz
+# smoke, and a race sweep of the concurrent packages (host-parallel backend,
+# pGraph worker pool, device simulator). Run from the repository root;
+# exits non-zero on any failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,6 +67,9 @@ awk -v t="$total" 'BEGIN {
     printf "coverage %.1f%% (floor 75%%)\n", t
 }'
 
+echo "== benchmark module (cmd/gpbench is its own module: vet, tests, gpclint)"
+(cd cmd/gpbench && go vet ./... && go test ./... && go run gpclust/cmd/gpclint ./...)
+
 echo "== go test -tags invariants (runtime invariant sweep)"
 go test -tags invariants ./internal/core/... ./internal/unionfind/... ./internal/gpusim/...
 
@@ -102,6 +105,7 @@ go test -run='^$' -fuzz=FuzzUnionFind -fuzztime=10s ./internal/unionfind/
 go test -run='^$' -fuzz=FuzzSWBatch -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzLSHCandidates -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults/
+go test -run='^$' -fuzz=FuzzWarpTransactions -fuzztime=10s ./internal/gpusim/
 
 echo "== serve SLO smoke (1000 concurrent clients, race detector on)"
 go test -race -run TestServeSLO ./internal/serve/
