@@ -163,22 +163,6 @@ func BenchmarkLargeScale_PacificOcean(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.Edges), "edges")
 }
 
-// BenchmarkAblation_AsyncTransfer quantifies the paper's future-work claim
-// that asynchronous transfers hide the Data_g→c overhead.
-func BenchmarkAblation_AsyncTransfer(b *testing.B) {
-	var rows []bench.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.AblateAsync(0.004, benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Value, "sync-sec")
-	b.ReportMetric(rows[2].Value, "async-sec")
-	b.ReportMetric(rows[3].Value, "saved-sec")
-}
-
 // BenchmarkAblation_BatchSize sweeps Algorithm 2's device batch budget.
 func BenchmarkAblation_BatchSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -91,7 +91,7 @@ func TestCLIPipeline(t *testing.T) {
 }
 
 // TestCLIGraphModeAndBinary exercises genseq's graph mode, the binary graph
-// format and the multi-GPU / gpuagg / profile / trace flags.
+// format and the gpuagg / profile / trace flags.
 func TestCLIGraphModeAndBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short")
@@ -116,14 +116,14 @@ func TestCLIGraphModeAndBinary(t *testing.T) {
 	}
 
 	out = run(t, gpclust, "-in", graphBin, "-backend", "gpu",
-		"-c1", "30", "-c2", "15", "-ngpu", "2", "-out", filepath.Join(dir, "c2.txt"))
+		"-c1", "30", "-c2", "15", "-out", filepath.Join(dir, "c2.txt"))
 	if !strings.Contains(out, "clusters") {
-		t.Fatalf("multi-gpu run output unexpected: %s", out)
+		t.Fatalf("auto-plan gpu run output unexpected: %s", out)
 	}
 	a, _ := os.ReadFile(filepath.Join(dir, "c1.txt"))
 	b, _ := os.ReadFile(filepath.Join(dir, "c2.txt"))
 	if string(a) != string(b) {
-		t.Fatal("gpuagg and multi-gpu runs produced different clusterings")
+		t.Fatal("gpuagg and auto-plan gpu runs produced different clusterings")
 	}
 
 	// Serial decomposed backend agrees too (statistically different random
@@ -190,8 +190,6 @@ func TestCLIFailurePaths(t *testing.T) {
 				"-faults", "h2d op=1 count=1000000", "-retries", "1", "-nofallback"},
 			"retry budget exhausted"},
 		{"pgraph missing input", pgraphBin, []string{"-in", missing}, "no-such-file"},
-		{"pgraph pipeline without gpu", pgraphBin,
-			[]string{"-in", fasta, "-pipeline"}, "-pipeline requires -gpu"},
 		{"pgraph bad schedule", pgraphBin,
 			[]string{"-in", fasta, "-gpu", "-faults", "h2d op="}, "faults"},
 		{"pgraph fault storm no fallback", pgraphBin,
@@ -273,7 +271,7 @@ func readTraceFile(t *testing.T, path string) []map[string]any {
 }
 
 // TestCLIObservability drives the -trace/-metrics surface of both tools: a
-// faulted pipelined gpclust run and a pipelined pgraph build must write a
+// faulted pipelined gpclust run and a multi-batch GPU pgraph build must write a
 // parseable merged trace (host phase spans, lane spans and fault instants on
 // distinct tracks) and an OpenMetrics file carrying the run's counters.
 func TestCLIObservability(t *testing.T) {
@@ -292,7 +290,7 @@ func TestCLIObservability(t *testing.T) {
 
 	pTrace := filepath.Join(dir, "pgraph-trace.json")
 	pMetrics := filepath.Join(dir, "pgraph-metrics.txt")
-	run(t, pgraphBin, "-in", fasta, "-out", graphF, "-gpu", "-pipeline",
+	run(t, pgraphBin, "-in", fasta, "-out", graphF, "-gpu",
 		"-batchwords", "8000", "-trace", pTrace, "-metrics", pMetrics)
 	if evs := readTraceFile(t, pTrace); len(evs) == 0 {
 		t.Fatal("pgraph trace has no events")

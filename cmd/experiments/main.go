@@ -226,11 +226,13 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 	smallPerf := perfOpts
 	smallPerf.C1, smallPerf.C2 = 100, 50
 
-	rows, err := bench.AblateAsync(0.005, smallPerf)
+	// The gpClust sequential and pipelined rows of the execution-strategy
+	// ablation are the paper's Section V comparison.
+	strategies, err := bench.AblateHostParallel(0.25, smallPerf, 0)
 	fatal(err)
-	bench.RenderAblation(out, "synchronous vs asynchronous CPU-GPU transfer (paper Section V)", rows)
+	bench.RenderAblation(out, "synchronous vs overlapped transfer (paper Section V)", strategies[2:])
 
-	rows, err = bench.AblateBatchSize(0.25, smallPerf, []int{0, 2_000_000, 200_000, 40_000})
+	rows, err := bench.AblateBatchSize(0.25, smallPerf, []int{0, 2_000_000, 200_000, 40_000})
 	fatal(err)
 	bench.RenderAblation(out, "device batch budget (Algorithm 2 partitioning)", rows)
 
@@ -254,13 +256,7 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 	fatal(err)
 	bench.RenderAblation(out, "CPU-side vs device-side shingle aggregation (beyond-paper extension)", rows)
 
-	rows, err = bench.AblateHostParallel(0.25, smallPerf, 0)
-	fatal(err)
-	bench.RenderAblation(out, "execution strategies: serial vs parallel host vs sequential vs pipelined gpClust", rows)
-
-	rows, err = bench.AblateMultiGPU(0.005, smallPerf, []int{1, 2, 4})
-	fatal(err)
-	bench.RenderAblation(out, "multi-GPU batch distribution (beyond-paper extension)", rows)
+	bench.RenderAblation(out, "execution strategies: serial vs parallel host vs sequential vs pipelined gpClust", strategies)
 
 	rows, err = bench.AblateFaults(0.25, smallPerf)
 	fatal(err)

@@ -30,10 +30,22 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"time"
 
 	"gpclust/internal/pgraph"
 	"gpclust/internal/seq"
 	"gpclust/internal/serve"
+)
+
+// Server timeouts. A slow or stalled client cannot hold a connection open
+// indefinitely: the headers must arrive within readHeaderTimeout and the
+// whole request (up to the 64 MiB /cluster body limit) within readTimeout.
+// There is no write timeout, because a large /cluster insert legitimately
+// runs long before its reply is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -81,7 +93,14 @@ func main() {
 	fatal(err)
 	fmt.Fprintf(os.Stderr, "gpclust-serve: %d sequences resident in %d families; serving on http://%s\n",
 		len(res.Indices), res.Families, *addr)
-	fatal(http.ListenAndServe(*addr, s.Handler()))
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	fatal(srv.ListenAndServe())
 }
 
 // parseBands maps the -bands value to Config.LSHBands the same way the

@@ -41,10 +41,8 @@ func main() {
 		c2       = flag.Int("c2", 100, "second-level shingle count")
 		seed     = flag.Int64("seed", 1, "random seed for the hash families")
 		overlap  = flag.Bool("overlap", false, "report overlapping connected-component clusters instead of the union-find partition")
-		async    = flag.Bool("async", false, "use asynchronous CPU-GPU transfers (gpu backend)")
 		pipeline = flag.Bool("pipeline", false, "double-buffer batches across streams with coalesced transfers (gpu backend)")
 		gpuagg   = flag.Bool("gpuagg", false, "aggregate shingles on the device (gpu backend)")
-		ngpu     = flag.Int("ngpu", 1, "number of simulated devices (gpu backend)")
 		profile  = flag.Bool("profile", false, "print a per-kernel profile of the run (gpu backend)")
 		trace    = flag.String("trace", "", "write a merged chrome://tracing timeline (host phases + every device) to this file (gpu backend)")
 		metrics  = flag.String("metrics", "", "write OpenMetrics counters for the run to this file (any backend)")
@@ -75,8 +73,8 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*async, "-async"}, {*pipeline, "-pipeline"}, {*gpuagg, "-gpuagg"},
-			{*ngpu != 1, "-ngpu"}, {*profile, "-profile"}, {*trace != "", "-trace"},
+			{*pipeline, "-pipeline"}, {*gpuagg, "-gpuagg"},
+			{*profile, "-profile"}, {*trace != "", "-trace"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
 			{!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
 		} {
@@ -110,7 +108,6 @@ func main() {
 		S1: *s1, C1: *c1, S2: *s2, C2: *c2,
 		Seed:            *seed,
 		Mode:            core.ReportUnionFind,
-		AsyncTransfer:   *async,
 		PipelineBatches: *pipeline,
 		GPUAggregate:    *gpuagg,
 		BatchWords:      batchWords,
@@ -147,35 +144,23 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gpclust: parallel backend used %d workers\n", res.Workers)
 		}
 	case "gpu":
-		devs := make([]*gpusim.Device, *ngpu)
-		for i := range devs {
-			devs[i] = gpusim.MustNew(gpusim.K20Config())
-			if inj != nil {
-				devs[i].SetFaultInjector(inj)
-			}
-			if *profile {
-				devs[i].EnableProfiling()
-			}
-			if *trace != "" {
-				devs[i].EnableTracing()
-			}
+		dev := gpusim.MustNew(gpusim.K20Config())
+		if inj != nil {
+			dev.SetFaultInjector(inj)
 		}
-		if *ngpu > 1 {
-			res, err = core.ClusterMultiGPU(g, devs, o)
-		} else {
-			res, err = core.ClusterGPU(g, devs[0], o)
+		if *profile {
+			dev.EnableProfiling()
 		}
+		if *trace != "" {
+			dev.EnableTracing()
+		}
+		res, err = core.ClusterGPU(g, dev, o)
 		if err == nil && *profile {
-			for i, d := range devs {
-				fmt.Fprintf(os.Stderr, "gpclust: device %d kernel profile:\n", i)
-				d.WriteProfile(os.Stderr)
-			}
+			fmt.Fprintln(os.Stderr, "gpclust: kernel profile:")
+			dev.WriteProfile(os.Stderr)
 		}
 		if err == nil && *trace != "" {
-			tl := make([]obs.DeviceTimeline, len(devs))
-			for i, d := range devs {
-				tl[i] = obs.DeviceTimeline{Name: fmt.Sprintf("device%d", i), Events: d.Trace()}
-			}
+			tl := []obs.DeviceTimeline{{Name: "device0", Events: dev.Trace()}}
 			tf, terr := os.Create(*trace)
 			fatal(terr)
 			fatal(obs.WriteMergedTrace(tf, rec, tl))

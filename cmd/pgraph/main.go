@@ -7,7 +7,7 @@
 //
 //	pgraph -in orfs.fa -out graph.txt
 //	pgraph -in orfs.fa -out graph.bin -minmatch 12 -score 1.2
-//	pgraph -in orfs.fa -out graph.txt -gpu -pipeline
+//	pgraph -in orfs.fa -out graph.txt -gpu
 //	pgraph -in orfs.fa -out graph.txt -gpu -filter cascade -bands conservative
 //	pgraph -in orfs.fa -out graph.txt -filter lsh -bands 64 -rows 1
 //
@@ -46,8 +46,7 @@ func main() {
 		score    = flag.Float64("score", 1.2, "Smith-Waterman score threshold per residue of the shorter sequence")
 		workers  = flag.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
 		gpu      = flag.Bool("gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
-		pipeline = flag.Bool("pipeline", false, "with -gpu: double-buffer device batches (overlap copies and kernels)")
-		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick budget and lanes, 0 derives from device memory")
+		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick the budget, 0 derives from device memory")
 		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image")
 		fuse     = flag.Bool("fuse", true, "with -gpu -packed: let the SW kernel decode the packed image in place where the cost model says it wins")
 		noBin    = flag.Bool("nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
@@ -78,7 +77,7 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*pipeline, "-pipeline"}, {*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
+			{*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
 			{*trace != "", "-trace"}, {!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
 		} {
@@ -131,7 +130,6 @@ func main() {
 	cfg.LSHBands = lshBands
 	cfg.LSHRows = *rows
 	cfg.GPU = *gpu
-	cfg.GPUPipeline = *pipeline
 	cfg.GPUBatchWords, cfg.AutoTune, err = parseBatchWords(*batchW)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgraph:", err)
@@ -233,9 +231,9 @@ func parseBands(s string) (int, error) {
 }
 
 // parseBatchWords maps the -batchwords value to (budget, autoTune):
-// "auto" lets the cost-model auto-tuner pick budget and lane count, "0"
-// keeps the legacy free-memory derivation, and a positive integer fixes
-// the per-batch budget.
+// "auto" lets the cost-model auto-tuner pick the budget, "0" keeps the
+// legacy free-memory derivation, and a positive integer fixes the
+// per-batch budget.
 func parseBatchWords(s string) (int, bool, error) {
 	if s == "auto" {
 		return 0, true, nil

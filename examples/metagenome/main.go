@@ -36,7 +36,6 @@ func main() {
 	//     bit-identical edge set, Table-I-style component split.
 	gpuCfg := gpclust.DefaultPGraphConfig()
 	gpuCfg.GPU = true
-	gpuCfg.GPUPipeline = true
 	gGPU, gst, err := gpclust.BuildHomologyGraph(mg.Seqs, gpuCfg)
 	if err != nil {
 		log.Fatal(err)

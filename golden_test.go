@@ -45,7 +45,6 @@ func TestGoldenPipelineBackends(t *testing.T) {
 
 	gpuCfg := hostCfg
 	gpuCfg.GPU = true
-	gpuCfg.GPUPipeline = true
 	gpuCfg.GPUBatchWords = 8_000 // force several batches through the scheduler
 	gGPU, gpuStats, err := gpclust.BuildHomologyGraph(seqs, gpuCfg)
 	if err != nil {

@@ -114,12 +114,6 @@ func ClusterGPU(g *Graph, dev *Device, o Options) (*Result, error) {
 	return core.ClusterGPU(g, dev, o)
 }
 
-// ClusterMultiGPU distributes the batch stream of Algorithm 2 over several
-// devices (round-robin); output is bit-identical to Cluster/ClusterGPU.
-func ClusterMultiGPU(g *Graph, devs []*Device, o Options) (*Result, error) {
-	return core.ClusterMultiGPU(g, devs, o)
-}
-
 // ClusterByComponent decomposes the graph into connected components (the
 // pClust strategy of Section I-B) and shingles each independently on a
 // worker pool; clusters never span components, so decomposition is exact.

@@ -21,34 +21,6 @@ type AblationRow struct {
 	Comment string
 }
 
-// AblateAsync quantifies the paper's future-work claim: "the data transfer
-// overhead ... can be eliminated through asynchronous data transfer". It
-// runs the same graph synchronously and with streams and reports the totals
-// and the D2H overhead recovered.
-func AblateAsync(scale float64, o core.Options) ([]AblationRow, error) {
-	g, _ := graph.Planted(Paper2MConfig(scale))
-	sync := o
-	sync.AsyncTransfer = false
-	devS := gpusim.MustNew(gpusim.K20Config())
-	rs, err := core.ClusterGPU(g, devS, sync)
-	if err != nil {
-		return nil, err
-	}
-	async := o
-	async.AsyncTransfer = true
-	devA := gpusim.MustNew(gpusim.K20Config())
-	ra, err := core.ClusterGPU(g, devA, async)
-	if err != nil {
-		return nil, err
-	}
-	return []AblationRow{
-		{"sync total", s(rs.Timings.TotalNs), "s", "Thrust-style synchronous transfers (the paper's implementation)"},
-		{"sync Data_g->c", s(rs.Timings.D2HNs), "s", "per-trial shingle transfer overhead on the critical path"},
-		{"async total", s(ra.Timings.TotalNs), "s", "double-buffered streams (the paper's proposed improvement)"},
-		{"saved", s(rs.Timings.TotalNs - ra.Timings.TotalNs), "s", "overhead hidden by overlapping transfer, kernels and CPU aggregation"},
-	}, nil
-}
-
 // AblateBatchSize sweeps the device batch budget, exercising Algorithm 2's
 // partitioned processing: smaller batches mean more H2D replays, more split
 // lists and more kernel launches.
@@ -222,45 +194,6 @@ func AblateGPUAggregation(scale float64, o core.Options) ([]AblationRow, error) 
 		{"GPU-aggregate total", s(ra.Timings.TotalNs), "s", fmt.Sprintf("CPU %.2fs GPU %.2fs (key+sort on device)", s(ra.Timings.CPUNs), s(ra.Timings.GPUNs))},
 		{"saved", s(base.Timings.TotalNs - ra.Timings.TotalNs), "s", "identical clustering output"},
 	}, nil
-}
-
-// AblateMultiGPU sweeps the device count for the batch-distributed pipeline
-// (a beyond-paper scaling extension). Two regimes appear, both real:
-// above occupancy saturation the bottleneck device's kernel time shrinks
-// with the device count while the total stays pinned by the shared host
-// aggregation (Table I's Amdahl division); below saturation, splitting the
-// batch stream lowers every launch's occupancy and cancels the per-device
-// gain — the same "more workload ⇒ better speedup" effect the paper reports
-// for a single device (Section IV-C), compounded. The literal Algorithm 1
-// (full segmented sort) is used so the accelerated part carries measurable
-// weight.
-func AblateMultiGPU(scale float64, o core.Options, deviceCounts []int) ([]AblationRow, error) {
-	o.UseFullSort = true
-	g, _ := graph.Planted(Paper2MConfig(scale))
-	var rows []AblationRow
-	for _, n := range deviceCounts {
-		devs := make([]*gpusim.Device, n)
-		for i := range devs {
-			devs[i] = gpusim.MustNew(gpusim.K20Config())
-		}
-		r, err := core.ClusterMultiGPU(g, devs, o)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %d devices: %w", n, err)
-		}
-		maxDevGPU := 0.0
-		for _, d := range devs {
-			if t := d.Metrics().KernelTimeNs; t > maxDevGPU {
-				maxDevGPU = t
-			}
-		}
-		rows = append(rows, AblationRow{
-			Label: fmt.Sprintf("%d device(s)", n),
-			Value: s(maxDevGPU), Unit: "s GPU",
-			Comment: fmt.Sprintf("bottleneck device kernels; total %.2fs (%d batches, CPU %.2fs — Amdahl-bound)",
-				s(r.Timings.TotalNs), r.Pass1.Batches, s(r.Timings.CPUNs)),
-		})
-	}
-	return rows, nil
 }
 
 // AblateHostParallel compares the four execution strategies on one graph:

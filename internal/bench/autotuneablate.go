@@ -102,7 +102,7 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	}
 
 	// pgraph: the single-whole-workload legacy batch, a forced multi-batch
-	// budget under both schedulers, and the auto-tuner.
+	// budget, and the auto-tuner.
 	if pgraphN <= 0 {
 		pgraphN = 1200
 	}
@@ -113,22 +113,19 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		return nil, nil, err
 	}
 	type pgSetting struct {
-		label    string
-		budget   int
-		pipeline bool
-		auto     bool
+		label  string
+		budget int
+		auto   bool
 	}
 	pgSettings := []pgSetting{
-		{"auto", 0, false, true},
-		{"fixed whole-workload", 0, false, false},
-		{"fixed 40K words sequential", 40_000, false, false},
-		{"fixed 40K words pipelined", 40_000, true, false},
+		{"auto", 0, true},
+		{"fixed whole-workload", 0, false},
+		{"fixed 40K words sequential", 40_000, false},
 	}
 	var golden *graph.Graph
 	for _, ps := range pgSettings {
 		cfg := pgraph.DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUPipeline = ps.pipeline
 		cfg.GPUBatchWords = ps.budget
 		cfg.AutoTune = ps.auto
 		cfg.PredictCost = !ps.auto

@@ -10,8 +10,8 @@ func TestAblateAutoTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(points) || len(points) != 9 {
-		t.Fatalf("rows=%d points=%d, want 9 each", len(rows), len(points))
+	if len(rows) != len(points) || len(points) != 8 {
+		t.Fatalf("rows=%d points=%d, want 8 each", len(rows), len(points))
 	}
 
 	autoByWorkload := map[string]int{}

@@ -174,12 +174,14 @@ func TestRunLargeScale(t *testing.T) {
 func TestAblations(t *testing.T) {
 	o := tinyOptions()
 
-	async, err := AblateAsync(0.001, o)
+	// The paper's Section V claim, on the surviving executors: overlapping
+	// transfers with kernels and host aggregation beats the synchronous loop.
+	strategies, err := AblateHostParallel(0.02, o, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(async) != 4 || async[3].Value <= 0 {
-		t.Fatalf("async ablation shows no savings: %+v", async)
+	if len(strategies) != 4 || strategies[3].Value >= strategies[2].Value {
+		t.Fatalf("pipelined total not below sequential: %+v", strategies)
 	}
 
 	batches, err := AblateBatchSize(0.02, o, []int{0, 20000, 2000})
@@ -223,29 +225,9 @@ func TestAblations(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	RenderAblation(&buf, "async", async)
+	RenderAblation(&buf, "strategies", strategies)
 	if !strings.Contains(buf.String(), "Ablation") {
 		t.Fatal("render output incomplete")
-	}
-}
-
-func TestAblateMultiGPU(t *testing.T) {
-	rows, err := AblateMultiGPU(0.002, tinyOptions(), []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// At sub-saturated test scales the occupancy loss can cancel the
-	// per-device gain; the bottleneck kernel time must at least not blow up
-	// (the saturated-regime shrinkage is covered by the occupancy model
-	// tests in gpusim).
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Value > rows[0].Value*1.25 {
-			t.Errorf("%s bottleneck GPU time %.3fs far above 1-device %.3fs",
-				rows[i].Label, rows[i].Value, rows[0].Value)
-		}
 	}
 }
 

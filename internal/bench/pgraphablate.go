@@ -27,14 +27,13 @@ type PGraphBackendPoint struct {
 }
 
 // AblatePGraphBackend compares pGraph's Smith–Waterman verification
-// strategies on one metagenome: the host worker pool, the sequential GPU
-// batch scheduler, the double-buffered pipelined scheduler, the sequential
-// scheduler without length binning (warp-divergence cost), and a
-// whole-workload single batch (occupancy effect). All five must accept the
-// bit-identical edge set; the rows report the virtual-clock split. n is the
-// ORF count (0: the examples/metagenome default of 1200); batchWords is the
-// forced per-batch budget for the batched backends (0: a default that
-// yields several batches at the default n).
+// strategies on one metagenome: the host worker pool, the GPU batch
+// scheduler, the scheduler without length binning (warp-divergence cost),
+// and a whole-workload single batch (occupancy effect). All four must
+// accept the bit-identical edge set; the rows report the virtual-clock
+// split. n is the ORF count (0: the examples/metagenome default of 1200);
+// batchWords is the forced per-batch budget for the batched backends (0: a
+// default that yields several batches at the default n).
 func AblatePGraphBackend(n, batchWords int) ([]AblationRow, []PGraphBackendPoint, error) {
 	if n <= 0 {
 		n = 1200
@@ -57,11 +56,6 @@ func AblatePGraphBackend(n, batchWords int) ([]AblationRow, []PGraphBackendPoint
 		{"host pool x4", func(c *pgraph.Config) { c.Workers = 4 }},
 		{"gpu sequential", func(c *pgraph.Config) {
 			c.GPU = true
-			c.GPUBatchWords = batchWords
-		}},
-		{"gpu pipelined", func(c *pgraph.Config) {
-			c.GPU = true
-			c.GPUPipeline = true
 			c.GPUBatchWords = batchWords
 		}},
 		{"gpu seq no-binning", func(c *pgraph.Config) {

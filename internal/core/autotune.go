@@ -318,8 +318,6 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 		return predictPipelined(m, in, fam, s, o, plans, lanes)
 	case o.GPUAggregate:
 		return predictGPUAgg(m, in, fam, s, o, plans)
-	case o.AsyncTransfer:
-		return predictAsync(m, in, fam, s, o, plans)
 	default:
 		return predictSequential(m, in, fam, s, o, plans)
 	}
@@ -345,45 +343,6 @@ func predictSequential(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 			sim.Copy(-1, np*s, false)
 			sim.HostWork(emit)
 		}
-	}
-	return sim.Host
-}
-
-// predictAsync replays runBatch + runTrialsAsync (two per-trial lanes,
-// fresh streams per batch).
-func predictAsync(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
-
-	sim := sched.NewSim(m, 2)
-	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np)
-		emit := emitNsPerTrial(in, plan, s)
-		sim.Ready[0], sim.Ready[1] = 0, 0 // fresh streams each batch
-		inFlight := [2]int{-1, -1}
-		drain := func(l int) {
-			if inFlight[l] < 0 {
-				return
-			}
-			sim.SyncLane(l)
-			sim.HostWork(emit)
-			inFlight[l] = -1
-		}
-		for trial := 0; trial < c; trial++ {
-			l := trial % 2
-			drain(l)
-			if o.residentParams == nil {
-				sim.Copy(l, 2, true)
-			}
-			sim.KernelRawNs(l, trialKernelsNs(m, o, plan.words, np))
-			sim.Copy(l, np*s, false)
-			inFlight[l] = trial
-		}
-		drain(0)
-		drain(1)
 	}
 	return sim.Host
 }
@@ -490,12 +449,12 @@ func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 }
 
 // shingleLaneSet is the lane counts the auto-tuner may consider for the
-// configured mode: the per-trial pipelines (AsyncTransfer) and the device
-// aggregation path keep their own internal structure and run sequentially
-// over batches; an explicit PipelineBatches pins the pipelined executor.
+// configured mode: the device aggregation path keeps its own per-trial
+// structure and runs sequentially over batches; an explicit PipelineBatches
+// pins the pipelined executor.
 func shingleLaneSet(o Options) []int {
 	switch {
-	case o.GPUAggregate || o.AsyncTransfer:
+	case o.GPUAggregate:
 		return []int{1}
 	case o.PipelineBatches:
 		return []int{2, 3, 4}

@@ -54,8 +54,8 @@ func TestAutoTuneMatchesSerial(t *testing.T) {
 }
 
 // TestAutoTuneModeLanes pins the lane sets each mode exposes to the tuner:
-// pipelined runs must pick >=2 lanes, the aggregate and async-transfer
-// paths keep their own internal structure and stay sequential.
+// pipelined runs must pick >=2 lanes, the aggregate path keeps its own
+// internal structure and stays sequential.
 func TestAutoTuneModeLanes(t *testing.T) {
 	g, _ := plantedTestGraph(400, 73)
 	o := testOptions()
@@ -71,7 +71,6 @@ func TestAutoTuneModeLanes(t *testing.T) {
 	}{
 		{"pipelined", func(o *Options) { o.PipelineBatches = true }, 2, 4},
 		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 1},
-		{"async", func(o *Options) { o.AsyncTransfer = true }, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,9 +168,6 @@ func TestShingleLaneSet(t *testing.T) {
 	}
 	if got := shingleLaneSet(Options{GPUAggregate: true}); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("gpu-aggregate lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{AsyncTransfer: true}); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("async-transfer lane set %v", got)
 	}
 }
 

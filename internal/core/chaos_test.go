@@ -37,27 +37,8 @@ func chaosBackends(batchWords int) []chaosBackend {
 	}
 	return []chaosBackend{
 		{"gpu", mk(func(o *Options) { o.BatchWords = batchWords })},
-		{"gpu async", mk(func(o *Options) { o.BatchWords = batchWords; o.AsyncTransfer = true })},
 		{"gpu agg", mk(func(o *Options) { o.BatchWords = batchWords; o.GPUAggregate = true })},
 		{"gpu pipelined", mk(func(o *Options) { o.BatchWords = batchWords; o.PipelineBatches = true })},
-		{"multigpu×3", func(inj gpusim.FaultInjector, g *graph.Graph, o Options) (*Result, error) {
-			o.BatchWords = batchWords
-			devs := make([]*gpusim.Device, 3)
-			for i := range devs {
-				devs[i] = gpusim.MustNew(gpusim.K20Config())
-				devs[i].SetFaultInjector(inj)
-			}
-			res, err := ClusterMultiGPU(g, devs, o)
-			if err != nil {
-				return nil, err
-			}
-			for i, d := range devs {
-				if err := d.LeakCheck(); err != nil {
-					return nil, fmt.Errorf("device %d: %w", i, err)
-				}
-			}
-			return res, nil
-		}},
 	}
 }
 

@@ -257,32 +257,6 @@ func TestGPUSmallDeviceForcesBatching(t *testing.T) {
 	}
 }
 
-func TestAsyncMatchesSyncAndIsFaster(t *testing.T) {
-	g, _ := plantedTestGraph(500, 19)
-	o := testOptions()
-
-	devSync := gpusim.MustNew(gpusim.K20Config())
-	syncRes, err := ClusterGPU(g, devSync, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o.AsyncTransfer = true
-	devAsync := gpusim.MustNew(gpusim.K20Config())
-	asyncRes, err := ClusterGPU(g, devAsync, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(syncRes.Clustering, asyncRes.Clustering) {
-		t.Fatal("async clustering differs from sync")
-	}
-	if asyncRes.Timings.TotalNs >= syncRes.Timings.TotalNs {
-		t.Fatalf("async total %.2fms not faster than sync %.2fms",
-			asyncRes.Timings.TotalNs/1e6, syncRes.Timings.TotalNs/1e6)
-	}
-}
-
 func TestFullSortMatchesFused(t *testing.T) {
 	g, _ := plantedTestGraph(300, 23)
 	o := testOptions()
@@ -304,28 +278,6 @@ func TestFullSortMatchesFused(t *testing.T) {
 	if full.Timings.GPUNs <= fused.Timings.GPUNs {
 		t.Fatalf("full sort GPU time %.2fms not above fused %.2fms",
 			full.Timings.GPUNs/1e6, fused.Timings.GPUNs/1e6)
-	}
-}
-
-func TestFullSortAsyncMatchesSync(t *testing.T) {
-	// The segmented sort runs on the lane's stream against the lane's
-	// private hash buffer, so full sort composes with async transfers.
-	g, _ := plantedTestGraph(100, 29)
-	o := testOptions()
-	o.UseFullSort = true
-	devSync := gpusim.MustNew(gpusim.K20Config())
-	syncRes, err := ClusterGPU(g, devSync, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.AsyncTransfer = true
-	devAsync := gpusim.MustNew(gpusim.K20Config())
-	asyncRes, err := ClusterGPU(g, devAsync, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(syncRes.Clustering, asyncRes.Clustering) {
-		t.Fatal("full-sort async clustering differs from sync")
 	}
 }
 

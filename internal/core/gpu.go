@@ -138,8 +138,8 @@ type batchPlan struct {
 
 // planBatches partitions the pass input into batches whose device footprint
 // fits the word budget, splitting individual lists only when a single list
-// alone exceeds it. The footprint is sized conservatively for the async
-// pipeline's double buffering — per data word, the data buffer plus two
+// alone exceeds it. The footprint is sized conservatively for double
+// buffering — per data word, the data buffer plus two
 // hashed copies; per piece, an offset word plus two s-word output slots —
 // and, when gpuAggregate is set, for the aggregation pipeline's extra
 // per-piece buffers (owner, flag, key halves, value, packed records).
@@ -445,10 +445,9 @@ func uploadBatchImage(dev *gpusim.Device, o Options, hostData []uint32, acct *cp
 
 // runBatch moves one batch of adjacency-list pieces to the device, runs all
 // c shingling trials on it, and streams the shingle results back for CPU
-// aggregation. With o.AsyncTransfer the trials are double-buffered across
-// two streams so transfers and the next trial's kernels overlap CPU
-// aggregation; otherwise every step is synchronous, like the Thrust
-// implementation the paper describes.
+// aggregation. Every step is synchronous, like the Thrust implementation
+// the paper describes; GPUAggregate moves the per-trial aggregation onto
+// the device.
 func runBatch(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
 	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
 	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) error {
@@ -487,15 +486,11 @@ func runBatch(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Opt
 		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
 	}
 
-	switch {
-	case o.GPUAggregate:
+	if o.GPUAggregate {
 		return runTrialsGPUAgg(dev, in, plan, segs, fam, s, o, img, len(hostData),
 			tuplesByTrial, sortedByTrial, pending, acct, stats)
-	case o.AsyncTransfer:
-		return runTrialsAsync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
-	default:
-		return runTrialsSync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
 	}
+	return runTrialsSync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
 }
 
 // needsHashBuf reports whether the plan's trial kernels stage hashed values
@@ -581,95 +576,12 @@ func runTrialsSync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
 	return nil
 }
 
-// runTrialsAsync double-buffers the per-trial device resources across two
-// streams: while trial t's shingles transfer back and are aggregated on the
-// CPU, trial t+1's kernels already run — the asynchronous operation the
-// paper names as the path to better performance (Sections III-C, V).
-func runTrialsAsync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, dataWords, numPieces int,
-	processTrial func(int, []uint32)) error {
-
-	type lane struct {
-		hash, out, params *gpusim.Buffer
-		stream            *gpusim.Stream
-		host              []uint32
-		inFlight          int // trial index, -1 when idle
-	}
-	lanes := make([]*lane, 2)
-	// Registered before the allocation loop: a Malloc failure assembling
-	// lane 1 must still release lane 0's buffers.
-	defer func() {
-		for _, l := range lanes {
-			if l == nil {
-				continue
-			}
-			for _, b := range []*gpusim.Buffer{l.hash, l.out, l.params} {
-				if b != nil {
-					b.Free()
-				}
-			}
-		}
-	}()
-	for i := range lanes {
-		l := &lane{
-			stream:   dev.NewStream(),
-			host:     make([]uint32, numPieces*s),
-			inFlight: -1,
-		}
-		lanes[i] = l
-		var err error
-		if needsHashBuf(o) {
-			if l.hash, err = dev.Malloc(dataWords); err != nil {
-				return err
-			}
-		}
-		if l.out, err = dev.Malloc(numPieces * s); err != nil {
-			return err
-		}
-		if o.residentParams == nil {
-			if l.params, err = dev.Malloc(2); err != nil {
-				return err
-			}
-		}
-	}
-
-	drain := func(l *lane) {
-		if l.inFlight >= 0 {
-			l.stream.Synchronize()
-			processTrial(l.inFlight, l.host)
-			l.inFlight = -1
-		}
-	}
-
-	for trial, h := range fam.Pairs {
-		l := lanes[trial%2]
-		drain(l)
-		if l.params != nil {
-			if err := dev.CopyH2DAsync(l.stream, l.params, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
-				return err
-			}
-		}
-		if err := trialKernels(dev, l.stream, img, l.hash, segs, s, o, dataWords, h, l.out, 0); err != nil {
-			return err
-		}
-		if err := dev.CopyD2HAsync(l.stream, l.host, l.out, 0); err != nil {
-			return err
-		}
-		l.inFlight = trial
-	}
-	for _, l := range lanes {
-		drain(l)
-	}
-	return nil
-}
-
 // topSKernel produces each segment's ascending top-s minima, either with the
 // fused selection kernel or — UseFullSort, Algorithm 1 taken literally —
 // a full segmented sort followed by a gather of each segment's head. Both
 // forms enqueue on a stream (nil = synchronous): the sort mutates hashBuf in
-// place, which is safe because every lane of the async and batch-pipelined
-// paths owns a private hash buffer that the next trial's transform rewrites
-// in full. outBase offsets the destination rows so the pipelined path can
+// place, which is safe because every lane of the batch-pipelined path owns
+// a private hash buffer that the next trial's transform rewrites in full. outBase offsets the destination rows so the pipelined path can
 // pack several trials' results into one buffer for a single D2H transfer.
 func topSKernel(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	segs thrust.Segments, s int, outBuf *gpusim.Buffer, outBase int, useFullSort bool) error {

@@ -82,11 +82,6 @@ func TestGPUAggregateReducesCPUTime(t *testing.T) {
 func TestGPUAggregateInvalidCombos(t *testing.T) {
 	o := testOptions()
 	o.GPUAggregate = true
-	o.AsyncTransfer = true
-	if err := o.Validate(); err == nil {
-		t.Fatal("GPUAggregate+AsyncTransfer accepted")
-	}
-	o.AsyncTransfer = false
 	o.UseFullSort = true
 	if err := o.Validate(); err == nil {
 		t.Fatal("GPUAggregate+UseFullSort accepted")

@@ -11,8 +11,7 @@ import (
 
 // runBatchesPipelined replaces runPassGPU's strictly sequential batch loop
 // when Options.PipelineBatches is set (or the auto-tuner picks a multi-lane
-// plan). Two things change relative to the sequential (and per-batch async)
-// loops, both aimed at the copy engine — which the Table I breakdown shows
+// plan). Two things change relative to the sequential loop, both aimed at the copy engine — which the Table I breakdown shows
 // is the bottleneck: every transfer pays a fixed setup cost ("the overhead
 // to invoke the data transfer mechanism"), and one DMA engine serializes
 // all of them.
@@ -40,8 +39,7 @@ import (
 //     item i only waits for its lane's previous occupant (item i-N) to
 //     drain, so the next group's kernels and the next batch's host→device
 //     staging overlap the previous groups' device→host shingle transfers
-//     and the CPU-side (split-list) merging — across batch boundaries,
-//     which the per-batch AsyncTransfer lanes cannot do.
+//     and the CPU-side (split-list) merging — across batch boundaries.
 //
 // End-to-end time approaches max(copy engine, compute engine, host CPU)
 // instead of their sum, with far fewer fixed-cost transfers on the critical

@@ -155,9 +155,4 @@ func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := ClusterGPU(g, dev, o); err == nil {
 		t.Fatal("PipelineBatches+GPUAggregate accepted")
 	}
-	o.GPUAggregate = false
-	o.AsyncTransfer = true
-	if _, err := ClusterGPU(g, dev, o); err == nil {
-		t.Fatal("PipelineBatches+AsyncTransfer accepted")
-	}
 }

@@ -31,7 +31,6 @@ func TestInvariantsGPUSweep(t *testing.T) {
 		mod  func(*Options)
 	}{
 		{"sync", func(o *Options) {}},
-		{"async", func(o *Options) { o.AsyncTransfer = true }},
 		{"pipeline", func(o *Options) { o.PipelineBatches = true }},
 		{"gpuagg", func(o *Options) { o.GPUAggregate = true }},
 		{"smallbatch", func(o *Options) { o.BatchWords = 4096 }},
@@ -46,13 +45,4 @@ func TestInvariantsGPUSweep(t *testing.T) {
 			}
 		})
 	}
-	t.Run("multigpu", func(t *testing.T) {
-		devs := []*gpusim.Device{
-			gpusim.MustNew(gpusim.K20Config()),
-			gpusim.MustNew(gpusim.K20Config()),
-		}
-		if _, err := ClusterMultiGPU(g, devs, testOptions()); err != nil {
-			t.Fatalf("ClusterMultiGPU: %v", err)
-		}
-	})
 }

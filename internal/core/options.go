@@ -84,18 +84,11 @@ type Options struct {
 	// kept for the ablation study.
 	UseFullSort bool
 
-	// AsyncTransfer overlaps device→host shingle transfers and the next
-	// trial's kernels with CPU-side aggregation using streams, the
-	// improvement the paper leaves as future work ("Better performance
-	// could be achieved through asynchronous operations", Section III-C).
-	AsyncTransfer bool
-
 	// GPUAggregate moves the shingle-key computation and the per-trial
 	// tuple sorting onto the device (shingle-key kernel + sort_by_key),
 	// leaving the CPU a linear merge of pre-sorted streams — an extension
 	// beyond the paper targeting Table I's dominant CPU column. Output is
-	// bit-identical to the other backends. Incompatible with AsyncTransfer
-	// and UseFullSort.
+	// bit-identical to the other backends. Incompatible with UseFullSort.
 	GPUAggregate bool
 
 	// Workers sizes the host worker pool: the ClusterParallel backend's
@@ -141,8 +134,9 @@ type Options struct {
 	// merged by the CPU, so on the virtual clock the copy engine, the
 	// compute engine and host aggregation overlap across batch boundaries
 	// (the strictly sequential loop is the paper's stated bottleneck,
-	// Section III-C). Identical output. Subsumes AsyncTransfer (setting
-	// both is an error) and is incompatible with GPUAggregate.
+	// Section III-C); this is the asynchronous operation the paper leaves
+	// as future work (Section V). Identical output. Incompatible with
+	// GPUAggregate.
 	PipelineBatches bool
 
 	// Packed ships each batch's adjacency data as a packed device image —
@@ -207,8 +201,8 @@ func (o Options) Validate() error {
 	if o.BatchWords < 0 {
 		return fmt.Errorf("core: negative BatchWords %d", o.BatchWords)
 	}
-	if o.GPUAggregate && (o.AsyncTransfer || o.UseFullSort) {
-		return fmt.Errorf("core: GPUAggregate is incompatible with AsyncTransfer and UseFullSort")
+	if o.GPUAggregate && o.UseFullSort {
+		return fmt.Errorf("core: GPUAggregate is incompatible with UseFullSort")
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
@@ -218,9 +212,6 @@ func (o Options) Validate() error {
 	}
 	if o.PipelineBatches && o.GPUAggregate {
 		return fmt.Errorf("core: PipelineBatches is incompatible with GPUAggregate")
-	}
-	if o.PipelineBatches && o.AsyncTransfer {
-		return fmt.Errorf("core: PipelineBatches already overlaps transfers; drop AsyncTransfer")
 	}
 	return nil
 }

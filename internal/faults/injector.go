@@ -13,8 +13,8 @@ import (
 // operation counter per fault kind, incremented on every consultation, and
 // fires each event for Count consecutive operations of its kind starting
 // at its trigger. The mutex only guards the counters (gpusim consults the
-// injector from the host goroutine, but multi-GPU runs share one injector
-// across devices when the caller chooses to); decisions depend solely on
+// injector from the host goroutine, but a caller may share one injector
+// across devices); decisions depend solely on
 // counter values and the virtual clock, so they are deterministic.
 type Injector struct {
 	mu   sync.Mutex

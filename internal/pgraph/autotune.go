@@ -8,13 +8,13 @@ import (
 
 // Cost-model-driven batch auto-tuning for the verification stage. With
 // Config.AutoTune (and no explicit GPUBatchWords) the scheduler enumerates
-// candidate plans — a geometric sweep of word budgets crossed with the
-// feasible lane counts — predicts each candidate's virtual time by
-// replaying its exact operation sequence (pack, H2D, SW kernel, score
-// readback) through sched.Sim, and runs the argmin. Kernel throughput is
-// calibrated by probing the real SW kernel on a *scratch* device with the
-// same gpusim.Config, so planning charges zero time on the run's own
-// virtual clock.
+// candidate plans — a geometric sweep of word budgets, crossed with the
+// fused and unfused kernel shapes when packing with fusion — predicts each
+// candidate's virtual time by replaying its exact operation sequence (pack,
+// H2D, SW kernel, score readback) through sched.Sim, and runs the argmin.
+// Kernel throughput is calibrated by probing the real SW kernel on a
+// *scratch* device with the same gpusim.Config, so planning charges zero
+// time on the run's own virtual clock.
 
 // kSW is the calibrated kernel name of the batched Smith–Waterman launch
 // reading byte-layout residues (the unpacked and packed+unfused modes run
@@ -173,96 +173,30 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 
 // predictSWPlans predicts the virtual time of the scheduler window — the
 // resident-table upload through the final score readback — for the given
-// plans and lane count.
+// plans.
 func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
-	plans []swBatch, lanes int, ly swLayout) float64 {
+	plans []swBatch, ly swLayout) float64 {
 
-	// Per-batch device compute: the unfused packed mode's expansion kernel
-	// (when present) runs back-to-back with the SW launch on the same
-	// engine, so summing the two is timing-equivalent to replaying each.
-	kernelNs := make([]float64, len(plans))
-	for i, p := range plans {
-		kernelNs[i] = swUnpackNs(m, p, ly) +
-			m.KernelNs(swKernelName(ly), swUnits(enc, pairs, order, p), swThreads(p.hi-p.lo))
-	}
-	if lanes < 2 {
-		sim := sched.NewSim(m, 0)
-		sim.Copy(-1, swTableLen, true) // resident table upload
-		for i, p := range plans {
-			sim.HostWork(float64(ly.packWords(p)) * packNsPerWord)
-			sim.Copy(-1, ly.dataWords(p), true)
-			sim.KernelRawNs(-1, kernelNs[i])
-			sim.Copy(-1, p.hi-p.lo, false)
-		}
-		sim.SyncAll()
-		return sim.Host
-	}
-
-	// Replay the sched.RunLanes round-robin: enqueuing item i only waits for
-	// its lane's previous occupant to drain.
-	sim := sched.NewSim(m, lanes)
-	sim.Copy(-1, swTableLen, true)
-	inFlight := make([]int, lanes)
-	for i := range inFlight {
-		inFlight[i] = -1
-	}
-	drain := func(lane int) {
-		if inFlight[lane] < 0 {
-			return
-		}
-		sim.SyncLane(lane)
-		inFlight[lane] = -1
-	}
-	n := len(plans)
-	for item := 0; item < n; item++ {
-		p := plans[item]
+	sim := sched.NewSim(m, 0)
+	sim.Copy(-1, swTableLen, true) // resident table upload
+	for _, p := range plans {
 		sim.HostWork(float64(ly.packWords(p)) * packNsPerWord)
-		lane := item % lanes
-		drain(lane)
-		sim.Copy(lane, ly.dataWords(p), true)
-		sim.KernelRawNs(lane, kernelNs[item])
-		sim.Copy(lane, p.hi-p.lo, false)
-		inFlight[lane] = item
-	}
-	for k := 0; k < lanes; k++ {
-		drain((n + k) % lanes)
+		sim.Copy(-1, ly.dataWords(p), true)
+		// The unfused packed mode's expansion kernel (when present) runs
+		// back-to-back with the SW launch on the same engine, so summing
+		// the two is timing-equivalent to replaying each.
+		sim.KernelRawNs(-1, swUnpackNs(m, p, ly)+
+			m.KernelNs(swKernelName(ly), swUnits(enc, pairs, order, p), swThreads(p.hi-p.lo)))
+		sim.Copy(-1, p.hi-p.lo, false)
 	}
 	sim.SyncAll()
 	return sim.Host
 }
 
-// swLaneSet is the lane counts the auto-tuner may consider: an explicit
-// GPUPipeline pins the pipelined executor.
-func swLaneSet(cfg Config) []int {
-	if cfg.GPUPipeline {
-		return []int{2, 3, 4}
-	}
-	return []int{1, 2, 3, 4}
-}
-
-// legacySWBudget is the pre-auto-tune budget derivation of verifyGPU.
-func legacySWBudget(dev *gpusim.Device, cfg Config) int {
-	budget := int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
-	if cfg.GPUPipeline {
-		budget /= 2
-	}
-	return budget
-}
-
-// swFeasible reports whether the candidate's device footprint fits free
-// memory. A sequential batch's footprint (records + residues + workspace +
-// scores) is exactly the planner's charge, so the budget bounds it; the
-// pipelined executor keeps `lanes` max-sized stagings resident beside the
-// table.
-func swFeasible(freeWords int, plans []swBatch, cand sched.Candidate, ly swLayout) bool {
-	if cand.Lanes <= 1 {
-		return cand.BudgetWords <= freeWords
-	}
-	maxDev := 0
-	for _, p := range plans {
-		maxDev = max(maxDev, ly.deviceWords(p))
-	}
-	return swTableLen+cand.Lanes*maxDev <= freeWords
+// legacySWBudget is the pre-auto-tune budget derivation of verifyGPU: leave
+// headroom on a shared device rather than sizing to the last free word.
+func legacySWBudget(dev *gpusim.Device) int {
+	return int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
 }
 
 // swLayoutOf resolves a candidate's fusion choice into a layout under the
@@ -274,13 +208,13 @@ func swLayoutOf(cfg Config, fused bool) swLayout {
 	return swLayout{bits: residueBits, fused: fused}
 }
 
-// autotuneSW picks the batch budget, lane count and — when packing with
-// fusion enabled — whether the SW kernel decodes the packed image in place,
+// autotuneSW picks the batch budget and — when packing with fusion
+// enabled — whether the SW kernel decodes the packed image in place,
 // by predicted virtual time, returning the chosen plan (the fusion choice
 // rides in PlanReport.Fused). When no candidate is feasible it falls back
 // to the legacy derivation (reported with AutoTuned=false).
 func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
-	cfg Config) (sched.PlanReport, []swBatch, int, error) {
+	cfg Config) (sched.PlanReport, []swBatch, error) {
 
 	freeWords := int(dev.FreeMemory() / gpusim.WordBytes)
 	maxB := freeWords * 3 / 4
@@ -306,10 +240,8 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 	}
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
-		for _, l := range swLaneSet(cfg) {
-			for _, f := range fusedSet {
-				cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: f})
-			}
+		for _, f := range fusedSet {
+			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Fused: f})
 		}
 	}
 	type planKey struct {
@@ -332,27 +264,25 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
 		ly := swLayoutOf(cfg, cand.Fused)
 		plans := plansFor(cand.BudgetWords, cand.Fused)
-		if plans == nil || !swFeasible(freeWords, plans, cand, ly) {
+		// A batch's footprint (records + residues + workspace + scores) is
+		// exactly the planner's charge, so the budget bounds it.
+		if plans == nil || cand.BudgetWords > freeWords {
 			return 0, false
 		}
-		return predictSWPlans(m, enc, pairs, order, plans, cand.Lanes, ly), true
+		return predictSWPlans(m, enc, pairs, order, plans, ly), true
 	})
 	if !ok {
-		budget := legacySWBudget(dev, cfg)
+		budget := legacySWBudget(dev)
 		fused := cfg.Packed && cfg.Fuse
 		plans, err := planSWBatches(enc, pairs, order, budget, swLayoutOf(cfg, fused))
 		if err != nil {
-			return sched.PlanReport{}, nil, 0, err
+			return sched.PlanReport{}, nil, err
 		}
-		lanes := 1
-		if cfg.GPUPipeline {
-			lanes = 2
-		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans), Fused: fused},
-			plans, lanes, nil
+		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Fused: fused},
+			plans, nil
 	}
 	plans := plansFor(best.BudgetWords, best.Fused)
 	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,
-		Lanes: best.Lanes, Batches: len(plans), PredictedNs: predicted, Fused: best.Fused}
-	return rep, plans, best.Lanes, nil
+		Lanes: 1, Batches: len(plans), PredictedNs: predicted, Fused: best.Fused}
+	return rep, plans, nil
 }

@@ -1,7 +1,6 @@
 package pgraph
 
 import (
-	"reflect"
 	"testing"
 
 	"gpclust/internal/gpusim"
@@ -51,30 +50,6 @@ func TestAutoTuneMatchesHostEdges(t *testing.T) {
 	}
 }
 
-// TestAutoTunePipelinedLaneSet: an explicit -pipeline pins the pipelined
-// executor, so the tuner must choose at least two lanes.
-func TestAutoTunePipelinedLaneSet(t *testing.T) {
-	seqs := testMetagenome(t, 150)
-	host, _, err := Build(seqs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.GPU = true
-	cfg.GPUPipeline = true
-	cfg.AutoTune = true
-	cfg.Device = gpusim.MustNew(gpusim.K20Config())
-	g, st, err := Build(seqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, "auto pipelined", host, g)
-	checkSWPlan(t, "auto pipelined", st.Plan, true)
-	if st.Plan.Lanes < 2 {
-		t.Fatalf("pipelined tuner chose %d lanes (%s)", st.Plan.Lanes, st.Plan.String())
-	}
-}
-
 // TestPredictCostFixedSWPlan prices a fixed budget without tuning and holds
 // it to the same drift gate — the fixed rows of the autotune ablation.
 func TestPredictCostFixedSWPlan(t *testing.T) {
@@ -91,18 +66,6 @@ func TestPredictCostFixedSWPlan(t *testing.T) {
 	checkSWPlan(t, "fixed", st.Plan, false)
 	if st.Plan.BudgetWords != 40_000 {
 		t.Fatalf("fixed budget not honoured: %s", st.Plan.String())
-	}
-
-	pipeCfg := cfg
-	pipeCfg.GPUPipeline = true
-	pipeCfg.Device = gpusim.MustNew(gpusim.K20Config())
-	_, pst, err := Build(seqs, pipeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSWPlan(t, "fixed pipelined", pst.Plan, false)
-	if pst.Plan.Lanes < 2 {
-		t.Fatalf("pipelined fixed plan reports %d lanes (%s)", pst.Plan.Lanes, pst.Plan.String())
 	}
 }
 
@@ -133,24 +96,10 @@ func TestAutoTuneNotWorseThanLegacySW(t *testing.T) {
 	}
 }
 
-func TestSWLaneSet(t *testing.T) {
-	if got := swLaneSet(Config{}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("default lane set %v", got)
-	}
-	if got := swLaneSet(Config{GPUPipeline: true}); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("pipelined lane set %v", got)
-	}
-}
-
 func TestLegacySWBudget(t *testing.T) {
 	dev := gpusim.MustNew(gpusim.K20Config())
 	defer dev.Synchronize()
-	seq := legacySWBudget(dev, Config{})
-	pipe := legacySWBudget(dev, Config{GPUPipeline: true})
-	if seq != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
-		t.Fatalf("sequential legacy budget %d", seq)
-	}
-	if pipe != seq/2 {
-		t.Fatalf("pipelined legacy budget %d, want half of %d", pipe, seq)
+	if got := legacySWBudget(dev); got != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
+		t.Fatalf("legacy budget %d", got)
 	}
 }

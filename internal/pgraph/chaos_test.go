@@ -9,9 +9,10 @@ import (
 )
 
 // TestChaosSweepBothSchedulers is the pGraph half of the chaos acceptance
-// harness: over ≥ 20 seeded random fault schedules, both GPU verification
-// schedulers must recover to the bit-identical host edge set, and
-// Stats.Faults must be nonzero exactly when injected faults failed ops.
+// harness: over ≥ 20 seeded random fault schedules, the GPU verification
+// scheduler must recover to the bit-identical host edge set under both plan
+// schedulers — a fixed multi-batch budget and the cost-model auto-tuner —
+// and Stats.Faults must be nonzero exactly when injected faults failed ops.
 func TestChaosSweepBothSchedulers(t *testing.T) {
 	seqs := testMetagenome(t, 120)
 	host, _, err := Build(seqs, DefaultConfig())
@@ -19,18 +20,21 @@ func TestChaosSweepBothSchedulers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, pipeline := range []bool{false, true} {
-		name := "sequential"
-		if pipeline {
-			name = "pipelined"
+	for _, auto := range []bool{false, true} {
+		name := "fixed"
+		if auto {
+			name = "auto-tuned"
 		}
 		for seed := int64(1); seed <= 20; seed++ {
 			sch := faults.RandSchedule(seed, 5)
 			inj := faults.NewInjector(sch)
 			cfg := DefaultConfig()
 			cfg.GPU = true
-			cfg.GPUPipeline = pipeline
-			cfg.GPUBatchWords = 6_000 // force several batches
+			if auto {
+				cfg.AutoTune = true
+			} else {
+				cfg.GPUBatchWords = 6_000 // force several batches
+			}
 			cfg.Device = gpusim.MustNew(gpusim.K20Config())
 			cfg.Device.SetFaultInjector(inj)
 			g, st, err := Build(seqs, cfg)
@@ -100,15 +104,14 @@ func TestChaosSWRecoveryLadder(t *testing.T) {
 	cases := []struct {
 		name     string
 		schedule string
-		pipeline bool
 		check    func(t *testing.T, st Stats)
 	}{
-		{"transfer retry", "h2d op=2; d2h op=4", false, func(t *testing.T, st Stats) {
+		{"transfer retry", "h2d op=2; d2h op=4", func(t *testing.T, st Stats) {
 			if st.Faults.TransferRetries == 0 {
 				t.Fatalf("no transfer retries recorded: %s", st.Faults)
 			}
 		}},
-		{"kernel retry", "kernel op=1", false, func(t *testing.T, st Stats) {
+		{"kernel retry", "kernel op=1", func(t *testing.T, st Stats) {
 			if st.Faults.KernelRetries == 0 {
 				t.Fatalf("no kernel retries recorded: %s", st.Faults)
 			}
@@ -116,30 +119,17 @@ func TestChaosSWRecoveryLadder(t *testing.T) {
 		// malloc op=1 is the resident score table's allocation, which cannot
 		// split; op=2 is the first batch buffer, whose persistent OOM must
 		// retry then split.
-		{"oom split", "malloc op=2 count=8", false, func(t *testing.T, st Stats) {
+		{"oom split", "malloc op=2 count=8", func(t *testing.T, st Stats) {
 			if st.Faults.OOMRetries == 0 || st.Faults.OOMSplits == 0 {
 				t.Fatalf("persistent OOM should retry then split: %s", st.Faults)
 			}
 		}},
-		{"host fallback", "h2d op=1 count=60", false, func(t *testing.T, st Stats) {
+		{"host fallback", "h2d op=1 count=60", func(t *testing.T, st Stats) {
 			if st.Faults.HostFallbacks == 0 {
 				t.Fatalf("exhausted budget did not fall back to the host: %s", st.Faults)
 			}
 		}},
-		{"pipelined restart", "kernel op=1", true, func(t *testing.T, st Stats) {
-			if st.Faults.Restarts == 0 {
-				t.Fatalf("pipelined fault did not restart the pass: %s", st.Faults)
-			}
-		}},
-		// A persistent h2d storm would now take out the resident-table upload
-		// (whole-build host fallback before the pipelined pass ever starts),
-		// so the degradation rung is driven through kernel faults instead.
-		{"pipelined degrade", "kernel op=1 count=500", true, func(t *testing.T, st Stats) {
-			if st.Faults.Restarts == 0 || st.Faults.HostFallbacks == 0 {
-				t.Fatalf("persistent pipelined faults should restart then degrade: %s", st.Faults)
-			}
-		}},
-		{"slow sm only", "slowsm op=1 count=4 x=5", false, func(t *testing.T, st Stats) {
+		{"slow sm only", "slowsm op=1 count=4 x=5", func(t *testing.T, st Stats) {
 			if st.Faults.Any() {
 				t.Fatalf("latency spike needed no recovery but recorded: %s", st.Faults)
 			}
@@ -153,7 +143,6 @@ func TestChaosSWRecoveryLadder(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			cfg.GPU = true
-			cfg.GPUPipeline = tc.pipeline
 			cfg.GPUBatchWords = 6_000
 			cfg.Device = gpusim.MustNew(gpusim.K20Config())
 			cfg.Device.SetFaultInjector(faults.NewInjector(sched))
@@ -175,36 +164,31 @@ func TestChaosSWRecoveryLadder(t *testing.T) {
 // device must not leak batch buffers on the failure path.
 func TestChaosSWNoFallbackTypedError(t *testing.T) {
 	seqs := testMetagenome(t, 60)
-	for _, pipeline := range []bool{false, true} {
-		for _, schedule := range []string{
-			"h2d op=1 count=1000000",
-			"kernel op=1 count=1000000",
-			"malloc op=1 count=1000000",
-		} {
-			sched, err := faults.Parse(schedule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig()
-			cfg.GPU = true
-			cfg.GPUPipeline = pipeline
-			cfg.GPUBatchWords = 6_000
-			cfg.FaultRetries = 2
-			cfg.NoHostFallback = true
-			cfg.Device = gpusim.MustNew(gpusim.K20Config())
-			cfg.Device.SetFaultInjector(faults.NewInjector(sched))
-			_, _, err = Build(seqs, cfg)
-			if err == nil {
-				t.Fatalf("pipeline=%v schedule %q: build succeeded under a fault storm with fallback disabled",
-					pipeline, schedule)
-			}
-			if !errors.Is(err, ErrRetryBudget) {
-				t.Fatalf("pipeline=%v schedule %q: error %v does not wrap ErrRetryBudget",
-					pipeline, schedule, err)
-			}
-			if err := cfg.Device.LeakCheck(); err != nil {
-				t.Fatalf("pipeline=%v schedule %q: %v", pipeline, schedule, err)
-			}
+	for _, schedule := range []string{
+		"h2d op=1 count=1000000",
+		"kernel op=1 count=1000000",
+		"malloc op=1 count=1000000",
+	} {
+		sched, err := faults.Parse(schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.GPU = true
+		cfg.GPUBatchWords = 6_000
+		cfg.FaultRetries = 2
+		cfg.NoHostFallback = true
+		cfg.Device = gpusim.MustNew(gpusim.K20Config())
+		cfg.Device.SetFaultInjector(faults.NewInjector(sched))
+		_, _, err = Build(seqs, cfg)
+		if err == nil {
+			t.Fatalf("schedule %q: build succeeded under a fault storm with fallback disabled", schedule)
+		}
+		if !errors.Is(err, ErrRetryBudget) {
+			t.Fatalf("schedule %q: error %v does not wrap ErrRetryBudget", schedule, err)
+		}
+		if err := cfg.Device.LeakCheck(); err != nil {
+			t.Fatalf("schedule %q: %v", schedule, err)
 		}
 	}
 }

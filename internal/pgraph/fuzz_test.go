@@ -11,8 +11,8 @@ import (
 
 // FuzzSWBatch is the oracle for the whole GPU verification stack: random
 // sequence batches go through binning, Algorithm-2-style batch packing and
-// the device kernel — both schedulers — and every score must equal a
-// per-pair align.ScoreOnly on the host. This is the enforcement of the
+// the device kernel, and every score must equal a per-pair
+// align.ScoreOnly on the host. This is the enforcement of the
 // bit-identical-edge-set contract at its root.
 func FuzzSWBatch(f *testing.F) {
 	f.Add([]byte("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQV"), uint8(3), uint16(64))
@@ -65,11 +65,6 @@ func FuzzSWBatch(f *testing.F) {
 				if err := runSWBatchesSequential(devSeq, plans, enc, pairs, order, cfg, got); err != nil {
 					t.Fatal(err)
 				}
-				devPipe := gpusim.MustNew(gpusim.SmallConfig())
-				gotPipe := make([]int32, len(pairs))
-				if err := runSWBatchesPipelined(devPipe, plans, enc, pairs, order, cfg, gotPipe); err != nil {
-					t.Fatal(err)
-				}
 				for k, idx := range order {
 					a, b := pairs[idx].unpack()
 					want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
@@ -77,15 +72,8 @@ func FuzzSWBatch(f *testing.F) {
 						t.Fatalf("bin=%v packed=%v fuse=%v pair (%d,%d): sequential device score %d, ScoreOnly %d",
 							bin, cfg.Packed, cfg.Fuse, a, b, got[k], want)
 					}
-					if gotPipe[k] != got[k] {
-						t.Fatalf("bin=%v packed=%v fuse=%v pair (%d,%d): pipelined score %d != sequential %d",
-							bin, cfg.Packed, cfg.Fuse, a, b, gotPipe[k], got[k])
-					}
 				}
 				if err := devSeq.LeakCheck(); err != nil {
-					t.Fatal(err)
-				}
-				if err := devPipe.LeakCheck(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -17,13 +17,11 @@ import (
 // length-bins the pairs (so one warp's alignments cost alike and the SIMT
 // divergence penalty stays small), packs pair records + concatenated residue
 // codes through the device-memory budget exactly like Algorithm 2's
-// adjacency batching, and runs the batches either sequentially or on the
-// N-lane stream pipeline of sched.RunLanes — overlapping batch k+1's
-// host→device staging with batch k's kernels and score readback. The
+// adjacency batching, and runs the batches sequentially. The
 // substitution-score table is loop-invariant, so it is uploaded once per
-// build and stays device-resident across every batch. Both schedulers
-// produce scores bit-identical to align.ScoreOnly, so the accepted edge set
-// never depends on the backend, batch budget, lane count or binning.
+// build and stays device-resident across every batch. The scheduler produces
+// scores bit-identical to align.ScoreOnly, so the accepted edge set never
+// depends on the backend, batch budget or binning.
 
 // swTableLen is the word size of the substitution-score table (the BLOSUM62
 // query profile shared by every alignment in a batch).
@@ -450,129 +448,6 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 	return data, out, nil
 }
 
-// swPipeLane is one lane's device resources: a max-sized batch buffer, a
-// stream, and the in-flight batch's score staging.
-type swPipeLane struct {
-	buf    *gpusim.Buffer
-	stream *gpusim.Stream
-	out    []uint32
-}
-
-// swLaneWork adapts the batch stream to sched.RunLanes. Host staging is
-// reused across batches: async H2D captures the contents at enqueue, so one
-// image suffices.
-type swLaneWork struct {
-	dev    *gpusim.Device
-	table  *gpusim.Buffer
-	plans  []swBatch
-	enc    [][]byte
-	pairs  []pairKey
-	order  []int
-	cfg    Config
-	scores []int32
-	lanes  []*swPipeLane
-	data   []uint32 // shared host staging image
-}
-
-func (w *swLaneWork) Prepare(item int) {
-	ly := layoutFor(w.cfg)
-	w.data = packSWBatch(w.plans[item], w.enc, w.pairs, w.order, ly, w.data)
-	chargeHost(w.dev, w.cfg.Obs, "pack", float64(ly.packWords(w.plans[item]))*packNsPerWord)
-}
-
-func (w *swLaneWork) Enqueue(item, lane int) error {
-	p := w.plans[item]
-	l := w.lanes[lane]
-	ly := layoutFor(w.cfg)
-	if err := w.dev.CopyH2DAsync(l.stream, l.buf, 0, w.data); err != nil {
-		return err
-	}
-	if err := unpackSWBatch(w.dev, l.stream, l.buf, p, ly); err != nil {
-		return err
-	}
-	lc := swLaunchConfig(p, w.cfg, w.table, ly)
-	if err := thrust.SWScoreBatch(w.dev, l.stream, l.buf, lc); err != nil {
-		return err
-	}
-	return w.dev.CopyD2HAsync(l.stream, l.out[:p.hi-p.lo], l.buf, lc.ScoreBase)
-}
-
-func (w *swLaneWork) Complete(item, lane int) {
-	l := w.lanes[lane]
-	l.stream.Synchronize()
-	p := w.plans[item]
-	for i := 0; i < p.hi-p.lo; i++ {
-		w.scores[p.lo+i] = int32(l.out[i])
-	}
-}
-
-func (w *swLaneWork) SpanName(item int) string {
-	p := w.plans[item]
-	return fmt.Sprintf("b%d.pairs%d-%d", item, p.lo, p.hi)
-}
-
-// runSWBatchesPipelined is the double-buffered scheduler with a
-// build-resident score table: N lanes, each owning a max-sized device
-// buffer and a stream, take batches round-robin through sched.RunLanes.
-// Enqueuing batch k only waits for the lane's previous occupant (batch
-// k-N), so batch k's staging overlaps earlier batches' kernels and score
-// readback:
-//
-//	table:   [upload once]
-//	lane 0:  [H2D b0 | sw b0 | D2H b0]   [H2D b2 | sw b2 | ...
-//	lane 1:          [H2D b1 | sw b1 | D2H b1]   [H2D b3 | ...
-//
-// Scores land in the same slots as the sequential scheduler, so the edge
-// set is identical. This entry point owns the table's lifetime and runs two
-// lanes (the fuzz oracle's pipelined leg); verifyGPU manages the table and
-// lane count itself and drives runSWBatchesPipelinedOn directly.
-func runSWBatchesPipelined(dev *gpusim.Device, plans []swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	table, err := uploadSWTable(dev)
-	if err != nil {
-		return err
-	}
-	defer table.Free()
-	return runSWBatchesPipelinedOn(dev, table, plans, enc, pairs, order, cfg, scores, 2)
-}
-
-// runSWBatchesPipelinedOn runs the batch stream across the given lane count
-// against an already-resident score table.
-func runSWBatchesPipelinedOn(dev *gpusim.Device, table *gpusim.Buffer, plans []swBatch,
-	enc [][]byte, pairs []pairKey, order []int, cfg Config, scores []int32, lanes int) error {
-
-	if lanes < 2 {
-		lanes = 2
-	}
-	ly := layoutFor(cfg)
-	maxDev, maxPairs := 0, 0
-	for _, p := range plans {
-		maxDev = max(maxDev, ly.deviceWords(p))
-		maxPairs = max(maxPairs, p.hi-p.lo)
-	}
-	w := &swLaneWork{dev: dev, table: table, plans: plans, enc: enc, pairs: pairs,
-		order: order, cfg: cfg, scores: scores, lanes: make([]*swPipeLane, lanes)}
-	freeAll := func() {
-		for _, l := range w.lanes {
-			if l != nil && l.buf != nil {
-				l.buf.Free()
-			}
-		}
-	}
-	for i := range w.lanes {
-		l := &swPipeLane{stream: dev.NewStream(), out: make([]uint32, maxPairs)}
-		w.lanes[i] = l
-		var err error
-		if l.buf, err = dev.Malloc(maxDev); err != nil {
-			freeAll()
-			return err
-		}
-	}
-	defer freeAll()
-	return sched.RunLanes(dev, cfg.Obs, len(plans), lanes, w)
-}
-
 // verifyGPU is the device-backed verification stage: it schedules every
 // candidate pair through the batched Smith–Waterman kernel and thresholds
 // the scores with the exact comparison the host path uses. The Stats
@@ -594,12 +469,8 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		var report sched.PlanReport
 		var plans []swBatch
 		var err error
-		lanes := 1
-		if cfg.GPUPipeline {
-			lanes = 2
-		}
 		if cfg.GPUBatchWords == 0 && cfg.AutoTune {
-			report, plans, lanes, err = autotuneSW(dev, enc, pairs, order, cfg)
+			report, plans, err = autotuneSW(dev, enc, pairs, order, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -609,25 +480,17 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		} else {
 			budget := cfg.GPUBatchWords
 			if budget <= 0 {
-				// Leave headroom on a shared device rather than sizing to the
-				// last free word; the pipeline keeps two lanes resident, so its
-				// default batches are half the size. An explicit budget is the
-				// per-batch cap in both modes (the schedulers then run identical
-				// batch plans and their timings compare like for like).
-				budget = int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
-				if cfg.GPUPipeline {
-					budget /= 2
-				}
+				budget = legacySWBudget(dev)
 			}
 			plans, err = planSWBatches(enc, pairs, order, budget, layoutFor(cfg))
 			if err != nil {
 				return nil, err
 			}
-			report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans),
+			report = sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans),
 				Fused: cfg.Packed && cfg.Fuse}
 			if cfg.PredictCost {
 				m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
-				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, lanes, layoutFor(cfg))
+				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg))
 			}
 		}
 		st.GPUBatches = len(plans)
@@ -640,11 +503,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 			return nil, err
 		}
 		if env.table != nil { // nil after the all-pairs host fallback
-			if lanes >= 2 {
-				err = runSWBatchesPipelinedResilient(env, plans, lanes)
-			} else {
-				err = runSWBatchesSequentialResilient(env, plans)
-			}
+			err = runSWBatchesSequentialResilient(env, plans)
 			env.table.Free()
 			if err != nil {
 				return nil, err

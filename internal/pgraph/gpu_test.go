@@ -39,7 +39,7 @@ func graphsEqual(t *testing.T, label string, want, got *graph.Graph) {
 
 // TestGPUMatchesHostEdges is the backend-equivalence gate: the GPU-SW path
 // must accept the bit-identical edge set for every batch budget, with and
-// without pipelining and length binning.
+// without length binning.
 func TestGPUMatchesHostEdges(t *testing.T) {
 	seqs := testMetagenome(t, 120)
 	host, hst, err := Build(seqs, DefaultConfig())
@@ -57,14 +57,7 @@ func TestGPUMatchesHostEdges(t *testing.T) {
 		{"default-budget", func(c *Config) {}},
 		{"small-batches", func(c *Config) { c.GPUBatchWords = 6_000 }},
 		{"tiny-batches", func(c *Config) { c.GPUBatchWords = 1_200 }},
-		{"pipelined", func(c *Config) { c.GPUPipeline = true }},
-		{"pipelined-small", func(c *Config) { c.GPUPipeline = true; c.GPUBatchWords = 12_000 }},
 		{"no-binning", func(c *Config) { c.NoLengthBin = true; c.GPUBatchWords = 6_000 }},
-		{"no-binning-pipelined", func(c *Config) {
-			c.NoLengthBin = true
-			c.GPUPipeline = true
-			c.GPUBatchWords = 12_000
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,24 +88,21 @@ func TestGPUSmallDeviceMemoryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pipeline := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.GPU = true
-		cfg.GPUPipeline = pipeline
-		devCfg := gpusim.SmallConfig()
-		devCfg.GlobalMemBytes = 16 << 10 // tighter still: force real batching
-		cfg.Device = gpusim.MustNew(devCfg)
-		g, st, err := Build(seqs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphsEqual(t, "small device", host, g)
-		if st.GPUBatches < 2 {
-			t.Fatalf("pipeline=%v: 1 MB device should force multiple batches, got %d", pipeline, st.GPUBatches)
-		}
-		if err := cfg.Device.LeakCheck(); err != nil {
-			t.Fatalf("pipeline=%v: %v", pipeline, err)
-		}
+	cfg := DefaultConfig()
+	cfg.GPU = true
+	devCfg := gpusim.SmallConfig()
+	devCfg.GlobalMemBytes = 16 << 10 // tighter still: force real batching
+	cfg.Device = gpusim.MustNew(devCfg)
+	g, st, err := Build(seqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, "small device", host, g)
+	if st.GPUBatches < 2 {
+		t.Fatalf("1 MB device should force multiple batches, got %d", st.GPUBatches)
+	}
+	if err := cfg.Device.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -125,36 +115,6 @@ func TestGPUBudgetTooSmall(t *testing.T) {
 	cfg.GPUBatchWords = swTableLen + 8
 	if _, _, err := Build(seqs, cfg); err == nil {
 		t.Fatal("expected an error for a batch budget below one pair")
-	}
-}
-
-// TestGPUPipelinedLowerVirtualTotal asserts the point of the pipeline: with
-// the batch stream forced to many batches, overlapping staging with kernels
-// and readback (and hoisting the per-batch table upload) must beat the
-// sequential scheduler on the virtual clock.
-func TestGPUPipelinedLowerVirtualTotal(t *testing.T) {
-	seqs := testMetagenome(t, 250)
-	base := DefaultConfig()
-	base.GPU = true
-	base.GPUBatchWords = 4_000
-
-	seqCfg := base
-	_, sst, err := Build(seqs, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeCfg := base
-	pipeCfg.GPUPipeline = true
-	_, pst, err := Build(seqs, pipeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sst.GPUBatches < 3 {
-		t.Fatalf("want several batches for the overlap to matter, got %d", sst.GPUBatches)
-	}
-	if pst.TotalNs >= sst.TotalNs {
-		t.Fatalf("pipelined virtual total %.3fms not below sequential %.3fms",
-			pst.TotalNs/1e6, sst.TotalNs/1e6)
 	}
 }
 
@@ -185,20 +145,6 @@ func BenchmarkPGraphGPU(b *testing.B) {
 	seqs := testMetagenome(b, 250)
 	cfg := DefaultConfig()
 	cfg.GPU = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Build(seqs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPGraphGPUPipelined(b *testing.B) {
-	seqs := testMetagenome(b, 250)
-	cfg := DefaultConfig()
-	cfg.GPU = true
-	cfg.GPUPipeline = true
-	cfg.GPUBatchWords = 30_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Build(seqs, cfg); err != nil {

@@ -70,8 +70,6 @@ func recordBuildMetrics(r *obs.Recorder, st *Stats) {
 		"Verification batches split in half after persistent device OOM.").Add(f.OOMSplits)
 	r.Counter("pgraph_fault_host_fallbacks",
 		"Verification batches degraded to host scoring.").Add(f.HostFallbacks)
-	r.Counter("pgraph_fault_pipeline_restarts",
-		"Pipelined verification passes restarted.").Add(f.Restarts)
 	r.Gauge("pgraph_fault_backoff_ns",
 		"Virtual-clock backoff burned between fault retries.").Set(f.BackoffNs)
 }

@@ -21,81 +21,74 @@ func obsNear(a, b float64) bool {
 // recorder-free build.
 func TestObsRecorderGPUBuild(t *testing.T) {
 	seqs := testMetagenome(t, 120)
-	for _, pipeline := range []bool{false, true} {
-		base := DefaultConfig()
-		base.GPU = true
-		base.GPUPipeline = pipeline
-		// Small enough that even the packed layout (which fits more pairs
-		// per batch) schedules several batches, so both lanes see work.
-		base.GPUBatchWords = 3_000
-		base.Device = gpusim.MustNew(gpusim.K20Config())
-		gPlain, stPlain, err := Build(seqs, base)
-		if err != nil {
-			t.Fatal(err)
-		}
+	base := DefaultConfig()
+	base.GPU = true
+	// Small enough that even the packed layout (which fits more pairs
+	// per batch) schedules several batches.
+	base.GPUBatchWords = 3_000
+	base.Device = gpusim.MustNew(gpusim.K20Config())
+	gPlain, stPlain, err := Build(seqs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		cfg := base
-		rec := obs.New()
-		cfg.Obs = rec
-		cfg.Device = gpusim.MustNew(gpusim.K20Config())
-		cfg.Device.EnableTracing()
-		g, st, err := Build(seqs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphsEqual(t, "recorder attached", gPlain, g)
-		if st.TotalNs != stPlain.TotalNs || st.AlignNs != stPlain.AlignNs {
-			t.Fatalf("pipeline=%v: recorder changed virtual times: %+v vs %+v", pipeline, st, stPlain)
-		}
+	cfg := base
+	rec := obs.New()
+	cfg.Obs = rec
+	cfg.Device = gpusim.MustNew(gpusim.K20Config())
+	cfg.Device.EnableTracing()
+	g, st, err := Build(seqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, "recorder attached", gPlain, g)
+	if st.TotalNs != stPlain.TotalNs || st.AlignNs != stPlain.AlignNs {
+		t.Fatalf("recorder changed virtual times: %+v vs %+v", st, stPlain)
+	}
 
-		var phases []string
-		tracks := map[string]int{}
-		for _, s := range rec.Spans() {
-			tracks[s.Track]++
-			if s.Track == obs.TrackPhases {
-				phases = append(phases, s.Name)
-			}
+	var phases []string
+	tracks := map[string]int{}
+	for _, s := range rec.Spans() {
+		tracks[s.Track]++
+		if s.Track == obs.TrackPhases {
+			phases = append(phases, s.Name)
 		}
-		if !reflect.DeepEqual(phases, []string{"filter", "verify"}) {
-			t.Fatalf("pipeline=%v: phases = %v, want [filter verify]", pipeline, phases)
-		}
-		if pipeline {
-			if tracks["lane0"] == 0 || tracks["lane1"] == 0 {
-				t.Fatalf("pipelined build recorded no lane spans: %v", tracks)
-			}
-		} else if tracks[obs.TrackBatches] == 0 {
-			t.Fatalf("sequential build recorded no batch spans: %v", tracks)
-		}
+	}
+	if !reflect.DeepEqual(phases, []string{"filter", "verify"}) {
+		t.Fatalf("phases = %v, want [filter verify]", phases)
+	}
+	if tracks[obs.TrackBatches] == 0 {
+		t.Fatalf("build recorded no batch spans: %v", tracks)
+	}
 
-		tl := obs.DeviceTimeline{Name: "device0", Events: cfg.Device.Trace()}
-		sp := obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{tl})
-		if !obsNear(sp.GPUNs, st.AlignNs) || !obsNear(sp.H2DNs, st.H2DNs) ||
-			!obsNear(sp.D2HNs, st.D2HNs) || !obsNear(sp.TotalNs, st.TotalNs) {
-			t.Errorf("pipeline=%v: span split %+v != stats %+v", pipeline, sp, st)
-		}
+	tl := obs.DeviceTimeline{Name: "device0", Events: cfg.Device.Trace()}
+	sp := obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{tl})
+	if !obsNear(sp.GPUNs, st.AlignNs) || !obsNear(sp.H2DNs, st.H2DNs) ||
+		!obsNear(sp.D2HNs, st.D2HNs) || !obsNear(sp.TotalNs, st.TotalNs) {
+		t.Errorf("span split %+v != stats %+v", sp, st)
+	}
 
-		if got := rec.Counter("pgraph_candidates", "").Value(); got != int64(st.Candidates) {
-			t.Errorf("pgraph_candidates = %d, want %d", got, st.Candidates)
-		}
-		if got := rec.Counter("pgraph_edges", "").Value(); got != st.Edges {
-			t.Errorf("pgraph_edges = %d, want %d", got, st.Edges)
-		}
-		if got := rec.Counter("pgraph_gpu_batches", "").Value(); got != int64(st.GPUBatches) {
-			t.Errorf("pgraph_gpu_batches = %d, want %d", got, st.GPUBatches)
-		}
-		// The thrust kernel counts its own launches; on a fault-free run the
-		// scheduled batches and launch attempts coincide.
-		if got := rec.Counter("gpclust_sw_kernel_launches", "").Value(); got != int64(st.GPUBatches) {
-			t.Errorf("gpclust_sw_kernel_launches = %d, want %d", got, st.GPUBatches)
-		}
+	if got := rec.Counter("pgraph_candidates", "").Value(); got != int64(st.Candidates) {
+		t.Errorf("pgraph_candidates = %d, want %d", got, st.Candidates)
+	}
+	if got := rec.Counter("pgraph_edges", "").Value(); got != st.Edges {
+		t.Errorf("pgraph_edges = %d, want %d", got, st.Edges)
+	}
+	if got := rec.Counter("pgraph_gpu_batches", "").Value(); got != int64(st.GPUBatches) {
+		t.Errorf("pgraph_gpu_batches = %d, want %d", got, st.GPUBatches)
+	}
+	// The thrust kernel counts its own launches; on a fault-free run the
+	// scheduled batches and launch attempts coincide.
+	if got := rec.Counter("gpclust_sw_kernel_launches", "").Value(); got != int64(st.GPUBatches) {
+		t.Errorf("gpclust_sw_kernel_launches = %d, want %d", got, st.GPUBatches)
+	}
 
-		var metrics bytes.Buffer
-		if err := rec.WriteOpenMetrics(&metrics); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(metrics.Bytes(), []byte("pgraph_edges_total")) {
-			t.Fatalf("metrics export missing pgraph_edges_total:\n%s", metrics.Bytes())
-		}
+	var metrics bytes.Buffer
+	if err := rec.WriteOpenMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(metrics.Bytes(), []byte("pgraph_edges_total")) {
+		t.Fatalf("metrics export missing pgraph_edges_total:\n%s", metrics.Bytes())
 	}
 }
 

@@ -62,24 +62,16 @@ type Config struct {
 	// fresh Tesla K20 for the build.
 	Device *gpusim.Device
 
-	// GPUPipeline double-buffers the batch stream across two CUDA-style
-	// streams, so batch k+1's host→device staging overlaps batch k's
-	// kernels and score readback (the machinery the shingling pass uses
-	// for PipelineBatches, applied to alignment).
-	GPUPipeline bool
-
 	// GPUBatchWords caps one batch's device footprint in words (score
-	// table + pair records + packed residues + scores) in both schedulers.
-	// 0 sizes batches to the device's free memory (halved under
-	// GPUPipeline, which keeps two lanes resident — an explicit budget
-	// must leave room for both).
+	// table + pair records + packed residues + scores). 0 sizes batches to
+	// the device's free memory.
 	GPUBatchWords int
 
 	// AutoTune, with GPUBatchWords == 0, lets the cost-model auto-tuner pick
-	// the batch budget and lane count: it calibrates a sched.Model against
-	// the device config with a kernel micro-probe on a scratch device,
-	// predicts the virtual time of each candidate plan (geometric budget
-	// sweep × lane counts), and runs the argmin. The edge set is
+	// the batch budget: it calibrates a sched.Model against the device
+	// config with a kernel micro-probe on a scratch device, predicts the
+	// virtual time of each candidate plan (geometric budget sweep × kernel
+	// fusion), and runs the argmin. The edge set is
 	// bit-identical for every plan, so tuning only moves virtual time.
 	AutoTune bool
 
@@ -124,7 +116,7 @@ type Config struct {
 	RetryBackoffNs float64
 
 	// Obs, when non-nil, records the build into the observability layer:
-	// filter/verify phase spans, per-batch and per-lane scheduling spans,
+	// filter/verify phase spans, per-batch scheduling spans,
 	// fault-recovery instants and the build's counters. A nil recorder is
 	// bit-identical in output and virtual cost.
 	Obs *obs.Recorder
@@ -196,7 +188,7 @@ type Stats struct {
 	D2HBytes    int64 // Data_g→c bytes actually moved
 
 	// Faults counts the fault-recovery actions the GPU schedulers took
-	// (retries, OOM splits, host fallbacks, pipeline restarts); zero on a
+	// (retries, OOM splits, host fallbacks); zero on a
 	// fault-free run. The edge set is bit-identical either way.
 	Faults faults.Recovery
 

@@ -10,17 +10,14 @@ import (
 	"gpclust/internal/seq"
 )
 
-// Resilient batch execution for the GPU verification schedulers. The
+// Resilient batch execution for the GPU verification scheduler. The
 // generic ladder — retry with exponential virtual-clock backoff, split
 // persistent-OOM batches in half, degrade to a bit-identical host
 // execution, or fail typed under Config.NoHostFallback — lives in
 // internal/sched; this file adapts the Smith–Waterman batch stream to it.
 // Score writes are idempotent (scores[p.lo+i] depends only on the batch
-// contents), so a failed attempt needs no rollback; the pipelined scheduler
-// restarts whole passes (its lanes share buffers, so mid-pass state is not
-// worth salvaging) and degrades to the resilient sequential loop when
-// restarts exhaust the budget. Either way the edge set is bit-identical to
-// a fault-free run; Stats.Faults counts what recovery cost.
+// contents), so a failed attempt needs no rollback. The edge set is
+// bit-identical to a fault-free run; Stats.Faults counts what recovery cost.
 
 // DefaultFaultRetries is the per-batch retry budget when Config.FaultRetries
 // is zero.
@@ -177,34 +174,4 @@ func runSWBatchHost(dev *gpusim.Device, p swBatch, seqs []seq.Sequence,
 		scores[k] = int32(align.ScoreOnly(sa, sb, cfg.Align))
 	}
 	chargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
-}
-
-// swPipePass adapts the lane executor to restart-based recovery: every
-// score slot is rewritten by a successful pass, so a failed attempt needs
-// no reset, and when restarts exhaust the budget the pass degrades to the
-// sequential resilient loop (which recovers per batch, splits on OOM and
-// can fall back to the host).
-type swPipePass struct {
-	env   *swEnv
-	plans []swBatch
-	lanes int
-}
-
-func (p swPipePass) Attempt() error {
-	return runSWBatchesPipelinedOn(p.env.dev, p.env.table, p.plans, p.env.enc,
-		p.env.pairs, p.env.order, p.env.cfg, p.env.scores, p.lanes)
-}
-
-// Reset: score writes are idempotent; nothing to roll back.
-func (p swPipePass) Reset() {}
-
-// Settle quiesces the failed pass's in-flight stream work.
-func (p swPipePass) Settle() { p.env.dev.Synchronize() }
-
-func (p swPipePass) Degrade() error { return runSWBatchesSequentialResilient(p.env, p.plans) }
-
-// runSWBatchesPipelinedResilient wraps the lane executor in the restart
-// ladder.
-func runSWBatchesPipelinedResilient(env *swEnv, plans []swBatch, lanes int) error {
-	return env.cfg.runner(env.dev, env.rec).RunPass(swPipePass{env: env, plans: plans, lanes: lanes})
 }

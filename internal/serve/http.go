@@ -12,13 +12,22 @@ import (
 
 // HTTP surface. Request bodies are FASTA; responses are JSON. Admission
 // rejects (ErrOverloaded) map to 503 with a Retry-After hint, input errors
-// to 400, shutdown to 503.
+// to 400, shutdown to 503, and a body over its endpoint's size limit to 413
+// before any record reaches the server.
 //
 //	POST /assign   one FASTA record  → assignReply
 //	POST /cluster  FASTA records     → clusterReply
 //	GET  /dump?member=N              → dumpReply (N's whole family)
 //	GET  /metrics                    → OpenMetrics text
 //	GET  /healthz                    → "ok"
+
+// Request body limits. One /assign query is a single ORF; /cluster takes a
+// batch of them. The limits bound what one request can make the process
+// buffer before admission control sees it.
+const (
+	maxAssignBody  = 1 << 20
+	maxClusterBody = 64 << 20
+)
 
 type assignReply struct {
 	Assigned bool   `json:"assigned"`
@@ -78,12 +87,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-func readFASTA(w http.ResponseWriter, r *http.Request) ([]seq.Sequence, bool) {
+// readFASTA parses a POST body of at most limit bytes.
+func readFASTA(w http.ResponseWriter, r *http.Request, limit int64) ([]seq.Sequence, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a FASTA body", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	seqs, err := seq.ReadFASTA(r.Body)
+	seqs, err := seq.ReadFASTA(http.MaxBytesReader(w, r.Body, limit))
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("serve: request body over %d bytes", tooLarge.Limit),
+			http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
@@ -96,7 +111,7 @@ func readFASTA(w http.ResponseWriter, r *http.Request) ([]seq.Sequence, bool) {
 }
 
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	seqs, ok := readFASTA(w, r)
+	seqs, ok := readFASTA(w, r, maxAssignBody)
 	if !ok {
 		return
 	}
@@ -114,7 +129,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	seqs, ok := readFASTA(w, r)
+	seqs, ok := readFASTA(w, r, maxClusterBody)
 	if !ok {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,4 +155,78 @@ func TestHTTPErrors(t *testing.T) {
 
 	resp, err = http.Get(srv.URL + "/dump?member=bogus")
 	check("dump non-numeric", resp, err, http.StatusBadRequest)
+}
+
+// padReader yields whitespace that ReadFASTA skips: lines of spaces, so a
+// body can be padded to an exact size without growing a record.
+type padReader struct{ off int }
+
+func (p *padReader) Read(b []byte) (int, error) {
+	for i := range b {
+		b[i] = ' '
+		if p.off%1024 == 1023 {
+			b[i] = '\n'
+		}
+		p.off++
+	}
+	return len(b), nil
+}
+
+// paddedBody is seqs as FASTA, padded with skipped whitespace to size bytes.
+func paddedBody(t *testing.T, seqs []seq.Sequence, size int) io.Reader {
+	t.Helper()
+	rec := fastaBody(t, seqs)
+	if rec.Len() > size {
+		t.Fatalf("records take %d bytes, over the %d-byte body", rec.Len(), size)
+	}
+	return io.MultiReader(rec, io.LimitReader(&padReader{}, int64(size-rec.Len())))
+}
+
+// TestHTTPBodyLimits: a body over its endpoint's limit is answered 413
+// before any of its records reach the server, and a body exactly at the
+// limit is served.
+func TestHTTPBodyLimits(t *testing.T) {
+	corpus := testMetagenome(t, 12)
+	s, err := New(serveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Cluster(corpus[:6]); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	cases := []struct {
+		name string
+		path string
+		seqs []seq.Sequence
+		size int
+		want int
+	}{
+		{"assign at limit", "/assign", corpus[3:4], maxAssignBody, http.StatusOK},
+		{"assign over limit", "/assign", corpus[3:4], maxAssignBody + 1, http.StatusRequestEntityTooLarge},
+		{"cluster over limit", "/cluster", corpus[6:], maxClusterBody + 1, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before, part := s.Stats(), s.Partition()
+			resp, err := http.Post(srv.URL+tc.path, "text/plain", paddedBody(t, tc.seqs, tc.size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
+			}
+			if after := s.Stats(); after.Sequences != before.Sequences || after.Epoch != before.Epoch {
+				t.Fatalf("resident state changed: %+v -> %+v", before, after)
+			}
+			if !reflect.DeepEqual(s.Partition(), part) {
+				t.Fatal("resident partition changed")
+			}
+		})
+	}
 }

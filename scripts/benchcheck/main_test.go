@@ -16,7 +16,7 @@ func goodFile() benchFile {
 		Backends: []bench.PGraphBackendPoint{
 			{Backend: "host", VirtualNs: 5e9, Edges: 120},
 			{Backend: "gpu sequential", VirtualNs: 2e9, Edges: 120},
-			{Backend: "gpu pipelined", VirtualNs: 1.5e9, Edges: 120},
+			{Backend: "gpu single batch", VirtualNs: 1.5e9, Edges: 120},
 		},
 		Autotune: []bench.AutoTunePoint{
 			{Workload: "gpclust", Setting: "auto", Auto: true,
@@ -74,8 +74,7 @@ func TestValidateRejects(t *testing.T) {
 		{"missing gpu points", func(f *benchFile) {
 			f.Backends[1].Backend = "gpu A"
 			f.Backends[2].Backend = "gpu B"
-		}, "missing gpu sequential/pipelined"},
-		{"pipelined not faster", func(f *benchFile) { f.Backends[2].VirtualNs = 3e9 }, "not below sequential"},
+		}, "missing gpu sequential"},
 		{"no autotune points", func(f *benchFile) { f.Autotune = nil }, "no autotune points"},
 		{"unnamed autotune point", func(f *benchFile) { f.Autotune[0].Setting = "" }, "no workload/setting"},
 		{"zero autotune total", func(f *benchFile) { f.Autotune[1].VirtualNs = 0 }, "non-positive virtual total"},

@@ -75,14 +75,14 @@ go test -tags invariants ./internal/core/... ./internal/unionfind/... ./internal
 
 echo "== pgraph backend equivalence gate (GPU-SW must match host-SW bit for bit)"
 go test -run 'TestGoldenPipelineBackends|TestGoldenCascadeConservative' .
-go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit|TestGPUPipelinedLowerVirtualTotal' ./internal/pgraph/
+go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/pgraph/
 
 echo "== lsh filter equivalence gate (device LSH must match host; conservative cascade must match exact)"
 go test -run 'TestLSHDeviceMatchesHost|TestCascadeConservativeMatchesExact|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
 
 echo "== observability smoke (-trace/-metrics on both CLIs, trace JSON validated)"
 go run ./cmd/genseq -mode seqs -n 150 -fasta "$tmp_dir/orfs.fa" -truth "$tmp_dir/truth.tsv"
-go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu -pipeline \
+go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu \
     -trace "$tmp_dir/pgraph-trace.json" -metrics "$tmp_dir/pgraph-metrics.txt"
 go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend gpu -pipeline -c1 30 -c2 15 \
     -faults 'h2d op=2' -trace "$tmp_dir/gpclust-trace.json" \
