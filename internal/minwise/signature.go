@@ -11,8 +11,9 @@ package minwise
 // band hashing, candidate generation, and the device-resident copy the GPU
 // filter keeps across its banding passes — instead of being recomputed per
 // call site. The layout is column-major (all sets' minima under permutation
-// j are contiguous), matching the device buffer the segmented-min kernel
-// fills, so the host and device paths index signatures identically.
+// j are contiguous), matching the device buffer thrust.SegmentedMinHash
+// fills in one launch per span, so the host and device paths index
+// signatures identically.
 
 // EmptySig marks the signature slot of an empty set: no image exists, and
 // real images are < Prime < 2^31, so the sentinel cannot collide. It equals
@@ -30,8 +31,8 @@ type Signatures struct {
 // SequenceSignatures computes the signature matrix of the given sets. Empty
 // sets get EmptySig in every row; callers skip them when banding. The minima
 // are exact (a direct scan, not the s-smallest insertion sort, so sets of
-// any length work) and bit-identical to the device's segmented-min kernel
-// applied to the same permutation hashes.
+// any length work) and bit-identical to thrust.SegmentedMinHash over the
+// same family.
 func (f Family) SequenceSignatures(sets [][]uint32) Signatures {
 	g := Signatures{C: len(f.Pairs), N: len(sets),
 		Vals: make([]uint32, len(f.Pairs)*len(sets))}

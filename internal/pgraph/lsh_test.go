@@ -7,6 +7,7 @@ import (
 	"gpclust/internal/align"
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
+	"gpclust/internal/minwise"
 	"gpclust/internal/seq"
 )
 
@@ -276,6 +277,102 @@ func TestLSHPlanRecorded(t *testing.T) {
 	// The verification plan is independent and still reported.
 	if st.Plan.Batches < 1 {
 		t.Fatalf("verification plan missing: %+v", st.Plan)
+	}
+}
+
+// TestLSHSignatureSpansMatchHost: under a budget that splits stage A into
+// several spans, every span's one-launch signature kernel fills its own
+// columns of the resident matrix, and the assembled matrix is bit-identical
+// to the host signatures — for a family size off the permutation-group
+// multiple. The filter's candidates at that budget still match the host's.
+func TestLSHSignatureSpansMatchHost(t *testing.T) {
+	seqs := testMetagenome(t, 80)
+	cfg := lshConfig(20, 3) // 60 permutations: not a multiple of the group
+	_, prm, err := resolveFilter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, total, _ := shingleSets(seqs, cfg.MinExactMatch)
+	ids := eligibleSeqs(sets)
+	eligible := make([][]uint32, len(ids))
+	for col, id := range ids {
+		eligible[col] = sets[id]
+	}
+	dev := gpusim.MustNew(gpusim.K20Config())
+	env := &lshEnv{dev: dev, cfg: cfg, prm: prm, sets: eligible, ids: ids, seqs: seqs,
+		total: total, budget: prm.hashes()*len(eligible) + total/3}
+	spansA, _, err := env.lshPlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spansA) < 2 {
+		t.Fatalf("budget %d planned %d signature spans, want ≥ 2", env.budget, len(spansA))
+	}
+	sigBuf := dev.MustMalloc(env.lshSigWords())
+	defer sigBuf.Free()
+	fam := minwise.NewFamily(prm.hashes(), lshFamilySeed)
+	for _, sp := range spansA {
+		if err := env.runSigSpan(sigBuf, fam, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]uint32, sigBuf.Len())
+	if err := dev.CopyD2H(got, sigBuf, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := fam.SequenceSignatures(eligible).Vals
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("signature word %d (perm %d, column %d) = %#x, want %#x",
+				i, i/len(eligible), i%len(eligible), got[i], want[i])
+		}
+	}
+
+	cfg.GPU = true
+	cfg.GPUBatchWords = env.budget
+	var st Stats
+	pairs, err := lshDeviceFilter(gpusim.MustNew(gpusim.K20Config()), seqs, cfg, prm, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, _ := lshPairsHost(seqs, cfg, prm)
+	if len(pairs) != len(host) {
+		t.Fatalf("split-budget device filter found %d candidates, host %d", len(pairs), len(host))
+	}
+	for p := range host {
+		if !pairs[p] {
+			a, b := p.unpack()
+			t.Fatalf("host pair (%d,%d) missing from the split-budget device filter", a, b)
+		}
+	}
+}
+
+// TestLSHLaunchesIndependentOfPermutations: the device filter launches one
+// signature kernel per stage-A span and one band-key kernel per stage-B
+// span, so quadrupling the permutation count leaves its launch count alone.
+func TestLSHLaunchesIndependentOfPermutations(t *testing.T) {
+	seqs := testMetagenome(t, 80)
+	launches := map[int]int64{}
+	for _, bands := range []int{64, 256} {
+		cfg := lshConfig(bands, 1)
+		_, prm, err := resolveFilter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.GPU = true
+		dev := gpusim.MustNew(gpusim.K20Config())
+		var st Stats
+		if _, err := lshDeviceFilter(dev, seqs, cfg, prm, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.LSHPlan.Batches != 2 {
+			t.Fatalf("%dx1: %d stage spans, want one per stage", bands, st.LSHPlan.Batches)
+		}
+		launches[bands] = dev.Metrics().KernelLaunches
+	}
+	if launches[64] != launches[256] {
+		t.Fatalf("kernel launches depend on the permutation count: 64x1 %d, 256x1 %d",
+			launches[64], launches[256])
 	}
 }
 

@@ -14,15 +14,14 @@ import (
 // device dataflow:
 //
 //	stage A (banded shapes): shingle sets stream to the device in budgeted
-//	  spans; per permutation, transform_hash images every shingle and the
-//	  segmented-min kernel (segmented_top_s at s=1) writes one signature
-//	  word per sequence into the build-resident signature buffer — the
-//	  column-major minwise.Signatures layout, resident across every band
-//	  pass like PR 8's hash-pair table.
-//	stage B: bands stream in budgeted groups; band_hash folds each band's
-//	  rows into bucket keys, sort_pairs64 groups (band, key, seq) records,
-//	  bucket_heads marks runs, and the host emits each bucket's cross pairs
-//	  from the downloaded run structure.
+//	  spans; one segmented_min_hash launch per span reads every sequence's
+//	  shingles once and writes its minimum under every permutation into the
+//	  build-resident signature buffer — the column-major minwise.Signatures
+//	  layout, resident across every band pass.
+//	stage B: bands stream in budgeted groups; one band_hash launch per group
+//	  folds every band's rows into bucket keys, sort_pairs64 groups (band,
+//	  key, seq) records, bucket_heads marks runs, and the host emits each
+//	  bucket's cross pairs from the downloaded run structure.
 //
 // The conservative preset skips signatures entirely and sorts raw
 // (shingle, seq) records in one pass — the bucket grouping whose candidate
@@ -55,14 +54,14 @@ type lshEnv struct {
 func (e *lshEnv) lshSigWords() int { return e.prm.hashes() * len(e.sets) }
 
 // lshSeqSizer feeds the stage-A planner: streaming sequence k costs its
-// shingle words twice (data + hash image) plus one offset word.
+// shingle words plus one offset word.
 type lshSeqSizer struct {
 	sets   [][]uint32
 	budget int
 }
 
 func (z *lshSeqSizer) Reset()         {}
-func (z *lshSeqSizer) Cost(k int) int { return 2*len(z.sets[k]) + 1 }
+func (z *lshSeqSizer) Cost(k int) int { return len(z.sets[k]) + 1 }
 func (z *lshSeqSizer) Commit(k int)   {}
 func (z *lshSeqSizer) Fail(k, need int) error {
 	return fmt.Errorf("pgraph: LSH budget %d words cannot hold sequence of %d shingles: needs %d",
@@ -227,8 +226,8 @@ func (e *lshEnv) runBanded() error {
 }
 
 // runSigSpan fills signature columns [sp.Lo, sp.Hi): upload the span's
-// concatenated shingles and segment offsets, then per permutation hash the
-// stream and segmented-min it into the resident buffer's row-major slot.
+// concatenated shingles and segment offsets, then min-hash every segment
+// under the whole family in one launch into the resident buffer.
 func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.Span) error {
 	ne := len(e.sets)
 	ns := sp.Hi - sp.Lo
@@ -246,11 +245,11 @@ func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.
 	chargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(len(data)+ns+1)*packNsPerWord)
 
 	dev := e.dev
-	bufs, err := lshMalloc(dev, len(data), ns+1, len(data))
+	bufs, err := lshMalloc(dev, len(data), ns+1)
 	if err != nil {
 		return err
 	}
-	dataBuf, offBuf, tmpBuf := bufs[0], bufs[1], bufs[2]
+	dataBuf, offBuf := bufs[0], bufs[1]
 	defer lshFree(bufs)
 	if err := dev.CopyH2D(dataBuf, 0, data); err != nil {
 		return err
@@ -259,20 +258,12 @@ func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.
 		return err
 	}
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: ns}
-	for j, h := range fam.Pairs {
-		if err := thrust.TransformHash(dev, dataBuf, tmpBuf, len(data), h); err != nil {
-			return err
-		}
-		if err := thrust.SegmentedTopSAt(dev, nil, tmpBuf, segs, 1, sigBuf, j*ne+sp.Lo); err != nil {
-			return err
-		}
-	}
-	return nil
+	return thrust.SegmentedMinHash(dev, nil, dataBuf, segs, fam.Pairs, sigBuf, ne, sp.Lo)
 }
 
 // runBandSpan processes bands [sp.Lo, sp.Hi): host-stage the band indices
-// and sequence columns, device-hash each band's bucket keys, then sort,
-// mark and emit.
+// and sequence columns, device-hash the span's bucket keys in one launch,
+// then sort, mark and emit.
 func (e *lshEnv) runBandSpan(sigBuf *gpusim.Buffer, sp sched.Span) error {
 	ne := len(e.sets)
 	g := sp.Hi - sp.Lo
@@ -300,10 +291,8 @@ func (e *lshEnv) runBandSpan(sigBuf *gpusim.Buffer, sp sched.Span) error {
 	if err := dev.CopyH2D(valBuf, 0, val); err != nil {
 		return err
 	}
-	for b := sp.Lo; b < sp.Hi; b++ {
-		if err := thrust.BandHash(dev, nil, sigBuf, ne, b, e.prm.rows, loBuf, (b-sp.Lo)*ne); err != nil {
-			return err
-		}
+	if err := thrust.BandHash(dev, nil, sigBuf, ne, sp.Lo, sp.Hi, e.prm.rows, loBuf, 0); err != nil {
+		return err
 	}
 	return e.groupAndEmit(hiBuf, loBuf, valBuf, flagBuf, n)
 }

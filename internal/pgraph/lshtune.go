@@ -17,21 +17,22 @@ import (
 
 // Calibrated kernel names of the LSH pipeline.
 const (
-	kLSHHash  = "transform_hash"
-	kLSHTopS  = "segmented_top_s"
-	kLSHBand  = "band_hash"
-	kLSHSort  = "sort_pairs64"
-	kLSHHeads = "bucket_heads"
-	kLSHFill  = "fill"
+	kLSHMinHash = "segmented_min_hash"
+	kLSHBand    = "band_hash"
+	kLSHSort    = "sort_pairs64"
+	kLSHHeads   = "bucket_heads"
+	kLSHFill    = "fill"
 )
 
 // lshProbeWords caps the calibration probe's shingle stream.
 const lshProbeWords = 4096
 
-// segThreads is the thread count of one segmented launch over nsegs
-// segments (one thread per segment, 256-wide blocks).
-func segThreads(nsegs int) int {
-	grid := (nsegs + 255) / 256
+// minHashThreads is the thread count of one SegmentedMinHash launch over
+// nsegs segments and a family of the given size (one thread per segment and
+// permutation group, 256-wide blocks).
+func minHashThreads(nsegs, hashes int) int {
+	groups := (hashes + thrust.MinHashGroup - 1) / thrust.MinHashGroup
+	grid := (groups*nsegs + 255) / 256
 	if grid < 1 {
 		grid = 1
 	}
@@ -68,9 +69,12 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 	if rows < 1 {
 		rows = 1
 	}
+	// One permutation group: every thread of the real launch carries a
+	// group, so the probe's per-hash cost is the run's.
+	fam := minwise.NewFamily(min(max(e.prm.hashes(), 1), thrust.MinHashGroup), lshFamilySeed)
 
 	scratch := gpusim.MustNew(devCfg)
-	bufs, err := lshMalloc(scratch, n, nseg+1, n, rows*nseg, nseg, n, n)
+	bufs, err := lshMalloc(scratch, n, nseg+1, n, max(rows, len(fam.Pairs))*nseg, nseg, n, n)
 	if err != nil {
 		return m
 	}
@@ -86,19 +90,15 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 		}
 		m.CalibrateKernel(name, scratch.Metrics().KernelTimeNs-k0-devCfg.KernelLaunchNs, units, threads)
 	}
-	fam := minwise.NewFamily(1, lshFamilySeed)
-	probe(kLSHHash, float64(n), swUnpackThreads(n), func() error {
-		return thrust.TransformHash(scratch, dataBuf, tmpBuf, n, fam.Pairs[0])
-	})
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: nseg}
-	probe(kLSHTopS, float64(n), segThreads(nseg), func() error {
-		return thrust.SegmentedTopSAt(scratch, nil, tmpBuf, segs, 1, sigBuf, 0)
+	probe(kLSHMinHash, float64(n*len(fam.Pairs)), minHashThreads(nseg, len(fam.Pairs)), func() error {
+		return thrust.SegmentedMinHash(scratch, nil, dataBuf, segs, fam.Pairs, sigBuf, nseg, 0)
 	})
 	probe(kLSHFill, float64(rows*nseg), swUnpackThreads(rows*nseg), func() error {
 		return thrust.Fill(scratch, sigBuf, rows*nseg, 1)
 	})
 	probe(kLSHBand, float64(rows*nseg), swUnpackThreads(nseg), func() error {
-		return thrust.BandHash(scratch, nil, sigBuf, nseg, 0, rows, keyBuf, 0)
+		return thrust.BandHash(scratch, nil, sigBuf, nseg, 0, 1, rows, keyBuf, 0)
 	})
 	probe(kLSHSort, float64(n), swUnpackThreads(n), func() error {
 		return thrust.SortPairs64(scratch, dataBuf, tmpBuf, valBuf, n)
@@ -144,10 +144,7 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 		sim.HostWork(float64(words+ns+1) * packNsPerWord)
 		sim.Copy(-1, words, true)
 		sim.Copy(-1, ns+1, true)
-		for j := 0; j < c; j++ {
-			sim.Kernel(-1, kLSHHash, float64(words), swUnpackThreads(words))
-			sim.Kernel(-1, kLSHTopS, float64(words), segThreads(ns))
-		}
+		sim.Kernel(-1, kLSHMinHash, float64(words*c), minHashThreads(ns, c))
 	}
 	for _, sp := range spansB {
 		g := sp.Hi - sp.Lo
@@ -155,9 +152,7 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 		sim.HostWork(float64(2*n) * packNsPerWord)
 		sim.Copy(-1, n, true)
 		sim.Copy(-1, n, true)
-		for b := 0; b < g; b++ {
-			sim.Kernel(-1, kLSHBand, float64(e.prm.rows*ne), swUnpackThreads(ne))
-		}
+		sim.Kernel(-1, kLSHBand, float64(g*e.prm.rows*ne), g*swUnpackThreads(ne))
 		groupNs(n)
 	}
 	sim.SyncAll()

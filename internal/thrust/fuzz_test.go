@@ -72,3 +72,37 @@ func FuzzSegmentedSort(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentedMinHash drives the one-launch signature kernel with arbitrary
+// shingle values, segment boundaries (empty segments included), family sizes
+// and column bases, against the host signature matrix as the oracle.
+func FuzzSegmentedMinHash(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint8(0))
+	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 16, 1, 2, 3, 7, 0, 0, 0}, uint8(13), uint8(2))
+	big := make([]byte, 4*300)
+	state := uint64(0x13198A2E03707344)
+	for i := range big {
+		state = state*6364136223846793005 + 1442695040888963407
+		big[i] = byte(state >> 56)
+	}
+	f.Add(big, uint8(MinHashGroup), uint8(5))
+
+	f.Fuzz(func(t *testing.T, raw []byte, hashes, colBase uint8) {
+		// A boundary before every word whose first byte has its low 3 bits
+		// clear, doubled (an empty segment) when the low 4 bits are clear.
+		var sets [][]uint32
+		var cur []uint32
+		for i := 0; i+4 <= len(raw); i += 4 {
+			if i > 0 && raw[i]&7 == 0 {
+				sets = append(sets, cur)
+				cur = nil
+				if raw[i]&15 == 0 {
+					sets = append(sets, nil)
+				}
+			}
+			cur = append(cur, binary.LittleEndian.Uint32(raw[i:]))
+		}
+		sets = append(sets, cur)
+		minHashMatchesHost(t, sets, 1+int(hashes)%40, int(colBase)%7, int(hashes)%3)
+	})
+}

@@ -210,7 +210,7 @@ func SegmentedTopSAt(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, s
 			ops += 2
 		}
 		ctx.GlobalRead(data, lo, n, 1)
-		ctx.GlobalWrite(out, seg*s, s, 1)
+		ctx.GlobalWrite(out, outBase+seg*s, s, 1)
 		ctx.Ops(ops)
 	})
 }

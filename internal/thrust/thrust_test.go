@@ -587,3 +587,41 @@ func TestSortPairs64OnStream(t *testing.T) {
 		t.Fatalf("sorted hi=%v val=%v", gh, gv)
 	}
 }
+
+// TestSegmentedTopSAtChargesOutBase: the output run must be charged where it
+// is written. Shifting outBase by half a transaction makes each warp's
+// 128-word output window straddle one more 128-byte segment, so the write
+// transactions must grow; shifting by a whole segment must not change them.
+func TestSegmentedTopSAtChargesOutBase(t *testing.T) {
+	const ns, n, s = 256, 8, 4 // every segment ≥ s: the streaming branch
+	rng := rand.New(rand.NewSource(29))
+	data := make([]uint32, ns*n)
+	for i := range data {
+		data[i] = rng.Uint32()
+	}
+	lens := make([]int, ns)
+	for i := range lens {
+		lens[i] = n
+	}
+	transactions := func(outBase int) int64 {
+		d := newDev(t)
+		segs, _ := makeSegments(t, d, lens)
+		buf := upload(t, d, data)
+		out := d.MustMalloc(outBase + ns*s)
+		defer segs.Offsets.Free()
+		defer buf.Free()
+		defer out.Free()
+		before := d.Metrics().GlobalTransactions
+		if err := SegmentedTopSAt(d, nil, buf, segs, s, out, outBase); err != nil {
+			t.Fatal(err)
+		}
+		return d.Metrics().GlobalTransactions - before
+	}
+	aligned := transactions(0)
+	if got := transactions(32); got != aligned {
+		t.Fatalf("outBase=32 charged %d transactions, outBase=0 %d", got, aligned)
+	}
+	if got := transactions(16); got <= aligned {
+		t.Fatalf("unaligned outBase=16 charged %d transactions, not above aligned %d", got, aligned)
+	}
+}

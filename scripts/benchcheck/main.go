@@ -9,8 +9,8 @@
 // gpclust image cutting the H2D byte volume by at least 30%, and the LSH
 // ablation must show the conservative cascade bit-identical to the exact
 // filter while the default banding shape holds ≥ 0.95 edge recall with
-// strictly fewer candidates than exact (every priced LSH plan inside the
-// drift gate).
+// strictly fewer candidates than exact, at no more than twice exact's
+// virtual total (every priced LSH plan inside the drift gate).
 package main
 
 import (
@@ -93,6 +93,12 @@ func validate(f benchFile) error {
 // shape must recover at least this fraction of the exact filter's edges.
 const lshRecallFloor = 0.95
 
+// lshCostCap is the LSH filter's end-to-end cost gate: the default banding
+// point's virtual total may be at most this multiple of the exact point's.
+// The one-launch signature kernel put it near 1.5×; the per-permutation
+// launches it replaced ran at 28×.
+const lshCostCap = 2.0
+
 // validateLSH enforces the LSH candidate-filter PR's acceptance criteria on
 // the filter sweep.
 func validateLSH(points []bench.LSHPoint) error {
@@ -161,6 +167,10 @@ func validateLSH(points []bench.LSHPoint) error {
 	if def.Candidates >= exact.Candidates {
 		return fmt.Errorf("lsh default %q admitted %d candidates, not below exact's %d",
 			def.Setting, def.Candidates, exact.Candidates)
+	}
+	if def.VirtualNs > lshCostCap*exact.VirtualNs {
+		return fmt.Errorf("lsh default %q virtual total %.3fms exceeds %.0f× exact's %.3fms",
+			def.Setting, def.VirtualNs/1e6, lshCostCap, exact.VirtualNs/1e6)
 	}
 	return nil
 }
@@ -342,8 +352,9 @@ func main() {
 	}
 	for _, p := range f.LSH {
 		if p.Default {
-			fmt.Printf("benchcheck: ok — lsh default %q: edge recall %.3f ≥ %.2f with %d candidates < exact's %d\n",
-				p.Setting, p.EdgeRecall, lshRecallFloor, p.Candidates, lshExact.Candidates)
+			fmt.Printf("benchcheck: ok — lsh default %q: edge recall %.3f ≥ %.2f with %d candidates < exact's %d, %.2f× exact's virtual total\n",
+				p.Setting, p.EdgeRecall, lshRecallFloor, p.Candidates, lshExact.Candidates,
+				p.VirtualNs/lshExact.VirtualNs)
 		}
 		if p.Conservative {
 			fmt.Printf("benchcheck: ok — %q bit-identical to the exact filter (%d candidates)\n",

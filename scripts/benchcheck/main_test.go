@@ -57,6 +57,22 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateLSHCostGate: the default LSH point passes at the measured
+// 1.47× of exact's virtual total and exactly at the 2× cap, and fails just
+// above it.
+func TestValidateLSHCostGate(t *testing.T) {
+	for _, c := range []struct {
+		ratio float64
+		ok    bool
+	}{{1.47, true}, {2, true}, {2.01, false}} {
+		f := goodFile()
+		f.LSH[2].VirtualNs = c.ratio * f.LSH[0].VirtualNs
+		if err := validate(f); (err == nil) != c.ok {
+			t.Fatalf("default at %.2f× exact: validate error %v, want ok=%v", c.ratio, err, c.ok)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -116,6 +132,7 @@ func TestValidateRejects(t *testing.T) {
 		{"no default point", func(f *benchFile) { f.LSH = f.LSH[:2] }, "no default point"},
 		{"default recall below floor", func(f *benchFile) { f.LSH[2].EdgeRecall = 0.90 }, "below the 0.95 floor"},
 		{"default not fewer candidates", func(f *benchFile) { f.LSH[2].Candidates = 6900 }, "not below exact's"},
+		{"default lsh slower than 2x exact", func(f *benchFile) { f.LSH[2].VirtualNs = 28 * f.LSH[0].VirtualNs }, "exceeds 2× exact's"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
