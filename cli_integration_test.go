@@ -120,10 +120,15 @@ func TestCLIGraphModeAndBinary(t *testing.T) {
 	if !strings.Contains(out, "clusters") {
 		t.Fatalf("auto-plan gpu run output unexpected: %s", out)
 	}
+	run(t, gpclust, "-in", graphBin, "-backend", "gpu",
+		"-c1", "30", "-c2", "15", "-pipeline", "-gpuagg", "-out", filepath.Join(dir, "c4.txt"))
 	a, _ := os.ReadFile(filepath.Join(dir, "c1.txt"))
 	b, _ := os.ReadFile(filepath.Join(dir, "c2.txt"))
 	if string(a) != string(b) {
 		t.Fatal("gpuagg and auto-plan gpu runs produced different clusterings")
+	}
+	if d, _ := os.ReadFile(filepath.Join(dir, "c4.txt")); string(d) != string(b) {
+		t.Fatal("pipelined gpuagg and auto-plan gpu runs produced different clusterings")
 	}
 
 	// Serial decomposed backend agrees too (statistically different random

@@ -182,9 +182,9 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 			return m
 		}
 		k3 := scratch.Metrics().KernelTimeNs
-		if shingleKeyKernel(scratch, outBuf, flagBuf, ownerBuf, numSegs, s, 0, keyHi, keyLo, valBuf) != nil ||
+		if shingleKeyKernel(scratch, nil, outBuf, flagBuf, ownerBuf, numSegs, s, 0, keyHi, keyLo, valBuf) != nil ||
 			thrust.SortPairs64(scratch, keyHi, keyLo, valBuf, numSegs) != nil ||
-			packKernel(scratch, keyHi, keyLo, valBuf, numSegs, packed) != nil {
+			packKernel(scratch, nil, keyHi, keyLo, valBuf, numSegs, packed) != nil {
 			return m
 		}
 		m.CalibrateKernel(kAggTail, scratch.Metrics().KernelTimeNs-k3, float64(numSegs), 0)
@@ -248,7 +248,8 @@ func trialKernelsNs(m *sched.Model, o Options, words, numSegs int) float64 {
 
 // replayBatchUpload replays one batch's image upload on the sim lane:
 // the (possibly packed) data copy, the offsets copy, and the unpack kernel
-// of a packed-unfused plan, in runBatch's enqueue order.
+// of a packed-unfused plan, in stageBatch's enqueue order (the one-lane
+// plan, lane −1, unpacks before the offsets copy).
 func replayBatchUpload(sim *sched.Sim, m *sched.Model, o Options, lane, words, numPieces int) {
 	sim.CopyPacked(lane, words, o.dataBits, true)
 	if o.dataBits > 0 && o.fusedPlan {
@@ -290,109 +291,19 @@ func emitNsPerTrial(in *SegGraph, plan *batchPlan, s int) float64 {
 	return float64(ops) * AggregateNsPerOp
 }
 
-// aggCounts returns the GPUAggregate path's per-plan shape: pieces whose
-// shingle key is computed on the device, and split pieces that come back
-// as per-row copies.
-func aggCounts(in *SegGraph, plan *batchPlan, s int) (validCount, splitPieces int) {
-	for _, pc := range plan.pieces {
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-		if pc.isWhole(in) {
-			if int(listLen) >= s {
-				validCount++
-			}
-		} else {
-			splitPieces++
-		}
-	}
-	return
-}
-
 // predictShinglePlans predicts the virtual time of the scheduler window —
-// everything between planning and the split-list merge — for the given
-// plans under the mode Options select and the given lane count.
+// everything between planning and the split-list merge — by replaying the
+// executor's operation sequence for the plans on the given lane count: the
+// sched.RunLanes round-robin with each lane's staging and trial work, and
+// under one lane the synchronous default-stream sequence (lane −1), each
+// item's host merge right after its D2H.
 func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 	o Options, plans []batchPlan, lanes int) float64 {
 
-	switch {
-	case lanes >= 2:
-		return predictPipelined(m, in, fam, s, o, plans, lanes)
-	case o.GPUAggregate:
-		return predictGPUAgg(m, in, fam, s, o, plans)
-	default:
-		return predictSequential(m, in, fam, s, o, plans)
-	}
-}
-
-// predictSequential replays runBatch + runTrialsSync.
-func predictSequential(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
-
-	sim := sched.NewSim(m, 0)
 	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np)
-		emit := emitNsPerTrial(in, plan, s)
-		for trial := 0; trial < c; trial++ {
-			if o.residentParams == nil {
-				sim.Copy(-1, 2, true) // <A_j, B_j>
-			}
-			sim.KernelRawNs(-1, trialKernelsNs(m, o, plan.words, np))
-			sim.Copy(-1, np*s, false)
-			sim.HostWork(emit)
-		}
-	}
-	return sim.Host
-}
-
-// predictGPUAgg replays runBatch + runTrialsGPUAgg.
-func predictGPUAgg(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
-
-	sim := sched.NewSim(m, 0)
-	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		valid, splits := aggCounts(in, plan, s)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np) // data + offsets
-		sim.Copy(-1, np, true)                           // owners
-		sim.Copy(-1, np, true)                           // flags
-		hostNs := float64(valid+splits*2*s) * AggregateNsPerOp
-		for trial := 0; trial < c; trial++ {
-			if o.residentParams == nil {
-				sim.Copy(-1, 2, true)
-			}
-			sim.KernelRawNs(-1, trialKernelsNs(m, o, plan.words, np))
-			sim.KernelRawNs(-1, m.KernelNsPerUnit[kAggTail]*float64(np))
-			sim.Copy(-1, 3*valid, false)
-			for r := 0; r < splits; r++ {
-				sim.Copy(-1, s, false)
-			}
-			sim.HostWork(hostNs)
-		}
-	}
-	return sim.Host
-}
-
-// predictPipelined replays runBatchesPipelined across the given lane count
-// (the sched.RunLanes round-robin, including the per-lane params table
-// upload and re-staging).
-func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan, lanes int) float64 {
-
-	c := fam.Size()
-	maxWords, maxPieces := 1, 1
-	for _, p := range plans {
-		maxWords = max(maxWords, p.words)
-		maxPieces = max(maxPieces, len(p.pieces))
-	}
-	groupTrials := min(max(maxWords/(maxPieces*s), 1), c)
-	groups := (c + groupTrials - 1) / groupTrials
-	n := len(plans) * groups
+	sh := shapeLanes(plans, s, c, lanes, o.GPUAggregate)
+	n := len(plans) * sh.groups(c)
+	sync := lanes < 2
 
 	sim := sched.NewSim(m, lanes)
 	laneBatch := make([]int, lanes)
@@ -400,47 +311,75 @@ func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 	for i := range laneBatch {
 		laneBatch[i], inFlight[i] = -1, -1
 	}
+	// Per batch: the device aggregation shape and the host merge cost of
+	// one trial.
+	agg := make([]aggRows, len(plans))
 	emitNs := make([]float64, len(plans))
 	for i := range plans {
-		emitNs[i] = emitNsPerTrial(in, &plans[i], s)
+		if o.GPUAggregate {
+			agg[i] = aggShape(in, &plans[i], s)
+			emitNs[i] = float64(agg[i].valid+len(agg[i].splitRows)*2*s) * AggregateNsPerOp
+		} else {
+			emitNs[i] = emitNsPerTrial(in, &plans[i], s)
+		}
 	}
-	staged := -1
 	drain := func(lane int) {
 		item := inFlight[lane]
 		if item < 0 {
 			return
 		}
-		k := item / groups
-		t0 := (item % groups) * groupTrials
-		t1 := min(t0+groupTrials, c)
-		sim.SyncLane(lane)
+		k, t0, t1 := sh.item(item, c)
+		if !sync {
+			sim.SyncLane(lane)
+		}
 		sim.HostWork(float64(t1-t0) * emitNs[k])
 		inFlight[lane] = -1
 	}
+	staged := -1
 	for item := 0; item < n; item++ {
-		k := item / groups
-		t0 := (item % groups) * groupTrials
-		t1 := min(t0+groupTrials, c)
+		k, t0, t1 := sh.item(item, c)
 		plan := &plans[k]
 		np := len(plan.pieces)
 		if t0 == 0 && staged != k {
 			sim.HostWork(stageNs(plan) + packNs(o, plan.words))
 			staged = k
 		}
-		lane := item % lanes
+		lane, sl := item%lanes, item%lanes
+		if sync {
+			sl = -1 // the default stream
+		}
 		drain(lane)
 		if laneBatch[lane] != k {
-			if laneBatch[lane] < 0 && o.residentParams == nil {
-				sim.Copy(lane, 2*c, true) // params table
+			if !sync && laneBatch[lane] < 0 && o.residentParams == nil {
+				sim.Copy(sl, 2*c, true) // params table
 			}
-			replayBatchUpload(sim, m, o, lane, plan.words, np)
+			replayBatchUpload(sim, m, o, sl, plan.words, np)
+			if o.GPUAggregate {
+				sim.Copy(sl, np, true) // owners
+				sim.Copy(sl, np, true) // flags
+			}
 			laneBatch[lane] = k
 		}
 		for trial := t0; trial < t1; trial++ {
-			sim.KernelRawNs(lane, trialKernelsNs(m, o, plan.words, np))
+			if sync && o.residentParams == nil {
+				sim.Copy(sl, 2, true) // <A_j, B_j>
+			}
+			sim.KernelRawNs(sl, trialKernelsNs(m, o, plan.words, np))
+			if o.GPUAggregate {
+				sim.KernelRawNs(sl, m.KernelNsPerUnit[kAggTail]*float64(np))
+				sim.Copy(sl, 3*agg[k].valid, false)
+				for range agg[k].splitRows {
+					sim.Copy(sl, s, false)
+				}
+			}
 		}
-		sim.Copy(lane, (t1-t0)*np*s, false)
+		if !o.GPUAggregate {
+			sim.Copy(sl, (t1-t0)*np*s, false)
+		}
 		inFlight[lane] = item
+		if sync {
+			drain(lane)
+		}
 	}
 	for k := 0; k < lanes; k++ {
 		drain((n + k) % lanes)
@@ -448,19 +387,13 @@ func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 	return sim.Host
 }
 
-// shingleLaneSet is the lane counts the auto-tuner may consider for the
-// configured mode: the device aggregation path keeps its own per-trial
-// structure and runs sequentially over batches; an explicit PipelineBatches
-// pins the pipelined executor.
+// shingleLaneSet is the lane counts the auto-tuner may consider: an
+// explicit PipelineBatches pins a pipelined plan.
 func shingleLaneSet(o Options) []int {
-	switch {
-	case o.GPUAggregate:
-		return []int{1}
-	case o.PipelineBatches:
+	if o.PipelineBatches {
 		return []int{2, 3, 4}
-	default:
-		return []int{1, 2, 3, 4}
 	}
+	return []int{1, 2, 3, 4}
 }
 
 // legacyShingleBudget is the pre-auto-tune budget derivation.
@@ -476,49 +409,18 @@ func legacyShingleBudget(dev *gpusim.Device, o Options) int {
 	return budget
 }
 
-// minShingleBudget is the smallest budget planBatches accepts.
-func minShingleBudget(s int, gpuAggregate bool) int {
-	overhead := 2 * (s + 2)
-	if gpuAggregate {
-		overhead += 9
-	}
-	return 3 + overhead + 2
-}
-
 // shingleFeasible reports whether the candidate's device footprint fits
 // free memory: the planner's budget is itself a conservative footprint
-// bound for the sequential paths, and the pipelined executor keeps
-// `lanes` fully independent stagings resident. o carries the resolved pass
-// shape (packed width, residency) whose buffers the lanes actually allocate;
-// o.fusedPlan must hold the candidate's fusion choice.
+// bound for the one-lane plan, and a pipelined plan keeps `lanes` fully
+// independent stagings resident. o carries the resolved pass shape (packed
+// width, residency, device aggregation) whose buffers the lanes actually
+// allocate; o.fusedPlan must hold the candidate's fusion choice.
 func shingleFeasible(freeWords int, plans []batchPlan, cand sched.Candidate, s, c int, o Options) bool {
 	if cand.Lanes <= 1 {
 		return cand.BudgetWords <= freeWords
 	}
-	maxWords, maxPieces := 1, 1
-	for _, p := range plans {
-		maxWords = max(maxWords, p.words)
-		maxPieces = max(maxPieces, len(p.pieces))
-	}
-	groupTrials := min(max(maxWords/(maxPieces*s), 1), c)
-	packedWords := gpusim.PackedLen(maxWords, o.dataBits)
-	var laneWords int
-	switch {
-	case o.dataBits > 0 && o.fusedPlan:
-		laneWords = packedWords // the in-place image
-	case o.dataBits > 0:
-		laneWords = maxWords + packedWords // expanded data + packed staging
-	default:
-		laneWords = maxWords
-	}
-	if needsHashBuf(o) {
-		laneWords += maxWords
-	}
-	laneWords += (maxPieces + 1) + groupTrials*maxPieces*s
-	if o.residentParams == nil {
-		laneWords += 2 * c
-	}
-	return cand.Lanes*laneWords <= freeWords
+	sh := shapeLanes(plans, s, c, cand.Lanes, o.GPUAggregate)
+	return cand.Lanes*sh.laneWords(s, c, o) <= freeWords
 }
 
 // autotunePass picks the batch budget and lane count for one shingling

@@ -54,8 +54,8 @@ func TestAutoTuneMatchesSerial(t *testing.T) {
 }
 
 // TestAutoTuneModeLanes pins the lane sets each mode exposes to the tuner:
-// pipelined runs must pick >=2 lanes, the aggregate path keeps its own
-// internal structure and stays sequential.
+// pipelined runs must pick >=2 lanes; device aggregation is a per-trial
+// step of every plan, so the tuner may pick any lane count for it.
 func TestAutoTuneModeLanes(t *testing.T) {
 	g, _ := plantedTestGraph(400, 73)
 	o := testOptions()
@@ -70,7 +70,8 @@ func TestAutoTuneModeLanes(t *testing.T) {
 		maxLane int
 	}{
 		{"pipelined", func(o *Options) { o.PipelineBatches = true }, 2, 4},
-		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 1},
+		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 4},
+		{"gpuagg pipelined", func(o *Options) { o.GPUAggregate, o.PipelineBatches = true, true }, 2, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,6 +160,46 @@ func TestAutoTuneNotWorseThanLegacy(t *testing.T) {
 	}
 }
 
+// TestAutoTuneGPUAggregateLanes: with device aggregation in every plan the
+// tuner may pick a pipelined plan for it, and on this graph it does. The
+// tuned and a fixed pipelined plan both give the serial partition, and
+// both are held to the drift gate.
+func TestAutoTuneGPUAggregateLanes(t *testing.T) {
+	g, _ := plantedTestGraph(2000, 73)
+	o := testOptions()
+	serial, err := ClusterSerial(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.GPUAggregate = true
+	auto, fixed := o, o
+	auto.AutoTune = true
+	fixed.PipelineBatches, fixed.BatchWords, fixed.PredictCost = true, 20_000, true
+	for _, tc := range []struct {
+		name     string
+		o        Options
+		wantAuto bool
+	}{{"auto", auto, true}, {"fixed pipelined", fixed, false}} {
+		dev := gpusim.MustNew(gpusim.K20Config())
+		gpu, err := ClusterGPU(g, dev, tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
+			t.Fatalf("%s: clustering differs from serial", tc.name)
+		}
+		checkPlan(t, tc.name+" pass1", gpu.Pass1.Plan, tc.wantAuto)
+		checkPlan(t, tc.name+" pass2", gpu.Pass2.Plan, tc.wantAuto)
+		if gpu.Pass1.Plan.Lanes < 2 {
+			t.Fatalf("%s: pass 1 ran %d lane(s); the test needs a pipelined plan (%s)",
+				tc.name, gpu.Pass1.Plan.Lanes, gpu.Pass1.Plan.String())
+		}
+		if dev.AllocatedBuffers() != 0 {
+			t.Fatalf("%s: %d device buffers leaked", tc.name, dev.AllocatedBuffers())
+		}
+	}
+}
+
 func TestShingleLaneSet(t *testing.T) {
 	if got := shingleLaneSet(Options{}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("default lane set %v", got)
@@ -166,8 +207,12 @@ func TestShingleLaneSet(t *testing.T) {
 	if got := shingleLaneSet(Options{PipelineBatches: true}); !reflect.DeepEqual(got, []int{2, 3, 4}) {
 		t.Fatalf("pipelined lane set %v", got)
 	}
-	if got := shingleLaneSet(Options{GPUAggregate: true}); !reflect.DeepEqual(got, []int{1}) {
+	if got := shingleLaneSet(Options{GPUAggregate: true}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("gpu-aggregate lane set %v", got)
+	}
+	agg := Options{GPUAggregate: true, PipelineBatches: true}
+	if got := shingleLaneSet(agg); !reflect.DeepEqual(got, []int{2, 3, 4}) {
+		t.Fatalf("pipelined gpu-aggregate lane set %v", got)
 	}
 }
 

@@ -39,6 +39,11 @@ func chaosBackends(batchWords int) []chaosBackend {
 		{"gpu", mk(func(o *Options) { o.BatchWords = batchWords })},
 		{"gpu agg", mk(func(o *Options) { o.BatchWords = batchWords; o.GPUAggregate = true })},
 		{"gpu pipelined", mk(func(o *Options) { o.BatchWords = batchWords; o.PipelineBatches = true })},
+		{"gpu agg pipelined", mk(func(o *Options) {
+			o.BatchWords = batchWords
+			o.GPUAggregate = true
+			o.PipelineBatches = true
+		})},
 	}
 }
 
@@ -182,7 +187,7 @@ func TestChaosPipelinedRestartAndDegrade(t *testing.T) {
 	}
 
 	// Persistent faults: restarts exhaust, the pass degrades to the
-	// sequential resilient loop, which falls back to the host.
+	// one-lane plan's per-batch ladder, which falls back to the host.
 	sched, err = faults.Parse("h2d op=1 count=500")
 	if err != nil {
 		t.Fatal(err)

@@ -136,27 +136,37 @@ type batchPlan struct {
 	words  int
 }
 
+// pieceOverhead is the per-piece device footprint the batch planner
+// reserves: an offset word plus two s-word output slots, and under
+// gpuAggregate the aggregation step's extra per-piece rows (owner, flag,
+// key halves, value, packed records).
+func pieceOverhead(s int, gpuAggregate bool) int {
+	overhead := 2 * (s + 2)
+	if gpuAggregate {
+		overhead += 9
+	}
+	return overhead
+}
+
+// minShingleBudget is the smallest budget planBatches accepts: one data
+// word (three with its hashed copies), one piece's overhead and the output
+// slack.
+func minShingleBudget(s int, gpuAggregate bool) int {
+	return 3 + pieceOverhead(s, gpuAggregate) + 2
+}
+
 // planBatches partitions the pass input into batches whose device footprint
 // fits the word budget, splitting individual lists only when a single list
 // alone exceeds it. The footprint is sized conservatively for double
-// buffering — per data word, the data buffer plus two
-// hashed copies; per piece, an offset word plus two s-word output slots —
-// and, when gpuAggregate is set, for the aggregation pipeline's extra
-// per-piece buffers (owner, flag, key halves, value, packed records).
+// buffering — per data word, the data buffer plus two hashed copies; per
+// piece, pieceOverhead.
 func planBatches(in *SegGraph, s int, budgetWords int, gpuAggregate bool) ([]batchPlan, error) {
-	perPieceOverhead := 2 * (s + 2)
-	if gpuAggregate {
-		perPieceOverhead += 9
-	}
-	minBudget := 3*1 + perPieceOverhead + 2
-	if budgetWords < minBudget {
+	if budgetWords < minShingleBudget(s, gpuAggregate) {
 		return nil, fmt.Errorf("core: batch budget of %d words cannot hold any list", budgetWords)
 	}
+	overhead := pieceOverhead(s, gpuAggregate)
 	// Largest data footprint a single piece may have.
-	maxPieceWords := (budgetWords - perPieceOverhead - 2) / 3
-	if maxPieceWords < 1 {
-		maxPieceWords = 1
-	}
+	maxPieceWords := max((budgetWords-overhead-2)/3, 1)
 
 	// Pre-split lists into pieces no larger than maxPieceWords, then pack
 	// the pieces with the shared greedy planner.
@@ -173,7 +183,7 @@ func planBatches(in *SegGraph, s int, budgetWords int, gpuAggregate bool) ([]bat
 			}
 		}
 	}
-	spans, err := sched.PlanSpans(len(pieces), budgetWords, pieceSizer{pieces, perPieceOverhead})
+	spans, err := sched.PlanSpans(len(pieces), budgetWords, pieceSizer{pieces, overhead})
 	if err != nil {
 		return nil, err
 	}
@@ -236,6 +246,27 @@ func mergeTopS(acc []uint32, piece []uint32, s int) []uint32 {
 	return merged
 }
 
+// passEnv is the state one shingling pass threads through its executor,
+// its recovery ladders and its host fallback: the pass input and trial
+// family, the resolved options, and the aggregation outputs every batch
+// appends to.
+type passEnv struct {
+	dev *gpusim.Device
+	in  *SegGraph
+	fam minwise.Family
+	s   int
+	o   Options
+
+	tuplesByTrial [][]tuple
+	// sortedByTrial holds device-sorted tuple runs per trial; non-nil only
+	// under GPUAggregate.
+	sortedByTrial [][][]tuple
+	pending       map[int]*pendingShingle
+	acct          *cpuAccount
+	stats         *PassStats
+	rec           *faults.Recovery
+}
+
 // runPassGPU executes one shingling pass (Algorithm 1 inside Algorithm 2's
 // batch loop) on the device and aggregates the result into the next-level
 // shingle graph on the CPU.
@@ -245,14 +276,14 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	stats.Lists = in.NumLists()
 	stats.Elements = int64(len(in.Data))
 	c := fam.Size()
-	tuplesByTrial := make([][]tuple, c)
-	var sortedByTrial [][][]tuple
+	e := &passEnv{dev: dev, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c),
+		pending: make(map[int]*pendingShingle), acct: acct, stats: stats, rec: rec}
 	if o.GPUAggregate {
-		sortedByTrial = make([][][]tuple, c)
+		e.sortedByTrial = make([][][]tuple, c)
 	}
 
 	if in.NumLists() == 0 {
-		return buildShingleGraph(tuplesByTrial, acct, stats), nil
+		return buildShingleGraph(e.tuplesByTrial, acct, stats), nil
 	}
 	for i := 0; i < in.NumLists(); i++ {
 		if int(in.Offsets[i+1]-in.Offsets[i]) < s {
@@ -298,9 +329,9 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 			report.PredictedNs = predictShinglePlans(m, in, fam, s, o, plans, lanes)
 		}
 	}
+	e.o = o
 	stats.Batches = len(plans)
 
-	pending := make(map[int]*pendingShingle)
 	splitLists := make(map[int]bool)
 	for _, p := range plans {
 		for _, pc := range p.pieces {
@@ -312,41 +343,28 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	stats.SplitLists = len(splitLists)
 
 	schedT0 := dev.HostTime()
+	var err error
 	if lanes >= 2 {
-		if err := runBatchesPipelinedResilient(dev, in, fam, s, o, label, plans, lanes, tuplesByTrial, pending, acct, stats, rec); err != nil {
-			return nil, err
-		}
+		err = e.runPass(label, plans, lanes)
 	} else {
-		for i, plan := range plans {
-			var end obs.Ending
-			var t0 float64
-			if o.Obs.Enabled() {
-				t0 = dev.HostTime()
-				end = o.Obs.Start(obs.TrackBatches, fmt.Sprintf("%s.b%d", label, i), t0)
-			}
-			if err := runBatchResilient(dev, in, fam, s, o, plan, tuplesByTrial, sortedByTrial, pending, acct, stats, rec); err != nil {
-				return nil, err
-			}
-			if o.Obs.Enabled() {
-				t1 := dev.HostTime()
-				end.End(t1)
-				batchHistogram(o.Obs).Observe(t1 - t0)
-			}
-		}
+		err = e.runBatches(label, plans)
+	}
+	if err != nil {
+		return nil, err
 	}
 	report.ActualNs = dev.HostTime() - schedT0
 	stats.Plan = report
 	sched.RecordPlan(o.Obs, "gpclust_"+label, report)
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("core: %d split lists never completed", len(pending))
+	if len(e.pending) != 0 {
+		return nil, fmt.Errorf("core: %d split lists never completed", len(e.pending))
 	}
 
 	beforeAgg := acct.aggOps
 	var out *SegGraph
 	if o.GPUAggregate {
-		out = buildShingleGraphPresorted(sortedByTrial, tuplesByTrial, o.workerCount(), acct, stats)
+		out = buildShingleGraphPresorted(e.sortedByTrial, e.tuplesByTrial, o.workerCount(), acct, stats)
 	} else {
-		out = buildShingleGraph(tuplesByTrial, acct, stats)
+		out = buildShingleGraph(e.tuplesByTrial, acct, stats)
 	}
 	chargeHost(dev, o.Obs, "split-merge", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
 	return out, nil
@@ -368,14 +386,9 @@ func packWidth(o Options, in *SegGraph) int {
 // uploadResidentParams stages both trial families' <A_j, B_j> tables in one
 // device buffer for the whole run ([2·c1 words | 2·c2 words]). Returns nil
 // on any allocation or transfer failure: the caller then degrades to the
-// per-batch upload path, exactly like a failed BLOSUM62 residency upload.
+// per-trial upload path, exactly like a failed BLOSUM62 residency upload.
 func uploadResidentParams(dev *gpusim.Device, fam1, fam2 minwise.Family) *gpusim.Buffer {
-	host := make([]uint32, 0, 2*(fam1.Size()+fam2.Size()))
-	for _, fam := range []minwise.Family{fam1, fam2} {
-		for _, h := range fam.Pairs {
-			host = append(host, uint32(h.A), uint32(h.B))
-		}
-	}
+	host := append(hashParams(fam1), hashParams(fam2)...)
 	buf, err := dev.Malloc(len(host))
 	if err != nil {
 		return nil
@@ -387,110 +400,21 @@ func uploadResidentParams(dev *gpusim.Device, fam1, fam2 minwise.Family) *gpusim
 	return buf
 }
 
+// hashParams flattens a trial family's <A_j, B_j> table into 2·c words.
+func hashParams(fam minwise.Family) []uint32 {
+	host := make([]uint32, 0, 2*fam.Size())
+	for _, h := range fam.Pairs {
+		host = append(host, uint32(h.A), uint32(h.B))
+	}
+	return host
+}
+
 // batchImage is the device-resident form of one batch's adjacency data:
 // the plain full-width word buffer (bits == 0), or a packed image at bits
 // per value that the fused kernels read in place.
 type batchImage struct {
 	buf  *gpusim.Buffer
 	bits int
-}
-
-// uploadBatchImage moves one batch's adjacency data to the device in the
-// form the pass's plan calls for. Packed passes ship the packed image —
-// cutting the copy's bandwidth-proportional cost by bits/32 — and either
-// leave it packed for the fused kernels or expand it with the unpack kernel
-// when the plan is unfused; the packed staging is freed right after the
-// expansion so the batch footprint stays inside the planner's bound.
-func uploadBatchImage(dev *gpusim.Device, o Options, hostData []uint32, acct *cpuAccount) (batchImage, func(), error) {
-	none := func() {}
-	if o.dataBits <= 0 {
-		buf, err := dev.Malloc(len(hostData))
-		if err != nil {
-			return batchImage{}, none, err
-		}
-		if err := dev.CopyH2D(buf, 0, hostData); err != nil {
-			buf.Free()
-			return batchImage{}, none, err
-		}
-		return batchImage{buf: buf}, func() { buf.Free() }, nil
-	}
-
-	hostPacked := gpusim.PackBits(hostData, o.dataBits)
-	acct.packOps += int64(len(hostData))
-	chargeHost(dev, o.Obs, "pack", float64(len(hostData))*PackNsPerOp)
-	packedBuf, err := dev.Malloc(len(hostPacked))
-	if err != nil {
-		return batchImage{}, none, err
-	}
-	if err := dev.CopyH2D(packedBuf, 0, hostPacked); err != nil {
-		packedBuf.Free()
-		return batchImage{}, none, err
-	}
-	if o.fusedPlan {
-		return batchImage{buf: packedBuf, bits: o.dataBits}, func() { packedBuf.Free() }, nil
-	}
-	dataBuf, err := dev.Malloc(len(hostData))
-	if err != nil {
-		packedBuf.Free()
-		return batchImage{}, none, err
-	}
-	if err := thrust.UnpackBits(dev, packedBuf, dataBuf, len(hostData), o.dataBits); err != nil {
-		packedBuf.Free()
-		dataBuf.Free()
-		return batchImage{}, none, err
-	}
-	packedBuf.Free()
-	return batchImage{buf: dataBuf}, func() { dataBuf.Free() }, nil
-}
-
-// runBatch moves one batch of adjacency-list pieces to the device, runs all
-// c shingling trials on it, and streams the shingle results back for CPU
-// aggregation. Every step is synchronous, like the Thrust implementation
-// the paper describes; GPUAggregate moves the per-trial aggregation onto
-// the device.
-func runBatch(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) error {
-
-	numPieces := len(plan.pieces)
-	// Assemble the batch's contiguous data and offsets on the host.
-	hostData := make([]uint32, 0, plan.words)
-	hostOff := make([]uint32, numPieces+1)
-	for pi, pc := range plan.pieces {
-		base := in.Offsets[pc.list]
-		hostData = append(hostData, in.Data[base+pc.lo:base+pc.hi]...)
-		hostOff[pi+1] = uint32(len(hostData))
-	}
-	acct.aggOps += int64(len(hostData) + numPieces)
-	chargeHost(dev, o.Obs, "stage", float64(len(hostData)+numPieces)*AggregateNsPerOp)
-
-	img, freeImg, err := uploadBatchImage(dev, o, hostData, acct)
-	if err != nil {
-		return err
-	}
-	defer freeImg()
-	offBuf, err := dev.Malloc(numPieces + 1)
-	if err != nil {
-		return err
-	}
-	defer offBuf.Free()
-	if err := dev.CopyH2D(offBuf, 0, hostOff); err != nil {
-		return err
-	}
-	segs := thrust.Segments{Offsets: offBuf, NumSegs: numPieces}
-
-	c := fam.Size()
-	processTrial := func(trial int, hostOut []uint32) {
-		before := acct.aggOps
-		emitTrialTuples(in, plan, s, trial, c, hostOut, tuplesByTrial, pending, acct, stats)
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
-	}
-
-	if o.GPUAggregate {
-		return runTrialsGPUAgg(dev, in, plan, segs, fam, s, o, img, len(hostData),
-			tuplesByTrial, sortedByTrial, pending, acct, stats)
-	}
-	return runTrialsSync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
 }
 
 // needsHashBuf reports whether the plan's trial kernels stage hashed values
@@ -524,65 +448,14 @@ func trialKernels(dev *gpusim.Device, st *gpusim.Stream, img batchImage, hashBuf
 	return topSKernel(dev, st, hashBuf, segs, s, outBuf, outBase, o.UseFullSort)
 }
 
-// runTrialsSync is the paper's synchronous pipeline: per trial, hash
-// transform, segmented top-s (or full sort), synchronous D2H, then CPU
-// aggregation — "the data movement operations are implemented using
-// synchronous mechanism, and the overhead ... is unavoidable".
-func runTrialsSync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, dataWords, numPieces int,
-	processTrial func(int, []uint32)) error {
-
-	var hashBuf *gpusim.Buffer
-	if needsHashBuf(o) {
-		var err error
-		hashBuf, err = dev.Malloc(dataWords)
-		if err != nil {
-			return err
-		}
-		defer hashBuf.Free()
-	}
-	outBuf, err := dev.Malloc(numPieces * s)
-	if err != nil {
-		return err
-	}
-	defer outBuf.Free()
-	// The trial's hash-pair constants <A_j, B_j> travel to the device each
-	// iteration (the functor state of the thrust::transform call) — unless
-	// the whole table is already device-resident for the run.
-	var paramsBuf *gpusim.Buffer
-	if o.residentParams == nil {
-		paramsBuf, err = dev.Malloc(2)
-		if err != nil {
-			return err
-		}
-		defer paramsBuf.Free()
-	}
-	hostOut := make([]uint32, numPieces*s)
-
-	for trial, h := range fam.Pairs {
-		if paramsBuf != nil {
-			if err := dev.CopyH2D(paramsBuf, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
-				return err
-			}
-		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h, outBuf, 0); err != nil {
-			return err
-		}
-		if err := dev.CopyD2H(hostOut, outBuf, 0); err != nil {
-			return err
-		}
-		processTrial(trial, hostOut)
-	}
-	return nil
-}
-
 // topSKernel produces each segment's ascending top-s minima, either with the
 // fused selection kernel or — UseFullSort, Algorithm 1 taken literally —
 // a full segmented sort followed by a gather of each segment's head. Both
-// forms enqueue on a stream (nil = synchronous): the sort mutates hashBuf in
-// place, which is safe because every lane of the batch-pipelined path owns
-// a private hash buffer that the next trial's transform rewrites in full. outBase offsets the destination rows so the pipelined path can
-// pack several trials' results into one buffer for a single D2H transfer.
+// forms enqueue on a stream (nil = synchronous). The sort mutates hashBuf
+// in place, which is safe because every lane owns a private hash buffer
+// that the next trial's transform rewrites in full. outBase offsets the
+// destination rows so a lane can pack several trials' results into one
+// buffer for a single D2H transfer.
 func topSKernel(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	segs thrust.Segments, s int, outBuf *gpusim.Buffer, outBase int, useFullSort bool) error {
 	if !useFullSort {
@@ -602,7 +475,7 @@ func gatherTopS(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	const bd = 256
 	grid := (segs.NumSegs + bd - 1) / bd
 	dev.NextKernelName("gather_top_s")
-	kern := func(ctx *gpusim.ThreadCtx) {
+	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
 		if seg >= segs.NumSegs {
 			return
@@ -623,58 +496,55 @@ func gatherTopS(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 		ctx.GlobalRead(hashBuf, lo, take, 1)
 		ctx.GlobalWrite(outBuf, outBase+seg*s, s, 1)
 		ctx.Ops(s + 2)
-	}
-	if st != nil {
-		return dev.LaunchOnStream(st, grid, bd, kern)
-	}
-	return dev.Launch(grid, bd, kern)
+	})
 }
 
-// emitTrialTuples converts one trial's device output into <shingle, owner>
-// tuples, stashing and merging the partial minima of split lists.
-func emitTrialTuples(in *SegGraph, plan batchPlan, s, trial, c int, hostOut []uint32,
-	tuplesByTrial [][]tuple, pending map[int]*pendingShingle,
-	acct *cpuAccount, stats *PassStats) {
-
+// emitTrialTuples converts one trial's device output rows into <shingle,
+// owner> tuples, merging the partial minima of split lists.
+func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) {
+	s := e.s
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
-		acct.aggOps += int64(s)
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-
-		if pc.isWhole(in) {
-			if int(listLen) < s {
-				continue // no shingle for short lists
-			}
-			tuplesByTrial[trial] = append(tuplesByTrial[trial], tuple{
-				key:   shingleKey(uint32(trial), vals),
-				owner: in.Owner(pc.list),
-			})
-			stats.Tuples++
+		e.acct.aggOps += int64(s)
+		if !pc.isWhole(e.in) {
+			e.mergeSplitPiece(pc, trial, vals)
 			continue
 		}
-
-		// Split list: merge this piece's partial minima.
-		p := pending[pc.list]
-		if p == nil {
-			p = &pendingShingle{perTrial: make([][]uint32, c)}
-			pending[pc.list] = p
+		if pc.words() < s {
+			continue // no shingle for short lists
 		}
-		p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, s)
-		acct.aggOps += int64(2 * s)
-
-		if pc.hi == listLen && trial == c-1 {
-			// Last piece, last trial: emit every trial's merged shingle.
-			for tj, minima := range p.perTrial {
-				if len(minima) < s {
-					continue // whole list shorter than s
-				}
-				tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-					key:   shingleKey(uint32(tj), minima),
-					owner: in.Owner(pc.list),
-				})
-				stats.Tuples++
-			}
-			delete(pending, pc.list)
-		}
+		e.tuplesByTrial[trial] = append(e.tuplesByTrial[trial], tuple{
+			key:   shingleKey(uint32(trial), vals),
+			owner: e.in.Owner(pc.list),
+		})
+		e.stats.Tuples++
 	}
+}
+
+// mergeSplitPiece merges one split piece's partial minima for trial into
+// its list's pending state. After the list's last piece has merged its last
+// trial, it emits every trial's merged shingle and drops the pending state.
+func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) {
+	c := e.fam.Size()
+	p := e.pending[pc.list]
+	if p == nil {
+		p = &pendingShingle{perTrial: make([][]uint32, c)}
+		e.pending[pc.list] = p
+	}
+	p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, e.s)
+	e.acct.aggOps += int64(2 * e.s)
+	if pc.hi != e.in.Offsets[pc.list+1]-e.in.Offsets[pc.list] || trial != c-1 {
+		return
+	}
+	for tj, minima := range p.perTrial {
+		if len(minima) < e.s {
+			continue // whole list shorter than s
+		}
+		e.tuplesByTrial[tj] = append(e.tuplesByTrial[tj], tuple{
+			key:   shingleKey(uint32(tj), minima),
+			owner: e.in.Owner(pc.list),
+		})
+		e.stats.Tuples++
+	}
+	delete(e.pending, pc.list)
 }

@@ -4,184 +4,135 @@ import (
 	"container/heap"
 
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/thrust"
 )
 
-// GPU-side aggregation: an extension beyond the paper. Table I shows the
+// Device aggregation: an extension beyond the paper. Table I shows the
 // CPU-side aggregation dominating gpClust's runtime once the shingling
 // itself is accelerated (52.7s of 66.75s at 20K sequences); its heaviest
 // piece is the per-trial sorting that groups <shingle, owner> tuples. With
-// Options.GPUAggregate the shingle keys are computed and sorted on the
-// device (a shingle-key kernel + thrust sort_by_key), so the CPU only
-// merges pre-sorted streams — a linear scan. The clustering is bit-identical
-// to the serial backend; the virtual-clock CPU column shrinks accordingly
-// (quantified in the ablations).
+// Options.GPUAggregate each executor item ends every trial with a device
+// step: a shingle-key kernel over the trial's minima rows, a
+// thrust sort_by_key of the (key, owner) records, and a pack kernel that
+// interleaves the valid records for one D2H. Split pieces still return
+// their minima rows and merge on the CPU. The CPU is left a linear merge of
+// pre-sorted streams; the clustering is bit-identical to the serial
+// backend, under any lane count and kernel form, and the virtual-clock CPU
+// column shrinks accordingly (quantified in the ablations).
 
 // invalidWord marks records of pieces that produce no device-side key
 // (split pieces and short lists). Real records always have owner < 2^31, so
 // an all-ones record strictly sorts after every real one.
 const invalidWord = 0xFFFFFFFF
 
-// runTrialsGPUAgg runs one batch's trials with device-side key generation
-// and sorting. For split pieces the per-trial minima still come back via
-// small per-row copies and are merged on the CPU as usual.
-func runTrialsGPUAgg(dev *gpusim.Device, in *SegGraph, plan batchPlan, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, img batchImage, dataWords int,
-	tuplesByTrial [][]tuple, sortedByTrial [][][]tuple, pending map[int]*pendingShingle,
-	acct *cpuAccount, stats *PassStats) error {
+// aggWordsPerPiece is the device aggregation step's per-piece footprint:
+// owner, flag, the two key halves and the value, plus three words of packed
+// record.
+const aggWordsPerPiece = 8
 
-	numPieces := len(plan.pieces)
-	c := fam.Size()
+// aggBuffers is one lane's device aggregation staging: the batch's owner
+// ids and validity flags, the (keyHi, keyLo, val) records the sort
+// reorders, and the packed records the D2H reads.
+type aggBuffers struct {
+	owner, flag, keyHi, keyLo, val, recs *gpusim.Buffer
+}
 
-	var hashBuf *gpusim.Buffer
-	var err error
-	if needsHashBuf(o) {
-		hashBuf, err = dev.Malloc(dataWords)
-		if err != nil {
-			return err
-		}
-		defer hashBuf.Free()
-	}
-	outBuf, err := dev.Malloc(numPieces * s)
-	if err != nil {
-		return err
-	}
-	defer outBuf.Free()
-	var paramsBuf *gpusim.Buffer
-	if o.residentParams == nil {
-		paramsBuf, err = dev.Malloc(2)
-		if err != nil {
-			return err
-		}
-		defer paramsBuf.Free()
-	}
+func (g *aggBuffers) bufs() []**gpusim.Buffer {
+	return []**gpusim.Buffer{&g.owner, &g.flag, &g.keyHi, &g.keyLo, &g.val, &g.recs}
+}
 
-	// Owner ids and validity flags are static per batch: upload once.
-	hostOwner := make([]uint32, numPieces)
-	hostFlag := make([]uint32, numPieces)
-	validCount := 0
-	var splitRows []int
+// alloc allocates the staging for batches of up to pieces pieces.
+func (g *aggBuffers) alloc(ch *chain, pieces int) {
+	for _, b := range []**gpusim.Buffer{&g.owner, &g.flag, &g.keyHi, &g.keyLo, &g.val} {
+		ch.buf(b, pieces)
+	}
+	ch.buf(&g.recs, 3*pieces)
+}
+
+// aggRows is a batch's device aggregation shape: how many pieces get a
+// device-computed key (whole lists of at least s elements), and which
+// pieces are split and return their minima rows for the host merge.
+type aggRows struct {
+	valid     int
+	splitRows []int
+}
+
+func aggShape(in *SegGraph, plan *batchPlan, s int) aggRows {
+	var r aggRows
 	for pi, pc := range plan.pieces {
-		hostOwner[pi] = in.Owner(pc.list)
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-		if pc.isWhole(in) && int(listLen) >= s {
-			hostFlag[pi] = 1
-			validCount++
-		} else if !pc.isWhole(in) {
-			splitRows = append(splitRows, pi)
+		switch {
+		case !pc.isWhole(in):
+			r.splitRows = append(r.splitRows, pi)
+		case pc.words() >= s:
+			r.valid++
 		}
 	}
-	ownerBuf, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer ownerBuf.Free()
-	flagBuf, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer flagBuf.Free()
-	if err := dev.CopyH2D(ownerBuf, 0, hostOwner); err != nil {
-		return err
-	}
-	if err := dev.CopyH2D(flagBuf, 0, hostFlag); err != nil {
-		return err
-	}
+	return r
+}
 
-	keyHi, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
+// stageAggRows fills the batch's host owner and flag rows.
+func stageAggRows(in *SegGraph, plan *batchPlan, s int, owner, flag []uint32) {
+	for pi, pc := range plan.pieces {
+		owner[pi] = in.Owner(pc.list)
+		flag[pi] = 0
+		if pc.isWhole(in) && pc.words() >= s {
+			flag[pi] = 1
+		}
 	}
-	defer keyHi.Free()
-	keyLo, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer keyLo.Free()
-	valBuf, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer valBuf.Free()
-	// Packing the sorted (hi, lo, owner) records into one buffer halves the
-	// number of per-trial transfers; the synchronous copy's setup cost is
-	// the dominant term for small batches (Table I's Data_g→c analysis).
-	packed, err := dev.Malloc(3 * numPieces)
-	if err != nil {
-		return err
-	}
-	defer packed.Free()
+}
 
-	hostPacked := make([]uint32, 3*numPieces)
-	hostRow := make([]uint32, s)
+// stageAgg makes the batch's aggregation rows resident on the lane. The
+// owner ids and validity flags are static per batch, so they travel once.
+func (w *shingleLanes) stageAgg(l *shingleLane, ch *chain, plan *batchPlan) {
+	np, g := len(plan.pieces), &l.agg
+	ch.buf(&g.owner, np)
+	ch.buf(&g.flag, np)
+	ch.h2d(l.stream, g.owner, w.hostOwner[:np])
+	ch.h2d(l.stream, g.flag, w.hostFlag[:np])
+	ch.buf(&g.keyHi, np)
+	ch.buf(&g.keyLo, np)
+	ch.buf(&g.val, np)
+	ch.buf(&g.recs, 3*np)
+	l.aggRows = aggShape(w.in, plan, w.s)
+}
 
-	for trial, h := range fam.Pairs {
-		if paramsBuf != nil {
-			if err := dev.CopyH2D(paramsBuf, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
-				return err
-			}
-		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h, outBuf, 0); err != nil {
-			return err
-		}
-		if err := shingleKeyKernel(dev, outBuf, flagBuf, ownerBuf, numPieces, s, uint32(trial), keyHi, keyLo, valBuf); err != nil {
-			return err
-		}
-		if err := thrust.SortPairs64(dev, keyHi, keyLo, valBuf, numPieces); err != nil {
-			return err
-		}
-		if err := packKernel(dev, keyHi, keyLo, valBuf, validCount, packed); err != nil {
-			return err
-		}
-		if err := dev.CopyD2H(hostPacked[:3*validCount], packed, 0); err != nil {
-			return err
-		}
-
-		// Linear conversion of the already-sorted stream.
-		before := acct.aggOps
-		stream := make([]tuple, validCount)
-		for i := 0; i < validCount; i++ {
-			stream[i] = tuple{
-				key:   uint64(hostPacked[3*i])<<32 | uint64(hostPacked[3*i+1]),
-				owner: hostPacked[3*i+2],
-			}
-		}
-		sortedByTrial[trial] = append(sortedByTrial[trial], stream)
-		stats.Tuples += int64(validCount)
-		acct.aggOps += int64(validCount)
-
-		// Split pieces: fetch each piece's minima row and merge on the CPU.
-		for _, pi := range splitRows {
-			if err := dev.CopyD2H(hostRow, outBuf, pi*s); err != nil {
-				return err
-			}
-			pc := plan.pieces[pi]
-			p := pending[pc.list]
-			if p == nil {
-				p = &pendingShingle{perTrial: make([][]uint32, c)}
-				pending[pc.list] = p
-			}
-			p.perTrial[trial] = mergeTopS(p.perTrial[trial], hostRow, s)
-			acct.aggOps += int64(2 * s)
-			listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-			if pc.hi == listLen && trial == c-1 {
-				for tj, minima := range p.perTrial {
-					if len(minima) < s {
-						continue
-					}
-					tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-						key:   shingleKey(uint32(tj), minima),
-						owner: in.Owner(pc.list),
-					})
-					stats.Tuples++
-				}
-				delete(pending, pc.list)
-			}
-		}
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
+// aggregateTrial enqueues one trial's device aggregation over the minima
+// rows at the start of the lane's output buffer, then the D2H of the valid
+// records and of each split piece's row. Packing the sorted (hi, lo, owner)
+// records into one buffer cuts the per-trial transfers to one; the copy's
+// setup cost is the dominant term for small batches (Table I's Data_g→c
+// analysis).
+func (w *shingleLanes) aggregateTrial(l *shingleLane, np, trial int) error {
+	g, s := &l.agg, w.s
+	ch := &chain{dev: w.dev}
+	ch.do(func() error {
+		return shingleKeyKernel(w.dev, l.stream, l.out, g.flag, g.owner, np, s, uint32(trial), g.keyHi, g.keyLo, g.val)
+	})
+	ch.do(func() error { return thrust.SortPairs64OnStream(w.dev, l.stream, g.keyHi, g.keyLo, g.val, np) })
+	ch.do(func() error { return packKernel(w.dev, l.stream, g.keyHi, g.keyLo, g.val, l.valid, g.recs) })
+	ch.do(func() error { return w.dev.CopyD2HAsync(l.stream, l.hostRecs[:3*l.valid], g.recs, 0) })
+	for r, pi := range l.splitRows {
+		ch.do(func() error { return w.dev.CopyD2HAsync(l.stream, l.hostOut[r*s:(r+1)*s], l.out, pi*s) })
 	}
-	return nil
+	return ch.err
+}
+
+// collectAgg consumes one trial's downloaded records — already sorted, so
+// their conversion is linear — and merges the split pieces' rows.
+func (w *shingleLanes) collectAgg(l *shingleLane, plan *batchPlan, trial int) {
+	run := make([]tuple, l.valid)
+	for i := range run {
+		run[i] = tuple{
+			key:   uint64(l.hostRecs[3*i])<<32 | uint64(l.hostRecs[3*i+1]),
+			owner: l.hostRecs[3*i+2],
+		}
+	}
+	w.sortedByTrial[trial] = append(w.sortedByTrial[trial], run)
+	w.stats.Tuples += int64(l.valid)
+	w.acct.aggOps += int64(l.valid)
+	for r, pi := range l.splitRows {
+		w.mergeSplitPiece(plan.pieces[pi], trial, l.hostOut[r*w.s:(r+1)*w.s])
+	}
 }
 
 // shingleKeyKernel computes, for each valid segment, the 64-bit FNV-1a
@@ -189,12 +140,12 @@ func runTrialsGPUAgg(dev *gpusim.Device, in *SegGraph, plan batchPlan, segs thru
 // uses, so the two backends group identically — and emits (keyHi, keyLo,
 // owner) records. Invalid segments (split pieces, short lists) emit the
 // all-ones record, which sorts after every real one.
-func shingleKeyKernel(dev *gpusim.Device, out, flags, owners *gpusim.Buffer,
+func shingleKeyKernel(dev *gpusim.Device, st *gpusim.Stream, out, flags, owners *gpusim.Buffer,
 	numPieces, s int, trial uint32, keyHi, keyLo, val *gpusim.Buffer) error {
 	const bd = 256
 	grid := (numPieces + bd - 1) / bd
 	dev.NextKernelName("shingle_key")
-	return dev.Launch(grid, bd, func(ctx *gpusim.ThreadCtx) {
+	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
 		if seg >= numPieces {
 			return
@@ -226,14 +177,14 @@ func shingleKeyKernel(dev *gpusim.Device, out, flags, owners *gpusim.Buffer,
 
 // packKernel interleaves the first n sorted records' (hi, lo, owner) words
 // into one contiguous buffer for a single device→host transfer.
-func packKernel(dev *gpusim.Device, keyHi, keyLo, val *gpusim.Buffer, n int, packed *gpusim.Buffer) error {
+func packKernel(dev *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val *gpusim.Buffer, n int, packed *gpusim.Buffer) error {
 	if n == 0 {
 		return nil
 	}
 	const bd = 256
 	grid := (n + bd - 1) / bd
 	dev.NextKernelName("pack_records")
-	return dev.Launch(grid, bd, func(ctx *gpusim.ThreadCtx) {
+	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		i := ctx.GlobalID()
 		if i >= n {
 			return

@@ -79,12 +79,50 @@ func TestGPUAggregateReducesCPUTime(t *testing.T) {
 	}
 }
 
-func TestGPUAggregateInvalidCombos(t *testing.T) {
+// TestGPUAggregateFullSortMatchesSerial: device aggregation is a per-trial
+// step after whichever trial kernels the plan runs, so it composes with
+// Algorithm 1's full sort, sequential or pipelined, across batch sizes that
+// split lists.
+func TestGPUAggregateFullSortMatchesSerial(t *testing.T) {
 	o := testOptions()
 	o.GPUAggregate = true
 	o.UseFullSort = true
-	if err := o.Validate(); err == nil {
-		t.Fatal("GPUAggregate+UseFullSort accepted")
+	checkGPUAggregatePlans(t, o)
+	o.PipelineBatches = true
+	checkGPUAggregatePlans(t, o)
+}
+
+// checkGPUAggregatePlans runs the options on one batch and on a budget
+// that splits lists across batches, and requires the serial partition, the
+// serial tuple counts and a clean device every time.
+func checkGPUAggregatePlans(t *testing.T, o Options) {
+	t.Helper()
+	g := plantedHubGraph()
+	serial, err := ClusterSerial(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batchWords := range []int{0, 2_000} {
+		o.BatchWords = batchWords
+		dev := gpusim.MustNew(gpusim.K20Config())
+		gpu, err := ClusterGPU(g, dev, o)
+		if err != nil {
+			t.Fatalf("BatchWords=%d: %v", batchWords, err)
+		}
+		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
+			t.Fatalf("BatchWords=%d: clustering differs from serial (batches=%d splits=%d)",
+				batchWords, gpu.Pass1.Batches, gpu.Pass1.SplitLists)
+		}
+		if gpu.Pass1.Tuples != serial.Pass1.Tuples || gpu.Pass2.Tuples != serial.Pass2.Tuples {
+			t.Fatalf("BatchWords=%d: tuple counts %d/%d, serial %d/%d", batchWords,
+				gpu.Pass1.Tuples, gpu.Pass2.Tuples, serial.Pass1.Tuples, serial.Pass2.Tuples)
+		}
+		if batchWords == 2_000 && gpu.Pass1.SplitLists == 0 {
+			t.Fatal("the 2,000-word budget split no lists; the split-list merge is untested")
+		}
+		if dev.AllocatedBuffers() != 0 {
+			t.Fatalf("BatchWords=%d: %d device buffers leaked", batchWords, dev.AllocatedBuffers())
+		}
 	}
 }
 

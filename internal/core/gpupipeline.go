@@ -4,104 +4,248 @@ import (
 	"fmt"
 
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/sched"
 	"gpclust/internal/thrust"
 )
 
-// runBatchesPipelined replaces runPassGPU's strictly sequential batch loop
-// when Options.PipelineBatches is set (or the auto-tuner picks a multi-lane
-// plan). Two things change relative to the sequential loop, both aimed at the copy engine — which the Table I breakdown shows
-// is the bottleneck: every transfer pays a fixed setup cost ("the overhead
-// to invoke the data transfer mechanism"), and one DMA engine serializes
-// all of them.
+// The shingling executor: the one batch loop of Algorithm 2, driven by
+// sched.RunLanes. A pass is flattened into a stream of (batch, trial-group)
+// work items round-robined across N lanes; each lane owns device staging
+// (data, offsets, hash, output rows, params) and, with N ≥ 2, a stream.
+// Plans differ along independent dimensions — lane count, device
+// aggregation, fused and packed kernels — and every plan drains items in
+// the sequential (batch, trial) order, so tuple emission and split-list
+// merging happen in the identical order and the clustering is
+// bit-identical for every plan.
 //
-//  1. Transfer coalescing. The c hash-pair uploads per batch collapse into
-//     one per-lane table upload for the whole pass, and the per-trial
-//     shingle downloads collapse into one download per *group* of trials:
-//     each trial's top-s rows land at a distinct offset of a packed output
-//     buffer (SegmentedTopSAt) and the group transfers back with a single
-//     D2H. The group size is chosen so the packed output is no larger than
-//     the batch data itself.
+// One lane is the paper's synchronous Thrust loop ("the data movement
+// operations are implemented using synchronous mechanism"): it runs on the
+// default stream, one trial per item and per D2H, allocates each batch's
+// buffers at the batch's own size (freeing the packed staging right after
+// the unpack), and uploads the trial's <A_j, B_j> pair before each trial
+// unless the table is device-resident. The recovery ladder runs it over
+// one batch at a time.
 //
-//  2. Double-buffered staging. The pass is flattened into a stream of
-//     (batch, trial-group) work items round-robined across N fully
-//     independent lanes — each lane owns a stream plus device staging
-//     (data, offsets, hash, packed output, params) sized for the largest
-//     batch of the plan, and re-stages a batch's data the first time one of
-//     its items lands on the lane:
+// Two or more lanes pipeline the pass, aimed at the copy engine that the
+// Table I breakdown shows is the bottleneck: every transfer pays a fixed
+// setup cost and one DMA engine serializes all of them.
+//
+//  1. Transfer coalescing. The hash-pair uploads collapse into one table
+//     upload per lane, and the per-trial shingle downloads collapse into
+//     one download per group of trials: each trial's top-s rows land at a
+//     distinct offset of the lane's output buffer and the group transfers
+//     back with a single D2H. The group is sized so the rows are no larger
+//     than the batch data itself.
+//
+//  2. Overlap. Lanes are allocated once for the plan's largest batch and
+//     re-stage a batch the first time one of its items lands on them:
 //
 //     lane 0:  [H2D b0 | g0 kernels | D2H g0]  [g2 kernels | D2H g2] ...
 //     lane 1:           [H2D b0 | g1 kernels | D2H g1]  [g3 kernels | ...
 //     host:                         [merge g0]  [merge g1]  [merge g2] ...
 //
-//     The round-robin ordering contract lives in sched.RunLanes: enqueuing
-//     item i only waits for its lane's previous occupant (item i-N) to
-//     drain, so the next group's kernels and the next batch's host→device
-//     staging overlap the previous groups' device→host shingle transfers
-//     and the CPU-side (split-list) merging — across batch boundaries.
+//     Enqueuing item i only waits for its lane's previous occupant (item
+//     i-N) to drain, so the next group's kernels and the next batch's
+//     staging overlap earlier groups' D2H transfers and host merging,
+//     across batch boundaries: the asynchronous operation the paper names
+//     as the path to better performance (Sections III-C, V).
 //
-// End-to-end time approaches max(copy engine, compute engine, host CPU)
-// instead of their sum, with far fewer fixed-cost transfers on the critical
-// copy engine: the asynchronous operation the paper names as the path to
-// better performance (Sections III-C, V), generalized over the whole pass.
-//
-// Output equivalence: items drain in item order, which is exactly the
-// sequential loop's (batch, trial) nesting, so tuple emission and pending
-// split-list merging happen in the identical order and the clustering is
-// bit-identical for any lane count.
+// Device aggregation (gpuagg.go) is a per-trial step of the item under any
+// lane count: after the trial's kernels it keys, sorts and packs the
+// trial's records on the device, and the D2H brings back the valid records
+// plus the split pieces' minima rows.
 
-// shingleLane is one pipeline lane's device staging. Under a packed+fused
-// plan `data` holds the packed image the fused kernels read in place; under
-// a packed+unfused plan `packed` receives the H2D image and the unpack
-// kernel expands it into the full-width `data`. `hash` exists only when the
-// plan's trial kernels stage full-width hashes (unfused, or full-sort);
-// `params` only when the hash-pair table is not device-resident run-wide.
+// shingleLane is one lane's device staging. Under a packed+fused plan
+// `data` holds the packed image the fused kernels read in place; under a
+// packed+unfused plan `packed` receives the H2D image and the unpack kernel
+// expands it into the full-width `data`. `hash` exists only when the plan's
+// trial kernels stage full-width hashes (unfused, or full-sort); `params`
+// only when the hash-pair table is not device-resident run-wide.
 type shingleLane struct {
 	data, packed, off, hash, out, params *gpusim.Buffer
-	stream                               *gpusim.Stream
-	hostOut                              []uint32 // in-flight item's packed shingle rows
-	batch                                int      // batch resident in data/off (-1: none)
+	agg                                  aggBuffers
+	stream                               *gpusim.Stream // nil: the default stream
+	hostOut                              []uint32       // in-flight item's shingle rows
+	hostRecs                             []uint32       // in-flight trial's aggregated records
+	batch                                int            // batch resident on the lane (-1: none)
+	aggRows                                             // resident batch's aggregation shape
+}
+
+// free releases every device buffer the lane holds.
+func (l *shingleLane) free() {
+	for _, b := range append([]**gpusim.Buffer{&l.data, &l.packed, &l.off, &l.hash, &l.out, &l.params},
+		l.agg.bufs()...) {
+		if *b != nil {
+			(*b).Free()
+			*b = nil
+		}
+	}
+}
+
+// laneShape sizes the lanes of one executor run: the largest batch's data
+// words and pieces, and the trials one work item covers.
+type laneShape struct {
+	maxWords, maxPieces, groupTrials int
+}
+
+// shapeLanes computes the lane shape of a plan. Only a pipelined plan
+// without device aggregation groups trials: it packs as many trials' output
+// rows as fit in a buffer the size of the batch data, so coalescing never
+// dominates the lane's device footprint.
+func shapeLanes(plans []batchPlan, s, c, lanes int, gpuAggregate bool) laneShape {
+	sh := laneShape{maxWords: 1, maxPieces: 1, groupTrials: 1}
+	for _, p := range plans {
+		sh.maxWords = max(sh.maxWords, p.words)
+		sh.maxPieces = max(sh.maxPieces, len(p.pieces))
+	}
+	if lanes >= 2 && !gpuAggregate {
+		sh.groupTrials = min(max(sh.maxWords/(sh.maxPieces*s), 1), c)
+	}
+	return sh
+}
+
+// groups is the number of work items per batch.
+func (sh laneShape) groups(c int) int { return (c + sh.groupTrials - 1) / sh.groupTrials }
+
+// item decodes work item i into its batch and trial range [t0, t1).
+func (sh laneShape) item(i, c int) (k, t0, t1 int) {
+	g := sh.groups(c)
+	k = i / g
+	t0 = (i % g) * sh.groupTrials
+	return k, t0, min(t0+sh.groupTrials, c)
+}
+
+// laneWords is the device footprint of one pipelined lane: what
+// allocLanes allocates for it.
+func (sh laneShape) laneWords(s, c int, o Options) int {
+	packedWords := gpusim.PackedLen(sh.maxWords, o.dataBits)
+	var words int
+	switch {
+	case o.dataBits > 0 && o.fusedPlan:
+		words = packedWords // the in-place image
+	case o.dataBits > 0:
+		words = sh.maxWords + packedWords // expanded data + packed staging
+	default:
+		words = sh.maxWords
+	}
+	if needsHashBuf(o) {
+		words += sh.maxWords
+	}
+	words += (sh.maxPieces + 1) + sh.groupTrials*sh.maxPieces*s
+	if o.residentParams == nil {
+		words += 2 * c
+	}
+	if o.GPUAggregate {
+		words += aggWordsPerPiece * sh.maxPieces
+	}
+	return words
 }
 
 // shingleLanes adapts the shingling pass to sched.LaneWorkload: items are
 // (batch, trial-group) pairs in batch-major order.
 type shingleLanes struct {
-	dev                 *gpusim.Device
-	in                  *SegGraph
-	fam                 minwise.Family
-	s, c                int
-	o                   Options
-	label               string
-	plans               []batchPlan
-	groupTrials, groups int
-	tuplesByTrial       [][]tuple
-	pending             map[int]*pendingShingle
-	acct                *cpuAccount
-	stats               *PassStats
+	*passEnv
+	label string
+	plans []batchPlan
+	shape laneShape
+	c     int
+	sync  bool // the one-lane plan: default stream, per-batch allocation
 
 	lanes      []*shingleLane
 	hostParams []uint32 // <A_j, B_j> table for all c trials
 	// Host staging for the current batch, shared across lanes: the H2D
 	// copies capture contents at enqueue, and every item of batch k
 	// enqueues before batch k+1 is staged. hostPacked is the batch's packed
-	// image, built once per batch alongside hostData when the pass packs.
-	hostData   []uint32
-	hostPacked []uint32
-	hostOff    []uint32
-	staged     int // batch resident in hostData (-1: none)
+	// image, built once per batch alongside hostData when the pass packs;
+	// hostOwner and hostFlag are its aggregation rows.
+	hostData, hostPacked, hostOff []uint32
+	hostOwner, hostFlag           []uint32
+	staged                        int // batch resident in hostData (-1: none)
 }
 
-// itemGroup decodes a work item into its batch and trial group.
-func (w *shingleLanes) itemGroup(item int) (k, t0, t1 int) {
-	k = item / w.groups
-	t0 = (item % w.groups) * w.groupTrials
-	t1 = min(t0+w.groupTrials, w.c)
-	return
+// runLanes runs the plans through the executor on the given lane count.
+func (e *passEnv) runLanes(label string, plans []batchPlan, lanes int) error {
+	if len(plans) == 0 {
+		return nil
+	}
+	c := e.fam.Size()
+	sh := shapeLanes(plans, e.s, c, lanes, e.o.GPUAggregate)
+	w := &shingleLanes{
+		passEnv: e, label: label, plans: plans, shape: sh, c: c, sync: lanes < 2,
+		lanes:      make([]*shingleLane, lanes),
+		hostParams: hashParams(e.fam),
+		hostData:   make([]uint32, 0, sh.maxWords),
+		hostOff:    make([]uint32, sh.maxPieces+1),
+		staged:     -1,
+	}
+	if e.o.GPUAggregate {
+		w.hostOwner = make([]uint32, sh.maxPieces)
+		w.hostFlag = make([]uint32, sh.maxPieces)
+	}
+	defer func() {
+		for _, l := range w.lanes {
+			if l != nil {
+				l.free()
+			}
+		}
+	}()
+	if err := w.allocLanes(); err != nil {
+		return err
+	}
+	// The one-lane plan's batch span is recorded on the batches track by
+	// the recovery loop; only pipelined lanes get lane tracks.
+	r := e.o.Obs
+	if w.sync {
+		r = nil
+	}
+	return sched.RunLanes(e.dev, r, len(plans)*sh.groups(c), lanes, w)
+}
+
+// allocLanes creates the lanes. Pipelined lanes allocate their staging up
+// front for the plan's largest batch; the one-lane plan allocates per
+// batch, in stageBatch.
+func (w *shingleLanes) allocLanes() error {
+	sh, o := w.shape, w.o
+	packedWords := gpusim.PackedLen(sh.maxWords, o.dataBits)
+	for i := range w.lanes {
+		l := &shingleLane{batch: -1, hostOut: make([]uint32, sh.groupTrials*sh.maxPieces*w.s)}
+		if o.GPUAggregate {
+			l.hostRecs = make([]uint32, 3*sh.maxPieces)
+		}
+		w.lanes[i] = l
+		if w.sync {
+			continue
+		}
+		l.stream = w.dev.NewStream()
+		ch := &chain{dev: w.dev}
+		if o.dataBits > 0 && o.fusedPlan {
+			ch.buf(&l.data, packedWords) // the packed image, read in place
+		} else {
+			ch.buf(&l.data, sh.maxWords)
+			if o.dataBits > 0 {
+				ch.buf(&l.packed, packedWords) // H2D staging for the unpack
+			}
+		}
+		ch.buf(&l.off, sh.maxPieces+1)
+		if needsHashBuf(o) {
+			ch.buf(&l.hash, sh.maxWords)
+		}
+		ch.buf(&l.out, sh.groupTrials*sh.maxPieces*w.s)
+		if o.residentParams == nil {
+			ch.buf(&l.params, 2*w.c)
+		}
+		if o.GPUAggregate {
+			l.agg.alloc(ch, sh.maxPieces)
+		}
+		if ch.err != nil {
+			return ch.err
+		}
+	}
+	return nil
 }
 
 func (w *shingleLanes) Prepare(item int) {
-	k, t0, _ := w.itemGroup(item)
+	k, t0, _ := w.shape.item(item, w.c)
 	if t0 != 0 || w.staged == k {
 		return // batch already staged by its first item
 	}
@@ -120,167 +264,162 @@ func (w *shingleLanes) Prepare(item int) {
 		w.acct.packOps += int64(len(w.hostData))
 		chargeHost(w.dev, w.o.Obs, "pack", float64(len(w.hostData))*PackNsPerOp)
 	}
+	if w.o.GPUAggregate {
+		stageAggRows(w.in, plan, w.s, w.hostOwner, w.hostFlag)
+	}
 	w.staged = k
 }
 
-func (w *shingleLanes) Enqueue(item, lane int) error {
-	k, t0, t1 := w.itemGroup(item)
-	l := w.lanes[lane]
+// stageBatch makes batch k resident on lane l: the trial table on a
+// pipelined lane's first use, the batch image, its offsets and, under
+// device aggregation, its owner and flag rows. The one-lane plan allocates
+// each buffer here at the batch's size, in the synchronous loop's order
+// (image, unpack, offsets, then the trial buffers), while pipelined lanes
+// only copy into the staging allocLanes sized for the largest batch.
+func (w *shingleLanes) stageBatch(l *shingleLane, k int) error {
 	plan := &w.plans[k]
-	numPieces := len(plan.pieces)
+	np, words, bits := len(plan.pieces), plan.words, w.o.dataBits
+	unpack := bits > 0 && !w.o.fusedPlan
+	if w.sync {
+		l.free() // the previous batch's buffers
+	}
+	ch := &chain{dev: w.dev}
+	if !w.sync && l.batch < 0 && l.params != nil {
+		ch.h2d(l.stream, l.params, w.hostParams)
+	}
+	switch {
+	case bits > 0 && !unpack:
+		ch.buf(&l.data, len(w.hostPacked))
+		ch.h2d(l.stream, l.data, w.hostPacked)
+	case bits > 0:
+		ch.buf(&l.packed, len(w.hostPacked))
+		ch.h2d(l.stream, l.packed, w.hostPacked)
+	default:
+		ch.buf(&l.data, words)
+		ch.h2d(l.stream, l.data, w.hostData)
+	}
+	expand := func() {
+		ch.do(func() error {
+			return thrust.UnpackBitsOnStream(w.dev, l.stream, l.packed, l.data, words, bits)
+		})
+	}
+	if unpack && w.sync {
+		ch.buf(&l.data, words)
+		expand()
+		if ch.err == nil {
+			// Free the packed staging right after the expansion so the
+			// batch footprint stays inside the planner's bound.
+			l.packed.Free()
+			l.packed = nil
+		}
+	}
+	ch.buf(&l.off, np+1)
+	ch.h2d(l.stream, l.off, w.hostOff[:np+1])
+	if unpack && !w.sync {
+		expand()
+	}
+	if needsHashBuf(w.o) {
+		ch.buf(&l.hash, words)
+	}
+	ch.buf(&l.out, np*w.s)
+	if w.o.residentParams == nil {
+		ch.buf(&l.params, 2) // one trial's <A_j, B_j>
+	}
+	if w.o.GPUAggregate {
+		w.stageAgg(l, ch, plan)
+	}
+	if ch.err != nil {
+		return ch.err
+	}
+	l.batch = k
+	return nil
+}
+
+func (w *shingleLanes) Enqueue(item, lane int) error {
+	k, t0, t1 := w.shape.item(item, w.c)
+	l := w.lanes[lane]
 	if l.batch != k {
-		if l.batch < 0 && l.params != nil {
-			// First use of the lane: stage the trial table.
-			if err := w.dev.CopyH2DAsync(l.stream, l.params, 0, w.hostParams); err != nil {
-				return err
-			}
-		}
-		// First item of batch k on this lane: stage the batch — the packed
-		// image when the pass packs, expanded on-stream when the plan is
-		// unfused so the trial kernels read full-width words.
-		bits := w.o.dataBits
-		switch {
-		case bits > 0 && w.o.fusedPlan:
-			if err := w.dev.CopyH2DAsync(l.stream, l.data, 0, w.hostPacked); err != nil {
-				return err
-			}
-		case bits > 0:
-			if err := w.dev.CopyH2DAsync(l.stream, l.packed, 0, w.hostPacked); err != nil {
-				return err
-			}
-		default:
-			if err := w.dev.CopyH2DAsync(l.stream, l.data, 0, w.hostData); err != nil {
-				return err
-			}
-		}
-		if err := w.dev.CopyH2DAsync(l.stream, l.off, 0, w.hostOff[:numPieces+1]); err != nil {
+		if err := w.stageBatch(l, k); err != nil {
 			return err
 		}
-		if bits > 0 && !w.o.fusedPlan {
-			if err := thrust.UnpackBitsOnStream(w.dev, l.stream, l.packed, l.data,
-				len(w.hostData), bits); err != nil {
-				return err
-			}
-		}
-		l.batch = k
 	}
-	segs := thrust.Segments{Offsets: l.off, NumSegs: numPieces}
+	plan := &w.plans[k]
+	np := len(plan.pieces)
+	segs := thrust.Segments{Offsets: l.off, NumSegs: np}
 	img := batchImage{buf: l.data}
 	if w.o.dataBits > 0 && w.o.fusedPlan {
 		img.bits = w.o.dataBits
 	}
 	for trial := t0; trial < t1; trial++ {
-		h := w.fam.Pairs[trial]
+		// The one-lane plan moves the trial's hash-pair constants to the
+		// device each iteration (the functor state of the
+		// thrust::transform call).
+		if w.sync && l.params != nil {
+			if err := w.dev.CopyH2D(l.params, 0, w.hostParams[2*trial:2*trial+2]); err != nil {
+				return err
+			}
+		}
 		if err := trialKernels(w.dev, l.stream, img, l.hash, segs, w.s, w.o,
-			len(w.hostData), h, l.out, (trial-t0)*numPieces*w.s); err != nil {
+			plan.words, w.fam.Pairs[trial], l.out, (trial-t0)*np*w.s); err != nil {
 			return err
 		}
+		if w.o.GPUAggregate {
+			if err := w.aggregateTrial(l, np, trial); err != nil {
+				return err
+			}
+		}
 	}
-	return w.dev.CopyD2HAsync(l.stream, l.hostOut[:(t1-t0)*numPieces*w.s], l.out, 0)
+	if w.o.GPUAggregate {
+		return nil
+	}
+	return w.dev.CopyD2HAsync(l.stream, l.hostOut[:(t1-t0)*np*w.s], l.out, 0)
 }
 
 func (w *shingleLanes) Complete(item, lane int) {
-	k, t0, t1 := w.itemGroup(item)
+	k, t0, t1 := w.shape.item(item, w.c)
 	l := w.lanes[lane]
-	l.stream.Synchronize()
+	if l.stream != nil {
+		l.stream.Synchronize()
+	}
 	plan := &w.plans[k]
 	before := w.acct.aggOps
 	rowWords := len(plan.pieces) * w.s
 	for trial := t0; trial < t1; trial++ {
-		row := l.hostOut[(trial-t0)*rowWords : (trial-t0+1)*rowWords]
-		emitTrialTuples(w.in, *plan, w.s, trial, w.c, row, w.tuplesByTrial, w.pending, w.acct, w.stats)
+		if w.o.GPUAggregate {
+			w.collectAgg(l, plan, trial)
+			continue
+		}
+		w.emitTrialTuples(plan, trial, l.hostOut[(trial-t0)*rowWords:(trial-t0+1)*rowWords])
 	}
 	chargeHost(w.dev, w.o.Obs, "aggregate", float64(w.acct.aggOps-before)*AggregateNsPerOp)
 }
 
 func (w *shingleLanes) SpanName(item int) string {
-	k, t0, t1 := w.itemGroup(item)
+	k, t0, t1 := w.shape.item(item, w.c)
 	return fmt.Sprintf("%s.b%d.t%d-%d", w.label, k, t0, t1)
 }
 
-func runBatchesPipelined(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
-	o Options, label string, plans []batchPlan, lanes int, tuplesByTrial [][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) error {
+// chain sequences device allocations, transfers and launches, stopping at
+// the first failure and keeping it in err.
+type chain struct {
+	dev *gpusim.Device
+	err error
+}
 
-	if len(plans) == 0 {
-		return nil
+// buf allocates n words into *dst unless it already holds a buffer.
+func (ch *chain) buf(dst **gpusim.Buffer, n int) {
+	if ch.err == nil && *dst == nil {
+		*dst, ch.err = ch.dev.Malloc(n)
 	}
-	if lanes < 2 {
-		lanes = 2
-	}
-	c := fam.Size()
-	maxWords, maxPieces := 1, 1
-	for _, p := range plans {
-		maxWords = max(maxWords, p.words)
-		maxPieces = max(maxPieces, len(p.pieces))
-	}
-	// Trials per item: pack as many trials' output rows as fit in a buffer
-	// the size of the batch data, so coalescing never dominates the lane's
-	// device footprint.
-	groupTrials := min(max(maxWords/(maxPieces*s), 1), c)
+}
 
-	// The hash-pair table <A_j, B_j> for all c trials is loop-invariant:
-	// upload it once per lane instead of once per trial per batch.
-	hostParams := make([]uint32, 0, 2*c)
-	for _, h := range fam.Pairs {
-		hostParams = append(hostParams, uint32(h.A), uint32(h.B))
-	}
+// h2d copies src to the start of dst on the stream (nil: synchronous).
+func (ch *chain) h2d(st *gpusim.Stream, dst *gpusim.Buffer, src []uint32) {
+	ch.do(func() error { return ch.dev.CopyH2DAsync(st, dst, 0, src) })
+}
 
-	w := &shingleLanes{
-		dev: dev, in: in, fam: fam, s: s, c: c, o: o, label: label,
-		plans: plans, groupTrials: groupTrials, groups: (c + groupTrials - 1) / groupTrials,
-		tuplesByTrial: tuplesByTrial, pending: pending, acct: acct, stats: stats,
-		lanes:      make([]*shingleLane, lanes),
-		hostParams: hostParams,
-		hostData:   make([]uint32, 0, maxWords),
-		hostOff:    make([]uint32, maxPieces+1),
-		staged:     -1,
+func (ch *chain) do(f func() error) {
+	if ch.err == nil {
+		ch.err = f()
 	}
-	freeAll := func() {
-		for _, l := range w.lanes {
-			if l == nil {
-				continue
-			}
-			for _, b := range []*gpusim.Buffer{l.data, l.packed, l.off, l.hash, l.out, l.params} {
-				if b != nil {
-					b.Free()
-				}
-			}
-		}
-	}
-	packedWords := gpusim.PackedLen(maxWords, o.dataBits)
-	for i := range w.lanes {
-		l := &shingleLane{stream: dev.NewStream(), batch: -1}
-		w.lanes[i] = l
-		var err error
-		alloc := func(dst **gpusim.Buffer, n int) {
-			if err == nil {
-				*dst, err = dev.Malloc(n)
-			}
-		}
-		if o.dataBits > 0 && o.fusedPlan {
-			alloc(&l.data, packedWords) // the packed image, read in place
-		} else {
-			alloc(&l.data, maxWords)
-			if o.dataBits > 0 {
-				alloc(&l.packed, packedWords) // H2D staging for the unpack
-			}
-		}
-		alloc(&l.off, maxPieces+1)
-		if needsHashBuf(o) {
-			alloc(&l.hash, maxWords)
-		}
-		alloc(&l.out, groupTrials*maxPieces*s)
-		if o.residentParams == nil {
-			alloc(&l.params, 2*c)
-		}
-		if err != nil {
-			freeAll()
-			return err
-		}
-		l.hostOut = make([]uint32, groupTrials*maxPieces*s)
-	}
-	defer freeAll()
-
-	return sched.RunLanes(dev, o.Obs, len(plans)*w.groups, lanes, w)
 }

@@ -146,13 +146,12 @@ func TestPipelinedSmallDevice(t *testing.T) {
 	}
 }
 
-func TestPipelineOptionValidation(t *testing.T) {
-	g, _ := plantedTestGraph(100, 101)
-	dev := gpusim.MustNew(gpusim.K20Config())
+// TestPipelinedGPUAggregateMatchesSerial: device aggregation runs as a
+// per-trial step on each lane, so the pipelined plan gives the serial
+// partition across batch sizes that split lists.
+func TestPipelinedGPUAggregateMatchesSerial(t *testing.T) {
 	o := testOptions()
-	o.PipelineBatches = true
 	o.GPUAggregate = true
-	if _, err := ClusterGPU(g, dev, o); err == nil {
-		t.Fatal("PipelineBatches+GPUAggregate accepted")
-	}
+	o.PipelineBatches = true
+	checkGPUAggregatePlans(t, o)
 }

@@ -33,6 +33,7 @@ func TestInvariantsGPUSweep(t *testing.T) {
 		{"sync", func(o *Options) {}},
 		{"pipeline", func(o *Options) { o.PipelineBatches = true }},
 		{"gpuagg", func(o *Options) { o.GPUAggregate = true }},
+		{"gpuagg pipeline", func(o *Options) { o.GPUAggregate, o.PipelineBatches = true, true }},
 		{"smallbatch", func(o *Options) { o.BatchWords = 4096 }},
 	}
 	for _, v := range variants {

@@ -87,8 +87,10 @@ type Options struct {
 	// GPUAggregate moves the shingle-key computation and the per-trial
 	// tuple sorting onto the device (shingle-key kernel + sort_by_key),
 	// leaving the CPU a linear merge of pre-sorted streams — an extension
-	// beyond the paper targeting Table I's dominant CPU column. Output is
-	// bit-identical to the other backends. Incompatible with UseFullSort.
+	// beyond the paper targeting Table I's dominant CPU column. It is a
+	// per-trial step of every plan, so it combines with PipelineBatches,
+	// UseFullSort and any auto-tuned lane count. Output is bit-identical
+	// to the other backends.
 	GPUAggregate bool
 
 	// Workers sizes the host worker pool: the ClusterParallel backend's
@@ -135,8 +137,7 @@ type Options struct {
 	// compute engine and host aggregation overlap across batch boundaries
 	// (the strictly sequential loop is the paper's stated bottleneck,
 	// Section III-C); this is the asynchronous operation the paper leaves
-	// as future work (Section V). Identical output. Incompatible with
-	// GPUAggregate.
+	// as future work (Section V). Identical output.
 	PipelineBatches bool
 
 	// Packed ships each batch's adjacency data as a packed device image —
@@ -201,17 +202,11 @@ func (o Options) Validate() error {
 	if o.BatchWords < 0 {
 		return fmt.Errorf("core: negative BatchWords %d", o.BatchWords)
 	}
-	if o.GPUAggregate && o.UseFullSort {
-		return fmt.Errorf("core: GPUAggregate is incompatible with UseFullSort")
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
 	}
 	if o.RetryBackoffNs < 0 {
 		return fmt.Errorf("core: negative RetryBackoffNs %g", o.RetryBackoffNs)
-	}
-	if o.PipelineBatches && o.GPUAggregate {
-		return fmt.Errorf("core: PipelineBatches is incompatible with GPUAggregate")
 	}
 	return nil
 }

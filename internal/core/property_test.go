@@ -95,9 +95,8 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			t.Logf("pipelined clustering differs (batch=%d)", o.BatchWords)
 			return false
 		}
-		o.PipelineBatches = false
 
-		// GPU aggregation variant.
+		// GPU aggregation variant, pipelined on the same batch budget.
 		o.GPUAggregate = true
 		devA := gpusim.MustNew(gpusim.K20Config())
 		agg, err := ClusterGPU(g, devA, o)

@@ -5,22 +5,23 @@ import (
 
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 	"gpclust/internal/thrust"
 )
 
-// Resilient batch execution. The GPU batch loops treat device faults —
-// failed transfers, failed launches, allocation failures — as recoverable;
-// the generic ladder (retry with exponential virtual-clock backoff, split
-// persistent-OOM batches in half, degrade to a bit-identical host
-// execution, or fail typed under Options.NoHostFallback) lives in
-// internal/sched. This file adapts the shingling pipeline to it: what a
-// batch attempt must roll back, how a plan splits, and what the host
-// fallback emits, so the clustering a faulted run produces stays
-// byte-for-byte the clustering of a fault-free run. Every recovery action
-// is counted in faults.Recovery (Result.Faults).
+// Resilient batch execution. The shingling executor treats device faults —
+// failed transfers, failed launches, allocation failures — as recoverable,
+// under two ladders that both run the executor: a one-lane plan recovers
+// per batch (coreBatch), a pipelined plan restarts the pass and finally
+// degrades to the one-lane plan (corePass). The generic ladders (retry
+// with exponential virtual-clock backoff, split persistent-OOM batches in
+// half, degrade to a bit-identical host execution, or fail typed under
+// Options.NoHostFallback) live in internal/sched. This file adapts the
+// shingling pass to them: what a batch attempt must roll back, how a plan
+// splits, and what the host fallback emits, so the clustering a faulted
+// run produces stays byte-for-byte the clustering of a fault-free run.
+// Every recovery action is counted in faults.Recovery (Result.Faults).
 
 // DefaultFaultRetries is the per-batch retry budget used when
 // Options.FaultRetries is zero.
@@ -71,27 +72,25 @@ type batchSnapshot struct {
 	tuples     int64
 }
 
-func snapshotBatch(in *SegGraph, plan batchPlan, tuplesByTrial [][]tuple,
-	sortedByTrial [][][]tuple, pending map[int]*pendingShingle, stats *PassStats) *batchSnapshot {
-
-	snap := &batchSnapshot{tuples: stats.Tuples, tupleLens: make([]int, len(tuplesByTrial))}
-	for i := range tuplesByTrial {
-		snap.tupleLens[i] = len(tuplesByTrial[i])
+func (e *passEnv) snapshot(plan batchPlan) *batchSnapshot {
+	snap := &batchSnapshot{tuples: e.stats.Tuples, tupleLens: make([]int, len(e.tuplesByTrial))}
+	for i := range e.tuplesByTrial {
+		snap.tupleLens[i] = len(e.tuplesByTrial[i])
 	}
-	if sortedByTrial != nil {
-		snap.sortedLens = make([]int, len(sortedByTrial))
-		for i := range sortedByTrial {
-			snap.sortedLens[i] = len(sortedByTrial[i])
+	if e.sortedByTrial != nil {
+		snap.sortedLens = make([]int, len(e.sortedByTrial))
+		for i := range e.sortedByTrial {
+			snap.sortedLens[i] = len(e.sortedByTrial[i])
 		}
 	}
 	seen := make(map[int]bool)
 	for _, pc := range plan.pieces {
-		if pc.isWhole(in) || seen[pc.list] {
+		if pc.isWhole(e.in) || seen[pc.list] {
 			continue
 		}
 		seen[pc.list] = true
 		var saved *pendingShingle
-		if p := pending[pc.list]; p != nil {
+		if p := e.pending[pc.list]; p != nil {
 			saved = &pendingShingle{perTrial: make([][]uint32, len(p.perTrial))}
 			copy(saved.perTrial, p.perTrial)
 		}
@@ -100,23 +99,21 @@ func snapshotBatch(in *SegGraph, plan batchPlan, tuplesByTrial [][]tuple,
 	return snap
 }
 
-func (snap *batchSnapshot) restore(tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, stats *PassStats) {
-
-	for i := range tuplesByTrial {
-		tuplesByTrial[i] = tuplesByTrial[i][:snap.tupleLens[i]]
+func (e *passEnv) restore(snap *batchSnapshot) {
+	for i := range e.tuplesByTrial {
+		e.tuplesByTrial[i] = e.tuplesByTrial[i][:snap.tupleLens[i]]
 	}
 	for i := range snap.sortedLens {
-		sortedByTrial[i] = sortedByTrial[i][:snap.sortedLens[i]]
+		e.sortedByTrial[i] = e.sortedByTrial[i][:snap.sortedLens[i]]
 	}
 	for _, ps := range snap.pend {
 		if ps.saved == nil {
-			delete(pending, ps.list)
+			delete(e.pending, ps.list)
 		} else {
-			pending[ps.list] = ps.saved
+			e.pending[ps.list] = ps.saved
 		}
 	}
-	stats.Tuples = snap.tuples
+	e.stats.Tuples = snap.tuples
 }
 
 // splitBatchPlan halves a plan: by piece count when it holds several
@@ -147,37 +144,21 @@ func splitBatchPlan(plan batchPlan) (left, right batchPlan, ok bool) {
 	return batchPlan{}, batchPlan{}, false
 }
 
-// batchEnv bundles the pass state threaded through every batch of one
-// scheduling run, so the sched adapters stay one pointer wide.
-type batchEnv struct {
-	dev           *gpusim.Device
-	in            *SegGraph
-	fam           minwise.Family
-	s             int
-	o             Options
-	tuplesByTrial [][]tuple
-	sortedByTrial [][][]tuple
-	pending       map[int]*pendingShingle
-	acct          *cpuAccount
-	stats         *PassStats
-	rec           *faults.Recovery
-}
-
-// coreBatch adapts one shingling batch to sched.Batch: an attempt snapshots
-// the aggregation state and rolls back on any failure, a split halves the
-// plan, and the fallback replays the batch through the host shingler.
+// coreBatch adapts one shingling batch to sched.Batch: an attempt is a
+// one-lane executor run over the batch that rolls the aggregation state
+// back on any failure, a split halves the plan, and the fallback replays
+// the batch through the host shingler.
 type coreBatch struct {
-	env  *batchEnv
+	env  *passEnv
 	plan batchPlan
 }
 
 func (b coreBatch) Attempt() error {
 	e := b.env
-	snap := snapshotBatch(e.in, b.plan, e.tuplesByTrial, e.sortedByTrial, e.pending, e.stats)
-	err := runBatch(e.dev, e.in, e.fam, e.s, e.o, b.plan, e.tuplesByTrial,
-		e.sortedByTrial, e.pending, e.acct, e.stats)
+	snap := e.snapshot(b.plan)
+	err := e.runLanes("", []batchPlan{b.plan}, 1)
 	if err != nil {
-		snap.restore(e.tuplesByTrial, e.sortedByTrial, e.pending, e.stats)
+		e.restore(snap)
 	}
 	return err
 }
@@ -190,29 +171,36 @@ func (b coreBatch) Split() (sched.Batch, sched.Batch, bool) {
 	return coreBatch{b.env, left}, coreBatch{b.env, right}, true
 }
 
-func (b coreBatch) Fallback() {
-	e := b.env
-	runBatchHost(e.dev, e.in, e.fam, e.s, e.o, b.plan, e.tuplesByTrial,
-		e.sortedByTrial, e.pending, e.acct, e.stats)
-}
+func (b coreBatch) Fallback() { b.env.runBatchHost(b.plan) }
 
 func (b coreBatch) WrapErr(retries int, last error) error {
 	return fmt.Errorf("core: batch of %d pieces failed after %d retries: %w (last: %v)",
 		len(b.plan.pieces), retries, ErrRetryBudget, last)
 }
 
-// runBatchResilient is runBatch wrapped in the recovery ladder: retry with
-// backoff while the budget lasts, then split on persistent OOM, then
-// degrade to the host path (or fail typed under NoHostFallback).
-func runBatchResilient(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats,
-	rec *faults.Recovery) error {
-
-	env := &batchEnv{dev: dev, in: in, fam: fam, s: s, o: o,
-		tuplesByTrial: tuplesByTrial, sortedByTrial: sortedByTrial,
-		pending: pending, acct: acct, stats: stats}
-	return o.runner(dev, rec).Run(coreBatch{env, plan})
+// runBatches is the one-lane plan: each batch in turn through the per-batch
+// recovery ladder — retry with backoff while the budget lasts, then split
+// on persistent OOM, then degrade to the host path (or fail typed under
+// NoHostFallback) — with one span per batch on the batches track.
+func (e *passEnv) runBatches(label string, plans []batchPlan) error {
+	r := e.o.runner(e.dev, e.rec)
+	for i, plan := range plans {
+		var end obs.Ending
+		var t0 float64
+		if e.o.Obs.Enabled() {
+			t0 = e.dev.HostTime()
+			end = e.o.Obs.Start(obs.TrackBatches, fmt.Sprintf("%s.b%d", label, i), t0)
+		}
+		if err := r.Run(coreBatch{e, plan}); err != nil {
+			return err
+		}
+		if e.o.Obs.Enabled() {
+			t1 := e.dev.HostTime()
+			end.End(t1)
+			batchHistogram(e.o.Obs).Observe(t1 - t0)
+		}
+	}
+	return nil
 }
 
 // hostTopS mirrors the thrust.SegmentedTopS kernel on the host: dst (s
@@ -266,20 +254,16 @@ func hostTopS(src []uint32, s int, dst []uint32) {
 // through the same aggregation code. It cannot fail, which makes it the
 // recovery ladder's last resort; its cost is charged at the serial
 // backend's shingling price (this is 2008-era host shingling).
-func runBatchHost(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) {
-
-	numPieces := len(plan.pieces)
-	c := fam.Size()
-	hostOut := make([]uint32, numPieces*s)
+func (e *passEnv) runBatchHost(plan batchPlan) {
+	s := e.s
+	hostOut := make([]uint32, len(plan.pieces)*s)
 	hashed := make([]uint32, 0, plan.words)
 	var shingleOps int64
 
-	for trial, h := range fam.Pairs {
+	for trial, h := range e.fam.Pairs {
 		for pi, pc := range plan.pieces {
-			base := in.Offsets[pc.list]
-			data := in.Data[base+pc.lo : base+pc.hi]
+			base := e.in.Offsets[pc.list]
+			data := e.in.Data[base+pc.lo : base+pc.hi]
 			hashed = hashed[:0]
 			for _, v := range data {
 				hashed = append(hashed, h.Apply(v))
@@ -287,17 +271,16 @@ func runBatchHost(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o
 			hostTopS(hashed, s, hostOut[pi*s:(pi+1)*s])
 			shingleOps += shingleListOps(len(data), s)
 		}
-		before := acct.aggOps
-		if sortedByTrial != nil {
-			emitTrialAggHost(in, plan, s, trial, c, hostOut, tuplesByTrial,
-				sortedByTrial, pending, acct, stats)
+		before := e.acct.aggOps
+		if e.sortedByTrial != nil {
+			e.emitTrialAggHost(&plan, trial, hostOut)
 		} else {
-			emitTrialTuples(in, plan, s, trial, c, hostOut, tuplesByTrial, pending, acct, stats)
+			e.emitTrialTuples(&plan, trial, hostOut)
 		}
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
+		chargeHost(e.dev, e.o.Obs, "aggregate", float64(e.acct.aggOps-before)*AggregateNsPerOp)
 	}
-	acct.serialOps += shingleOps
-	chargeHost(dev, o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
+	e.acct.serialOps += shingleOps
+	chargeHost(e.dev, e.o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 }
 
 // emitTrialAggHost is the GPUAggregate-mode twin of emitTrialTuples for
@@ -305,112 +288,57 @@ func runBatchHost(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o
 // stream appended to sortedByTrial — the order thrust.SortPairs64 would
 // have produced, so the pre-sorted stream merge sees identical input —
 // and split pieces merge through pending exactly as on the device path.
-func emitTrialAggHost(in *SegGraph, plan batchPlan, s, trial, c int, hostOut []uint32,
-	tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) {
-
+func (e *passEnv) emitTrialAggHost(plan *batchPlan, trial int, hostOut []uint32) {
+	s := e.s
 	var stream []tuple
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-		if pc.isWhole(in) {
-			if int(listLen) < s {
-				continue
-			}
-			stream = append(stream, tuple{
-				key:   shingleKey(uint32(trial), vals),
-				owner: in.Owner(pc.list),
-			})
-			continue
-		}
-		p := pending[pc.list]
-		if p == nil {
-			p = &pendingShingle{perTrial: make([][]uint32, c)}
-			pending[pc.list] = p
-		}
-		p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, s)
-		acct.aggOps += int64(2 * s)
-		if pc.hi == listLen && trial == c-1 {
-			for tj, minima := range p.perTrial {
-				if len(minima) < s {
-					continue
-				}
-				tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-					key:   shingleKey(uint32(tj), minima),
-					owner: in.Owner(pc.list),
-				})
-				stats.Tuples++
-			}
-			delete(pending, pc.list)
+		switch {
+		case !pc.isWhole(e.in):
+			e.mergeSplitPiece(pc, trial, vals)
+		case pc.words() >= s:
+			stream = append(stream, tuple{key: shingleKey(uint32(trial), vals), owner: e.in.Owner(pc.list)})
 		}
 	}
 	sortTuples(stream)
-	sortedByTrial[trial] = append(sortedByTrial[trial], stream)
-	stats.Tuples += int64(len(stream))
-	acct.aggOps += int64(len(stream))
+	e.sortedByTrial[trial] = append(e.sortedByTrial[trial], stream)
+	e.stats.Tuples += int64(len(stream))
+	e.acct.aggOps += int64(len(stream))
 }
 
-// corePass adapts the whole pipelined pass to sched.Pass. The pipelined
-// pass interleaves every batch's device work, so there is no per-batch
-// state to roll back to; instead a faulted pass restarts whole (Reset
-// returns the output state to the pre-pass snapshot), and when the restart
-// budget is exhausted it degrades to the sequential resilient loop — which
-// recovers per batch, splits on OOM and can fall back to the host, so it
-// completes whenever recovery is possible at all.
+// corePass adapts a pipelined pass to sched.Pass. The lanes interleave
+// every batch's device work, so there is no per-batch state to roll back
+// to; instead a faulted pass restarts whole (Reset returns the output state
+// to the pre-pass snapshot), and when the restart budget is exhausted it
+// degrades to the one-lane plan — which recovers per batch, splits on OOM
+// and can fall back to the host, so it completes whenever recovery is
+// possible at all.
 type corePass struct {
-	env   *batchEnv
+	env   *passEnv
 	label string
 	plans []batchPlan
 	lanes int
-
-	tupleLens []int // pre-pass tuple stream lengths
-	tuples    int64 // pre-pass stats.Tuples
+	snap  *batchSnapshot // pre-pass output state (pending starts empty)
 }
 
-func (p *corePass) Attempt() error {
-	e := p.env
-	return runBatchesPipelined(e.dev, e.in, e.fam, e.s, e.o, p.label, p.plans, p.lanes,
-		e.tuplesByTrial, e.pending, e.acct, e.stats)
-}
+func (p *corePass) Attempt() error { return p.env.runLanes(p.label, p.plans, p.lanes) }
 
 func (p *corePass) Reset() {
-	e := p.env
-	for i := range e.tuplesByTrial {
-		e.tuplesByTrial[i] = e.tuplesByTrial[i][:p.tupleLens[i]]
-	}
-	clear(e.pending)
-	e.stats.Tuples = p.tuples
+	p.env.restore(p.snap)
+	clear(p.env.pending)
 }
 
-// Settle is a no-op: runBatchesPipelined synchronizes its lanes before
-// returning an error, so the device is already quiet.
+// Settle is a no-op: the executor frees its lanes before returning an
+// error, and work still queued on their streams only delays later
+// operations on the virtual clock.
 func (p *corePass) Settle() {}
 
-func (p *corePass) Degrade() error {
-	e := p.env
-	for _, plan := range p.plans {
-		if err := runBatchResilient(e.dev, e.in, e.fam, e.s, e.o, plan, e.tuplesByTrial,
-			nil, e.pending, e.acct, e.stats, e.rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (p *corePass) Degrade() error { return p.env.runBatches(p.label, p.plans) }
 
-// runBatchesPipelinedResilient wraps the double-buffered pass in the
-// restart ladder (sched.Runner.RunPass). pending must be empty at entry
-// (it is: the pass is the first writer).
-func runBatchesPipelinedResilient(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
-	o Options, label string, plans []batchPlan, lanes int, tuplesByTrial [][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats,
-	rec *faults.Recovery) error {
-
-	env := &batchEnv{dev: dev, in: in, fam: fam, s: s, o: o,
-		tuplesByTrial: tuplesByTrial, pending: pending, acct: acct, stats: stats, rec: rec}
-	pass := &corePass{env: env, label: label, plans: plans, lanes: lanes,
-		tupleLens: make([]int, len(tuplesByTrial)), tuples: stats.Tuples}
-	for i := range tuplesByTrial {
-		pass.tupleLens[i] = len(tuplesByTrial[i])
-	}
-	return o.runner(dev, rec).RunPass(pass)
+// runPass runs a pipelined plan under the restart ladder
+// (sched.Runner.RunPass). pending must be empty at entry (it is: the pass
+// is the first writer).
+func (e *passEnv) runPass(label string, plans []batchPlan, lanes int) error {
+	pass := &corePass{env: e, label: label, plans: plans, lanes: lanes, snap: e.snapshot(batchPlan{})}
+	return e.o.runner(e.dev, e.rec).RunPass(pass)
 }

@@ -87,10 +87,15 @@ go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu \
 go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend gpu -pipeline -c1 30 -c2 15 \
     -faults 'h2d op=2' -trace "$tmp_dir/gpclust-trace.json" \
     -metrics "$tmp_dir/gpclust-metrics.txt" -out "$tmp_dir/clusters.txt"
+go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend gpu -pipeline -gpuagg -c1 30 -c2 15 \
+    -faults 'd2h op=3' -trace "$tmp_dir/gpclust-agg-trace.json" -out "$tmp_dir/clusters-agg.txt"
 go run ./scripts/tracecheck -want-cats phases,host-cpu,compute,copy \
     "$tmp_dir/pgraph-trace.json"
 go run ./scripts/tracecheck -want-cats phases,host-cpu,lane0,lane1,faults,recovery,compute,copy \
     "$tmp_dir/gpclust-trace.json"
+go run ./scripts/tracecheck -want-cats lane0,lane1,faults,recovery,compute,copy \
+    "$tmp_dir/gpclust-agg-trace.json"
+cmp "$tmp_dir/clusters.txt" "$tmp_dir/clusters-agg.txt"
 grep -q '^pgraph_edges_total ' "$tmp_dir/pgraph-metrics.txt"
 grep -q '^gpclust_tuples_total ' "$tmp_dir/gpclust-metrics.txt"
 grep -q '^gpclust_faults_injected_total ' "$tmp_dir/gpclust-metrics.txt"
