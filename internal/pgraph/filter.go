@@ -3,7 +3,7 @@ package pgraph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gpclust/internal/gpusim"
 	"gpclust/internal/minwise"
@@ -108,7 +108,7 @@ func sortedPairs(set map[pairKey]bool) []pairKey {
 	for p := range set {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+	slices.Sort(pairs)
 	return pairs
 }
 
@@ -118,7 +118,10 @@ func sortedPairs(set map[pairKey]bool) []pairKey {
 func exactPairSet(seqs []seq.Sequence, cfg Config) (map[pairKey]bool, float64) {
 	idx := buildSuffixIndex(seqs)
 	set := idx.candidatePairs(cfg.MinExactMatch, cfg.WindowCap)
-	rounds := bits.Len(uint(len(idx.sym))) // prefix-doubling rounds
+	// rounds is the pricing bound on prefix-doubling rounds, bits.Len(n),
+	// not the count buildSuffixArray executes: it stops as soon as every
+	// rank is distinct, and the price must not depend on how soon that is.
+	rounds := bits.Len(uint(len(idx.sym)))
 	ns := float64(int64(len(idx.sym))*int64(rounds)+int64(len(set))) * FilterNsPerOp
 	return set, ns
 }
@@ -150,7 +153,7 @@ func shingleOne(r []byte, k int, seen map[uint32]bool) []uint32 {
 			set = append(set, v)
 		}
 	}
-	sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
+	slices.Sort(set)
 	return set
 }
 
@@ -214,7 +217,7 @@ func conservativeLSHPairs(sets [][]uint32, ids []int32, out map[pairKey]bool) in
 	for v := range buckets {
 		keys = append(keys, v)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	slices.Sort(keys)
 	for _, v := range keys {
 		emitBucketPairs(buckets[v], out)
 	}
@@ -238,7 +241,7 @@ func bandedLSHPairs(g minwise.Signatures, ids []int32, p lshParams, out map[pair
 		for v := range buckets {
 			keys = append(keys, v)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		slices.Sort(keys)
 		for _, v := range keys {
 			emitBucketPairs(buckets[v], out)
 		}

@@ -44,7 +44,7 @@ func TestSuffixArrayMatchesNaive(t *testing.T) {
 		for i := range sym {
 			sym[i] = int32(rng.Intn(4)) // small alphabet: many ties
 		}
-		sa := buildSuffixArray(sym)
+		sa, _ := buildSuffixArray(sym)
 		naive := make([]int32, n)
 		for i := range naive {
 			naive[i] = int32(i)
@@ -76,8 +76,8 @@ func TestLCPMatchesNaive(t *testing.T) {
 		for i := range sym {
 			sym[i] = int32(rng.Intn(3))
 		}
-		sa := buildSuffixArray(sym)
-		lcp := computeLCP(sym, sa)
+		sa, rank := buildSuffixArray(sym)
+		lcp := computeLCP(sym, sa, rank)
 		for i := 1; i < n; i++ {
 			a, b := sa[i-1], sa[i]
 			want := 0
@@ -315,7 +315,7 @@ func BenchmarkSuffixArray(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sa := buildSuffixArray(sym)
-		computeLCP(sym, sa)
+		sa, rank := buildSuffixArray(sym)
+		computeLCP(sym, sa, rank)
 	}
 }

@@ -46,8 +46,9 @@ func buildSuffixIndex(seqs []seq.Sequence) *suffixIndex {
 	if len(idx.sym) == 0 {
 		return idx
 	}
-	idx.sa = buildSuffixArray(idx.sym)
-	idx.lcps = computeLCP(idx.sym, idx.sa)
+	var rank []int32
+	idx.sa, rank = buildSuffixArray(idx.sym)
+	idx.lcps = computeLCP(idx.sym, idx.sa, rank)
 	return idx
 }
 

@@ -2,7 +2,6 @@ package thrust
 
 import (
 	"fmt"
-	"sort"
 
 	"gpclust/internal/gpusim"
 )
@@ -11,9 +10,11 @@ import (
 // word buffers, since device words are 32-bit) with a 32-bit value payload,
 // ascending by (hi, lo, value) — the thrust::sort_by_key used by the
 // GPU-aggregation extension to group shingle tuples on the device instead
-// of the CPU. Like Sort, the records are reordered for real while the cost
-// model charges an LSD radix sort: six 16-bit passes, each streaming every
-// record through global memory.
+// of the CPU, and by the device LSH filter to group band keys. The records
+// are reordered for real by an LSD radix sort, value first and the high key
+// word last. The cost model charges six 16-bit passes, each streaming every
+// record through global memory, whatever digit width and skipped passes the
+// host sort uses.
 func SortPairs64(d *gpusim.Device, keyHi, keyLo, val *gpusim.Buffer, n int) error {
 	return SortPairs64OnStream(d, nil, keyHi, keyLo, val, n)
 }
@@ -28,33 +29,7 @@ func SortPairs64OnStream(d *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val 
 	if n <= 1 {
 		return nil
 	}
-	// Real reorder: sort an index permutation, then apply it to all three
-	// streams.
-	hi, lo, v := keyHi.Words(), keyLo.Words(), val.Words()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if hi[ia] != hi[ib] {
-			return hi[ia] < hi[ib]
-		}
-		if lo[ia] != lo[ib] {
-			return lo[ia] < lo[ib]
-		}
-		return v[ia] < v[ib]
-	})
-	apply := func(s []uint32) {
-		tmp := make([]uint32, n)
-		for i, j := range idx {
-			tmp[i] = s[j]
-		}
-		copy(s[:n], tmp)
-	}
-	apply(hi)
-	apply(lo)
-	apply(v)
+	radixSortPairs64(keyHi.Words()[:n], keyLo.Words()[:n], val.Words()[:n])
 
 	// Charge radix cost: 6 passes × (read keys+value, write keys+value).
 	grid, total := launchGeometry(n)
@@ -76,4 +51,53 @@ func SortPairs64OnStream(d *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val 
 			ctx.Ops(count * passes * 6)
 		}
 	})
+}
+
+// radixSortPairs64 reorders the records (hi[i], lo[i], v[i]) ascending by
+// (hi, lo, v): an LSD radix sort, least significant digit first, moving the
+// three word streams together. Digits are 16 bits wide from 1<<16 records
+// up and 8 bits below, where clearing and scanning 1<<16 counters per pass
+// would cost more than the records. A pass whose digit is the same on every
+// record leaves the order as it is and is skipped.
+func radixSortPairs64(hi, lo, v []uint32) {
+	n := len(hi)
+	width := uint(16)
+	if n < 1<<16 {
+		width = 8
+	}
+	mask := uint32(1)<<width - 1
+	src := [3][]uint32{hi, lo, v}
+	dst := [3][]uint32{make([]uint32, n), make([]uint32, n), make([]uint32, n)}
+	counts := make([]int32, 1<<width)
+	for _, word := range [...]int{2, 1, 0} { // v, lo, hi
+		for shift := uint(0); shift < 32; shift += width {
+			key := src[word]
+			clear(counts)
+			for _, w := range key {
+				counts[w>>shift&mask]++
+			}
+			if counts[key[0]>>shift&mask] == int32(n) {
+				continue
+			}
+			sum := int32(0)
+			for i, c := range counts {
+				counts[i] = sum
+				sum += c
+			}
+			sh, sl, sv := src[0], src[1], src[2]
+			dh, dl, dv := dst[0], dst[1], dst[2]
+			for i, w := range key {
+				d := w >> shift & mask
+				j := counts[d]
+				counts[d]++
+				dh[j], dl[j], dv[j] = sh[i], sl[i], sv[i]
+			}
+			src, dst = dst, src
+		}
+	}
+	if &src[0][0] != &hi[0] {
+		copy(hi, src[0])
+		copy(lo, src[1])
+		copy(v, src[2])
+	}
 }

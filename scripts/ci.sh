@@ -107,9 +107,11 @@ go test -run='^$' -fuzz=FuzzPlanBatches -fuzztime=10s ./internal/sched/
 go test -run='^$' -fuzz=FuzzSegmentedSort -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzPackResidues -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzSegmentedMinHash -fuzztime=10s ./internal/thrust/
+go test -run='^$' -fuzz=FuzzSortPairs64 -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzUnionFind -fuzztime=10s ./internal/unionfind/
 go test -run='^$' -fuzz=FuzzSWBatch -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzLSHCandidates -fuzztime=10s ./internal/pgraph/
+go test -run='^$' -fuzz=FuzzSuffixArray -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults/
 go test -run='^$' -fuzz=FuzzWarpTransactions -fuzztime=10s ./internal/gpusim/
 
