@@ -147,7 +147,7 @@ func main() {
 		smallPerf.C1, smallPerf.C2 = 100, 50
 		rows, points, err := bench.AblatePacking(0.25, smallPerf, *pgraphN)
 		fatal(err)
-		bench.RenderAblation(out, "packed device images and kernel fusion (H2D volume vs launch count)", rows)
+		bench.RenderAblation(out, "packed device images decoded in place (H2D volume vs decode cost)", rows)
 		if *benchJSON != "" {
 			blob, err := json.MarshalIndent(points, "", "  ")
 			fatal(err)
@@ -242,7 +242,7 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 
 	rows, _, err = bench.AblatePacking(0.25, smallPerf, 0)
 	fatal(err)
-	bench.RenderAblation(out, "packed device images and kernel fusion (H2D volume vs launch count)", rows)
+	bench.RenderAblation(out, "packed device images decoded in place (H2D volume vs decode cost)", rows)
 
 	rows, _, err = bench.AblateLSH(0)
 	fatal(err)

@@ -48,7 +48,6 @@ func main() {
 		metrics  = flag.String("metrics", "", "write OpenMetrics counters for the run to this file (any backend)")
 		batch    = flag.String("batch", "auto", "device batch budget in 32-bit words; \"auto\" lets the cost model pick budget and lanes, 0 derives from device memory")
 		packed   = flag.Bool("packed", true, "stage adjacency batches as bit-packed device images (gpu backend)")
-		fuse     = flag.Bool("fuse", true, "with -packed: let fused kernels read the packed image in place where the cost model says it wins (gpu backend)")
 		workers  = flag.Int("workers", 0, "parallel backend: worker-pool size (0 = GOMAXPROCS); serial backend: cluster connected components in parallel with this many workers (0 = whole-graph run)")
 		minOut   = flag.Int("minsize", 1, "only print clusters with at least this many members")
 		faultSch = flag.String("faults", "", "inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2' (gpu backend)")
@@ -76,7 +75,7 @@ func main() {
 			{*pipeline, "-pipeline"}, {*gpuagg, "-gpuagg"},
 			{*profile, "-profile"}, {*trace != "", "-trace"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
-			{!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
+			{!*packed, "-packed=false"},
 		} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "gpclust: %s requires -backend gpu\n", f.name)
@@ -113,7 +112,6 @@ func main() {
 		BatchWords:      batchWords,
 		AutoTune:        autoTune,
 		Packed:          *packed,
-		Fuse:            *fuse,
 		FaultRetries:    *retries,
 		NoHostFallback:  *noFB,
 	}

@@ -47,8 +47,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
 		gpu      = flag.Bool("gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
 		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick the budget, 0 derives from device memory")
-		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image")
-		fuse     = flag.Bool("fuse", true, "with -gpu -packed: let the SW kernel decode the packed image in place where the cost model says it wins")
+		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image the SW kernel decodes in place (auto-tuned plans weigh it against the byte layout)")
 		noBin    = flag.Bool("nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
 		filter   = flag.String("filter", "exact", "candidate filter: exact (suffix oracle), lsh (MinHash banding), cascade (LSH pass, then exact pairs restricted to LSH components; bit-identical at the conservative preset)")
 		bands    = flag.String("bands", "", "with -filter lsh|cascade: band count, or \"conservative\" to bucket on raw shingles (default: the tuned shape)")
@@ -79,7 +78,7 @@ func main() {
 		}{
 			{*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
-			{*trace != "", "-trace"}, {!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
+			{*trace != "", "-trace"}, {!*packed, "-packed=false"},
 		} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "pgraph: %s requires -gpu\n", f.name)
@@ -136,7 +135,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Packed = *packed
-	cfg.Fuse = *fuse
 	cfg.NoLengthBin = *noBin
 	cfg.FaultRetries = *retries
 	cfg.NoHostFallback = *noFB

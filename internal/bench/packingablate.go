@@ -16,15 +16,14 @@ import (
 // setup and byte-proportional volume, the bytes actually shipped, and the
 // cost model's price next to the measured scheduler window.
 // scripts/benchcheck enforces the packing PR's acceptance criteria on these
-// records: per workload every layout must produce the identical output,
-// packed+fused must post a lower virtual total than unpacked+unfused, the
-// gpclust packed image must cut the H2D byte volume by at least 30%, and
-// every priced point must stay inside the drift gate.
+// records: per workload both layouts must produce the identical output,
+// packed must post a lower virtual total than unpacked, the gpclust packed
+// image must cut the H2D byte volume by at least 30%, and every priced
+// point must stay inside the drift gate.
 type PackingPoint struct {
 	Workload    string  `json:"workload"` // "gpclust" | "pgraph"
-	Setting     string  `json:"setting"`  // "unpacked" .. "packed+fused"
+	Setting     string  `json:"setting"`  // "unpacked" | "packed"
 	Packed      bool    `json:"packed"`
-	Fused       bool    `json:"fused"`
 	VirtualNs   float64 `json:"virtual_ns"`     // end-to-end run, virtual clock
 	H2DNs       float64 `json:"data_c2g_ns"`    // Data_c→g total (setup + volume)
 	H2DSetupNs  float64 `json:"h2d_setup_ns"`   // fixed per-copy setup share
@@ -35,18 +34,16 @@ type PackingPoint struct {
 	Output      int64   `json:"output"`         // clusters / edges; identical per workload
 }
 
-// packingSettings is the {packed,unpacked}×{fused,unfused} sweep. For
-// gpclust every cell is distinct (the fused kernels read full-width words
-// when the image is unpacked); for pgraph fusion without packing degenerates
-// to the byte layout, and the sweep doubles as proof of that no-op.
+// packingSettings is the {unpacked, packed} sweep. Every device consumer
+// reads the batch image in place: gpclust's fused kernels read full-width
+// words or the packed image, pgraph's SW kernel the byte layout or the
+// packed image.
 var packingSettings = []struct {
-	label        string
-	packed, fuse bool
+	label  string
+	packed bool
 }{
-	{"unpacked", false, false},
-	{"unpacked+fused", false, true},
-	{"packed", true, false},
-	{"packed+fused", true, true},
+	{"unpacked", false},
+	{"packed", true},
 }
 
 func packingRow(p PackingPoint, plan sched.PlanReport) AblationRow {
@@ -56,13 +53,12 @@ func packingRow(p PackingPoint, plan sched.PlanReport) AblationRow {
 		driftComment(comment, p.PredictedNs, plan))
 }
 
-// AblatePacking sweeps the packed-image and kernel-fusion levers on both
-// consumers of the device: the shingling passes (gpclust, images at the
+// AblatePacking sweeps the packed-image lever on both consumers of the device: the shingling passes (gpclust, images at the
 // graph's MinBits width) and the Smith–Waterman verification (pgraph, 5-bit
 // protein residues). Every setting runs a fixed batch plan with
 // PredictCost, so the cost model prices the exact layout it executed;
-// outputs must be bit-identical across every cell of a workload — packing
-// and fusion change bytes moved and launches issued, never a result. scale
+// outputs must be bit-identical across both layouts of a workload — packing
+// changes bytes moved and instructions issued, never a result. scale
 // sizes the gpclust graph (Paper20KConfig), pgraphN the metagenome (0: the
 // 1200-ORF default).
 func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, []PackingPoint, error) {
@@ -77,7 +73,7 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 		opt := o
 		opt.BatchWords = 200_000
 		opt.PredictCost = true
-		opt.Packed, opt.Fuse = ps.packed, ps.fuse
+		opt.Packed = ps.packed
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
 		if err != nil {
@@ -93,7 +89,7 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 		plan.Add(r.Pass1.Plan)
 		plan.Add(r.Pass2.Plan)
 		p := PackingPoint{
-			Workload: "gpclust", Setting: ps.label, Packed: ps.packed, Fused: ps.fuse,
+			Workload: "gpclust", Setting: ps.label, Packed: ps.packed,
 			VirtualNs: r.Timings.TotalNs,
 			H2DNs:     r.Timings.H2DNs, H2DSetupNs: r.Timings.H2DSetupNs,
 			H2DVolumeNs: r.Timings.H2DVolumeNs, H2DBytes: r.Timings.H2DBytes,
@@ -119,7 +115,7 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 		cfg.GPU = true
 		cfg.GPUBatchWords = 40_000
 		cfg.PredictCost = true
-		cfg.Packed, cfg.Fuse = ps.packed, ps.fuse
+		cfg.Packed = ps.packed
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		pg, st, err := pgraph.Build(mg.Seqs, cfg)
 		if err != nil {
@@ -132,7 +128,7 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 				ps.label, packingSettings[0].label)
 		}
 		p := PackingPoint{
-			Workload: "pgraph", Setting: ps.label, Packed: ps.packed, Fused: ps.fuse,
+			Workload: "pgraph", Setting: ps.label, Packed: ps.packed,
 			VirtualNs: st.TotalNs,
 			H2DNs:     st.H2DNs, H2DSetupNs: st.H2DSetupNs,
 			H2DVolumeNs: st.H2DVolumeNs, H2DBytes: st.H2DBytes,

@@ -23,24 +23,11 @@ const probeWords = 1 << 15
 
 // Calibrated kernel names.
 const (
-	kTransform = "transform"
-	kTopS      = "tops"
-	kAggTail   = "aggtail"
-	kFused     = "fused"  // fused hash + top-s (or hash + sort) launch
-	kUnpack    = "unpack" // packed-image expansion
+	kAggTail = "aggtail"
+	kFused   = "fused" // fused hash + top-s (or hash + sort) launch
 )
 
-// transformThreads is the thread count of one TransformHash launch over n
-// words (thrust's launchGeometry: 8 elements per thread, 256-wide blocks).
-func transformThreads(n int) int {
-	threads := (n + 7) / 8
-	if threads == 0 {
-		threads = 1
-	}
-	return (threads + 255) / 256 * 256
-}
-
-// topsThreads is the thread count of a segmented top-s (or gather) launch:
+// topsThreads is the thread count of a fused selection (or gather) launch:
 // one thread per segment, 256-wide blocks.
 func topsThreads(numSegs int) int {
 	grid := (numSegs + 255) / 256
@@ -68,7 +55,13 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 	numSegs := (n + avg - 1) / avg
 
 	scratch := gpusim.MustNew(cfg)
-	dataBuf, err := scratch.Malloc(n)
+	// The probe image is the one the lanes stage: packed at the pass's
+	// width, or plain words.
+	hostData := in.Data[:n]
+	if o.dataBits > 0 {
+		hostData = gpusim.PackBits(hostData, o.dataBits)
+	}
+	dataBuf, err := scratch.Malloc(len(hostData))
 	if err != nil {
 		return m
 	}
@@ -92,69 +85,27 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 	for i := range hostOff {
 		hostOff[i] = uint32(min(i*avg, n))
 	}
-	if scratch.CopyH2D(dataBuf, 0, in.Data[:n]) != nil || scratch.CopyH2D(offBuf, 0, hostOff) != nil {
+	if scratch.CopyH2D(dataBuf, 0, hostData) != nil || scratch.CopyH2D(offBuf, 0, hostOff) != nil {
 		return m
 	}
 
 	h := fam.Pairs[0]
-	k0 := scratch.Metrics().KernelTimeNs
-	if thrust.TransformHash(scratch, dataBuf, hashBuf, n, h) != nil {
-		return m
-	}
-	k1 := scratch.Metrics().KernelTimeNs
-	m.CalibrateKernel(kTransform, k1-k0-cfg.KernelLaunchNs, float64(n), transformThreads(n))
-
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: numSegs}
-	if topSKernel(scratch, nil, hashBuf, segs, s, outBuf, 0, o.UseFullSort) != nil {
-		return m
-	}
-	k2 := scratch.Metrics().KernelTimeNs
+	k0 := scratch.Metrics().KernelTimeNs
 	launches := 1.0
-	if o.UseFullSort {
-		launches = 2 // segmented sort + gather
-	}
-	m.CalibrateKernel(kTopS, k2-k1-launches*cfg.KernelLaunchNs, float64(n), topsThreads(numSegs))
-
-	// Probe the packed/fused side at the pass's actual bit width so the
-	// auto-tuner can price fused and unfused candidates against each other.
-	var fusedData *gpusim.Buffer = dataBuf
-	if o.dataBits > 0 {
-		hostPacked := gpusim.PackBits(in.Data[:n], o.dataBits)
-		packedBuf, err := scratch.Malloc(len(hostPacked))
-		if err != nil {
+	if !o.UseFullSort {
+		if thrust.FusedHashTopS(scratch, nil, dataBuf, o.dataBits, segs, s, h, outBuf, 0) != nil {
 			return m
 		}
-		defer packedBuf.Free()
-		if scratch.CopyH2D(packedBuf, 0, hostPacked) != nil {
+	} else {
+		launches = 2 // fused sort + gather
+		if thrust.FusedHashSort(scratch, nil, dataBuf, o.dataBits, segs, h, hashBuf) != nil ||
+			gatherTopS(scratch, nil, hashBuf, segs, s, outBuf, 0) != nil {
 			return m
 		}
-		fusedData = packedBuf
 	}
-	if o.Fuse {
-		kf0 := scratch.Metrics().KernelTimeNs
-		fusedLaunches := 1.0
-		if !o.UseFullSort {
-			if thrust.FusedHashTopS(scratch, nil, fusedData, o.dataBits, segs, s, h, outBuf, 0) != nil {
-				return m
-			}
-		} else {
-			fusedLaunches = 2 // fused sort + gather
-			if thrust.FusedHashSort(scratch, nil, fusedData, o.dataBits, segs, h, hashBuf) != nil ||
-				gatherTopS(scratch, nil, hashBuf, segs, s, outBuf, 0) != nil {
-				return m
-			}
-		}
-		m.CalibrateKernel(kFused, scratch.Metrics().KernelTimeNs-kf0-fusedLaunches*cfg.KernelLaunchNs,
-			float64(n), topsThreads(numSegs))
-	}
-	if o.dataBits > 0 {
-		ku0 := scratch.Metrics().KernelTimeNs
-		if thrust.UnpackBits(scratch, fusedData, hashBuf, n, o.dataBits) != nil {
-			return m
-		}
-		m.CalibrateKernel(kUnpack, scratch.Metrics().KernelTimeNs-ku0-cfg.KernelLaunchNs,
-			float64(n), transformThreads(n))
-	}
+	m.CalibrateKernel(kFused, scratch.Metrics().KernelTimeNs-k0-launches*cfg.KernelLaunchNs,
+		float64(n), topsThreads(numSegs))
 
 	if o.GPUAggregate {
 		// Lump the device aggregation tail (shingle_key + sort_by_key +
@@ -192,38 +143,6 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 	return m
 }
 
-// transformNs predicts one TransformHash launch over words data words.
-func transformNs(m *sched.Model, words int) float64 {
-	return m.KernelNs(kTransform, float64(words), transformThreads(words))
-}
-
-// topsNs predicts one top-s selection over words data words in numSegs
-// segments (two launches under UseFullSort: sort + gather).
-func topsNs(m *sched.Model, words, numSegs int, fullSort bool) float64 {
-	launches := 1.0
-	if fullSort {
-		launches = 2
-	}
-	return launches*m.Cfg.KernelLaunchNs +
-		m.KernelNsPerUnit[kTopS]*float64(words)*m.SatFactor(topsThreads(numSegs))
-}
-
-// fusedNs predicts one fused hash+select launch over words data words in
-// numSegs segments (two launches under UseFullSort: fused sort + gather).
-func fusedNs(m *sched.Model, words, numSegs int, fullSort bool) float64 {
-	launches := 1.0
-	if fullSort {
-		launches = 2
-	}
-	return launches*m.Cfg.KernelLaunchNs +
-		m.KernelNsPerUnit[kFused]*float64(words)*m.SatFactor(topsThreads(numSegs))
-}
-
-// unpackNs predicts one unpack launch expanding words packed values.
-func unpackNs(m *sched.Model, words int) float64 {
-	return m.KernelNs(kUnpack, float64(words), transformThreads(words))
-}
-
 // packNs is the host cost of packing one batch's data into the device
 // image; zero when the pass is unpacked.
 func packNs(o Options, words int) float64 {
@@ -233,43 +152,16 @@ func packNs(o Options, words int) float64 {
 	return float64(words) * PackNsPerOp
 }
 
-// trialKernelsNs predicts one trial's device launches for the plan's
-// resolved kernel choice, mirroring trialKernels.
+// trialKernelsNs predicts one trial's device launches over words data
+// words in numSegs segments, mirroring trialKernels: the fused hash+select
+// launch, or the fused sort + gather pair under UseFullSort.
 func trialKernelsNs(m *sched.Model, o Options, words, numSegs int) float64 {
-	if o.fusedPlan {
-		return fusedNs(m, words, numSegs, o.UseFullSort)
+	launches := 1.0
+	if o.UseFullSort {
+		launches = 2
 	}
-	ns := topsNs(m, words, numSegs, o.UseFullSort)
-	if words > 0 {
-		ns += transformNs(m, words)
-	}
-	return ns
-}
-
-// replayBatchUpload replays one batch's image upload on the sim lane:
-// the (possibly packed) data copy, the offsets copy, and the unpack kernel
-// of a packed-unfused plan, in stageBatch's enqueue order (the one-lane
-// plan, lane −1, unpacks before the offsets copy).
-func replayBatchUpload(sim *sched.Sim, m *sched.Model, o Options, lane, words, numPieces int) {
-	sim.CopyPacked(lane, words, o.dataBits, true)
-	if o.dataBits > 0 && o.fusedPlan {
-		sim.Copy(lane, numPieces+1, true)
-		return
-	}
-	if o.dataBits > 0 {
-		if lane >= 0 {
-			// Pipelined enqueue order: off copy precedes the on-stream unpack.
-			sim.Copy(lane, numPieces+1, true)
-			if words > 0 {
-				sim.KernelRawNs(lane, unpackNs(m, words))
-			}
-			return
-		}
-		if words > 0 {
-			sim.KernelRawNs(lane, unpackNs(m, words))
-		}
-	}
-	sim.Copy(lane, numPieces+1, true)
+	return launches*m.Cfg.KernelLaunchNs +
+		m.KernelNsPerUnit[kFused]*float64(words)*m.SatFactor(topsThreads(numSegs))
 }
 
 // stageNs is the host cost of assembling one batch's data and offsets.
@@ -353,7 +245,8 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 			if !sync && laneBatch[lane] < 0 && o.residentParams == nil {
 				sim.Copy(sl, 2*c, true) // params table
 			}
-			replayBatchUpload(sim, m, o, sl, plan.words, np)
+			sim.CopyPacked(sl, plan.words, o.dataBits, true) // batch image
+			sim.Copy(sl, np+1, true)                         // offsets
 			if o.GPUAggregate {
 				sim.Copy(sl, np, true) // owners
 				sim.Copy(sl, np, true) // flags
@@ -413,8 +306,8 @@ func legacyShingleBudget(dev *gpusim.Device, o Options) int {
 // free memory: the planner's budget is itself a conservative footprint
 // bound for the one-lane plan, and a pipelined plan keeps `lanes` fully
 // independent stagings resident. o carries the resolved pass shape (packed
-// width, residency, device aggregation) whose buffers the lanes actually
-// allocate; o.fusedPlan must hold the candidate's fusion choice.
+// width, residency, device aggregation, full sort) whose buffers the lanes
+// actually allocate.
 func shingleFeasible(freeWords int, plans []batchPlan, cand sched.Candidate, s, c int, o Options) bool {
 	if cand.Lanes <= 1 {
 		return cand.BudgetWords <= freeWords
@@ -436,21 +329,10 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	m := calibrateShingleModel(dev.Config(), in, fam, s, o)
 	c := fam.Size()
 
-	// Fusion is a per-candidate choice: with o.Fuse the sweep crosses every
-	// budget × lane pair with both kernel shapes and the argmin decides —
-	// the fused kernel trades a launch and the hash-buffer round trip for
-	// hash work at the selection kernel's occupancy, so neither side wins
-	// universally.
-	fusedSet := []bool{false}
-	if o.Fuse {
-		fusedSet = []bool{false, true}
-	}
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
 		for _, l := range shingleLaneSet(o) {
-			for _, f := range fusedSet {
-				cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: f})
-			}
+			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: true})
 		}
 	}
 	planCache := map[int][]batchPlan{}
@@ -467,12 +349,10 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	}
 	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
 		plans := plansFor(cand.BudgetWords)
-		po := o
-		po.fusedPlan = cand.Fused
-		if plans == nil || !shingleFeasible(freeWords, plans, cand, s, c, po) {
+		if plans == nil || !shingleFeasible(freeWords, plans, cand, s, c, o) {
 			return 0, false
 		}
-		return predictShinglePlans(m, in, fam, s, po, plans, cand.Lanes), true
+		return predictShinglePlans(m, in, fam, s, o, plans, cand.Lanes), true
 	})
 	if !ok {
 		budget := legacyShingleBudget(dev, o)
@@ -484,7 +364,7 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if o.PipelineBatches {
 			lanes = 2
 		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: o.Fuse, Batches: len(plans)},
+		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: true, Batches: len(plans)},
 			plans, lanes, nil
 	}
 	plans := plansFor(best.BudgetWords)

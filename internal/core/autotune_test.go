@@ -228,14 +228,6 @@ func TestMinShingleBudget(t *testing.T) {
 }
 
 func TestKernelThreadShapes(t *testing.T) {
-	// 8 elements per thread, 256-wide blocks: 1000 words → 125 threads →
-	// one block of 256.
-	if got := transformThreads(1000); got != 256 {
-		t.Fatalf("transformThreads(1000)=%d, want 256", got)
-	}
-	if got := transformThreads(0); got != 256 {
-		t.Fatalf("transformThreads(0)=%d, want one clamped block", got)
-	}
 	// One thread per segment, 256-wide blocks.
 	if got := topsThreads(300); got != 512 {
 		t.Fatalf("topsThreads(300)=%d, want 512", got)

@@ -15,11 +15,12 @@ import (
 // ClusterGPU runs the gpClust CPU–GPU pipeline of Section III-C and
 // Algorithm 2: the CPU loads the graph and partitions it into batches of
 // adjacency lists sized to the device memory; each batch is moved to the
-// device once and shingled for all c trials (per trial: a transform() hash
-// kernel, a segmented top-s selection, and a device→host transfer of the
-// shingles); the CPU aggregates the shingles — merging partial results of
-// lists split across batches — into the next-level shingle graph, repeats
-// for the second level, and reports dense subgraphs.
+// device once and shingled for all c trials (per trial: the transform()
+// hash and the segmented top-s selection, fused into one kernel that reads
+// the batch image in place, and a device→host transfer of the shingles);
+// the CPU aggregates the shingles — merging partial results of lists split
+// across batches — into the next-level shingle graph, repeats for the
+// second level, and reports dense subgraphs.
 //
 // The device's virtual clock provides the Table I component breakdown; the
 // clustering itself is bit-identical to ClusterSerial for the same Options
@@ -308,12 +309,7 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if err != nil {
 			return nil, err
 		}
-		// Fusion only where the model says it wins: the candidate sweep
-		// crossed fused with unfused plans and the argmin decided.
-		o.fusedPlan = report.Fused
 	} else {
-		// Fixed and legacy plans fuse unconditionally when allowed.
-		o.fusedPlan = o.Fuse
 		budget := o.BatchWords
 		if budget == 0 {
 			budget = legacyShingleBudget(dev, o)
@@ -323,7 +319,7 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if err != nil {
 			return nil, err
 		}
-		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: o.fusedPlan, Batches: len(plans)}
+		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: true, Batches: len(plans)}
 		if o.PredictCost {
 			m := calibrateShingleModel(dev.Config(), in, fam, s, o)
 			report.PredictedNs = predictShinglePlans(m, in, fam, s, o, plans, lanes)
@@ -411,65 +407,42 @@ func hashParams(fam minwise.Family) []uint32 {
 
 // batchImage is the device-resident form of one batch's adjacency data:
 // the plain full-width word buffer (bits == 0), or a packed image at bits
-// per value that the fused kernels read in place.
+// per value. The fused kernels read either in place.
 type batchImage struct {
 	buf  *gpusim.Buffer
 	bits int
 }
 
-// needsHashBuf reports whether the plan's trial kernels stage hashed values
-// in a full-width scratch buffer: always when unfused, and under UseFullSort
-// even fused (the fused sort writes the sorted hashes for the gather).
-func needsHashBuf(o Options) bool {
-	return !o.fusedPlan || o.UseFullSort
+// imageWords is the device size of a batch image of n values: the packed
+// length at bits per value, or n full words when unpacked.
+func imageWords(n, bits int) int {
+	if bits > 0 {
+		return gpusim.PackedLen(n, bits)
+	}
+	return n
 }
 
 // trialKernels enqueues one trial's device work over the batch image: the
 // fused single launch (hash + top-s selection reading the image in place),
-// the fused sort + gather pair under UseFullSort, or the classic
-// transform_hash + top-s sequence. All forms write the trial's
-// sentinel-padded minima rows at out[outBase:...] and are bit-identical.
+// or under UseFullSort the fused sort + gather pair, which stages the sorted
+// hashes in hashBuf. Both forms write the trial's sentinel-padded minima
+// rows at out[outBase:...] and are bit-identical.
 func trialKernels(dev *gpusim.Device, st *gpusim.Stream, img batchImage, hashBuf *gpusim.Buffer,
-	segs thrust.Segments, s int, o Options, dataWords int, h minwise.HashPair,
+	segs thrust.Segments, s int, o Options, h minwise.HashPair,
 	outBuf *gpusim.Buffer, outBase int) error {
 
-	if o.fusedPlan {
-		if !o.UseFullSort {
-			return thrust.FusedHashTopS(dev, st, img.buf, img.bits, segs, s, h, outBuf, outBase)
-		}
-		if err := thrust.FusedHashSort(dev, st, img.buf, img.bits, segs, h, hashBuf); err != nil {
-			return err
-		}
-		return gatherTopS(dev, st, hashBuf, segs, s, outBuf, outBase)
+	if !o.UseFullSort {
+		return thrust.FusedHashTopS(dev, st, img.buf, img.bits, segs, s, h, outBuf, outBase)
 	}
-	if err := thrust.TransformHashOnStream(dev, st, img.buf, hashBuf, dataWords, h); err != nil {
-		return err
-	}
-	return topSKernel(dev, st, hashBuf, segs, s, outBuf, outBase, o.UseFullSort)
-}
-
-// topSKernel produces each segment's ascending top-s minima, either with the
-// fused selection kernel or — UseFullSort, Algorithm 1 taken literally —
-// a full segmented sort followed by a gather of each segment's head. Both
-// forms enqueue on a stream (nil = synchronous). The sort mutates hashBuf
-// in place, which is safe because every lane owns a private hash buffer
-// that the next trial's transform rewrites in full. outBase offsets the
-// destination rows so a lane can pack several trials' results into one
-// buffer for a single D2H transfer.
-func topSKernel(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
-	segs thrust.Segments, s int, outBuf *gpusim.Buffer, outBase int, useFullSort bool) error {
-	if !useFullSort {
-		return thrust.SegmentedTopSAt(dev, st, hashBuf, segs, s, outBuf, outBase)
-	}
-	if err := thrust.SegmentedSortOnStream(dev, st, hashBuf, segs); err != nil {
+	if err := thrust.FusedHashSort(dev, st, img.buf, img.bits, segs, h, hashBuf); err != nil {
 		return err
 	}
 	return gatherTopS(dev, st, hashBuf, segs, s, outBuf, outBase)
 }
 
 // gatherTopS gathers the first s elements of each (already sorted) segment
-// of hashBuf into sentinel-padded rows at outBuf[outBase:...). Shared by the
-// full-sort path's tail and the fused sort's tail.
+// of hashBuf into sentinel-padded rows at outBuf[outBase:...): the tail of
+// the full-sort path.
 func gatherTopS(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	segs thrust.Segments, s int, outBuf *gpusim.Buffer, outBase int) error {
 	const bd = 256

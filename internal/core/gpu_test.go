@@ -105,8 +105,8 @@ func TestPlanBatchesSingleHugeList(t *testing.T) {
 }
 
 func TestTopSKernelFullSortShortSegments(t *testing.T) {
-	// The full-sort gather path must emit sorted-values + sentinels for
-	// segments shorter than s, exactly like the fused kernel.
+	// The full-sort path's gather must emit sorted-values + sentinels for
+	// segments shorter than s, exactly like the fused top-s kernel.
 	dev := newTestDevice(t)
 	data := []uint32{5, 3, 9} // segment lens: 1, 2, 0
 	off := []uint32{0, 1, 3, 3}
@@ -122,7 +122,10 @@ func TestTopSKernelFullSortShortSegments(t *testing.T) {
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: 3}
 	out := dev.MustMalloc(3 * 2)
 	defer out.Free()
-	if err := topSKernel(dev, nil, dataBuf, segs, 2, out, 0, true); err != nil {
+	if err := thrust.SegmentedSort(dev, dataBuf, segs); err != nil {
+		t.Fatal(err)
+	}
+	if err := gatherTopS(dev, nil, dataBuf, segs, 2, out, 0); err != nil {
 		t.Fatal(err)
 	}
 	host := make([]uint32, 6)

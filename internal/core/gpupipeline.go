@@ -11,9 +11,11 @@ import (
 // The shingling executor: the one batch loop of Algorithm 2, driven by
 // sched.RunLanes. A pass is flattened into a stream of (batch, trial-group)
 // work items round-robined across N lanes; each lane owns device staging
-// (data, offsets, hash, output rows, params) and, with N ≥ 2, a stream.
+// (batch image, offsets, hash, output rows, params) and, with N ≥ 2, a
+// stream. Every trial runs the fused shingling kernels, which read the
+// batch image in place: packed at the pass's MinBits width, or plain words.
 // Plans differ along independent dimensions — lane count, device
-// aggregation, fused and packed kernels — and every plan drains items in
+// aggregation, packed images, full sort — and every plan drains items in
 // the sequential (batch, trial) order, so tuple emission and split-list
 // merging happen in the identical order and the clustering is
 // bit-identical for every plan.
@@ -21,10 +23,9 @@ import (
 // One lane is the paper's synchronous Thrust loop ("the data movement
 // operations are implemented using synchronous mechanism"): it runs on the
 // default stream, one trial per item and per D2H, allocates each batch's
-// buffers at the batch's own size (freeing the packed staging right after
-// the unpack), and uploads the trial's <A_j, B_j> pair before each trial
-// unless the table is device-resident. The recovery ladder runs it over
-// one batch at a time.
+// buffers at the batch's own size, and uploads the trial's <A_j, B_j> pair
+// before each trial unless the table is device-resident. The recovery
+// ladder runs it over one batch at a time.
 //
 // Two or more lanes pipeline the pass, aimed at the copy engine that the
 // Table I breakdown shows is the bottleneck: every transfer pays a fixed
@@ -55,25 +56,24 @@ import (
 // trial's records on the device, and the D2H brings back the valid records
 // plus the split pieces' minima rows.
 
-// shingleLane is one lane's device staging. Under a packed+fused plan
-// `data` holds the packed image the fused kernels read in place; under a
-// packed+unfused plan `packed` receives the H2D image and the unpack kernel
-// expands it into the full-width `data`. `hash` exists only when the plan's
-// trial kernels stage full-width hashes (unfused, or full-sort); `params`
-// only when the hash-pair table is not device-resident run-wide.
+// shingleLane is one lane's device staging. `data` holds the batch image —
+// packed or plain words — that the fused kernels read in place. `hash`
+// exists only under UseFullSort, where the fused sort stages full-width
+// hashes for the gather; `params` only when the hash-pair table is not
+// device-resident run-wide.
 type shingleLane struct {
-	data, packed, off, hash, out, params *gpusim.Buffer
-	agg                                  aggBuffers
-	stream                               *gpusim.Stream // nil: the default stream
-	hostOut                              []uint32       // in-flight item's shingle rows
-	hostRecs                             []uint32       // in-flight trial's aggregated records
-	batch                                int            // batch resident on the lane (-1: none)
-	aggRows                                             // resident batch's aggregation shape
+	data, off, hash, out, params *gpusim.Buffer
+	agg                          aggBuffers
+	stream                       *gpusim.Stream // nil: the default stream
+	hostOut                      []uint32       // in-flight item's shingle rows
+	hostRecs                     []uint32       // in-flight trial's aggregated records
+	batch                        int            // batch resident on the lane (-1: none)
+	aggRows                                     // resident batch's aggregation shape
 }
 
 // free releases every device buffer the lane holds.
 func (l *shingleLane) free() {
-	for _, b := range append([]**gpusim.Buffer{&l.data, &l.packed, &l.off, &l.hash, &l.out, &l.params},
+	for _, b := range append([]**gpusim.Buffer{&l.data, &l.off, &l.hash, &l.out, &l.params},
 		l.agg.bufs()...) {
 		if *b != nil {
 			(*b).Free()
@@ -118,17 +118,8 @@ func (sh laneShape) item(i, c int) (k, t0, t1 int) {
 // laneWords is the device footprint of one pipelined lane: what
 // allocLanes allocates for it.
 func (sh laneShape) laneWords(s, c int, o Options) int {
-	packedWords := gpusim.PackedLen(sh.maxWords, o.dataBits)
-	var words int
-	switch {
-	case o.dataBits > 0 && o.fusedPlan:
-		words = packedWords // the in-place image
-	case o.dataBits > 0:
-		words = sh.maxWords + packedWords // expanded data + packed staging
-	default:
-		words = sh.maxWords
-	}
-	if needsHashBuf(o) {
+	words := imageWords(sh.maxWords, o.dataBits)
+	if o.UseFullSort {
 		words += sh.maxWords
 	}
 	words += (sh.maxPieces + 1) + sh.groupTrials*sh.maxPieces*s
@@ -206,7 +197,6 @@ func (e *passEnv) runLanes(label string, plans []batchPlan, lanes int) error {
 // batch, in stageBatch.
 func (w *shingleLanes) allocLanes() error {
 	sh, o := w.shape, w.o
-	packedWords := gpusim.PackedLen(sh.maxWords, o.dataBits)
 	for i := range w.lanes {
 		l := &shingleLane{batch: -1, hostOut: make([]uint32, sh.groupTrials*sh.maxPieces*w.s)}
 		if o.GPUAggregate {
@@ -218,16 +208,9 @@ func (w *shingleLanes) allocLanes() error {
 		}
 		l.stream = w.dev.NewStream()
 		ch := &chain{dev: w.dev}
-		if o.dataBits > 0 && o.fusedPlan {
-			ch.buf(&l.data, packedWords) // the packed image, read in place
-		} else {
-			ch.buf(&l.data, sh.maxWords)
-			if o.dataBits > 0 {
-				ch.buf(&l.packed, packedWords) // H2D staging for the unpack
-			}
-		}
+		ch.buf(&l.data, imageWords(sh.maxWords, o.dataBits))
 		ch.buf(&l.off, sh.maxPieces+1)
-		if needsHashBuf(o) {
+		if o.UseFullSort {
 			ch.buf(&l.hash, sh.maxWords)
 		}
 		ch.buf(&l.out, sh.groupTrials*sh.maxPieces*w.s)
@@ -274,12 +257,11 @@ func (w *shingleLanes) Prepare(item int) {
 // pipelined lane's first use, the batch image, its offsets and, under
 // device aggregation, its owner and flag rows. The one-lane plan allocates
 // each buffer here at the batch's size, in the synchronous loop's order
-// (image, unpack, offsets, then the trial buffers), while pipelined lanes
-// only copy into the staging allocLanes sized for the largest batch.
+// (image, offsets, then the trial buffers), while pipelined lanes only copy
+// into the staging allocLanes sized for the largest batch.
 func (w *shingleLanes) stageBatch(l *shingleLane, k int) error {
 	plan := &w.plans[k]
-	np, words, bits := len(plan.pieces), plan.words, w.o.dataBits
-	unpack := bits > 0 && !w.o.fusedPlan
+	np, words := len(plan.pieces), plan.words
 	if w.sync {
 		l.free() // the previous batch's buffers
 	}
@@ -287,38 +269,15 @@ func (w *shingleLanes) stageBatch(l *shingleLane, k int) error {
 	if !w.sync && l.batch < 0 && l.params != nil {
 		ch.h2d(l.stream, l.params, w.hostParams)
 	}
-	switch {
-	case bits > 0 && !unpack:
-		ch.buf(&l.data, len(w.hostPacked))
-		ch.h2d(l.stream, l.data, w.hostPacked)
-	case bits > 0:
-		ch.buf(&l.packed, len(w.hostPacked))
-		ch.h2d(l.stream, l.packed, w.hostPacked)
-	default:
-		ch.buf(&l.data, words)
-		ch.h2d(l.stream, l.data, w.hostData)
+	img := w.hostData
+	if w.o.dataBits > 0 {
+		img = w.hostPacked
 	}
-	expand := func() {
-		ch.do(func() error {
-			return thrust.UnpackBitsOnStream(w.dev, l.stream, l.packed, l.data, words, bits)
-		})
-	}
-	if unpack && w.sync {
-		ch.buf(&l.data, words)
-		expand()
-		if ch.err == nil {
-			// Free the packed staging right after the expansion so the
-			// batch footprint stays inside the planner's bound.
-			l.packed.Free()
-			l.packed = nil
-		}
-	}
+	ch.buf(&l.data, len(img))
+	ch.h2d(l.stream, l.data, img)
 	ch.buf(&l.off, np+1)
 	ch.h2d(l.stream, l.off, w.hostOff[:np+1])
-	if unpack && !w.sync {
-		expand()
-	}
-	if needsHashBuf(w.o) {
+	if w.o.UseFullSort {
 		ch.buf(&l.hash, words)
 	}
 	ch.buf(&l.out, np*w.s)
@@ -346,10 +305,7 @@ func (w *shingleLanes) Enqueue(item, lane int) error {
 	plan := &w.plans[k]
 	np := len(plan.pieces)
 	segs := thrust.Segments{Offsets: l.off, NumSegs: np}
-	img := batchImage{buf: l.data}
-	if w.o.dataBits > 0 && w.o.fusedPlan {
-		img.bits = w.o.dataBits
-	}
+	img := batchImage{buf: l.data, bits: w.o.dataBits}
 	for trial := t0; trial < t1; trial++ {
 		// The one-lane plan moves the trial's hash-pair constants to the
 		// device each iteration (the functor state of the
@@ -360,7 +316,7 @@ func (w *shingleLanes) Enqueue(item, lane int) error {
 			}
 		}
 		if err := trialKernels(w.dev, l.stream, img, l.hash, segs, w.s, w.o,
-			plan.words, w.fam.Pairs[trial], l.out, (trial-t0)*np*w.s); err != nil {
+			w.fam.Pairs[trial], l.out, (trial-t0)*np*w.s); err != nil {
 			return err
 		}
 		if w.o.GPUAggregate {

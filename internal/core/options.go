@@ -143,23 +143,9 @@ type Options struct {
 	// Packed ships each batch's adjacency data as a packed device image —
 	// every value at the pass's MinBits width instead of one per 32-bit
 	// word — cutting the bandwidth-proportional part of every H2D copy by
-	// the same ratio. The device either expands the image with an unpack
-	// kernel (charged at realistic op cost) or, under a fused plan, reads
-	// it in place. Bit-identical output; only bytes moved change.
+	// the same ratio. The fused shingling kernels read the image in place.
+	// Bit-identical output; only bytes moved change.
 	Packed bool
-
-	// Fuse allows the transform_hash kernel to be fused with the first
-	// selection pass into a single launch (one kernel reads the residues —
-	// packed or not — hashes, and emits the per-segment minima), dropping a
-	// launch and the full-width hash buffer round trip per trial. Under
-	// AutoTune the cost model decides per plan whether fusion actually wins
-	// (the fused kernel runs the hash work at one-thread-per-segment
-	// occupancy); fixed plans fuse unconditionally. Bit-identical output.
-	Fuse bool
-
-	// fusedPlan is the resolved fusion decision for the running pass: Fuse
-	// gated by the cost model under AutoTune. Set by runPassGPU.
-	fusedPlan bool
 
 	// dataBits is the packed image width of the running pass (0 = unpacked).
 	// Set by runPassGPU from MinBits over the pass input when Packed is on.
@@ -175,8 +161,8 @@ type Options struct {
 
 // DefaultOptions returns the parameter settings of Section III-D:
 // s1=2, c1=200 for the first level and s2=2, c2=100 for the second.
-// Packed images and kernel fusion are on by default — both are pure
-// performance levers with bit-identical output.
+// Packed images are on by default — a pure performance lever with
+// bit-identical output.
 func DefaultOptions() Options {
 	return Options{
 		S1: 2, C1: 200,
@@ -184,7 +170,6 @@ func DefaultOptions() Options {
 		Seed:   1,
 		Mode:   ReportUnionFind,
 		Packed: true,
-		Fuse:   true,
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPackedEquivalenceAllBackends enforces the packed-image contract at the
-// clustering level: every packing/fusion mode, on every GPU execution
+// clustering level: packed and unpacked images, on every GPU execution
 // strategy, must reproduce the serial backend's clustering bit for bit —
 // packing changes the bytes a transfer moves, never a computed value.
 func TestPackedEquivalenceAllBackends(t *testing.T) {
@@ -22,17 +22,16 @@ func TestPackedEquivalenceAllBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	modes := []struct {
-		name         string
-		packed, fuse bool
+		name   string
+		packed bool
 	}{
-		{"unpacked", false, false},
-		{"packed", true, false},
-		{"packed+fused", true, true},
+		{"unpacked", false},
+		{"packed", true},
 	}
 	for _, b := range chaosBackends(batchWords) {
 		for _, m := range modes {
 			o := base
-			o.Packed, o.Fuse = m.packed, m.fuse
+			o.Packed = m.packed
 			res, err := b.run(nil, g, o)
 			if err != nil {
 				t.Fatalf("%s %s: %v", b.name, m.name, err)
@@ -55,7 +54,7 @@ func TestPackedShrinksH2DVolume(t *testing.T) {
 
 	run := func(packed bool) *Result {
 		oo := o
-		oo.Packed, oo.Fuse = packed, packed
+		oo.Packed = packed
 		dev := gpusim.MustNew(gpusim.K20Config())
 		res, err := ClusterGPU(g, dev, oo)
 		if err != nil {
@@ -83,14 +82,14 @@ func TestPackedShrinksH2DVolume(t *testing.T) {
 	}
 }
 
-// TestPackedChaosEquivalence runs the packed+fused path through random fault
+// TestPackedChaosEquivalence runs the packed path through random fault
 // schedules: recovery — retries, batch splits, host fallback — must still
 // land on the clean clustering, exactly as the unpacked chaos sweep does.
 func TestPackedChaosEquivalence(t *testing.T) {
 	g, _ := plantedTestGraph(200, 17)
 	o := testOptions()
 	o.BatchWords = 2_000
-	o.Packed, o.Fuse = true, true
+	o.Packed = true
 
 	for _, b := range chaosBackends(o.BatchWords) {
 		clean, err := b.run(nil, g, o)

@@ -8,10 +8,10 @@ import "fmt"
 // carry them one per 32-bit word (or one per byte for residues). Packing
 // them bit-continuously before the H2D copy cuts the bandwidth-proportional
 // part of the transfer by the same ratio while leaving results untouched:
-// the device unpacks to full-width words (or reads the packed image
-// directly in a fused kernel) before any arithmetic, so every downstream
-// bit is identical. These helpers define the host-side image format; the
-// matching device-side unpack kernel lives in internal/thrust.
+// the device kernels that consume an image (internal/thrust's fused
+// shingling kernels and the SW kernel) extract each value in place before
+// any arithmetic, so every downstream bit is identical. These helpers
+// define the host-side image format.
 //
 // Layout: value i occupies bits [i·bits, (i+1)·bits) of a little-endian
 // bit stream stored in uint32 words — bit b lives in word b/32 at position
@@ -66,10 +66,9 @@ func PackBits(vals []uint32, bits int) []uint32 {
 	return out
 }
 
-// UnpackBits expands a packed image back to one value per word. It is the
-// host-side oracle the device unpack kernel and the fused kernels are
-// fuzz-tested against, and the fallback used when a packed upload must be
-// expanded without a device.
+// UnpackBits expands a packed image back to one value per word: the
+// host-side inverse of PackBits that the packed format is fuzz-tested
+// against.
 func UnpackBits(packed []uint32, n, bits int) []uint32 {
 	if bits < 1 || bits > 32 {
 		panic(fmt.Sprintf("gpusim: UnpackBits width %d outside [1,32]", bits))

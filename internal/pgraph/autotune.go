@@ -8,8 +8,8 @@ import (
 
 // Cost-model-driven batch auto-tuning for the verification stage. With
 // Config.AutoTune (and no explicit GPUBatchWords) the scheduler enumerates
-// candidate plans — a geometric sweep of word budgets, crossed with the
-// fused and unfused kernel shapes when packing with fusion — predicts each
+// candidate plans — a geometric sweep of word budgets, crossed under
+// Config.Packed with the byte layout and the packed image — predicts each
 // candidate's virtual time by replaying its exact operation sequence (pack,
 // H2D, SW kernel, score readback) through sched.Sim, and runs the argmin.
 // Kernel throughput is calibrated by probing the real SW kernel on a
@@ -17,14 +17,11 @@ import (
 // time on the run's own virtual clock.
 
 // kSW is the calibrated kernel name of the batched Smith–Waterman launch
-// reading byte-layout residues (the unpacked and packed+unfused modes run
-// the identical kernel configuration); kSWFused is the same launch decoding
-// the bit-packed image in place, and kSWUnpack is the unfused mode's
-// image-expansion kernel.
+// reading byte-layout residues; kSWFused is the same launch decoding the
+// bit-packed image in place.
 const (
-	kSW       = "sw"
-	kSWFused  = "swfused"
-	kSWUnpack = "swunpack"
+	kSW      = "sw"
+	kSWFused = "swfused"
 )
 
 // probePairs caps the calibration probe's pair count; probeCells caps its
@@ -46,31 +43,10 @@ func swThreads(np int) int {
 
 // swKernelName resolves the calibrated SW-kernel entry for a layout.
 func swKernelName(ly swLayout) string {
-	if ly.bits > 0 && ly.fused {
+	if ly.bits > 0 {
 		return kSWFused
 	}
 	return kSW
-}
-
-// swUnpackThreads is the thread count of one UnpackResidues launch over the
-// given output words (thrust's elementwise geometry: 8 elements per thread,
-// 256-wide blocks).
-func swUnpackThreads(words int) int {
-	threads := (words + 7) / 8
-	if threads == 0 {
-		threads = 1
-	}
-	grid := (threads + 255) / 256
-	return grid * 256
-}
-
-// swUnpackNs predicts one batch's image-expansion kernel (zero in modes
-// that don't unpack).
-func swUnpackNs(m *sched.Model, p swBatch, ly swLayout) float64 {
-	if ly.bits == 0 || ly.fused {
-		return 0
-	}
-	return m.KernelNs(kSWUnpack, float64(p.seqWords), swUnpackThreads(p.seqWords))
 }
 
 // swUnits is the divergence-aware work measure of one batch: the simulator
@@ -130,11 +106,10 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 	}
 	defer table.Free()
 
-	// One probe per kernel the planner may price: the byte-layout SW launch
-	// (shared by the unpacked and packed+unfused modes), the in-place
-	// packed decoder, and the unfused mode's expansion kernel. Each probe
-	// stages its own image so the measured traffic matches the mode.
-	probeSW := func(ly swLayout, name string) {
+	// One probe per layout the planner may price: the byte-layout SW
+	// launch, and under Packed the in-place packed decoder. Each probe
+	// stages its own image so the measured traffic matches the layout.
+	probeSW := func(ly swLayout) {
 		buf, err := scratch.Malloc(ly.deviceWords(p))
 		if err != nil {
 			return
@@ -143,14 +118,6 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 		if scratch.CopyH2D(buf, 0, packSWBatch(p, enc, pairs, order, ly, nil)) != nil {
 			return
 		}
-		if ly.bits > 0 && !ly.fused {
-			k0 := scratch.Metrics().KernelTimeNs
-			if unpackSWBatch(scratch, nil, buf, p, ly) != nil {
-				return
-			}
-			body := scratch.Metrics().KernelTimeNs - k0 - devCfg.KernelLaunchNs
-			m.CalibrateKernel(kSWUnpack, body, float64(p.seqWords), swUnpackThreads(p.seqWords))
-		}
 		lc := swLaunchConfig(p, cfg, table, ly)
 		lc.Obs = nil // scratch probe: never record
 		k0 := scratch.Metrics().KernelTimeNs
@@ -158,15 +125,11 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 			return
 		}
 		body := scratch.Metrics().KernelTimeNs - k0 - devCfg.KernelLaunchNs
-		m.CalibrateKernel(name, body, swUnits(enc, pairs, order, p), swThreads(end-lo))
+		m.CalibrateKernel(swKernelName(ly), body, swUnits(enc, pairs, order, p), swThreads(end-lo))
 	}
+	probeSW(layoutFor(false))
 	if cfg.Packed {
-		probeSW(swLayout{bits: residueBits, fused: false}, kSW)
-		if cfg.Fuse {
-			probeSW(swLayout{bits: residueBits, fused: true}, kSWFused)
-		}
-	} else {
-		probeSW(swLayout{}, kSW)
+		probeSW(layoutFor(true))
 	}
 	return m
 }
@@ -182,11 +145,7 @@ func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
 	for _, p := range plans {
 		sim.HostWork(float64(ly.packWords(p)) * packNsPerWord)
 		sim.Copy(-1, ly.dataWords(p), true)
-		// The unfused packed mode's expansion kernel (when present) runs
-		// back-to-back with the SW launch on the same engine, so summing
-		// the two is timing-equivalent to replaying each.
-		sim.KernelRawNs(-1, swUnpackNs(m, p, ly)+
-			m.KernelNs(swKernelName(ly), swUnits(enc, pairs, order, p), swThreads(p.hi-p.lo)))
+		sim.KernelRawNs(-1, m.KernelNs(swKernelName(ly), swUnits(enc, pairs, order, p), swThreads(p.hi-p.lo)))
 		sim.Copy(-1, p.hi-p.lo, false)
 	}
 	sim.SyncAll()
@@ -199,62 +158,53 @@ func legacySWBudget(dev *gpusim.Device) int {
 	return int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
 }
 
-// swLayoutOf resolves a candidate's fusion choice into a layout under the
-// run's packing mode.
-func swLayoutOf(cfg Config, fused bool) swLayout {
-	if !cfg.Packed {
-		return swLayout{}
-	}
-	return swLayout{bits: residueBits, fused: fused}
-}
-
-// autotuneSW picks the batch budget and — when packing with fusion
-// enabled — whether the SW kernel decodes the packed image in place,
-// by predicted virtual time, returning the chosen plan (the fusion choice
-// rides in PlanReport.Fused). When no candidate is feasible it falls back
-// to the legacy derivation (reported with AutoTuned=false).
+// autotuneSW picks the batch budget and — under Config.Packed — whether
+// the batches stage the byte layout or the packed image the SW kernel
+// decodes in place, by predicted virtual time, returning the chosen plan
+// (the layout choice rides in PlanReport.Fused). When no candidate is
+// feasible it falls back to the legacy derivation (reported with
+// AutoTuned=false).
 func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 	cfg Config) (sched.PlanReport, []swBatch, error) {
 
 	freeWords := int(dev.FreeMemory() / gpusim.WordBytes)
 	maxB := freeWords * 3 / 4
 	// The minimum budget must hold any single pair under the bulkiest
-	// layout in the sweep (the unfused packed mode stages image plus
-	// workspace; the byte layout is never larger).
-	lyMax := swLayoutOf(cfg, false)
+	// layout in the sweep: the byte layout (the packed image is never
+	// larger).
 	minB := 0
 	for _, idx := range order {
 		a, b := pairs[idx].unpack()
-		if need := 5 + lyMax.pairWords(seqWords(enc[a]), seqWords(enc[b])); need > minB {
+		if need := 5 + seqWords(enc[a]) + seqWords(enc[b]); need > minB {
 			minB = need
 		}
 	}
 	minB += swTableLen
 	m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
 
-	fusedSet := []bool{cfg.Packed && cfg.Fuse}
-	if cfg.Packed && cfg.Fuse {
-		// Fusion is priced, not assumed: the sweep may keep the unpack
-		// kernel where its elementwise occupancy beats in-place decoding.
-		fusedSet = []bool{false, true}
+	// The packed image is priced, not assumed: its per-cell decode
+	// instructions can outweigh the H2D bytes it saves.
+	packedSet := []bool{false}
+	if cfg.Packed {
+		packedSet = []bool{false, true}
 	}
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
-		for _, f := range fusedSet {
-			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Fused: f})
+		for _, packed := range packedSet {
+			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Fused: packed})
 		}
 	}
 	type planKey struct {
 		budget int
-		fused  bool
+		packed bool
 	}
 	planCache := map[planKey][]swBatch{}
-	plansFor := func(b int, fused bool) []swBatch {
-		key := planKey{b, fused}
+	plansFor := func(b int, packed bool) []swBatch {
+		key := planKey{b, packed}
 		if p, ok := planCache[key]; ok {
 			return p
 		}
-		p, err := planSWBatches(enc, pairs, order, b, swLayoutOf(cfg, fused))
+		p, err := planSWBatches(enc, pairs, order, b, layoutFor(packed))
 		if err != nil {
 			p = nil
 		}
@@ -262,23 +212,21 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		return p
 	}
 	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
-		ly := swLayoutOf(cfg, cand.Fused)
 		plans := plansFor(cand.BudgetWords, cand.Fused)
-		// A batch's footprint (records + residues + workspace + scores) is
-		// exactly the planner's charge, so the budget bounds it.
+		// A batch's footprint (records + residues + scores) is exactly the
+		// planner's charge, so the budget bounds it.
 		if plans == nil || cand.BudgetWords > freeWords {
 			return 0, false
 		}
-		return predictSWPlans(m, enc, pairs, order, plans, ly), true
+		return predictSWPlans(m, enc, pairs, order, plans, layoutFor(cand.Fused)), true
 	})
 	if !ok {
 		budget := legacySWBudget(dev)
-		fused := cfg.Packed && cfg.Fuse
-		plans, err := planSWBatches(enc, pairs, order, budget, swLayoutOf(cfg, fused))
+		plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
 		if err != nil {
 			return sched.PlanReport{}, nil, err
 		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Fused: fused},
+		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Fused: cfg.Packed},
 			plans, nil
 	}
 	plans := plansFor(best.BudgetWords, best.Fused)

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"gpclust/internal/gpusim"
+	"gpclust/internal/graph"
 	"gpclust/internal/sched"
+	"gpclust/internal/seq"
 )
 
 func checkSWPlan(t *testing.T, label string, p sched.PlanReport, wantAuto bool) {
@@ -101,5 +103,44 @@ func TestLegacySWBudget(t *testing.T) {
 	defer dev.Synchronize()
 	if got := legacySWBudget(dev); got != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
 		t.Fatalf("legacy budget %d", got)
+	}
+}
+
+// TestAutoTuneSWBeatsFixedLayouts: on the benchmark corpus (1,200 ORFs,
+// seed 7, ten-member families of 210-residue ancestors) the auto plan's
+// build is no slower on the virtual clock than either residue layout run
+// fixed at the budget the tuner chose, and all three accept the same edges.
+func TestAutoTuneSWBeatsFixedLayouts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 1,200-ORF builds")
+	}
+	mcfg := seq.DefaultMetagenomeConfig(1200)
+	mcfg.MinFamily, mcfg.MaxFamily = 10, 10
+	mcfg.AncestorLenMin, mcfg.AncestorLenMax = 210, 210
+	mcfg.Seed = 7
+	mg, err := seq.GenerateMetagenome(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(mutate func(*Config)) (*graph.Graph, Stats) {
+		cfg := DefaultConfig()
+		cfg.GPU = true
+		cfg.Device = gpusim.MustNew(gpusim.K20Config())
+		mutate(&cfg)
+		g, st, err := Build(mg.Seqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, st
+	}
+	autoG, auto := build(func(c *Config) { c.AutoTune = true })
+	checkSWPlan(t, "auto", auto.Plan, true)
+	for _, packed := range []bool{false, true} {
+		g, fixed := build(func(c *Config) { c.GPUBatchWords, c.Packed = auto.Plan.BudgetWords, packed })
+		graphsEqual(t, "auto vs fixed", autoG, g)
+		if auto.TotalNs > fixed.TotalNs {
+			t.Errorf("auto plan (%s) took %.3fms virtual, fixed packed=%v at its budget %.3fms",
+				auto.Plan.String(), auto.TotalNs/1e6, packed, fixed.TotalNs/1e6)
+		}
 	}
 }

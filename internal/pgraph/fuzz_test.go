@@ -41,22 +41,21 @@ func FuzzSWBatch(f *testing.F) {
 		}
 		enc := encodeSeqs(seqs)
 		prm := align.DefaultParams()
-		// Every residue layout must reproduce the host scores: byte image,
-		// packed image expanded on device, packed image decoded in place.
+		// Both residue layouts must reproduce the host scores: byte image
+		// and packed image decoded in place.
 		modes := []Config{
 			{Align: prm},
 			{Align: prm, Packed: true},
-			{Align: prm, Packed: true, Fuse: true},
 		}
 
 		for _, bin := range []bool{true, false} {
 			order := binPairs(enc, pairs, bin)
 			for _, cfg := range modes {
 				// Budget always admits the costliest pair under the bulkiest
-				// layout; extra varies how many pairs share a batch.
+				// (byte) layout; extra varies how many pairs share a batch.
 				w := 2 * seqWords(make([]byte, longest))
-				budget := swTableLen + 5 + swLayoutOf(cfg, false).pairWords(w, 0) + int(extra)
-				plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg))
+				budget := swTableLen + 5 + w + int(extra)
+				plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,8 +68,8 @@ func FuzzSWBatch(f *testing.F) {
 					a, b := pairs[idx].unpack()
 					want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
 					if int(got[k]) != want {
-						t.Fatalf("bin=%v packed=%v fuse=%v pair (%d,%d): sequential device score %d, ScoreOnly %d",
-							bin, cfg.Packed, cfg.Fuse, a, b, got[k], want)
+						t.Fatalf("bin=%v packed=%v pair (%d,%d): sequential device score %d, ScoreOnly %d",
+							bin, cfg.Packed, a, b, got[k], want)
 					}
 				}
 				if err := devSeq.LeakCheck(); err != nil {

@@ -17,7 +17,9 @@ import (
 // length-bins the pairs (so one warp's alignments cost alike and the SIMT
 // divergence penalty stays small), packs pair records + concatenated residue
 // codes through the device-memory budget exactly like Algorithm 2's
-// adjacency batching, and runs the batches sequentially. The
+// adjacency batching, and runs the batches sequentially. Residues travel in
+// one of two layouts (swLayout), both read by a single SW launch per batch:
+// bytes, or a 5-bit packed image the kernel decodes in place. The
 // substitution-score table is loop-invariant, so it is uploaded once per
 // build and stays device-resident across every batch. The scheduler produces
 // scores bit-identical to align.ScoreOnly, so the accepted edge set never
@@ -77,28 +79,25 @@ func seqWords(enc []byte) int { return (len(enc) + 3) / 4 }
 // alphabet fits 5 bits (asserted in tests against align.AlphabetSize).
 const residueBits = 5
 
-// swLayout resolves Config.Packed/Fuse into the batch buffer's residue
-// layout. Residue offsets in pair records stay the byte layout's
-// word-aligned offsets in every mode, so the packed image is the byte
-// stream (padding included) re-packed at bits per residue — the unpack
-// kernel and the in-place decoder both map offset r to the same residue.
+// swLayout is a batch buffer's residue layout. Residue offsets in pair
+// records stay the byte layout's word-aligned offsets in both modes, so the
+// packed image is the byte stream (padding included) re-packed at bits per
+// residue, and the in-place decoder maps offset r to the same residue.
 //
-//	bits == 0           [records | byte residues | scores]
-//	bits > 0, fused     [records | packed residues | scores]
-//	bits > 0, unfused   [records | packed residues | byte workspace | scores]
+//	bits == 0  [records | byte residues | scores]
+//	bits > 0   [records | packed residues | scores]
 //
-// The H2D image is the region before the workspace/scores; only the byte
-// layout uploads full-width residues.
+// The H2D image is the region before the scores.
 type swLayout struct {
-	bits  int  // 0: byte layout; residueBits: packed image
-	fused bool // kernel decodes the image in place (no workspace, no unpack launch)
+	bits int // 0: byte layout; residueBits: packed image decoded in place
 }
 
-func layoutFor(cfg Config) swLayout {
-	if !cfg.Packed {
+// layoutFor is the packed image when packed is set, else the byte layout.
+func layoutFor(packed bool) swLayout {
+	if !packed {
 		return swLayout{}
 	}
-	return swLayout{bits: residueBits, fused: cfg.Fuse}
+	return swLayout{bits: residueBits}
 }
 
 // packedSeqWords is the packed image's word count for a residue region of
@@ -108,22 +107,11 @@ func (ly swLayout) packedSeqWords(seqWords int) int {
 }
 
 // dataWords is the batch's H2D staging image size under this layout.
-func (ly swLayout) dataWords(p swBatch) int {
-	if ly.bits == 0 {
-		return p.dataWords()
-	}
-	return 4*(p.hi-p.lo) + ly.packedSeqWords(p.seqWords)
-}
+func (ly swLayout) dataWords(p swBatch) int { return 4*(p.hi-p.lo) + ly.residueWords(p.seqWords) }
 
-// deviceWords is the batch buffer's device footprint: the staging image,
-// the unfused mode's unpack workspace, and the score outputs.
-func (ly swLayout) deviceWords(p swBatch) int {
-	n := ly.dataWords(p) + (p.hi - p.lo)
-	if ly.bits > 0 && !ly.fused {
-		n += p.seqWords
-	}
-	return n
-}
+// deviceWords is the batch buffer's device footprint: the staging image
+// and the score outputs.
+func (ly swLayout) deviceWords(p swBatch) int { return ly.dataWords(p) + (p.hi - p.lo) }
 
 // packWords is the host staging cost in words: records plus byte-layout
 // residues either way (the codes are produced regardless), plus the
@@ -136,18 +124,12 @@ func (ly swLayout) packWords(p swBatch) int {
 	return n
 }
 
-// pairWords is the residue footprint one pair adds to an empty batch (for
-// the planner's minimum-budget bound).
-func (ly swLayout) pairWords(wa, wb int) int {
-	w := wa + wb
+// residueWords is the device footprint of w byte-layout residue words.
+func (ly swLayout) residueWords(w int) int {
 	if ly.bits == 0 {
 		return w
 	}
-	n := ly.packedSeqWords(w)
-	if !ly.fused {
-		n += w
-	}
-	return n
+	return ly.packedSeqWords(w)
 }
 
 // binPairs returns the order in which pairs are scheduled. With binning the
@@ -195,10 +177,9 @@ func (p swBatch) deviceWords() int { return p.dataWords() + (p.hi - p.lo) }
 
 // swPairSizer supplies the planner's incremental pair costs: 5 words per
 // pair (record + score) plus the residue footprint of any sequence not
-// already staged in the open batch — under the packed layouts, the packed
+// already staged in the open batch — under the packed layout, the packed
 // image's word delta (exact by telescoping: the image is one continuous bit
-// stream, so the batch total is PackedLen of the running residue count)
-// plus the unfused workspace.
+// stream, so the batch total is PackedLen of the running residue count).
 type swPairSizer struct {
 	enc     [][]byte
 	pairs   []pairKey
@@ -217,14 +198,7 @@ func (z *swPairSizer) Reset() {
 // residueCost is the device-word delta of growing the open batch's residue
 // region from seqW to seqW+addW byte-layout words.
 func (z *swPairSizer) residueCost(addW int) int {
-	if z.ly.bits == 0 {
-		return addW
-	}
-	need := z.ly.packedSeqWords(z.seqW+addW) - z.ly.packedSeqWords(z.seqW)
-	if !z.ly.fused {
-		need += addW
-	}
-	return need
+	return z.ly.residueWords(z.seqW+addW) - z.ly.residueWords(z.seqW)
 }
 
 func (z *swPairSizer) Cost(k int) int {
@@ -325,12 +299,11 @@ func packSWBatch(p swBatch, enc [][]byte, pairs []pairKey, order []int, ly swLay
 
 // swLaunchConfig maps a staged batch onto the kernel's layout under the
 // resolved residue format; the resident table buffer supplies the
-// substitution scores. The fused packed mode hands the kernel the image
-// directly (SeqBits); the unfused mode points SeqBase past the image at the
-// workspace UnpackResidues fills.
+// substitution scores. The packed layout hands the kernel the image to
+// decode in place (SeqBits).
 func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) thrust.SWConfig {
 	np := p.hi - p.lo
-	lc := thrust.SWConfig{
+	return thrust.SWConfig{
 		NumPairs:  np,
 		Alphabet:  align.AlphabetSize,
 		GapOpen:   int32(cfg.Align.GapOpen),
@@ -339,32 +312,11 @@ func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) th
 		TableBase: 0,
 		PairBase:  0,
 		SeqBase:   4 * np,
-		SeqWords:  p.seqWords,
-		ScoreBase: p.dataWords(),
+		SeqWords:  ly.residueWords(p.seqWords),
+		SeqBits:   ly.bits,
+		ScoreBase: ly.dataWords(p),
 		Obs:       cfg.Obs,
 	}
-	switch {
-	case ly.bits > 0 && ly.fused:
-		lc.SeqBits = ly.bits
-		lc.SeqWords = ly.packedSeqWords(p.seqWords)
-		lc.ScoreBase = 4*np + lc.SeqWords
-	case ly.bits > 0:
-		packed := ly.packedSeqWords(p.seqWords)
-		lc.SeqBase = 4*np + packed
-		lc.ScoreBase = 4*np + packed + p.seqWords
-	}
-	return lc
-}
-
-// unpackSWBatch enqueues the unfused packed mode's expansion of the batch
-// buffer's image into its byte-layout workspace (no-op in other modes).
-func unpackSWBatch(dev *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer, p swBatch, ly swLayout) error {
-	if ly.bits == 0 || ly.fused {
-		return nil
-	}
-	np := p.hi - p.lo
-	packed := ly.packedSeqWords(p.seqWords)
-	return thrust.UnpackResidues(dev, st, buf, 4*np, 4*np+packed, 4*p.seqWords, ly.bits)
 }
 
 // runSWBatchesSequential is the Thrust-style synchronous scheduler with a
@@ -409,7 +361,7 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 	pairs []pairKey, order []int, cfg Config, scores []int32, data, out []uint32) ([]uint32, []uint32, error) {
 
 	np := p.hi - p.lo
-	ly := layoutFor(cfg)
+	ly := layoutFor(cfg.Packed)
 	var t0 float64
 	if cfg.Obs.Enabled() {
 		t0 = dev.HostTime()
@@ -426,9 +378,6 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 		}
 		defer buf.Free()
 		if err := dev.CopyH2D(buf, 0, data); err != nil {
-			return err
-		}
-		if err := unpackSWBatch(dev, nil, buf, p, ly); err != nil {
 			return err
 		}
 		lc := swLaunchConfig(p, cfg, table, ly)
@@ -474,23 +423,23 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 			if err != nil {
 				return nil, err
 			}
-			// The executors resolve the layout from cfg; pin the tuner's
-			// fusion choice so they run the plans the sizer measured.
-			cfg.Fuse = report.Fused
+			// The executors resolve the layout from cfg.Packed; pin the
+			// tuner's layout choice so they run the plans the sizer measured.
+			cfg.Packed = report.Fused
 		} else {
 			budget := cfg.GPUBatchWords
-			if budget <= 0 {
+			if budget == 0 {
 				budget = legacySWBudget(dev)
 			}
-			plans, err = planSWBatches(enc, pairs, order, budget, layoutFor(cfg))
+			plans, err = planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
 			if err != nil {
 				return nil, err
 			}
 			report = sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans),
-				Fused: cfg.Packed && cfg.Fuse}
+				Fused: cfg.Packed}
 			if cfg.PredictCost {
 				m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
-				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg))
+				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg.Packed))
 			}
 		}
 		st.GPUBatches = len(plans)

@@ -343,14 +343,14 @@ func lshFree(bufs []*gpusim.Buffer) {
 }
 
 // lshBudget resolves the filter's device word budget: the explicit batch
-// cap, or the free-memory share the verification stage also defaults to
-// (the filter's buffers are freed before verification plans, so the stages
-// never contend).
+// cap, or legacySWBudget's free-memory share, which the verification stage
+// also defaults to (the filter's buffers are freed before verification
+// plans, so the stages never contend).
 func lshBudget(dev *gpusim.Device, cfg Config) int {
 	if cfg.GPUBatchWords > 0 {
 		return cfg.GPUBatchWords
 	}
-	return int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
+	return legacySWBudget(dev)
 }
 
 // lshDeviceFilter runs the LSH candidate pass on the device through the

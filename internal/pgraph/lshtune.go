@@ -27,6 +27,17 @@ const (
 // lshProbeWords caps the calibration probe's shingle stream.
 const lshProbeWords = 4096
 
+// elementwiseThreads is the thread count of one elementwise launch over the
+// given words (thrust's geometry: 8 elements per thread, 256-wide blocks).
+func elementwiseThreads(words int) int {
+	threads := (words + 7) / 8
+	if threads == 0 {
+		threads = 1
+	}
+	grid := (threads + 255) / 256
+	return grid * 256
+}
+
 // minHashThreads is the thread count of one SegmentedMinHash launch over
 // nsegs segments and a family of the given size (one thread per segment and
 // permutation group, 256-wide blocks).
@@ -94,16 +105,16 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 	probe(kLSHMinHash, float64(n*len(fam.Pairs)), minHashThreads(nseg, len(fam.Pairs)), func() error {
 		return thrust.SegmentedMinHash(scratch, nil, dataBuf, segs, fam.Pairs, sigBuf, nseg, 0)
 	})
-	probe(kLSHFill, float64(rows*nseg), swUnpackThreads(rows*nseg), func() error {
+	probe(kLSHFill, float64(rows*nseg), elementwiseThreads(rows*nseg), func() error {
 		return thrust.Fill(scratch, sigBuf, rows*nseg, 1)
 	})
-	probe(kLSHBand, float64(rows*nseg), swUnpackThreads(nseg), func() error {
+	probe(kLSHBand, float64(rows*nseg), elementwiseThreads(nseg), func() error {
 		return thrust.BandHash(scratch, nil, sigBuf, nseg, 0, 1, rows, keyBuf, 0)
 	})
-	probe(kLSHSort, float64(n), swUnpackThreads(n), func() error {
+	probe(kLSHSort, float64(n), elementwiseThreads(n), func() error {
 		return thrust.SortPairs64(scratch, dataBuf, tmpBuf, valBuf, n)
 	})
-	probe(kLSHHeads, float64(n), swUnpackThreads(n), func() error {
+	probe(kLSHHeads, float64(n), elementwiseThreads(n), func() error {
 		return thrust.MarkBucketHeads(scratch, nil, dataBuf, tmpBuf, n, flagBuf)
 	})
 	return m
@@ -116,8 +127,8 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 {
 	sim := sched.NewSim(m, 0)
 	groupNs := func(n int) {
-		sim.Kernel(-1, kLSHSort, float64(n), swUnpackThreads(n))
-		sim.Kernel(-1, kLSHHeads, float64(n), swUnpackThreads(n))
+		sim.Kernel(-1, kLSHSort, float64(n), elementwiseThreads(n))
+		sim.Kernel(-1, kLSHHeads, float64(n), elementwiseThreads(n))
 		sim.Copy(-1, n, false) // head flags
 		sim.Copy(-1, n, false) // bucket values
 		sim.HostWork(float64(n) * FilterNsPerOp)
@@ -127,7 +138,7 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 			sim.HostWork(float64(2*n) * packNsPerWord)
 			sim.Copy(-1, n, true)
 			sim.Copy(-1, n, true)
-			sim.Kernel(-1, kLSHFill, float64(n), swUnpackThreads(n))
+			sim.Kernel(-1, kLSHFill, float64(n), elementwiseThreads(n))
 			groupNs(n)
 		}
 		sim.SyncAll()
@@ -152,7 +163,7 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 		sim.HostWork(float64(2*n) * packNsPerWord)
 		sim.Copy(-1, n, true)
 		sim.Copy(-1, n, true)
-		sim.Kernel(-1, kLSHBand, float64(g*e.prm.rows*ne), g*swUnpackThreads(ne))
+		sim.Kernel(-1, kLSHBand, float64(g*e.prm.rows*ne), g*elementwiseThreads(ne))
 		groupNs(n)
 	}
 	sim.SyncAll()

@@ -22,16 +22,16 @@ func TestResidueBitsFitAlphabet(t *testing.T) {
 	}
 }
 
-// TestPackedShrinksH2D compares full builds across the three residue
+// TestPackedShrinksH2D compares full builds across the two residue
 // layouts: identical edge sets, and a strictly smaller host→device byte
 // total for the packed image.
 func TestPackedShrinksH2D(t *testing.T) {
 	seqs := testMetagenome(t, 120)
-	run := func(packed, fuse bool) (*graph.Graph, Stats) {
+	run := func(packed bool) (*graph.Graph, Stats) {
 		cfg := DefaultConfig()
 		cfg.GPU = true
 		cfg.GPUBatchWords = 6_000
-		cfg.Packed, cfg.Fuse = packed, fuse
+		cfg.Packed = packed
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		g, st, err := Build(seqs, cfg)
 		if err != nil {
@@ -39,18 +39,14 @@ func TestPackedShrinksH2D(t *testing.T) {
 		}
 		return g, st
 	}
-	byteG, byteSt := run(false, false)
-	packedG, packedSt := run(true, false)
-	fusedG, fusedSt := run(true, true)
+	byteG, byteSt := run(false)
+	packedG, packedSt := run(true)
 	graphsEqual(t, "packed layout", byteG, packedG)
-	graphsEqual(t, "packed+fused layout", byteG, fusedG)
-	for name, st := range map[string]Stats{"packed": packedSt, "packed+fused": fusedSt} {
-		if st.H2DBytes >= byteSt.H2DBytes {
-			t.Errorf("%s build moved %d H2D bytes, byte layout %d — packing must shrink the upload",
-				name, st.H2DBytes, byteSt.H2DBytes)
-		}
+	if packedSt.H2DBytes >= byteSt.H2DBytes {
+		t.Errorf("packed build moved %d H2D bytes, byte layout %d — packing must shrink the upload",
+			packedSt.H2DBytes, byteSt.H2DBytes)
 	}
-	for name, st := range map[string]Stats{"byte": byteSt, "packed": packedSt, "packed+fused": fusedSt} {
+	for name, st := range map[string]Stats{"byte": byteSt, "packed": packedSt} {
 		if st.H2DNs < st.H2DSetupNs+st.H2DVolumeNs-1e-6 || st.H2DNs > st.H2DSetupNs+st.H2DVolumeNs+1e-6 {
 			t.Errorf("%s: H2D time %.0f is not setup %.0f + volume %.0f",
 				name, st.H2DNs, st.H2DSetupNs, st.H2DVolumeNs)

@@ -70,8 +70,8 @@ type Config struct {
 	// AutoTune, with GPUBatchWords == 0, lets the cost-model auto-tuner pick
 	// the batch budget: it calibrates a sched.Model against the device
 	// config with a kernel micro-probe on a scratch device, predicts the
-	// virtual time of each candidate plan (geometric budget sweep × kernel
-	// fusion), and runs the argmin. The edge set is
+	// virtual time of each candidate plan (geometric budget sweep × residue
+	// layout under Packed), and runs the argmin. The edge set is
 	// bit-identical for every plan, so tuning only moves virtual time.
 	AutoTune bool
 
@@ -81,20 +81,15 @@ type Config struct {
 	// Auto-tuned runs always carry a prediction.
 	PredictCost bool
 
-	// Packed stages each batch's residues as a 5-bit packed device image
-	// (align's 21-code alphabet fits 5 bits) instead of the byte layout,
-	// cutting the residue region's H2D bytes by ~37%. Scores and the edge
-	// set are bit-identical either way; only bytes moved and kernel
-	// instruction counts change. GPU backend only.
+	// Packed lets each batch stage its residues as a 5-bit packed device
+	// image (align's 21-code alphabet fits 5 bits) that the SW kernel
+	// decodes in place (SWConfig.SeqBits), instead of the byte layout. The
+	// image cuts the residue region's H2D bytes by ~37% at the price of
+	// per-cell decode instructions. Fixed plans use the packed image; under
+	// AutoTune the cost model prices it against the byte layout and runs
+	// the cheaper. Scores and the edge set are bit-identical either way.
+	// GPU backend only.
 	Packed bool
-
-	// Fuse, with Packed, lets the SW kernel decode the packed image in
-	// place (one launch, SWConfig.SeqBits) instead of expanding it into a
-	// byte-layout workspace with a separate unpack kernel. Fusion trades a
-	// launch plus a device-side workspace for per-cell decode instructions;
-	// the cost model prices both. No-op without Packed — the unpacked path
-	// is already a single launch.
-	Fuse bool
 
 	// NoLengthBin disables ordering candidate pairs by alignment cost
 	// before batching. Binning keeps warps converged — the device
@@ -135,7 +130,6 @@ func DefaultConfig() Config {
 		MinScorePerResidue: 1.2,
 		Align:              align.DefaultParams(),
 		Packed:             true,
-		Fuse:               true,
 	}
 }
 
@@ -219,6 +213,12 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	}
 	if cfg.RetryBackoffNs < 0 {
 		return nil, st, fmt.Errorf("pgraph: negative RetryBackoffNs %g", cfg.RetryBackoffNs)
+	}
+	if cfg.GPUBatchWords < 0 {
+		return nil, st, fmt.Errorf("pgraph: negative GPUBatchWords %d", cfg.GPUBatchWords)
+	}
+	if cfg.Workers < 0 {
+		return nil, st, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)
 	}
 	for i, s := range seqs {
 		if err := align.ValidateSequence(s.Residues); err != nil {

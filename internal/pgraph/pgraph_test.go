@@ -184,6 +184,32 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNegativeSizes: a negative batch budget or worker count is
+// a configuration error on either backend, never a silent fallback to the
+// legacy budget or the default pool.
+func TestBuildRejectsNegativeSizes(t *testing.T) {
+	seqs := mkSeqs("MKTAYIAKQRMKTAYIAKQR", "MKTAYIAKQRMKTAYIAKQR")
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"batch words auto-tuned", func(c *Config) { c.GPU, c.AutoTune, c.GPUBatchWords = true, true, -1 },
+			"negative GPUBatchWords"},
+		{"batch words fixed", func(c *Config) { c.GPU, c.GPUBatchWords = true, -1 }, "negative GPUBatchWords"},
+		{"workers host", func(c *Config) { c.Workers = -1 }, "negative Workers"},
+		{"workers gpu", func(c *Config) { c.GPU, c.Workers = true, -2 }, "negative Workers"},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		_, _, err := Build(seqs, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Build returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestBuildEmpty(t *testing.T) {
 	g, st, err := Build(nil, DefaultConfig())
 	if err != nil {

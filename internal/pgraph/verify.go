@@ -220,9 +220,9 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	default:
 		budget := v.cfg.GPUBatchWords
 		if budget <= 0 {
-			budget = int(v.dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
+			budget = legacySWBudget(v.dev)
 		}
-		plans, err := planSWBatches(v.enc, pairs, order, budget, layoutFor(v.cfg))
+		plans, err := planSWBatches(v.enc, pairs, order, budget, layoutFor(v.cfg.Packed))
 		if err != nil {
 			return nil, 0, err
 		}

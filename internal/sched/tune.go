@@ -16,9 +16,12 @@ import (
 
 // Candidate is one batch plan under consideration.
 type Candidate struct {
-	BudgetWords int  // per-batch device footprint cap
-	Lanes       int  // 1 = sequential, ≥2 = pipelined across that many lanes
-	Fused       bool // run the fused hash+select kernel instead of transform+top-s
+	BudgetWords int // per-batch device footprint cap
+	Lanes       int // 1 = sequential, ≥2 = pipelined across that many lanes
+	// Fused: the plan's kernels decode the batch image in place. core's
+	// fused shingling kernels always do; pgraph's SW kernel does when it
+	// reads the packed residue image rather than the byte layout.
+	Fused bool
 }
 
 // PlanReport describes the batch plan a scheduling pass ran, for
@@ -27,7 +30,7 @@ type PlanReport struct {
 	AutoTuned   bool    `json:"auto_tuned"`
 	BudgetWords int     `json:"budget_words"`
 	Lanes       int     `json:"lanes"`
-	Fused       bool    `json:"fused"` // the plan runs the fused hash+select kernel
+	Fused       bool    `json:"fused"` // kernels decode the batch image in place (see Candidate)
 	Batches     int     `json:"batches"`
 	PredictedNs float64 `json:"predicted_ns"` // cost-model prediction for the chosen plan
 	ActualNs    float64 `json:"actual_ns"`    // measured virtual time of the scheduler window
@@ -115,7 +118,7 @@ func RecordPlan(r *obs.Recorder, prefix string, p PlanReport) {
 	if p.Fused {
 		fused = 1
 	}
-	r.Gauge(prefix+"_plan_fused", "1 when the plan runs the fused hash+select kernel.").Set(fused)
+	r.Gauge(prefix+"_plan_fused", "1 when the plan's kernels decode the batch image in place.").Set(fused)
 	r.Gauge(prefix+"_plan_batches", "Batches the chosen plan scheduled.").Set(float64(p.Batches))
 	r.Gauge(prefix+"_plan_predicted_ns", "Cost-model predicted virtual time of the plan.").Set(p.PredictedNs)
 	r.Gauge(prefix+"_plan_actual_ns", "Measured virtual time of the scheduler window.").Set(p.ActualNs)
@@ -127,7 +130,7 @@ func (p PlanReport) String() string {
 	if p.AutoTuned {
 		mode = "auto"
 	}
-	kernel := "split"
+	kernel := "plain" // the kernels read an unpacked layout (pgraph's bytes)
 	if p.Fused {
 		kernel = "fused"
 	}

@@ -11,12 +11,11 @@ import (
 
 // Packed-image kernels. The host packs residues and adjacency values
 // bit-continuously (gpusim.PackBits) before the H2D copy; on the device the
-// image is either expanded back to one value per word by UnpackBits — the
-// device twin of gpusim.UnpackBits — or read in place by the fused
-// shingling kernels below, which extract values on the fly. Packing changes
-// the bytes a transfer moves and the instructions a kernel issues, never a
-// computed value: every kernel here extracts exactly the words the host
-// packed, so outputs stay bit-identical to the unpacked path.
+// fused shingling kernels below (and SWScoreBatch under SeqBits) read the
+// image in place, extracting values on the fly. Packing changes the bytes a
+// transfer moves and the instructions a kernel issues, never a computed
+// value: every kernel here extracts exactly the words the host packed, so
+// outputs stay bit-identical to the unpacked path.
 
 // unpackOps is the charged arithmetic cost of extracting one value from a
 // packed image: bit-offset arithmetic, up to two shifts, an or and a mask.
@@ -40,116 +39,6 @@ func packedMask(nbits int) uint32 {
 	return 1<<uint(nbits) - 1
 }
 
-// UnpackBits expands a packed image of n values at the given bit width into
-// one value per word of dst: dst[i] = value i of src. Grid-stride
-// elementwise like Transform; consecutive lanes read overlapping packed
-// words, so the reads are better than fully coalesced and the model sees
-// the shrunken footprint through the run stride.
-func UnpackBits(d *gpusim.Device, src, dst *gpusim.Buffer, n, nbits int) error {
-	return UnpackBitsOnStream(d, nil, src, dst, n, nbits)
-}
-
-// UnpackBitsOnStream is UnpackBits enqueued on a stream (nil stream =
-// synchronous).
-func UnpackBitsOnStream(d *gpusim.Device, st *gpusim.Stream, src, dst *gpusim.Buffer, n, nbits int) error {
-	if nbits < 1 || nbits > 32 {
-		return fmt.Errorf("thrust: UnpackBits width %d outside [1,32]", nbits)
-	}
-	if n < 0 || gpusim.PackedLen(n, nbits) > src.Len() || n > dst.Len() {
-		return fmt.Errorf("thrust: UnpackBits of %d values at %d bits with buffers of %d/%d",
-			n, nbits, src.Len(), dst.Len())
-	}
-	if n == 0 {
-		return nil
-	}
-	grid, total := launchGeometry(n)
-	// Word stride between a thread's successive packed reads; successive
-	// lanes start fractions of a word apart, which the run model rounds to
-	// shared segments — the coalescing win of the compact image.
-	packedStride := total * nbits / 32
-	if packedStride < 1 {
-		packedStride = 1
-	}
-	mask := packedMask(nbits)
-	d.NextKernelName("unpack_bits")
-	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
-		gid := ctx.GlobalID()
-		s, t := src.Words(), dst.Words()
-		count := 0
-		for i := gid; i < n; i += total {
-			t[i] = packedAt(s, i, nbits, mask)
-			count++
-		}
-		if count > 0 {
-			ctx.GlobalRead(src, gid*nbits/32, count, packedStride)
-			ctx.GlobalWrite(dst, gid, count, total)
-			ctx.Ops(count * unpackOps)
-		}
-	})
-}
-
-// UnpackResidues expands a bit-packed residue image into the byte layout
-// the SW kernel's default decoder reads (4 codes per little-endian word):
-// value r of the packed image at word offset srcBase becomes byte r of the
-// region at word offset dstBase, within the same buffer — pgraph's
-// packed+unfused staging, where one H2D moves [records | packed residues]
-// and this kernel materializes the workspace the unchanged kernel expects.
-// Each thread owns whole output words (4 residues), so no two threads touch
-// the same destination word.
-func UnpackResidues(d *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer,
-	srcBase, dstBase, n, nbits int) error {
-
-	if nbits < 1 || nbits > 8 {
-		return fmt.Errorf("thrust: UnpackResidues width %d outside [1,8]", nbits)
-	}
-	if n < 0 || srcBase < 0 || dstBase < 0 {
-		return fmt.Errorf("thrust: UnpackResidues with n=%d, srcBase=%d, dstBase=%d", n, srcBase, dstBase)
-	}
-	srcWords := gpusim.PackedLen(n, nbits)
-	outWords := (n + 3) / 4
-	if srcBase+srcWords > buf.Len() || dstBase+outWords > buf.Len() {
-		return fmt.Errorf("thrust: UnpackResidues regions [%d,%d)+[%d,%d) exceed buffer of %d words",
-			srcBase, srcBase+srcWords, dstBase, dstBase+outWords, buf.Len())
-	}
-	if srcBase < dstBase+outWords && dstBase < srcBase+srcWords {
-		return fmt.Errorf("thrust: UnpackResidues source and destination regions overlap")
-	}
-	if n == 0 {
-		return nil
-	}
-	grid, total := launchGeometry(outWords)
-	// A thread's successive packed reads advance 4·nbits bits per output
-	// word; the run model rounds the fractional-word starts of neighboring
-	// lanes into shared segments — the compact image's coalescing win.
-	packedStride := total * 4 * nbits / 32
-	if packedStride < 1 {
-		packedStride = 1
-	}
-	mask := packedMask(nbits)
-	d.NextKernelName("unpack_residues")
-	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
-		gid := ctx.GlobalID()
-		w := buf.Words()
-		src := w[srcBase : srcBase+srcWords]
-		count := 0
-		for wi := gid; wi < outWords; wi += total {
-			var acc uint32
-			for lane := 0; lane < 4; lane++ {
-				if r := 4*wi + lane; r < n {
-					acc |= packedAt(src, r, nbits, mask) << (8 * lane)
-				}
-			}
-			w[dstBase+wi] = acc
-			count++
-		}
-		if count > 0 {
-			ctx.GlobalRead(buf, srcBase+gid*4*nbits/32, count, packedStride)
-			ctx.GlobalWrite(buf, dstBase+gid, count, total)
-			ctx.Ops(count * 4 * unpackOps)
-		}
-	})
-}
-
 // FusedHashTopS fuses TransformHash with SegmentedTopS into one launch:
 // for each segment the owning thread reads the segment's values — from the
 // packed image directly when dataBits > 0, from full-width words when
@@ -159,8 +48,8 @@ func UnpackResidues(d *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer,
 // The fusion eliminates one kernel launch and the full-width hash buffer's
 // global write + re-read per trial; the price is that the hash work runs at
 // the top-s kernel's one-thread-per-segment occupancy instead of the
-// elementwise transform's, which is why the cost model — not a flag alone —
-// decides where fusion wins. Segment offsets index values (not packed
+// elementwise transform's (a price that lost to the saved launch and round
+// trip on every measured plan). Segment offsets index values (not packed
 // words) in both modes, so the two modes are interchangeable bit for bit.
 func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dataBits int,
 	segs Segments, s int, h minwise.HashPair, out *gpusim.Buffer, outBase int) error {

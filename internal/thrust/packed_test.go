@@ -10,9 +10,12 @@ import (
 
 // FuzzPackResidues is the round-trip oracle for the packed image format:
 // for arbitrary values and any width the device can decode, host PackBits
-// followed by the device unpack kernels must reproduce the input exactly —
-// word-per-value through UnpackBits and byte-layout through UnpackResidues.
-// Seeds cover the two real alphabets: 5-bit protein codes and 2-bit DNA.
+// followed by UnpackBits must reproduce the input exactly, and each device
+// consumer that decodes the image in place must compute what it computes
+// over the plain values — FusedHashTopS over the image at nbits against the
+// same kernel over full-width words, and one SWScoreBatch pair with SeqBits
+// against the byte layout. Seeds cover the two real alphabets: 5-bit
+// protein codes and 2-bit DNA.
 func FuzzPackResidues(f *testing.F) {
 	// Protein: 21 codes need 5 bits; DNA: 4 codes need 2.
 	f.Add([]byte{0, 1, 2, 3, 4, 20, 19, 18, 7, 11, 13, 17, 5, 6, 8, 9, 10, 12}, uint8(5))
@@ -28,9 +31,6 @@ func FuzzPackResidues(f *testing.F) {
 		}
 		n := len(vals)
 		packed := gpusim.PackBits(vals, nbits)
-
-		// Host oracle first: the device kernels are checked against the
-		// original values, so this is a second, independent witness.
 		for i, v := range gpusim.UnpackBits(packed, n, nbits) {
 			if v != vals[i] {
 				t.Fatalf("host round-trip broke at %d: %d != %d (nbits=%d)", i, v, vals[i], nbits)
@@ -39,76 +39,79 @@ func FuzzPackResidues(f *testing.F) {
 
 		dev := gpusim.MustNew(gpusim.SmallConfig())
 
-		// UnpackBits: packed image -> one value per word.
-		src := dev.MustMalloc(max(len(packed), 1))
-		dst := dev.MustMalloc(max(n, 1))
-		if err := dev.CopyH2D(src, 0, packed); err != nil {
-			t.Fatal(err)
+		// FusedHashTopS: segments of a width-derived length, the packed
+		// image at nbits against the plain values.
+		const s = 3
+		segLen := 1 + int(width)%7
+		offs := []uint32{0}
+		for lo := 0; lo < n; lo += segLen {
+			offs = append(offs, uint32(min(lo+segLen, n)))
 		}
-		if err := UnpackBits(dev, src, dst, n, nbits); err != nil {
-			t.Fatal(err)
+		numSegs := len(offs) - 1
+		h := minwise.HashPair{A: 48271, B: 7919}
+		offBuf := upload(t, dev, offs)
+		segs := Segments{Offsets: offBuf, NumSegs: numSegs}
+		topS := func(img []uint32, bits int) []uint32 {
+			data := upload(t, dev, append(img, 0))
+			out := dev.MustMalloc(max(numSegs*s, 1))
+			if err := FusedHashTopS(dev, nil, data, bits, segs, s, h, out, 0); err != nil {
+				t.Fatal(err)
+			}
+			got := download(t, dev, out, numSegs*s)
+			data.Free()
+			out.Free()
+			return got
 		}
-		got := make([]uint32, n)
-		if err := dev.CopyD2H(got, dst, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("UnpackBits value %d = %d, want %d (nbits=%d, n=%d)", i, got[i], vals[i], nbits, n)
+		want := topS(vals, 0)
+		for i, v := range topS(packed, nbits) {
+			if v != want[i] {
+				t.Fatalf("FusedHashTopS word %d = %d over the packed image, %d over plain values (nbits=%d, n=%d)",
+					i, v, want[i], nbits, n)
 			}
 		}
-		src.Free()
-		dst.Free()
+		offBuf.Free()
 
-		// UnpackResidues: packed image -> 4 codes per word, in one buffer,
-		// against the byte layout built on the host.
-		outWords := (n + 3) / 4
-		buf := dev.MustMalloc(max(len(packed)+outWords, 1))
-		if err := dev.CopyH2D(buf, 0, packed); err != nil {
-			t.Fatal(err)
+		// SWScoreBatch: the first and second half of the values as one
+		// pair of sequences over a 2^nbits-letter alphabet, each starting
+		// word-aligned in residue terms as pgraph stages them.
+		la := min(n/2, 200)
+		lb := min(n-n/2, 200)
+		offB := 4 * ((la + 3) / 4)
+		stream := make([]uint32, offB+4*((lb+3)/4))
+		copy(stream, vals[:la])
+		copy(stream[offB:], vals[n/2:n/2+lb])
+		alpha := 1 << nbits
+		table := make([]uint32, alpha*alpha)
+		for i := range table {
+			a, b := i/alpha, i%alpha
+			table[i] = uint32(int32(4 - 3*((a^b)%3) - 2*min(a^b, 1)))
 		}
-		if err := UnpackResidues(dev, nil, buf, 0, len(packed), n, nbits); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint32, outWords)
-		for i, v := range vals {
-			want[i/4] |= v << (8 * (i % 4))
-		}
-		gotBytes := make([]uint32, outWords)
-		if err := dev.CopyD2H(gotBytes, buf, len(packed)); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if gotBytes[i] != want[i] {
-				t.Fatalf("UnpackResidues word %d = %#x, want %#x (nbits=%d, n=%d)", i, gotBytes[i], want[i], nbits, n)
+		tblBuf := upload(t, dev, table)
+		score := func(residues []uint32, bits int) uint32 {
+			img := append([]uint32{0, uint32(la), uint32(offB), uint32(lb)}, residues...)
+			buf := upload(t, dev, append(img, 0))
+			lc := SWConfig{NumPairs: 1, Alphabet: alpha, GapOpen: 11, GapExtend: 1, Table: tblBuf,
+				SeqBase: 4, SeqWords: len(residues), ScoreBase: len(img), SeqBits: bits}
+			if err := SWScoreBatch(dev, nil, buf, lc); err != nil {
+				t.Fatal(err)
 			}
+			got := download(t, dev, buf, len(img)+1)[len(img)]
+			buf.Free()
+			return got
 		}
-		buf.Free()
+		byteWords := make([]uint32, len(stream)/4)
+		for r, c := range stream {
+			byteWords[r/4] |= c << (8 * (r % 4))
+		}
+		if got, want := score(gpusim.PackBits(stream, nbits), nbits), score(byteWords, 0); got != want {
+			t.Fatalf("SWScoreBatch over the packed image scored %d, byte layout %d (nbits=%d, la=%d, lb=%d)",
+				int32(got), int32(want), nbits, la, lb)
+		}
+		tblBuf.Free()
 		if err := dev.LeakCheck(); err != nil {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestUnpackResiduesValidation(t *testing.T) {
-	d := newDev(t)
-	buf := d.MustMalloc(32)
-	defer buf.Free()
-	if err := UnpackResidues(d, nil, buf, 0, 16, 8, 0); err == nil {
-		t.Fatal("UnpackResidues accepted width 0")
-	}
-	if err := UnpackResidues(d, nil, buf, 0, 16, 8, 9); err == nil {
-		t.Fatal("UnpackResidues accepted width 9")
-	}
-	if err := UnpackResidues(d, nil, buf, 0, 31, 8, 5); err == nil {
-		t.Fatal("UnpackResidues accepted a destination past the buffer end")
-	}
-	if err := UnpackResidues(d, nil, buf, 0, 1, 64, 5); err == nil {
-		t.Fatal("UnpackResidues accepted overlapping source and destination")
-	}
-	if err := UnpackResidues(d, nil, buf, 0, 16, 0, 5); err != nil {
-		t.Fatalf("zero-length UnpackResidues failed: %v", err)
-	}
 }
 
 // packedSegInput builds a random segmented value stream that fits the given

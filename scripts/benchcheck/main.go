@@ -5,7 +5,7 @@
 // virtual total is at or below every fixed setting's, all outputs
 // agree, and every priced point's prediction lands within 25% of the
 // measured scheduler window — the packing ablation must show the
-// packed+fused layout beating unpacked+unfused per workload with the
+// packed image beating the unpacked one per workload with the
 // gpclust image cutting the H2D byte volume by at least 30%, and the LSH
 // ablation must show the conservative cascade bit-identical to the exact
 // filter while the default banding shape holds ≥ 0.95 edge recall with
@@ -182,13 +182,12 @@ func validateLSH(points []bench.LSHPoint) error {
 const gpclustPackingCut = 0.70
 
 // validatePacking enforces the packed-image PR's acceptance criteria on the
-// {packed,unpacked}×{fused,unfused} sweep.
+// {unpacked, packed} sweep.
 func validatePacking(points []bench.PackingPoint) error {
 	if len(points) == 0 {
 		return fmt.Errorf("no packing points")
 	}
-	type cell struct{ packed, fused bool }
-	byCell := map[string]map[cell]bench.PackingPoint{}
+	byCell := map[string]map[bool]bench.PackingPoint{}
 	first := map[string]bench.PackingPoint{}
 	for i, p := range points {
 		if p.Workload == "" || p.Setting == "" {
@@ -208,9 +207,9 @@ func validatePacking(points []bench.PackingPoint) error {
 				p.Workload, p.Setting, p.Output, g.Setting, g.Output)
 		}
 		if byCell[p.Workload] == nil {
-			byCell[p.Workload] = map[cell]bench.PackingPoint{}
+			byCell[p.Workload] = map[bool]bench.PackingPoint{}
 		}
-		byCell[p.Workload][cell{p.Packed, p.Fused}] = p
+		byCell[p.Workload][p.Packed] = p
 		if p.Packed && p.PredictedNs > 0 {
 			if p.SchedNs <= 0 {
 				return fmt.Errorf("packing %s %q prices a zero-length scheduler window",
@@ -225,13 +224,13 @@ func validatePacking(points []bench.PackingPoint) error {
 	}
 	for _, w := range []string{"gpclust", "pgraph"} {
 		cells := byCell[w]
-		base, okBase := cells[cell{false, false}]
-		best, okBest := cells[cell{true, true}]
+		base, okBase := cells[false]
+		best, okBest := cells[true]
 		if !okBase || !okBest {
-			return fmt.Errorf("packing workload %q is missing the unpacked+unfused or packed+fused point", w)
+			return fmt.Errorf("packing workload %q is missing the unpacked or packed point", w)
 		}
 		if best.VirtualNs >= base.VirtualNs {
-			return fmt.Errorf("packing %s: packed+fused virtual total %.3fms is not below unpacked %.3fms",
+			return fmt.Errorf("packing %s: packed virtual total %.3fms is not below unpacked %.3fms",
 				w, best.VirtualNs/1e6, base.VirtualNs/1e6)
 		}
 		if best.H2DBytes >= base.H2DBytes {
@@ -331,16 +330,14 @@ func main() {
 	}
 	packing := map[string]map[bool]bench.PackingPoint{}
 	for _, p := range f.Packing {
-		if p.Packed == p.Fused { // the gate's two corners
-			if packing[p.Workload] == nil {
-				packing[p.Workload] = map[bool]bench.PackingPoint{}
-			}
-			packing[p.Workload][p.Packed] = p
+		if packing[p.Workload] == nil {
+			packing[p.Workload] = map[bool]bench.PackingPoint{}
 		}
+		packing[p.Workload][p.Packed] = p
 	}
 	for _, w := range []string{"gpclust", "pgraph"} {
 		base, best := packing[w][false], packing[w][true]
-		fmt.Printf("benchcheck: ok — %s packed+fused %.1fms < unpacked %.1fms virtual, H2D bytes %.0f%% of unpacked\n",
+		fmt.Printf("benchcheck: ok — %s packed %.1fms < unpacked %.1fms virtual, H2D bytes %.0f%% of unpacked\n",
 			w, best.VirtualNs/1e6, base.VirtualNs/1e6,
 			100*float64(best.H2DBytes)/float64(base.H2DBytes))
 	}

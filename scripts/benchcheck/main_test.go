@@ -41,11 +41,11 @@ func goodFile() benchFile {
 		Packing: []bench.PackingPoint{
 			{Workload: "gpclust", Setting: "unpacked",
 				VirtualNs: 2e9, H2DBytes: 1e8, SchedNs: 1.5e9, PredictedNs: 1.4e9, Output: 42},
-			{Workload: "gpclust", Setting: "packed+fused", Packed: true, Fused: true,
+			{Workload: "gpclust", Setting: "packed", Packed: true,
 				VirtualNs: 1.6e9, H2DBytes: 4e7, SchedNs: 1.2e9, PredictedNs: 1.1e9, Output: 42},
 			{Workload: "pgraph", Setting: "unpacked",
 				VirtualNs: 2e8, H2DBytes: 5e6, SchedNs: 1.6e8, PredictedNs: 1.5e8, Output: 120},
-			{Workload: "pgraph", Setting: "packed+fused", Packed: true, Fused: true,
+			{Workload: "pgraph", Setting: "packed", Packed: true,
 				VirtualNs: 1.8e8, H2DBytes: 4e6, SchedNs: 1.4e8, PredictedNs: 1.3e8, Output: 120},
 		},
 	}
@@ -110,7 +110,7 @@ func TestValidateRejects(t *testing.T) {
 		{"zero packing total", func(f *benchFile) { f.Packing[1].VirtualNs = 0 }, "non-positive virtual total"},
 		{"zero packing bytes", func(f *benchFile) { f.Packing[1].H2DBytes = 0 }, "shipped 0 H2D bytes"},
 		{"packing output mismatch", func(f *benchFile) { f.Packing[1].Output = 43 }, "produced output 43"},
-		{"missing packed corner", func(f *benchFile) { f.Packing = f.Packing[:3] }, "missing the unpacked+unfused or packed+fused"},
+		{"missing packed corner", func(f *benchFile) { f.Packing = f.Packing[:3] }, "missing the unpacked or packed point"},
 		{"packed not faster", func(f *benchFile) { f.Packing[1].VirtualNs = 3e9 }, "not below unpacked"},
 		{"packed not smaller", func(f *benchFile) { f.Packing[1].H2DBytes = 2e8 }, "packed image shipped"},
 		{"packed cut too shallow", func(f *benchFile) { f.Packing[1].H2DBytes = 9e7 }, "want at most"},

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
-# full test suite, the benchmark module, the invariants-build sweep, fuzz
-# smoke, and a race sweep of the concurrent packages (host-parallel backend,
-# pGraph worker pool, device simulator). Run from the repository root;
-# exits non-zero on any failure.
+# full test suite, the benchmark module, the invariants-build sweep, the
+# virtual-clock benchmark gates, fuzz smoke, and a race sweep of the
+# concurrent packages (host-parallel backend, pGraph worker pool, device
+# simulator). Run from the repository root; exits non-zero on any failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,6 +79,9 @@ go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/
 
 echo "== lsh filter equivalence gate (device LSH must match host; conservative cascade must match exact)"
 go test -run 'TestLSHDeviceMatchesHost|TestCascadeConservativeMatchesExact|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
+
+echo "== virtual-clock gates (bench.sh experiments, benchcheck on fresh output)"
+sh scripts/bench.sh "$tmp_dir/bench.json"
 
 echo "== observability smoke (-trace/-metrics on both CLIs, trace JSON validated)"
 go run ./cmd/genseq -mode seqs -n 150 -fasta "$tmp_dir/orfs.fa" -truth "$tmp_dir/truth.tsv"
