@@ -332,7 +332,7 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
 		for _, l := range shingleLaneSet(o) {
-			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: true})
+			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l})
 		}
 	}
 	planCache := map[int][]batchPlan{}
@@ -364,11 +364,11 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if o.PipelineBatches {
 			lanes = 2
 		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: true, Batches: len(plans)},
+		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans)},
 			plans, lanes, nil
 	}
 	plans := plansFor(best.BudgetWords)
 	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,
-		Lanes: best.Lanes, Fused: best.Fused, Batches: len(plans), PredictedNs: predicted}
+		Lanes: best.Lanes, Batches: len(plans), PredictedNs: predicted}
 	return rep, plans, best.Lanes, nil
 }

@@ -52,7 +52,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	// "CPU initiate[s] the task by loading graph into HM" (Algorithm 2).
 	acct.diskBytes = graphDiskBytes(g)
 	ph := startPhase(dev, o.Obs, obs.NameRead)
-	chargeHost(dev, o.Obs, obs.NameRead, acct.diskNs())
+	sched.ChargeHost(dev, o.Obs, obs.NameRead, acct.diskNs())
 	endPhase(dev, ph)
 
 	sw := sched.NewStopwatch()
@@ -72,7 +72,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	pass2In := gi.filterMinLen(o.S2)
 	acct.aggOps += int64(len(gi.Data))
 	res.Pass1.SharedLists = pass2In.NumLists()
-	chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
+	sched.ChargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
 	endPhase(dev, ph)
 
 	ph = startPhase(dev, o.Obs, "shingle-pass2")
@@ -87,7 +87,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	beforeReport := acct.reportOps
 	ph = startPhase(dev, o.Obs, "report")
 	res.Clustering = reportClusters(g.NumVertices(), gi, gii, o.Mode, acct)
-	chargeHost(dev, o.Obs, "report", float64(acct.reportOps-beforeReport)*ReportNsPerOp)
+	sched.ChargeHost(dev, o.Obs, "report", float64(acct.reportOps-beforeReport)*ReportNsPerOp)
 	endPhase(dev, ph)
 	res.Wall.ReportNs = sw.Lap()
 	res.Wall.TotalNs = sw.Total()
@@ -319,12 +319,13 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if err != nil {
 			return nil, err
 		}
-		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: true, Batches: len(plans)}
+		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans)}
 		if o.PredictCost {
 			m := calibrateShingleModel(dev.Config(), in, fam, s, o)
 			report.PredictedNs = predictShinglePlans(m, in, fam, s, o, plans, lanes)
 		}
 	}
+	report.Packed = o.dataBits > 0
 	e.o = o
 	stats.Batches = len(plans)
 
@@ -362,7 +363,7 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	} else {
 		out = buildShingleGraph(e.tuplesByTrial, acct, stats)
 	}
-	chargeHost(dev, o.Obs, "split-merge", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
+	sched.ChargeHost(dev, o.Obs, "split-merge", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
 	return out, nil
 }
 

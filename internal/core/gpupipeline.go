@@ -241,11 +241,11 @@ func (w *shingleLanes) Prepare(item int) {
 	}
 	w.hostOff[0] = 0
 	w.acct.aggOps += int64(len(w.hostData) + len(plan.pieces))
-	chargeHost(w.dev, w.o.Obs, "stage", float64(len(w.hostData)+len(plan.pieces))*AggregateNsPerOp)
+	sched.ChargeHost(w.dev, w.o.Obs, "stage", float64(len(w.hostData)+len(plan.pieces))*AggregateNsPerOp)
 	if w.o.dataBits > 0 {
 		w.hostPacked = gpusim.PackBits(w.hostData, w.o.dataBits)
 		w.acct.packOps += int64(len(w.hostData))
-		chargeHost(w.dev, w.o.Obs, "pack", float64(len(w.hostData))*PackNsPerOp)
+		sched.ChargeHost(w.dev, w.o.Obs, "pack", float64(len(w.hostData))*PackNsPerOp)
 	}
 	if w.o.GPUAggregate {
 		stageAggRows(w.in, plan, w.s, w.hostOwner, w.hostFlag)
@@ -347,7 +347,7 @@ func (w *shingleLanes) Complete(item, lane int) {
 		}
 		w.emitTrialTuples(plan, trial, l.hostOut[(trial-t0)*rowWords:(trial-t0+1)*rowWords])
 	}
-	chargeHost(w.dev, w.o.Obs, "aggregate", float64(w.acct.aggOps-before)*AggregateNsPerOp)
+	sched.ChargeHost(w.dev, w.o.Obs, "aggregate", float64(w.acct.aggOps-before)*AggregateNsPerOp)
 }
 
 func (w *shingleLanes) SpanName(item int) string {

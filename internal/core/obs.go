@@ -8,22 +8,9 @@ import (
 )
 
 // Observability plumbing for the backends. The contract with internal/obs:
-// recording is pure observation — chargeHost advances the virtual clock by
-// exactly what dev.AdvanceHost would have, and every other hook only reads
-// clocks — so a nil recorder yields a bit-identical run.
-
-// chargeHost advances the device's host clock by ns of CPU work and, when a
-// recorder is wired, mirrors the charge as a host-cpu span so the Table-I
-// component split can be regenerated from spans (obs.TableSplit).
-func chargeHost(dev *gpusim.Device, r *obs.Recorder, name string, ns float64) {
-	if r.Enabled() && ns > 0 {
-		t0 := dev.HostTime()
-		dev.AdvanceHost(ns)
-		r.Span(obs.TrackHostCPU, name, t0, t0+ns)
-		return
-	}
-	dev.AdvanceHost(ns)
-}
+// recording is pure observation — sched.ChargeHost advances the virtual
+// clock by exactly what dev.AdvanceHost would have, and every other hook only
+// reads clocks — so a nil recorder yields a bit-identical run.
 
 // startPhase opens a coarse phase span at the device's current virtual
 // time; close it with endPhase. Both are inert on a nil recorder.
@@ -36,14 +23,6 @@ func startPhase(dev *gpusim.Device, r *obs.Recorder, name string) obs.Ending {
 
 func endPhase(dev *gpusim.Device, e obs.Ending) {
 	e.End(dev.HostTime())
-}
-
-// recoveryInstant marks one fault-recovery action (retry, split, fallback,
-// restart) on the recovery track at the device's current virtual time.
-func recoveryInstant(dev *gpusim.Device, r *obs.Recorder, name string) {
-	if r.Enabled() {
-		r.Instant(obs.TrackRecovery, name, dev.HostTime())
-	}
 }
 
 // recordRunMetrics registers the run's counters from the finished Result —

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
+	"gpclust/internal/minwise"
 	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 	"gpclust/internal/thrust"
@@ -203,72 +205,36 @@ func (e *passEnv) runBatches(label string, plans []batchPlan) error {
 	return nil
 }
 
-// hostTopS mirrors the thrust.SegmentedTopS kernel on the host: dst (s
-// words) receives src's min(n, s) smallest elements ascending, sentinel
-// padded — the same algorithm, so the same output bit for bit.
-func hostTopS(src []uint32, s int, dst []uint32) {
-	n := len(src)
-	if n < s {
-		copy(dst, src)
-		for i := 1; i < n; i++ {
-			v := dst[i]
-			j := i
-			for j > 0 && dst[j-1] > v {
-				dst[j] = dst[j-1]
-				j--
-			}
-			dst[j] = v
-		}
-		for i := n; i < s; i++ {
-			dst[i] = thrust.TopSSentinel
-		}
-		return
-	}
-	filled := 0
-	for _, x := range src[:s] {
-		i := filled
-		for i > 0 && dst[i-1] > x {
-			dst[i] = dst[i-1]
-			i--
-		}
-		dst[i] = x
-		filled++
-	}
-	for _, x := range src[s:] {
-		if x >= dst[s-1] {
-			continue
-		}
-		i := s - 1
-		for i > 0 && dst[i-1] > x {
-			dst[i] = dst[i-1]
-			i--
-		}
-		dst[i] = x
-	}
-}
-
 // runBatchHost executes one batch entirely on the CPU, emitting exactly
 // the tuples the device path would have: per trial and piece it applies
-// the trial's hash to the piece's elements and selects the top-s minima
-// with the same algorithm as the device kernel, then feeds the rows
-// through the same aggregation code. It cannot fail, which makes it the
-// recovery ladder's last resort; its cost is charged at the serial
-// backend's shingling price (this is 2008-era host shingling).
+// the trial's hash to the piece's elements and selects their top-s minima
+// (minwise.MinS, the serial shingler's scan; a piece shorter than s is
+// sorted whole and sentinel-padded like the device kernel's short
+// segments), then feeds the rows through the same aggregation code. It
+// cannot fail, which makes it the recovery ladder's last resort; its cost
+// is charged at the serial backend's shingling price (this is 2008-era
+// host shingling).
 func (e *passEnv) runBatchHost(plan batchPlan) {
 	s := e.s
 	hostOut := make([]uint32, len(plan.pieces)*s)
-	hashed := make([]uint32, 0, plan.words)
 	var shingleOps int64
 
 	for trial, h := range e.fam.Pairs {
 		for pi, pc := range plan.pieces {
 			base := e.in.Offsets[pc.list]
 			data := e.in.Data[base+pc.lo : base+pc.hi]
-			hashed = hashed[:0]
-			for _, v := range data {
-				hashed = append(hashed, h.Apply(v))
+			dst := hostOut[pi*s : (pi+1)*s]
+			if len(data) >= s {
+				minwise.MinS(h, data, dst)
+			} else {
+				for i, v := range data {
+					dst[i] = h.Apply(v)
+				}
+				slices.Sort(dst[:len(data)])
+				for i := len(data); i < s; i++ {
+					dst[i] = thrust.TopSSentinel
+				}
 			}
-			hostTopS(hashed, s, hostOut[pi*s:(pi+1)*s])
 			shingleOps += shingleListOps(len(data), s)
 		}
 		before := e.acct.aggOps
@@ -277,10 +243,10 @@ func (e *passEnv) runBatchHost(plan batchPlan) {
 		} else {
 			e.emitTrialTuples(&plan, trial, hostOut)
 		}
-		chargeHost(e.dev, e.o.Obs, "aggregate", float64(e.acct.aggOps-before)*AggregateNsPerOp)
+		sched.ChargeHost(e.dev, e.o.Obs, "aggregate", float64(e.acct.aggOps-before)*AggregateNsPerOp)
 	}
 	e.acct.serialOps += shingleOps
-	chargeHost(e.dev, e.o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
+	sched.ChargeHost(e.dev, e.o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 }
 
 // emitTrialAggHost is the GPUAggregate-mode twin of emitTrialTuples for

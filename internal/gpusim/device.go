@@ -9,12 +9,12 @@
 //
 // The model implements the architecture of Section II of the paper: threads
 // grouped into warps sharing one instruction unit (divergence handled by
-// serializing divergent lanes), warps into thread blocks with barrier
-// synchronization and per-block shared memory (~100X lower latency than
-// global memory), blocks scheduled onto independent SMs, a device global
-// memory of limited size (forcing the batch-wise processing of Algorithm 2),
-// and explicit host↔device copies over a PCIe-like link with synchronous
-// (Thrust-style) and asynchronous (CUDA-stream-style) modes.
+// serializing divergent lanes), warps into thread blocks whose shared-memory
+// accesses cost ~100X less latency than global memory, blocks scheduled
+// onto independent SMs, a device global memory of limited size (forcing the
+// batch-wise processing of Algorithm 2), and explicit host↔device copies
+// over a PCIe-like link with synchronous (Thrust-style) and asynchronous
+// (CUDA-stream-style) modes.
 package gpusim
 
 import (
@@ -35,7 +35,6 @@ type Config struct {
 	ClockHz float64 // SM core clock (K20: 706 MHz)
 
 	GlobalMemBytes     int64   // device global memory (K20: 5 GB)
-	SharedMemPerBlock  int     // per-block shared memory (48 KB)
 	GlobalBandwidthBps float64 // global-memory bandwidth (K20: 208 GB/s)
 	GlobalLatencyNs    float64 // global-memory access latency
 	SharedLatencyNs    float64 // shared-memory access latency (~100X lower)
@@ -77,7 +76,6 @@ func K20Config() Config {
 		WarpSize:           32,
 		ClockHz:            706e6,
 		GlobalMemBytes:     5 << 30,
-		SharedMemPerBlock:  48 << 10,
 		GlobalBandwidthBps: 208e9,
 		GlobalLatencyNs:    400,
 		SharedLatencyNs:    4, // "roughly 100X lower ... latency" (Section II)

@@ -35,8 +35,8 @@ func (c *ThreadCtx) GlobalID() int { return c.Block*c.BlockDim + c.Thread }
 // Ops records n arithmetic/logic instructions executed by this thread.
 func (c *ThreadCtx) Ops(n int) { c.ops += int64(n) }
 
-// SharedAccess records n shared-memory accesses (used by cooperative
-// kernels; shared memory is ~100X lower latency than global).
+// SharedAccess records n shared-memory accesses (shared memory is ~100X
+// lower latency than global).
 func (c *ThreadCtx) SharedAccess(n int) { c.shared += int64(n) }
 
 // maxRunsPerThread bounds per-thread trace memory; further accesses are
@@ -91,10 +91,9 @@ type launchStats struct {
 	sharedAcc     int64
 }
 
-// Launch executes gridDim blocks of blockDim independent threads (no
-// intra-block barrier; use LaunchCooperative for kernels that need
-// __syncthreads). It is synchronous like the Thrust primitives the paper
-// uses: the host's virtual clock advances past the kernel's completion.
+// Launch executes gridDim blocks of blockDim independent threads (there is
+// no intra-block barrier). It is synchronous like the Thrust primitives the
+// paper uses: the host's virtual clock advances past the kernel's completion.
 func (d *Device) Launch(gridDim, blockDim int, kernel Kernel) error {
 	return d.launch(gridDim, blockDim, kernel, nil)
 }

@@ -89,25 +89,3 @@ func (d *Device) WriteProfile(w io.Writer) {
 			s.Name, s.Launches, s.TotalNs/1e6, 100*s.AvgOccup, s.TotalTrans)
 	}
 }
-
-// Event is a CUDA-event-style timestamp on a timeline (host or stream).
-type Event struct {
-	atNs float64
-}
-
-// RecordEvent timestamps the host timeline (all synchronous work so far).
-func (d *Device) RecordEvent() Event {
-	return Event{atNs: d.HostTime()}
-}
-
-// RecordEvent timestamps the stream: the completion time of all work
-// enqueued on it so far.
-func (s *Stream) RecordEvent() Event {
-	s.dev.mu.Lock()
-	defer s.dev.mu.Unlock()
-	return Event{atNs: s.ready}
-}
-
-// ElapsedNs returns the virtual nanoseconds between two events
-// (cudaEventElapsedTime).
-func ElapsedNs(start, end Event) float64 { return end.atNs - start.atNs }

@@ -76,30 +76,3 @@ func TestSummarizeProfile(t *testing.T) {
 		t.Fatalf("WriteProfile output incomplete:\n%s", buf.String())
 	}
 }
-
-func TestEvents(t *testing.T) {
-	d := MustNew(K20Config())
-	e0 := d.RecordEvent()
-	if err := d.Launch(64, 256, func(ctx *ThreadCtx) { ctx.Ops(1000) }); err != nil {
-		t.Fatal(err)
-	}
-	e1 := d.RecordEvent()
-	if ElapsedNs(e0, e1) <= 0 {
-		t.Fatal("host events did not advance")
-	}
-
-	s := d.NewStream()
-	s0 := s.RecordEvent()
-	if err := d.LaunchOnStream(s, 64, 256, func(ctx *ThreadCtx) { ctx.Ops(1000) }); err != nil {
-		t.Fatal(err)
-	}
-	s1 := s.RecordEvent()
-	if ElapsedNs(s0, s1) <= 0 {
-		t.Fatal("stream events did not advance")
-	}
-	// The host clock has not moved past the stream work.
-	e2 := d.RecordEvent()
-	if ElapsedNs(e1, e2) != 0 {
-		t.Fatal("stream launch advanced host clock")
-	}
-}

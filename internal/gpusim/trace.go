@@ -1,18 +1,12 @@
 package gpusim
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Timeline tracing: the device can record every kernel and transfer as an
-// interval on its virtual timelines and export them in the Chrome trace
-// format (chrome://tracing / Perfetto), giving the same at-a-glance view of
-// compute/copy overlap that nvvp gave the paper's authors. Tracing is
-// independent of profiling: EnableTracing captures placements (start/end on
-// which engine), EnableProfiling captures per-kernel cost-model inputs.
+// interval on its virtual timelines; obs.WriteMergedTrace exports them in
+// the Chrome trace format (chrome://tracing / Perfetto), giving the same
+// at-a-glance view of compute/copy overlap that nvvp gave the paper's
+// authors. Tracing is independent of profiling: EnableTracing captures
+// placements (start/end on which engine), EnableProfiling captures
+// per-kernel cost-model inputs.
 
 // TraceEvent is one interval on a virtual timeline.
 type TraceEvent struct {
@@ -44,61 +38,4 @@ func (d *Device) traceAdd(name, track string, start, end float64) {
 		return
 	}
 	d.trace = append(d.trace, TraceEvent{Name: name, Track: track, StartNs: start, EndNs: end})
-}
-
-// chromeEvent is the Chrome trace format's "complete event" record.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// WriteChromeTrace exports the trace as a Chrome/Perfetto trace JSON file:
-// one thread row per engine (compute, copy, host). Events are exported
-// sorted by (StartNs, Track, Name) — the recorded order interleaves
-// nondeterministically when concurrent pipeline lanes enqueue — and an
-// empty trace still serializes as an empty array (a nil slice would marshal
-// to null, which Perfetto rejects).
-func (d *Device) WriteChromeTrace(w io.Writer) error {
-	tracks := map[string]int{"host": 0, "compute": 1, "copy": 2}
-	trace := d.Trace()
-	sort.SliceStable(trace, func(i, j int) bool {
-		a, b := trace[i], trace[j]
-		if a.StartNs != b.StartNs {
-			return a.StartNs < b.StartNs
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		return a.Name < b.Name
-	})
-	events := make([]chromeEvent, 0, len(trace))
-	for _, e := range trace {
-		tid, ok := tracks[e.Track]
-		if !ok {
-			return fmt.Errorf("gpusim: unknown trace track %q", e.Track)
-		}
-		events = append(events, chromeEvent{
-			Name: e.Name,
-			Cat:  e.Track,
-			Ph:   "X",
-			Ts:   e.StartNs / 1000,
-			Dur:  (e.EndNs - e.StartNs) / 1000,
-			Pid:  1,
-			Tid:  tid,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ms",
-		"otherData": map[string]string{
-			"device": d.cfg.Name,
-			"note":   "virtual-clock timeline from the gpusim cost model",
-		},
-	})
 }

@@ -1,10 +1,6 @@
 package gpusim
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func TestTraceRecordsIntervals(t *testing.T) {
 	d := MustNew(K20Config())
@@ -42,102 +38,5 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	_ = d.Launch(1, 32, func(ctx *ThreadCtx) {})
 	if len(d.Trace()) != 0 {
 		t.Fatal("trace recorded while disabled")
-	}
-}
-
-// TestWriteChromeTraceEmpty is the regression test for the null-traceEvents
-// bug: an empty trace must serialize "traceEvents" as [], never null —
-// Perfetto and chrome://tracing both reject null.
-func TestWriteChromeTraceEmpty(t *testing.T) {
-	d := MustNew(K20Config())
-	d.EnableTracing() // enabled but nothing recorded
-	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(`"traceEvents":null`)) {
-		t.Fatalf("empty trace serialized null traceEvents: %s", buf.Bytes())
-	}
-	var doc struct {
-		TraceEvents []any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("empty trace output is not valid JSON: %v", err)
-	}
-	if doc.TraceEvents == nil {
-		t.Fatal("traceEvents decoded as nil; want empty array")
-	}
-	if len(doc.TraceEvents) != 0 {
-		t.Fatalf("empty trace exported %d events", len(doc.TraceEvents))
-	}
-}
-
-// TestWriteChromeTraceSorted pins the export order contract: events leave
-// WriteChromeTrace sorted by (StartNs, Track, Name) no matter what order the
-// schedule recorded them in, so concurrent-lane runs export deterministically.
-func TestWriteChromeTraceSorted(t *testing.T) {
-	d := MustNew(K20Config())
-	d.EnableTracing()
-	// Adversarial record order: same start times, shuffled tracks and names.
-	d.mu.Lock()
-	d.traceAdd("zeta", "compute", 100, 200)
-	d.traceAdd("alpha", "compute", 100, 150)
-	d.traceAdd("D2H", "copy", 100, 130)
-	d.traceAdd("beta", "compute", 50, 90)
-	d.traceAdd("host-work", "host", 100, 110)
-	d.mu.Unlock()
-	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ts   float64 `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, ev := range doc.TraceEvents {
-		got = append(got, ev.Cat+"/"+ev.Name)
-	}
-	want := []string{"compute/beta", "compute/alpha", "compute/zeta", "copy/D2H", "host/host-work"}
-	if len(got) != len(want) {
-		t.Fatalf("exported %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("export order %v, want %v", got, want)
-		}
-	}
-	// The in-memory trace still reflects schedule (record) order.
-	if tr := d.Trace(); tr[0].Name != "zeta" {
-		t.Fatalf("Trace() reordered: first event %q, want zeta", tr[0].Name)
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	d := MustNew(K20Config())
-	d.EnableTracing()
-	d.NextKernelName("alpha")
-	_ = d.Launch(4, 64, func(ctx *ThreadCtx) { ctx.Ops(10) })
-	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace output is not valid JSON: %v", err)
-	}
-	events, ok := doc["traceEvents"].([]any)
-	if !ok || len(events) != 1 {
-		t.Fatalf("traceEvents = %v", doc["traceEvents"])
-	}
-	ev := events[0].(map[string]any)
-	if ev["name"] != "alpha" || ev["ph"] != "X" {
-		t.Fatalf("event = %v", ev)
 	}
 }

@@ -28,11 +28,6 @@ func (s *Stream) Synchronize() {
 	d.mu.Unlock()
 }
 
-// transferCost returns the simulated duration of moving n bytes at bw.
-func (d *Device) transferCost(bytes int64, bw float64) float64 {
-	return d.cfg.TransferSetupNs + float64(bytes)/bw*1e9
-}
-
 // transferVolumeNs returns only the bandwidth-proportional part of a
 // transfer: zero for a zero-length copy, which still pays TransferSetupNs
 // (the DMA descriptor is programmed whether or not it moves data).

@@ -88,10 +88,6 @@ func (b *Builder) AddEdge(u, v uint32) {
 	b.edges = append(b.edges, Edge{u, v})
 }
 
-// NumPendingEdges returns the number of edge records added so far
-// (before deduplication).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build produces the CSR graph. The builder may be reused afterwards but
 // retains its edges.
 func (b *Builder) Build() *Graph {

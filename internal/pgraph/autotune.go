@@ -161,7 +161,7 @@ func legacySWBudget(dev *gpusim.Device) int {
 // autotuneSW picks the batch budget and — under Config.Packed — whether
 // the batches stage the byte layout or the packed image the SW kernel
 // decodes in place, by predicted virtual time, returning the chosen plan
-// (the layout choice rides in PlanReport.Fused). When no candidate is
+// (the layout choice rides in PlanReport.Packed). When no candidate is
 // feasible it falls back to the legacy derivation (reported with
 // AutoTuned=false).
 func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
@@ -191,7 +191,7 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
 		for _, packed := range packedSet {
-			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Fused: packed})
+			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Packed: packed})
 		}
 	}
 	type planKey struct {
@@ -212,13 +212,13 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		return p
 	}
 	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
-		plans := plansFor(cand.BudgetWords, cand.Fused)
+		plans := plansFor(cand.BudgetWords, cand.Packed)
 		// A batch's footprint (records + residues + scores) is exactly the
 		// planner's charge, so the budget bounds it.
 		if plans == nil || cand.BudgetWords > freeWords {
 			return 0, false
 		}
-		return predictSWPlans(m, enc, pairs, order, plans, layoutFor(cand.Fused)), true
+		return predictSWPlans(m, enc, pairs, order, plans, layoutFor(cand.Packed)), true
 	})
 	if !ok {
 		budget := legacySWBudget(dev)
@@ -226,11 +226,11 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		if err != nil {
 			return sched.PlanReport{}, nil, err
 		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Fused: cfg.Packed},
+		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Packed: cfg.Packed},
 			plans, nil
 	}
-	plans := plansFor(best.BudgetWords, best.Fused)
+	plans := plansFor(best.BudgetWords, best.Packed)
 	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,
-		Lanes: 1, Batches: len(plans), PredictedNs: predicted, Fused: best.Fused}
+		Lanes: 1, Batches: len(plans), PredictedNs: predicted, Packed: best.Packed}
 	return rep, plans, nil
 }

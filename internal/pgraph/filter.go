@@ -8,6 +8,7 @@ import (
 	"gpclust/internal/gpusim"
 	"gpclust/internal/minwise"
 	"gpclust/internal/obs"
+	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 	"gpclust/internal/unionfind"
 )
@@ -337,17 +338,17 @@ func runFilterGPU(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, st *Stats
 	case FilterExact:
 		var ns float64
 		set, ns = exactPairSet(seqs, cfg)
-		chargeHost(dev, cfg.Obs, "filter", ns)
+		sched.ChargeHost(dev, cfg.Obs, "filter", ns)
 	case FilterLSH:
 		set, err = lshDeviceFilter(dev, seqs, cfg, prm, st)
 	case FilterCascade:
 		exact, exactNs := exactPairSet(seqs, cfg)
-		chargeHost(dev, cfg.Obs, "filter", exactNs)
+		sched.ChargeHost(dev, cfg.Obs, "filter", exactNs)
 		var lsh map[pairKey]bool
 		lsh, err = lshDeviceFilter(dev, seqs, cfg, prm, st)
 		if err == nil {
 			set = cascadeRestrict(exact, lsh, len(seqs))
-			chargeHost(dev, cfg.Obs, "cascade-restrict", float64(len(lsh))*FilterNsPerOp)
+			sched.ChargeHost(dev, cfg.Obs, "cascade-restrict", float64(len(lsh))*FilterNsPerOp)
 		}
 	}
 	if err != nil {

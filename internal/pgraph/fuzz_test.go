@@ -60,10 +60,19 @@ func FuzzSWBatch(f *testing.F) {
 					t.Fatal(err)
 				}
 				devSeq := gpusim.MustNew(gpusim.SmallConfig())
-				got := make([]int32, len(pairs))
-				if err := runSWBatchesSequential(devSeq, plans, enc, pairs, order, cfg, got); err != nil {
+				table, err := uploadSWTable(devSeq)
+				if err != nil {
 					t.Fatal(err)
 				}
+				got := make([]int32, len(pairs))
+				var data, out []uint32
+				for _, p := range plans {
+					data, out, err = runOneSWBatch(devSeq, table, p, enc, pairs, order, cfg, got, data, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				table.Free()
 				for k, idx := range order {
 					a, b := pairs[idx].unpack()
 					want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)

@@ -110,14 +110,15 @@ func (ly swLayout) packedSeqWords(seqWords int) int {
 func (ly swLayout) dataWords(p swBatch) int { return 4*(p.hi-p.lo) + ly.residueWords(p.seqWords) }
 
 // deviceWords is the batch buffer's device footprint: the staging image
-// and the score outputs.
+// and the score outputs. The resident score table lives in its own buffer
+// and is charged once per build, not against every batch.
 func (ly swLayout) deviceWords(p swBatch) int { return ly.dataWords(p) + (p.hi - p.lo) }
 
 // packWords is the host staging cost in words: records plus byte-layout
 // residues either way (the codes are produced regardless), plus the
 // bit-packing surcharge of the packed image.
 func (ly swLayout) packWords(p swBatch) int {
-	n := p.dataWords()
+	n := swLayout{}.dataWords(p)
 	if ly.bits > 0 {
 		n += ly.packedSeqWords(p.seqWords)
 	}
@@ -163,17 +164,8 @@ func binPairs(enc [][]byte, pairs []pairKey, bin bool) []int {
 type swBatch struct {
 	lo, hi   int     // half-open range into the scheduled order
 	seqIDs   []int32 // distinct sequences, first-use order
-	seqWords int     // packed residue words for seqIDs
+	seqWords int     // byte-layout residue words for seqIDs
 }
-
-// dataWords is the batch's staging image size: 4 pair-record words per pair
-// plus the packed residues.
-func (p swBatch) dataWords() int { return 4*(p.hi-p.lo) + p.seqWords }
-
-// deviceWords is the batch buffer's device footprint: the staging image plus
-// the score outputs. The resident score table lives in its own buffer and is
-// charged once per build, not against every batch.
-func (p swBatch) deviceWords() int { return p.dataWords() + (p.hi - p.lo) }
 
 // swPairSizer supplies the planner's incremental pair costs: 5 words per
 // pair (record + score) plus the residue footprint of any sequence not
@@ -319,39 +311,6 @@ func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) th
 	}
 }
 
-// runSWBatchesSequential is the Thrust-style synchronous scheduler with a
-// build-resident score table: upload the table once, then per batch
-// allocate, upload the staging image, launch, read the scores back, free.
-// Every step stalls the host (the paper's mode). This entry point owns the
-// table's lifetime (the fuzz oracle's sequential leg); verifyGPU manages
-// the table through the resilience ladder instead and drives
-// runSWBatchesSequentialOn directly.
-func runSWBatchesSequential(dev *gpusim.Device, plans []swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	table, err := uploadSWTable(dev)
-	if err != nil {
-		return err
-	}
-	defer table.Free()
-	return runSWBatchesSequentialOn(dev, table, plans, enc, pairs, order, cfg, scores)
-}
-
-// runSWBatchesSequentialOn runs the batches synchronously against an
-// already-resident score table.
-func runSWBatchesSequentialOn(dev *gpusim.Device, table *gpusim.Buffer, plans []swBatch,
-	enc [][]byte, pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	var data, out []uint32
-	var err error
-	for _, p := range plans {
-		if data, out, err = runOneSWBatch(dev, table, p, enc, pairs, order, cfg, scores, data, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runOneSWBatch stages, uploads, launches and reads back one batch
 // synchronously against the resident table, reusing the data/out scratch
 // slices across calls. The score writes are idempotent — scores[p.lo+i]
@@ -367,7 +326,7 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 		t0 = dev.HostTime()
 	}
 	data = packSWBatch(p, enc, pairs, order, ly, data)
-	chargeHost(dev, cfg.Obs, "pack", float64(ly.packWords(p))*packNsPerWord)
+	sched.ChargeHost(dev, cfg.Obs, "pack", float64(ly.packWords(p))*packNsPerWord)
 	if cap(out) < np {
 		out = make([]uint32, np)
 	}
@@ -425,7 +384,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 			}
 			// The executors resolve the layout from cfg.Packed; pin the
 			// tuner's layout choice so they run the plans the sizer measured.
-			cfg.Packed = report.Fused
+			cfg.Packed = report.Packed
 		} else {
 			budget := cfg.GPUBatchWords
 			if budget == 0 {
@@ -436,7 +395,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 				return nil, err
 			}
 			report = sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans),
-				Fused: cfg.Packed}
+				Packed: cfg.Packed}
 			if cfg.PredictCost {
 				m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
 				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg.Packed))

@@ -147,7 +147,7 @@ func (b *lshFilterBatch) Split() (sched.Batch, sched.Batch, bool) { return nil, 
 func (b *lshFilterBatch) Fallback() {
 	e := b.env
 	e.pairs, e.hostNs = lshPairsHost(e.seqs, e.cfg, e.prm)
-	chargeHost(e.dev, e.cfg.Obs, "lsh-host", e.hostNs)
+	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-host", e.hostNs)
 }
 
 func (b *lshFilterBatch) WrapErr(retries int, last error) error {
@@ -172,7 +172,7 @@ func (e *lshEnv) runConservative() error {
 			k++
 		}
 	}
-	chargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
+	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, n, n, n, n)
@@ -242,7 +242,7 @@ func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.
 		data = append(data, set...)
 	}
 	offs[ns] = uint32(len(data))
-	chargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(len(data)+ns+1)*packNsPerWord)
+	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(len(data)+ns+1)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, len(data), ns+1)
@@ -276,7 +276,7 @@ func (e *lshEnv) runBandSpan(sigBuf *gpusim.Buffer, sp sched.Span) error {
 			val[b*ne+i] = uint32(i)
 		}
 	}
-	chargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
+	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, n, n, n, n)
@@ -317,7 +317,7 @@ func (e *lshEnv) groupAndEmit(hiBuf, loBuf, valBuf, flagBuf *gpusim.Buffer, n in
 		return err
 	}
 	e.emitRuns(flags, vals)
-	chargeHost(dev, e.cfg.Obs, "lsh-emit", float64(n)*FilterNsPerOp)
+	sched.ChargeHost(dev, e.cfg.Obs, "lsh-emit", float64(n)*FilterNsPerOp)
 	return nil
 }
 
@@ -363,7 +363,7 @@ func lshDeviceFilter(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, prm ls
 	for col, id := range ids {
 		eligible[col] = sets[id]
 	}
-	chargeHost(dev, cfg.Obs, "lsh-shingle", float64(shingleOps)*FilterNsPerOp)
+	sched.ChargeHost(dev, cfg.Obs, "lsh-shingle", float64(shingleOps)*FilterNsPerOp)
 
 	env := &lshEnv{dev: dev, cfg: cfg, prm: prm, sets: eligible, ids: ids,
 		seqs: seqs, total: total, budget: lshBudget(dev, cfg)}

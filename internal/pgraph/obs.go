@@ -1,33 +1,10 @@
 package pgraph
 
-import (
-	"gpclust/internal/gpusim"
-	"gpclust/internal/obs"
-)
+import "gpclust/internal/obs"
 
 // Observability plumbing for the build pipeline, mirroring internal/core's:
 // recording is pure observation of virtual times the cost model already
 // produced, so a nil recorder yields a bit-identical build.
-
-// chargeHost advances the device's host clock by ns of CPU work and, when a
-// recorder is wired, mirrors the charge as a host-cpu span.
-func chargeHost(dev *gpusim.Device, r *obs.Recorder, name string, ns float64) {
-	if r.Enabled() && ns > 0 {
-		t0 := dev.HostTime()
-		dev.AdvanceHost(ns)
-		r.Span(obs.TrackHostCPU, name, t0, t0+ns)
-		return
-	}
-	dev.AdvanceHost(ns)
-}
-
-// recoveryInstant marks one fault-recovery action on the recovery track at
-// the device's current virtual time.
-func recoveryInstant(dev *gpusim.Device, r *obs.Recorder, name string) {
-	if r.Enabled() {
-		r.Instant(obs.TrackRecovery, name, dev.HostTime())
-	}
-}
 
 // recordBuildMetrics registers the build's counters from the finished Stats,
 // so exported metrics match it exactly.

@@ -127,8 +127,11 @@ func (b swGPUBatch) WrapErr(retries int, last error) error {
 		b.p.hi-b.p.lo, retries+1, last, ErrRetryBudget)
 }
 
-// runSWBatchesSequentialResilient is runSWBatchesSequentialOn with the
-// recovery ladder applied per batch.
+// runSWBatchesSequentialResilient is the Thrust-style synchronous
+// scheduler against the build-resident score table: per batch allocate,
+// upload the staging image, launch, read the scores back, free, every step
+// stalling the host (the paper's mode), with the recovery ladder applied
+// per batch.
 func runSWBatchesSequentialResilient(env *swEnv, plans []swBatch) error {
 	run := env.cfg.runner(env.dev, env.rec)
 	for _, p := range plans {
@@ -173,5 +176,5 @@ func runSWBatchHost(dev *gpusim.Device, p swBatch, seqs []seq.Sequence,
 		cells += int64(len(sa)) * int64(len(sb))
 		scores[k] = int32(align.ScoreOnly(sa, sb, cfg.Align))
 	}
-	chargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
+	sched.ChargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
 }

@@ -31,7 +31,8 @@ func NewModel(cfg gpusim.Config) *Model {
 	return &Model{Cfg: cfg, KernelNsPerUnit: map[string]float64{}}
 }
 
-// TransferNs is the cost of moving words in one DMA (gpusim.transferCost).
+// TransferNs is the cost of moving words in one DMA: the per-copy setup
+// plus the bandwidth term, as gpusim charges CopyH2D/CopyD2H.
 func (m *Model) TransferNs(words int, h2d bool) float64 {
 	bw := m.Cfg.D2HBandwidthBps
 	if h2d {

@@ -18,10 +18,11 @@ import (
 type Candidate struct {
 	BudgetWords int // per-batch device footprint cap
 	Lanes       int // 1 = sequential, ≥2 = pipelined across that many lanes
-	// Fused: the plan's kernels decode the batch image in place. core's
-	// fused shingling kernels always do; pgraph's SW kernel does when it
-	// reads the packed residue image rather than the byte layout.
-	Fused bool
+	// Packed: the plan ships the batch's bit-packed image, which the
+	// kernels decode in place. pgraph's tuner weighs it against the byte
+	// residue layout; core's image is packed whenever Options.Packed finds a
+	// width below 32 bits.
+	Packed bool
 }
 
 // PlanReport describes the batch plan a scheduling pass ran, for
@@ -30,7 +31,7 @@ type PlanReport struct {
 	AutoTuned   bool    `json:"auto_tuned"`
 	BudgetWords int     `json:"budget_words"`
 	Lanes       int     `json:"lanes"`
-	Fused       bool    `json:"fused"` // kernels decode the batch image in place (see Candidate)
+	Packed      bool    `json:"packed"` // the batch image was bit-packed (see Candidate)
 	Batches     int     `json:"batches"`
 	PredictedNs float64 `json:"predicted_ns"` // cost-model prediction for the chosen plan
 	ActualNs    float64 `json:"actual_ns"`    // measured virtual time of the scheduler window
@@ -42,7 +43,7 @@ type PlanReport struct {
 func (p *PlanReport) Add(q PlanReport) {
 	if p.Batches == 0 {
 		p.AutoTuned, p.BudgetWords, p.Lanes, p.Batches = q.AutoTuned, q.BudgetWords, q.Lanes, q.Batches
-		p.Fused = q.Fused
+		p.Packed = q.Packed
 	}
 	p.PredictedNs += q.PredictedNs
 	p.ActualNs += q.ActualNs
@@ -114,11 +115,11 @@ func RecordPlan(r *obs.Recorder, prefix string, p PlanReport) {
 	r.Gauge(prefix+"_plan_autotuned", "1 when the batch plan was auto-tuned.").Set(auto)
 	r.Gauge(prefix+"_plan_budget_words", "Per-batch device budget of the chosen plan.").Set(float64(p.BudgetWords))
 	r.Gauge(prefix+"_plan_lanes", "Pipeline lanes of the chosen plan (1 = sequential).").Set(float64(p.Lanes))
-	fused := 0.0
-	if p.Fused {
-		fused = 1
+	packed := 0.0
+	if p.Packed {
+		packed = 1
 	}
-	r.Gauge(prefix+"_plan_fused", "1 when the plan's kernels decode the batch image in place.").Set(fused)
+	r.Gauge(prefix+"_plan_packed", "1 when the plan shipped a bit-packed batch image.").Set(packed)
 	r.Gauge(prefix+"_plan_batches", "Batches the chosen plan scheduled.").Set(float64(p.Batches))
 	r.Gauge(prefix+"_plan_predicted_ns", "Cost-model predicted virtual time of the plan.").Set(p.PredictedNs)
 	r.Gauge(prefix+"_plan_actual_ns", "Measured virtual time of the scheduler window.").Set(p.ActualNs)
@@ -130,10 +131,10 @@ func (p PlanReport) String() string {
 	if p.AutoTuned {
 		mode = "auto"
 	}
-	kernel := "plain" // the kernels read an unpacked layout (pgraph's bytes)
-	if p.Fused {
-		kernel = "fused"
+	image := "byte"
+	if p.Packed {
+		image = "packed"
 	}
-	return fmt.Sprintf("%s plan: budget=%d words, lanes=%d, kernel=%s, batches=%d, predicted=%.2fms, actual=%.2fms",
-		mode, p.BudgetWords, p.Lanes, kernel, p.Batches, p.PredictedNs/1e6, p.ActualNs/1e6)
+	return fmt.Sprintf("%s plan: budget=%d words, lanes=%d, image=%s, batches=%d, predicted=%.2fms, actual=%.2fms",
+		mode, p.BudgetWords, p.Lanes, image, p.Batches, p.PredictedNs/1e6, p.ActualNs/1e6)
 }

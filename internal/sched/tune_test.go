@@ -85,11 +85,11 @@ func TestPlanReportAccumulation(t *testing.T) {
 
 // TestPlanReportString: both modes render, for CLI summaries.
 func TestPlanReportString(t *testing.T) {
-	s := PlanReport{AutoTuned: true, BudgetWords: 42, Lanes: 3, Batches: 2}.String()
-	if !strings.Contains(s, "auto") || !strings.Contains(s, "42") {
+	s := PlanReport{AutoTuned: true, BudgetWords: 42, Lanes: 3, Packed: true, Batches: 2}.String()
+	if !strings.Contains(s, "auto") || !strings.Contains(s, "42") || !strings.Contains(s, "image=packed") {
 		t.Fatalf("auto render: %q", s)
 	}
-	if s := (PlanReport{}).String(); !strings.Contains(s, "fixed") {
+	if s := (PlanReport{}).String(); !strings.Contains(s, "fixed") || !strings.Contains(s, "image=byte") {
 		t.Fatalf("fixed render: %q", s)
 	}
 }
@@ -99,11 +99,12 @@ func TestPlanReportString(t *testing.T) {
 func TestRecordPlan(t *testing.T) {
 	rec := obs.New()
 	RecordPlan(rec, "test", PlanReport{AutoTuned: true, BudgetWords: 7, Lanes: 2,
-		Batches: 3, PredictedNs: 11, ActualNs: 13})
+		Packed: true, Batches: 3, PredictedNs: 11, ActualNs: 13})
 	checks := map[string]float64{
 		"test_plan_autotuned":    1,
 		"test_plan_budget_words": 7,
 		"test_plan_lanes":        2,
+		"test_plan_packed":       1,
 		"test_plan_batches":      3,
 		"test_plan_predicted_ns": 11,
 		"test_plan_actual_ns":    13,

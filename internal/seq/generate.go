@@ -81,17 +81,6 @@ type Metagenome struct {
 	NumSupers   int
 }
 
-// Truth converts the labels into a graph.GroundTruth (for the shared
-// quality-metric machinery).
-func (m *Metagenome) Truth() *graph.GroundTruth {
-	return &graph.GroundTruth{
-		Family:      m.Family,
-		SuperFamily: m.SuperFamily,
-		NumFamilies: m.NumFamilies,
-		NumSupers:   m.NumSupers,
-	}
-}
-
 // GenerateMetagenome produces a synthetic ORF data set per cfg.
 func GenerateMetagenome(cfg MetagenomeConfig) (*Metagenome, error) {
 	if cfg.NumSequences <= 0 {

@@ -2,10 +2,12 @@ package thrust
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
+	"gpclust/internal/minwise"
 )
 
 // TestThrustPrimitivesPropagateFaults: thrust primitives are thin wrappers
@@ -20,37 +22,46 @@ func TestThrustPrimitivesPropagateFaults(t *testing.T) {
 	d := newDev(t)
 	d.SetFaultInjector(faults.NewInjector(sched))
 
-	const n = 4096
+	const n, s = 4096, 3
 	src := make([]uint32, n)
 	for i := range src {
 		src[i] = uint32(n - i)
 	}
 	in := upload(t, d, src)
-	out := d.MustMalloc(n)
+	segs, _ := makeSegments(t, d, []int{n / 4, n / 4, n / 2})
+	out := d.MustMalloc(segs.NumSegs * s)
 	defer in.Free()
+	defer segs.Offsets.Free()
 	defer out.Free()
 
-	err = Transform(d, in, out, n, func(v uint32) uint32 { return v + 1 }, 1)
+	h := minwise.HashPair{A: 48271, B: 11}
+	err = FusedHashTopS(d, nil, in, 0, segs, s, h, out, 0)
 	if !errors.Is(err, gpusim.ErrLaunchFault) {
-		t.Fatalf("Transform error %v does not wrap ErrLaunchFault", err)
+		t.Fatalf("FusedHashTopS error %v does not wrap ErrLaunchFault", err)
 	}
 	if !errors.Is(err, gpusim.ErrDeviceFault) {
-		t.Fatalf("Transform error %v does not wrap the ErrDeviceFault root", err)
+		t.Fatalf("FusedHashTopS error %v does not wrap the ErrDeviceFault root", err)
 	}
-	if err := Transform(d, in, out, n, func(v uint32) uint32 { return v + 1 }, 1); err != nil {
+	if err := FusedHashTopS(d, nil, in, 0, segs, s, h, out, 0); err != nil {
 		t.Fatalf("retry after a one-shot launch fault: %v", err)
 	}
-	got := download(t, d, out, n)
-	for i, v := range got {
-		if v != src[i]+1 {
-			t.Fatalf("element %d = %d after retry, want %d", i, v, src[i]+1)
+	got := download(t, d, out, segs.NumSegs*s)
+	lo := 0
+	for seg, l := range []int{n / 4, n / 4, n / 2} {
+		want := minwise.MinS(h, src[lo:lo+l], make([]uint32, s))
+		for i, v := range want {
+			if got[seg*s+i] != v {
+				t.Fatalf("segment %d slot %d = %d after retry, want %d", seg, i, got[seg*s+i], v)
+			}
 		}
+		lo += l
 	}
 }
 
 // TestThrustSortUnderSlowSM: a slow-SM latency spike must stretch the
 // device clock without perturbing sort results.
 func TestThrustSortUnderSlowSM(t *testing.T) {
+	const n = 2048
 	run := func(inject bool) (float64, []uint32) {
 		d := newDev(t)
 		if inject {
@@ -60,19 +71,20 @@ func TestThrustSortUnderSlowSM(t *testing.T) {
 			}
 			d.SetFaultInjector(faults.NewInjector(sched))
 		}
-		src := make([]uint32, 2048)
-		s := uint32(12345)
-		for i := range src {
-			s = s*1664525 + 1013904223
-			src[i] = s
+		rng := rand.New(rand.NewSource(12345))
+		hi, lo, val := make([]uint32, n), make([]uint32, n), make([]uint32, n)
+		for i := range hi {
+			hi[i], lo[i], val[i] = rng.Uint32()%64, rng.Uint32(), uint32(i)
 		}
-		buf := upload(t, d, src)
-		defer buf.Free()
-		if err := Sort(d, buf, len(src)); err != nil {
+		bh, bl, bv := upload(t, d, hi), upload(t, d, lo), upload(t, d, val)
+		defer bh.Free()
+		defer bl.Free()
+		defer bv.Free()
+		if err := SortPairs64(d, bh, bl, bv, n); err != nil {
 			t.Fatal(err)
 		}
 		d.Synchronize()
-		return d.Metrics().KernelTimeNs, download(t, d, buf, len(src))
+		return d.Metrics().KernelTimeNs, append(download(t, d, bh, n), download(t, d, bv, n)...)
 	}
 	cleanNs, cleanOut := run(false)
 	slowNs, slowOut := run(true)

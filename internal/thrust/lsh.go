@@ -35,7 +35,7 @@ const MinHashGroup = 8
 // it reads the segment once and folds every value into the group's running
 // minima. Consecutive threads take consecutive segments of the same group,
 // so each signature row's writes coalesce across a warp while the segment
-// reads stay one uncoalesced run per thread, like SegmentedTopS.
+// reads stay one uncoalesced run per thread, like SegmentedTopSAt.
 func SegmentedMinHash(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, segs Segments,
 	pairs []minwise.HashPair, out *gpusim.Buffer, ne, colBase int) error {
 

@@ -39,12 +39,12 @@ func packedMask(nbits int) uint32 {
 	return 1<<uint(nbits) - 1
 }
 
-// FusedHashTopS fuses TransformHash with SegmentedTopS into one launch:
+// FusedHashTopS fuses TransformHash with SegmentedTopSAt into one launch:
 // for each segment the owning thread reads the segment's values — from the
 // packed image directly when dataBits > 0, from full-width words when
 // dataBits == 0 — applies the min-wise hash h to each,
 // and maintains the running s minima with the same insertion scan as
-// SegmentedTopS, writing them sentinel-padded at out[outBase+seg*s:...).
+// SegmentedTopSAt, writing them sentinel-padded at out[outBase+seg*s:...).
 // The fusion eliminates one kernel launch and the full-width hash buffer's
 // global write + re-read per trial; the price is that the hash work runs at
 // the top-s kernel's one-thread-per-segment occupancy instead of the

@@ -130,7 +130,7 @@ func packedSegInput(rng *rand.Rand, nbits, numSegs, maxSegLen int) ([]uint32, []
 }
 
 // TestFusedHashTopSMatchesSplit checks the fused kernel against the split
-// TransformHash + SegmentedTopS pipeline on the same values — full-width
+// TransformHash + SegmentedTopSAt pipeline on the same values — full-width
 // data (dataBits = 0) and a 5-bit packed image must all agree bit for bit.
 func TestFusedHashTopSMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -151,7 +151,7 @@ func TestFusedHashTopSMatchesSplit(t *testing.T) {
 		if err := TransformHash(d, data, hashes, n, h); err != nil {
 			t.Fatal(err)
 		}
-		if err := SegmentedTopS(d, hashes, segs, tc.s, want); err != nil {
+		if err := SegmentedTopSAt(d, hashes, segs, tc.s, want, 0); err != nil {
 			t.Fatal(err)
 		}
 		wantOut := download(t, d, want, tc.segs*tc.s)

@@ -46,16 +46,9 @@ const segSortThreshold = 24
 // thread sorts one segment; the wildly varying adjacency-list lengths make
 // this kernel divergent and its access pattern uncoalesced, which the cost
 // model charges accordingly (the reason graph algorithms underuse GPU
-// bandwidth, Section III-C).
+// bandwidth, Section III-C). The pipelines run it fused into FusedHashSort;
+// this split form is the reference that kernel is tested against.
 func SegmentedSort(d *gpusim.Device, data *gpusim.Buffer, segs Segments) error {
-	return SegmentedSortOnStream(d, nil, data, segs)
-}
-
-// SegmentedSortOnStream is SegmentedSort enqueued on a stream (nil stream =
-// synchronous). The sort mutates data in place, so the buffer must be owned
-// by the stream's pipeline lane — the batch-pipelined GPU path gives each
-// lane its own hash buffer for exactly this reason.
-func SegmentedSortOnStream(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, segs Segments) error {
 	if err := segs.Validate(data); err != nil {
 		return err
 	}
@@ -64,7 +57,7 @@ func SegmentedSortOnStream(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buf
 	}
 	grid := (segs.NumSegs + blockDim - 1) / blockDim
 	d.NextKernelName("segmented_sort")
-	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
+	return d.Launch(grid, blockDim, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
 		if seg >= segs.NumSegs {
 			return
@@ -110,55 +103,42 @@ func insertionSort(s []uint32) {
 // real value.
 const TopSSentinel = 0xFFFFFFFF
 
-// SegmentedTopS writes, for each segment, its min(n, s) smallest elements in
-// ascending order into out[seg*s : (seg+1)*s), sentinel-padded, without
-// mutating data. Short segments still report their sorted elements so that
-// the CPU can merge the partial results of an adjacency list split across
-// batches (Section III-C: "the CPU has to combine the shingle results for
-// the split adjacency lists"); whole lists shorter than s are discarded by
-// the aggregation step, matching the paper's ≥ s-links rule.
+// SegmentedTopSAt writes, for each segment, its min(n, s) smallest elements
+// in ascending order into out[outBase+seg*s : outBase+(seg+1)*s),
+// sentinel-padded, without mutating data. Short segments still report their
+// sorted elements so that the CPU can merge the partial results of an
+// adjacency list split across batches (Section III-C: "the CPU has to
+// combine the shingle results for the split adjacency lists"); whole lists
+// shorter than s are discarded by the aggregation step, matching the
+// paper's ≥ s-links rule.
 //
-// This is the fused shingle-selection kernel: Algorithm 1's "segmented
-// sorting ... [then] the top s elements in each segment are selected" has
-// the same output; gpClust uses the fused form by default and the
-// sort-then-select form under Options.UseFullSort (ablated in the
-// experiments). One thread owns one segment and maintains the running s
-// minima with the same insertion scan as the serial code, so the SIMT cost
-// model sees the divergence profile of real per-list work.
-func SegmentedTopS(d *gpusim.Device, data *gpusim.Buffer, segs Segments, s int, out *gpusim.Buffer) error {
-	return SegmentedTopSOnStream(d, nil, data, segs, s, out)
-}
-
-// SegmentedTopSOnStream is SegmentedTopS enqueued on a stream (nil stream =
-// synchronous).
-func SegmentedTopSOnStream(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, segs Segments, s int, out *gpusim.Buffer) error {
-	return SegmentedTopSAt(d, st, data, segs, s, out, 0)
-}
-
-// SegmentedTopSAt is SegmentedTopSOnStream writing segment seg's minima at
-// out[outBase+seg*s : outBase+(seg+1)*s). The batch-pipelined GPU path packs
-// several trials' results into one output buffer this way and downloads them
-// with a single device→host transfer, amortizing the per-copy setup cost
-// that dominates Data_g→c for small rows (Table I analysis).
-func SegmentedTopSAt(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, segs Segments, s int, out *gpusim.Buffer, outBase int) error {
+// This is the shingle-selection step of Algorithm 1 ("segmented sorting ...
+// [then] the top s elements in each segment are selected") without the full
+// sort. One thread owns one segment and maintains the running s minima with
+// the same insertion scan as the serial code, so the SIMT cost model sees
+// the divergence profile of real per-list work. The pipelines run it fused
+// with the hash into FusedHashTopS, which writes at the same outBase offsets
+// so several trials share one output buffer and one device→host copy; this
+// split form is the reference that kernel is tested against.
+func SegmentedTopSAt(d *gpusim.Device, data *gpusim.Buffer, segs Segments, s int, out *gpusim.Buffer, outBase int) error {
 	if s <= 0 {
-		return fmt.Errorf("thrust: SegmentedTopS with s=%d", s)
+		return fmt.Errorf("thrust: SegmentedTopSAt with s=%d", s)
 	}
 	if outBase < 0 {
-		return fmt.Errorf("thrust: SegmentedTopS with outBase=%d", outBase)
+		return fmt.Errorf("thrust: SegmentedTopSAt with outBase=%d", outBase)
 	}
 	if err := segs.Validate(data); err != nil {
 		return err
 	}
 	if out.Len() < outBase+segs.NumSegs*s {
-		return fmt.Errorf("thrust: SegmentedTopS output of %d words, need %d", out.Len(), outBase+segs.NumSegs*s)
+		return fmt.Errorf("thrust: SegmentedTopSAt output of %d words, need %d", out.Len(), outBase+segs.NumSegs*s)
 	}
 	if segs.NumSegs == 0 {
 		return nil
 	}
 	grid := (segs.NumSegs + blockDim - 1) / blockDim
 	d.NextKernelName("segmented_top_s")
-	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
+	return d.Launch(grid, blockDim, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
 		if seg >= segs.NumSegs {
 			return
@@ -212,35 +192,5 @@ func SegmentedTopSAt(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, s
 		ctx.GlobalRead(data, lo, n, 1)
 		ctx.GlobalWrite(out, outBase+seg*s, s, 1)
 		ctx.Ops(ops)
-	})
-}
-
-// Sort sorts the first n words of data ascending (thrust::sort). It is
-// modeled as a radix sort: 4 passes over the data for 32-bit keys, each
-// pass reading and writing every element with mostly-coalesced traffic.
-func Sort(d *gpusim.Device, data *gpusim.Buffer, n int) error {
-	if n < 0 || n > data.Len() {
-		return fmt.Errorf("thrust: Sort %d elements in buffer of %d", n, data.Len())
-	}
-	if n <= 1 {
-		return nil
-	}
-	// Execute the sort for real (host-grade sort on the device array),
-	// then charge radix-sort cost: 4 passes × (read + write + few ops).
-	slices.Sort(data.Words()[:n])
-	grid, total := launchGeometry(n)
-	d.NextKernelName("radix_sort")
-	return d.Launch(grid, blockDim, func(ctx *gpusim.ThreadCtx) {
-		gid := ctx.GlobalID()
-		count := 0
-		for i := gid; i < n; i += total {
-			count++
-		}
-		if count > 0 {
-			const passes = 4
-			ctx.GlobalRead(data, gid, count*passes, total)
-			ctx.GlobalWrite(data, gid, count*passes, total)
-			ctx.Ops(count * passes * 5)
-		}
 	})
 }

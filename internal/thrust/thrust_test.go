@@ -32,6 +32,8 @@ func download(t testing.TB, d *gpusim.Device, b *gpusim.Buffer, n int) []uint32 
 	return out
 }
 
+// TestTransform: the grid-stride elementwise hash kernel (TransformHash)
+// computes every element and keeps warp accesses coalesced.
 func TestTransform(t *testing.T) {
 	d := newDev(t)
 	const n = 10_000
@@ -39,11 +41,12 @@ func TestTransform(t *testing.T) {
 	for i := range src {
 		src[i] = uint32(i)
 	}
+	h := minwise.HashPair{A: 2, B: 1}
 	in := upload(t, d, src)
 	out := d.MustMalloc(n)
 	defer in.Free()
 	defer out.Free()
-	if err := Transform(d, in, out, n, func(v uint32) uint32 { return v*2 + 1 }, 2); err != nil {
+	if err := TransformHash(d, in, out, n, h); err != nil {
 		t.Fatal(err)
 	}
 	got := download(t, d, out, n)
@@ -52,9 +55,8 @@ func TestTransform(t *testing.T) {
 			t.Fatalf("element %d = %d, want %d", i, v, i*2+1)
 		}
 	}
-	// Grid-stride elementwise kernels must be well coalesced.
 	if eff := d.Metrics().CoalescingEfficiency(); eff < 0.9 {
-		t.Fatalf("Transform coalescing efficiency = %v, want ≥ 0.9", eff)
+		t.Fatalf("TransformHash coalescing efficiency = %v, want ≥ 0.9", eff)
 	}
 }
 
@@ -64,11 +66,12 @@ func TestTransformBounds(t *testing.T) {
 	out := d.MustMalloc(3)
 	defer in.Free()
 	defer out.Free()
-	if err := Transform(d, in, out, 5, func(v uint32) uint32 { return v }, 1); err == nil {
-		t.Fatal("Transform overflowing dst accepted")
+	h := minwise.HashPair{A: 1}
+	if err := TransformHash(d, in, out, 5, h); err == nil {
+		t.Fatal("TransformHash overflowing dst accepted")
 	}
-	if err := Transform(d, in, out, 0, func(v uint32) uint32 { return v }, 1); err != nil {
-		t.Fatalf("zero-length Transform failed: %v", err)
+	if err := TransformHash(d, in, out, 0, h); err != nil {
+		t.Fatalf("zero-length TransformHash failed: %v", err)
 	}
 }
 
@@ -96,7 +99,7 @@ func TestTransformHashMatchesMinwise(t *testing.T) {
 	}
 }
 
-func TestFillAndIota(t *testing.T) {
+func TestFill(t *testing.T) {
 	d := newDev(t)
 	b := d.MustMalloc(1000)
 	defer b.Free()
@@ -107,47 +110,6 @@ func TestFillAndIota(t *testing.T) {
 		if v != 7 {
 			t.Fatalf("Fill element %d = %d", i, v)
 		}
-	}
-	if err := Iota(d, b, 1000, 5); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range download(t, d, b, 1000) {
-		if v != uint32(i+5) {
-			t.Fatalf("Iota element %d = %d, want %d", i, v, i+5)
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	d := newDev(t)
-	src := upload(t, d, []uint32{10, 20, 30, 40, 50})
-	idx := upload(t, d, []uint32{4, 0, 2, 2})
-	out := d.MustMalloc(4)
-	defer src.Free()
-	defer idx.Free()
-	defer out.Free()
-	if err := Gather(d, src, idx, out, 4); err != nil {
-		t.Fatal(err)
-	}
-	got := download(t, d, out, 4)
-	want := []uint32{50, 10, 30, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Gather[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestGatherOutOfRange(t *testing.T) {
-	d := newDev(t)
-	src := upload(t, d, []uint32{1, 2})
-	idx := upload(t, d, []uint32{5})
-	out := d.MustMalloc(1)
-	defer src.Free()
-	defer idx.Free()
-	defer out.Free()
-	if err := Gather(d, src, idx, out, 1); err == nil {
-		t.Fatal("out-of-range gather index accepted")
 	}
 }
 
@@ -229,7 +191,7 @@ func TestSegmentedTopS(t *testing.T) {
 	out := d.MustMalloc(len(lens) * s)
 	defer buf.Free()
 	defer out.Free()
-	if err := SegmentedTopS(d, buf, segs, s, out); err != nil {
+	if err := SegmentedTopSAt(d, buf, segs, s, out, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := download(t, d, out, len(lens)*s)
@@ -253,7 +215,7 @@ func TestSegmentedTopS(t *testing.T) {
 	after := download(t, d, buf, total)
 	for i := range data {
 		if after[i] != data[i] {
-			t.Fatal("SegmentedTopS mutated its input")
+			t.Fatal("SegmentedTopSAt mutated its input")
 		}
 	}
 }
@@ -279,7 +241,7 @@ func TestSegmentedTopSEqualsSortThenSelect(t *testing.T) {
 	outA := d.MustMalloc(len(lens) * s)
 	defer bufA.Free()
 	defer outA.Free()
-	if err := SegmentedTopS(d, bufA, segs, s, outA); err != nil {
+	if err := SegmentedTopSAt(d, bufA, segs, s, outA, 0); err != nil {
 		t.Fatal(err)
 	}
 	fused := download(t, d, outA, len(lens)*s)
@@ -305,112 +267,29 @@ func TestSegmentedTopSEqualsSortThenSelect(t *testing.T) {
 	}
 }
 
-func TestSort(t *testing.T) {
-	d := newDev(t)
-	rng := rand.New(rand.NewSource(31))
-	data := make([]uint32, 10_000)
-	for i := range data {
-		data[i] = rng.Uint32()
-	}
-	buf := upload(t, d, data)
-	defer buf.Free()
-	if err := Sort(d, buf, len(data)); err != nil {
-		t.Fatal(err)
-	}
-	got := download(t, d, buf, len(data))
-	if !slices.IsSorted(got) {
-		t.Fatal("Sort output not sorted")
-	}
-	want := append([]uint32{}, data...)
-	slices.Sort(want)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("Sort output is not a permutation of the input")
-		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	d := newDev(t)
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 7, 256, 300, 70_000} {
-		data := make([]uint32, n)
-		var wantSum uint32
-		wantMin, wantMax := uint32(0xFFFFFFFF), uint32(0)
-		for i := range data {
-			data[i] = rng.Uint32() % 1000
-			wantSum += data[i]
-			if data[i] < wantMin {
-				wantMin = data[i]
-			}
-			if data[i] > wantMax {
-				wantMax = data[i]
-			}
-		}
-		buf := upload(t, d, data)
-		if got, err := Reduce(d, buf, n, Sum); err != nil || got != wantSum {
-			t.Fatalf("n=%d: Reduce Sum = %d (%v), want %d", n, got, err, wantSum)
-		}
-		if got, err := Reduce(d, buf, n, Min); err != nil || got != wantMin {
-			t.Fatalf("n=%d: Reduce Min = %d (%v), want %d", n, got, err, wantMin)
-		}
-		if got, err := Reduce(d, buf, n, Max); err != nil || got != wantMax {
-			t.Fatalf("n=%d: Reduce Max = %d (%v), want %d", n, got, err, wantMax)
-		}
-		buf.Free()
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	d := newDev(t)
-	buf := d.MustMalloc(1)
-	defer buf.Free()
-	if got, err := Reduce(d, buf, 0, Sum); err != nil || got != 0 {
-		t.Fatalf("empty Sum = %d (%v)", got, err)
-	}
-	if got, err := Reduce(d, buf, 0, Min); err != nil || got != 0xFFFFFFFF {
-		t.Fatalf("empty Min = %d (%v)", got, err)
-	}
-}
-
-func TestInclusiveScan(t *testing.T) {
-	d := newDev(t)
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 5, 256, 257, 1000, 66_000} {
-		data := make([]uint32, n)
-		for i := range data {
-			data[i] = rng.Uint32() % 100
-		}
-		in := upload(t, d, data)
-		out := d.MustMalloc(n)
-		if err := InclusiveScan(d, in, out, n); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got := download(t, d, out, n)
-		var run uint32
-		for i := range data {
-			run += data[i]
-			if got[i] != run {
-				t.Fatalf("n=%d: scan[%d] = %d, want %d", n, i, got[i], run)
-			}
-		}
-		in.Free()
-		out.Free()
-	}
-}
-
 func TestNoBufferLeaks(t *testing.T) {
 	d := newDev(t)
-	data := upload(t, d, make([]uint32, 70_000))
-	out := d.MustMalloc(70_000)
-	if _, err := Reduce(d, data, 70_000, Sum); err != nil {
+	const n = 70_000
+	data := upload(t, d, make([]uint32, n))
+	out := d.MustMalloc(n)
+	segs, _ := makeSegments(t, d, []int{n / 2, n / 2})
+	top := d.MustMalloc(2 * 4)
+	val := d.MustMalloc(n)
+	h := minwise.HashPair{A: 48271, B: 11}
+	if err := TransformHash(d, data, out, n, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := InclusiveScan(d, data, out, 70_000); err != nil {
+	if err := FusedHashTopS(d, nil, data, 0, segs, 4, h, top, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := SortPairs64(d, data, out, val, n); err != nil {
 		t.Fatal(err)
 	}
 	data.Free()
 	out.Free()
+	val.Free()
+	segs.Offsets.Free()
+	top.Free()
 	if n := d.AllocatedBuffers(); n != 0 {
 		t.Fatalf("%d device buffers leaked by primitives", n)
 	}
@@ -451,7 +330,7 @@ func BenchmarkSegmentedTopS(b *testing.B) {
 	segs := Segments{Offsets: offBuf, NumSegs: len(lens)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SegmentedTopS(d, data, segs, 2, out)
+		_ = SegmentedTopSAt(d, data, segs, 2, out, 0)
 	}
 }
 
@@ -512,6 +391,9 @@ func TestSortPairs64Bounds(t *testing.T) {
 	}
 }
 
+// TestStreamVariantsDeferHostClock: a stream-enqueued kernel leaves the
+// host clock alone until the stream is synchronized, and computes the same
+// minima as a synchronous launch would.
 func TestStreamVariantsDeferHostClock(t *testing.T) {
 	d := newDev(t)
 	const n = 4096
@@ -520,21 +402,17 @@ func TestStreamVariantsDeferHostClock(t *testing.T) {
 		src[i] = uint32(i)
 	}
 	in := upload(t, d, src)
-	out := d.MustMalloc(n)
 	topOut := d.MustMalloc(8 * 2)
 	off := upload(t, d, []uint32{0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096})
 	defer in.Free()
-	defer out.Free()
 	defer topOut.Free()
 	defer off.Free()
 
 	st := d.NewStream()
 	before := d.HostTime()
-	if err := TransformHashOnStream(d, st, in, out, n, minwise.HashPair{A: 48271, B: 11}); err != nil {
-		t.Fatal(err)
-	}
 	segs := Segments{Offsets: off, NumSegs: 8}
-	if err := SegmentedTopSOnStream(d, st, out, segs, 2, topOut); err != nil {
+	h := minwise.HashPair{A: 48271, B: 11}
+	if err := FusedHashTopS(d, st, in, 0, segs, 2, h, topOut, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.HostTime() != before {
@@ -547,7 +425,6 @@ func TestStreamVariantsDeferHostClock(t *testing.T) {
 
 	// Results correct: each 512-segment's two minima of the hashed values.
 	got := download(t, d, topOut, 16)
-	h := minwise.HashPair{A: 48271, B: 11}
 	for seg := 0; seg < 8; seg++ {
 		min1, min2 := uint32(0xFFFFFFFF), uint32(0xFFFFFFFF)
 		for i := seg * 512; i < (seg+1)*512; i++ {
@@ -612,7 +489,7 @@ func TestSegmentedTopSAtChargesOutBase(t *testing.T) {
 		defer buf.Free()
 		defer out.Free()
 		before := d.Metrics().GlobalTransactions
-		if err := SegmentedTopSAt(d, nil, buf, segs, s, out, outBase); err != nil {
+		if err := SegmentedTopSAt(d, buf, segs, s, out, outBase); err != nil {
 			t.Fatal(err)
 		}
 		return d.Metrics().GlobalTransactions - before

@@ -1,16 +1,22 @@
 #!/usr/bin/env sh
 # Benchmark trajectory: runs the key testing.B benchmarks plus the pGraph
 # verification-backend ablation, the auto-tuned-vs-fixed batch-plan
-# ablation, the packed-image/kernel-fusion ablation, and the LSH
-# candidate-filter ablation, and assembles BENCH_pr9.json in the repo root,
-# recording both virtual-clock and wall-clock numbers so later PRs can diff
-# performance against this one. Run from the repository root.
+# ablation, the packed-image ablation, and the LSH candidate-filter
+# ablation, and assembles them into one JSON file recording both
+# virtual-clock and wall-clock numbers, then validates it with
+# scripts/benchcheck. The BENCH_pr*.json files in the repository root are
+# earlier snapshots of this output. A relative output path is taken from
+# the repository root.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
 set -eu
 
+if [ "$#" -ne 1 ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_pr9.json}"
+out="$1"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -27,7 +33,7 @@ go run ./cmd/experiments -exp pgraph -benchjson "$tmp/backends.json"
 echo "== auto-tuned vs fixed batch plans (virtual clock)"
 go run ./cmd/experiments -exp autotune -benchjson "$tmp/autotune.json"
 
-echo "== packed device images and kernel fusion (virtual clock)"
+echo "== packed device images (virtual clock)"
 go run ./cmd/experiments -exp packing -benchjson "$tmp/packing.json"
 
 echo "== LSH banding candidate filter (virtual clock)"
@@ -41,7 +47,6 @@ awk '/^Benchmark/ {
 
 {
     echo '{'
-    echo '  "pr": 9,'
     echo '  "go_bench": ['
     cat "$tmp/go_bench.json"
     echo '  ],'
@@ -58,8 +63,8 @@ awk '/^Benchmark/ {
 
 # Sanity-check the JSON and the acceptance criteria: every pGraph backend
 # must accept the same edges, the auto-tuned plan must beat every
-# fixed setting with the cost model inside its drift gate, the packed+fused
-# layout must beat the unpacked one while shipping fewer bytes, and the LSH
+# fixed setting with the cost model inside its drift gate, the packed
+# image must beat the unpacked one while shipping fewer bytes, and the LSH
 # sweep must hold the conservative bit-identity and the default shape's
 # recall-with-fewer-candidates operating point.
 go run ./scripts/benchcheck "$out"
