@@ -207,7 +207,8 @@ func ORFsFromContigs(contigs []Contig, minLen int) []Sequence {
 // protein sequences over BLOSUM62 with the default affine-gap penalties —
 // the verification scorer of the pGraph phase, exposed for direct use.
 func AlignScore(a, b []byte) int {
-	return align.ScoreOnly(a, b, align.DefaultParams())
+	return int(align.ScoreCodes(align.Encode(a), align.Encode(b), align.Blosum62Table,
+		align.AlphabetSize, align.DefaultParams(), new(align.Scratch)))
 }
 
 // PGraphConfig configures homology-graph construction.

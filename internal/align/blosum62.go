@@ -25,11 +25,12 @@ func init() {
 		residueIndex[r] = int8(i)
 		residueIndex[r+'a'-'A'] = int8(i)
 	}
+	for ia, row := range Blosum62 {
+		for ib, s := range row {
+			Blosum62Table[ia*AlphabetSize+ib] = uint32(int32(s))
+		}
+	}
 }
-
-// ResidueIndex returns the matrix index of residue r, or -1 if r is not a
-// recognized amino-acid code.
-func ResidueIndex(r byte) int { return int(residueIndex[r]) }
 
 // Blosum62 is the standard BLOSUM62 substitution matrix over Alphabet
 // (half-bit scores as published by Henikoff & Henikoff 1992). The final row
@@ -70,6 +71,26 @@ func Score(a, b byte) int {
 		ib = int8(AlphabetSize - 1)
 	}
 	return Blosum62[ia][ib]
+}
+
+// Blosum62Table is Blosum62 flattened row-major into int32 scores stored as
+// uint32 words: the score of codes a and b sits at a·AlphabetSize+b. It is
+// the table ScoreCodes reads on the host and the one pgraph uploads for the
+// device kernel.
+var Blosum62Table = make([]uint32, AlphabetSize*AlphabetSize)
+
+// Encode returns the residue codes of s: each letter's index in Alphabet
+// (lowercase accepted), with any other byte coded as X, as Score treats it.
+func Encode(s []byte) []byte {
+	codes := make([]byte, len(s))
+	for i, r := range s {
+		c := residueIndex[r]
+		if c < 0 {
+			c = int8(AlphabetSize - 1)
+		}
+		codes[i] = byte(c)
+	}
+	return codes
 }
 
 // ValidateSequence reports the first non-residue character in s, if any.

@@ -30,8 +30,9 @@ func (r Result) Identity() float64 {
 }
 
 // ScoreOnly computes the optimal local alignment score of a and b with
-// linear memory (two rows of the Gotoh recurrence). It is the hot path of
-// homology-graph construction, where only the score decides edge inclusion.
+// linear memory (two rows of the Gotoh recurrence), looking both residues
+// up by letter on every cell. It is the reference that ScoreCodes, the
+// scorer every verification path runs, is tested against.
 func ScoreOnly(a, b []byte, p Params) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -68,8 +69,60 @@ func ScoreOnly(a, b []byte, p Params) int {
 	return best
 }
 
+// Scratch holds the two DP rows ScoreCodes reuses across calls; the zero
+// value is ready to use.
+type Scratch struct{ h, e []int32 }
+
+// ScoreCodes is ScoreOnly over residue codes in the query-profile form of
+// Nguyen & Lavenier: each code of a selects its row of the flat
+// alphabet×alphabet table (int32 scores as uint32 words, codes x, y at
+// x·alphabet+y) once, and the inner loop indexes that row by the code of b.
+// Clamps and tie order are ScoreOnly's, so over Encode and Blosum62Table it
+// returns ScoreOnly's score (every intermediate fits an int32: after the
+// first max, gap scores are bounded below by -(GapOpen+2·GapExtend)).
+func ScoreCodes(a, b []byte, table []uint32, alphabet int, p Params, s *Scratch) int32 {
+	const negInf = -1 << 30
+	if cap(s.h) < len(b) {
+		s.h, s.e = make([]int32, len(b)), make([]int32, len(b))
+	}
+	// h[j], e[j] hold column j+1 of the DP; column 0 is H = 0 throughout.
+	h, e := s.h[:len(b)], s.e[:len(b)]
+	for j := range h {
+		h[j] = 0
+		e[j] = negInf
+	}
+	gapExt, gapOpenExt := int32(p.GapExtend), int32(p.GapOpen+p.GapExtend)
+	var best int32
+	for _, ca := range a {
+		prof := table[int(ca)*alphabet:]
+		var diag, left int32 // H[i-1][j-1] and H[i][j-1]
+		var f int32 = negInf
+		for j, cb := range b {
+			hj := h[j]
+			ej := max(e[j]-gapExt, hj-gapOpenExt)
+			e[j] = ej
+			f = max(f-gapExt, left-gapOpenExt)
+			v := diag + int32(prof[cb])
+			if v < 0 {
+				v = 0
+			}
+			v = max(v, ej, f)
+			if v < 0 {
+				v = 0
+			}
+			diag = hj
+			h[j] = v
+			left = v
+			if v > best {
+				best = v
+			}
+		}
+	}
+	return best
+}
+
 // Align computes the optimal local alignment with full traceback. Memory is
-// O(len(a)·len(b)); use ScoreOnly for bulk screening.
+// O(len(a)·len(b)); use ScoreCodes for bulk screening.
 func Align(a, b []byte, p Params) Result {
 	if len(a) == 0 || len(b) == 0 {
 		return Result{}

@@ -36,8 +36,7 @@ type Config struct {
 
 	GlobalMemBytes     int64   // device global memory (K20: 5 GB)
 	GlobalBandwidthBps float64 // global-memory bandwidth (K20: 208 GB/s)
-	GlobalLatencyNs    float64 // global-memory access latency
-	SharedLatencyNs    float64 // shared-memory access latency (~100X lower)
+	SharedLatencyNs    float64 // shared-memory access latency (~100X below global memory's)
 
 	// PCIe transfer engine.
 	H2DBandwidthBps float64 // host→device bandwidth
@@ -77,7 +76,6 @@ func K20Config() Config {
 		ClockHz:            706e6,
 		GlobalMemBytes:     5 << 30,
 		GlobalBandwidthBps: 208e9,
-		GlobalLatencyNs:    400,
 		SharedLatencyNs:    4, // "roughly 100X lower ... latency" (Section II)
 		H2DBandwidthBps:    2e9,
 		D2HBandwidthBps:    110e6,

@@ -29,20 +29,6 @@ import (
 // query profile shared by every alignment in a batch).
 const swTableLen = align.AlphabetSize * align.AlphabetSize
 
-// swTable is the packed score table, uploaded once per build into its own
-// device-resident buffer.
-var swTable = buildSWTable()
-
-func buildSWTable() []uint32 {
-	t := make([]uint32, swTableLen)
-	for ia, row := range align.Blosum62 {
-		for ib, s := range row {
-			t[ia*align.AlphabetSize+ib] = uint32(int32(s))
-		}
-	}
-	return t
-}
-
 // uploadSWTable allocates the resident table buffer and stages the score
 // table into it; the caller owns the buffer.
 func uploadSWTable(dev *gpusim.Device) (*gpusim.Buffer, error) {
@@ -50,23 +36,18 @@ func uploadSWTable(dev *gpusim.Device) (*gpusim.Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.CopyH2D(buf, 0, swTable); err != nil {
+	if err := dev.CopyH2D(buf, 0, align.Blosum62Table); err != nil {
 		buf.Free()
 		return nil, err
 	}
 	return buf, nil
 }
 
-// encodeSeqs maps residues to table indices (sequences are validated before
-// this point, so every residue has one).
+// encodeSeqs maps residues to table indices.
 func encodeSeqs(seqs []seq.Sequence) [][]byte {
 	enc := make([][]byte, len(seqs))
 	for i, s := range seqs {
-		e := make([]byte, len(s.Residues))
-		for j, r := range s.Residues {
-			e[j] = byte(align.ResidueIndex(r))
-		}
-		enc[i] = e
+		enc[i] = align.Encode(s.Residues)
 	}
 	return enc
 }
@@ -404,7 +385,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		st.GPUBatches = len(plans)
 
 		scores := make([]int32, len(pairs))
-		env := &swEnv{dev: dev, seqs: seqs, enc: enc, pairs: pairs, order: order,
+		env := &swEnv{dev: dev, enc: enc, pairs: pairs, order: order,
 			cfg: cfg, scores: scores, rec: &st.Faults}
 		schedT0 := dev.HostTime()
 		if err := cfg.runner(dev, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
@@ -422,13 +403,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		st.Plan = report
 		sched.RecordPlan(cfg.Obs, "pgraph", report)
 
-		for k, idx := range order {
-			a, b := pairs[idx].unpack()
-			minLen := min(len(seqs[a].Residues), len(seqs[b].Residues))
-			if float64(scores[k]) >= cfg.MinScorePerResidue*float64(minLen) {
-				edges = append(edges, graph.Edge{U: uint32(a), V: uint32(b)})
-			}
-		}
+		edges = acceptedEdges(seqs, pairs, order, scores, cfg)
 	}
 
 	verifyPhase.End(dev.HostTime())

@@ -285,8 +285,9 @@ func verifyHost(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []g
 		workers = runtime.GOMAXPROCS(0)
 	}
 	st.Workers = workers
-	type job struct{ lo, hi int }
-	edgesPer := make([][]graph.Edge, workers)
+	enc := encodeSeqs(seqs)
+	order := binPairs(enc, pairs, false) // natural order: scores[k] is pairs[k]'s
+	scores := make([]int32, len(pairs))
 	cellsPer := make([]int64, workers)
 	var wg sync.WaitGroup
 	chunk := (len(pairs) + workers - 1) / workers
@@ -297,23 +298,10 @@ func verifyHost(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []g
 			continue
 		}
 		wg.Add(1)
-		go func(w int, jb job) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			var out []graph.Edge
-			var cells int64
-			for _, p := range pairs[jb.lo:jb.hi] {
-				a, b := p.unpack()
-				sa, sb := seqs[a].Residues, seqs[b].Residues
-				minLen := min(len(sa), len(sb))
-				cells += int64(len(sa)) * int64(len(sb))
-				score := align.ScoreOnly(sa, sb, cfg.Align)
-				if float64(score) >= cfg.MinScorePerResidue*float64(minLen) {
-					out = append(out, graph.Edge{U: uint32(a), V: uint32(b)})
-				}
-			}
-			edgesPer[w] = out
-			cellsPer[w] = cells
-		}(w, job{lo, hi})
+			cellsPer[w] = scorePairsHost(enc, pairs, order[lo:hi], cfg.Align, scores[lo:hi])
+		}(w, lo, hi)
 	}
 	wg.Wait()
 
@@ -325,10 +313,19 @@ func verifyHost(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []g
 	// pair counts, so the virtual cost divides the cell total evenly.
 	st.AlignNs = float64(totalCells) * HostAlignNsPerCell / float64(workers)
 	st.TotalNs = st.FilterNs + st.AlignNs
+	return acceptedEdges(seqs, pairs, order, scores, cfg)
+}
 
+// acceptedEdges thresholds the scores of the scheduled pairs (scores[k]
+// belongs to pairs[order[k]]) with the comparison every backend applies.
+func acceptedEdges(seqs []seq.Sequence, pairs []pairKey, order []int, scores []int32, cfg Config) []graph.Edge {
 	var edges []graph.Edge
-	for _, es := range edgesPer {
-		edges = append(edges, es...)
+	for k, idx := range order {
+		a, b := pairs[idx].unpack()
+		minLen := min(len(seqs[a].Residues), len(seqs[b].Residues))
+		if float64(scores[k]) >= cfg.MinScorePerResidue*float64(minLen) {
+			edges = append(edges, graph.Edge{U: uint32(a), V: uint32(b)})
+		}
 	}
 	return edges
 }

@@ -7,7 +7,6 @@ import (
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/sched"
-	"gpclust/internal/seq"
 )
 
 // Resilient batch execution for the GPU verification scheduler. The
@@ -55,7 +54,6 @@ func (c Config) runner(dev *gpusim.Device, rec *faults.Recovery) *sched.Runner {
 type swEnv struct {
 	dev    *gpusim.Device
 	table  *gpusim.Buffer // resident score table; nil after the all-pairs fallback
-	seqs   []seq.Sequence
 	enc    [][]byte
 	pairs  []pairKey
 	order  []int
@@ -85,7 +83,7 @@ func (u *swTableUpload) Attempt() error {
 func (u *swTableUpload) Split() (sched.Batch, sched.Batch, bool) { return nil, nil, false }
 
 func (u *swTableUpload) Fallback() {
-	runSWBatchHost(u.env.dev, swBatch{lo: 0, hi: len(u.env.order)}, u.env.seqs,
+	runSWBatchHost(u.env.dev, swBatch{lo: 0, hi: len(u.env.order)}, u.env.enc,
 		u.env.pairs, u.env.order, u.env.cfg, u.env.scores)
 }
 
@@ -119,7 +117,7 @@ func (b swGPUBatch) Split() (sched.Batch, sched.Batch, bool) {
 }
 
 func (b swGPUBatch) Fallback() {
-	runSWBatchHost(b.env.dev, b.p, b.env.seqs, b.env.pairs, b.env.order, b.env.cfg, b.env.scores)
+	runSWBatchHost(b.env.dev, b.p, b.env.enc, b.env.pairs, b.env.order, b.env.cfg, b.env.scores)
 }
 
 func (b swGPUBatch) WrapErr(retries int, last error) error {
@@ -162,19 +160,28 @@ func swBatchFor(lo, hi int, enc [][]byte, pairs []pairKey, order []int) swBatch 
 	return b
 }
 
-// runSWBatchHost scores one batch's pairs on the host. align.ScoreOnly is
-// the reference the device kernel is tested bit-identical against, so the
-// fallback cannot change the edge set; the work is priced on the virtual
-// clock at HostAlignNsPerCell like the host backend.
-func runSWBatchHost(dev *gpusim.Device, p swBatch, seqs []seq.Sequence,
+// runSWBatchHost scores one batch's pairs on the host with the scorer the
+// device kernel runs, so the fallback cannot change the edge set; the work
+// is priced on the virtual clock at HostAlignNsPerCell like the host
+// backend.
+func runSWBatchHost(dev *gpusim.Device, p swBatch, enc [][]byte,
 	pairs []pairKey, order []int, cfg Config, scores []int32) {
 
-	var cells int64
-	for k := p.lo; k < p.hi; k++ {
-		a, b := pairs[order[k]].unpack()
-		sa, sb := seqs[a].Residues, seqs[b].Residues
-		cells += int64(len(sa)) * int64(len(sb))
-		scores[k] = int32(align.ScoreOnly(sa, sb, cfg.Align))
-	}
+	cells := scorePairsHost(enc, pairs, order[p.lo:p.hi], cfg.Align, scores[p.lo:p.hi])
 	sched.ChargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
+}
+
+// scorePairsHost is the host scoring loop of every backend: it writes the
+// Smith–Waterman score of pairs[order[k]] to scores[k] with align.ScoreCodes
+// over the encoded sequences and returns the DP cells it computed.
+func scorePairsHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, scores []int32) int64 {
+	var dp align.Scratch
+	var cells int64
+	for k, idx := range order {
+		a, b := pairs[idx].unpack()
+		ea, eb := enc[a], enc[b]
+		scores[k] = align.ScoreCodes(ea, eb, align.Blosum62Table, align.AlphabetSize, p, &dp)
+		cells += int64(len(ea)) * int64(len(eb))
+	}
+	return cells
 }

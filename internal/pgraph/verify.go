@@ -160,12 +160,8 @@ func (v *Verifier) Add(s seq.Sequence) (int, error) {
 	if err := align.ValidateSequence(s.Residues); err != nil {
 		return 0, fmt.Errorf("pgraph: sequence %q: %w", s.ID, err)
 	}
-	e := make([]byte, len(s.Residues))
-	for j, r := range s.Residues {
-		e[j] = byte(align.ResidueIndex(r))
-	}
 	v.seqs = append(v.seqs, s)
-	v.enc = append(v.enc, e)
+	v.enc = append(v.enc, align.Encode(s.Residues))
 	return len(v.seqs) - 1, nil
 }
 
@@ -211,12 +207,9 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	batches := 0
 	switch {
 	case v.dev == nil:
-		for k, idx := range order {
-			a, b := pairs[idx].unpack()
-			scores[k] = int32(align.ScoreOnly(v.seqs[a].Residues, v.seqs[b].Residues, v.cfg.Align))
-		}
+		scorePairsHost(v.enc, pairs, order, v.cfg.Align, scores)
 	case v.degraded:
-		runSWBatchHost(v.dev, swBatch{lo: 0, hi: len(order)}, v.seqs, pairs, order, v.cfg, scores)
+		runSWBatchHost(v.dev, swBatch{lo: 0, hi: len(order)}, v.enc, pairs, order, v.cfg, scores)
 	default:
 		budget := v.cfg.GPUBatchWords
 		if budget <= 0 {
@@ -226,7 +219,7 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		env := &swEnv{dev: v.dev, table: v.table, seqs: v.seqs, enc: v.enc, pairs: pairs,
+		env := &swEnv{dev: v.dev, table: v.table, enc: v.enc, pairs: pairs,
 			order: order, cfg: v.cfg, scores: scores, rec: &v.rec}
 		if err := runSWBatchesSequentialResilient(env, plans); err != nil {
 			return nil, 0, err

@@ -12,8 +12,8 @@ import (
 
 // HTTP surface. Request bodies are FASTA; responses are JSON. Admission
 // rejects (ErrOverloaded) map to 503 with a Retry-After hint, input errors
-// to 400, shutdown to 503, and a body over its endpoint's size limit to 413
-// before any record reaches the server.
+// to 400, shutdown to 503, and a body over its endpoint's size limit or a
+// record over the residue limit to 413 before any record reaches the server.
 //
 //	POST /assign   one FASTA record  → assignReply
 //	POST /cluster  FASTA records     → clusterReply
@@ -21,12 +21,14 @@ import (
 //	GET  /metrics                    → OpenMetrics text
 //	GET  /healthz                    → "ok"
 
-// Request body limits. One /assign query is a single ORF; /cluster takes a
-// batch of them. The limits bound what one request can make the process
-// buffer before admission control sees it.
+// Request limits. One /assign query is a single ORF; /cluster takes a batch
+// of them. The body limits bound what one request makes the process buffer
+// before admission control; the record limit, above titin's 34,350
+// residues, bounds one record's alignments on the scheduler goroutine.
 const (
-	maxAssignBody  = 1 << 20
-	maxClusterBody = 64 << 20
+	maxAssignBody     = 1 << 20
+	maxClusterBody    = 64 << 20
+	maxRecordResidues = 1 << 16
 )
 
 type assignReply struct {
@@ -87,7 +89,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// readFASTA parses a POST body of at most limit bytes.
+// readFASTA parses a POST body of at most limit bytes whose records hold at
+// most maxRecordResidues residues each.
 func readFASTA(w http.ResponseWriter, r *http.Request, limit int64) ([]seq.Sequence, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a FASTA body", http.StatusMethodNotAllowed)
@@ -106,6 +109,13 @@ func readFASTA(w http.ResponseWriter, r *http.Request, limit int64) ([]seq.Seque
 	if len(seqs) == 0 {
 		http.Error(w, "serve: empty FASTA body", http.StatusBadRequest)
 		return nil, false
+	}
+	for _, s := range seqs {
+		if len(s.Residues) > maxRecordResidues {
+			http.Error(w, fmt.Sprintf("serve: record %q has %d residues, over %d",
+				s.ID, len(s.Residues), maxRecordResidues), http.StatusRequestEntityTooLarge)
+			return nil, false
+		}
 	}
 	return seqs, true
 }

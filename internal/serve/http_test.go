@@ -182,11 +182,15 @@ func paddedBody(t *testing.T, seqs []seq.Sequence, size int) io.Reader {
 	return io.MultiReader(rec, io.LimitReader(&padReader{}, int64(size-rec.Len())))
 }
 
-// TestHTTPBodyLimits: a body over its endpoint's limit is answered 413
-// before any of its records reach the server, and a body exactly at the
-// limit is served.
+// TestHTTPBodyLimits: a body over its endpoint's limit, or one holding a
+// record over the residue limit, is answered 413 before any of its records
+// reach the server, and a body exactly at the limit is served.
 func TestHTTPBodyLimits(t *testing.T) {
 	corpus := testMetagenome(t, 12)
+	long := seq.Sequence{ID: "long", Residues: make([]byte, maxRecordResidues+1)}
+	for i := range long.Residues {
+		long.Residues[i] = "ACDEFGHIKLMNPQRSTVWY"[i%20]
+	}
 	s, err := New(serveConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +212,8 @@ func TestHTTPBodyLimits(t *testing.T) {
 		{"assign at limit", "/assign", corpus[3:4], maxAssignBody, http.StatusOK},
 		{"assign over limit", "/assign", corpus[3:4], maxAssignBody + 1, http.StatusRequestEntityTooLarge},
 		{"cluster over limit", "/cluster", corpus[6:], maxClusterBody + 1, http.StatusRequestEntityTooLarge},
+		{"assign record over limit", "/assign", []seq.Sequence{long}, maxAssignBody, http.StatusRequestEntityTooLarge},
+		{"cluster record over limit", "/cluster", append(corpus[6:8:8], long), maxAssignBody, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"gpclust/internal/align"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/obs"
 )
@@ -85,24 +86,24 @@ type SWConfig struct {
 // executing threads; every row is fully rewritten per pair, so reuse cannot
 // affect results.
 type swRows struct {
-	h, e []int32
-	a, b []int32
+	dp   align.Scratch
+	a, b []byte
 }
 
 var swPool = sync.Pool{New: func() any { return new(swRows) }}
 
 // SWScoreBatch launches the batched score-only Smith–Waterman kernel over
-// cfg.NumPairs candidate pairs (nil stream = synchronous). Scores are
-// bit-identical to align.ScoreOnly on the same pairs: the kernel replicates
-// its recurrence, clamping and tie-breaking exactly, in int32 (every
-// intermediate fits: after the first max, gap scores are bounded below by
-// -(GapOpen+2·GapExtend)).
+// cfg.NumPairs candidate pairs (nil stream = synchronous). Each thread
+// decodes its pair's residue codes and runs align.ScoreCodes over the
+// device table's words, so scores are bit-identical to align.ScoreOnly on
+// the same pairs. Codes are bytes: SeqBits is at most 8 and the alphabet at
+// most 256.
 func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SWConfig) error {
-	if cfg.NumPairs < 0 || cfg.Alphabet <= 0 {
+	if cfg.NumPairs < 0 || cfg.Alphabet <= 0 || cfg.Alphabet > 256 {
 		return fmt.Errorf("thrust: SWScoreBatch with %d pairs, alphabet %d", cfg.NumPairs, cfg.Alphabet)
 	}
-	if cfg.SeqBits < 0 || cfg.SeqBits > 32 {
-		return fmt.Errorf("thrust: SWScoreBatch residue width %d outside [0,32]", cfg.SeqBits)
+	if cfg.SeqBits < 0 || cfg.SeqBits > 8 {
+		return fmt.Errorf("thrust: SWScoreBatch residue width %d outside [0,8]", cfg.SeqBits)
 	}
 	tbl := cfg.Alphabet * cfg.Alphabet
 	tblBuf := buf
@@ -129,6 +130,7 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 	// Cooperative table staging: each block loads the query profile into
 	// shared memory with a strided, coalesced sweep before its pairs start.
 	tableChunk := (tbl + swBlockDim - 1) / swBlockDim
+	prm := align.Params{GapOpen: int(cfg.GapOpen), GapExtend: int(cfg.GapExtend)}
 	d.NextKernelName("sw_score")
 	return launch(d, s, grid, swBlockDim, func(ctx *gpusim.ThreadCtx) {
 		if ctx.Thread < tbl {
@@ -162,53 +164,11 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 		ctx.GlobalRead(buf, cfg.SeqBase+aw0, aw1-aw0, 1)
 		ctx.GlobalRead(buf, cfg.SeqBase+bw0, bw1-bw0, 1)
 
-		const negInf = -1 << 30
 		rows := swPool.Get().(*swRows)
 		rows.a = decodeResidues(rows.a, w[cfg.SeqBase:], aOff, aLen, cfg.SeqBits)
 		rows.b = decodeResidues(rows.b, w[cfg.SeqBase:], bOff, bLen, cfg.SeqBits)
-		if cap(rows.h) < bLen {
-			rows.h = make([]int32, bLen)
-			rows.e = make([]int32, bLen)
-		}
-		// h[j], e[j] hold column j+1 of the DP; column 0 is H = 0 throughout.
-		bc := rows.b
-		h, e := rows.h[:len(bc)], rows.e[:len(bc)]
-		for j := range h {
-			h[j] = 0
-			e[j] = negInf
-		}
-		// Query-profile form: each a-residue selects its substitution row
-		// once, and the inner loop indexes it by the b-residue directly. The
-		// row runs to the table's end, as the flat [ca·Alphabet+cb] index
-		// did, so the index is checked against the table alone.
-		tw := tblBuf.Words()
-		gapExt, gapOpenExt := cfg.GapExtend, cfg.GapOpen+cfg.GapExtend
-		var best int32
-		for _, ca := range rows.a {
-			prof := tw[cfg.TableBase+int(ca)*cfg.Alphabet:]
-			var diag, left int32 // H[i-1][j-1] and H[i][j-1]
-			var f int32 = negInf
-			for j, cb := range bc {
-				hj := h[j]
-				ej := max(e[j]-gapExt, hj-gapOpenExt)
-				e[j] = ej
-				f = max(f-gapExt, left-gapOpenExt)
-				v := diag + int32(prof[cb])
-				if v < 0 {
-					v = 0
-				}
-				v = max(v, ej, f)
-				if v < 0 {
-					v = 0
-				}
-				diag = hj
-				h[j] = v
-				left = v
-				if v > best {
-					best = v
-				}
-			}
-		}
+		tw := tblBuf.Words()[cfg.TableBase : cfg.TableBase+tbl]
+		best := align.ScoreCodes(rows.a, rows.b, tw, cfg.Alphabet, prm, &rows.dp)
 		swPool.Put(rows)
 		w[cfg.ScoreBase+pair] = uint32(best)
 		cells := aLen * bLen
@@ -226,21 +186,21 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 // decodeResidues writes the n residue codes starting at residue off of seq
 // into dst (grown if needed) and returns it: 4 codes per little-endian word
 // when bits is 0, else the bit-continuous packed image of that width.
-func decodeResidues(dst []int32, seq []uint32, off, n, bits int) []int32 {
+func decodeResidues(dst []byte, seq []uint32, off, n, bits int) []byte {
 	if cap(dst) < n {
-		dst = make([]int32, n)
+		dst = make([]byte, n)
 	}
 	dst = dst[:n]
 	if bits == 0 {
 		for i := range dst {
 			p := off + i
-			dst[i] = int32(seq[p>>2] >> (8 * (p & 3)) & 0xff)
+			dst[i] = byte(seq[p>>2] >> (8 * (p & 3)))
 		}
 		return dst
 	}
 	mask := packedMask(bits)
 	for i := range dst {
-		dst[i] = int32(packedAt(seq, off+i, bits, mask))
+		dst[i] = byte(packedAt(seq, off+i, bits, mask))
 	}
 	return dst
 }

@@ -163,8 +163,8 @@ func TestSWScoreBatchEmptySequence(t *testing.T) {
 	}
 }
 
-// TestSWScoreBatchValidation: layouts that spill out of the buffer are
-// rejected before any thread runs.
+// TestSWScoreBatchValidation: layouts that spill out of the buffer, and
+// residue codes wider than a byte, are rejected before any thread runs.
 func TestSWScoreBatchValidation(t *testing.T) {
 	d := newDev(t)
 	buf, err := d.Malloc(100)
@@ -172,6 +172,11 @@ func TestSWScoreBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer buf.Free()
+	wide, err := d.Malloc(257 * 257) // room for a 257-code table
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Free()
 	bad := []SWConfig{
 		{NumPairs: 1, Alphabet: 0},
 		{NumPairs: -1, Alphabet: 21},
@@ -180,6 +185,8 @@ func TestSWScoreBatchValidation(t *testing.T) {
 		{NumPairs: 1, Alphabet: 5, SeqBase: 95, SeqWords: 10},   // residues spill
 		{NumPairs: 8, Alphabet: 5, PairBase: 25, ScoreBase: 95}, // scores spill
 		{NumPairs: 1, Alphabet: 5, TableBase: -1},               // negative base
+		{NumPairs: 1, Alphabet: 5, SeqBits: 9},                  // codes wider than a byte
+		{NumPairs: 0, Alphabet: 257, Table: wide},               // alphabet past a byte code
 	}
 	for i, cfg := range bad {
 		if err := SWScoreBatch(d, nil, buf, cfg); err == nil {

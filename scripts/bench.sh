@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
-# Benchmark trajectory: runs the key testing.B benchmarks plus the pGraph
-# verification-backend ablation, the auto-tuned-vs-fixed batch-plan
-# ablation, the packed-image ablation, and the LSH candidate-filter
-# ablation, and assembles them into one JSON file recording both
-# virtual-clock and wall-clock numbers, then validates it with
-# scripts/benchcheck. The BENCH_pr*.json files in the repository root are
-# earlier snapshots of this output. A relative output path is taken from
-# the repository root.
+# Virtual-clock benchmark trajectory: runs the pGraph verification-backend
+# ablation, the auto-tuned-vs-fixed batch-plan ablation, the packed-image
+# ablation, and the LSH candidate-filter ablation, assembles them into one
+# JSON file, then validates it with scripts/benchcheck. Wall time is
+# measured by cmd/gpbench, not here. The BENCH_pr*.json files in the
+# repository root are earlier snapshots of this output (their go_bench rows
+# came from single testing.B iterations and are no longer written). A
+# relative output path is taken from the repository root.
 #
 # Usage: scripts/bench.sh output.json
 set -eu
@@ -20,13 +20,6 @@ out="$1"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== go benchmarks (1 iteration each; ns/op is wall time on this host)"
-go test -run='^$' -bench \
-    'BenchmarkTable1_20KGraph$|BenchmarkClusterSerial_20K$|BenchmarkClusterParallel_W4$|BenchmarkGPU_PipelinedVsSequentialBatches$' \
-    -benchtime 1x . | tee "$tmp/root.bench"
-go test -run='^$' -bench 'BenchmarkBuild250$|BenchmarkPGraphGPU$' \
-    -benchtime 1x ./internal/pgraph/ | tee "$tmp/pgraph.bench"
-
 echo "== pGraph verification-backend ablation (virtual clock)"
 go run ./cmd/experiments -exp pgraph -benchjson "$tmp/backends.json"
 
@@ -39,17 +32,8 @@ go run ./cmd/experiments -exp packing -benchjson "$tmp/packing.json"
 echo "== LSH banding candidate filter (virtual clock)"
 go run ./cmd/experiments -exp lsh -benchjson "$tmp/lsh.json"
 
-awk '/^Benchmark/ {
-    sub(/-[0-9]+$/, "", $1)
-    printf "%s    {\"name\": \"%s\", \"iterations\": %s, \"wall_ns_per_op\": %s}", sep, $1, $2, $3
-    sep = ",\n"
-} END { print "" }' "$tmp/root.bench" "$tmp/pgraph.bench" > "$tmp/go_bench.json"
-
 {
     echo '{'
-    echo '  "go_bench": ['
-    cat "$tmp/go_bench.json"
-    echo '  ],'
     printf '  "pgraph_backends": '
     sed -e 's/^/  /' -e '1s/^  //' "$tmp/backends.json" | sed -e '$s/$/,/'
     printf '  "autotune": '

@@ -27,15 +27,8 @@ import (
 // priced point of the bench corpus.
 const maxDriftFrac = 0.25
 
-type goBenchEntry struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	WallNsPerOp float64 `json:"wall_ns_per_op"`
-}
-
 type benchFile struct {
 	PR       int                        `json:"pr"`
-	GoBench  []goBenchEntry             `json:"go_bench"`
 	Backends []bench.PGraphBackendPoint `json:"pgraph_backends"`
 	Autotune []bench.AutoTunePoint      `json:"autotune"`
 	Packing  []bench.PackingPoint       `json:"packing"`
@@ -46,17 +39,6 @@ type benchFile struct {
 // presence: a truncated or hand-edited file yields an error naming the
 // missing piece, not a panic.
 func validate(f benchFile) error {
-	if len(f.GoBench) == 0 {
-		return fmt.Errorf("no go benchmark entries")
-	}
-	for i, b := range f.GoBench {
-		if b.Name == "" {
-			return fmt.Errorf("go benchmark entry %d has no name", i)
-		}
-		if b.Iterations <= 0 {
-			return fmt.Errorf("go benchmark %q reports %d iterations", b.Name, b.Iterations)
-		}
-	}
 	if len(f.Backends) == 0 {
 		return fmt.Errorf("no pgraph backend points")
 	}

@@ -10,9 +10,6 @@ import (
 func goodFile() benchFile {
 	return benchFile{
 		PR: 3,
-		GoBench: []goBenchEntry{
-			{Name: "BenchmarkBuild250", Iterations: 1, WallNsPerOp: 1e9},
-		},
 		Backends: []bench.PGraphBackendPoint{
 			{Backend: "host", VirtualNs: 5e9, Edges: 120},
 			{Backend: "gpu sequential", VirtualNs: 2e9, Edges: 120},
@@ -79,11 +76,9 @@ func TestValidateRejects(t *testing.T) {
 		mut  func(*benchFile)
 		want string
 	}{
-		{"empty file", func(f *benchFile) { *f = benchFile{} }, "no go benchmark entries"},
+		{"empty file", func(f *benchFile) { *f = benchFile{} }, "no pgraph backend points"},
 		{"nil backends", func(f *benchFile) { f.Backends = nil }, "no pgraph backend points"},
 		{"too few backends", func(f *benchFile) { f.Backends = f.Backends[:2] }, "incomplete ablation"},
-		{"unnamed benchmark", func(f *benchFile) { f.GoBench[0].Name = "" }, "has no name"},
-		{"zero iterations", func(f *benchFile) { f.GoBench[0].Iterations = 0 }, "0 iterations"},
 		{"unnamed backend", func(f *benchFile) { f.Backends[1].Backend = "" }, "no backend name"},
 		{"zero virtual total", func(f *benchFile) { f.Backends[2].VirtualNs = 0 }, "non-positive virtual total"},
 		{"edge mismatch", func(f *benchFile) { f.Backends[2].Edges = 121 }, "accepted 121 edges"},

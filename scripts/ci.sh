@@ -105,6 +105,7 @@ grep -q '^gpclust_faults_injected_total ' "$tmp_dir/gpclust-metrics.txt"
 grep -q '^# EOF$' "$tmp_dir/gpclust-metrics.txt"
 
 echo "== fuzz smoke (10s per target)"
+go test -run='^$' -fuzz=FuzzScoreCodes -fuzztime=10s ./internal/align/
 go test -run='^$' -fuzz=FuzzRadixSort -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz=FuzzPlanBatches -fuzztime=10s ./internal/sched/
 go test -run='^$' -fuzz=FuzzSegmentedSort -fuzztime=10s ./internal/thrust/
