@@ -1,13 +1,17 @@
 package gpclust_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // buildTool compiles one of the cmd/ binaries into dir and returns its path.
@@ -252,6 +256,86 @@ func TestCLIFaultInjectionRecovers(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("faulted CLI run produced a different cluster file than the clean run")
+	}
+}
+
+// TestCLIServeShutdown starts gpclust-serve on an ephemeral port, checks that
+// it answers /healthz, and sends SIGTERM: the server must shut down
+// gracefully and exit 0 within 10 s.
+func TestCLIServeShutdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	genseq := buildTool(t, dir, "genseq")
+	serveBin := buildTool(t, dir, "gpclust-serve")
+	fasta := filepath.Join(dir, "orfs.fa")
+	run(t, genseq, "-mode", "seqs", "-n", "60", "-fasta", fasta,
+		"-truth", filepath.Join(dir, "truth.tsv"))
+
+	cmd := exec.Command(serveBin, "-in", fasta, "-addr", "127.0.0.1:0")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The reader owns log until readDone closes; it ends at EOF, which the
+	// process's exit (or the cleanup's kill) guarantees.
+	var log strings.Builder
+	url := make(chan string, 1)
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+			if _, u, ok := strings.Cut(sc.Text(), "serving on "); ok {
+				url <- u
+			}
+		}
+	}()
+	waited := false
+	t.Cleanup(func() {
+		if !waited {
+			_ = cmd.Process.Kill() // the test already failed; only reap the process
+			<-readDone
+			_ = cmd.Wait()
+		}
+	})
+
+	var base string
+	select {
+	case base = <-url:
+	case <-readDone:
+		t.Fatalf("gpclust-serve exited before serving:\n%s", log.String())
+	case <-time.After(60 * time.Second):
+		t.Fatal("gpclust-serve printed no serving line within 60 s")
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz answered %s", resp.Status)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-readDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gpclust-serve still running 10 s after SIGTERM")
+	}
+	waited = true
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("gpclust-serve after SIGTERM: %v\n%s", err, log.String())
+	}
+	if !strings.Contains(log.String(), "shutting down") {
+		t.Fatalf("no shutdown message on stderr:\n%s", log.String())
 	}
 }
 

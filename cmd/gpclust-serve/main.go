@@ -9,6 +9,10 @@
 //	                                   queue depth, pass/merge counters)
 //	GET  /healthz                    → liveness
 //
+// SIGINT or SIGTERM shuts the server down gracefully: it stops accepting
+// connections, waits up to shutdownTimeout for in-flight requests, answers
+// every request still queued, and exits 0.
+//
 // Admission is bounded: when the request queue is full the server answers
 // 503 with a Retry-After hint instead of queueing without bound. Queued
 // requests are coalesced into single device scoring passes, so concurrent
@@ -25,11 +29,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"gpclust/internal/pgraph"
@@ -41,11 +50,13 @@ import (
 // indefinitely: the headers must arrive within readHeaderTimeout and the
 // whole request (up to the 64 MiB /cluster body limit) within readTimeout.
 // There is no write timeout, because a large /cluster insert legitimately
-// runs long before its reply is written.
+// runs long before its reply is written; shutdownTimeout bounds how long a
+// shutdown waits for such requests to finish.
 const (
 	readHeaderTimeout = 10 * time.Second
 	readTimeout       = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 30 * time.Second
 )
 
 func main() {
@@ -87,20 +98,40 @@ func main() {
 	pcfg.GPU = *gpu
 	s, err := serve.New(serve.Config{Pgraph: pcfg, QueueCap: *queue, MaxCoalesce: *coalesce})
 	fatal(err)
-	defer s.Close()
 
 	res, err := s.Cluster(corpus)
 	fatal(err)
+	ln, err := net.Listen("tcp", *addr)
+	fatal(err)
 	fmt.Fprintf(os.Stderr, "gpclust-serve: %d sequences resident in %d families; serving on http://%s\n",
-		len(res.Indices), res.Families, *addr)
+		len(res.Indices), res.Families, ln.Addr())
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	fatal(srv.ListenAndServe())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		fatal(err) // Serve returns only on failure until Shutdown is called
+	case <-ctx.Done():
+	}
+	stop() // a second signal terminates at once
+	fmt.Fprintln(os.Stderr, "gpclust-serve: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	shutdownErr := srv.Shutdown(sctx)
+	s.Close() // answers every request still queued
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		fatal(err)
+	}
+	if shutdownErr != nil {
+		fatal(fmt.Errorf("shutdown: %w", shutdownErr))
+	}
 }
 
 // parseBands maps the -bands value to Config.LSHBands the same way the

@@ -37,7 +37,6 @@ func ScoreOnly(a, b []byte, p Params) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	const negInf = -1 << 30
 	n := len(b)
 	h := make([]int, n+1) // H[i-1][j] rolling
 	e := make([]int, n+1) // E[i][j]: gap in a
@@ -69,54 +68,73 @@ func ScoreOnly(a, b []byte, p Params) int {
 	return best
 }
 
-// Scratch holds the two DP rows ScoreCodes reuses across calls; the zero
-// value is ready to use.
-type Scratch struct{ h, e []int32 }
+// Scratch holds the DP row and the query profile ScoreCodes reuses across
+// calls; the zero value is ready to use.
+type Scratch struct {
+	row  []cell
+	prof [256]int32
+}
+
+// cell is one column of the DP row: H[i][j] and E[i][j] of the last row swept.
+type cell struct{ h, e int32 }
+
+// negInf starts the gap recurrences: it loses every max against a real
+// score, and one gap extension below it still fits an int32.
+const negInf = -1 << 30
 
 // ScoreCodes is ScoreOnly over residue codes in the query-profile form of
-// Nguyen & Lavenier: each code of a selects its row of the flat
-// alphabet×alphabet table (int32 scores as uint32 words, codes x, y at
-// x·alphabet+y) once, and the inner loop indexes that row by the code of b.
+// Nguyen & Lavenier. The table is a flat alphabet×alphabet matrix of int32
+// scores stored as uint32 words, codes x, y at x·alphabet+y; every code of a
+// and b must be below alphabet. For each residue of a, its table row is
+// copied into a 256-entry profile, which the byte codes of b index with no
+// bounds check, and sweepRow advances the DP by one row over b, keeping its
+// loop state in registers; H and E share one interleaved row.
 // Clamps and tie order are ScoreOnly's, so over Encode and Blosum62Table it
 // returns ScoreOnly's score (every intermediate fits an int32: after the
 // first max, gap scores are bounded below by -(GapOpen+2·GapExtend)).
 func ScoreCodes(a, b []byte, table []uint32, alphabet int, p Params, s *Scratch) int32 {
-	const negInf = -1 << 30
-	if cap(s.h) < len(b) {
-		s.h, s.e = make([]int32, len(b)), make([]int32, len(b))
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	// h[j], e[j] hold column j+1 of the DP; column 0 is H = 0 throughout.
-	h, e := s.h[:len(b)], s.e[:len(b)]
-	for j := range h {
-		h[j] = 0
-		e[j] = negInf
+	if cap(s.row) < len(b) {
+		s.row = make([]cell, len(b))
+	}
+	// row[j] holds column j+1 of the DP; column 0 is H = 0 throughout.
+	row := s.row[:len(b)]
+	for j := range row {
+		row[j] = cell{0, negInf}
 	}
 	gapExt, gapOpenExt := int32(p.GapExtend), int32(p.GapOpen+p.GapExtend)
+	width := min(alphabet, len(s.prof)) // byte codes never reach column 256
 	var best int32
 	for _, ca := range a {
-		prof := table[int(ca)*alphabet:]
-		var diag, left int32 // H[i-1][j-1] and H[i][j-1]
-		var f int32 = negInf
-		for j, cb := range b {
-			hj := h[j]
-			ej := max(e[j]-gapExt, hj-gapOpenExt)
-			e[j] = ej
-			f = max(f-gapExt, left-gapOpenExt)
-			v := diag + int32(prof[cb])
-			if v < 0 {
-				v = 0
-			}
-			v = max(v, ej, f)
-			if v < 0 {
-				v = 0
-			}
-			diag = hj
-			h[j] = v
-			left = v
-			if v > best {
-				best = v
-			}
+		base := int(ca) * alphabet
+		for y, w := range table[base : base+width] {
+			s.prof[y] = int32(w)
 		}
+		best = sweepRow(row, b, &s.prof, gapExt, gapOpenExt, best)
+	}
+	return best
+}
+
+// sweepRow advances row from DP row i-1 to row i for the query residue whose
+// profile is prof, and returns the larger of best and every H of row i. It
+// is not inlined so that its few live values, not ScoreCodes', hold the
+// registers.
+//
+//go:noinline
+func sweepRow(row []cell, b []byte, prof *[256]int32, gapExt, gapOpenExt, best int32) int32 {
+	row = row[:len(b)]
+	var diag, left int32 // H[i-1][j-1] and H[i][j-1]
+	var f int32 = negInf
+	for j, cb := range b {
+		h, e := row[j].h, row[j].e
+		e = max(e-gapExt, h-gapOpenExt)
+		f = max(f-gapExt, left-gapOpenExt)
+		left = max(diag+prof[cb], 0, e, f)
+		diag = h
+		row[j] = cell{left, e}
+		best = max(best, left)
 	}
 	return best
 }
@@ -127,7 +145,6 @@ func Align(a, b []byte, p Params) Result {
 	if len(a) == 0 || len(b) == 0 {
 		return Result{}
 	}
-	const negInf = -1 << 30
 	m, n := len(a), len(b)
 	idx := func(i, j int) int { return i*(n+1) + j }
 	h := make([]int32, (m+1)*(n+1))

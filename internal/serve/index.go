@@ -13,6 +13,13 @@ import (
 // pair set the batch filter computes over the union corpus — the
 // equivalence pinned by pgraph's TestIncrementalLSHMatchesBatchFilter.
 //
+// Each bucket is a singly linked list of postings in insertion order, so
+// candidates come out in the order members were bucketed. The bucket maps
+// hold only the list ends and post holds every posting, so the index keeps
+// no pointer per posting and needs less than half the memory of a map of
+// []int32 buckets (it is most of serve's resident memory, and grows with
+// every insert).
+//
 // The index is owned by the server's scheduler goroutine; it is not safe
 // for concurrent use.
 type lshIndex struct {
@@ -20,28 +27,45 @@ type lshIndex struct {
 	fam   minwise.Family
 	k     int // shingle length (Config.MinExactMatch)
 
-	banded []map[uint32][]int32 // banded shapes: one bucket map per band
-	cons   map[uint32][]int32   // conservative preset: bucket per raw shingle
+	// heads has one bucket map per band; the conservative preset has one,
+	// keyed by raw shingle.
+	heads []map[uint32]span
+	post  []posting
 
-	// undo logs every bucket append since the last mark, so a failed insert
-	// pass can be rolled back without rebuilding the index.
+	// undo logs every posting appended since the last mark, so a failed
+	// insert pass can be rolled back without rebuilding the index.
 	undo []undoRec
 }
 
-type undoRec struct {
-	band int // -1: conservative bucket
+// bucketKey is a bucket's coordinates: its band and its key in that band.
+type bucketKey struct {
+	band int32
 	key  uint32
+}
+
+// span is a bucket's first and last posting, indices into post.
+type span struct{ first, last int32 }
+
+// posting is one member of a bucket; next is the bucket's following posting
+// or -1.
+type posting struct{ id, next int32 }
+
+// undoRec is one appended posting: its bucket and the bucket's last posting
+// before the append (-1: the append created the bucket).
+type undoRec struct {
+	bucketKey
+	prev int32
 }
 
 func newLSHIndex(shape pgraph.LSHShape, k int) *lshIndex {
 	ix := &lshIndex{shape: shape, fam: shape.Family(), k: k}
+	bands := shape.Bands
 	if shape.Conservative {
-		ix.cons = make(map[uint32][]int32)
-	} else {
-		ix.banded = make([]map[uint32][]int32, shape.Bands)
-		for b := range ix.banded {
-			ix.banded[b] = make(map[uint32][]int32)
-		}
+		bands = 1
+	}
+	ix.heads = make([]map[uint32]span, bands)
+	for b := range ix.heads {
+		ix.heads[b] = make(map[uint32]span)
 	}
 	return ix
 }
@@ -52,37 +76,32 @@ func (ix *lshIndex) shingles(residues []byte) []uint32 {
 	return pgraph.ShingleSet(residues, ix.k)
 }
 
-// buckets yields the (band, key) bucket coordinates of one non-empty
-// shingle set.
-func (ix *lshIndex) buckets(set []uint32) []undoRec {
+// buckets yields the bucket coordinates of one non-empty shingle set.
+func (ix *lshIndex) buckets(set []uint32) []bucketKey {
 	if ix.shape.Conservative {
-		recs := make([]undoRec, len(set))
+		bks := make([]bucketKey, len(set))
 		for i, v := range set {
-			recs[i] = undoRec{band: -1, key: v}
+			bks[i] = bucketKey{key: v}
 		}
-		return recs
+		return bks
 	}
 	keys := ix.shape.BandKeys(ix.fam, set)
-	recs := make([]undoRec, len(keys))
+	bks := make([]bucketKey, len(keys))
 	for b, k := range keys {
-		recs[b] = undoRec{band: b, key: k}
+		bks[b] = bucketKey{band: int32(b), key: k}
 	}
-	return recs
+	return bks
 }
 
-func (ix *lshIndex) bucket(r undoRec) []int32 {
-	if r.band < 0 {
-		return ix.cons[r.key]
+// collect appends to out every member of bucket sp not yet in seen.
+func (ix *lshIndex) collect(sp span, seen map[int32]bool, out []int32) []int32 {
+	for p := sp.first; p >= 0; p = ix.post[p].next {
+		if m := ix.post[p].id; !seen[m] {
+			seen[m] = true
+			out = append(out, m)
+		}
 	}
-	return ix.banded[r.band][r.key]
-}
-
-func (ix *lshIndex) put(r undoRec, id int32) {
-	if r.band < 0 {
-		ix.cons[r.key] = append(ix.cons[r.key], id)
-	} else {
-		ix.banded[r.band][r.key] = append(ix.banded[r.band][r.key], id)
-	}
+	return out
 }
 
 // candidates returns the distinct resident members sharing a bucket with
@@ -93,12 +112,9 @@ func (ix *lshIndex) candidates(set []uint32) []int32 {
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, r := range ix.buckets(set) {
-		for _, m := range ix.bucket(r) {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
+	for _, bk := range ix.buckets(set) {
+		if sp, ok := ix.heads[bk.band][bk.key]; ok {
+			out = ix.collect(sp, seen, out)
 		}
 	}
 	return out
@@ -113,15 +129,21 @@ func (ix *lshIndex) insert(id int32, set []uint32) []int32 {
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, r := range ix.buckets(set) {
-		for _, m := range ix.bucket(r) {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
+	for _, bk := range ix.buckets(set) {
+		p := int32(len(ix.post))
+		ix.post = append(ix.post, posting{id: id, next: -1})
+		sp, ok := ix.heads[bk.band][bk.key]
+		rec := undoRec{bucketKey: bk, prev: -1}
+		if ok {
+			out = ix.collect(sp, seen, out)
+			ix.post[sp.last].next = p
+			rec.prev = sp.last
+			sp.last = p
+		} else {
+			sp = span{p, p}
 		}
-		ix.put(r, id)
-		ix.undo = append(ix.undo, r)
+		ix.heads[bk.band][bk.key] = sp
+		ix.undo = append(ix.undo, rec)
 	}
 	return out
 }
@@ -131,24 +153,21 @@ func (ix *lshIndex) insert(id int32, set []uint32) []int32 {
 func (ix *lshIndex) mark() int { return len(ix.undo) }
 
 func (ix *lshIndex) rollback(mark int) {
+	// Each undo record since mark appended one posting, in order; unlink
+	// them newest first, then drop them.
+	appended := len(ix.undo) - mark
 	for i := len(ix.undo) - 1; i >= mark; i-- {
 		r := ix.undo[i]
-		if r.band < 0 {
-			b := ix.cons[r.key]
-			if len(b) <= 1 {
-				delete(ix.cons, r.key)
-			} else {
-				ix.cons[r.key] = b[:len(b)-1]
-			}
-		} else {
-			b := ix.banded[r.band][r.key]
-			if len(b) <= 1 {
-				delete(ix.banded[r.band], r.key)
-			} else {
-				ix.banded[r.band][r.key] = b[:len(b)-1]
-			}
+		if r.prev < 0 {
+			delete(ix.heads[r.band], r.key)
+			continue
 		}
+		ix.post[r.prev].next = -1
+		sp := ix.heads[r.band][r.key]
+		sp.last = r.prev
+		ix.heads[r.band][r.key] = sp
 	}
+	ix.post = ix.post[:len(ix.post)-appended]
 	ix.undo = ix.undo[:mark]
 }
 
