@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzRadixSort checks the six-pass LSD radix sort against the obvious
-// comparison-sort oracle on arbitrary (key, owner) streams. Aggregation
-// correctness — and through it the determinism contract — rests entirely on
-// this sort producing the exact (key, owner) order.
+// FuzzRadixSort checks the digit-skipping 11-bit LSD radix sort against the
+// obvious comparison-sort oracle on arbitrary (key, owner) streams.
+// Aggregation correctness — and through it the determinism contract — rests
+// entirely on this sort producing the exact (key, owner) order. The
+// radixSkipCases seeds start the fuzzer on streams whose shared digits are
+// skipped.
 func FuzzRadixSort(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -22,6 +24,14 @@ func FuzzRadixSort(f *testing.F) {
 		big[i] = byte(state >> 56)
 	}
 	f.Add(big)
+	for _, c := range radixSkipCases() {
+		raw := make([]byte, 12*len(c.ts))
+		for i, t := range c.ts {
+			binary.LittleEndian.PutUint64(raw[i*12:], t.key)
+			binary.LittleEndian.PutUint32(raw[i*12+8:], t.owner)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		n := len(raw) / 12

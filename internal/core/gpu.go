@@ -259,6 +259,9 @@ type passEnv struct {
 	o   Options
 
 	tuplesByTrial [][]tuple
+	// tupleBlock is the capacity presizeTuples gave each trial's tuple
+	// stream, or -1 when the streams grow on demand (GPUAggregate).
+	tupleBlock int
 	// sortedByTrial holds device-sorted tuple runs per trial; non-nil only
 	// under GPUAggregate.
 	sortedByTrial [][][]tuple
@@ -277,19 +280,22 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	stats.Lists = in.NumLists()
 	stats.Elements = int64(len(in.Data))
 	c := fam.Size()
-	e := &passEnv{dev: dev, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c),
+	e := &passEnv{dev: dev, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c), tupleBlock: -1,
 		pending: make(map[int]*pendingShingle), acct: acct, stats: stats, rec: rec}
 	if o.GPUAggregate {
 		e.sortedByTrial = make([][][]tuple, c)
 	}
 
 	if in.NumLists() == 0 {
-		return buildShingleGraph(e.tuplesByTrial, acct, stats), nil
+		return buildShingleGraph(e.tuplesByTrial, 1, acct, stats), nil
 	}
 	for i := 0; i < in.NumLists(); i++ {
 		if int(in.Offsets[i+1]-in.Offsets[i]) < s {
 			stats.SkippedShort++
 		}
+	}
+	if !o.GPUAggregate {
+		e.presizeTuples(in.NumLists() - stats.SkippedShort)
 	}
 
 	// Resolve the pass's packed image width: every adjacency value at the
@@ -355,16 +361,32 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	if len(e.pending) != 0 {
 		return nil, fmt.Errorf("core: %d split lists never completed", len(e.pending))
 	}
+	assertTupleBlocks(e.tuplesByTrial, e.tupleBlock)
 
 	beforeAgg := acct.aggOps
 	var out *SegGraph
 	if o.GPUAggregate {
 		out = buildShingleGraphPresorted(e.sortedByTrial, e.tuplesByTrial, o.workerCount(), acct, stats)
 	} else {
-		out = buildShingleGraph(e.tuplesByTrial, acct, stats)
+		out = buildShingleGraph(e.tuplesByTrial, o.workerCount(), acct, stats)
 	}
 	sched.ChargeHost(dev, o.Obs, "split-merge", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
 	return out, nil
+}
+
+// presizeTuples backs every trial's tuple stream with its own exactly sized
+// window of one block. A list of at least s elements, whole or split, emits
+// exactly one tuple per trial and a shorter one none, so the number of long
+// lists is every stream's final length: the streams never grow, and a
+// rolled-back attempt (resilient.go) truncates within its window. Only
+// whole-list streams are sized this way: under GPUAggregate the streams
+// carry the residue of split lists, which an OOM split can add to mid-pass.
+func (e *passEnv) presizeTuples(long int) {
+	block := make([]tuple, len(e.tuplesByTrial)*long)
+	for j := range e.tuplesByTrial {
+		e.tuplesByTrial[j] = block[j*long : j*long : (j+1)*long]
+	}
+	e.tupleBlock = long
 }
 
 // packWidth resolves a pass's packed image width: the smallest bit width

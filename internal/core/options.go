@@ -94,9 +94,10 @@ type Options struct {
 	GPUAggregate bool
 
 	// Workers sizes the host worker pool: the ClusterParallel backend's
-	// shingling/aggregation/reporting pools, and the pre-sorted stream
-	// merge of the GPUAggregate path. 0 means runtime.GOMAXPROCS(0).
-	// Output is identical for every worker count.
+	// shingling/aggregation/reporting pools, and ClusterGPU's per-trial
+	// aggregation (the tuple sorts, or the pre-sorted stream merges under
+	// GPUAggregate). 0 means runtime.GOMAXPROCS(0). Output, virtual time
+	// and counters are identical for every worker count.
 	Workers int
 
 	// FaultRetries bounds how often one GPU batch is retried after an

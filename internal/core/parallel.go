@@ -94,13 +94,6 @@ const (
 
 func parShard(key uint64) int { return int(key >> (64 - parShardBits)) }
 
-// shardFrag is one (trial, shard)'s grouped output: owner data plus the end
-// offset of each key-group, relative to the fragment.
-type shardFrag struct {
-	data []uint32
-	ends []int64
-}
-
 // runPassParallel is runPassSerial across a worker pool, in three phases:
 //
 //	A. shingle extraction — workers claim chunks of lists from an atomic
@@ -108,7 +101,8 @@ type shardFrag struct {
 //	   shard) buffers: no shared mutable state, no lock.
 //	B. sharded aggregation — workers claim (trial, shard) slots, concatenate
 //	   that slot's buffers from every worker, radix-sort, and group into a
-//	   fragment. Slots are independent, so again no lock.
+//	   fragment sized exactly from the slot's tuple and group counts. Slots
+//	   are independent, so again no lock.
 //	C. stitch — fragments are concatenated in (trial, shard) order, which
 //	   is exactly the serial backend's (trial, key) order.
 func runPassParallel(in *SegGraph, fam minwise.Family, s, workers int,
@@ -180,7 +174,7 @@ func runPassParallel(in *SegGraph, fam minwise.Family, s, workers int,
 	// Phase B: sharded aggregation. Each slot's tuples are gathered from
 	// every worker in worker order (the radix sort erases the arrival
 	// order), sorted, and grouped.
-	frags := make([]shardFrag, slots)
+	frags := make([]SegGraph, slots)
 	var slotCursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -206,18 +200,11 @@ func runPassParallel(in *SegGraph, fam minwise.Family, s, workers int,
 				sortTuples(ts)
 				n := int64(total)
 				acct.aggOps += n*int64(bits.Len64(uint64(n))) + n
-				f := &frags[slot]
-				start := 0
-				for i := 1; i <= total; i++ {
-					if i < total && ts[i].key == ts[start].key {
-						continue
-					}
-					for _, tu := range ts[start:i] {
-						f.data = append(f.data, tu.owner)
-					}
-					f.ends = append(f.ends, int64(len(f.data)))
-					start = i
+				frags[slot] = SegGraph{
+					Offsets: make([]int64, 1, countGroups(ts)+1),
+					Data:    make([]uint32, 0, total),
 				}
+				appendGroups(&frags[slot], ts)
 				putTupleSlice(ts)
 			}
 		}(w)
@@ -236,8 +223,10 @@ func runPassParallel(in *SegGraph, fam minwise.Family, s, workers int,
 	// serial stream's (trial, key) order since a shard is a key range.
 	totalData, totalGroups := 0, 0
 	for i := range frags {
-		totalData += len(frags[i].data)
-		totalGroups += len(frags[i].ends)
+		if f := &frags[i]; f.Offsets != nil {
+			totalData += len(f.Data)
+			totalGroups += f.NumLists()
+		}
 	}
 	out := &SegGraph{
 		Offsets: make([]int64, 1, totalGroups+1),
@@ -245,9 +234,12 @@ func runPassParallel(in *SegGraph, fam minwise.Family, s, workers int,
 	}
 	for i := range frags {
 		f := &frags[i]
+		if f.Offsets == nil {
+			continue // the slot received no tuples
+		}
 		base := int64(len(out.Data))
-		out.Data = append(out.Data, f.data...)
-		for _, e := range f.ends {
+		out.Data = append(out.Data, f.Data...)
+		for _, e := range f.Offsets[1:] {
 			out.Offsets = append(out.Offsets, base+e)
 		}
 	}

@@ -3,10 +3,14 @@ package core
 import "sync"
 
 // Scratch pools for the shingling hot loops. Every trial of every list wants
-// an s-sized minima slice, and every per-trial radix sort wants an n-sized
-// tuple buffer; recycling both through sync.Pool keeps the steady-state
-// allocation rate of a pass near zero (measured by the allocs/op column of
-// BenchmarkClusterParallel).
+// an s-sized minima slice, every radix sort an n-sized ping-pong tuple buffer
+// plus its digit counters (radixScratch, about 72 KB), and ClusterParallel's
+// per-worker shard streams and per-slot gathers want tuple slices; recycling
+// all three through sync.Pool keeps the steady-state allocation rate of a
+// pass near zero (measured by the allocs/op column of
+// BenchmarkClusterParallel). Sorts that run concurrently (ClusterGPU's
+// per-trial sorts on the worker pool, ClusterParallel's shard slots) each
+// draw their own scratch.
 
 var minimaPool = sync.Pool{New: func() any { return new([]uint32) }}
 
@@ -37,4 +41,23 @@ func getTupleSlice(capacity int) []tuple {
 func putTupleSlice(ts []tuple) {
 	ts = ts[:0]
 	tupleSlicePool.Put(&ts)
+}
+
+// radixScratch is one sortTuples call's working memory: the ping-pong tuple
+// buffer and every digit's counters.
+type radixScratch struct {
+	buf  []tuple
+	hist [radixDigits][radixBuckets]int32
+}
+
+var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
+// getRadixScratch returns scratch whose buffer holds at least n tuples;
+// return it with radixPool.Put.
+func getRadixScratch(n int) *radixScratch {
+	sc := radixPool.Get().(*radixScratch)
+	if cap(sc.buf) < n {
+		sc.buf = make([]tuple, n)
+	}
+	return sc
 }

@@ -1,57 +1,75 @@
 package core
 
-// sortTuples orders tuples by (key, owner) with an LSD radix sort: two
-// 16-bit passes over the owner and four over the key. Aggregation sorts
-// tens of millions of tuples per pass at full experiment scale, where a
-// comparison sort's constant factors dominate the whole CPU side; radix
-// keeps the real (not just simulated) aggregation linear.
+// Radix digits of sortTuples: 11 bits (2,048 counters) each, three over the
+// owner (11+11+10 bits) then six over the key (5×11+9 bits), least
+// significant first.
+const (
+	radixBits    = 11
+	radixBuckets = 1 << radixBits
+	radixMask    = radixBuckets - 1
+	ownerDigits  = 3
+	radixDigits  = ownerDigits + 6
+)
+
+// radixDigit returns digit d of the (key, owner) sort order: digits
+// 0..ownerDigits-1 index the owner, the rest the key.
+func radixDigit(t tuple, d int) uint32 {
+	if d < ownerDigits {
+		return t.owner >> (d * radixBits) & radixMask
+	}
+	return uint32(t.key>>((d-ownerDigits)*radixBits)) & radixMask
+}
+
+// sortTuples orders tuples by (key, owner) with an LSD radix sort over
+// 11-bit digits. One read of the input counts every digit's histogram; a
+// digit every tuple shares (say the high owner digits when owners are small,
+// or every digit of a run of equal tuples) is skipped, since a stable pass on
+// it moves nothing. Small digits keep the per-pass counter work (clear and
+// prefix sum over 2,048 buckets) below the tuple moves even for the ~2K-tuple
+// streams of a pass-1 trial, while a 16-bit digit's 65,536 counters would
+// dwarf them; radix keeps the real (not just simulated) aggregation linear at
+// full experiment scale, where a comparison sort's constant factors would
+// dominate the CPU side.
 func sortTuples(ts []tuple) {
-	if len(ts) < 64 {
+	n := len(ts)
+	if n < 64 {
 		insertionSortTuples(ts)
 		return
 	}
-	// The ping-pong buffer comes from the tuple pool: aggregation sorts one
-	// stream per trial, and reusing the scratch across trials (and across
-	// concurrent workers, each drawing its own) removes the largest
-	// steady-state allocation of the CPU side.
-	bufp := tupleSlicePool.Get().(*[]tuple)
-	if cap(*bufp) < len(ts) {
-		*bufp = make([]tuple, len(ts))
+	sc := getRadixScratch(n)
+	defer radixPool.Put(sc)
+	hist := &sc.hist
+	*hist = [radixDigits][radixBuckets]int32{}
+	for _, t := range ts {
+		hist[0][t.owner&radixMask]++
+		hist[1][t.owner>>radixBits&radixMask]++
+		hist[2][t.owner>>(2*radixBits)]++
+		hist[3][t.key&radixMask]++
+		hist[4][t.key>>radixBits&radixMask]++
+		hist[5][t.key>>(2*radixBits)&radixMask]++
+		hist[6][t.key>>(3*radixBits)&radixMask]++
+		hist[7][t.key>>(4*radixBits)&radixMask]++
+		hist[8][t.key>>(5*radixBits)]++
 	}
-	buf := (*bufp)[:len(ts)]
-	defer tupleSlicePool.Put(bufp)
-	src, dst := ts, buf
-	const radix = 1 << 16
-	var counts [radix]int32
 
-	pass := func(digit func(tuple) uint32) {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, t := range src {
-			counts[digit(t)]++
+	src, dst := ts, sc.buf[:n]
+	for d := range hist {
+		counts := &hist[d]
+		if counts[radixDigit(ts[0], d)] == int32(n) {
+			continue // every tuple shares this digit
 		}
 		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
+		for i, c := range counts {
 			counts[i] = sum
 			sum += c
 		}
 		for _, t := range src {
-			d := digit(t)
-			dst[counts[d]] = t
-			counts[d]++
+			k := radixDigit(t, d)
+			dst[counts[k]] = t
+			counts[k]++
 		}
 		src, dst = dst, src
 	}
-
-	pass(func(t tuple) uint32 { return uint32(t.owner) & 0xFFFF })
-	pass(func(t tuple) uint32 { return uint32(t.owner) >> 16 })
-	pass(func(t tuple) uint32 { return uint32(t.key) & 0xFFFF })
-	pass(func(t tuple) uint32 { return uint32(t.key>>16) & 0xFFFF })
-	pass(func(t tuple) uint32 { return uint32(t.key>>32) & 0xFFFF })
-	pass(func(t tuple) uint32 { return uint32(t.key >> 48) })
-	// Six passes: src is back to the original slice.
 	if &src[0] != &ts[0] {
 		copy(ts, src)
 	}

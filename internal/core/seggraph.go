@@ -102,70 +102,84 @@ func shingleKey(trial uint32, minima []uint32) uint64 {
 // buildShingleGraph groups each trial's tuples by shingle key ("a sorting is
 // done to gather all vertices that generated each shingle ... once for each
 // random trial") and emits the resulting bipartite shingle graph in
-// adjacency-list form. Owner lists come out sorted. CPU cost is charged to
-// the aggregation account.
-func buildShingleGraph(tuplesByTrial [][]tuple, acct *cpuAccount, stats *PassStats) *SegGraph {
-	out := &SegGraph{Offsets: []int64{0}}
-	for _, trialTuples := range tuplesByTrial {
-		if len(trialTuples) == 0 {
-			continue
-		}
-		sortTuples(trialTuples)
+// adjacency-list form. Owner lists come out sorted. The per-trial sorts are
+// independent and run across workers; grouping happens in trial order, so
+// the output is identical for every worker count. CPU cost is charged to the
+// aggregation account.
+func buildShingleGraph(tuplesByTrial [][]tuple, workers int, acct *cpuAccount, stats *PassStats) *SegGraph {
+	return groupTrials(len(tuplesByTrial), workers, acct, stats, func(trial int, local *cpuAccount) []tuple {
+		ts := tuplesByTrial[trial]
+		sortTuples(ts)
 		// Sort cost: n log n comparisons, plus a grouping scan.
-		n := int64(len(trialTuples))
-		acct.aggOps += n*int64(bits.Len64(uint64(n))) + n
-		appendGroups(out, trialTuples)
-	}
-	stats.Shingles = out.NumLists()
-	acct.aggOps += int64(len(out.Data))
-	return out
-}
-
-// appendGroups appends one sorted tuple stream's key-groups to the shingle
-// graph.
-func appendGroups(out *SegGraph, sorted []tuple) {
-	start := 0
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) && sorted[i].key == sorted[start].key {
-			continue
+		if n := int64(len(ts)); n > 0 {
+			local.aggOps += n*int64(bits.Len64(uint64(n))) + n
 		}
-		for _, tu := range sorted[start:i] {
-			out.Data = append(out.Data, tu.owner)
-		}
-		out.Offsets = append(out.Offsets, int64(len(out.Data)))
-		start = i
-	}
+		return ts
+	})
 }
 
 // buildShingleGraphPresorted is buildShingleGraph for the GPU-aggregation
 // path: each trial's tuples arrive as pre-sorted per-batch streams (plus a
 // small unsorted residue of split-list tuples) and only need a linear merge.
-// With workers > 1 the per-trial merges — independent of each other — run
-// across a worker pool; grouping still happens in trial order, so the output
-// is identical for every worker count.
 func buildShingleGraphPresorted(sortedByTrial [][][]tuple, residueByTrial [][]tuple,
 	workers int, acct *cpuAccount, stats *PassStats) *SegGraph {
-	out := &SegGraph{Offsets: []int64{0}}
-	c := len(sortedByTrial)
-	if workers > 1 && c > 1 {
-		merged := make([][]tuple, c)
-		ops := make([]int64, c)
-		parallelFor(workers, c, func(_, trial int) {
-			var local cpuAccount
-			merged[trial] = mergeSortedStreams(sortedByTrial[trial], residueByTrial[trial], &local)
-			ops[trial] = local.aggOps
-		})
-		for trial := 0; trial < c; trial++ {
-			acct.aggOps += ops[trial]
-			appendGroups(out, merged[trial])
-		}
-	} else {
-		for trial := range sortedByTrial {
-			merged := mergeSortedStreams(sortedByTrial[trial], residueByTrial[trial], acct)
-			appendGroups(out, merged)
-		}
+	return groupTrials(len(sortedByTrial), workers, acct, stats, func(trial int, local *cpuAccount) []tuple {
+		return mergeSortedStreams(sortedByTrial[trial], residueByTrial[trial], local)
+	})
+}
+
+// groupTrials runs sorted(trial, local) — which returns trial's tuples in
+// (key, owner) order, charging its work to local — for the c trials across
+// a pool of workers, then appends every trial's key-groups in trial order
+// into a shingle graph sized exactly from the per-trial tuple and group
+// counts.
+func groupTrials(c, workers int, acct *cpuAccount, stats *PassStats,
+	sorted func(trial int, local *cpuAccount) []tuple) *SegGraph {
+	streams := make([][]tuple, c)
+	ops := make([]int64, c)
+	groups := make([]int, c)
+	parallelFor(workers, c, func(_, trial int) {
+		var local cpuAccount
+		streams[trial] = sorted(trial, &local)
+		ops[trial] = local.aggOps
+		groups[trial] = countGroups(streams[trial])
+	})
+	nData, nGroups := 0, 0
+	for trial := range streams {
+		acct.aggOps += ops[trial]
+		nData += len(streams[trial])
+		nGroups += groups[trial]
+	}
+	out := &SegGraph{Offsets: make([]int64, 1, nGroups+1), Data: make([]uint32, 0, nData)}
+	for _, ts := range streams {
+		appendGroups(out, ts)
 	}
 	stats.Shingles = out.NumLists()
 	acct.aggOps += int64(len(out.Data))
 	return out
+}
+
+// countGroups returns the number of key-groups in a sorted tuple stream.
+func countGroups(sorted []tuple) int {
+	n := 0
+	for i := range sorted {
+		if i == 0 || sorted[i].key != sorted[i-1].key {
+			n++
+		}
+	}
+	return n
+}
+
+// appendGroups appends one sorted tuple stream's key-groups to the shingle
+// graph.
+func appendGroups(out *SegGraph, sorted []tuple) {
+	for i, tu := range sorted {
+		if i > 0 && tu.key != sorted[i-1].key {
+			out.Offsets = append(out.Offsets, int64(len(out.Data)))
+		}
+		out.Data = append(out.Data, tu.owner)
+	}
+	if len(sorted) > 0 {
+		out.Offsets = append(out.Offsets, int64(len(out.Data)))
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gpclust/internal/graph"
@@ -87,7 +89,7 @@ func TestBuildShingleGraphGroups(t *testing.T) {
 			{key: 100, owner: 9},
 		},
 	}
-	sg := buildShingleGraph(tuples, acct, stats)
+	sg := buildShingleGraph(tuples, 1, acct, stats)
 	if sg.NumLists() != 3 {
 		t.Fatalf("%d shingle groups, want 3", sg.NumLists())
 	}
@@ -103,5 +105,50 @@ func TestBuildShingleGraphGroups(t *testing.T) {
 	}
 	if acct.aggOps == 0 {
 		t.Fatal("aggregation cost not charged")
+	}
+}
+
+// TestBuildShingleGraphWorkers pins worker-count invariance of the
+// per-trial sorts: random streams (empty trials, trials on both sides of the
+// insertion-sort cutoff, duplicate (key, owner) tuples) must group into the
+// same shingle graph, shingle count and aggregation charge for every pool
+// size.
+func TestBuildShingleGraphWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	trials := make([][]tuple, 37)
+	for j := range trials {
+		if j%6 == 0 {
+			continue // empty trial
+		}
+		ts := make([]tuple, rng.Intn(400))
+		for i := range ts {
+			ts[i] = tuple{key: uint64(rng.Intn(60)) << 40, owner: uint32(rng.Intn(50))}
+		}
+		trials[j] = ts
+	}
+	build := func(workers int) (*SegGraph, PassStats, int64) {
+		in := make([][]tuple, len(trials))
+		for j, ts := range trials {
+			in[j] = append([]tuple(nil), ts...)
+		}
+		var acct cpuAccount
+		var stats PassStats
+		sg := buildShingleGraph(in, workers, &acct, &stats)
+		return sg, stats, acct.aggOps
+	}
+	want, wantStats, wantOps := build(1)
+	if wantStats.Shingles == 0 || len(want.Data) == 0 {
+		t.Fatal("test streams grouped into nothing")
+	}
+	for _, workers := range []int{2, 5} {
+		got, stats, ops := build(workers)
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Data, want.Data) ||
+			!slices.Equal(got.Owners, want.Owners) {
+			t.Fatalf("workers=%d: shingle graph differs from workers=1", workers)
+		}
+		if stats.Shingles != wantStats.Shingles || ops != wantOps {
+			t.Fatalf("workers=%d: shingles %d, aggOps %d; want %d, %d",
+				workers, stats.Shingles, ops, wantStats.Shingles, wantOps)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func runPassSerial(in *SegGraph, fam minwise.Family, s int, acct *cpuAccount, st
 			stats.Tuples++
 		}
 	}
-	return buildShingleGraph(tuplesByTrial, acct, stats)
+	return buildShingleGraph(tuplesByTrial, 1, acct, stats)
 }
 
 // shingleListOps is the cost-model charge for shingling one list once: hash
