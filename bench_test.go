@@ -245,8 +245,9 @@ func BenchmarkClusterSerial_20K(b *testing.B) { benchClusterHost(b, 0) }
 
 // BenchmarkClusterParallel_* runs the multi-core host backend at several
 // pool sizes. On a multi-core machine wall time must drop vs the serial
-// baseline from 2 workers up; allocs/op shows the sync.Pool reuse holding
-// the hot-loop allocation rate flat as workers grow.
+// baseline from 2 workers up; allocs/op stays flat as workers grow, since
+// each pass's tuple streams are one exactly sized block whatever the pool
+// size and the minima and radix scratch come from sync.Pools.
 func BenchmarkClusterParallel_W1(b *testing.B) { benchClusterHost(b, 1) }
 func BenchmarkClusterParallel_W2(b *testing.B) { benchClusterHost(b, 2) }
 func BenchmarkClusterParallel_W4(b *testing.B) { benchClusterHost(b, 4) }

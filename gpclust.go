@@ -103,10 +103,11 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // Cluster runs the serial pClust shingling pipeline.
 func Cluster(g *Graph, o Options) (*Result, error) { return core.ClusterSerial(g, o) }
 
-// ClusterParallel runs the shingling pipeline across a host worker pool
-// (Options.Workers, 0 = GOMAXPROCS): both shingling passes, the sharded
-// aggregation, and the union-find reporting are parallelized; output is
-// bit-identical to Cluster for the same Options.
+// ClusterParallel runs Cluster's pipeline on a host worker pool
+// (Options.Workers, 0 = GOMAXPROCS): each shingling pass's per-trial
+// shingling and sorts run on the pool, reporting runs serially. Clustering,
+// virtual-clock timings and pass statistics are bit-identical to Cluster's
+// for the same Options; the speedup shows in Result.Wall.
 func ClusterParallel(g *Graph, o Options) (*Result, error) { return core.ClusterParallel(g, o) }
 
 // ClusterGPU runs the gpClust CPU–GPU pipeline on the given device.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"gpclust/internal/graph"
 )
@@ -38,34 +37,20 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 		orig []uint32
 		err  error
 	}
-	jobs := make(chan int, count)
 	results := make([]subResult, count)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				if len(members[c]) == 1 {
-					continue // singleton component: trivially its own cluster
-				}
-				sub, orig := graph.InducedSubgraph(g, members[c])
-				// Sub-runs record nothing: concurrent per-component spans
-				// would interleave on one timeline and per-component gauges
-				// would clobber each other; the merged result is recorded
-				// once below.
-				subO := o
-				subO.Obs = nil
-				res, err := ClusterSerial(sub, subO)
-				results[c] = subResult{res: res, orig: orig, err: err}
-			}
-		}()
-	}
-	for c := 0; c < count; c++ {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
+	parallelFor(workers, count, func(_, c int) {
+		if len(members[c]) == 1 {
+			return // singleton component: trivially its own cluster
+		}
+		sub, orig := graph.InducedSubgraph(g, members[c])
+		// Sub-runs record nothing: concurrent per-component spans would
+		// interleave on one timeline and per-component gauges would clobber
+		// each other; the merged result is recorded once below.
+		subO := o
+		subO.Obs = nil
+		res, err := ClusterSerial(sub, subO)
+		results[c] = subResult{res: res, orig: orig, err: err}
+	})
 
 	merged := &Result{Backend: "serial-decomposed"}
 	var clusters [][]uint32

@@ -93,11 +93,11 @@ type Options struct {
 	// to the other backends.
 	GPUAggregate bool
 
-	// Workers sizes the host worker pool: the ClusterParallel backend's
-	// shingling/aggregation/reporting pools, and ClusterGPU's per-trial
-	// aggregation (the tuple sorts, or the pre-sorted stream merges under
-	// GPUAggregate). 0 means runtime.GOMAXPROCS(0). Output, virtual time
-	// and counters are identical for every worker count.
+	// Workers sizes the host worker pool: ClusterParallel's per-trial
+	// shingling and tuple sorts, and ClusterGPU's per-trial aggregation (the
+	// tuple sorts, or the pre-sorted stream merges under GPUAggregate). 0
+	// means runtime.GOMAXPROCS(0). Output, virtual time and counters are
+	// identical for every worker count.
 	Workers int
 
 	// FaultRetries bounds how often one GPU batch is retried after an

@@ -51,30 +51,19 @@ func TestParallelWorkersResolved(t *testing.T) {
 	if res.Workers != 3 {
 		t.Fatalf("Result.Workers = %d, want 3", res.Workers)
 	}
-	if len(res.WorkerCPUNs) != 3 {
-		t.Fatalf("len(WorkerCPUNs) = %d, want 3", len(res.WorkerCPUNs))
-	}
-	// The per-worker accounts must add up to the serial backend's totals:
-	// the pool divides the same virtual work, it does not invent or lose any.
 	o.Workers = 0
 	serial, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum float64
-	for _, ns := range res.WorkerCPUNs {
-		sum += ns
-	}
-	if sum <= 0 {
-		t.Fatal("no worker CPU time accounted")
-	}
 	if serial.Timings.ShingleNs <= 0 {
 		t.Fatal("serial shingle time missing")
 	}
-	// Shingling ops are charged identically per list, so summed worker
-	// shingle time equals the serial figure; Timings reports the max.
+	// The pool divides the same virtual work, it does not invent any:
+	// shingle time never exceeds the serial figure (TestGoldenHostVirtualTime
+	// pins the two equal).
 	if res.Timings.ShingleNs > serial.Timings.ShingleNs+1 {
-		t.Fatalf("parallel critical-path shingle %.0fns above serial total %.0fns",
+		t.Fatalf("parallel shingle %.0fns above serial total %.0fns",
 			res.Timings.ShingleNs, serial.Timings.ShingleNs)
 	}
 	if res.Timings.TotalNs <= 0 || res.Timings.DiskIONs != serial.Timings.DiskIONs {
@@ -157,8 +146,8 @@ func TestParallelInvalidWorkers(t *testing.T) {
 
 // TestParallelConcurrentAggregationRace drives several full parallel runs
 // simultaneously with oversubscribed pools so `go test -race` sweeps the
-// sharded aggregation, the lock-free union-find reporting, and the sync.Pool
-// reuse under maximum interleaving.
+// trial-parallel shingling, the per-trial sorts and the sync.Pool reuse
+// under maximum interleaving.
 func TestParallelConcurrentAggregationRace(t *testing.T) {
 	g, _ := plantedTestGraph(400, 67)
 	o := testOptions()

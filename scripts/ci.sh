@@ -83,7 +83,7 @@ go test -run 'TestLSHDeviceMatchesHost|TestCascadeConservativeMatchesExact|TestL
 echo "== virtual-clock gates (bench.sh experiments, benchcheck on fresh output)"
 sh scripts/bench.sh "$tmp_dir/bench.json"
 
-echo "== observability smoke (-trace/-metrics on both CLIs, trace JSON validated)"
+echo "== observability smoke (-trace/-metrics on both CLIs, trace JSON validated, host backends agree)"
 go run ./cmd/genseq -mode seqs -n 150 -fasta "$tmp_dir/orfs.fa" -truth "$tmp_dir/truth.tsv"
 go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu \
     -trace "$tmp_dir/pgraph-trace.json" -metrics "$tmp_dir/pgraph-metrics.txt"
@@ -103,6 +103,16 @@ grep -q '^pgraph_edges_total ' "$tmp_dir/pgraph-metrics.txt"
 grep -q '^gpclust_tuples_total ' "$tmp_dir/gpclust-metrics.txt"
 grep -q '^gpclust_faults_injected_total ' "$tmp_dir/gpclust-metrics.txt"
 grep -q '^# EOF$' "$tmp_dir/gpclust-metrics.txt"
+# The host backends share one pipeline: the multi-core run must match the
+# serial one in its cluster file and in its virtual-clock line.
+go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend serial -c1 30 -c2 15 \
+    -out "$tmp_dir/clusters-serial.txt" 2> "$tmp_dir/serial.err"
+go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend parallel -workers 3 -c1 30 -c2 15 \
+    -out "$tmp_dir/clusters-parallel.txt" 2> "$tmp_dir/parallel.err"
+cmp "$tmp_dir/clusters-serial.txt" "$tmp_dir/clusters-parallel.txt"
+grep 'timings (virtual clock)' "$tmp_dir/serial.err" > "$tmp_dir/serial-vt.txt"
+grep 'timings (virtual clock)' "$tmp_dir/parallel.err" > "$tmp_dir/parallel-vt.txt"
+cmp "$tmp_dir/serial-vt.txt" "$tmp_dir/parallel-vt.txt"
 
 echo "== fuzz smoke (10s per target)"
 go test -run='^$' -fuzz='^FuzzScoreCodes$' -fuzztime=10s ./internal/align/
