@@ -230,7 +230,7 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 	// ablation are the paper's Section V comparison.
 	strategies, err := bench.AblateHostParallel(0.25, smallPerf, 0)
 	fatal(err)
-	bench.RenderAblation(out, "synchronous vs overlapped transfer (paper Section V)", strategies[2:])
+	bench.RenderAblation(out, "synchronous vs overlapped transfer (paper Section V)", strategies[1:])
 
 	rows, err := bench.AblateBatchSize(0.25, smallPerf, []int{0, 2_000_000, 200_000, 40_000})
 	fatal(err)

@@ -8,7 +8,7 @@
 //	pgraph -in orfs.fa -out graph.txt
 //	pgraph -in orfs.fa -out graph.bin -minmatch 12 -score 1.2
 //	pgraph -in orfs.fa -out graph.txt -gpu
-//	pgraph -in orfs.fa -out graph.txt -gpu -filter cascade -bands conservative
+//	pgraph -in orfs.fa -out graph.txt -gpu -filter lsh -bands conservative
 //	pgraph -in orfs.fa -out graph.txt -filter lsh -bands 64 -rows 1
 //
 // With -gpu the Smith–Waterman verification runs as batched score-only
@@ -16,11 +16,15 @@
 // path), and stderr reports the paper's Table-I-style component split:
 // CPU filter, GPU SW, Data_c→g, Data_g→c.
 //
-// -filter swaps the exact suffix-structure candidate filter for MinHash/LSH
-// banding (with -gpu, band hashing and bucket grouping run on the device):
-// "lsh" verifies LSH candidates only, "cascade" restricts the exact filter's
-// pairs to LSH-connected components — bit-identical to the exact path at
-// -bands conservative, recall-traded otherwise.
+// -filter lsh swaps the exact suffix-structure candidate filter for
+// MinHash/LSH banding (with -gpu, band hashing and bucket grouping run on the
+// device) and verifies LSH candidates only: -bands conservative buckets on
+// raw shingles and finds every exact-filter pair, the banded shapes trade
+// recall for fewer candidates.
+//
+// Without -gpu the verification runs on a pool of -workers goroutines. The
+// virtual clock prices DP cells, not cores, so the graph and every virtual
+// figure are the same for any -workers; only the wall time moves.
 package main
 
 import (
@@ -49,9 +53,9 @@ func main() {
 		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick the budget, 0 derives from device memory")
 		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image the SW kernel decodes in place (auto-tuned plans weigh it against the byte layout)")
 		noBin    = flag.Bool("nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
-		filter   = flag.String("filter", "exact", "candidate filter: exact (suffix oracle), lsh (MinHash banding), cascade (LSH pass, then exact pairs restricted to LSH components; bit-identical at the conservative preset)")
-		bands    = flag.String("bands", "", "with -filter lsh|cascade: band count, or \"conservative\" to bucket on raw shingles (default: the tuned shape)")
-		rows     = flag.Int("rows", 0, "with -filter lsh|cascade: signature rows per band (default: the tuned shape)")
+		filter   = flag.String("filter", "exact", "candidate filter: exact (suffix oracle) or lsh (MinHash banding in its place)")
+		bands    = flag.String("bands", "", "with -filter lsh: band count, or \"conservative\" to bucket on raw shingles (default: the tuned shape)")
+		rows     = flag.Int("rows", 0, "with -filter lsh: signature rows per band (default: the tuned shape)")
 		faultSch = flag.String("faults", "", "with -gpu: inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2'")
 		retries  = flag.Int("retries", 0, "with -gpu: per-batch fault retry budget (0 = library default; must be >= 0)")
 		noFB     = flag.Bool("nofallback", false, "with -gpu: fail instead of degrading to host scoring when the fault retry budget is exhausted")
@@ -95,7 +99,7 @@ func main() {
 			{*bands != "", "-bands"}, {*rows != 0, "-rows"},
 		} {
 			if f.set {
-				fmt.Fprintf(os.Stderr, "pgraph: %s requires -filter lsh or -filter cascade\n", f.name)
+				fmt.Fprintf(os.Stderr, "pgraph: %s requires -filter lsh\n", f.name)
 				os.Exit(2)
 			}
 		}

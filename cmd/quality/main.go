@@ -10,7 +10,7 @@
 //	quality -clusters clusters.txt -truth truth.tsv -graph graph.txt -column superfamily
 //
 // With -compare a second cluster file is scored pairwise against the first
-// (PPV, sensitivity and their F-score), the measurement the LSH-cascade
+// (PPV, sensitivity and their F-score), the measurement the LSH filter
 // experiments use to quantify how far an approximate filter's final
 // clustering drifts from the exact pipeline's.
 package main

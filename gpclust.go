@@ -227,7 +227,6 @@ func DefaultPGraphConfig() PGraphConfig { return pgraph.DefaultConfig() }
 const (
 	FilterExact       = pgraph.FilterExact
 	FilterLSH         = pgraph.FilterLSH
-	FilterCascade     = pgraph.FilterCascade
 	ConservativeBands = pgraph.ConservativeBands
 )
 

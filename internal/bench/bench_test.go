@@ -180,7 +180,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(strategies) != 4 || strategies[3].Value >= strategies[2].Value {
+	if len(strategies) != 3 || strategies[2].Value >= strategies[1].Value {
 		t.Fatalf("pipelined total not below sequential: %+v", strategies)
 	}
 

@@ -13,26 +13,24 @@ import (
 // ablation on the default metagenome workload: the candidate count the
 // Smith–Waterman verifier had to score, the edge recall and component-level
 // pairwise F-score against the exact filter's graph, and the LSH plan's
-// cost-model window. scripts/benchcheck enforces the LSH PR's acceptance
-// criteria on these records: the conservative cascade must reproduce the
-// exact graph bit-identically, the default LSH shape must hold ≥ 0.95 edge
+// cost-model window. scripts/benchcheck enforces the LSH filter's acceptance
+// criteria on these records: the default LSH shape must hold ≥ 0.95 edge
 // recall with strictly fewer candidates than the exact filter, and every
 // priced point must stay inside the 25% drift gate.
 type LSHPoint struct {
-	Setting      string  `json:"setting"` // "exact" | "lsh 256x1" | "cascade conservative" ...
-	Filter       string  `json:"filter"`  // exact | lsh | cascade
-	Bands        int     `json:"bands"`   // 0: exact; -1: conservative preset
-	Rows         int     `json:"rows"`
-	Default      bool    `json:"default"`      // the tuned default banding shape
-	Conservative bool    `json:"conservative"` // raw-shingle bucket preset
-	Candidates   int64   `json:"candidates"`   // pairs admitted to SW verification
-	EdgeRecall   float64 `json:"edge_recall"`  // |E ∩ E_exact| / |E_exact|
-	FScore       float64 `json:"f_score"`      // component-partition pairwise F1 vs exact
-	Identical    bool    `json:"identical"`    // graph bit-identical to the exact path
-	VirtualNs    float64 `json:"virtual_ns"`   // end-to-end Build, virtual clock
-	FilterNs     float64 `json:"filter_ns"`    // filter phase, virtual clock
-	SchedNs      float64 `json:"sched_ns"`     // measured LSH-plan window (0: exact)
-	PredictedNs  float64 `json:"predicted_ns"` // cost model's price (0: not priced)
+	Setting     string  `json:"setting"` // "exact" | "lsh 256x1 (default)" | "lsh 64x1" ...
+	Filter      string  `json:"filter"`  // exact | lsh
+	Bands       int     `json:"bands"`   // 0: exact or the default shape
+	Rows        int     `json:"rows"`
+	Default     bool    `json:"default"`      // the tuned default banding shape
+	Candidates  int64   `json:"candidates"`   // pairs admitted to SW verification
+	EdgeRecall  float64 `json:"edge_recall"`  // |E ∩ E_exact| / |E_exact|
+	FScore      float64 `json:"f_score"`      // component-partition pairwise F1 vs exact
+	Identical   bool    `json:"identical"`    // graph bit-identical to the exact path
+	VirtualNs   float64 `json:"virtual_ns"`   // end-to-end Build, virtual clock
+	FilterNs    float64 `json:"filter_ns"`    // filter phase, virtual clock
+	SchedNs     float64 `json:"sched_ns"`     // measured LSH-plan window (0: exact)
+	PredictedNs float64 `json:"predicted_ns"` // cost model's price (0: not priced)
 }
 
 // lshRow renders one point for the human-readable sweep.
@@ -72,9 +70,8 @@ func edgeRecall(test, ref *graph.Graph) float64 {
 }
 
 // AblateLSH sweeps the candidate-filter backends on the default metagenome:
-// the exact suffix filter (the oracle), the conservative cascade (must be
-// bit-identical), the tuned default LSH shape, two deliberately low-recall
-// shapes for the S-curve's other end, and the cascade at the default shape.
+// the exact suffix filter (the oracle), the tuned default LSH shape, and two
+// deliberately low-recall shapes for the S-curve's other end.
 // Every GPU run prices its LSH plan, so the sweep doubles as the cost-model
 // drift gate for the new band/bucket kernels. n is the ORF count (0: the
 // 1200-ORF default).
@@ -96,13 +93,10 @@ func AblateLSH(n int) ([]AblationRow, []LSHPoint, error) {
 	}
 	settings := []setting{
 		{"exact", pgraph.FilterExact, 0, 0},
-		{"cascade conservative", pgraph.FilterCascade, pgraph.ConservativeBands, 0},
 		{fmt.Sprintf("lsh %dx%d (default)", pgraph.DefaultLSHBands, pgraph.DefaultLSHRows),
 			pgraph.FilterLSH, 0, 0},
 		{"lsh 64x1", pgraph.FilterLSH, 64, 1},
 		{"lsh 16x2", pgraph.FilterLSH, 16, 2},
-		{fmt.Sprintf("cascade %dx%d", pgraph.DefaultLSHBands, pgraph.DefaultLSHRows),
-			pgraph.FilterCascade, 0, 0},
 	}
 
 	var (
@@ -129,13 +123,12 @@ func AblateLSH(n int) ([]AblationRow, []LSHPoint, error) {
 		}
 		p := LSHPoint{
 			Setting: st.label, Filter: st.filter, Bands: st.bands, Rows: st.rows,
-			Default:      st.filter == pgraph.FilterLSH && st.bands == 0 && st.rows == 0,
-			Conservative: st.bands == pgraph.ConservativeBands,
-			Candidates:   int64(stats.Candidates),
-			EdgeRecall:   edgeRecall(g, gExact),
-			FScore:       pairF1(componentLabels(g), refLbls, len(refLbls)),
-			Identical:    graphEqual(gExact, g),
-			VirtualNs:    stats.TotalNs, FilterNs: stats.FilterNs,
+			Default:    st.filter == pgraph.FilterLSH && st.bands == 0 && st.rows == 0,
+			Candidates: int64(stats.Candidates),
+			EdgeRecall: edgeRecall(g, gExact),
+			FScore:     pairF1(componentLabels(g), refLbls, len(refLbls)),
+			Identical:  graphEqual(gExact, g),
+			VirtualNs:  stats.TotalNs, FilterNs: stats.FilterNs,
 			SchedNs: stats.LSHPlan.ActualNs, PredictedNs: stats.LSHPlan.PredictedNs,
 		}
 		points = append(points, p)

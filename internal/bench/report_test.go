@@ -72,7 +72,7 @@ func TestAblateLSHShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 || len(points) != 6 {
+	if len(rows) != 4 || len(points) != 4 {
 		t.Fatalf("%d rows, %d points", len(rows), len(points))
 	}
 	if points[0].Filter != "exact" || !points[0].Identical || points[0].EdgeRecall != 1 {
@@ -81,14 +81,8 @@ func TestAblateLSHShape(t *testing.T) {
 	if points[0].SchedNs != 0 || points[0].PredictedNs != 0 {
 		t.Fatalf("exact point carries an LSH plan: %+v", points[0])
 	}
-	var sawDefault, sawConservative bool
+	var sawDefault bool
 	for _, p := range points[1:] {
-		if p.Conservative {
-			sawConservative = true
-			if !p.Identical || p.EdgeRecall != 1 || p.FScore != 1 {
-				t.Fatalf("conservative cascade not bit-identical: %+v", p)
-			}
-		}
 		if p.Default {
 			sawDefault = true
 		}
@@ -99,7 +93,7 @@ func TestAblateLSHShape(t *testing.T) {
 			t.Fatalf("LSH point not measured/priced: %+v", p)
 		}
 	}
-	if !sawDefault || !sawConservative {
-		t.Fatalf("sweep missing default or conservative point: %+v", points)
+	if !sawDefault {
+		t.Fatalf("sweep missing the default point: %+v", points)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"gpclust/internal/graph"
+	"gpclust/internal/sched"
 )
 
 // ClusterByComponent runs the full pClust strategy of Section I-B: first
@@ -38,7 +39,7 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 		err  error
 	}
 	results := make([]subResult, count)
-	parallelFor(workers, count, func(_, c int) {
+	sched.ParallelFor(workers, count, func(_, c int) {
 		if len(members[c]) == 1 {
 			return // singleton component: trivially its own cluster
 		}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"gpclust/internal/graph"
 	"gpclust/internal/minwise"
 	"gpclust/internal/sched"
@@ -107,7 +104,7 @@ func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, acct *cpuAcco
 	n := len(long)
 	block := make([]tuple, c*n)
 	tuplesByTrial := make([][]tuple, c)
-	parallelFor(workers, c, func(_, j int) {
+	sched.ParallelFor(workers, c, func(_, j int) {
 		minima := getMinima(s)
 		defer putMinima(minima)
 		h := fam.Pairs[j]
@@ -132,39 +129,4 @@ func shingleListOps(listLen, s int) int64 {
 // (see graph.WriteBinary), used to model the Disk I/O column.
 func graphDiskBytes(g *graph.Graph) int64 {
 	return 20 + int64(len(g.Offsets))*8 + int64(len(g.Adj))*4
-}
-
-// parallelFor runs body(worker, i) for every i in [0, n) across the pool,
-// claiming contiguous chunks from an atomic cursor. It degrades to an
-// inline loop for a single worker.
-func parallelFor(workers, n int, body func(worker, i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			body(0, i)
-		}
-		return
-	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+chunk, n)
-				for i := lo; i < hi; i++ {
-					body(w, i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"gpclust/internal/graph"
+	"gpclust/internal/sched"
 )
 
 // SegGraph is a set of adjacency lists in concatenated (segmented) form —
@@ -138,7 +139,7 @@ func groupTrials(c, workers int, acct *cpuAccount, stats *PassStats,
 	streams := make([][]tuple, c)
 	ops := make([]int64, c)
 	groups := make([]int, c)
-	parallelFor(workers, c, func(_, trial int) {
+	sched.ParallelFor(workers, c, func(_, trial int) {
 		var local cpuAccount
 		streams[trial] = sorted(trial, &local)
 		ops[trial] = local.aggOps

@@ -39,7 +39,7 @@ func sharedAppend(items []int) []int {
 	return out
 }
 
-// runWorkers stands in for the parallel runners (core.parallelFor,
+// runWorkers stands in for the parallel runners (sched.ParallelFor,
 // sched.RunLanes): the callee name is what marks its literal concurrent.
 func runWorkers(n int, f func(int)) {
 	var wg sync.WaitGroup

@@ -10,28 +10,25 @@ import (
 	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 	"gpclust/internal/seq"
-	"gpclust/internal/unionfind"
 )
 
 // Candidate-filter backends. Phase 1 of Build is a pluggable filter behind
 // Config.Filter: the generalized-suffix-structure exact-match filter stays
-// the default and the oracle, and the MinHash/LSH banding filter trades
-// bounded recall for a near-linear candidate pass — with the MMseqs2-style
-// cascade restricting the exact filter's pairs to LSH-connected components.
+// the default and the oracle, and the MinHash/LSH banding filter replaces
+// it, trading bounded recall for a near-linear candidate pass (Sunarso et
+// al. use LSH instead of the seed filter, not in front of it).
 //
 // LSH shingles are MinExactMatch-length residue k-mers hashed to 31 bits, so
 // at the conservative preset (bucket on every raw shingle) any pair sharing
 // an exact match of at least MinExactMatch residues shares a shingle and is
 // found: conservative LSH candidates are a superset of the exact filter's
-// pairs by construction, which makes the cascade bit-identical to the exact
-// path there. Banded settings trade candidates for recall along the
-// 1-(1-J^r)^b S-curve, quantified by the bench ablation.
+// pairs by construction. Banded settings trade candidates for recall along
+// the 1-(1-J^r)^b S-curve, quantified by the bench ablation.
 
 // Filter backend names for Config.Filter ("" means FilterExact).
 const (
-	FilterExact   = "exact"
-	FilterLSH     = "lsh"
-	FilterCascade = "cascade"
+	FilterExact = "exact"
+	FilterLSH   = "lsh"
 )
 
 // ConservativeBands is the Config.LSHBands sentinel selecting the
@@ -75,11 +72,10 @@ func resolveFilter(cfg Config) (string, lshParams, error) {
 	switch f {
 	case FilterExact:
 		if cfg.LSHBands != 0 || cfg.LSHRows != 0 {
-			return "", lshParams{}, fmt.Errorf("pgraph: LSHBands/LSHRows set without Filter %q or %q",
-				FilterLSH, FilterCascade)
+			return "", lshParams{}, fmt.Errorf("pgraph: LSHBands/LSHRows set without Filter %q", FilterLSH)
 		}
 		return f, lshParams{}, nil
-	case FilterLSH, FilterCascade:
+	case FilterLSH:
 	default:
 		return "", lshParams{}, fmt.Errorf("pgraph: unknown Filter %q", cfg.Filter)
 	}
@@ -275,27 +271,6 @@ func lshPairsHost(seqs []seq.Sequence, cfg Config, p lshParams) (map[pairKey]boo
 	return out, float64(ops) * FilterNsPerOp
 }
 
-// cascadeRestrict keeps the exact-filter pairs whose endpoints the LSH pass
-// put in one connected component — the cascade's refine-survivors set. At
-// the conservative preset lshSet ⊇ exactSet, so every exact pair survives
-// and the cascade is bit-identical to the exact path; banded settings drop
-// cross-component pairs, which the ablation measures as recall.
-func cascadeRestrict(exactSet, lshSet map[pairKey]bool, n int) map[pairKey]bool {
-	uf := unionfind.New(n)
-	for p := range lshSet {
-		a, b := p.unpack()
-		uf.Union(int(a), int(b))
-	}
-	out := make(map[pairKey]bool, len(exactSet))
-	for p := range exactSet {
-		a, b := p.unpack()
-		if uf.Same(int(a), int(b)) {
-			out[p] = true
-		}
-	}
-	return out
-}
-
 // runFilterHost is Phase 1 on the host backend: it resolves the filter,
 // produces the scheduled candidate pairs, and prices the whole phase into
 // st.FilterNs on the synthetic host timeline.
@@ -311,11 +286,6 @@ func runFilterHost(seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error
 		set, st.FilterNs = exactPairSet(seqs, cfg)
 	case FilterLSH:
 		set, st.FilterNs = lshPairsHost(seqs, cfg, prm)
-	case FilterCascade:
-		exact, exactNs := exactPairSet(seqs, cfg)
-		lsh, lshNs := lshPairsHost(seqs, cfg, prm)
-		set = cascadeRestrict(exact, lsh, len(seqs))
-		st.FilterNs = exactNs + lshNs + float64(len(lsh))*FilterNsPerOp
 	}
 	st.Candidates = len(set)
 	return sortedPairs(set), nil
@@ -341,15 +311,6 @@ func runFilterGPU(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, st *Stats
 		sched.ChargeHost(dev, cfg.Obs, "filter", ns)
 	case FilterLSH:
 		set, err = lshDeviceFilter(dev, seqs, cfg, prm, st)
-	case FilterCascade:
-		exact, exactNs := exactPairSet(seqs, cfg)
-		sched.ChargeHost(dev, cfg.Obs, "filter", exactNs)
-		var lsh map[pairKey]bool
-		lsh, err = lshDeviceFilter(dev, seqs, cfg, prm, st)
-		if err == nil {
-			set = cascadeRestrict(exact, lsh, len(seqs))
-			sched.ChargeHost(dev, cfg.Obs, "cascade-restrict", float64(len(lsh))*FilterNsPerOp)
-		}
 	}
 	if err != nil {
 		return nil, err

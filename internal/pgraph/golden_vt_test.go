@@ -58,10 +58,6 @@ func TestGoldenPGraphVirtualTime(t *testing.T) {
 			0x4197df1c709cf344, 0x4187d50e2327be1e, 0x415e980e80000000, 0x414eb3968ba2e8b8,
 			0x297, 0x5, 0x6f153a69,
 		}},
-		{name: "auto " + FilterCascade, filter: FilterCascade, want: []uint64{
-			0x419a5d12b94af1b9, 0x418bb38f0327be1e, 0x415e983280000000, 0x414eb4ddd1745d18,
-			0x2a9, 0x5, 0x727b99c0,
-		}},
 		{name: "fixed 40K packed", filter: FilterExact, mutate: func(c *Config) {
 			c.AutoTune, c.GPUBatchWords = false, 40_000
 		}, want: []uint64{

@@ -386,7 +386,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 
 		scores := make([]int32, len(pairs))
 		env := &swEnv{dev: dev, enc: enc, pairs: pairs, order: order,
-			cfg: cfg, scores: scores, rec: &st.Faults}
+			cfg: cfg, scores: scores, rec: &st.Faults, workers: cfg.workerCount()}
 		schedT0 := dev.HostTime()
 		if err := cfg.runner(dev, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
 			return nil, err

@@ -33,8 +33,7 @@ func lshConfig(bands, rows int) Config {
 
 // TestLSHConservativeSupersetOfExact: any pair the exact suffix filter emits
 // shares an exact MinExactMatch-residue substring, hence a shingle, hence a
-// conservative LSH bucket — the superset guarantee the cascade's
-// bit-identity rests on.
+// conservative LSH bucket, so the conservative preset loses no exact pair.
 func TestLSHConservativeSupersetOfExact(t *testing.T) {
 	seqs := testMetagenome(t, 120)
 	cfg := DefaultConfig()
@@ -84,42 +83,6 @@ func TestLSHDeviceMatchesHost(t *testing.T) {
 			t.Fatalf("%s: fault-free run recorded recovery %+v", s.label, st.Faults)
 		}
 	}
-}
-
-// TestCascadeConservativeMatchesExact: at the conservative preset the
-// cascade's survivor set equals the exact filter's pair set, so the built
-// graph is bit-identical — on the host backend and on the GPU.
-func TestCascadeConservativeMatchesExact(t *testing.T) {
-	seqs := testMetagenome(t, 100)
-	base := DefaultConfig()
-	want, wantSt, err := Build(seqs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cas := DefaultConfig()
-	cas.Filter = FilterCascade
-	cas.LSHBands = ConservativeBands
-	got, st, err := Build(seqs, cas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, "host cascade", want, got)
-	if st.Filter != FilterCascade {
-		t.Fatalf("Stats.Filter = %q, want %q", st.Filter, FilterCascade)
-	}
-	if st.Candidates != wantSt.Candidates {
-		t.Fatalf("cascade kept %d candidates, exact filter had %d", st.Candidates, wantSt.Candidates)
-	}
-
-	gpu := cas
-	gpu.GPU = true
-	gpu.Device = gpusim.MustNew(gpusim.K20Config())
-	got, _, err = Build(seqs, gpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, "gpu cascade", want, got)
 }
 
 // TestLSHFilterGraphsMatchHostGPU: at every banding shape, the LSH-filtered
@@ -233,7 +196,7 @@ func TestFilterValidation(t *testing.T) {
 			return c
 		}(),
 		func() Config { c := DefaultConfig(); c.Filter = FilterLSH; c.LSHBands = -7; return c }(),
-		func() Config { c := DefaultConfig(); c.Filter = FilterCascade; c.LSHRows = -1; return c }(),
+		func() Config { c := DefaultConfig(); c.Filter = "cascade"; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, _, err := Build(seqs, cfg); err == nil {

@@ -3,7 +3,6 @@ package pgraph
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"gpclust/internal/align"
 	"gpclust/internal/faults"
@@ -30,14 +29,13 @@ type Config struct {
 	MinScorePerResidue float64
 
 	// Filter selects the Phase-1 candidate backend: FilterExact (the
-	// generalized-suffix-structure filter; the default and the oracle),
-	// FilterLSH (MinHash/LSH banding over MinExactMatch-length shingles),
-	// or FilterCascade (the exact filter's pairs restricted to
-	// LSH-connected components — MMseqs2-style prefilter → cluster →
-	// refine survivors). On GPU builds the LSH pass runs on-device.
+	// generalized-suffix-structure filter; the default and the oracle) or
+	// FilterLSH (MinHash/LSH banding over MinExactMatch-length shingles,
+	// in place of the exact filter). On GPU builds the LSH pass runs
+	// on-device.
 	Filter string
 
-	// LSHBands/LSHRows shape the banding (Filter lsh/cascade only): bands
+	// LSHBands/LSHRows shape the banding (Filter lsh only): bands
 	// of rows signature rows each, pair-collision probability
 	// 1-(1-J^rows)^bands. Zero means the tuned defaults; LSHBands ==
 	// ConservativeBands selects the conservative preset (bucket on raw
@@ -49,8 +47,10 @@ type Config struct {
 	// Align configures the Smith–Waterman verification.
 	Align align.Params
 
-	// Workers sets the alignment worker-pool size (pGraph's parallel
-	// verification stage); 0 means GOMAXPROCS. Host backend only.
+	// Workers sets the host Smith–Waterman worker-pool size (pGraph's
+	// parallel verification stage, and a GPU build's host fallback); 0
+	// means GOMAXPROCS. It moves wall time only: the virtual clock prices
+	// DP cells, not cores.
 	Workers int
 
 	// GPU routes Smith–Waterman verification to the simulated device as a
@@ -159,12 +159,12 @@ type Stats struct {
 	Edges      int64
 
 	Backend    string  // verification backend: "host" or "gpu"
-	Filter     string  // candidate backend: "exact", "lsh" or "cascade"
-	Workers    int     // host alignment workers (host backend)
+	Filter     string  // candidate backend: "exact" or "lsh"
+	Workers    int     // host alignment pool size, wall clock only (host backend)
 	GPUBatches int     // device batches scheduled (gpu backend)
 	Divergence float64 // SW-kernel warp-divergence overhead (gpu backend)
 	FilterNs   float64 // CPU filter: suffix structure + candidate pairs
-	AlignNs    float64 // SW verification: pool critical path or device kernels
+	AlignNs    float64 // SW verification: host DP cells × HostAlignNsPerCell, or device kernels
 	H2DNs      float64 // Data_c→g: batch staging onto the device
 	D2HNs      float64 // Data_g→c: score readback
 	TotalNs    float64 // end-to-end virtual time of Build
@@ -192,7 +192,7 @@ type Stats struct {
 	Plan sched.PlanReport
 
 	// LSHPlan is the device LSH filter's plan (zero-valued unless a GPU
-	// build ran Filter lsh or cascade): its stage batches, word budget and
+	// build ran Filter lsh): its stage batches, word budget and
 	// predicted-vs-actual scheduling window.
 	LSHPlan sched.PlanReport
 }
@@ -230,7 +230,7 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	}
 	sw := sched.NewStopwatch()
 
-	// Phase 1 (candidate filter: exact, LSH banding or cascade) and Phase 2
+	// Phase 1 (candidate filter: exact or LSH banding) and Phase 2
 	// (Smith–Waterman verification, on the worker pool or the device). Both
 	// verification paths yield the identical accepted edge set for any
 	// filter's candidates.
@@ -277,43 +277,47 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	return g, st, nil
 }
 
+// workerCount resolves Config.Workers (0 = GOMAXPROCS; negative values are
+// rejected by Build before any work runs).
+func (c Config) workerCount() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // verifyHost runs Smith–Waterman over the candidate pairs on a worker pool
 // (pGraph's parallel verification stage) and returns the accepted edges.
 func verifyHost(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []graph.Edge {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	st.Workers = workers
+	st.Workers = cfg.workerCount()
 	enc := encodeSeqs(seqs)
 	order := binPairs(enc, pairs, false) // natural order: scores[k] is pairs[k]'s
 	scores := make([]int32, len(pairs))
-	cellsPer := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(pairs))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cellsPer[w] = scorePairsHost(enc, pairs, order[lo:hi], cfg.Align, scores[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	var totalCells int64
-	for _, c := range cellsPer {
-		totalCells += c
-	}
-	// Pool critical path: the chunks are contiguous slices of near-equal
-	// pair counts, so the virtual cost divides the cell total evenly.
-	st.AlignNs = float64(totalCells) * HostAlignNsPerCell / float64(workers)
+	cells := scoreHost(enc, pairs, order, cfg.Align, scores, st.Workers)
+	st.AlignNs = float64(cells) * HostAlignNsPerCell
 	st.TotalNs = st.FilterNs + st.AlignNs
 	return acceptedEdges(seqs, pairs, order, scores, cfg)
+}
+
+// scoreHost is the host Smith–Waterman scorer of every backend: it writes
+// the score of pairs[order[k]] to scores[k] with align.ScoreCodes over the
+// encoded sequences, on a pool of workers, and returns the DP cells it
+// computed. The cell count, and so its price, is the same for any worker
+// count.
+func scoreHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, scores []int32, workers int) int64 {
+	dp := make([]align.Scratch, workers)
+	cellsPer := make([]int64, workers)
+	sched.ParallelFor(workers, len(order), func(w, k int) {
+		a, b := pairs[order[k]].unpack()
+		ea, eb := enc[a], enc[b]
+		scores[k] = align.ScoreCodes(ea, eb, align.Blosum62Table, align.AlphabetSize, p, &dp[w])
+		cellsPer[w] += int64(len(ea)) * int64(len(eb))
+	})
+	var cells int64
+	for _, c := range cellsPer {
+		cells += c
+	}
+	return cells
 }
 
 // acceptedEdges thresholds the scores of the scheduled pairs (scores[k]

@@ -1,7 +1,11 @@
 package pgraph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -275,47 +279,57 @@ func TestBuildSeparatesFamilies(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministicAcrossWorkers: the host backend's graph and its
+// virtual-clock figures are the same for every worker count and every
+// GOMAXPROCS. The clock prices operations, not cores, so Workers only moves
+// wall time.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	cfg := seq.DefaultMetagenomeConfig(120)
 	m, err := seq.GenerateMetagenome(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := DefaultConfig()
-	c1.Workers = 1
-	g1, _, err := Build(m.Seqs, c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c4 := DefaultConfig()
-	c4.Workers = 4
-	g4, _, err := Build(m.Seqs, c4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Default config leaves Workers at 0, which must mean GOMAXPROCS —
-	// and still produce the identical graph.
-	g0, _, err := Build(m.Seqs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, other := range []*graph.Graph{g4, g0} {
-		if g1.NumEdges() != other.NumEdges() {
-			t.Fatalf("edge count differs across worker counts: %d vs %d", g1.NumEdges(), other.NumEdges())
+	build := func(workers int) (*graph.Graph, Stats) {
+		c := DefaultConfig()
+		c.Workers = workers
+		g, st, err := Build(m.Seqs, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(g1.Adj) != len(other.Adj) {
-			t.Fatal("adjacency length differs across worker counts")
+		return g, st
+	}
+	g1, st1 := build(1)
+	check := func(label string, g *graph.Graph, st Stats) {
+		t.Helper()
+		if g1.NumEdges() != g.NumEdges() {
+			t.Fatalf("%s: edge count %d, want %d", label, g.NumEdges(), g1.NumEdges())
 		}
-		for i := range g1.Adj {
-			if g1.Adj[i] != other.Adj[i] {
-				t.Fatal("adjacency differs across worker counts")
+		if !slices.Equal(g1.Offsets, g.Offsets) || !slices.Equal(g1.Adj, g.Adj) {
+			t.Fatalf("%s: adjacency differs from the 1-worker build", label)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"FilterNs", st.FilterNs, st1.FilterNs},
+			{"AlignNs", st.AlignNs, st1.AlignNs},
+			{"TotalNs", st.TotalNs, st1.TotalNs},
+		} {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) {
+				t.Errorf("%s: %s = %v, want %v (1 worker)", label, f.name, f.got, f.want)
 			}
 		}
-		for v := 0; v < g1.NumVertices(); v++ {
-			if len(g1.Neighbors(uint32(v))) != len(other.Neighbors(uint32(v))) {
-				t.Fatalf("vertex %d degree differs across worker counts", v)
-			}
-		}
+	}
+	// Workers 0 means GOMAXPROCS.
+	for _, w := range []int{4, 0} {
+		g, st := build(w)
+		check(fmt.Sprintf("Workers %d", w), g, st)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		g, st := build(0)
+		check(fmt.Sprintf("Workers 0 at GOMAXPROCS %d", procs), g, st)
 	}
 }
 

@@ -3,7 +3,6 @@ package pgraph
 import (
 	"fmt"
 
-	"gpclust/internal/align"
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/sched"
@@ -50,16 +49,18 @@ func (c Config) runner(dev *gpusim.Device, rec *faults.Recovery) *sched.Runner {
 
 // swEnv bundles the state the resilient scheduling adapters share: the
 // device, the resident score table, the verification inputs and the score
-// output, plus the sequential path's reusable staging scratch.
+// output, the host fallback's pool size, plus the sequential path's
+// reusable staging scratch.
 type swEnv struct {
-	dev    *gpusim.Device
-	table  *gpusim.Buffer // resident score table; nil after the all-pairs fallback
-	enc    [][]byte
-	pairs  []pairKey
-	order  []int
-	cfg    Config
-	scores []int32
-	rec    *faults.Recovery
+	dev     *gpusim.Device
+	table   *gpusim.Buffer // resident score table; nil after the all-pairs fallback
+	enc     [][]byte
+	pairs   []pairKey
+	order   []int
+	cfg     Config
+	scores  []int32
+	rec     *faults.Recovery
+	workers int // host-fallback scoring workers
 
 	data, out []uint32 // sequential-path scratch, reused across batches
 }
@@ -82,10 +83,7 @@ func (u *swTableUpload) Attempt() error {
 
 func (u *swTableUpload) Split() (sched.Batch, sched.Batch, bool) { return nil, nil, false }
 
-func (u *swTableUpload) Fallback() {
-	runSWBatchHost(u.env.dev, swBatch{lo: 0, hi: len(u.env.order)}, u.env.enc,
-		u.env.pairs, u.env.order, u.env.cfg, u.env.scores)
-}
+func (u *swTableUpload) Fallback() { u.env.scoreOnHost(swBatch{hi: len(u.env.order)}) }
 
 func (u *swTableUpload) WrapErr(retries int, last error) error {
 	return fmt.Errorf("pgraph: score-table upload failed after %d attempts (%v): %w",
@@ -116,9 +114,7 @@ func (b swGPUBatch) Split() (sched.Batch, sched.Batch, bool) {
 		swGPUBatch{b.env, swBatchFor(mid, b.p.hi, b.env.enc, b.env.pairs, b.env.order)}, true
 }
 
-func (b swGPUBatch) Fallback() {
-	runSWBatchHost(b.env.dev, b.p, b.env.enc, b.env.pairs, b.env.order, b.env.cfg, b.env.scores)
-}
+func (b swGPUBatch) Fallback() { b.env.scoreOnHost(b.p) }
 
 func (b swGPUBatch) WrapErr(retries int, last error) error {
 	return fmt.Errorf("pgraph: batch of %d pairs failed after %d attempts (%v): %w",
@@ -160,28 +156,12 @@ func swBatchFor(lo, hi int, enc [][]byte, pairs []pairKey, order []int) swBatch 
 	return b
 }
 
-// runSWBatchHost scores one batch's pairs on the host with the scorer the
+// scoreOnHost scores one batch's pairs on the host with the scorer the
 // device kernel runs, so the fallback cannot change the edge set; the work
 // is priced on the virtual clock at HostAlignNsPerCell like the host
 // backend.
-func runSWBatchHost(dev *gpusim.Device, p swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32) {
-
-	cells := scorePairsHost(enc, pairs, order[p.lo:p.hi], cfg.Align, scores[p.lo:p.hi])
-	sched.ChargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
-}
-
-// scorePairsHost is the host scoring loop of every backend: it writes the
-// Smith–Waterman score of pairs[order[k]] to scores[k] with align.ScoreCodes
-// over the encoded sequences and returns the DP cells it computed.
-func scorePairsHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, scores []int32) int64 {
-	var dp align.Scratch
-	var cells int64
-	for k, idx := range order {
-		a, b := pairs[idx].unpack()
-		ea, eb := enc[a], enc[b]
-		scores[k] = align.ScoreCodes(ea, eb, align.Blosum62Table, align.AlphabetSize, p, &dp)
-		cells += int64(len(ea)) * int64(len(eb))
-	}
-	return cells
+func (env *swEnv) scoreOnHost(p swBatch) {
+	cells := scoreHost(env.enc, env.pairs, env.order[p.lo:p.hi], env.cfg.Align,
+		env.scores[p.lo:p.hi], env.workers)
+	sched.ChargeHost(env.dev, env.cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
 }

@@ -37,11 +37,10 @@ type LSHShape struct {
 }
 
 // ResolveLSHShape validates and resolves the Config's LSH shape exactly as
-// Build does, but requires Filter == FilterLSH: the exact and cascade
-// filters depend on global corpus structure (suffix runs, WindowCap
-// throttling, cross-component restriction), so no resident index can
-// reproduce their batch candidate sets under insertion — only the
-// per-sequence LSH bucketing is order-independent.
+// Build does, but requires Filter == FilterLSH: the exact filter depends on
+// global corpus structure (suffix runs, WindowCap throttling), so no
+// resident index can reproduce its batch candidate set under insertion —
+// only the per-sequence LSH bucketing is order-independent.
 func ResolveLSHShape(cfg Config) (LSHShape, error) {
 	f, p, err := resolveFilter(cfg)
 	if err != nil {
@@ -204,12 +203,16 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	}
 	scores := make([]int32, len(pairs))
 	order := binPairs(v.enc, pairs, !v.cfg.NoLengthBin)
+	// Host scoring stays on one worker, so serving keeps one scoring
+	// goroutine.
+	env := &swEnv{dev: v.dev, table: v.table, enc: v.enc, pairs: pairs,
+		order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: 1}
 	batches := 0
 	switch {
 	case v.dev == nil:
-		scorePairsHost(v.enc, pairs, order, v.cfg.Align, scores)
+		scoreHost(v.enc, pairs, order, v.cfg.Align, scores, env.workers)
 	case v.degraded:
-		runSWBatchHost(v.dev, swBatch{lo: 0, hi: len(order)}, v.enc, pairs, order, v.cfg, scores)
+		env.scoreOnHost(swBatch{hi: len(order)})
 	default:
 		budget := v.cfg.GPUBatchWords
 		if budget <= 0 {
@@ -219,8 +222,6 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		env := &swEnv{dev: v.dev, table: v.table, enc: v.enc, pairs: pairs,
-			order: order, cfg: v.cfg, scores: scores, rec: &v.rec}
 		if err := runSWBatchesSequentialResilient(env, plans); err != nil {
 			return nil, 0, err
 		}

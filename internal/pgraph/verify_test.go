@@ -205,8 +205,8 @@ func TestVerifierTruncate(t *testing.T) {
 	}
 }
 
-// TestResolveLSHShape: only FilterLSH resolves; the exact and cascade
-// filters (whose batch candidate sets are order-dependent) are rejected.
+// TestResolveLSHShape: only FilterLSH resolves; the exact filter (whose
+// batch candidate set is order-dependent) and unknown names are rejected.
 func TestResolveLSHShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Filter = FilterLSH
@@ -225,7 +225,7 @@ func TestResolveLSHShape(t *testing.T) {
 	if !s.Conservative {
 		t.Fatalf("conservative preset not resolved: %+v", s)
 	}
-	for _, f := range []string{"", FilterExact, FilterCascade, "bogus"} {
+	for _, f := range []string{"", FilterExact, "cascade", "bogus"} {
 		c := DefaultConfig()
 		c.Filter = f
 		if _, err := ResolveLSHShape(c); err == nil {

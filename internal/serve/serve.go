@@ -54,8 +54,8 @@ const (
 type Config struct {
 	// Pgraph is the clustering configuration. Filter must be FilterLSH:
 	// only the per-sequence LSH bucketing makes incremental insertion
-	// equivalent to a from-scratch re-cluster (the exact and cascade
-	// filters depend on global corpus structure and are rejected).
+	// equivalent to a from-scratch re-cluster (the exact filter depends on
+	// global corpus structure and is rejected).
 	Pgraph pgraph.Config
 
 	// QueueCap bounds the admission queue; a full queue rejects with

@@ -7,10 +7,10 @@
 // measured scheduler window — the packing ablation must show the
 // packed image beating the unpacked one per workload with the
 // gpclust image cutting the H2D byte volume by at least 30%, and the LSH
-// ablation must show the conservative cascade bit-identical to the exact
-// filter while the default banding shape holds ≥ 0.95 edge recall with
-// strictly fewer candidates than exact, at no more than twice exact's
-// virtual total (every priced LSH plan inside the drift gate).
+// ablation must show the default banding shape holding ≥ 0.95 edge recall
+// with strictly fewer candidates than the exact filter, at no more than
+// twice exact's virtual total (every priced LSH plan inside the drift
+// gate).
 package main
 
 import (
@@ -88,7 +88,6 @@ func validateLSH(points []bench.LSHPoint) error {
 		return fmt.Errorf("no lsh points")
 	}
 	var exact, def *bench.LSHPoint
-	sawConservative := false
 	for i := range points {
 		p := &points[i]
 		if p.Setting == "" || p.Filter == "" {
@@ -116,13 +115,6 @@ func validateLSH(points []bench.LSHPoint) error {
 			}
 			def = p
 		}
-		if p.Conservative {
-			sawConservative = true
-			if !p.Identical || p.EdgeRecall != 1 || p.FScore != 1 {
-				return fmt.Errorf("lsh %q (conservative) is not bit-identical to the exact path (recall %.4f, F %.4f)",
-					p.Setting, p.EdgeRecall, p.FScore)
-			}
-		}
 		if p.PredictedNs > 0 {
 			if p.SchedNs <= 0 {
 				return fmt.Errorf("lsh %q prices a zero-length scheduler window", p.Setting)
@@ -135,9 +127,6 @@ func validateLSH(points []bench.LSHPoint) error {
 	}
 	if exact == nil {
 		return fmt.Errorf("lsh sweep has no exact baseline")
-	}
-	if !sawConservative {
-		return fmt.Errorf("lsh sweep has no conservative point")
 	}
 	if def == nil {
 		return fmt.Errorf("lsh sweep has no default point")
@@ -334,10 +323,6 @@ func main() {
 			fmt.Printf("benchcheck: ok — lsh default %q: edge recall %.3f ≥ %.2f with %d candidates < exact's %d, %.2f× exact's virtual total\n",
 				p.Setting, p.EdgeRecall, lshRecallFloor, p.Candidates, lshExact.Candidates,
 				p.VirtualNs/lshExact.VirtualNs)
-		}
-		if p.Conservative {
-			fmt.Printf("benchcheck: ok — %q bit-identical to the exact filter (%d candidates)\n",
-				p.Setting, p.Candidates)
 		}
 	}
 }

@@ -28,9 +28,6 @@ func goodFile() benchFile {
 		LSH: []bench.LSHPoint{
 			{Setting: "exact", Filter: "exact", Candidates: 6900, EdgeRecall: 1, FScore: 1,
 				Identical: true, VirtualNs: 2e8},
-			{Setting: "cascade conservative", Filter: "cascade", Bands: -1, Conservative: true,
-				Candidates: 6900, EdgeRecall: 1, FScore: 1, Identical: true,
-				VirtualNs: 2.5e8, SchedNs: 4e7, PredictedNs: 4.2e7},
 			{Setting: "lsh 256x1 (default)", Filter: "lsh", Bands: 256, Rows: 1, Default: true,
 				Candidates: 6600, EdgeRecall: 0.96, FScore: 0.98,
 				VirtualNs: 2.2e8, SchedNs: 5e7, PredictedNs: 5.5e7},
@@ -63,7 +60,7 @@ func TestValidateLSHCostGate(t *testing.T) {
 		ok    bool
 	}{{1.47, true}, {2, true}, {2.01, false}} {
 		f := goodFile()
-		f.LSH[2].VirtualNs = c.ratio * f.LSH[0].VirtualNs
+		f.LSH[1].VirtualNs = c.ratio * f.LSH[0].VirtualNs
 		if err := validate(f); (err == nil) != c.ok {
 			t.Fatalf("default at %.2f× exact: validate error %v, want ok=%v", c.ratio, err, c.ok)
 		}
@@ -113,21 +110,18 @@ func TestValidateRejects(t *testing.T) {
 		{"packed excess drift", func(f *benchFile) { f.Packing[1].PredictedNs = 3e9 }, "cost-model drift"},
 		{"no lsh points", func(f *benchFile) { f.LSH = nil }, "no lsh points"},
 		{"unnamed lsh point", func(f *benchFile) { f.LSH[1].Setting = "" }, "no setting/filter"},
-		{"zero lsh total", func(f *benchFile) { f.LSH[2].VirtualNs = 0 }, "non-positive virtual total"},
-		{"zero lsh candidates", func(f *benchFile) { f.LSH[2].Candidates = 0 }, "admitted 0 candidates"},
-		{"lsh recall out of range", func(f *benchFile) { f.LSH[2].EdgeRecall = 1.2 }, "scores out of range"},
-		{"two exact baselines", func(f *benchFile) { f.LSH[2].Filter = "exact" }, "two exact baselines"},
-		{"two default points", func(f *benchFile) { f.LSH[1].Default = true }, "two default points"},
-		{"conservative not identical", func(f *benchFile) { f.LSH[1].Identical = false }, "not bit-identical"},
-		{"conservative recall dip", func(f *benchFile) { f.LSH[1].EdgeRecall = 0.999 }, "not bit-identical"},
+		{"zero lsh total", func(f *benchFile) { f.LSH[1].VirtualNs = 0 }, "non-positive virtual total"},
+		{"zero lsh candidates", func(f *benchFile) { f.LSH[1].Candidates = 0 }, "admitted 0 candidates"},
+		{"lsh recall out of range", func(f *benchFile) { f.LSH[1].EdgeRecall = 1.2 }, "scores out of range"},
+		{"two exact baselines", func(f *benchFile) { f.LSH[1].Filter = "exact" }, "two exact baselines"},
+		{"two default points", func(f *benchFile) { f.LSH[0].Default = true }, "two default points"},
 		{"lsh priced zero window", func(f *benchFile) { f.LSH[1].SchedNs = 0 }, "zero-length scheduler window"},
-		{"lsh excess drift", func(f *benchFile) { f.LSH[2].PredictedNs = 2e8 }, "cost-model drift"},
+		{"lsh excess drift", func(f *benchFile) { f.LSH[1].PredictedNs = 2e8 }, "cost-model drift"},
 		{"no exact baseline", func(f *benchFile) { f.LSH = f.LSH[1:] }, "no exact baseline"},
-		{"no conservative point", func(f *benchFile) { f.LSH = []bench.LSHPoint{f.LSH[0], f.LSH[2]} }, "no conservative point"},
-		{"no default point", func(f *benchFile) { f.LSH = f.LSH[:2] }, "no default point"},
-		{"default recall below floor", func(f *benchFile) { f.LSH[2].EdgeRecall = 0.90 }, "below the 0.95 floor"},
-		{"default not fewer candidates", func(f *benchFile) { f.LSH[2].Candidates = 6900 }, "not below exact's"},
-		{"default lsh slower than 2x exact", func(f *benchFile) { f.LSH[2].VirtualNs = 28 * f.LSH[0].VirtualNs }, "exceeds 2× exact's"},
+		{"no default point", func(f *benchFile) { f.LSH = f.LSH[:1] }, "no default point"},
+		{"default recall below floor", func(f *benchFile) { f.LSH[1].EdgeRecall = 0.90 }, "below the 0.95 floor"},
+		{"default not fewer candidates", func(f *benchFile) { f.LSH[1].Candidates = 6900 }, "not below exact's"},
+		{"default lsh slower than 2x exact", func(f *benchFile) { f.LSH[1].VirtualNs = 28 * f.LSH[0].VirtualNs }, "exceeds 2× exact's"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

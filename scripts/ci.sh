@@ -74,11 +74,11 @@ echo "== go test -tags invariants (runtime invariant sweep)"
 go test -tags invariants ./internal/core/... ./internal/unionfind/... ./internal/gpusim/...
 
 echo "== pgraph backend equivalence gate (GPU-SW must match host-SW bit for bit)"
-go test -run 'TestGoldenPipelineBackends|TestGoldenCascadeConservative' .
+go test -run 'TestGoldenPipelineBackends' .
 go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/pgraph/
 
-echo "== lsh filter equivalence gate (device LSH must match host; conservative cascade must match exact)"
-go test -run 'TestLSHDeviceMatchesHost|TestCascadeConservativeMatchesExact|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
+echo "== lsh filter equivalence gate (device LSH must match host; conservative LSH must contain exact's pairs)"
+go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
 
 echo "== virtual-clock gates (bench.sh experiments, benchcheck on fresh output)"
 sh scripts/bench.sh "$tmp_dir/bench.json"
@@ -113,6 +113,18 @@ cmp "$tmp_dir/clusters-serial.txt" "$tmp_dir/clusters-parallel.txt"
 grep 'timings (virtual clock)' "$tmp_dir/serial.err" > "$tmp_dir/serial-vt.txt"
 grep 'timings (virtual clock)' "$tmp_dir/parallel.err" > "$tmp_dir/parallel-vt.txt"
 cmp "$tmp_dir/serial-vt.txt" "$tmp_dir/parallel-vt.txt"
+# Host pgraph prices Smith–Waterman by DP cells, not cores: one worker and
+# three must write the same graph and the same virtual-clock line once the
+# pool size and the wall time are stripped from it.
+for w in 1 3; do
+    go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph-w$w.txt" -workers "$w" \
+        2> "$tmp_dir/pgraph-w$w.err"
+    grep 'CPU filter .* total .* virtual' "$tmp_dir/pgraph-w$w.err" |
+        sed -e 's/ ([0-9]* workers)//' -e 's/, wall [0-9]*ms//' > "$tmp_dir/pgraph-w$w-vt.txt"
+    test -s "$tmp_dir/pgraph-w$w-vt.txt"
+done
+cmp "$tmp_dir/graph-w1.txt" "$tmp_dir/graph-w3.txt"
+cmp "$tmp_dir/pgraph-w1-vt.txt" "$tmp_dir/pgraph-w3-vt.txt"
 
 echo "== fuzz smoke (10s per target)"
 go test -run='^$' -fuzz='^FuzzScoreCodes$' -fuzztime=10s ./internal/align/
