@@ -145,8 +145,8 @@ func TestCLIGraphModeAndBinary(t *testing.T) {
 }
 
 // runFail runs bin expecting a non-zero exit; it returns the combined
-// output for message assertions.
-func runFail(t *testing.T, bin string, args ...string) string {
+// output for message assertions and the exit status.
+func runFail(t *testing.T, bin string, args ...string) (string, int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	out, err := cmd.CombinedOutput()
@@ -157,7 +157,7 @@ func runFail(t *testing.T, bin string, args ...string) string {
 	if !errors.As(err, &exitErr) {
 		t.Fatalf("%s %v: did not run: %v", filepath.Base(bin), args, err)
 	}
-	return string(out)
+	return string(out), exitErr.ExitCode()
 }
 
 // TestCLIFailurePaths exercises the toolchain's error handling: unreadable
@@ -185,38 +185,48 @@ func TestCLIFailurePaths(t *testing.T) {
 		bin  string
 		args []string
 		want string
+		code int // expected exit status
 	}{
-		{"gpclust missing input", gpclust, []string{"-in", missing}, "no-such-file"},
-		{"gpclust no input flag", gpclust, nil, "-in is required"},
+		{"gpclust missing input", gpclust, []string{"-in", missing}, "no-such-file", 1},
+		{"gpclust no input flag", gpclust, nil, "-in is required", 2},
 		{"gpclust pipeline without gpu", gpclust,
-			[]string{"-in", graphF, "-backend", "serial", "-pipeline"}, "-pipeline requires -backend gpu"},
+			[]string{"-in", graphF, "-backend", "serial", "-pipeline"}, "-pipeline requires -backend gpu", 2},
 		{"gpclust faults without gpu", gpclust,
-			[]string{"-in", graphF, "-backend", "parallel", "-faults", "h2d op=1"}, "-faults requires -backend gpu"},
+			[]string{"-in", graphF, "-backend", "parallel", "-faults", "h2d op=1"}, "-faults requires -backend gpu", 2},
 		{"gpclust bad schedule", gpclust,
-			[]string{"-in", graphF, "-backend", "gpu", "-faults", "warp op=zero"}, "faults"},
+			[]string{"-in", graphF, "-backend", "gpu", "-faults", "warp op=zero"}, "faults", 2},
 		{"gpclust fault storm no fallback", gpclust,
 			[]string{"-in", graphF, "-backend", "gpu", "-c1", "20", "-c2", "10",
 				"-faults", "h2d op=1 count=1000000", "-retries", "1", "-nofallback"},
-			"retry budget exhausted"},
-		{"pgraph missing input", pgraphBin, []string{"-in", missing}, "no-such-file"},
+			"retry budget exhausted", 1},
+		{"pgraph missing input", pgraphBin, []string{"-in", missing}, "no-such-file", 1},
 		{"pgraph bad schedule", pgraphBin,
-			[]string{"-in", fasta, "-gpu", "-faults", "h2d op="}, "faults"},
+			[]string{"-in", fasta, "-gpu", "-faults", "h2d op="}, "faults", 2},
 		{"pgraph fault storm no fallback", pgraphBin,
 			[]string{"-in", fasta, "-gpu", "-faults", "kernel op=1 count=1000000",
 				"-retries", "1", "-nofallback"},
-			"retry budget exhausted"},
+			"retry budget exhausted", 1},
 		{"gpclust negative retries", gpclust,
-			[]string{"-in", graphF, "-backend", "gpu", "-retries=-1"}, "-retries must be >= 0"},
+			[]string{"-in", graphF, "-backend", "gpu", "-retries=-1"}, "-retries must be >= 0", 2},
 		{"pgraph negative retries", pgraphBin,
-			[]string{"-in", fasta, "-gpu", "-retries=-1"}, "-retries must be >= 0"},
+			[]string{"-in", fasta, "-gpu", "-retries=-1"}, "-retries must be >= 0", 2},
 		{"pgraph trace without gpu", pgraphBin,
-			[]string{"-in", fasta, "-trace", filepath.Join(dir, "t.json")}, "-trace requires -gpu"},
+			[]string{"-in", fasta, "-trace", filepath.Join(dir, "t.json")}, "-trace requires -gpu", 2},
+		// A usage error: rejected before the (missing) input is read.
+		{"pgraph unknown filter", pgraphBin,
+			[]string{"-in", missing, "-filter", "cascade"}, `-filter must be "exact" or "lsh", got "cascade"`, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := runFail(t, tc.bin, tc.args...)
+			out, code := runFail(t, tc.bin, tc.args...)
 			if !strings.Contains(out, tc.want) {
 				t.Fatalf("output does not mention %q:\n%s", tc.want, out)
+			}
+			if code != tc.code {
+				t.Fatalf("exit status %d, want %d:\n%s", code, tc.code, out)
+			}
+			if tc.bin == pgraphBin && strings.Contains(out, "pgraph: pgraph:") {
+				t.Fatalf("error line carries the pgraph: prefix twice:\n%s", out)
 			}
 		})
 	}

@@ -90,6 +90,11 @@ func main() {
 			}
 		}
 	}
+	if *filter != pgraph.FilterExact && *filter != pgraph.FilterLSH {
+		fmt.Fprintf(os.Stderr, "pgraph: -filter must be %q or %q, got %q\n",
+			pgraph.FilterExact, pgraph.FilterLSH, *filter)
+		os.Exit(2)
+	}
 	if *filter == pgraph.FilterExact {
 		// The library enforces the same rule; rejecting here names the flags.
 		for _, f := range []struct {
@@ -247,9 +252,11 @@ func parseBatchWords(s string) (int, bool, error) {
 	return n, false, nil
 }
 
+// fatal exits 1 on a non-nil error, printed with one "pgraph:" prefix
+// (library errors already carry it).
 func fatal(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pgraph:", err)
+		fmt.Fprintln(os.Stderr, "pgraph:", strings.TrimPrefix(err.Error(), "pgraph: "))
 		os.Exit(1)
 	}
 }

@@ -57,23 +57,7 @@ func TestRunTable1(t *testing.T) {
 				r.Name, r.GPUSpeedup, r.TotalSpeedup)
 		}
 	}
-	// The span-derived split must reproduce the accumulator-based Timings
-	// of the GPU run (the Table-I cross-check the observability layer adds).
-	near := func(a, b float64) bool {
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		m := max(1, max(a, b))
-		return d <= 1e-6*m
-	}
 	for _, r := range rows {
-		sp, tm := r.SpanSplit, r.GPU.Timings
-		if !near(sp.CPUNs, tm.CPUNs) || !near(sp.GPUNs, tm.GPUNs) ||
-			!near(sp.H2DNs, tm.H2DNs) || !near(sp.D2HNs, tm.D2HNs) ||
-			!near(sp.DiskIONs, tm.DiskIONs) || !near(sp.TotalNs, tm.TotalNs) {
-			t.Errorf("%s: span split %+v != timings %+v", r.Name, sp, tm)
-		}
 		if r.Obs == nil || len(r.Timeline.Events) == 0 {
 			t.Errorf("%s: row is missing its recorder or device timeline", r.Name)
 		}
@@ -82,9 +66,6 @@ func TestRunTable1(t *testing.T) {
 	RenderTable1(&buf, rows)
 	if !strings.Contains(buf.String(), "Table I") || !strings.Contains(buf.String(), "20K") {
 		t.Fatal("render output incomplete")
-	}
-	if !strings.Contains(buf.String(), "from spans:") {
-		t.Fatal("render omits the span-derived split line")
 	}
 }
 

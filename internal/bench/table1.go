@@ -25,11 +25,6 @@ type Table1Row struct {
 	// time / GPU kernel time (Table I: 44.86 and 373.71).
 	GPUSpeedup float64
 
-	// SpanSplit is the GPU run's component breakdown reconstructed purely
-	// from the observability layer (host-cpu spans + device trace) rather
-	// than the accumulators inside core — an independent cross-check of
-	// Table I, asserted against GPU.Timings by the bench tests.
-	SpanSplit obs.Split
 	// Obs and Timeline retain the GPU run's recorder and device trace so
 	// callers (cmd/experiments -trace) can export the merged timeline.
 	Obs      *obs.Recorder
@@ -55,7 +50,6 @@ func RunTable1Row(name string, g *graph.Graph, o core.Options) (*Table1Row, erro
 	}
 	row.Obs = rec
 	row.Timeline = obs.DeviceTimeline{Name: "device0", Events: dev.Trace()}
-	row.SpanSplit = obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{row.Timeline})
 	if row.GPU.Timings.TotalNs > 0 {
 		row.TotalSpeedup = row.Serial.Timings.TotalNs / row.GPU.Timings.TotalNs
 	}
@@ -98,9 +92,6 @@ func RenderTable1(w io.Writer, rows []*Table1Row) {
 			r.Name, r.Stats.NonSingletons, r.Stats.Edges,
 			s(t.CPUNs), s(t.GPUNs), s(t.H2DNs), s(t.D2HNs), s(t.DiskIONs), s(t.TotalNs),
 			s(r.Serial.Timings.TotalNs), r.TotalSpeedup, r.GPUSpeedup)
-		sp := r.SpanSplit
-		fmt.Fprintf(w, "%-6s  from spans: CPU %.2f GPU %.2f c>g %.2f g>c %.2f IO %.2f total %.2f\n",
-			r.Name, s(sp.CPUNs), s(sp.GPUNs), s(sp.H2DNs), s(sp.D2HNs), s(sp.DiskIONs), s(sp.TotalNs))
 	}
 	fmt.Fprintf(w, "paper: 20K -> CPU 52.70 GPU 7.57 c>g 1.26 g>c 4.82 IO 0.40 total 66.75 serial 392.32 (5.88X, 44.86X)\n")
 	fmt.Fprintf(w, "paper: 2M  -> CPU 2685.06 GPU 447.97 c>g 5.99 g>c 108.19 IO 28.77 total 3275.98 serial 23537.80 (7.18X, 373.71X)\n")

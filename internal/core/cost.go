@@ -2,8 +2,8 @@ package core
 
 // CPU and I/O cost model. The GPU side's virtual clock lives in gpusim; the
 // host side's lives here. Host work is counted in abstract operations at the
-// sites that perform it and converted to simulated nanoseconds with the
-// constants below. The constants were calibrated so that, at the paper's
+// sites that perform it, converted to simulated nanoseconds with the
+// constants below and charged to the run's sched.Ledger. The constants were calibrated so that, at the paper's
 // full 20K-graph scale, the serial shingling stage and the host aggregation
 // stage land in the neighborhood of Table I's measurements (392s serial
 // total, 52.7s host-side in the accelerated run); see EXPERIMENTS.md for the
@@ -32,20 +32,3 @@ var (
 	// "Disk I/O" column of Table I.
 	DiskBytesPerSec = 14e6
 )
-
-// cpuAccount accumulates host-side operation counts for one run.
-type cpuAccount struct {
-	serialOps int64 // serial shingle extraction (serial backend only)
-	aggOps    int64 // tuple aggregation + shingle-graph building
-	reportOps int64 // Phase III reporting
-	packOps   int64 // packed-image assembly before H2D staging
-	diskBytes int64
-}
-
-func (a *cpuAccount) serialNs() float64 { return float64(a.serialOps) * SerialShingleNsPerOp }
-func (a *cpuAccount) aggNs() float64    { return float64(a.aggOps) * AggregateNsPerOp }
-func (a *cpuAccount) reportNs() float64 { return float64(a.reportOps) * ReportNsPerOp }
-func (a *cpuAccount) packNs() float64   { return float64(a.packOps) * PackNsPerOp }
-func (a *cpuAccount) diskNs() float64 {
-	return float64(a.diskBytes) / DiskBytesPerSec * 1e9
-}

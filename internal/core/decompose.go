@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"gpclust/internal/graph"
+	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 )
 
@@ -30,6 +31,10 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
+	led := sched.NewLedger(nil, o.Obs)
+	ph := led.Phase(obs.NameRead)
+	led.Charge(obs.NameRead, graphDiskNs(g))
+	led.EndPhase(ph)
 	labels, count := graph.ConnectedComponents(g)
 	members := graph.ComponentMembers(labels, count)
 
@@ -46,7 +51,7 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 		sub, orig := graph.InducedSubgraph(g, members[c])
 		// Sub-runs record nothing: concurrent per-component spans would
 		// interleave on one timeline and per-component gauges would clobber
-		// each other; the merged result is recorded once below.
+		// each other; the merged result is charged and recorded once below.
 		subO := o
 		subO.Obs = nil
 		res, err := ClusterSerial(sub, subO)
@@ -55,6 +60,7 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 
 	merged := &Result{Backend: "serial-decomposed"}
 	var clusters [][]uint32
+	var shingleNs, cpuNs float64
 	for c := 0; c < count; c++ {
 		r := results[c]
 		if len(members[c]) == 1 {
@@ -72,8 +78,8 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 			clusters = append(clusters, mapped)
 		}
 		// Aggregate the virtual-clock components and pass statistics.
-		merged.Timings.ShingleNs += r.res.Timings.ShingleNs
-		merged.Timings.CPUNs += r.res.Timings.CPUNs
+		shingleNs += r.res.Timings.ShingleNs
+		cpuNs += r.res.Timings.CPUNs
 		merged.Pass1.Lists += r.res.Pass1.Lists
 		merged.Pass1.Elements += r.res.Pass1.Elements
 		merged.Pass1.Tuples += r.res.Pass1.Tuples
@@ -87,16 +93,16 @@ func ClusterByComponent(g *graph.Graph, o Options, workers int) (*Result, error)
 	}
 	merged.Pass1.Batches = 1
 	merged.Pass2.Batches = 1
-	acct := &cpuAccount{diskBytes: graphDiskBytes(g)}
-	merged.Timings.DiskIONs = acct.diskNs()
-	merged.Timings.TotalNs = merged.Timings.ShingleNs + merged.Timings.CPUNs + merged.Timings.DiskIONs
+	ph = led.Phase("components")
+	led.Charge(obs.NameShingle, shingleNs)
+	led.Charge("components", cpuNs)
+	led.EndPhase(ph)
+	merged.Timings = hostTimings(led)
 
 	// Each mapped cluster is sorted because InducedSubgraph preserves id
 	// order; order the cluster list deterministically.
 	sortClusters(clusters)
 	merged.Clustering = Clustering{N: n, Clusters: clusters}
-	recordHostTimeline(o.Obs, merged.Timings.DiskIONs,
-		[2][2]float64{{merged.Timings.ShingleNs, merged.Timings.CPUNs}, {0, 0}}, 0)
 	recordRunMetrics(o.Obs, merged)
 	return merged, nil
 }

@@ -30,10 +30,10 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 		return nil, err
 	}
 	fam1, fam2 := o.families()
-	acct := &cpuAccount{}
 	res := &Result{Backend: "gpu"}
 
 	dev.Reset()
+	led := sched.NewLedger(dev, o.Obs)
 
 	// Both passes' hash-pair tables <A_j, B_j> are loop-invariant for the
 	// whole run: stage them device-resident once, for every batch and lane
@@ -50,16 +50,15 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	defer freeResident()
 
 	// "CPU initiate[s] the task by loading graph into HM" (Algorithm 2).
-	acct.diskBytes = graphDiskBytes(g)
-	ph := startPhase(dev, o.Obs, obs.NameRead)
-	sched.ChargeHost(dev, o.Obs, obs.NameRead, acct.diskNs())
-	endPhase(dev, ph)
+	ph := led.Phase(obs.NameRead)
+	led.Charge(obs.NameRead, graphDiskNs(g))
+	led.EndPhase(ph)
 
 	sw := sched.NewStopwatch()
 	in := FromGraph(g)
-	ph = startPhase(dev, o.Obs, "shingle-pass1")
-	gi, err := runPassGPU(dev, in, fam1, o.S1, o, "pass1", acct, &res.Pass1, &res.Faults)
-	endPhase(dev, ph)
+	ph = led.Phase("shingle-pass1")
+	gi, err := runPassGPU(dev, led, in, fam1, o.S1, o, "pass1", &res.Pass1, &res.Faults)
+	led.EndPhase(ph)
 	if err != nil {
 		return nil, fmt.Errorf("core: first-level shingling: %w", err)
 	}
@@ -67,43 +66,42 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 
 	// "CPU aggregates sglsH into a graph" — the filter is part of shingle
 	// graph preparation.
-	beforeAgg := acct.aggOps
-	ph = startPhase(dev, o.Obs, "aggregate")
+	ph = led.Phase("aggregate")
 	pass2In := gi.filterMinLen(o.S2)
-	acct.aggOps += int64(len(gi.Data))
 	res.Pass1.SharedLists = pass2In.NumLists()
-	sched.ChargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
-	endPhase(dev, ph)
+	led.Charge("aggregate", float64(len(gi.Data))*AggregateNsPerOp)
+	led.EndPhase(ph)
 
-	ph = startPhase(dev, o.Obs, "shingle-pass2")
-	gii, err := runPassGPU(dev, pass2In, fam2, o.S2, o, "pass2", acct, &res.Pass2, &res.Faults)
-	endPhase(dev, ph)
+	ph = led.Phase("shingle-pass2")
+	gii, err := runPassGPU(dev, led, pass2In, fam2, o.S2, o, "pass2", &res.Pass2, &res.Faults)
+	led.EndPhase(ph)
 	if err != nil {
 		return nil, fmt.Errorf("core: second-level shingling: %w", err)
 	}
 	res.Wall.Pass2Ns = sw.Lap()
 
 	// "final data aggregation on CPU ... CPU reports dense subgraphs".
-	beforeReport := acct.reportOps
-	ph = startPhase(dev, o.Obs, "report")
-	res.Clustering = reportClusters(g.NumVertices(), gi, gii, o.Mode, acct)
-	sched.ChargeHost(dev, o.Obs, "report", float64(acct.reportOps-beforeReport)*ReportNsPerOp)
-	endPhase(dev, ph)
+	ph = led.Phase("report")
+	var ops int64
+	res.Clustering, ops = reportClusters(g.NumVertices(), gi, gii, o.Mode)
+	led.Charge("report", float64(ops)*ReportNsPerOp)
+	led.EndPhase(ph)
 	res.Wall.ReportNs = sw.Lap()
 	res.Wall.TotalNs = sw.Total()
 
 	freeResident()
 	dev.Synchronize()
 	m := dev.Metrics()
+	host := led.Split()
 	res.Timings = Timings{
 		// ShingleNs is nonzero only when fault recovery degraded batches
 		// to host-side shingling.
-		ShingleNs:   acct.serialNs(),
-		CPUNs:       acct.aggNs() + acct.reportNs() + acct.packNs(),
+		ShingleNs:   host.ShingleNs,
+		CPUNs:       host.CPUNs,
 		GPUNs:       m.KernelTimeNs,
 		H2DNs:       m.H2DTimeNs,
 		D2HNs:       m.D2HTimeNs,
-		DiskIONs:    acct.diskNs(),
+		DiskIONs:    host.DiskIONs,
 		TotalNs:     dev.HostTime(),
 		H2DSetupNs:  m.H2DSetupNs,
 		H2DVolumeNs: m.H2DVolumeNs,
@@ -248,11 +246,12 @@ func mergeTopS(acc []uint32, piece []uint32, s int) []uint32 {
 }
 
 // passEnv is the state one shingling pass threads through its executor,
-// its recovery ladders and its host fallback: the pass input and trial
-// family, the resolved options, and the aggregation outputs every batch
-// appends to.
+// its recovery ladders and its host fallback: the device and the run's
+// ledger, the pass input and trial family, the resolved options, and the
+// aggregation outputs every batch appends to.
 type passEnv struct {
 	dev *gpusim.Device
+	led *sched.Ledger
 	in  *SegGraph
 	fam minwise.Family
 	s   int
@@ -266,7 +265,6 @@ type passEnv struct {
 	// under GPUAggregate.
 	sortedByTrial [][][]tuple
 	pending       map[int]*pendingShingle
-	acct          *cpuAccount
 	stats         *PassStats
 	rec           *faults.Recovery
 }
@@ -274,20 +272,21 @@ type passEnv struct {
 // runPassGPU executes one shingling pass (Algorithm 1 inside Algorithm 2's
 // batch loop) on the device and aggregates the result into the next-level
 // shingle graph on the CPU.
-func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
-	o Options, label string, acct *cpuAccount, stats *PassStats, rec *faults.Recovery) (*SegGraph, error) {
+func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise.Family, s int,
+	o Options, label string, stats *PassStats, rec *faults.Recovery) (*SegGraph, error) {
 
 	stats.Lists = in.NumLists()
 	stats.Elements = int64(len(in.Data))
 	c := fam.Size()
-	e := &passEnv{dev: dev, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c), tupleBlock: -1,
-		pending: make(map[int]*pendingShingle), acct: acct, stats: stats, rec: rec}
+	e := &passEnv{dev: dev, led: led, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c), tupleBlock: -1,
+		pending: make(map[int]*pendingShingle), stats: stats, rec: rec}
 	if o.GPUAggregate {
 		e.sortedByTrial = make([][][]tuple, c)
 	}
 
 	if in.NumLists() == 0 {
-		return buildShingleGraph(e.tuplesByTrial, 1, acct, stats), nil
+		out, _ := buildShingleGraph(e.tuplesByTrial, 1, stats) // no tuples: no work
+		return out, nil
 	}
 	for i := 0; i < in.NumLists(); i++ {
 		if int(in.Offsets[i+1]-in.Offsets[i]) < s {
@@ -363,14 +362,14 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	}
 	assertTupleBlocks(e.tuplesByTrial, e.tupleBlock)
 
-	beforeAgg := acct.aggOps
 	var out *SegGraph
+	var ops int64
 	if o.GPUAggregate {
-		out = buildShingleGraphPresorted(e.sortedByTrial, e.tuplesByTrial, o.workerCount(), acct, stats)
+		out, ops = buildShingleGraphPresorted(e.sortedByTrial, e.tuplesByTrial, o.workerCount(), stats)
 	} else {
-		out = buildShingleGraph(e.tuplesByTrial, o.workerCount(), acct, stats)
+		out, ops = buildShingleGraph(e.tuplesByTrial, o.workerCount(), stats)
 	}
-	sched.ChargeHost(dev, o.Obs, "split-merge", float64(acct.aggOps-beforeAgg)*AggregateNsPerOp)
+	led.Charge("split-merge", float64(ops)*AggregateNsPerOp)
 	return out, nil
 }
 
@@ -496,14 +495,16 @@ func gatherTopS(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 }
 
 // emitTrialTuples converts one trial's device output rows into <shingle,
-// owner> tuples, merging the partial minima of split lists.
-func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) {
+// owner> tuples, merging the partial minima of split lists. It returns the
+// aggregation operations it counted.
+func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) int64 {
 	s := e.s
+	var ops int64
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
-		e.acct.aggOps += int64(s)
+		ops += int64(s)
 		if !pc.isWhole(e.in) {
-			e.mergeSplitPiece(pc, trial, vals)
+			ops += e.mergeSplitPiece(pc, trial, vals)
 			continue
 		}
 		if pc.words() < s {
@@ -515,12 +516,14 @@ func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) 
 		})
 		e.stats.Tuples++
 	}
+	return ops
 }
 
 // mergeSplitPiece merges one split piece's partial minima for trial into
 // its list's pending state. After the list's last piece has merged its last
 // trial, it emits every trial's merged shingle and drops the pending state.
-func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) {
+// It returns the aggregation operations the merge costs.
+func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) int64 {
 	c := e.fam.Size()
 	p := e.pending[pc.list]
 	if p == nil {
@@ -528,9 +531,9 @@ func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) {
 		e.pending[pc.list] = p
 	}
 	p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, e.s)
-	e.acct.aggOps += int64(2 * e.s)
+	ops := int64(2 * e.s)
 	if pc.hi != e.in.Offsets[pc.list+1]-e.in.Offsets[pc.list] || trial != c-1 {
-		return
+		return ops
 	}
 	for tj, minima := range p.perTrial {
 		if len(minima) < e.s {
@@ -543,4 +546,5 @@ func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) {
 		e.stats.Tuples++
 	}
 	delete(e.pending, pc.list)
+	return ops
 }

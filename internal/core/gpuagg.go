@@ -118,8 +118,9 @@ func (w *shingleLanes) aggregateTrial(l *shingleLane, np, trial int) error {
 }
 
 // collectAgg consumes one trial's downloaded records — already sorted, so
-// their conversion is linear — and merges the split pieces' rows.
-func (w *shingleLanes) collectAgg(l *shingleLane, plan *batchPlan, trial int) {
+// their conversion is linear — and merges the split pieces' rows. It
+// returns the aggregation operations it counted.
+func (w *shingleLanes) collectAgg(l *shingleLane, plan *batchPlan, trial int) int64 {
 	run := make([]tuple, l.valid)
 	for i := range run {
 		run[i] = tuple{
@@ -129,10 +130,11 @@ func (w *shingleLanes) collectAgg(l *shingleLane, plan *batchPlan, trial int) {
 	}
 	w.sortedByTrial[trial] = append(w.sortedByTrial[trial], run)
 	w.stats.Tuples += int64(l.valid)
-	w.acct.aggOps += int64(l.valid)
+	ops := int64(l.valid)
 	for r, pi := range l.splitRows {
-		w.mergeSplitPiece(plan.pieces[pi], trial, l.hostOut[r*w.s:(r+1)*w.s])
+		ops += w.mergeSplitPiece(plan.pieces[pi], trial, l.hostOut[r*w.s:(r+1)*w.s])
 	}
+	return ops
 }
 
 // shingleKeyKernel computes, for each valid segment, the 64-bit FNV-1a
@@ -202,9 +204,10 @@ func packKernel(dev *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val *gpusim
 }
 
 // mergeSortedStreams k-way-merges per-batch pre-sorted tuple streams (plus
-// an unsorted residue of split-list tuples) into one sorted slice, charging
-// only linear CPU cost — the aggregation saving of the GPU-aggregate mode.
-func mergeSortedStreams(streams [][]tuple, residue []tuple, acct *cpuAccount) []tuple {
+// an unsorted residue of split-list tuples) into one sorted slice. It counts
+// only linear CPU cost, one operation per tuple — the aggregation saving of
+// the GPU-aggregate mode — and returns it beside the merged slice.
+func mergeSortedStreams(streams [][]tuple, residue []tuple) ([]tuple, int64) {
 	sortTuples(residue) // few elements: split lists only
 	if len(residue) > 0 {
 		streams = append(streams, residue)
@@ -213,12 +216,12 @@ func mergeSortedStreams(streams [][]tuple, residue []tuple, acct *cpuAccount) []
 	for _, s := range streams {
 		total += len(s)
 	}
-	acct.aggOps += int64(total)
+	ops := int64(total)
 	switch len(streams) {
 	case 0:
-		return nil
+		return nil, ops
 	case 1:
-		return streams[0]
+		return streams[0], ops
 	}
 	h := &tupleHeap{}
 	for i, s := range streams {
@@ -240,7 +243,7 @@ func mergeSortedStreams(streams [][]tuple, residue []tuple, acct *cpuAccount) []
 			heap.Pop(h)
 		}
 	}
-	return out
+	return out, ops
 }
 
 type tupleCursor struct {

@@ -127,24 +127,23 @@ func checkGPUAggregatePlans(t *testing.T, o Options) {
 }
 
 func TestMergeSortedStreams(t *testing.T) {
-	acct := &cpuAccount{}
 	a := []tuple{{1, 1}, {3, 2}, {5, 0}}
 	b := []tuple{{2, 9}, {3, 1}, {9, 9}}
 	res := []tuple{{4, 4}, {0, 0}} // unsorted residue
-	out := mergeSortedStreams([][]tuple{a, b}, res, acct)
+	out, ops := mergeSortedStreams([][]tuple{a, b}, res)
 	want := []tuple{{0, 0}, {1, 1}, {2, 9}, {3, 1}, {3, 2}, {4, 4}, {5, 0}, {9, 9}}
-	if len(out) != len(want) {
-		t.Fatalf("merged %d tuples, want %d", len(out), len(want))
+	if len(out) != len(want) || ops != int64(len(want)) {
+		t.Fatalf("merged %d tuples in %d ops, want %d", len(out), ops, len(want))
 	}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("merged[%d] = %+v, want %+v", i, out[i], want[i])
 		}
 	}
-	if got := mergeSortedStreams(nil, nil, acct); len(got) != 0 {
+	if got, _ := mergeSortedStreams(nil, nil); len(got) != 0 {
 		t.Fatal("empty merge not empty")
 	}
-	if got := mergeSortedStreams([][]tuple{a}, nil, acct); len(got) != 3 {
+	if got, _ := mergeSortedStreams([][]tuple{a}, nil); len(got) != 3 {
 		t.Fatal("single-stream merge wrong")
 	}
 }

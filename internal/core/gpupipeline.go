@@ -240,12 +240,10 @@ func (w *shingleLanes) Prepare(item int) {
 		w.hostOff[pi+1] = uint32(len(w.hostData))
 	}
 	w.hostOff[0] = 0
-	w.acct.aggOps += int64(len(w.hostData) + len(plan.pieces))
-	sched.ChargeHost(w.dev, w.o.Obs, "stage", float64(len(w.hostData)+len(plan.pieces))*AggregateNsPerOp)
+	w.led.Charge("stage", float64(len(w.hostData)+len(plan.pieces))*AggregateNsPerOp)
 	if w.o.dataBits > 0 {
 		w.hostPacked = gpusim.PackBits(w.hostData, w.o.dataBits)
-		w.acct.packOps += int64(len(w.hostData))
-		sched.ChargeHost(w.dev, w.o.Obs, "pack", float64(len(w.hostData))*PackNsPerOp)
+		w.led.Charge("pack", float64(len(w.hostData))*PackNsPerOp)
 	}
 	if w.o.GPUAggregate {
 		stageAggRows(w.in, plan, w.s, w.hostOwner, w.hostFlag)
@@ -338,16 +336,16 @@ func (w *shingleLanes) Complete(item, lane int) {
 		l.stream.Synchronize()
 	}
 	plan := &w.plans[k]
-	before := w.acct.aggOps
+	var ops int64
 	rowWords := len(plan.pieces) * w.s
 	for trial := t0; trial < t1; trial++ {
 		if w.o.GPUAggregate {
-			w.collectAgg(l, plan, trial)
+			ops += w.collectAgg(l, plan, trial)
 			continue
 		}
-		w.emitTrialTuples(plan, trial, l.hostOut[(trial-t0)*rowWords:(trial-t0+1)*rowWords])
+		ops += w.emitTrialTuples(plan, trial, l.hostOut[(trial-t0)*rowWords:(trial-t0+1)*rowWords])
 	}
-	sched.ChargeHost(w.dev, w.o.Obs, "aggregate", float64(w.acct.aggOps-before)*AggregateNsPerOp)
+	w.led.Charge("aggregate", float64(ops)*AggregateNsPerOp)
 }
 
 func (w *shingleLanes) SpanName(item int) string {

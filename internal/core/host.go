@@ -3,6 +3,7 @@ package core
 import (
 	"gpclust/internal/graph"
 	"gpclust/internal/minwise"
+	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 )
 
@@ -32,49 +33,57 @@ func ClusterParallel(g *graph.Graph, o Options) (*Result, error) {
 }
 
 // clusterHost is the host shingling pipeline both host backends run, with
-// the trial-parallel work of each pass spread over workers goroutines. One
-// account charges every operation, so the virtual clock is the same for
-// every worker count.
+// the trial-parallel work of each pass spread over workers goroutines. The
+// pools join before their work is charged to the run's one ledger, so the
+// virtual clock is the same for every worker count.
 func clusterHost(g *graph.Graph, o Options, backend string, workers int) (*Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	fam1, fam2 := o.families()
-	acct := &cpuAccount{}
+	led := sched.NewLedger(nil, o.Obs)
 	res := &Result{Backend: backend}
 
 	// Disk I/O: loading the graph from its binary on-disk form.
-	acct.diskBytes = graphDiskBytes(g)
+	ph := led.Phase(obs.NameRead)
+	led.Charge(obs.NameRead, graphDiskNs(g))
+	led.EndPhase(ph)
 
 	sw := sched.NewStopwatch()
 	in := FromGraph(g)
-	gi := runPassHost(in, fam1, o.S1, workers, acct, &res.Pass1)
+	ph = led.Phase("shingle-pass1")
+	gi := runPassHost(in, fam1, o.S1, workers, led, &res.Pass1)
+	led.EndPhase(ph)
 	res.Pass1.Batches = 1
 	res.Wall.Pass1Ns = sw.Lap()
-	s1, a1 := acct.serialNs(), acct.aggNs()
 
+	ph = led.Phase("shingle-pass2")
 	pass2In := gi.filterMinLen(o.S2)
 	res.Pass1.SharedLists = pass2In.NumLists()
-	gii := runPassHost(pass2In, fam2, o.S2, workers, acct, &res.Pass2)
+	gii := runPassHost(pass2In, fam2, o.S2, workers, led, &res.Pass2)
+	led.EndPhase(ph)
 	res.Pass2.Batches = 1
 	res.Wall.Pass2Ns = sw.Lap()
 
-	res.Clustering = reportClusters(g.NumVertices(), gi, gii, o.Mode, acct)
+	ph = led.Phase("report")
+	var ops int64
+	res.Clustering, ops = reportClusters(g.NumVertices(), gi, gii, o.Mode)
+	led.Charge("report", float64(ops)*ReportNsPerOp)
+	led.EndPhase(ph)
 	res.Wall.ReportNs = sw.Lap()
 	res.Wall.TotalNs = sw.Total()
 
-	shingleNs := acct.serialNs()
-	cpuNs := acct.aggNs() + acct.reportNs()
-	res.Timings = Timings{
-		ShingleNs: shingleNs,
-		CPUNs:     cpuNs,
-		DiskIONs:  acct.diskNs(),
-		TotalNs:   shingleNs + cpuNs + acct.diskNs(),
-	}
-	recordHostTimeline(o.Obs, acct.diskNs(),
-		[2][2]float64{{s1, a1}, {shingleNs - s1, acct.aggNs() - a1}}, acct.reportNs())
+	res.Timings = hostTimings(led)
 	recordRunMetrics(o.Obs, res)
 	return res, nil
+}
+
+// hostTimings is a host-only run's Timings: the ledger's columns, and their
+// sum as the total.
+func hostTimings(led *sched.Ledger) Timings {
+	sp := led.Split()
+	return Timings{ShingleNs: sp.ShingleNs, CPUNs: sp.CPUNs, DiskIONs: sp.DiskIONs,
+		TotalNs: sp.ShingleNs + sp.CPUNs + sp.DiskIONs}
 }
 
 // runPassHost generates c shingles for every list of at least s elements
@@ -83,13 +92,15 @@ func clusterHost(g *graph.Graph, o Options, backend string, workers int) (*Resul
 // s-sized array that records the minimum s elements ... through a simple
 // insertion sort". Every long list emits exactly one tuple per trial, so
 // the c per-trial streams are windows of one exactly sized block; trial j's
-// stream is filled in list order by whichever worker claims j.
-func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, acct *cpuAccount, stats *PassStats) *SegGraph {
+// stream is filled in list order by whichever worker claims j. The
+// shingling and the aggregation are charged to led.
+func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, led *sched.Ledger, stats *PassStats) *SegGraph {
 	stats.Lists = in.NumLists()
 	stats.Elements = int64(len(in.Data))
 
 	c := fam.Size()
 	var long []int
+	var shingleOps int64
 	for i := 0; i < in.NumLists(); i++ {
 		n := int(in.Offsets[i+1] - in.Offsets[i])
 		if n < s {
@@ -97,8 +108,9 @@ func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, acct *cpuAcco
 			continue
 		}
 		long = append(long, i)
-		acct.serialOps += int64(c) * shingleListOps(n, s)
+		shingleOps += int64(c) * shingleListOps(n, s)
 	}
+	led.Charge(obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 	stats.Tuples = int64(c) * int64(len(long))
 
 	n := len(long)
@@ -115,7 +127,9 @@ func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, acct *cpuAcco
 		}
 		tuplesByTrial[j] = ts
 	})
-	return buildShingleGraph(tuplesByTrial, workers, acct, stats)
+	out, aggOps := buildShingleGraph(tuplesByTrial, workers, stats)
+	led.Charge("aggregate", float64(aggOps)*AggregateNsPerOp)
+	return out
 }
 
 // shingleListOps is the cost-model charge for shingling one list once: hash
@@ -125,8 +139,9 @@ func shingleListOps(listLen, s int) int64 {
 	return int64(listLen)*2 + int64(s*s)
 }
 
-// graphDiskBytes is the size of the graph's binary on-disk representation
-// (see graph.WriteBinary), used to model the Disk I/O column.
-func graphDiskBytes(g *graph.Graph) int64 {
-	return 20 + int64(len(g.Offsets))*8 + int64(len(g.Adj))*4
+// graphDiskNs prices loading the graph's binary on-disk representation
+// (see graph.WriteBinary) at DiskBytesPerSec: the Disk I/O column.
+func graphDiskNs(g *graph.Graph) float64 {
+	bytes := 20 + int64(len(g.Offsets))*8 + int64(len(g.Adj))*4
+	return float64(bytes) / DiskBytesPerSec * 1e9
 }

@@ -1,29 +1,11 @@
 package core
 
-import (
-	"fmt"
+import "gpclust/internal/obs"
 
-	"gpclust/internal/gpusim"
-	"gpclust/internal/obs"
-)
-
-// Observability plumbing for the backends. The contract with internal/obs:
-// recording is pure observation — sched.ChargeHost advances the virtual
-// clock by exactly what dev.AdvanceHost would have, and every other hook only
-// reads clocks — so a nil recorder yields a bit-identical run.
-
-// startPhase opens a coarse phase span at the device's current virtual
-// time; close it with endPhase. Both are inert on a nil recorder.
-func startPhase(dev *gpusim.Device, r *obs.Recorder, name string) obs.Ending {
-	if !r.Enabled() {
-		return obs.Ending{}
-	}
-	return r.Start(obs.TrackPhases, name, dev.HostTime())
-}
-
-func endPhase(dev *gpusim.Device, e obs.Ending) {
-	e.End(dev.HostTime())
-}
+// Observability plumbing for the backends. Every host charge goes through
+// the run's sched.Ledger, which mirrors it as a host-cpu span when a
+// recorder is attached; the hooks here only read finished results, so a
+// nil recorder yields a bit-identical run.
 
 // recordRunMetrics registers the run's counters from the finished Result —
 // sourcing them from Result itself guarantees the exported metrics match it
@@ -78,42 +60,6 @@ func recordRunMetrics(r *obs.Recorder, res *Result) {
 		"Pipelined passes restarted from a clean slate.").Add(f.Restarts)
 	r.Gauge("gpclust_fault_backoff_ns",
 		"Virtual-clock backoff burned between fault retries.").Set(f.BackoffNs)
-}
-
-// recordHostTimeline reconstructs a host-only backend's spans on a
-// sequential virtual timeline: read, then per pass shingle+aggregate, then
-// report. Host-only backends have no device clock, so the components are
-// laid out end to end — which preserves every component sum and the total,
-// exactly the Timings the backend reports. passes holds per-pass
-// (shingleNs, aggregateNs) deltas.
-func recordHostTimeline(r *obs.Recorder, diskNs float64, passes [2][2]float64, reportNs float64) {
-	if !r.Enabled() {
-		return
-	}
-	cur := 0.0
-	span := func(track, name string, ns float64) {
-		if ns > 0 {
-			r.Span(track, name, cur, cur+ns)
-		}
-		cur += ns
-	}
-	phase := func(name string, from float64) {
-		if cur > from {
-			r.Span(obs.TrackPhases, name, from, cur)
-		}
-	}
-	p0 := cur
-	span(obs.TrackHostCPU, obs.NameRead, diskNs)
-	phase(obs.NameRead, p0)
-	for i, p := range passes {
-		p0 = cur
-		span(obs.TrackHostCPU, obs.NameShingle, p[0])
-		span(obs.TrackHostCPU, "aggregate", p[1])
-		phase(fmt.Sprintf("shingle-pass%d", i+1), p0)
-	}
-	p0 = cur
-	span(obs.TrackHostCPU, "report", reportNs)
-	phase("report", p0)
 }
 
 // batchHistogram returns the per-batch virtual-duration histogram (nil when

@@ -53,14 +53,14 @@ func TestObsDisabledBitIdentical(t *testing.T) {
 	}
 }
 
-// near asserts relative closeness of two virtual durations accumulated in
-// different orders (span sums vs the backends' accumulators).
+// near asserts relative closeness of two virtual durations summed in
+// different orders (span sums vs the ledger's columns and device metrics).
 func near(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-6*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 // TestObsTableSplitMatchesTimings regenerates the Table-I component split
-// purely from spans + device trace and checks it against the accumulators.
+// purely from spans + device trace and checks it against Timings.
 func TestObsTableSplitMatchesTimings(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
 		rec := obs.New()
@@ -79,7 +79,7 @@ func TestObsTableSplitMatchesTimings(t *testing.T) {
 			{"Total", sp.TotalNs, tm.TotalNs},
 		} {
 			if !near(c.span, c.accu) {
-				t.Errorf("pipeline=%v %s: span-derived %.3f != accumulator %.3f",
+				t.Errorf("pipeline=%v %s: span-derived %.3f != timings %.3f",
 					pipeline, c.name, c.span, c.accu)
 			}
 		}
@@ -225,21 +225,24 @@ func TestObsExportsDeterministic(t *testing.T) {
 	}
 }
 
-// TestObsHostBackends: the serial and parallel backends reconstruct their
-// synthetic timeline such that TableSplit matches their Timings, and their
+// TestObsHostBackends: the host backends' ledger mirrors every charge as a
+// span on its own clock, so TableSplit matches their Timings, and their
 // counters match the Result.
 func TestObsHostBackends(t *testing.T) {
 	g, _ := plantedTestGraph(400, 5)
-	for _, backend := range []string{"serial", "parallel"} {
+	for _, backend := range []string{"serial", "parallel", "decomposed"} {
 		rec := obs.New()
 		o := testOptions()
 		o.Obs = rec
 		var res *Result
 		var err error
-		if backend == "parallel" {
+		switch backend {
+		case "parallel":
 			o.Workers = 3
 			res, err = ClusterParallel(g, o)
-		} else {
+		case "decomposed":
+			res, err = ClusterByComponent(g, o, 3)
+		default:
 			res, err = ClusterSerial(g, o)
 		}
 		if err != nil {

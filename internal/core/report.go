@@ -11,12 +11,14 @@ import (
 // generated first-level shingle i) and the grouped second-level output gii
 // (list k = L(s2_k), the first-level shingle indices that generated
 // second-level shingle k), enumerate the connected components of G_II and
-// turn each into a cluster.
-func reportClusters(n int, gi, gii *SegGraph, mode ReportMode, acct *cpuAccount) Clustering {
+// turn each into a cluster. It returns the clustering and the reporting
+// operations it counted.
+func reportClusters(n int, gi, gii *SegGraph, mode ReportMode) (Clustering, int64) {
 	// Union first-level shingles that share a second-level shingle: the
 	// connected components of G_II restricted to the S1' side.
 	ufS1 := unionfind.New(gi.NumLists())
 	inGII := make([]bool, gi.NumLists())
+	var ops int64
 	for k := 0; k < gii.NumLists(); k++ {
 		members := gii.List(k)
 		for j, s1 := range members {
@@ -24,15 +26,17 @@ func reportClusters(n int, gi, gii *SegGraph, mode ReportMode, acct *cpuAccount)
 			if j > 0 {
 				ufS1.Union(int(members[0]), int(s1))
 			}
-			acct.reportOps++
+			ops++
 		}
 	}
 
 	switch mode {
 	case ReportUnionFind:
-		return reportUnionFind(n, gi, ufS1, inGII, acct)
+		c, more := reportUnionFind(n, gi, ufS1, inGII)
+		return c, ops + more
 	case ReportOverlapping:
-		return reportOverlapping(n, gi, ufS1, inGII, acct)
+		c, more := reportOverlapping(n, gi, ufS1, inGII)
+		return c, ops + more
 	}
 	panic("core: unknown report mode")
 }
@@ -42,8 +46,9 @@ func reportClusters(n int, gi, gii *SegGraph, mode ReportMode, acct *cpuAccount)
 // component of G_II, all vertices constituting its first-level shingles are
 // unioned. "The clusters reported in this way represent a partition of the
 // input vertices, and no vertex belong[s to] two different clusters."
-func reportUnionFind(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, acct *cpuAccount) Clustering {
+func reportUnionFind(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool) (Clustering, int64) {
 	uf := unionfind.New(n)
+	var ops int64
 	// anchor[r] is a representative vertex for the component rooted at r.
 	anchor := make([]int64, gi.NumLists())
 	for i := range anchor {
@@ -59,12 +64,12 @@ func reportUnionFind(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, acct
 				anchor[root] = int64(v)
 			}
 			uf.Union(int(anchor[root]), int(v))
-			acct.reportOps++
+			ops++
 		}
 	}
 
 	sets := uf.Sets()
-	acct.reportOps += int64(n)
+	ops += int64(n)
 	clusters := make([][]uint32, 0, len(sets))
 	for _, members := range sets {
 		cl := make([]uint32, len(members))
@@ -75,7 +80,7 @@ func reportUnionFind(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, acct
 		clusters = append(clusters, cl)
 	}
 	sortClusters(clusters)
-	return Clustering{N: n, Clusters: clusters}
+	return Clustering{N: n, Clusters: clusters}, ops
 }
 
 // reportOverlapping implements the alternative strategy: one cluster per
@@ -83,15 +88,16 @@ func reportUnionFind(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, acct
 // vertex sets. "This formulation could produce potential overlaps between
 // the output clusters, as the same input vertex can be part of two entirely
 // different shingles and different connected components."
-func reportOverlapping(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, acct *cpuAccount) Clustering {
+func reportOverlapping(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool) (Clustering, int64) {
 	byRoot := make(map[int][]uint32)
+	var ops int64
 	for i := 0; i < gi.NumLists(); i++ {
 		if !inGII[i] {
 			continue
 		}
 		root := ufS1.Find(i)
 		byRoot[root] = append(byRoot[root], gi.List(i)...)
-		acct.reportOps += int64(len(gi.List(i)))
+		ops += int64(len(gi.List(i)))
 	}
 	clusters := make([][]uint32, 0, len(byRoot))
 	for _, vs := range byRoot {
@@ -107,7 +113,7 @@ func reportOverlapping(n int, gi *SegGraph, ufS1 *unionfind.UF, inGII []bool, ac
 		clusters = append(clusters, out)
 	}
 	sortClusters(clusters)
-	return Clustering{N: n, Clusters: clusters}
+	return Clustering{N: n, Clusters: clusters}, ops
 }
 
 // sortClusters orders clusters by descending size, ties lexicographically

@@ -18,8 +18,7 @@ func TestReportUnionFindMergesComponent(t *testing.T) {
 	// singletons.
 	gi := buildSeg([][]uint32{{0, 1}, {1, 2}})
 	gii := buildSeg([][]uint32{{0, 1}}) // one s2 containing both s1 indices
-	acct := &cpuAccount{}
-	c := reportClusters(5, gi, gii, ReportUnionFind, acct)
+	c, ops := reportClusters(5, gi, gii, ReportUnionFind)
 	if len(c.Clusters) != 3 {
 		t.Fatalf("%d clusters, want 3", len(c.Clusters))
 	}
@@ -30,7 +29,7 @@ func TestReportUnionFindMergesComponent(t *testing.T) {
 	if labels[3] == labels[0] || labels[4] == labels[0] || labels[3] == labels[4] {
 		t.Fatal("singletons merged incorrectly")
 	}
-	if acct.reportOps == 0 {
+	if ops == 0 {
 		t.Fatal("reporting cost not charged")
 	}
 }
@@ -40,8 +39,7 @@ func TestReportShinglesOutsideGIIIgnored(t *testing.T) {
 	// not be unioned.
 	gi := buildSeg([][]uint32{{0, 1}, {2, 3}})
 	gii := buildSeg([][]uint32{{0}}) // only s1_0 appears
-	acct := &cpuAccount{}
-	c := reportClusters(4, gi, gii, ReportUnionFind, acct)
+	c, _ := reportClusters(4, gi, gii, ReportUnionFind)
 	labels := c.Labels()
 	if labels[0] != labels[1] {
 		t.Fatal("s1_0's vertices not merged")
@@ -55,8 +53,7 @@ func TestReportSeparateComponents(t *testing.T) {
 	// Two disjoint components in G_II -> two clusters.
 	gi := buildSeg([][]uint32{{0, 1}, {2, 3}, {4, 5}})
 	gii := buildSeg([][]uint32{{0}, {1, 2}}) // comp A: s1_0; comp B: s1_1+s1_2
-	acct := &cpuAccount{}
-	c := reportClusters(6, gi, gii, ReportUnionFind, acct)
+	c, _ := reportClusters(6, gi, gii, ReportUnionFind)
 	labels := c.Labels()
 	if labels[0] != labels[1] {
 		t.Fatal("component A not merged")
@@ -76,8 +73,7 @@ func TestReportOverlappingSharedVertex(t *testing.T) {
 	// connected components").
 	gi := buildSeg([][]uint32{{0, 1}, {1, 2}})
 	gii := buildSeg([][]uint32{{0}, {1}}) // two singleton components
-	acct := &cpuAccount{}
-	c := reportClusters(3, gi, gii, ReportOverlapping, acct)
+	c, _ := reportClusters(3, gi, gii, ReportOverlapping)
 	if len(c.Clusters) != 2 {
 		t.Fatalf("%d overlapping clusters, want 2", len(c.Clusters))
 	}
@@ -98,8 +94,7 @@ func TestReportOverlappingDedupsWithinComponent(t *testing.T) {
 	// Two shingles of ONE component share vertex 1: it must appear once.
 	gi := buildSeg([][]uint32{{0, 1}, {1, 2}})
 	gii := buildSeg([][]uint32{{0, 1}})
-	acct := &cpuAccount{}
-	c := reportClusters(3, gi, gii, ReportOverlapping, acct)
+	c, _ := reportClusters(3, gi, gii, ReportOverlapping)
 	if len(c.Clusters) != 1 {
 		t.Fatalf("%d clusters, want 1", len(c.Clusters))
 	}
@@ -112,12 +107,11 @@ func TestReportOverlappingDedupsWithinComponent(t *testing.T) {
 func TestReportEmptyGII(t *testing.T) {
 	gi := buildSeg([][]uint32{{0, 1}})
 	gii := buildSeg(nil)
-	acct := &cpuAccount{}
-	c := reportClusters(3, gi, gii, ReportUnionFind, acct)
+	c, _ := reportClusters(3, gi, gii, ReportUnionFind)
 	if len(c.Clusters) != 3 {
 		t.Fatalf("%d clusters with empty G_II, want 3 singletons", len(c.Clusters))
 	}
-	o := reportClusters(3, gi, gii, ReportOverlapping, acct)
+	o, _ := reportClusters(3, gi, gii, ReportOverlapping)
 	if len(o.Clusters) != 0 {
 		t.Fatalf("%d overlapping clusters with empty G_II, want 0", len(o.Clusters))
 	}

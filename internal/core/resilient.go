@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"gpclust/internal/faults"
-	"gpclust/internal/gpusim"
 	"gpclust/internal/minwise"
 	"gpclust/internal/obs"
 	"gpclust/internal/sched"
@@ -47,9 +46,9 @@ var ErrRetryBudget = sched.ErrRetryBudget
 func (o Options) retryBudget() int { return sched.ResolveRetries(o.FaultRetries) }
 
 // runner assembles the sched resilience ladder for one scheduling run.
-func (o Options) runner(dev *gpusim.Device, rec *faults.Recovery) *sched.Runner {
+func (o Options) runner(led *sched.Ledger, rec *faults.Recovery) *sched.Runner {
 	return &sched.Runner{
-		Dev: dev, Obs: o.Obs, Rec: rec,
+		Ledger: led, Rec: rec,
 		Policy:         sched.Policy{Retries: o.retryBudget(), BackoffNs: o.retryBackoff()},
 		NoHostFallback: o.NoHostFallback,
 	}
@@ -185,7 +184,7 @@ func (b coreBatch) WrapErr(retries int, last error) error {
 // on persistent OOM, then degrade to the host path (or fail typed under
 // NoHostFallback) — with one span per batch on the batches track.
 func (e *passEnv) runBatches(label string, plans []batchPlan) error {
-	r := e.o.runner(e.dev, e.rec)
+	r := e.o.runner(e.led, e.rec)
 	for i, plan := range plans {
 		var end obs.Ending
 		var t0 float64
@@ -237,31 +236,32 @@ func (e *passEnv) runBatchHost(plan batchPlan) {
 			}
 			shingleOps += shingleListOps(len(data), s)
 		}
-		before := e.acct.aggOps
+		var ops int64
 		if e.sortedByTrial != nil {
-			e.emitTrialAggHost(&plan, trial, hostOut)
+			ops = e.emitTrialAggHost(&plan, trial, hostOut)
 		} else {
-			e.emitTrialTuples(&plan, trial, hostOut)
+			ops = e.emitTrialTuples(&plan, trial, hostOut)
 		}
-		sched.ChargeHost(e.dev, e.o.Obs, "aggregate", float64(e.acct.aggOps-before)*AggregateNsPerOp)
+		e.led.Charge("aggregate", float64(ops)*AggregateNsPerOp)
 	}
-	e.acct.serialOps += shingleOps
-	sched.ChargeHost(e.dev, e.o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
+	e.led.Charge(obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 }
 
 // emitTrialAggHost is the GPUAggregate-mode twin of emitTrialTuples for
 // the host fallback: whole long pieces become one (key, owner)-sorted
 // stream appended to sortedByTrial — the order thrust.SortPairs64 would
 // have produced, so the pre-sorted stream merge sees identical input —
-// and split pieces merge through pending exactly as on the device path.
-func (e *passEnv) emitTrialAggHost(plan *batchPlan, trial int, hostOut []uint32) {
+// and split pieces merge through pending exactly as on the device path. It
+// returns the aggregation operations it counted.
+func (e *passEnv) emitTrialAggHost(plan *batchPlan, trial int, hostOut []uint32) int64 {
 	s := e.s
 	var stream []tuple
+	var ops int64
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
 		switch {
 		case !pc.isWhole(e.in):
-			e.mergeSplitPiece(pc, trial, vals)
+			ops += e.mergeSplitPiece(pc, trial, vals)
 		case pc.words() >= s:
 			stream = append(stream, tuple{key: shingleKey(uint32(trial), vals), owner: e.in.Owner(pc.list)})
 		}
@@ -269,7 +269,7 @@ func (e *passEnv) emitTrialAggHost(plan *batchPlan, trial int, hostOut []uint32)
 	sortTuples(stream)
 	e.sortedByTrial[trial] = append(e.sortedByTrial[trial], stream)
 	e.stats.Tuples += int64(len(stream))
-	e.acct.aggOps += int64(len(stream))
+	return ops + int64(len(stream))
 }
 
 // corePass adapts a pipelined pass to sched.Pass. The lanes interleave
@@ -306,5 +306,5 @@ func (p *corePass) Degrade() error { return p.env.runBatches(p.label, p.plans) }
 // is the first writer).
 func (e *passEnv) runPass(label string, plans []batchPlan, lanes int) error {
 	pass := &corePass{env: e, label: label, plans: plans, lanes: lanes, snap: e.snapshot(batchPlan{})}
-	return e.o.runner(e.dev, e.rec).RunPass(pass)
+	return e.o.runner(e.led, e.rec).RunPass(pass)
 }

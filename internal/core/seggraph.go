@@ -105,17 +105,15 @@ func shingleKey(trial uint32, minima []uint32) uint64 {
 // random trial") and emits the resulting bipartite shingle graph in
 // adjacency-list form. Owner lists come out sorted. The per-trial sorts are
 // independent and run across workers; grouping happens in trial order, so
-// the output is identical for every worker count. CPU cost is charged to the
-// aggregation account.
-func buildShingleGraph(tuplesByTrial [][]tuple, workers int, acct *cpuAccount, stats *PassStats) *SegGraph {
-	return groupTrials(len(tuplesByTrial), workers, acct, stats, func(trial int, local *cpuAccount) []tuple {
+// the output is identical for every worker count. It returns the graph and
+// the aggregation operations it counted.
+func buildShingleGraph(tuplesByTrial [][]tuple, workers int, stats *PassStats) (*SegGraph, int64) {
+	return groupTrials(len(tuplesByTrial), workers, stats, func(trial int) ([]tuple, int64) {
 		ts := tuplesByTrial[trial]
 		sortTuples(ts)
 		// Sort cost: n log n comparisons, plus a grouping scan.
-		if n := int64(len(ts)); n > 0 {
-			local.aggOps += n*int64(bits.Len64(uint64(n))) + n
-		}
-		return ts
+		n := int64(len(ts))
+		return ts, n*int64(bits.Len64(uint64(n))) + n
 	})
 }
 
@@ -123,31 +121,30 @@ func buildShingleGraph(tuplesByTrial [][]tuple, workers int, acct *cpuAccount, s
 // path: each trial's tuples arrive as pre-sorted per-batch streams (plus a
 // small unsorted residue of split-list tuples) and only need a linear merge.
 func buildShingleGraphPresorted(sortedByTrial [][][]tuple, residueByTrial [][]tuple,
-	workers int, acct *cpuAccount, stats *PassStats) *SegGraph {
-	return groupTrials(len(sortedByTrial), workers, acct, stats, func(trial int, local *cpuAccount) []tuple {
-		return mergeSortedStreams(sortedByTrial[trial], residueByTrial[trial], local)
+	workers int, stats *PassStats) (*SegGraph, int64) {
+	return groupTrials(len(sortedByTrial), workers, stats, func(trial int) ([]tuple, int64) {
+		return mergeSortedStreams(sortedByTrial[trial], residueByTrial[trial])
 	})
 }
 
-// groupTrials runs sorted(trial, local) — which returns trial's tuples in
-// (key, owner) order, charging its work to local — for the c trials across
-// a pool of workers, then appends every trial's key-groups in trial order
+// groupTrials runs sorted(trial) — which returns trial's tuples in (key,
+// owner) order and the operations that took — for the c trials across a
+// pool of workers, then appends every trial's key-groups in trial order
 // into a shingle graph sized exactly from the per-trial tuple and group
-// counts.
-func groupTrials(c, workers int, acct *cpuAccount, stats *PassStats,
-	sorted func(trial int, local *cpuAccount) []tuple) *SegGraph {
+// counts. It returns the graph and the operations counted in total.
+func groupTrials(c, workers int, stats *PassStats,
+	sorted func(trial int) ([]tuple, int64)) (*SegGraph, int64) {
 	streams := make([][]tuple, c)
-	ops := make([]int64, c)
+	opsByTrial := make([]int64, c)
 	groups := make([]int, c)
 	sched.ParallelFor(workers, c, func(_, trial int) {
-		var local cpuAccount
-		streams[trial] = sorted(trial, &local)
-		ops[trial] = local.aggOps
+		streams[trial], opsByTrial[trial] = sorted(trial)
 		groups[trial] = countGroups(streams[trial])
 	})
+	var ops int64
 	nData, nGroups := 0, 0
 	for trial := range streams {
-		acct.aggOps += ops[trial]
+		ops += opsByTrial[trial]
 		nData += len(streams[trial])
 		nGroups += groups[trial]
 	}
@@ -156,8 +153,7 @@ func groupTrials(c, workers int, acct *cpuAccount, stats *PassStats,
 		appendGroups(out, ts)
 	}
 	stats.Shingles = out.NumLists()
-	acct.aggOps += int64(len(out.Data))
-	return out
+	return out, ops + int64(len(out.Data))
 }
 
 // countGroups returns the number of key-groups in a sorted tuple stream.

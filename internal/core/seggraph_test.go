@@ -74,7 +74,6 @@ func TestShingleKeyProperties(t *testing.T) {
 }
 
 func TestBuildShingleGraphGroups(t *testing.T) {
-	acct := &cpuAccount{}
 	stats := &PassStats{}
 	tuples := [][]tuple{
 		{ // trial 0
@@ -89,7 +88,7 @@ func TestBuildShingleGraphGroups(t *testing.T) {
 			{key: 100, owner: 9},
 		},
 	}
-	sg := buildShingleGraph(tuples, 1, acct, stats)
+	sg, ops := buildShingleGraph(tuples, 1, stats)
 	if sg.NumLists() != 3 {
 		t.Fatalf("%d shingle groups, want 3", sg.NumLists())
 	}
@@ -103,7 +102,7 @@ func TestBuildShingleGraphGroups(t *testing.T) {
 	if got := sg.List(2); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("group 2 = %v, want [9]", got)
 	}
-	if acct.aggOps == 0 {
+	if ops == 0 {
 		t.Fatal("aggregation cost not charged")
 	}
 }
@@ -131,10 +130,9 @@ func TestBuildShingleGraphWorkers(t *testing.T) {
 		for j, ts := range trials {
 			in[j] = append([]tuple(nil), ts...)
 		}
-		var acct cpuAccount
 		var stats PassStats
-		sg := buildShingleGraph(in, workers, &acct, &stats)
-		return sg, stats, acct.aggOps
+		sg, ops := buildShingleGraph(in, workers, &stats)
+		return sg, stats, ops
 	}
 	want, wantStats, wantOps := build(1)
 	if wantStats.Shingles == 0 || len(want.Data) == 0 {

@@ -7,11 +7,11 @@ import (
 // Wallclock flags reads of the host's real clock — time.Now, time.Since,
 // time.Until — outside the allowlisted timing wrappers. gpClust's reported
 // costs (the Table I component breakdown, the ablation numbers) come from
-// the simulated device's virtual clock and the cpuAccount op pricing;
-// sampling the wall clock anywhere else invites mixing host-dependent
-// timings into results that must reproduce on any machine. The allowlist
-// names the stopwatch helpers that measure the separate, explicitly
-// host-dependent Result.Wall fields.
+// the simulated device's virtual clock and the host operations charged to
+// each run's sched.Ledger; sampling the wall clock anywhere else invites
+// mixing host-dependent timings into results that must reproduce on any
+// machine. The allowlist names the stopwatch helpers that measure the
+// separate, explicitly host-dependent Result.Wall fields.
 var Wallclock = &Analyzer{
 	Name: ruleWallclock,
 	Doc:  "time.Now/Since/Until outside an allowlisted timing wrapper",

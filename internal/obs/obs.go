@@ -10,7 +10,8 @@
 // a recorder through unconditionally and a run without one is bit-identical
 // — in output and in virtual cost — to a run before the recorder existed.
 // Recording never advances any virtual clock: spans are observations of
-// times the cost model already produced, never charges.
+// times the cost model already produced. The charges are kept by each run's
+// sched.Ledger, which mirrors every one as a host-cpu span.
 package obs
 
 import (
@@ -18,8 +19,8 @@ import (
 	"time"
 )
 
-// Track names shared by the pipelines. The host-cpu track carries the
-// fine-grained virtual-clock charges (its span names feed TableSplit); the
+// Track names shared by the pipelines. The host-cpu track carries one span
+// per ledger charge (its span names feed TableSplit); the
 // phases track carries the coarse host phases; batches/lane0/lane1 carry the
 // device scheduling; recovery and faults carry instants.
 const (
@@ -30,9 +31,9 @@ const (
 	TrackFaults   = "faults"   // injected-fault instants (internal/faults)
 )
 
-// Span names on TrackHostCPU with a reserved meaning in TableSplit; every
-// other host-cpu name (stage, aggregate, split-merge, report, ...) counts as
-// CPU work.
+// Span names on TrackHostCPU with a reserved meaning in Split.AddHost;
+// every other host-cpu name (stage, aggregate, split-merge, report, ...)
+// counts as CPU work.
 const (
 	NameRead    = "read"    // disk I/O charge
 	NameShingle = "shingle" // host-side shingling (serial backend, fallback)

@@ -273,8 +273,8 @@ func lshPairsHost(seqs []seq.Sequence, cfg Config, p lshParams) (map[pairKey]boo
 
 // runFilterHost is Phase 1 on the host backend: it resolves the filter,
 // produces the scheduled candidate pairs, and prices the whole phase into
-// st.FilterNs on the synthetic host timeline.
-func runFilterHost(seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error) {
+// st.FilterNs, charged to the build's ledger.
+func runFilterHost(led *sched.Ledger, seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error) {
 	f, prm, err := resolveFilter(cfg)
 	if err != nil {
 		return nil, err
@@ -287,6 +287,7 @@ func runFilterHost(seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error
 	case FilterLSH:
 		set, st.FilterNs = lshPairsHost(seqs, cfg, prm)
 	}
+	led.Charge("filter", st.FilterNs)
 	st.Candidates = len(set)
 	return sortedPairs(set), nil
 }
@@ -296,7 +297,7 @@ func runFilterHost(seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error
 // on-device through the scheduler (lshDeviceFilter), its kernels and copies
 // landing on the device clock directly. Either way st.FilterNs is the
 // phase's share of the virtual clock and the phase span brackets it.
-func runFilterGPU(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error) {
+func runFilterGPU(dev *gpusim.Device, led *sched.Ledger, seqs []seq.Sequence, cfg Config, st *Stats) ([]pairKey, error) {
 	f, prm, err := resolveFilter(cfg)
 	if err != nil {
 		return nil, err
@@ -308,9 +309,9 @@ func runFilterGPU(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, st *Stats
 	case FilterExact:
 		var ns float64
 		set, ns = exactPairSet(seqs, cfg)
-		sched.ChargeHost(dev, cfg.Obs, "filter", ns)
+		led.Charge("filter", ns)
 	case FilterLSH:
-		set, err = lshDeviceFilter(dev, seqs, cfg, prm, st)
+		set, err = lshDeviceFilter(dev, led, seqs, cfg, prm, st)
 	}
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"gpclust/internal/align"
 	"gpclust/internal/gpusim"
+	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
 
@@ -66,8 +67,9 @@ func FuzzSWBatch(f *testing.F) {
 				}
 				got := make([]int32, len(pairs))
 				var data, out []uint32
+				led := sched.NewLedger(devSeq, nil)
 				for _, p := range plans {
-					data, out, err = runOneSWBatch(devSeq, table, p, enc, pairs, order, cfg, got, data, out)
+					data, out, err = runOneSWBatch(devSeq, led, table, p, enc, pairs, order, cfg, got, data, out)
 					if err != nil {
 						t.Fatal(err)
 					}

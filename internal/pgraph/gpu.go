@@ -293,11 +293,11 @@ func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) th
 }
 
 // runOneSWBatch stages, uploads, launches and reads back one batch
-// synchronously against the resident table, reusing the data/out scratch
-// slices across calls. The score writes are idempotent — scores[p.lo+i]
-// depends only on the batch contents — so a failed attempt needs no
-// rollback before a retry.
-func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]byte,
+// synchronously against the resident table, charging the staging to led and
+// reusing the data/out scratch slices across calls. The score writes are
+// idempotent — scores[p.lo+i] depends only on the batch contents — so a
+// failed attempt needs no rollback before a retry.
+func runOneSWBatch(dev *gpusim.Device, led *sched.Ledger, table *gpusim.Buffer, p swBatch, enc [][]byte,
 	pairs []pairKey, order []int, cfg Config, scores []int32, data, out []uint32) ([]uint32, []uint32, error) {
 
 	np := p.hi - p.lo
@@ -307,7 +307,7 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 		t0 = dev.HostTime()
 	}
 	data = packSWBatch(p, enc, pairs, order, ly, data)
-	sched.ChargeHost(dev, cfg.Obs, "pack", float64(ly.packWords(p))*packNsPerWord)
+	led.Charge("pack", float64(ly.packWords(p))*packNsPerWord)
 	if cap(out) < np {
 		out = make([]uint32, np)
 	}
@@ -342,13 +342,13 @@ func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]
 // the scores with the exact comparison the host path uses. The Stats
 // breakdown (filter, kernels, Data_c→g, Data_g→c) is this stage's share of
 // the device's virtual clock.
-func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host0 float64) ([]graph.Edge, error) {
+func verifyGPU(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host0 float64) ([]graph.Edge, error) {
 	dev := cfg.Device // Build resolved the device before the filter ran
 	// Metrics from here cover verification only: the filter phase (host
 	// charges, or the LSH pass's own device traffic) is already on the
 	// clock, and host0 predates it so TotalNs spans the whole build.
 	m0 := dev.Metrics()
-	verifyPhase := startVerifyPhase(dev, cfg.Obs)
+	verifyPhase := led.Phase("verify")
 
 	var edges []graph.Edge
 	if len(pairs) > 0 {
@@ -385,10 +385,10 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		st.GPUBatches = len(plans)
 
 		scores := make([]int32, len(pairs))
-		env := &swEnv{dev: dev, enc: enc, pairs: pairs, order: order,
+		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order,
 			cfg: cfg, scores: scores, rec: &st.Faults, workers: cfg.workerCount()}
 		schedT0 := dev.HostTime()
-		if err := cfg.runner(dev, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
+		if err := cfg.runner(led, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
 			return nil, err
 		}
 		if env.table != nil { // nil after the all-pairs host fallback
@@ -406,7 +406,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		edges = acceptedEdges(seqs, pairs, order, scores, cfg)
 	}
 
-	verifyPhase.End(dev.HostTime())
+	led.EndPhase(verifyPhase)
 	m := dev.Metrics().Sub(m0)
 	st.AlignNs = m.KernelTimeNs
 	st.H2DNs = m.H2DTimeNs
@@ -420,13 +420,4 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 	st.Divergence = m.DivergenceOverhead()
 	st.TotalNs = dev.HostTime() - host0
 	return edges, nil
-}
-
-// startVerifyPhase opens the verify phase span at the device's current
-// virtual time (inert on a nil recorder).
-func startVerifyPhase(dev *gpusim.Device, r *obs.Recorder) obs.Ending {
-	if !r.Enabled() {
-		return obs.Ending{}
-	}
-	return r.Start(obs.TrackPhases, "verify", dev.HostTime())
 }

@@ -8,6 +8,7 @@ import (
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/minwise"
+	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
 
@@ -66,7 +67,7 @@ func TestLSHDeviceMatchesHost(t *testing.T) {
 		var st Stats
 		cfg.GPU = true
 		cfg.Device = dev
-		got, err := lshDeviceFilter(dev, seqs, cfg, prm, &st)
+		got, err := lshDeviceFilter(dev, sched.NewLedger(dev, nil), seqs, cfg, prm, &st)
 		if err != nil {
 			t.Fatalf("%s: %v", s.label, err)
 		}
@@ -172,7 +173,7 @@ func TestLSHBudgetTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lshDeviceFilter(dev, seqs, cfg, prm, &st); err == nil {
+	if _, err := lshDeviceFilter(dev, sched.NewLedger(dev, nil), seqs, cfg, prm, &st); err == nil {
 		t.Fatal("64-word budget accepted for the conservative pass")
 	}
 	if st.Faults.Any() {
@@ -262,7 +263,7 @@ func TestLSHSignatureSpansMatchHost(t *testing.T) {
 		eligible[col] = sets[id]
 	}
 	dev := gpusim.MustNew(gpusim.K20Config())
-	env := &lshEnv{dev: dev, cfg: cfg, prm: prm, sets: eligible, ids: ids, seqs: seqs,
+	env := &lshEnv{dev: dev, led: sched.NewLedger(dev, nil), cfg: cfg, prm: prm, sets: eligible, ids: ids, seqs: seqs,
 		total: total, budget: prm.hashes()*len(eligible) + total/3}
 	spansA, _, err := env.lshPlans()
 	if err != nil {
@@ -294,7 +295,8 @@ func TestLSHSignatureSpansMatchHost(t *testing.T) {
 	cfg.GPU = true
 	cfg.GPUBatchWords = env.budget
 	var st Stats
-	pairs, err := lshDeviceFilter(gpusim.MustNew(gpusim.K20Config()), seqs, cfg, prm, &st)
+	dev2 := gpusim.MustNew(gpusim.K20Config())
+	pairs, err := lshDeviceFilter(dev2, sched.NewLedger(dev2, nil), seqs, cfg, prm, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +327,7 @@ func TestLSHLaunchesIndependentOfPermutations(t *testing.T) {
 		cfg.GPU = true
 		dev := gpusim.MustNew(gpusim.K20Config())
 		var st Stats
-		if _, err := lshDeviceFilter(dev, seqs, cfg, prm, &st); err != nil {
+		if _, err := lshDeviceFilter(dev, sched.NewLedger(dev, nil), seqs, cfg, prm, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.LSHPlan.Batches != 2 {

@@ -38,6 +38,7 @@ import (
 // sets, the eligible-sequence map, the word budget, and the output.
 type lshEnv struct {
 	dev   *gpusim.Device
+	led   *sched.Ledger
 	cfg   Config
 	prm   lshParams
 	sets  [][]uint32 // per eligible column (sorted distinct shingles)
@@ -47,7 +48,6 @@ type lshEnv struct {
 
 	budget int
 	pairs  map[pairKey]bool
-	hostNs float64 // host-path cost, charged by the fallback
 }
 
 // lshSigWords is the resident signature buffer's footprint.
@@ -146,8 +146,9 @@ func (b *lshFilterBatch) Split() (sched.Batch, sched.Batch, bool) { return nil, 
 // priced like the host backend's.
 func (b *lshFilterBatch) Fallback() {
 	e := b.env
-	e.pairs, e.hostNs = lshPairsHost(e.seqs, e.cfg, e.prm)
-	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-host", e.hostNs)
+	var ns float64
+	e.pairs, ns = lshPairsHost(e.seqs, e.cfg, e.prm)
+	e.led.Charge("lsh-host", ns)
 }
 
 func (b *lshFilterBatch) WrapErr(retries int, last error) error {
@@ -172,7 +173,7 @@ func (e *lshEnv) runConservative() error {
 			k++
 		}
 	}
-	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
+	e.led.Charge("lsh-stage", float64(2*n)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, n, n, n, n)
@@ -242,7 +243,7 @@ func (e *lshEnv) runSigSpan(sigBuf *gpusim.Buffer, fam minwise.Family, sp sched.
 		data = append(data, set...)
 	}
 	offs[ns] = uint32(len(data))
-	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(len(data)+ns+1)*packNsPerWord)
+	e.led.Charge("lsh-stage", float64(len(data)+ns+1)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, len(data), ns+1)
@@ -276,7 +277,7 @@ func (e *lshEnv) runBandSpan(sigBuf *gpusim.Buffer, sp sched.Span) error {
 			val[b*ne+i] = uint32(i)
 		}
 	}
-	sched.ChargeHost(e.dev, e.cfg.Obs, "lsh-stage", float64(2*n)*packNsPerWord)
+	e.led.Charge("lsh-stage", float64(2*n)*packNsPerWord)
 
 	dev := e.dev
 	bufs, err := lshMalloc(dev, n, n, n, n)
@@ -317,7 +318,7 @@ func (e *lshEnv) groupAndEmit(hiBuf, loBuf, valBuf, flagBuf *gpusim.Buffer, n in
 		return err
 	}
 	e.emitRuns(flags, vals)
-	sched.ChargeHost(dev, e.cfg.Obs, "lsh-emit", float64(n)*FilterNsPerOp)
+	e.led.Charge("lsh-emit", float64(n)*FilterNsPerOp)
 	return nil
 }
 
@@ -356,16 +357,16 @@ func lshBudget(dev *gpusim.Device, cfg Config) int {
 // lshDeviceFilter runs the LSH candidate pass on the device through the
 // resilience ladder, records the plan (batches, budget, predicted vs actual
 // window) into Stats.LSHPlan, and returns the candidate set.
-func lshDeviceFilter(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, prm lshParams, st *Stats) (map[pairKey]bool, error) {
+func lshDeviceFilter(dev *gpusim.Device, led *sched.Ledger, seqs []seq.Sequence, cfg Config, prm lshParams, st *Stats) (map[pairKey]bool, error) {
 	sets, total, shingleOps := shingleSets(seqs, cfg.MinExactMatch)
 	ids := eligibleSeqs(sets)
 	eligible := make([][]uint32, len(ids))
 	for col, id := range ids {
 		eligible[col] = sets[id]
 	}
-	sched.ChargeHost(dev, cfg.Obs, "lsh-shingle", float64(shingleOps)*FilterNsPerOp)
+	led.Charge("lsh-shingle", float64(shingleOps)*FilterNsPerOp)
 
-	env := &lshEnv{dev: dev, cfg: cfg, prm: prm, sets: eligible, ids: ids,
+	env := &lshEnv{dev: dev, led: led, cfg: cfg, prm: prm, sets: eligible, ids: ids,
 		seqs: seqs, total: total, budget: lshBudget(dev, cfg)}
 	report := sched.PlanReport{BudgetWords: env.budget, Lanes: 1}
 	spansA, spansB, err := env.lshPlans()
@@ -383,7 +384,7 @@ func lshDeviceFilter(dev *gpusim.Device, seqs []seq.Sequence, cfg Config, prm ls
 	}
 
 	schedT0 := dev.HostTime()
-	if err := cfg.runner(dev, &st.Faults).Run(&lshFilterBatch{env: env}); err != nil {
+	if err := cfg.runner(led, &st.Faults).Run(&lshFilterBatch{env: env}); err != nil {
 		return nil, err
 	}
 	dev.Synchronize()

@@ -92,8 +92,8 @@ func TestObsRecorderGPUBuild(t *testing.T) {
 	}
 }
 
-// TestObsRecorderHostBuild: the host backend records its synthetic timeline
-// and the same counters.
+// TestObsRecorderHostBuild: the host backend's ledger records its charges
+// on its own clock, and the same counters.
 func TestObsRecorderHostBuild(t *testing.T) {
 	seqs := testMetagenome(t, 80)
 	cfg := DefaultConfig()

@@ -241,29 +241,29 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 			dev = gpusim.MustNew(gpusim.K20Config())
 			cfg.Device = dev
 		}
+		led := sched.NewLedger(dev, cfg.Obs)
 		host0 := dev.HostTime()
-		pairs, err := runFilterGPU(dev, seqs, cfg, &st)
+		pairs, err := runFilterGPU(dev, led, seqs, cfg, &st)
 		if err != nil {
 			return nil, st, err
 		}
-		edges, err = verifyGPU(seqs, pairs, cfg, &st, host0)
+		edges, err = verifyGPU(led, seqs, pairs, cfg, &st, host0)
 		if err != nil {
 			return nil, st, err
 		}
 	} else {
-		pairs, err := runFilterHost(seqs, cfg, &st)
+		// The host backend has no device: its ledger keeps the build's
+		// clock, from 0.
+		led := sched.NewLedger(nil, cfg.Obs)
+		ph := led.Phase("filter")
+		pairs, err := runFilterHost(led, seqs, cfg, &st)
 		if err != nil {
 			return nil, st, err
 		}
-		edges = verifyHost(seqs, pairs, cfg, &st)
-		if cfg.Obs.Enabled() {
-			// The host backend has no device clock: lay the stages out on a
-			// synthetic timeline starting at 0.
-			cfg.Obs.Span(obs.TrackPhases, "filter", 0, st.FilterNs)
-			cfg.Obs.Span(obs.TrackHostCPU, "filter", 0, st.FilterNs)
-			cfg.Obs.Span(obs.TrackPhases, "verify", st.FilterNs, st.TotalNs)
-			cfg.Obs.Span(obs.TrackHostCPU, "host-align", st.FilterNs, st.TotalNs)
-		}
+		led.EndPhase(ph)
+		ph = led.Phase("verify")
+		edges = verifyHost(led, seqs, pairs, cfg, &st)
+		led.EndPhase(ph)
 	}
 
 	b := graph.NewBuilder(len(seqs))
@@ -287,14 +287,16 @@ func (c Config) workerCount() int {
 }
 
 // verifyHost runs Smith–Waterman over the candidate pairs on a worker pool
-// (pGraph's parallel verification stage) and returns the accepted edges.
-func verifyHost(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []graph.Edge {
+// (pGraph's parallel verification stage), charges the DP cells to led and
+// returns the accepted edges.
+func verifyHost(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []graph.Edge {
 	st.Workers = cfg.workerCount()
 	enc := encodeSeqs(seqs)
 	order := binPairs(enc, pairs, false) // natural order: scores[k] is pairs[k]'s
 	scores := make([]int32, len(pairs))
 	cells := scoreHost(enc, pairs, order, cfg.Align, scores, st.Workers)
 	st.AlignNs = float64(cells) * HostAlignNsPerCell
+	led.Charge("host-align", st.AlignNs)
 	st.TotalNs = st.FilterNs + st.AlignNs
 	return acceptedEdges(seqs, pairs, order, scores, cfg)
 }

@@ -39,20 +39,21 @@ var ErrRetryBudget = sched.ErrRetryBudget
 func (c Config) retryBudget() int { return sched.ResolveRetries(c.FaultRetries) }
 
 // runner assembles the sched resilience ladder for one verification run.
-func (c Config) runner(dev *gpusim.Device, rec *faults.Recovery) *sched.Runner {
+func (c Config) runner(led *sched.Ledger, rec *faults.Recovery) *sched.Runner {
 	return &sched.Runner{
-		Dev: dev, Obs: c.Obs, Rec: rec,
+		Ledger: led, Rec: rec,
 		Policy:         sched.Policy{Retries: c.retryBudget(), BackoffNs: c.retryBackoff()},
 		NoHostFallback: c.NoHostFallback,
 	}
 }
 
 // swEnv bundles the state the resilient scheduling adapters share: the
-// device, the resident score table, the verification inputs and the score
-// output, the host fallback's pool size, plus the sequential path's
-// reusable staging scratch.
+// device and the run's ledger, the resident score table, the verification
+// inputs and the score output, the host fallback's pool size, plus the
+// sequential path's reusable staging scratch.
 type swEnv struct {
 	dev     *gpusim.Device
+	led     *sched.Ledger
 	table   *gpusim.Buffer // resident score table; nil after the all-pairs fallback
 	enc     [][]byte
 	pairs   []pairKey
@@ -98,7 +99,7 @@ type swGPUBatch struct {
 
 func (b swGPUBatch) Attempt() error {
 	var err error
-	b.env.data, b.env.out, err = runOneSWBatch(b.env.dev, b.env.table, b.p, b.env.enc,
+	b.env.data, b.env.out, err = runOneSWBatch(b.env.dev, b.env.led, b.env.table, b.p, b.env.enc,
 		b.env.pairs, b.env.order, b.env.cfg, b.env.scores, b.env.data, b.env.out)
 	return err
 }
@@ -127,7 +128,7 @@ func (b swGPUBatch) WrapErr(retries int, last error) error {
 // stalling the host (the paper's mode), with the recovery ladder applied
 // per batch.
 func runSWBatchesSequentialResilient(env *swEnv, plans []swBatch) error {
-	run := env.cfg.runner(env.dev, env.rec)
+	run := env.cfg.runner(env.led, env.rec)
 	for _, p := range plans {
 		if err := run.Run(swGPUBatch{env: env, p: p}); err != nil {
 			return err
@@ -163,5 +164,5 @@ func swBatchFor(lo, hi int, enc [][]byte, pairs []pairKey, order []int) swBatch 
 func (env *swEnv) scoreOnHost(p swBatch) {
 	cells := scoreHost(env.enc, env.pairs, env.order[p.lo:p.hi], env.cfg.Align,
 		env.scores[p.lo:p.hi], env.workers)
-	sched.ChargeHost(env.dev, env.cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
+	env.led.Charge("host-align", float64(cells)*HostAlignNsPerCell)
 }

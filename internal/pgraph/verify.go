@@ -122,7 +122,7 @@ func NewVerifier(cfg Config) (*Verifier, error) {
 			v.cfg.Device = dev
 		}
 		v.dev = dev
-		if err := v.cfg.runner(dev, &v.rec).Run(&residentTableUpload{v: v}); err != nil {
+		if err := v.cfg.runner(sched.NewLedger(dev, v.cfg.Obs), &v.rec).Run(&residentTableUpload{v: v}); err != nil {
 			return nil, err
 		}
 	}
@@ -205,8 +205,8 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	order := binPairs(v.enc, pairs, !v.cfg.NoLengthBin)
 	// Host scoring stays on one worker, so serving keeps one scoring
 	// goroutine.
-	env := &swEnv{dev: v.dev, table: v.table, enc: v.enc, pairs: pairs,
-		order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: 1}
+	env := &swEnv{dev: v.dev, led: sched.NewLedger(v.dev, v.cfg.Obs), table: v.table, enc: v.enc,
+		pairs: pairs, order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: 1}
 	batches := 0
 	switch {
 	case v.dev == nil:

@@ -83,7 +83,7 @@ func NewSim(m *Model, lanes int) *Sim {
 	return &Sim{M: m, Ready: make([]float64, max(lanes, 0))}
 }
 
-// HostWork advances the host clock (gpusim.AdvanceHost / ChargeHost).
+// HostWork advances the host clock (a Ledger charge).
 func (s *Sim) HostWork(ns float64) { s.Host += ns }
 
 // Copy replays one DMA of `words` words. Synchronous copies (lane < 0)

@@ -82,26 +82,6 @@ func ResolveBackoff(ns float64) float64 {
 	return DefaultRetryBackoffNs
 }
 
-// ChargeHost advances the device's host clock by ns of CPU work and, when a
-// recorder is wired, mirrors the charge as a host-cpu span.
-func ChargeHost(dev *gpusim.Device, r *obs.Recorder, name string, ns float64) {
-	if r.Enabled() && ns > 0 {
-		t0 := dev.HostTime()
-		dev.AdvanceHost(ns)
-		r.Span(obs.TrackHostCPU, name, t0, t0+ns)
-		return
-	}
-	dev.AdvanceHost(ns)
-}
-
-// RecoveryInstant marks one fault-recovery action on the recovery track at
-// the device's current virtual time.
-func RecoveryInstant(dev *gpusim.Device, r *obs.Recorder, name string) {
-	if r.Enabled() {
-		r.Instant(obs.TrackRecovery, name, dev.HostTime())
-	}
-}
-
 // Policy is the resolved retry policy of one scheduling run.
 type Policy struct {
 	Retries   int     // per-batch (or per-pass) retry budget
@@ -143,10 +123,10 @@ type Pass interface {
 }
 
 // Runner executes batches and passes under the resilience ladder,
-// accounting every recovery action in Rec and tracing it through Obs.
+// accounting every recovery action in Rec, charging its backoff stalls to
+// the run's Ledger and marking each action on the recovery track.
 type Runner struct {
-	Dev            *gpusim.Device
-	Obs            *obs.Recorder
+	Ledger         *Ledger
 	Rec            *faults.Recovery
 	Policy         Policy
 	NoHostFallback bool
@@ -158,20 +138,20 @@ func (r *Runner) noteRetry(err error, attempt int) {
 	switch {
 	case errors.Is(err, gpusim.ErrTransferFault):
 		r.Rec.TransferRetries++
-		RecoveryInstant(r.Dev, r.Obs, "retry:transfer")
+		r.Ledger.Recovery("retry:transfer")
 	case errors.Is(err, gpusim.ErrLaunchFault):
 		r.Rec.KernelRetries++
-		RecoveryInstant(r.Dev, r.Obs, "retry:kernel")
+		r.Ledger.Recovery("retry:kernel")
 	default:
 		r.Rec.OOMRetries++
-		RecoveryInstant(r.Dev, r.Obs, "retry:oom")
+		r.Ledger.Recovery("retry:oom")
 	}
 	r.backoff(attempt)
 }
 
 func (r *Runner) backoff(attempt int) {
 	back := r.Policy.BackoffNs * float64(int64(1)<<attempt)
-	ChargeHost(r.Dev, r.Obs, obs.NameBackoff, back)
+	r.Ledger.Charge(obs.NameBackoff, back)
 	r.Rec.BackoffNs += back
 }
 
@@ -200,7 +180,7 @@ func (r *Runner) run(b Batch, depth int) error {
 		if errors.Is(err, gpusim.ErrOutOfDeviceMemory) && depth < MaxSplitDepth {
 			if left, right, ok := b.Split(); ok {
 				r.Rec.OOMSplits++
-				RecoveryInstant(r.Dev, r.Obs, "oom-split")
+				r.Ledger.Recovery("oom-split")
 				if err := r.run(left, depth+1); err != nil {
 					return err
 				}
@@ -211,7 +191,7 @@ func (r *Runner) run(b Batch, depth int) error {
 			return b.WrapErr(budget, err)
 		}
 		r.Rec.HostFallbacks++
-		RecoveryInstant(r.Dev, r.Obs, "host-fallback")
+		r.Ledger.Recovery("host-fallback")
 		b.Fallback()
 		return nil
 	}
@@ -236,11 +216,11 @@ func (r *Runner) RunPass(p Pass) error {
 		p.Settle()
 		if attempt >= budget {
 			r.Rec.Restarts++
-			RecoveryInstant(r.Dev, r.Obs, "degrade-sequential")
+			r.Ledger.Recovery("degrade-sequential")
 			return p.Degrade()
 		}
 		r.Rec.Restarts++
-		RecoveryInstant(r.Dev, r.Obs, "restart")
+		r.Ledger.Recovery("restart")
 		r.backoff(attempt)
 	}
 }

@@ -14,7 +14,7 @@ func testRunner(t *testing.T, retries int, noFallback bool) (*Runner, *faults.Re
 	dev := gpusim.MustNew(gpusim.K20Config())
 	rec := &faults.Recovery{}
 	return &Runner{
-		Dev: dev, Rec: rec,
+		Ledger: NewLedger(dev, nil), Rec: rec,
 		Policy:         Policy{Retries: retries, BackoffNs: 10},
 		NoHostFallback: noFallback,
 	}, rec, dev

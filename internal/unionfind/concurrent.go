@@ -114,18 +114,3 @@ func (c *Concurrent) Union(x, y int) bool {
 // Same reports whether x and y are in the same set. Only meaningful after
 // all concurrent Unions have completed.
 func (c *Concurrent) Same(x, y int) bool { return c.Find(x) == c.Find(y) }
-
-// Freeze copies the current partition into a fresh sequential UF. Call it
-// after the concurrent phase to hand the result to code that wants the
-// classic structure.
-func (c *Concurrent) Freeze() *UF {
-	assertAcyclic(c)
-	parent := c.arr()
-	u := New(len(parent))
-	for i := range parent {
-		if p := int(parent[i].Load()); p != i {
-			u.Union(i, p)
-		}
-	}
-	return u
-}

@@ -59,23 +59,6 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestConcurrentFreeze(t *testing.T) {
-	con := NewConcurrent(10)
-	con.Union(0, 1)
-	con.Union(1, 2)
-	con.Union(5, 9)
-	u := con.Freeze()
-	if !u.Same(0, 2) || !u.Same(5, 9) {
-		t.Fatal("Freeze lost unions")
-	}
-	if u.Same(0, 5) {
-		t.Fatal("Freeze invented a union")
-	}
-	if got := u.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
-	}
-}
-
 func TestConcurrentSingleton(t *testing.T) {
 	con := NewConcurrent(1)
 	if con.Find(0) != 0 || con.Len() != 1 {

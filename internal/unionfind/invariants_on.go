@@ -8,7 +8,8 @@ import "fmt"
 // the parallel phase has quiesced: every parent link points at an equal or
 // lower index, so parent chains strictly decrease and cycles are impossible
 // (the property Union's ordered CAS linking maintains). Compiled only under
-// -tags invariants; Freeze calls it before copying the partition out.
+// -tags invariants; the invariants-build tests call it once their
+// concurrent Unions have joined.
 func assertAcyclic(c *Concurrent) {
 	parent := c.arr()
 	for i := range parent {

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestFreezeAssertsAcyclicAfterConcurrentUnions hammers the lock-free
-// structure from several goroutines and then freezes: under the invariants
-// build Freeze walks every parent link and panics on any upward pointer.
-func TestFreezeAssertsAcyclicAfterConcurrentUnions(t *testing.T) {
+// TestAcyclicAfterConcurrentUnions hammers the lock-free structure from
+// several goroutines, then walks every parent link: assertAcyclic panics on
+// any upward pointer.
+func TestAcyclicAfterConcurrentUnions(t *testing.T) {
 	const n = 512
 	c := NewConcurrent(n)
 	var wg sync.WaitGroup
@@ -24,10 +24,7 @@ func TestFreezeAssertsAcyclicAfterConcurrentUnions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	u := c.Freeze()
-	if u.Len() != n {
-		t.Fatalf("frozen length = %d, want %d", u.Len(), n)
-	}
+	assertAcyclic(c)
 }
 
 // TestAssertAcyclicCatchesUpwardLink corrupts the forest with an upward

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
 # full test suite, the benchmark module, the invariants-build sweep, the
-# virtual-clock benchmark gates, fuzz smoke, and a race sweep of the
-# concurrent packages (host-parallel backend, pGraph worker pool, device
-# simulator). Run from the repository root; exits non-zero on any failure.
+# Table I golden, the virtual-clock benchmark gates, fuzz smoke, and a race
+# sweep of the concurrent packages (host-parallel backend, pGraph worker
+# pool, device simulator). Run from the repository root; exits non-zero on
+# any failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,6 +80,16 @@ go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/
 
 echo "== lsh filter equivalence gate (device LSH must match host; conservative LSH must contain exact's pairs)"
 go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
+
+echo "== Table I golden (-exp table1 must reproduce the committed experiments_output.txt section)"
+go run ./cmd/experiments -exp table1 > "$tmp_dir/table1.txt"
+awk '/^== Table I ==$/ { on = 1; next } on && /^$/ { exit } on' experiments_output.txt \
+    > "$tmp_dir/table1-want.txt"
+test -s "$tmp_dir/table1-want.txt"
+if ! cmp "$tmp_dir/table1-want.txt" "$tmp_dir/table1.txt"; then
+    diff "$tmp_dir/table1-want.txt" "$tmp_dir/table1.txt" >&2 || true
+    exit 1
+fi
 
 echo "== virtual-clock gates (bench.sh experiments, benchcheck on fresh output)"
 sh scripts/bench.sh "$tmp_dir/bench.json"
