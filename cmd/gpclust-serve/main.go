@@ -16,7 +16,10 @@
 // Admission is bounded: when the request queue is full the server answers
 // 503 with a Retry-After hint instead of queueing without bound. Queued
 // requests are coalesced into single device scoring passes, so concurrent
-// clients share GPU batches. Incremental inserts commit exactly the
+// clients share GPU batches. Each pass computes its sequences' band keys,
+// and without -gpu scores its pairs, on every core (GOMAXPROCS workers);
+// the resident band index holds a single-member bucket's member inline, so
+// most buckets cost one map entry. Incremental inserts commit exactly the
 // partition a from-scratch re-cluster of the union corpus would produce
 // (the LSH filter is per-sequence, so candidate discovery is insertion-
 // order independent).

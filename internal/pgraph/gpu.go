@@ -386,7 +386,7 @@ func verifyGPU(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Conf
 
 		scores := make([]int32, len(pairs))
 		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order,
-			cfg: cfg, scores: scores, rec: &st.Faults, workers: cfg.workerCount()}
+			cfg: cfg, scores: scores, rec: &st.Faults, workers: cfg.WorkerCount()}
 		schedT0 := dev.HostTime()
 		if err := cfg.runner(led, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
 			return nil, err

@@ -48,9 +48,9 @@ type Config struct {
 	Align align.Params
 
 	// Workers sets the host Smith–Waterman worker-pool size (pGraph's
-	// parallel verification stage, and a GPU build's host fallback); 0
-	// means GOMAXPROCS. It moves wall time only: the virtual clock prices
-	// DP cells, not cores.
+	// parallel verification stage, a GPU build's host fallback, and a
+	// Verifier's host scoring); 0 means GOMAXPROCS. It moves wall time
+	// only: the virtual clock prices DP cells, not cores.
 	Workers int
 
 	// GPU routes Smith–Waterman verification to the simulated device as a
@@ -277,9 +277,9 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	return g, st, nil
 }
 
-// workerCount resolves Config.Workers (0 = GOMAXPROCS; negative values are
-// rejected by Build before any work runs).
-func (c Config) workerCount() int {
+// WorkerCount resolves Config.Workers (0 = GOMAXPROCS; negative values are
+// rejected by Build and NewVerifier before any work runs).
+func (c Config) WorkerCount() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
@@ -290,7 +290,7 @@ func (c Config) workerCount() int {
 // (pGraph's parallel verification stage), charges the DP cells to led and
 // returns the accepted edges.
 func verifyHost(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats) []graph.Edge {
-	st.Workers = cfg.workerCount()
+	st.Workers = cfg.WorkerCount()
 	enc := encodeSeqs(seqs)
 	order := binPairs(enc, pairs, false) // natural order: scores[k] is pairs[k]'s
 	scores := make([]int32, len(pairs))

@@ -88,10 +88,13 @@ func (s LSHShape) BandKeys(fam minwise.Family, set []uint32) []uint32 {
 // device-resident across calls, so a serving process pays the upload once
 // instead of once per request batch. Score runs the same length-binned
 // batch planner and per-batch resilience ladder as Build's sequential
-// scheduler; scores are bit-identical to align.ScoreOnly on every path.
+// scheduler, and scores on the host (the host backend, a degraded Verifier,
+// a batch's host fallback) on Build's pool of Config.Workers; scores are
+// bit-identical to align.ScoreOnly on every path and for any worker count.
 //
 // A Verifier is not safe for concurrent use: the serving layer funnels all
-// Add/Score/Truncate calls through its single scheduler goroutine.
+// Add/Score/Truncate calls through its single scheduler goroutine, and only
+// Score's own pool runs beside it.
 type Verifier struct {
 	cfg      Config
 	dev      *gpusim.Device // nil on the host backend
@@ -113,6 +116,9 @@ func NewVerifier(cfg Config) (*Verifier, error) {
 	}
 	if cfg.RetryBackoffNs < 0 {
 		return nil, fmt.Errorf("pgraph: negative RetryBackoffNs %g", cfg.RetryBackoffNs)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)
 	}
 	v := &Verifier{cfg: cfg}
 	if cfg.GPU {
@@ -187,7 +193,9 @@ func (v *Verifier) Truncate(n int) {
 // number of device batches the plan took (0 on host paths). On the GPU
 // backend the pairs are length-binned, packed through the batch planner
 // under the configured budget, and run through the per-batch resilience
-// ladder against the resident table; duplicated pairs are allowed and score
+// ladder against the resident table; host scoring runs on Config.Workers
+// and is priced by DP cells, so neither the scores nor the virtual time
+// depend on the worker count. Duplicated pairs are allowed and score
 // identically.
 func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	if len(reqs) == 0 {
@@ -203,10 +211,8 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	}
 	scores := make([]int32, len(pairs))
 	order := binPairs(v.enc, pairs, !v.cfg.NoLengthBin)
-	// Host scoring stays on one worker, so serving keeps one scoring
-	// goroutine.
 	env := &swEnv{dev: v.dev, led: sched.NewLedger(v.dev, v.cfg.Obs), table: v.table, enc: v.enc,
-		pairs: pairs, order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: 1}
+		pairs: pairs, order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: v.cfg.WorkerCount()}
 	batches := 0
 	switch {
 	case v.dev == nil:

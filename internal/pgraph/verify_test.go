@@ -1,6 +1,8 @@
 package pgraph
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"gpclust/internal/align"
@@ -154,6 +156,104 @@ func TestVerifierDegradesWhenTableUploadFails(t *testing.T) {
 		if scores[i] != want {
 			t.Fatalf("pair (%d,%d) scored %d degraded, want %d", p.A, p.B, scores[i], want)
 		}
+	}
+}
+
+// TestVerifierScoreAnyWorkers: host scoring runs on Config.Workers, and
+// Score returns bit-equal scores and batch counts, and charges the same
+// virtual time, for Workers 1, 4 and 0, and for 0 under GOMAXPROCS 1 and
+// 3 — on the host backend and on a degraded Verifier. A negative Workers
+// is rejected.
+func TestVerifierScoreAnyWorkers(t *testing.T) {
+	seqs := testMetagenome(t, 24)
+	reqs := verifierTestPairs(len(seqs))
+	cases := []struct {
+		name           string
+		workers, procs int // procs > 0: run under GOMAXPROCS(procs)
+	}{
+		{"Workers=1", 1, 0}, {"Workers=4", 4, 0}, {"Workers=0", 0, 0},
+		{"Workers=0,GOMAXPROCS=1", 0, 1}, {"Workers=0,GOMAXPROCS=3", 0, 3},
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, degraded := range []bool{false, true} {
+		path := map[bool]string{false: "host", true: "degraded"}[degraded]
+		score := func(workers int) (scores []int32, batches int, ns float64) {
+			cfg := DefaultConfig()
+			cfg.Filter = FilterLSH
+			cfg.Workers = workers
+			if degraded {
+				cfg.GPU = true
+				cfg.FaultRetries = 2
+				cfg.Device = gpusim.MustNew(gpusim.K20Config())
+				sch, err := faults.Parse("malloc op=1 count=1000000")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Device.SetFaultInjector(faults.NewInjector(sch))
+			}
+			v, err := NewVerifier(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			if v.Degraded() != degraded {
+				t.Fatalf("%s: Degraded() = %v", path, v.Degraded())
+			}
+			for _, s := range seqs {
+				if _, err := v.Add(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var t0 float64
+			if dev := v.Device(); dev != nil {
+				t0 = dev.HostTime()
+			}
+			scores, batches, err = v.Score(reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if dev := v.Device(); dev != nil {
+				ns = dev.HostTime() - t0
+			}
+			return scores, batches, ns
+		}
+		var want []int32
+		var wantBatches int
+		var wantNs float64
+		for i, c := range cases {
+			got, batches, ns := func() ([]int32, int, float64) {
+				if c.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+				}
+				return score(c.workers)
+			}()
+			if runtime.GOMAXPROCS(0) != procs {
+				t.Fatalf("%s %s: GOMAXPROCS left at %d, want %d", path, c.name, runtime.GOMAXPROCS(0), procs)
+			}
+			if i == 0 {
+				for k, p := range reqs {
+					if w := int32(align.ScoreOnly(seqs[p.A].Residues, seqs[p.B].Residues, DefaultConfig().Align)); got[k] != w {
+						t.Fatalf("%s %s: pair (%d,%d) scored %d, want %d", path, c.name, p.A, p.B, got[k], w)
+					}
+				}
+				if degraded && ns <= 0 {
+					t.Fatalf("degraded Score charged %g virtual ns", ns)
+				}
+				want, wantBatches, wantNs = got, batches, ns
+				continue
+			}
+			if !slices.Equal(got, want) || batches != wantBatches || ns != wantNs {
+				t.Fatalf("%s %s: %d batches, %g virtual ns, scores equal %v; %s read %d batches, %g ns",
+					path, c.name, batches, ns, slices.Equal(got, want), cases[0].name, wantBatches, wantNs)
+			}
+		}
+	}
+
+	cfg := DefaultConfig()
+	cfg.Filter = FilterLSH
+	cfg.Workers = -1
+	if _, err := NewVerifier(cfg); err == nil {
+		t.Fatal("NewVerifier accepted Workers -1")
 	}
 }
 

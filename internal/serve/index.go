@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+
 	"gpclust/internal/minwise"
 	"gpclust/internal/pgraph"
 )
@@ -13,27 +15,28 @@ import (
 // pair set the batch filter computes over the union corpus — the
 // equivalence pinned by pgraph's TestIncrementalLSHMatchesBatchFilter.
 //
-// Each bucket is a singly linked list of postings in insertion order, so
-// candidates come out in the order members were bucketed. The bucket maps
-// hold only the list ends and post holds every posting, so the index keeps
-// no pointer per posting and needs less than half the memory of a map of
-// []int32 buckets (it is most of serve's resident memory, and grows with
-// every insert).
+// Each band maps a bucket key to one int32. Most buckets ever hold a single
+// member (94% of them at 4,800 residents of gpbench's corpus), so a value
+// v ≥ 0 is that member, inline; a value v < 0 names lists[-v-1], the
+// members of a shared bucket in insertion order. Candidates therefore come
+// out in the order members were bucketed, and a singleton bucket costs one
+// map entry and nothing else (the index is most of serve's resident memory,
+// and grows with every insert).
 //
-// The index is owned by the server's scheduler goroutine; it is not safe
-// for concurrent use.
+// keys is pure and safe to call from any goroutine; everything else is
+// owned by the server's scheduler goroutine and not safe for concurrent use.
 type lshIndex struct {
 	shape pgraph.LSHShape
 	fam   minwise.Family
 	k     int // shingle length (Config.MinExactMatch)
 
-	// heads has one bucket map per band; the conservative preset has one,
-	// keyed by raw shingle.
-	heads []map[uint32]span
-	post  []posting
+	// buckets has one map per band; the conservative preset has one, keyed
+	// by raw shingle.
+	buckets []map[uint32]int32
+	lists   [][]int32 // shared buckets' members, in insertion order
 
-	// undo logs every posting appended since the last mark, so a failed
-	// insert pass can be rolled back without rebuilding the index.
+	// undo logs every bucket change since the last mark, so a failed insert
+	// pass can be rolled back without rebuilding the index.
 	undo []undoRec
 }
 
@@ -43,15 +46,13 @@ type bucketKey struct {
 	key  uint32
 }
 
-// span is a bucket's first and last posting, indices into post.
-type span struct{ first, last int32 }
+// absent is the undo log's value for a bucket that did not exist. No
+// bucket holds it: members are ≥ 0, and a list value is never below
+// -len(lists).
+const absent = math.MinInt32
 
-// posting is one member of a bucket; next is the bucket's following posting
-// or -1.
-type posting struct{ id, next int32 }
-
-// undoRec is one appended posting: its bucket and the bucket's last posting
-// before the append (-1: the append created the bucket).
+// undoRec is one insert into a bucket: its coordinates and the bucket's
+// value before the insert (absent: the insert created the bucket).
 type undoRec struct {
 	bucketKey
 	prev int32
@@ -63,21 +64,22 @@ func newLSHIndex(shape pgraph.LSHShape, k int) *lshIndex {
 	if shape.Conservative {
 		bands = 1
 	}
-	ix.heads = make([]map[uint32]span, bands)
-	for b := range ix.heads {
-		ix.heads[b] = make(map[uint32]span)
+	ix.buckets = make([]map[uint32]int32, bands)
+	for b := range ix.buckets {
+		ix.buckets[b] = make(map[uint32]int32)
 	}
 	return ix
 }
 
-// shingles returns the sequence's shingle set (nil: ineligible, never
-// bucketed — exactly the batch filter's treatment of short sequences).
-func (ix *lshIndex) shingles(residues []byte) []uint32 {
-	return pgraph.ShingleSet(residues, ix.k)
-}
-
-// buckets yields the bucket coordinates of one non-empty shingle set.
-func (ix *lshIndex) buckets(set []uint32) []bucketKey {
+// keys returns the bucket coordinates of one residue string (nil: shorter
+// than the shingle length, so ineligible and never bucketed — exactly the
+// batch filter's treatment of short sequences). It reads only the index's
+// fixed shape, so a pass computes its sequences' keys on a worker pool.
+func (ix *lshIndex) keys(residues []byte) []bucketKey {
+	set := pgraph.ShingleSet(residues, ix.k)
+	if len(set) == 0 {
+		return nil
+	}
 	if ix.shape.Conservative {
 		bks := make([]bucketKey, len(set))
 		for i, v := range set {
@@ -93,10 +95,18 @@ func (ix *lshIndex) buckets(set []uint32) []bucketKey {
 	return bks
 }
 
-// collect appends to out every member of bucket sp not yet in seen.
-func (ix *lshIndex) collect(sp span, seen map[int32]bool, out []int32) []int32 {
-	for p := sp.first; p >= 0; p = ix.post[p].next {
-		if m := ix.post[p].id; !seen[m] {
+// collect appends to out every member of the bucket with value v not yet
+// in seen.
+func (ix *lshIndex) collect(v int32, seen map[int32]bool, out []int32) []int32 {
+	if v >= 0 {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, m := range ix.lists[-v-1] {
+		if !seen[m] {
 			seen[m] = true
 			out = append(out, m)
 		}
@@ -105,44 +115,48 @@ func (ix *lshIndex) collect(sp span, seen map[int32]bool, out []int32) []int32 {
 }
 
 // candidates returns the distinct resident members sharing a bucket with
-// the set, without inserting anything — the assign path.
-func (ix *lshIndex) candidates(set []uint32) []int32 {
-	if len(set) == 0 {
+// the keys, without inserting anything — the assign path.
+func (ix *lshIndex) candidates(bks []bucketKey) []int32 {
+	if len(bks) == 0 {
 		return nil
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, bk := range ix.buckets(set) {
-		if sp, ok := ix.heads[bk.band][bk.key]; ok {
-			out = ix.collect(sp, seen, out)
+	for _, bk := range bks {
+		if v, ok := ix.buckets[bk.band][bk.key]; ok {
+			out = ix.collect(v, seen, out)
 		}
 	}
 	return out
 }
 
-// insert buckets a new member and returns its distinct candidates among the
-// members already resident (exactly the pairs the batch filter would emit
-// for it). Every append is undo-logged; empty sets insert nothing.
-func (ix *lshIndex) insert(id int32, set []uint32) []int32 {
-	if len(set) == 0 {
+// insert buckets a new member under its keys and returns its distinct
+// candidates among the members already resident (exactly the pairs the
+// batch filter would emit for it). Every bucket change is undo-logged;
+// empty keys insert nothing.
+func (ix *lshIndex) insert(id int32, bks []bucketKey) []int32 {
+	if len(bks) == 0 {
 		return nil
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, bk := range ix.buckets(set) {
-		p := int32(len(ix.post))
-		ix.post = append(ix.post, posting{id: id, next: -1})
-		sp, ok := ix.heads[bk.band][bk.key]
-		rec := undoRec{bucketKey: bk, prev: -1}
-		if ok {
-			out = ix.collect(sp, seen, out)
-			ix.post[sp.last].next = p
-			rec.prev = sp.last
-			sp.last = p
-		} else {
-			sp = span{p, p}
+	for _, bk := range bks {
+		b := ix.buckets[bk.band]
+		v, ok := b[bk.key]
+		rec := undoRec{bucketKey: bk, prev: absent}
+		switch {
+		case !ok:
+			b[bk.key] = id
+		case v >= 0:
+			out = ix.collect(v, seen, out)
+			ix.lists = append(ix.lists, []int32{v, id})
+			b[bk.key] = -int32(len(ix.lists))
+			rec.prev = v
+		default:
+			out = ix.collect(v, seen, out)
+			ix.lists[-v-1] = append(ix.lists[-v-1], id)
+			rec.prev = v
 		}
-		ix.heads[bk.band][bk.key] = sp
 		ix.undo = append(ix.undo, rec)
 	}
 	return out
@@ -153,24 +167,29 @@ func (ix *lshIndex) insert(id int32, set []uint32) []int32 {
 func (ix *lshIndex) mark() int { return len(ix.undo) }
 
 func (ix *lshIndex) rollback(mark int) {
-	// Each undo record since mark appended one posting, in order; unlink
-	// them newest first, then drop them.
-	appended := len(ix.undo) - mark
+	// Newest first, each record restores its bucket's previous value. A
+	// bucket that was a singleton got the newest list, so the lists made
+	// since mark come off the end in reverse order of their making.
 	for i := len(ix.undo) - 1; i >= mark; i-- {
 		r := ix.undo[i]
-		if r.prev < 0 {
-			delete(ix.heads[r.band], r.key)
-			continue
+		b := ix.buckets[r.band]
+		switch {
+		case r.prev == absent:
+			delete(b, r.key)
+		case r.prev >= 0:
+			ix.lists[len(ix.lists)-1] = nil
+			ix.lists = ix.lists[:len(ix.lists)-1]
+			b[r.key] = r.prev
+		default:
+			l := -r.prev - 1
+			ix.lists[l] = ix.lists[l][:len(ix.lists[l])-1]
 		}
-		ix.post[r.prev].next = -1
-		sp := ix.heads[r.band][r.key]
-		sp.last = r.prev
-		ix.heads[r.band][r.key] = sp
 	}
-	ix.post = ix.post[:len(ix.post)-appended]
 	ix.undo = ix.undo[:mark]
 }
 
-// commit forgets the undo history up to the current position (the inserts
-// are now permanent); the log never grows across successful passes.
-func (ix *lshIndex) commit() { ix.undo = ix.undo[:0] }
+// commit makes the inserts since the last mark permanent and frees the
+// undo log: the next pass starts a log of its own size, so a large pass
+// (the bootstrap logs one record per band per sequence) leaves nothing
+// behind.
+func (ix *lshIndex) commit() { ix.undo = nil }

@@ -9,10 +9,17 @@
 // scheduler goroutine that coalesces everything queued into one pass: every
 // pending insert and query contributes its candidate pairs to ONE merged
 // device scoring call through the pgraph batch planner, amortizing the
-// per-pass staging cost across requests. All mutation (index inserts,
-// verifier growth, union-find Grow/Union) happens on the scheduler
-// goroutine; concurrent readers resolve families through the lock-free
-// union-find and the committed-state snapshot.
+// per-pass staging cost across requests. A pass has two stages on a pool of
+// Pgraph.Workers goroutines (sched.ParallelFor): the shingle sets and band
+// keys of its sequences, and, on the host, the Smith–Waterman scoring of its
+// pairs. All mutation (index lookups and inserts, verifier growth,
+// union-find Grow/Union) happens on the scheduler goroutine between them;
+// concurrent readers resolve families through the lock-free union-find and
+// the committed-state snapshot.
+//
+// The LSH index keeps a single-member bucket's member inline in its band
+// map and gives only shared buckets a member list, so a resident sequence
+// costs about 4.6 KB of index at gpbench's corpus shape.
 //
 // Incremental equals from-scratch: the LSH index emits exactly the batch
 // filter's pair set under insertion (per-sequence band keys), acceptance is
@@ -416,8 +423,27 @@ func (s *Server) loop() {
 // passJob is one surviving request's staging record within a pass.
 type passJob struct {
 	req   *request
-	ids   []int32   // verifier indices of the request's sequences
-	cands [][]int32 // per sequence, distinct candidate members
+	keys  [][]bucketKey // per sequence, its LSH bucket coordinates
+	ids   []int32       // verifier indices of the request's sequences
+	cands [][]int32     // per sequence, distinct candidate members
+}
+
+// bucketAll fills every job's keys on the worker pool, one sequence per
+// index. Shingling and MinHash signatures are a pure function of each
+// sequence and, after Smith–Waterman, most of a pass's work; the index
+// lookups and inserts that use the keys stay on the scheduler goroutine.
+func (s *Server) bucketAll(jobs []*passJob) {
+	type ref struct{ j, i int }
+	var refs []ref
+	for ji, j := range jobs {
+		for i := range j.keys {
+			refs = append(refs, ref{ji, i})
+		}
+	}
+	sched.ParallelFor(s.cfg.Pgraph.WorkerCount(), len(refs), func(_, k int) {
+		j := jobs[refs[k].j]
+		j.keys[refs[k].i] = s.index.keys(j.req.seqs[refs[k].i].Residues)
+	})
 }
 
 // runPass serves one coalesced batch of requests: stage every insert and
@@ -431,7 +457,7 @@ func (s *Server) runPass(reqs []*request) {
 	mark := s.index.mark()
 
 	// Validate up front so staging never partially applies a request.
-	var live []*request
+	var live []*passJob
 	for _, r := range reqs {
 		var bad error
 		for _, q := range r.seqs {
@@ -443,36 +469,35 @@ func (s *Server) runPass(reqs []*request) {
 			s.respond(r, response{err: fmt.Errorf("serve: %w", bad)})
 			continue
 		}
-		live = append(live, r)
+		live = append(live, &passJob{req: r, keys: make([][]bucketKey, len(r.seqs))})
 	}
+	s.bucketAll(live)
 
 	// Assign candidates come from the pre-pass resident index (a valid
 	// serialization: queries run "before" this pass's inserts), so compute
 	// them before staging anything.
 	var assigns, clusters []*passJob
-	for _, r := range live {
-		if r.kind != kindAssign {
-			continue
+	for _, j := range live {
+		if j.req.kind == kindAssign {
+			j.cands = [][]int32{s.index.candidates(j.keys[0])}
+			assigns = append(assigns, j)
 		}
-		set := s.index.shingles(r.seqs[0].Residues)
-		assigns = append(assigns, &passJob{req: r, cands: [][]int32{s.index.candidates(set)}})
 	}
 
 	// Stage cluster inserts: indices n0, n0+1, …; candidates include
 	// earlier-staged members of the same pass, so inter-request pairs are
 	// discovered exactly as a batch filter over the union corpus would.
-	for _, r := range live {
-		if r.kind != kindCluster {
+	for _, j := range live {
+		if j.req.kind != kindCluster {
 			continue
 		}
-		j := &passJob{req: r}
-		for _, q := range r.seqs {
+		for i, q := range j.req.seqs {
 			id, err := s.verifier.Add(q) // cannot fail: validated above
 			if err != nil {
 				panic(fmt.Sprintf("serve: validated sequence rejected: %v", err))
 			}
 			j.ids = append(j.ids, int32(id))
-			j.cands = append(j.cands, s.index.insert(int32(id), s.index.shingles(q.Residues)))
+			j.cands = append(j.cands, s.index.insert(int32(id), j.keys[i]))
 		}
 		clusters = append(clusters, j)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -72,10 +73,20 @@ func samePartition(t *testing.T, label string, a, b []int32) {
 // TestIncrementalEqualsFromScratch is the tentpole guarantee: inserting the
 // corpus in chunks (with assign queries interleaved, which must not perturb
 // state) yields the exact partition of a from-scratch re-cluster of the
-// whole corpus.
+// whole corpus. It runs with one pool worker and with four: a pass's band
+// keys and host Smith–Waterman run on Pgraph.Workers.
 func TestIncrementalEqualsFromScratch(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("Workers=%d", workers), func(t *testing.T) {
+			testIncrementalEqualsFromScratch(t, workers)
+		})
+	}
+}
+
+func testIncrementalEqualsFromScratch(t *testing.T, workers int) {
 	corpus := testMetagenome(t, 120)
 	cfg := serveConfig()
+	cfg.Pgraph.Workers = workers
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -156,6 +156,9 @@ go test -run='^$' -fuzz=FuzzWarpTransactions -fuzztime=10s ./internal/gpusim/
 echo "== serve SLO smoke (1000 concurrent clients, race detector on)"
 go test -race -run TestServeSLO ./internal/serve/
 
+echo "== serve on a one-worker pool (GOMAXPROCS=1: band keys and host SW run inline)"
+GOMAXPROCS=1 go test -run 'TestIncrementalEqualsFromScratch|TestServeSLO|TestLSHIndex' ./internal/serve/
+
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/core/... ./internal/pgraph/... ./internal/gpusim/... ./internal/faults/... ./internal/sched/... ./internal/obs/... ./internal/unionfind/... ./internal/minwise/... ./internal/serve/...
 
