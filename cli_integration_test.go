@@ -172,6 +172,7 @@ func TestCLIFailurePaths(t *testing.T) {
 	genseq := buildTool(t, dir, "genseq")
 	pgraphBin := buildTool(t, dir, "pgraph")
 	gpclust := buildTool(t, dir, "gpclust")
+	serveBin := buildTool(t, dir, "gpclust-serve")
 
 	fasta := filepath.Join(dir, "orfs.fa")
 	truth := filepath.Join(dir, "truth.tsv")
@@ -212,9 +213,24 @@ func TestCLIFailurePaths(t *testing.T) {
 			[]string{"-in", fasta, "-gpu", "-retries=-1"}, "-retries must be >= 0", 2},
 		{"pgraph trace without gpu", pgraphBin,
 			[]string{"-in", fasta, "-trace", filepath.Join(dir, "t.json")}, "-trace requires -gpu", 2},
-		// A usage error: rejected before the (missing) input is read.
+		// Usage errors: rejected before the (missing) input is read.
 		{"pgraph unknown filter", pgraphBin,
 			[]string{"-in", missing, "-filter", "cascade"}, `-filter must be "exact" or "lsh", got "cascade"`, 2},
+		{"pgraph negative bands", pgraphBin,
+			[]string{"-in", missing, "-filter", "lsh", "-bands=-4"}, "-bands must be >= 0", 2},
+		{"pgraph negative rows", pgraphBin,
+			[]string{"-in", missing, "-filter", "lsh", "-rows=-1"}, "-rows must be >= 0", 2},
+		{"pgraph named bands", pgraphBin,
+			[]string{"-in", missing, "-filter", "lsh", "-bands", "conservative"},
+			`invalid value "conservative" for flag -bands`, 2},
+		{"pgraph bad batchwords", pgraphBin,
+			[]string{"-in", missing, "-gpu", "-batchwords", "lots"}, `-batchwords must be "auto"`, 2},
+		{"serve negative bands", serveBin,
+			[]string{"-in", missing, "-bands=-4"}, "-bands must be >= 0", 2},
+		{"serve negative rows", serveBin,
+			[]string{"-in", missing, "-rows=-2"}, "-rows must be >= 0", 2},
+		{"serve named bands", serveBin,
+			[]string{"-in", missing, "-bands", "conservative"}, `invalid value "conservative" for flag -bands`, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

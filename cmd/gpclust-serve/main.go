@@ -28,7 +28,7 @@
 //
 //	gpclust-serve -in orfs.fa
 //	gpclust-serve -in orfs.fa -addr :8844 -gpu -queue 512
-//	gpclust-serve -in orfs.fa -bands conservative
+//	gpclust-serve -in orfs.fa -bands 64 -rows 1
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -71,8 +70,8 @@ func main() {
 		gpu      = flag.Bool("gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
 		minMatch = flag.Int("minmatch", 12, "shingle length for LSH candidate discovery")
 		score    = flag.Float64("score", 1.2, "Smith-Waterman score threshold per residue of the shorter sequence")
-		bands    = flag.String("bands", "", "LSH band count, or \"conservative\" to bucket on raw shingles (default: the tuned shape)")
-		rows     = flag.Int("rows", 0, "LSH signature rows per band (default: the tuned shape)")
+		bands    = flag.Int("bands", 0, "LSH band count (0 = the tuned shape)")
+		rows     = flag.Int("rows", 0, "LSH signature rows per band (0 = the tuned shape)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -80,10 +79,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	lshBands, err := parseBands(*bands)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gpclust-serve:", err)
-		os.Exit(2)
+	for _, f := range []struct {
+		v    int
+		name string
+	}{{*bands, "-bands"}, {*rows, "-rows"}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "gpclust-serve: %s must be >= 0 (got %d; 0 means the tuned shape)\n", f.name, f.v)
+			os.Exit(2)
+		}
 	}
 
 	f, err := os.Open(*in)
@@ -96,7 +99,7 @@ func main() {
 	pcfg.Filter = pgraph.FilterLSH
 	pcfg.MinExactMatch = *minMatch
 	pcfg.MinScorePerResidue = *score
-	pcfg.LSHBands = lshBands
+	pcfg.LSHBands = *bands
 	pcfg.LSHRows = *rows
 	pcfg.GPU = *gpu
 	s, err := serve.New(serve.Config{Pgraph: pcfg, QueueCap: *queue, MaxCoalesce: *coalesce})
@@ -135,23 +138,6 @@ func main() {
 	if shutdownErr != nil {
 		fatal(fmt.Errorf("shutdown: %w", shutdownErr))
 	}
-}
-
-// parseBands maps the -bands value to Config.LSHBands the same way the
-// pgraph CLI does: empty keeps the library default, "conservative" selects
-// the raw-shingle bucket preset, a positive integer fixes the band count.
-func parseBands(s string) (int, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "conservative":
-		return pgraph.ConservativeBands, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("-bands must be \"conservative\" or a positive band count, got %q", s)
-	}
-	return n, nil
 }
 
 func fatal(err error) {

@@ -8,7 +8,7 @@
 //	pgraph -in orfs.fa -out graph.txt
 //	pgraph -in orfs.fa -out graph.bin -minmatch 12 -score 1.2
 //	pgraph -in orfs.fa -out graph.txt -gpu
-//	pgraph -in orfs.fa -out graph.txt -gpu -filter lsh -bands conservative
+//	pgraph -in orfs.fa -out graph.txt -gpu -filter lsh
 //	pgraph -in orfs.fa -out graph.txt -filter lsh -bands 64 -rows 1
 //
 // With -gpu the Smith–Waterman verification runs as batched score-only
@@ -17,10 +17,9 @@
 // CPU filter, GPU SW, Data_c→g, Data_g→c.
 //
 // -filter lsh swaps the exact suffix-structure candidate filter for
-// MinHash/LSH banding (with -gpu, band hashing and bucket grouping run on the
-// device) and verifies LSH candidates only: -bands conservative buckets on
-// raw shingles and finds every exact-filter pair, the banded shapes trade
-// recall for fewer candidates.
+// MinHash/LSH banding (with -gpu, signatures, band hashing and bucket
+// grouping run on the device) and verifies LSH candidates only: -bands and
+// -rows shape the S-curve that trades recall for fewer candidates.
 //
 // Without -gpu the verification runs on a pool of -workers goroutines. The
 // virtual clock prices DP cells, not cores, so the graph and every virtual
@@ -54,8 +53,8 @@ func main() {
 		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image the SW kernel decodes in place (auto-tuned plans weigh it against the byte layout)")
 		noBin    = flag.Bool("nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
 		filter   = flag.String("filter", "exact", "candidate filter: exact (suffix oracle) or lsh (MinHash banding in its place)")
-		bands    = flag.String("bands", "", "with -filter lsh: band count, or \"conservative\" to bucket on raw shingles (default: the tuned shape)")
-		rows     = flag.Int("rows", 0, "with -filter lsh: signature rows per band (default: the tuned shape)")
+		bands    = flag.Int("bands", 0, "with -filter lsh: band count (0 = the tuned shape)")
+		rows     = flag.Int("rows", 0, "with -filter lsh: signature rows per band (0 = the tuned shape)")
 		faultSch = flag.String("faults", "", "with -gpu: inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2'")
 		retries  = flag.Int("retries", 0, "with -gpu: per-batch fault retry budget (0 = library default; must be >= 0)")
 		noFB     = flag.Bool("nofallback", false, "with -gpu: fail instead of degrading to host scoring when the fault retry budget is exhausted")
@@ -90,6 +89,15 @@ func main() {
 			}
 		}
 	}
+	for _, f := range []struct {
+		v    int
+		name string
+	}{{*bands, "-bands"}, {*rows, "-rows"}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "pgraph: %s must be >= 0 (got %d; 0 means the tuned shape)\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	if *filter != pgraph.FilterExact && *filter != pgraph.FilterLSH {
 		fmt.Fprintf(os.Stderr, "pgraph: -filter must be %q or %q, got %q\n",
 			pgraph.FilterExact, pgraph.FilterLSH, *filter)
@@ -101,7 +109,7 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*bands != "", "-bands"}, {*rows != 0, "-rows"},
+			{*bands != 0, "-bands"}, {*rows != 0, "-rows"},
 		} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "pgraph: %s requires -filter lsh\n", f.name)
@@ -109,7 +117,7 @@ func main() {
 			}
 		}
 	}
-	lshBands, err := parseBands(*bands)
+	batchWords, autoTune, err := parseBatchWords(*batchW)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgraph:", err)
 		os.Exit(2)
@@ -135,14 +143,10 @@ func main() {
 	cfg.MinScorePerResidue = *score
 	cfg.Workers = *workers
 	cfg.Filter = *filter
-	cfg.LSHBands = lshBands
+	cfg.LSHBands = *bands
 	cfg.LSHRows = *rows
 	cfg.GPU = *gpu
-	cfg.GPUBatchWords, cfg.AutoTune, err = parseBatchWords(*batchW)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pgraph:", err)
-		os.Exit(2)
-	}
+	cfg.GPUBatchWords, cfg.AutoTune = batchWords, autoTune
 	cfg.Packed = *packed
 	cfg.NoLengthBin = *noBin
 	cfg.FaultRetries = *retries
@@ -218,23 +222,6 @@ func main() {
 		fatal(graph.WriteEdgeList(of, g))
 	}
 	fatal(of.Close())
-}
-
-// parseBands maps the -bands value to Config.LSHBands: empty keeps the
-// library default, "conservative" selects the raw-shingle bucket preset, and
-// a positive integer fixes the band count.
-func parseBands(s string) (int, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "conservative":
-		return pgraph.ConservativeBands, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("-bands must be \"conservative\" or a positive band count, got %q", s)
-	}
-	return n, nil
 }
 
 // parseBatchWords maps the -batchwords value to (budget, autoTune):

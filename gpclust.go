@@ -221,13 +221,10 @@ type PGraphStats = pgraph.Stats
 // DefaultPGraphConfig returns settings suitable for synthetic metagenomes.
 func DefaultPGraphConfig() PGraphConfig { return pgraph.DefaultConfig() }
 
-// Candidate filter backends for PGraphConfig.Filter, and the conservative
-// LSH preset (PGraphConfig.LSHBands = ConservativeBands buckets on raw
-// shingles, making the candidate set a superset of the exact filter's).
+// Candidate filter backends for PGraphConfig.Filter.
 const (
-	FilterExact       = pgraph.FilterExact
-	FilterLSH         = pgraph.FilterLSH
-	ConservativeBands = pgraph.ConservativeBands
+	FilterExact = pgraph.FilterExact
+	FilterLSH   = pgraph.FilterLSH
 )
 
 // BuildHomologyGraph constructs the sequence-similarity graph: exact-match

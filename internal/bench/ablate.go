@@ -30,7 +30,6 @@ func AblateBatchSize(scale float64, o core.Options, budgets []int) ([]AblationRo
 	for _, b := range budgets {
 		opt := o
 		opt.BatchWords = b
-		opt.PredictCost = true
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
 		if err != nil {

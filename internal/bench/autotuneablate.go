@@ -40,10 +40,9 @@ func autoTuneRow(p AutoTunePoint, plan sched.PlanReport) AblationRow {
 
 // AblateAutoTune compares the cost-model auto-tuner against fixed batch
 // plans on both consumers of internal/sched: the shingling passes
-// (gpclust) and the Smith–Waterman verification (pgraph). Every fixed
-// setting runs with Options.PredictCost so the model prices the plan it
-// did not choose; outputs must be bit-identical across every setting of a
-// workload. scale sizes the gpclust graph (Paper20KConfig), pgraphN the
+// (gpclust) and the Smith–Waterman verification (pgraph). The model prices
+// every fixed setting too, the plans it did not choose; outputs must be
+// bit-identical across every setting of a workload. scale sizes the gpclust graph (Paper20KConfig), pgraphN the
 // metagenome (0: the 1200-ORF default).
 func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, []AutoTunePoint, error) {
 	var (
@@ -75,7 +74,6 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		opt.BatchWords = cs.budget
 		opt.PipelineBatches = cs.pipeline
 		opt.AutoTune = cs.auto
-		opt.PredictCost = !cs.auto // auto already predicts its chosen plan
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
 		if err != nil {
@@ -128,7 +126,6 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		cfg.GPU = true
 		cfg.GPUBatchWords = ps.budget
 		cfg.AutoTune = ps.auto
-		cfg.PredictCost = !ps.auto
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		pg, st, err := pgraph.Build(mg.Seqs, cfg)
 		if err != nil {

@@ -111,7 +111,6 @@ func AblateLSH(n int) ([]AblationRow, []LSHPoint, error) {
 		cfg.LSHBands = st.bands
 		cfg.LSHRows = st.rows
 		cfg.GPU = true
-		cfg.PredictCost = true
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		g, stats, err := pgraph.Build(mg.Seqs, cfg)
 		if err != nil {

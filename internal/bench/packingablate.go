@@ -55,10 +55,10 @@ func packingRow(p PackingPoint, plan sched.PlanReport) AblationRow {
 
 // AblatePacking sweeps the packed-image lever on both consumers of the device: the shingling passes (gpclust, images at the
 // graph's MinBits width) and the Smith–Waterman verification (pgraph, 5-bit
-// protein residues). Every setting runs a fixed batch plan with
-// PredictCost, so the cost model prices the exact layout it executed;
-// outputs must be bit-identical across both layouts of a workload — packing
-// changes bytes moved and instructions issued, never a result. scale
+// protein residues). Every setting runs a fixed batch plan, which the cost
+// model prices in the exact layout it executed; outputs must be
+// bit-identical across both layouts of a workload — packing changes bytes
+// moved and instructions issued, never a result. scale
 // sizes the gpclust graph (Paper20KConfig), pgraphN the metagenome (0: the
 // 1200-ORF default).
 func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, []PackingPoint, error) {
@@ -72,7 +72,6 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 	for _, ps := range packingSettings {
 		opt := o
 		opt.BatchWords = 200_000
-		opt.PredictCost = true
 		opt.Packed = ps.packed
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
@@ -114,7 +113,6 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 		cfg := pgraph.DefaultConfig()
 		cfg.GPU = true
 		cfg.GPUBatchWords = 40_000
-		cfg.PredictCost = true
 		cfg.Packed = ps.packed
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		pg, st, err := pgraph.Build(mg.Seqs, cfg)

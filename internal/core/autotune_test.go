@@ -99,14 +99,13 @@ func TestAutoTuneModeLanes(t *testing.T) {
 	}
 }
 
-// TestPredictCostFixedPlan prices a fixed budget without tuning — the path
-// the fixed rows of the autotune ablation run — and holds it to the same
-// drift gate as the tuner.
+// TestPredictCostFixedPlan: a fixed budget, run without tuning — the path
+// the fixed rows of the autotune ablation run — is still priced and held to
+// the same drift gate as the tuner.
 func TestPredictCostFixedPlan(t *testing.T) {
 	g, _ := plantedTestGraph(400, 73)
 	o := testOptions()
 	o.BatchWords = 40_000
-	o.PredictCost = true
 	dev := gpusim.MustNew(gpusim.K20Config())
 	gpu, err := ClusterGPU(g, dev, o)
 	if err != nil {
@@ -174,7 +173,7 @@ func TestAutoTuneGPUAggregateLanes(t *testing.T) {
 	o.GPUAggregate = true
 	auto, fixed := o, o
 	auto.AutoTune = true
-	fixed.PipelineBatches, fixed.BatchWords, fixed.PredictCost = true, 20_000, true
+	fixed.PipelineBatches, fixed.BatchWords = true, 20_000
 	for _, tc := range []struct {
 		name     string
 		o        Options

@@ -48,7 +48,6 @@ func TestGoldenVirtualTime(t *testing.T) {
 	fixed := func(mut func(*Options)) func(*Options) {
 		return func(o *Options) {
 			o.BatchWords = 5_000
-			o.PredictCost = true
 			mut(o)
 		}
 	}

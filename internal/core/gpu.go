@@ -324,11 +324,9 @@ func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise
 		if err != nil {
 			return nil, err
 		}
-		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans)}
-		if o.PredictCost {
-			m := calibrateShingleModel(dev.Config(), in, fam, s, o)
-			report.PredictedNs = predictShinglePlans(m, in, fam, s, o, plans, lanes)
-		}
+		m := calibrateShingleModel(dev.Config(), in, fam, s, o)
+		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans),
+			PredictedNs: predictShinglePlans(m, in, fam, s, o, plans, lanes)}
 	}
 	report.Packed = o.dataBits > 0
 	e.o = o

@@ -70,13 +70,9 @@ type Options struct {
 	// runs. Ignored when BatchWords is set explicitly. The clustering is
 	// bit-identical for every plan; only the virtual schedule changes.
 	// The chosen plan and its predicted-vs-actual cost are reported in
-	// PassStats.Plan.
+	// PassStats.Plan; a fixed plan is priced by the same scratch-device
+	// model, so every GPU pass reports both.
 	AutoTune bool
-
-	// PredictCost runs the cost model for the fixed plan too (BatchWords
-	// set, or AutoTune off), filling PassStats.Plan.PredictedNs so fixed
-	// sweeps can report predicted-vs-actual drift. AutoTune implies it.
-	PredictCost bool
 
 	// UseFullSort makes the GPU path run Algorithm 1 literally — segmented
 	// sort of the whole permuted list, then select the top s — instead of

@@ -52,14 +52,14 @@ func TestAutoTuneMatchesHostEdges(t *testing.T) {
 	}
 }
 
-// TestPredictCostFixedSWPlan prices a fixed budget without tuning and holds
-// it to the same drift gate — the fixed rows of the autotune ablation.
+// TestPredictCostFixedSWPlan: a fixed budget, run without tuning, is still
+// priced and held to the same drift gate — the fixed rows of the autotune
+// ablation.
 func TestPredictCostFixedSWPlan(t *testing.T) {
 	seqs := testMetagenome(t, 150)
 	cfg := DefaultConfig()
 	cfg.GPU = true
 	cfg.GPUBatchWords = 40_000
-	cfg.PredictCost = true
 	cfg.Device = gpusim.MustNew(gpusim.K20Config())
 	_, st, err := Build(seqs, cfg)
 	if err != nil {

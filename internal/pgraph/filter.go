@@ -18,23 +18,17 @@ import (
 // it, trading bounded recall for a near-linear candidate pass (Sunarso et
 // al. use LSH instead of the seed filter, not in front of it).
 //
-// LSH shingles are MinExactMatch-length residue k-mers hashed to 31 bits, so
-// at the conservative preset (bucket on every raw shingle) any pair sharing
-// an exact match of at least MinExactMatch residues shares a shingle and is
-// found: conservative LSH candidates are a superset of the exact filter's
-// pairs by construction. Banded settings trade candidates for recall along
-// the 1-(1-J^r)^b S-curve, quantified by the bench ablation.
+// LSH shingles are MinExactMatch-length residue k-mers hashed to 31 bits,
+// signed by a fixed MinHash permutation family and bucketed band by band:
+// the banded shape trades candidates for recall along the 1-(1-J^r)^b
+// S-curve, quantified by the bench ablation. The exact filter stays the
+// recall-1 path.
 
 // Filter backend names for Config.Filter ("" means FilterExact).
 const (
 	FilterExact = "exact"
 	FilterLSH   = "lsh"
 )
-
-// ConservativeBands is the Config.LSHBands sentinel selecting the
-// conservative preset: bucket on every raw shingle instead of banded
-// signatures (recall 1 relative to the exact filter, most candidates).
-const ConservativeBands = -1
 
 // DefaultLSHBands/DefaultLSHRows are the default banding shape, tuned on the
 // 1200-ORF bench corpus to hold ≥ 0.95 edge recall while generating fewer
@@ -53,18 +47,18 @@ const (
 // is a deterministic function of the input alone.
 const lshFamilySeed = 0x5c1517
 
-// lshParams is the resolved banding shape.
-type lshParams struct {
-	bands, rows  int
-	conservative bool
+// LSHShape is a Config's resolved MinHash banding shape: Bands bands of
+// Rows signature rows each.
+type LSHShape struct {
+	Bands, Rows int
 }
 
-// hashes is the permutation-family size the banded shape needs.
-func (p lshParams) hashes() int { return p.bands * p.rows }
+// hashes is the permutation-family size the shape needs.
+func (s LSHShape) hashes() int { return s.Bands * s.Rows }
 
 // resolveFilter validates Config.Filter/LSHBands/LSHRows and resolves the
 // banding shape (zero-valued for the exact filter).
-func resolveFilter(cfg Config) (string, lshParams, error) {
+func resolveFilter(cfg Config) (string, LSHShape, error) {
 	f := cfg.Filter
 	if f == "" {
 		f = FilterExact
@@ -72,28 +66,22 @@ func resolveFilter(cfg Config) (string, lshParams, error) {
 	switch f {
 	case FilterExact:
 		if cfg.LSHBands != 0 || cfg.LSHRows != 0 {
-			return "", lshParams{}, fmt.Errorf("pgraph: LSHBands/LSHRows set without Filter %q", FilterLSH)
+			return "", LSHShape{}, fmt.Errorf("pgraph: LSHBands/LSHRows set without Filter %q", FilterLSH)
 		}
-		return f, lshParams{}, nil
+		return f, LSHShape{}, nil
 	case FilterLSH:
 	default:
-		return "", lshParams{}, fmt.Errorf("pgraph: unknown Filter %q", cfg.Filter)
+		return "", LSHShape{}, fmt.Errorf("pgraph: unknown Filter %q", cfg.Filter)
 	}
-	p := lshParams{bands: cfg.LSHBands, rows: cfg.LSHRows}
-	if p.bands == ConservativeBands {
-		if p.rows != 0 {
-			return "", lshParams{}, fmt.Errorf("pgraph: conservative preset takes no LSHRows, got %d", p.rows)
-		}
-		return f, lshParams{conservative: true}, nil
+	p := LSHShape{Bands: cfg.LSHBands, Rows: cfg.LSHRows}
+	if p.Bands == 0 {
+		p.Bands = DefaultLSHBands
 	}
-	if p.bands == 0 {
-		p.bands = DefaultLSHBands
+	if p.Rows == 0 {
+		p.Rows = DefaultLSHRows
 	}
-	if p.rows == 0 {
-		p.rows = DefaultLSHRows
-	}
-	if p.bands < 1 || p.rows < 1 {
-		return "", lshParams{}, fmt.Errorf("pgraph: invalid LSH shape %d bands × %d rows", p.bands, p.rows)
+	if p.Bands < 1 || p.Rows < 1 {
+		return "", LSHShape{}, fmt.Errorf("pgraph: invalid LSH shape %d bands × %d rows", p.Bands, p.Rows)
 	}
 	return f, p, nil
 }
@@ -154,36 +142,27 @@ func shingleOne(r []byte, k int, seen map[uint32]bool) []uint32 {
 	return set
 }
 
-// shingleSets returns, per sequence, its sorted distinct MinExactMatch-length
-// k-mer shingles (sequences shorter than k get an empty set), the total
-// shingle count, and the window op count (each window hashes k bytes) for
-// pricing.
-func shingleSets(seqs []seq.Sequence, k int) (sets [][]uint32, total int, ops int64) {
-	sets = make([][]uint32, len(seqs))
+// shingleSets returns the sorted distinct MinExactMatch-length k-mer
+// shingles of every eligible sequence — one at least k residues long, so
+// with at least one shingle — as columns, ids mapping each column to its
+// sequence index, the total shingle count, and the window op count (each
+// window hashes k bytes) for pricing. Shorter sequences are the ones the
+// LSH filter cannot bucket (and the exact filter cannot seed, so skipping
+// them loses nothing).
+func shingleSets(seqs []seq.Sequence, k int) (sets [][]uint32, ids []int32, total int, ops int64) {
 	seen := make(map[uint32]bool)
 	for i, s := range seqs {
 		r := s.Residues
 		if len(r) < k {
 			continue
 		}
-		sets[i] = shingleOne(r, k, seen)
-		total += len(sets[i])
+		set := shingleOne(r, k, seen)
+		sets = append(sets, set)
+		ids = append(ids, int32(i))
+		total += len(set)
 		ops += int64(len(r)-k+1) * int64(k)
 	}
-	return sets, total, ops
-}
-
-// eligibleSeqs lists the sequences with at least one shingle — the only ones
-// the LSH filter can bucket (and the only ones the exact filter can seed, so
-// skipping the rest loses nothing).
-func eligibleSeqs(sets [][]uint32) []int32 {
-	var ids []int32
-	for i, s := range sets {
-		if len(s) > 0 {
-			ids = append(ids, int32(i))
-		}
-	}
-	return ids
+	return sets, ids, total, ops
 }
 
 // emitBucketPairs adds every cross pair of one bucket's members to out.
@@ -197,43 +176,19 @@ func emitBucketPairs(members []int32, out map[pairKey]bool) {
 	}
 }
 
-// conservativeLSHPairs buckets sequences on every raw shingle value: two
-// sequences are candidates iff they share a shingle, i.e. an exact
-// MinExactMatch-residue substring (modulo 31-bit hash collisions, which only
-// add candidates). Returns the bucketing op count.
-func conservativeLSHPairs(sets [][]uint32, ids []int32, out map[pairKey]bool) int64 {
-	buckets := make(map[uint32][]int32)
-	var ops int64
-	for _, id := range ids {
-		for _, v := range sets[id] {
-			buckets[v] = append(buckets[v], id)
-			ops++
-		}
-	}
-	keys := make([]uint32, 0, len(buckets))
-	for v := range buckets {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
-	for _, v := range keys {
-		emitBucketPairs(buckets[v], out)
-	}
-	return ops
-}
-
 // bandedLSHPairs buckets the eligible sequences by each band's key over the
 // given signature matrix (columns follow ids' order). Returns the banding op
 // count.
-func bandedLSHPairs(g minwise.Signatures, ids []int32, p lshParams, out map[pairKey]bool) int64 {
+func bandedLSHPairs(g minwise.Signatures, ids []int32, p LSHShape, out map[pairKey]bool) int64 {
 	buckets := make(map[uint32][]int32, len(ids))
 	var ops int64
-	for band := 0; band < p.bands; band++ {
+	for band := 0; band < p.Bands; band++ {
 		clear(buckets)
 		for col, id := range ids {
-			k := g.BandKey(col, band, p.rows)
+			k := g.BandKey(col, band, p.Rows)
 			buckets[k] = append(buckets[k], id)
 		}
-		ops += int64(p.rows) * int64(len(ids))
+		ops += int64(p.Rows) * int64(len(ids))
 		keys := make([]uint32, 0, len(buckets))
 		for v := range buckets {
 			keys = append(keys, v)
@@ -246,27 +201,16 @@ func bandedLSHPairs(g minwise.Signatures, ids []int32, p lshParams, out map[pair
 	return ops
 }
 
-// lshPairsHost is the host LSH filter: shingle, sign (banded shapes),
-// bucket, emit. It is bit-identical to the device filter — same shingles,
-// same permutation family, same band keys, same bucket grouping — and
-// doubles as its degrade path. Returns the candidate set and its virtual
-// cost.
-func lshPairsHost(seqs []seq.Sequence, cfg Config, p lshParams) (map[pairKey]bool, float64) {
-	sets, total, ops := shingleSets(seqs, cfg.MinExactMatch)
-	ids := eligibleSeqs(sets)
+// lshPairsHost is the host LSH filter: shingle, sign, bucket, emit. It is
+// bit-identical to the device filter — same shingles, same permutation
+// family, same band keys, same bucket grouping — and doubles as its degrade
+// path. Returns the candidate set and its virtual cost.
+func lshPairsHost(seqs []seq.Sequence, cfg Config, p LSHShape) (map[pairKey]bool, float64) {
+	sets, ids, total, ops := shingleSets(seqs, cfg.MinExactMatch)
 	out := make(map[pairKey]bool)
-	if p.conservative {
-		ops += conservativeLSHPairs(sets, ids, out)
-	} else {
-		fam := minwise.NewFamily(p.hashes(), lshFamilySeed)
-		eligible := make([][]uint32, len(ids))
-		for col, id := range ids {
-			eligible[col] = sets[id]
-		}
-		g := fam.SequenceSignatures(eligible)
-		ops += int64(p.hashes()) * int64(total)
-		ops += bandedLSHPairs(g, ids, p, out)
-	}
+	g := p.Family().SequenceSignatures(sets)
+	ops += int64(p.hashes()) * int64(total)
+	ops += bandedLSHPairs(g, ids, p, out)
 	ops += int64(len(out))
 	return out, float64(ops) * FilterNsPerOp
 }

@@ -375,12 +375,9 @@ func verifyGPU(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Conf
 			if err != nil {
 				return nil, err
 			}
+			m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
 			report = sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans),
-				Packed: cfg.Packed}
-			if cfg.PredictCost {
-				m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
-				report.PredictedNs = predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg.Packed))
-			}
+				Packed: cfg.Packed, PredictedNs: predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg.Packed))}
 		}
 		st.GPUBatches = len(plans)
 

@@ -4,22 +4,18 @@ import (
 	"errors"
 	"testing"
 
-	"gpclust/internal/align"
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
 
-// lshSettings are the banding shapes the equivalence tests sweep: the
-// conservative preset, the tuned default, and a deliberately aggressive
-// high-precision shape.
+// lshSettings are the banding shapes the equivalence tests sweep: the tuned
+// default and a deliberately aggressive high-precision shape.
 var lshSettings = []struct {
 	label       string
 	bands, rows int
 }{
-	{"conservative", ConservativeBands, 0},
 	{"default", 0, 0},
 	{"16x2", 16, 2},
 }
@@ -30,25 +26,6 @@ func lshConfig(bands, rows int) Config {
 	cfg.LSHBands = bands
 	cfg.LSHRows = rows
 	return cfg
-}
-
-// TestLSHConservativeSupersetOfExact: any pair the exact suffix filter emits
-// shares an exact MinExactMatch-residue substring, hence a shingle, hence a
-// conservative LSH bucket, so the conservative preset loses no exact pair.
-func TestLSHConservativeSupersetOfExact(t *testing.T) {
-	seqs := testMetagenome(t, 120)
-	cfg := DefaultConfig()
-	exact, _ := exactPairSet(seqs, cfg)
-	lsh, _ := lshPairsHost(seqs, cfg, lshParams{conservative: true})
-	for p := range exact {
-		if !lsh[p] {
-			a, b := p.unpack()
-			t.Fatalf("exact pair (%d,%d) missing from conservative LSH candidates", a, b)
-		}
-	}
-	if len(lsh) < len(exact) {
-		t.Fatalf("conservative LSH found %d pairs, exact found %d", len(lsh), len(exact))
-	}
 }
 
 // TestLSHDeviceMatchesHost: the device filter must produce the bit-identical
@@ -159,12 +136,12 @@ func TestLSHNoHostFallbackFailsTyped(t *testing.T) {
 	}
 }
 
-// TestLSHBudgetTooSmall: a budget that cannot hold the conservative bucket
-// pass (or one banded sequence) is a planning error, not a device fault —
-// Build fails fast without retry noise.
+// TestLSHBudgetTooSmall: a budget that cannot hold the resident signature
+// buffer is a planning error, not a device fault — Build fails fast without
+// retry noise.
 func TestLSHBudgetTooSmall(t *testing.T) {
 	seqs := testMetagenome(t, 60)
-	cfg := lshConfig(ConservativeBands, 0)
+	cfg := lshConfig(0, 0)
 	cfg.GPU = true
 	cfg.GPUBatchWords = 64
 	var st Stats
@@ -174,7 +151,7 @@ func TestLSHBudgetTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := lshDeviceFilter(dev, sched.NewLedger(dev, nil), seqs, cfg, prm, &st); err == nil {
-		t.Fatal("64-word budget accepted for the conservative pass")
+		t.Fatal("64-word budget accepted for the banded filter")
 	}
 	if st.Faults.Any() {
 		t.Fatalf("planning failure charged recovery %+v", st.Faults)
@@ -189,13 +166,6 @@ func TestFilterValidation(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.Filter = "minhash"; return c }(),
 		func() Config { c := DefaultConfig(); c.LSHBands = 8; return c }(),
 		func() Config { c := DefaultConfig(); c.LSHRows = 2; return c }(),
-		func() Config {
-			c := DefaultConfig()
-			c.Filter = FilterLSH
-			c.LSHBands = ConservativeBands
-			c.LSHRows = 2
-			return c
-		}(),
 		func() Config { c := DefaultConfig(); c.Filter = FilterLSH; c.LSHBands = -7; return c }(),
 		func() Config { c := DefaultConfig(); c.Filter = "cascade"; return c }(),
 	}
@@ -216,13 +186,12 @@ func TestFilterValidation(t *testing.T) {
 	}
 }
 
-// TestLSHPlanRecorded: a priced GPU LSH run must land a populated plan in
-// Stats.LSHPlan with a sane predicted-vs-actual window.
+// TestLSHPlanRecorded: a fixed-budget GPU LSH run must land a populated,
+// priced plan in Stats.LSHPlan with a sane predicted-vs-actual window.
 func TestLSHPlanRecorded(t *testing.T) {
 	seqs := testMetagenome(t, 80)
 	cfg := lshConfig(0, 0)
 	cfg.GPU = true
-	cfg.PredictCost = true
 	cfg.Device = gpusim.MustNew(gpusim.K20Config())
 	_, st, err := Build(seqs, cfg)
 	if err != nil {
@@ -256,14 +225,9 @@ func TestLSHSignatureSpansMatchHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, total, _ := shingleSets(seqs, cfg.MinExactMatch)
-	ids := eligibleSeqs(sets)
-	eligible := make([][]uint32, len(ids))
-	for col, id := range ids {
-		eligible[col] = sets[id]
-	}
+	eligible, ids, total, _ := shingleSets(seqs, cfg.MinExactMatch)
 	dev := gpusim.MustNew(gpusim.K20Config())
-	env := &lshEnv{dev: dev, led: sched.NewLedger(dev, nil), cfg: cfg, prm: prm, sets: eligible, ids: ids, seqs: seqs,
+	env := &lshEnv{dev: dev, led: sched.NewLedger(dev, nil), cfg: cfg, shape: prm, sets: eligible, ids: ids, seqs: seqs,
 		total: total, budget: prm.hashes()*len(eligible) + total/3}
 	spansA, _, err := env.lshPlans()
 	if err != nil {
@@ -274,7 +238,7 @@ func TestLSHSignatureSpansMatchHost(t *testing.T) {
 	}
 	sigBuf := dev.MustMalloc(env.lshSigWords())
 	defer sigBuf.Free()
-	fam := minwise.NewFamily(prm.hashes(), lshFamilySeed)
+	fam := prm.Family()
 	for _, sp := range spansA {
 		if err := env.runSigSpan(sigBuf, fam, sp); err != nil {
 			t.Fatal(err)
@@ -341,34 +305,55 @@ func TestLSHLaunchesIndependentOfPermutations(t *testing.T) {
 	}
 }
 
-// FuzzLSHCandidates is the recall oracle: for any valid sequence set, every
-// pair the exact suffix-array filter emits is found by LSH at the
-// conservative preset.
+// FuzzLSHCandidates is the banded filter's oracle: for any sequence set,
+// the host filter at the default shape pairs two sequences exactly when
+// they share a band key under LSHShape.BandKeys, the per-sequence path the
+// resident serving index buckets on.
 func FuzzLSHCandidates(f *testing.F) {
 	f.Add("MKVLITGAGSGIGLEAARQLA", "GKVLITGAGSGIGLEAARQFA", "MSTNPKPQRKTKRNTNRRPQD")
 	f.Add("AAAAAAAAAAAAAAAA", "AAAAAAAAAAAAAAAA", "CCCCCCCCCCCCCCCC")
 	f.Add("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQ", "APKYIAKQRQISFVKSHFSRQ", "")
+	cfg := lshConfig(0, 0)
+	shape, err := ResolveLSHShape(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fam := shape.Family()
 	f.Fuzz(func(t *testing.T, a, b, c string) {
 		var seqs []seq.Sequence
+		var keys [][]uint32 // per sequence; nil when it has no shingle
 		for i, s := range []string{a, b, c} {
 			if s == "" {
 				continue
 			}
 			seqs = append(seqs, seq.Sequence{ID: string(rune('a' + i)), Residues: []byte(s)})
+			var k []uint32
+			if set := ShingleSet([]byte(s), cfg.MinExactMatch); len(set) > 0 {
+				k = shape.BandKeys(fam, set)
+			}
+			keys = append(keys, k)
 		}
-		cfg := DefaultConfig()
-		for _, s := range seqs {
-			if align.ValidateSequence(s.Residues) != nil {
-				return // invalid alphabet; Build rejects these inputs
+		got, _ := lshPairsHost(seqs, cfg, shape)
+		want := 0
+		for i := range seqs {
+			for j := i + 1; j < len(seqs); j++ {
+				share := false
+				for band := range keys[i] {
+					if keys[j] != nil && keys[i][band] == keys[j][band] {
+						share = true
+						break
+					}
+				}
+				if share {
+					want++
+				}
+				if got[makePair(int32(i), int32(j))] != share {
+					t.Fatalf("pair (%d,%d): filter emitted %v, shared band key %v", i, j, !share, share)
+				}
 			}
 		}
-		exact, _ := exactPairSet(seqs, cfg)
-		lsh, _ := lshPairsHost(seqs, cfg, lshParams{conservative: true})
-		for p := range exact {
-			if !lsh[p] {
-				x, y := p.unpack()
-				t.Fatalf("exact pair (%d,%d) missing from conservative LSH candidates", x, y)
-			}
+		if len(got) != want {
+			t.Fatalf("filter emitted %d pairs, %d share a band key", len(got), want)
 		}
 	})
 }

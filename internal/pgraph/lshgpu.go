@@ -13,19 +13,15 @@ import (
 // On-device LSH banding filter. The pipeline mirrors the shingling passes'
 // device dataflow:
 //
-//	stage A (banded shapes): shingle sets stream to the device in budgeted
-//	  spans; one segmented_min_hash launch per span reads every sequence's
-//	  shingles once and writes its minimum under every permutation into the
+//	stage A: shingle sets stream to the device in budgeted spans; one
+//	  segmented_min_hash launch per span reads every sequence's shingles
+//	  once and writes its minimum under every permutation into the
 //	  build-resident signature buffer — the column-major minwise.Signatures
 //	  layout, resident across every band pass.
 //	stage B: bands stream in budgeted groups; one band_hash launch per group
 //	  folds every band's rows into bucket keys, sort_pairs64 groups (band,
 //	  key, seq) records, bucket_heads marks runs, and the host emits each
 //	  bucket's cross pairs from the downloaded run structure.
-//
-// The conservative preset skips signatures entirely and sorts raw
-// (shingle, seq) records in one pass — the bucket grouping whose candidate
-// set provably contains the exact filter's pairs.
 //
 // The whole filter is one batch on the sched resilience ladder: any device
 // fault retries the idempotent pipeline (a fresh candidate map per attempt),
@@ -40,7 +36,7 @@ type lshEnv struct {
 	dev   *gpusim.Device
 	led   *sched.Ledger
 	cfg   Config
-	prm   lshParams
+	shape LSHShape
 	sets  [][]uint32 // per eligible column (sorted distinct shingles)
 	ids   []int32    // eligible column -> original sequence index
 	seqs  []seq.Sequence
@@ -51,7 +47,7 @@ type lshEnv struct {
 }
 
 // lshSigWords is the resident signature buffer's footprint.
-func (e *lshEnv) lshSigWords() int { return e.prm.hashes() * len(e.sets) }
+func (e *lshEnv) lshSigWords() int { return e.shape.hashes() * len(e.sets) }
 
 // lshSeqSizer feeds the stage-A planner: streaming sequence k costs its
 // shingle words plus one offset word.
@@ -82,23 +78,15 @@ func (z *lshBandSizer) Fail(_, need int) error {
 		z.budget, z.ne, need)
 }
 
-// lshPlans resolves the stage plans under the budget. Banded shapes reserve
-// the resident signature buffer off the top; the conservative preset is one
-// record pass over every shingle.
+// lshPlans resolves the stage plans under the budget, with the resident
+// signature buffer reserved off the top.
 func (e *lshEnv) lshPlans() (spansA, spansB []sched.Span, err error) {
-	if e.prm.conservative {
-		if need := 4 * e.total; need > e.budget {
-			return nil, nil, fmt.Errorf("pgraph: LSH budget %d words cannot hold the conservative bucket pass: needs %d",
-				e.budget, need)
-		}
-		return nil, nil, nil
-	}
 	left := e.budget - e.lshSigWords()
 	spansA, err = sched.PlanSpans(len(e.sets), left-1, &lshSeqSizer{sets: e.sets, budget: e.budget})
 	if err != nil {
 		return nil, nil, err
 	}
-	spansB, err = sched.PlanSpans(e.prm.bands, left, &lshBandSizer{ne: len(e.sets), budget: e.budget})
+	spansB, err = sched.PlanSpans(e.shape.Bands, left, &lshBandSizer{ne: len(e.sets), budget: e.budget})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,9 +120,6 @@ type lshFilterBatch struct{ env *lshEnv }
 func (b *lshFilterBatch) Attempt() error {
 	e := b.env
 	e.pairs = make(map[pairKey]bool)
-	if e.prm.conservative {
-		return e.runConservative()
-	}
 	return e.runBanded()
 }
 
@@ -147,51 +132,13 @@ func (b *lshFilterBatch) Split() (sched.Batch, sched.Batch, bool) { return nil, 
 func (b *lshFilterBatch) Fallback() {
 	e := b.env
 	var ns float64
-	e.pairs, ns = lshPairsHost(e.seqs, e.cfg, e.prm)
+	e.pairs, ns = lshPairsHost(e.seqs, e.cfg, e.shape)
 	e.led.Charge("lsh-host", ns)
 }
 
 func (b *lshFilterBatch) WrapErr(retries int, last error) error {
 	return fmt.Errorf("pgraph: LSH filter failed after %d attempts (%v): %w",
 		retries+1, last, ErrRetryBudget)
-}
-
-// runConservative sorts (shingle, seq) records in one device pass and emits
-// each shingle bucket's cross pairs.
-func (e *lshEnv) runConservative() error {
-	n := e.total
-	if n == 0 {
-		return nil
-	}
-	lo := make([]uint32, n)
-	val := make([]uint32, n)
-	k := 0
-	for col, set := range e.sets {
-		for _, v := range set {
-			lo[k] = v
-			val[k] = uint32(col)
-			k++
-		}
-	}
-	e.led.Charge("lsh-stage", float64(2*n)*packNsPerWord)
-
-	dev := e.dev
-	bufs, err := lshMalloc(dev, n, n, n, n)
-	if err != nil {
-		return err
-	}
-	hiBuf, loBuf, valBuf, flagBuf := bufs[0], bufs[1], bufs[2], bufs[3]
-	defer lshFree(bufs)
-	if err := dev.CopyH2D(loBuf, 0, lo); err != nil {
-		return err
-	}
-	if err := dev.CopyH2D(valBuf, 0, val); err != nil {
-		return err
-	}
-	if err := thrust.Fill(dev, hiBuf, n, 0); err != nil {
-		return err
-	}
-	return e.groupAndEmit(hiBuf, loBuf, valBuf, flagBuf, n)
 }
 
 // runBanded computes the resident signature buffer (stage A), then streams
@@ -211,7 +158,7 @@ func (e *lshEnv) runBanded() error {
 		return err
 	}
 	defer sigBuf.Free()
-	fam := minwise.NewFamily(e.prm.hashes(), lshFamilySeed)
+	fam := e.shape.Family()
 
 	for _, sp := range spansA {
 		if err := e.runSigSpan(sigBuf, fam, sp); err != nil {
@@ -292,7 +239,7 @@ func (e *lshEnv) runBandSpan(sigBuf *gpusim.Buffer, sp sched.Span) error {
 	if err := dev.CopyH2D(valBuf, 0, val); err != nil {
 		return err
 	}
-	if err := thrust.BandHash(dev, nil, sigBuf, ne, sp.Lo, sp.Hi, e.prm.rows, loBuf, 0); err != nil {
+	if err := thrust.BandHash(dev, nil, sigBuf, ne, sp.Lo, sp.Hi, e.shape.Rows, loBuf, 0); err != nil {
 		return err
 	}
 	return e.groupAndEmit(hiBuf, loBuf, valBuf, flagBuf, n)
@@ -357,31 +304,19 @@ func lshBudget(dev *gpusim.Device, cfg Config) int {
 // lshDeviceFilter runs the LSH candidate pass on the device through the
 // resilience ladder, records the plan (batches, budget, predicted vs actual
 // window) into Stats.LSHPlan, and returns the candidate set.
-func lshDeviceFilter(dev *gpusim.Device, led *sched.Ledger, seqs []seq.Sequence, cfg Config, prm lshParams, st *Stats) (map[pairKey]bool, error) {
-	sets, total, shingleOps := shingleSets(seqs, cfg.MinExactMatch)
-	ids := eligibleSeqs(sets)
-	eligible := make([][]uint32, len(ids))
-	for col, id := range ids {
-		eligible[col] = sets[id]
-	}
+func lshDeviceFilter(dev *gpusim.Device, led *sched.Ledger, seqs []seq.Sequence, cfg Config, shape LSHShape, st *Stats) (map[pairKey]bool, error) {
+	sets, ids, total, shingleOps := shingleSets(seqs, cfg.MinExactMatch)
 	led.Charge("lsh-shingle", float64(shingleOps)*FilterNsPerOp)
 
-	env := &lshEnv{dev: dev, led: led, cfg: cfg, prm: prm, sets: eligible, ids: ids,
+	env := &lshEnv{dev: dev, led: led, cfg: cfg, shape: shape, sets: sets, ids: ids,
 		seqs: seqs, total: total, budget: lshBudget(dev, cfg)}
-	report := sched.PlanReport{BudgetWords: env.budget, Lanes: 1}
 	spansA, spansB, err := env.lshPlans()
 	if err != nil {
 		return nil, err
 	}
-	if prm.conservative {
-		report.Batches = 1
-	} else {
-		report.Batches = len(spansA) + len(spansB)
-	}
-	if cfg.PredictCost || cfg.AutoTune {
-		m := calibrateLSHModel(dev.Config(), env)
-		report.PredictedNs = predictLSH(m, env, spansA, spansB)
-	}
+	m := calibrateLSHModel(dev.Config(), env)
+	report := sched.PlanReport{BudgetWords: env.budget, Lanes: 1, Batches: len(spansA) + len(spansB),
+		PredictedNs: predictLSH(m, env, spansA, spansB)}
 
 	schedT0 := dev.HostTime()
 	if err := cfg.runner(led, &st.Faults).Run(&lshFilterBatch{env: env}); err != nil {

@@ -21,7 +21,6 @@ const (
 	kLSHBand    = "band_hash"
 	kLSHSort    = "sort_pairs64"
 	kLSHHeads   = "bucket_heads"
-	kLSHFill    = "fill"
 )
 
 // lshProbeWords caps the calibration probe's shingle stream.
@@ -76,13 +75,10 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 		data = append(data, set...)
 	}
 	offs[nseg] = uint32(len(data))
-	rows := e.prm.rows
-	if rows < 1 {
-		rows = 1
-	}
+	rows := e.shape.Rows
 	// One permutation group: every thread of the real launch carries a
 	// group, so the probe's per-hash cost is the run's.
-	fam := minwise.NewFamily(min(max(e.prm.hashes(), 1), thrust.MinHashGroup), lshFamilySeed)
+	fam := minwise.NewFamily(min(e.shape.hashes(), thrust.MinHashGroup), lshFamilySeed)
 
 	scratch := gpusim.MustNew(devCfg)
 	bufs, err := lshMalloc(scratch, n, nseg+1, n, max(rows, len(fam.Pairs))*nseg, nseg, n, n)
@@ -104,9 +100,6 @@ func calibrateLSHModel(devCfg gpusim.Config, e *lshEnv) *sched.Model {
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: nseg}
 	probe(kLSHMinHash, float64(n*len(fam.Pairs)), minHashThreads(nseg, len(fam.Pairs)), func() error {
 		return thrust.SegmentedMinHash(scratch, nil, dataBuf, segs, fam.Pairs, sigBuf, nseg, 0)
-	})
-	probe(kLSHFill, float64(rows*nseg), elementwiseThreads(rows*nseg), func() error {
-		return thrust.Fill(scratch, sigBuf, rows*nseg, 1)
 	})
 	probe(kLSHBand, float64(rows*nseg), elementwiseThreads(nseg), func() error {
 		return thrust.BandHash(scratch, nil, sigBuf, nseg, 0, 1, rows, keyBuf, 0)
@@ -133,19 +126,8 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 		sim.Copy(-1, n, false) // bucket values
 		sim.HostWork(float64(n) * FilterNsPerOp)
 	}
-	if e.prm.conservative {
-		if n := e.total; n > 0 {
-			sim.HostWork(float64(2*n) * packNsPerWord)
-			sim.Copy(-1, n, true)
-			sim.Copy(-1, n, true)
-			sim.Kernel(-1, kLSHFill, float64(n), elementwiseThreads(n))
-			groupNs(n)
-		}
-		sim.SyncAll()
-		return sim.Host
-	}
 	ne := len(e.sets)
-	c := e.prm.hashes()
+	c := e.shape.hashes()
 	for _, sp := range spansA {
 		ns := sp.Hi - sp.Lo
 		words := 0
@@ -163,7 +145,7 @@ func predictLSH(m *sched.Model, e *lshEnv, spansA, spansB []sched.Span) float64 
 		sim.HostWork(float64(2*n) * packNsPerWord)
 		sim.Copy(-1, n, true)
 		sim.Copy(-1, n, true)
-		sim.Kernel(-1, kLSHBand, float64(g*e.prm.rows*ne), g*elementwiseThreads(ne))
+		sim.Kernel(-1, kLSHBand, float64(g*e.shape.Rows*ne), g*elementwiseThreads(ne))
 		groupNs(n)
 	}
 	sim.SyncAll()

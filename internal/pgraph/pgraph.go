@@ -37,10 +37,7 @@ type Config struct {
 
 	// LSHBands/LSHRows shape the banding (Filter lsh only): bands
 	// of rows signature rows each, pair-collision probability
-	// 1-(1-J^rows)^bands. Zero means the tuned defaults; LSHBands ==
-	// ConservativeBands selects the conservative preset (bucket on raw
-	// shingles, LSHRows must be 0), whose candidates provably contain the
-	// exact filter's pairs.
+	// 1-(1-J^rows)^bands. Zero means the tuned defaults.
 	LSHBands int
 	LSHRows  int
 
@@ -72,14 +69,10 @@ type Config struct {
 	// config with a kernel micro-probe on a scratch device, predicts the
 	// virtual time of each candidate plan (geometric budget sweep × residue
 	// layout under Packed), and runs the argmin. The edge set is
-	// bit-identical for every plan, so tuning only moves virtual time.
+	// bit-identical for every plan, so tuning only moves virtual time. A
+	// fixed plan is priced by the same scratch-device model, so Stats.Plan
+	// and Stats.LSHPlan always carry a predicted window.
 	AutoTune bool
-
-	// PredictCost, on a fixed-budget run, additionally calibrates the cost
-	// model and records the predicted virtual time of the chosen plan in
-	// Stats.Plan — the predicted-vs-actual comparison the benchmarks gate on.
-	// Auto-tuned runs always carry a prediction.
-	PredictCost bool
 
 	// Packed lets each batch stage its residues as a 5-bit packed device
 	// image (align's 21-code alphabet fits 5 bits) that the SW kernel

@@ -30,12 +30,6 @@ import (
 // Pair is one candidate pair of Verifier sequence indices.
 type Pair struct{ A, B int32 }
 
-// LSHShape is a Config's resolved MinHash banding shape.
-type LSHShape struct {
-	Bands, Rows  int
-	Conservative bool
-}
-
 // ResolveLSHShape validates and resolves the Config's LSH shape exactly as
 // Build does, but requires Filter == FilterLSH: the exact filter depends on
 // global corpus structure (suffix runs, WindowCap throttling), so no
@@ -49,18 +43,14 @@ func ResolveLSHShape(cfg Config) (LSHShape, error) {
 	if f != FilterLSH {
 		return LSHShape{}, fmt.Errorf("pgraph: incremental indexing requires Filter %q, got %q", FilterLSH, f)
 	}
-	return LSHShape{Bands: p.bands, Rows: p.rows, Conservative: p.conservative}, nil
+	return p, nil
 }
 
 // Family returns the fixed MinHash permutation family of the shape — drawn
 // from lshFamilySeed like the batch filter's, so band keys match bit for
-// bit. Zero-valued for the conservative preset, which buckets on raw
-// shingles and needs no signatures.
+// bit.
 func (s LSHShape) Family() minwise.Family {
-	if s.Conservative {
-		return minwise.Family{}
-	}
-	return minwise.NewFamily(s.Bands*s.Rows, lshFamilySeed)
+	return minwise.NewFamily(s.hashes(), lshFamilySeed)
 }
 
 // ShingleSet returns the sorted distinct k-shingles of one residue string,

@@ -314,16 +314,8 @@ func TestResolveLSHShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Bands != DefaultLSHBands || s.Rows != DefaultLSHRows || s.Conservative {
+	if s.Bands != DefaultLSHBands || s.Rows != DefaultLSHRows {
 		t.Fatalf("default shape = %+v", s)
-	}
-	cfg.LSHBands = ConservativeBands
-	s, err = ResolveLSHShape(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Conservative {
-		t.Fatalf("conservative preset not resolved: %+v", s)
 	}
 	for _, f := range []string{"", FilterExact, "cascade", "bogus"} {
 		c := DefaultConfig()
@@ -337,66 +329,43 @@ func TestResolveLSHShape(t *testing.T) {
 // TestIncrementalLSHMatchesBatchFilter is the equivalence the serving index
 // rests on: inserting sequences one at a time into resident band-bucket
 // maps (via ShingleSet/BandKeys) emits exactly the pair set the batch
-// filter computes over the whole corpus, for both banded and conservative
-// shapes.
+// filter computes over the whole corpus, for two banded shapes.
 func TestIncrementalLSHMatchesBatchFilter(t *testing.T) {
 	seqs := testMetagenome(t, 40)
-	for _, bands := range []int{DefaultLSHBands, ConservativeBands} {
-		cfg := DefaultConfig()
-		cfg.Filter = FilterLSH
-		cfg.LSHBands = bands
-		if bands != ConservativeBands {
-			cfg.LSHRows = DefaultLSHRows
-		}
+	for _, setting := range lshSettings {
+		cfg := lshConfig(setting.bands, setting.rows)
 		shape, err := ResolveLSHShape(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, prm, err := resolveFilter(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := lshPairsHost(seqs, cfg, prm)
+		want, _ := lshPairsHost(seqs, cfg, shape)
 
 		// Incremental replay: one insert at a time against resident buckets.
 		fam := shape.Family()
 		got := make(map[pairKey]bool)
-		if shape.Conservative {
-			buckets := make(map[uint32][]int32)
-			for i, s := range seqs {
-				set := ShingleSet(s.Residues, cfg.MinExactMatch)
-				for _, v := range set {
-					for _, other := range buckets[v] {
-						got[makePair(other, int32(i))] = true
-					}
-					buckets[v] = append(buckets[v], int32(i))
-				}
+		buckets := make([]map[uint32][]int32, shape.Bands)
+		for b := range buckets {
+			buckets[b] = make(map[uint32][]int32)
+		}
+		for i, s := range seqs {
+			set := ShingleSet(s.Residues, cfg.MinExactMatch)
+			if len(set) == 0 {
+				continue // ineligible, exactly like the batch filter
 			}
-		} else {
-			buckets := make([]map[uint32][]int32, shape.Bands)
-			for b := range buckets {
-				buckets[b] = make(map[uint32][]int32)
-			}
-			for i, s := range seqs {
-				set := ShingleSet(s.Residues, cfg.MinExactMatch)
-				if len(set) == 0 {
-					continue // ineligible, exactly like the batch filter
+			for b, k := range shape.BandKeys(fam, set) {
+				for _, other := range buckets[b][k] {
+					got[makePair(other, int32(i))] = true
 				}
-				for b, k := range shape.BandKeys(fam, set) {
-					for _, other := range buckets[b][k] {
-						got[makePair(other, int32(i))] = true
-					}
-					buckets[b][k] = append(buckets[b][k], int32(i))
-				}
+				buckets[b][k] = append(buckets[b][k], int32(i))
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("bands=%d: incremental emitted %d pairs, batch %d", bands, len(got), len(want))
+			t.Fatalf("%s: incremental emitted %d pairs, batch %d", setting.label, len(got), len(want))
 		}
 		for p := range want {
 			if !got[p] {
 				a, b := p.unpack()
-				t.Fatalf("bands=%d: batch pair (%d,%d) missing from incremental set", bands, a, b)
+				t.Fatalf("%s: batch pair (%d,%d) missing from incremental set", setting.label, a, b)
 			}
 		}
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // lshIndex is the resident candidate index: the batch LSH filter's band
-// buckets (or, at the conservative preset, its raw-shingle buckets) kept
-// alive between requests so each new sequence is bucketed once, against the
-// members already resident. Because a sequence's band keys depend only on
+// buckets kept alive between requests so each new sequence is bucketed
+// once, against the members already resident. Because a sequence's band keys depend only on
 // its own shingle set, inserting sequences one at a time emits exactly the
 // pair set the batch filter computes over the union corpus — the
 // equivalence pinned by pgraph's TestIncrementalLSHMatchesBatchFilter.
@@ -30,10 +29,8 @@ type lshIndex struct {
 	fam   minwise.Family
 	k     int // shingle length (Config.MinExactMatch)
 
-	// buckets has one map per band; the conservative preset has one, keyed
-	// by raw shingle.
-	buckets []map[uint32]int32
-	lists   [][]int32 // shared buckets' members, in insertion order
+	buckets []map[uint32]int32 // one map per band
+	lists   [][]int32          // shared buckets' members, in insertion order
 
 	// undo logs every bucket change since the last mark, so a failed insert
 	// pass can be rolled back without rebuilding the index.
@@ -60,11 +57,7 @@ type undoRec struct {
 
 func newLSHIndex(shape pgraph.LSHShape, k int) *lshIndex {
 	ix := &lshIndex{shape: shape, fam: shape.Family(), k: k}
-	bands := shape.Bands
-	if shape.Conservative {
-		bands = 1
-	}
-	ix.buckets = make([]map[uint32]int32, bands)
+	ix.buckets = make([]map[uint32]int32, shape.Bands)
 	for b := range ix.buckets {
 		ix.buckets[b] = make(map[uint32]int32)
 	}
@@ -79,13 +72,6 @@ func (ix *lshIndex) keys(residues []byte) []bucketKey {
 	set := pgraph.ShingleSet(residues, ix.k)
 	if len(set) == 0 {
 		return nil
-	}
-	if ix.shape.Conservative {
-		bks := make([]bucketKey, len(set))
-		for i, v := range set {
-			bks[i] = bucketKey{key: v}
-		}
-		return bks
 	}
 	keys := ix.shape.BandKeys(ix.fam, set)
 	bks := make([]bucketKey, len(keys))

@@ -11,16 +11,16 @@ import (
 )
 
 // TestLSHIndexMatchesBucketScan checks the resident index against a plain
-// scan of every member's buckets, under the default banded shape and the
-// conservative preset: candidates come out band by band, each bucket in
-// insertion order, a rolled-back pass leaves the index answering as if it
-// never ran, and a commit frees the undo log.
+// scan of every member's buckets, under the default banded shape and a
+// 16×2 one: candidates come out band by band, each bucket in insertion
+// order, a rolled-back pass leaves the index answering as if it never ran,
+// and a commit frees the undo log.
 func TestLSHIndexMatchesBucketScan(t *testing.T) {
 	corpus := testMetagenome(t, 60)
-	for _, bands := range []int{0, pgraph.ConservativeBands} {
+	for _, bands := range [][2]int{{0, 0}, {16, 2}} {
 		p := pgraph.DefaultConfig()
 		p.Filter = pgraph.FilterLSH
-		p.LSHBands = bands
+		p.LSHBands, p.LSHRows = bands[0], bands[1]
 		shape, err := pgraph.ResolveLSHShape(p)
 		if err != nil {
 			t.Fatal(err)

@@ -197,7 +197,11 @@ func minHashMatchesHost(t testing.TB, sets [][]uint32, c, colBase, pad int) {
 	out := d.MustMalloc(max(c*ne, 1))
 	defer out.Free()
 	const untouched = 0x5A5A5A5A
-	if err := Fill(d, out, c*ne, untouched); err != nil {
+	sentinel := make([]uint32, c*ne)
+	for i := range sentinel {
+		sentinel[i] = untouched
+	}
+	if err := d.CopyH2D(out, 0, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	fam := minwise.NewFamily(c, 99)

@@ -4,8 +4,8 @@
 // It provides the two primitives the paper identifies as carrying ~80% of
 // the serial runtime, transform() (hashing) and segmented sorting, both as
 // the fused kernels the shingling pipeline launches and as the split
-// reference kernels those are tested against; plus fill, the 64-bit-key
-// pair sort, and the Smith-Waterman and MinHash/LSH kernels pGraph runs.
+// reference kernels those are tested against; plus the 64-bit-key pair
+// sort and the Smith-Waterman and MinHash/LSH kernels pGraph runs.
 //
 // Every primitive executes for real on the device (results are exact) and
 // records its arithmetic and memory traffic so the simulator's virtual
@@ -77,31 +77,6 @@ func TransformHash(d *gpusim.Device, src, dst *gpusim.Buffer, n int, h minwise.H
 			ctx.GlobalRead(src, gid, count, total)
 			ctx.GlobalWrite(dst, gid, count, total)
 			ctx.Ops(count * hashOps)
-		}
-	})
-}
-
-// Fill sets the first n words of dst to v (thrust::fill).
-func Fill(d *gpusim.Device, dst *gpusim.Buffer, n int, v uint32) error {
-	if n < 0 || n > dst.Len() {
-		return fmt.Errorf("thrust: Fill %d elements into buffer of %d", n, dst.Len())
-	}
-	if n == 0 {
-		return nil
-	}
-	grid, total := launchGeometry(n)
-	d.NextKernelName("fill")
-	return d.Launch(grid, blockDim, func(ctx *gpusim.ThreadCtx) {
-		gid := ctx.GlobalID()
-		t := dst.Words()
-		count := 0
-		for i := gid; i < n; i += total {
-			t[i] = v
-			count++
-		}
-		if count > 0 {
-			ctx.GlobalWrite(dst, gid, count, total)
-			ctx.Ops(count)
 		}
 	})
 }

@@ -99,20 +99,6 @@ func TestTransformHashMatchesMinwise(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	d := newDev(t)
-	b := d.MustMalloc(1000)
-	defer b.Free()
-	if err := Fill(d, b, 1000, 7); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range download(t, d, b, 1000) {
-		if v != 7 {
-			t.Fatalf("Fill element %d = %d", i, v)
-		}
-	}
-}
-
 func makeSegments(t testing.TB, d *gpusim.Device, lens []int) (Segments, int) {
 	t.Helper()
 	off := make([]uint32, len(lens)+1)

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
 # full test suite, the benchmark module, the invariants-build sweep, the
-# Table I golden, the virtual-clock benchmark gates, fuzz smoke, and a race
+# Table I, LSH and serve goldens, the virtual-clock benchmark gates, fuzz smoke, and a race
 # sweep of the concurrent packages (host-parallel backend, pGraph worker
 # pool, device simulator). Run from the repository root; exits non-zero on
 # any failure.
@@ -78,18 +78,24 @@ echo "== pgraph backend equivalence gate (GPU-SW must match host-SW bit for bit)
 go test -run 'TestGoldenPipelineBackends' .
 go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/pgraph/
 
-echo "== lsh filter equivalence gate (device LSH must match host; conservative LSH must contain exact's pairs)"
-go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU|TestLSHConservativeSupersetOfExact' ./internal/pgraph/
+echo "== lsh filter equivalence gate (device LSH must match host, and so must the graphs it yields)"
+go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU' ./internal/pgraph/
 
-echo "== Table I golden (-exp table1 must reproduce the committed experiments_output.txt section)"
-go run ./cmd/experiments -exp table1 > "$tmp_dir/table1.txt"
-awk '/^== Table I ==$/ { on = 1; next } on && /^$/ { exit } on' experiments_output.txt \
-    > "$tmp_dir/table1-want.txt"
-test -s "$tmp_dir/table1-want.txt"
-if ! cmp "$tmp_dir/table1-want.txt" "$tmp_dir/table1.txt"; then
-    diff "$tmp_dir/table1-want.txt" "$tmp_dir/table1.txt" >&2 || true
-    exit 1
-fi
+echo "== golden sections (-exp table1, lsh and serve must reproduce their experiments_output.txt sections)"
+# A section is the committed block that opens with the fresh output's first
+# line and runs to the next blank line, "== " heading or ablation title.
+for exp in table1 lsh serve; do
+    go run ./cmd/experiments -exp "$exp" > "$tmp_dir/$exp.txt"
+    awk -v h="$(head -n 1 "$tmp_dir/$exp.txt")" '
+        $0 == h { on = 1; print; next }
+        on && (/^$/ || /^== / || /^Ablation — /) { exit }
+        on' experiments_output.txt > "$tmp_dir/$exp-want.txt"
+    test -s "$tmp_dir/$exp-want.txt"
+    if ! cmp "$tmp_dir/$exp-want.txt" "$tmp_dir/$exp.txt"; then
+        diff "$tmp_dir/$exp-want.txt" "$tmp_dir/$exp.txt" >&2 || true
+        exit 1
+    fi
+done
 
 echo "== virtual-clock gates (bench.sh experiments, benchcheck on fresh output)"
 sh scripts/bench.sh "$tmp_dir/bench.json"
