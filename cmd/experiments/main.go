@@ -163,7 +163,9 @@ func main() {
 			fatal(os.WriteFile(*benchJSON, append(blob, '\n'), 0o644))
 		}
 	case "faults":
-		rows, err := bench.AblateFaults(*scale20k, perfOpts)
+		smallPerf := perfOpts
+		smallPerf.C1, smallPerf.C2 = 100, 50
+		rows, err := bench.AblateFaults(0.25, smallPerf)
 		fatal(err)
 		bench.RenderAblation(out, "fault injection and recovery (identical clustering under device faults)", rows)
 	case "serve":

@@ -492,29 +492,69 @@ func gatherTopS(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	})
 }
 
-// emitTrialTuples converts one trial's device output rows into <shingle,
-// owner> tuples, merging the partial minima of split lists. It returns the
-// aggregation operations it counted.
-func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) int64 {
-	s := e.s
+// emitTrials converts the device output rows of trials [t0, t1) of plan —
+// rows holds each trial's len(plan.pieces)·s words, in trial order — into
+// <shingle, owner> tuples, merging the partial minima of split lists. The
+// trials run on the worker pool: each appends only to its own tuple stream
+// and merges only its own slot of a split list's pending state, whose
+// entries are created before the pool starts. A split list whose last piece
+// is in the plan and whose last trial is in the range emits every trial's
+// merged shingle after the join, so the streams see the same tuples for
+// any worker count. It returns the aggregation operations it counted.
+func (e *passEnv) emitTrials(plan *batchPlan, t0, t1 int, rows []uint32) int64 {
+	for _, pc := range plan.pieces {
+		if !pc.isWhole(e.in) {
+			e.splitPending(pc.list)
+		}
+	}
+	rowWords := len(plan.pieces) * e.s
+	type trialOut struct{ ops, tuples int64 }
+	outs := make([]trialOut, t1-t0)
+	sched.ParallelFor(e.o.workerCount(), t1-t0, func(_, i int) {
+		outs[i].ops, outs[i].tuples = e.emitTrialTuples(plan, t0+i, rows[i*rowWords:(i+1)*rowWords])
+	})
 	var ops int64
+	for _, out := range outs {
+		ops += out.ops
+		e.stats.Tuples += out.tuples
+	}
+	if t1 == e.fam.Size() {
+		for _, pc := range plan.pieces {
+			if !pc.isWhole(e.in) && e.endsList(pc) {
+				e.emitSplitList(pc.list)
+			}
+		}
+	}
+	return ops
+}
+
+// emitTrialTuples converts one trial's device output rows into <shingle,
+// owner> tuples on the trial's own stream and merges the split pieces'
+// partial minima into their lists' existing pending states. It returns the
+// aggregation operations it counted and the tuples it emitted.
+func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) (ops, tuples int64) {
+	s := e.s
+	// A local stream: the trials' slice headers share cache lines, which
+	// the pool's workers would otherwise write on every append.
+	stream := e.tuplesByTrial[trial]
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
 		ops += int64(s)
 		if !pc.isWhole(e.in) {
-			ops += e.mergeSplitPiece(pc, trial, vals)
+			ops += e.mergePending(e.pending[pc.list], trial, vals)
 			continue
 		}
 		if pc.words() < s {
 			continue // no shingle for short lists
 		}
-		e.tuplesByTrial[trial] = append(e.tuplesByTrial[trial], tuple{
+		stream = append(stream, tuple{
 			key:   shingleKey(uint32(trial), vals),
 			owner: e.in.Owner(pc.list),
 		})
-		e.stats.Tuples++
+		tuples++
 	}
-	return ops
+	e.tuplesByTrial[trial] = stream
+	return ops, tuples
 }
 
 // mergeSplitPiece merges one split piece's partial minima for trial into
@@ -522,27 +562,49 @@ func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) 
 // trial, it emits every trial's merged shingle and drops the pending state.
 // It returns the aggregation operations the merge costs.
 func (e *passEnv) mergeSplitPiece(pc batchPiece, trial int, vals []uint32) int64 {
-	c := e.fam.Size()
-	p := e.pending[pc.list]
+	ops := e.mergePending(e.splitPending(pc.list), trial, vals)
+	if trial == e.fam.Size()-1 && e.endsList(pc) {
+		e.emitSplitList(pc.list)
+	}
+	return ops
+}
+
+// splitPending returns a split list's pending state, creating it on the
+// list's first piece.
+func (e *passEnv) splitPending(list int) *pendingShingle {
+	p := e.pending[list]
 	if p == nil {
-		p = &pendingShingle{perTrial: make([][]uint32, c)}
-		e.pending[pc.list] = p
+		p = &pendingShingle{perTrial: make([][]uint32, e.fam.Size())}
+		e.pending[list] = p
 	}
+	return p
+}
+
+// mergePending merges a piece's partial minima for trial into p, touching
+// only that trial's slot. It returns the aggregation operations it costs.
+func (e *passEnv) mergePending(p *pendingShingle, trial int, vals []uint32) int64 {
 	p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, e.s)
-	ops := int64(2 * e.s)
-	if pc.hi != e.in.Offsets[pc.list+1]-e.in.Offsets[pc.list] || trial != c-1 {
-		return ops
-	}
-	for tj, minima := range p.perTrial {
+	return int64(2 * e.s)
+}
+
+// endsList reports whether pc is the last piece of its list.
+func (e *passEnv) endsList(pc batchPiece) bool {
+	return pc.hi == e.in.Offsets[pc.list+1]-e.in.Offsets[pc.list]
+}
+
+// emitSplitList appends a completed split list's merged shingle to every
+// trial's stream (none for a list shorter than s) and drops its pending
+// state.
+func (e *passEnv) emitSplitList(list int) {
+	for tj, minima := range e.pending[list].perTrial {
 		if len(minima) < e.s {
 			continue // whole list shorter than s
 		}
 		e.tuplesByTrial[tj] = append(e.tuplesByTrial[tj], tuple{
 			key:   shingleKey(uint32(tj), minima),
-			owner: e.in.Owner(pc.list),
+			owner: e.in.Owner(list),
 		})
 		e.stats.Tuples++
 	}
-	delete(e.pending, pc.list)
-	return ops
+	delete(e.pending, list)
 }

@@ -16,9 +16,10 @@ import (
 // batch image in place: packed at the pass's MinBits width, or plain words.
 // Plans differ along independent dimensions — lane count, device
 // aggregation, packed images, full sort — and every plan drains items in
-// the sequential (batch, trial) order, so tuple emission and split-list
-// merging happen in the identical order and the clustering is
-// bit-identical for every plan.
+// the sequential (batch, trial) order, so every trial's tuple stream gets
+// the same tuples, each split list merges its pieces in the same order,
+// and the clustering is bit-identical for every plan. An item's trials
+// emit their tuples on the worker pool (emitTrials).
 //
 // One lane is the paper's synchronous Thrust loop ("the data movement
 // operations are implemented using synchronous mechanism"): it runs on the
@@ -337,13 +338,12 @@ func (w *shingleLanes) Complete(item, lane int) {
 	}
 	plan := &w.plans[k]
 	var ops int64
-	rowWords := len(plan.pieces) * w.s
-	for trial := t0; trial < t1; trial++ {
-		if w.o.GPUAggregate {
+	if w.o.GPUAggregate {
+		for trial := t0; trial < t1; trial++ {
 			ops += w.collectAgg(l, plan, trial)
-			continue
 		}
-		ops += w.emitTrialTuples(plan, trial, l.hostOut[(trial-t0)*rowWords:(trial-t0+1)*rowWords])
+	} else {
+		ops = w.emitTrials(plan, t0, t1, l.hostOut[:(t1-t0)*len(plan.pieces)*w.s])
 	}
 	w.led.Charge("aggregate", float64(ops)*AggregateNsPerOp)
 }

@@ -240,7 +240,7 @@ func (e *passEnv) runBatchHost(plan batchPlan) {
 		if e.sortedByTrial != nil {
 			ops = e.emitTrialAggHost(&plan, trial, hostOut)
 		} else {
-			ops = e.emitTrialTuples(&plan, trial, hostOut)
+			ops = e.emitTrials(&plan, trial, trial+1, hostOut)
 		}
 		e.led.Charge("aggregate", float64(ops)*AggregateNsPerOp)
 	}

@@ -217,18 +217,17 @@ func getWorkerState(blockDim int) *workerState {
 	return ws
 }
 
-// accountScratch is the reusable buffers through which accumulateBlock and
+// accountScratch is the reusable buffer through which accumulateBlock and
 // warpTransactions fold a block into launchStats without allocating per
 // block, warp or access site. The zero value is ready to use.
 type accountScratch struct {
-	active []laneRun // one access site's active lanes
-	segs   []int64   // distinct 128-byte segments among a prefix of active
+	segs []segMax // one access site's distinct segments
 }
 
-// laneRun is one lane's run at the access site being analysed.
-type laneRun struct {
-	start int64
-	count int64
+// segMax is one 128-byte segment touched at the access site being
+// analysed, with the largest run count among the lanes that start in it.
+type segMax struct {
+	seg, max int64
 }
 
 // reset prepares a reused context for thread t of block b, keeping the
@@ -254,22 +253,18 @@ func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int, sc *accountScr
 		// warp's lane-slots is occupied for all of them.
 		var maxOps int64
 		for i := range lanes {
-			if lanes[i].ops > maxOps {
-				maxOps = lanes[i].ops
-			}
-			st.threadOps += lanes[i].ops
-			st.sharedAcc += lanes[i].shared
+			l := &lanes[i]
+			maxOps = max(maxOps, l.ops)
+			st.threadOps += l.ops
+			st.sharedAcc += l.shared
+			st.accesses += l.extra
+			st.transactions += l.extra // overflow: one transaction each
 		}
 		st.warpSerialOps += maxOps * int64(warp)
 
-		st.transactions += warpTransactions(lanes, sc)
-		for i := range lanes {
-			for _, r := range lanes[i].runs {
-				st.accesses += int64(r.count)
-			}
-			st.accesses += lanes[i].extra
-			st.transactions += lanes[i].extra // overflow: one transaction each
-		}
+		transactions, accesses := warpTransactions(lanes, sc)
+		st.transactions += transactions
+		st.accesses += accesses
 	}
 }
 
@@ -282,90 +277,62 @@ const segWords = 32
 // run of each lane belongs to the same static access site). For each site,
 // if all lanes share one stride, the lanes' step-t addresses are a uniform
 // shift of their starts, so the distinct-segment count among the starts of
-// the active lanes approximates the per-step transaction count; summing over
-// steps with the active set shrinking as shorter lanes finish gives the
-// total. Mixed strides fall back to fully uncoalesced (one transaction per
-// access).
-//
-// The order among lanes of equal count does not matter: a prefix's segment
-// count is used only where the count drops after it, and there the prefix
-// is exactly the set of lanes with count ≥ that count. So an in-place
-// insertion sort and a linear scan over the few distinct segments give the
-// same total as any other sort and set.
-func warpTransactions(lanes []ThreadCtx, sc *accountScratch) int64 {
+// the lanes still active at step t (those whose count exceeds t)
+// approximates the step's transaction count. Summed over the steps, that is
+// the sum over the distinct segments of the largest count among the lanes
+// starting in each: segment g is touched at step t exactly when its largest
+// count exceeds t. One pass over the lanes computes it, keeping each
+// segment's running maximum; the newest-first segment scan hits the last
+// entry at once when starts rise with the lane id. Mixed strides fall back
+// to fully uncoalesced (one transaction per access, the sum of the counts).
+// The second result is the number of accesses the runs record, the sum of
+// every site's counts.
+func warpTransactions(lanes []ThreadCtx, sc *accountScratch) (transactions, accesses int64) {
 	maxRuns := 0
 	for i := range lanes {
 		if len(lanes[i].runs) > maxRuns {
 			maxRuns = len(lanes[i].runs)
 		}
 	}
-	var total int64
 	for k := 0; k < maxRuns; k++ {
-		active := sc.active[:0]
+		segs := sc.segs[:0]
 		var stride int32
-		mixed := false
-		first := true
+		var sum int64
+		mixed, first := false, true
 		for i := range lanes {
 			if k >= len(lanes[i].runs) {
 				continue
 			}
-			r := lanes[i].runs[k]
+			r := &lanes[i].runs[k]
 			if first {
-				stride = r.stride
-				first = false
+				stride, first = r.stride, false
 			} else if r.stride != stride {
 				mixed = true
 			}
-			active = append(active, laneRun{r.start, int64(r.count)})
-		}
-		sc.active = active
-		if len(active) == 0 {
-			continue
-		}
-		if mixed {
-			for _, a := range active {
-				total += a.count
+			count := int64(r.count)
+			sum += count
+			seg := r.start / segWords
+			j := len(segs) - 1
+			for j >= 0 && segs[j].seg != seg {
+				j--
 			}
-			continue
-		}
-		// Sort lanes by count descending: the active set at step t is a
-		// prefix.
-		for j := 1; j < len(active); j++ {
-			a := active[j]
-			i := j
-			for i > 0 && active[i-1].count < a.count {
-				active[i] = active[i-1]
-				i--
-			}
-			active[i] = a
-		}
-		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes, which touch
-		// the distinct segments among the first j+1 lanes' starts.
-		segs := sc.segs[:0]
-		for j, a := range active {
-			seg := a.start / segWords
-			seen := false
-			// Neighbouring lanes mostly share a segment: scan newest first.
-			for i := len(segs) - 1; i >= 0; i-- {
-				if segs[i] == seg {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				segs = append(segs, seg)
-			}
-			var lower int64
-			if j+1 < len(active) {
-				lower = active[j+1].count
-			}
-			if steps := a.count - lower; steps > 0 {
-				total += int64(len(segs)) * steps
+			if j < 0 {
+				segs = append(segs, segMax{seg, count})
+			} else if count > segs[j].max {
+				segs[j].max = count
 			}
 		}
 		sc.segs = segs
+		accesses += sum
+		if mixed {
+			transactions += sum
+			continue
+		}
+		for _, g := range segs {
+			transactions += g.max
+		}
 	}
-	return total
+	return transactions, accesses
 }
 
 // kernelTime converts aggregated stats into a simulated duration via a

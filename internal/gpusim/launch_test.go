@@ -449,8 +449,9 @@ func TestOccupancyDisabled(t *testing.T) {
 	}
 }
 
-// refWarpTransactions is the original map + sort.Slice coalescing analysis,
-// kept as the reference the allocation-free warpTransactions must match.
+// refWarpTransactions is the original map + sort.Slice coalescing analysis —
+// lanes sorted by count, distinct segments summed over the active prefixes
+// — kept as the oracle the one-pass segment-maximum sum must match.
 func refWarpTransactions(lanes []ThreadCtx) int64 {
 	maxRuns := 0
 	for i := range lanes {
@@ -556,22 +557,27 @@ func randomBlock(next func() int) []ThreadCtx {
 func checkAgainstReference(t *testing.T, ctxs []ThreadCtx, sc *accountScratch) {
 	t.Helper()
 	const warp = 32
-	var want int64
+	var want, wantAccesses int64
 	for w := 0; w < len(ctxs); w += warp {
 		lanes := ctxs[w:min(w+warp, len(ctxs))]
 		ref := refWarpTransactions(lanes)
-		if got := warpTransactions(lanes, sc); got != ref {
+		if got, _ := warpTransactions(lanes, sc); got != ref {
 			t.Fatalf("warp at lane %d of %d: warpTransactions = %d, reference %d", w, len(ctxs), got, ref)
 		}
 		want += ref
 		for i := range lanes {
 			want += lanes[i].extra
+			wantAccesses += lanes[i].extra
+			for _, r := range lanes[i].runs {
+				wantAccesses += int64(r.count)
+			}
 		}
 	}
 	var st launchStats
 	accumulateBlock(&st, ctxs, warp, sc)
-	if st.transactions != want {
-		t.Fatalf("block of %d: accumulateBlock transactions = %d, reference %d", len(ctxs), st.transactions, want)
+	if st.transactions != want || st.accesses != wantAccesses {
+		t.Fatalf("block of %d: accumulateBlock transactions = %d, accesses = %d, reference %d, %d",
+			len(ctxs), st.transactions, st.accesses, want, wantAccesses)
 	}
 }
 
@@ -618,5 +624,71 @@ func TestAccumulateBlockAllocatesNothing(t *testing.T) {
 	accumulateBlock(&st, ctxs, 32, sc)
 	if n := testing.AllocsPerRun(100, func() { accumulateBlock(&st, ctxs, 32, sc) }); n != 0 {
 		t.Fatalf("accumulateBlock allocates %v times per block, want 0", n)
+	}
+}
+
+// TestWarpTransactionsSegmentMax pins the segment-maximum identity on
+// hand-computed warps: each uniform-stride site costs the sum over its
+// distinct 128-byte segments of the largest run count starting there, and a
+// mixed-stride site costs the sum of its counts.
+func TestWarpTransactionsSegmentMax(t *testing.T) {
+	type run struct{ start, count, stride int }
+	for _, tc := range []struct {
+		name  string
+		lanes [][]run // lane i's runs, site by site
+		want  int64
+	}{
+		// One segment, counts 3 and 7: the segment is touched for 7 steps.
+		{"one segment", [][]run{{{0, 3, 1}}, {{5, 7, 1}}}, 7},
+		// Segments 3, 2, 1, 0, 2 as the lane id rises: the last lane
+		// returns to segment 2 and raises its maximum from 5 to 6.
+		// 2 + 6 + 4 + 3 = 15.
+		{"falling starts", [][]run{{{100, 2, 1}}, {{70, 5, 1}}, {{40, 4, 1}}, {{10, 3, 1}}, {{65, 6, 1}}}, 15},
+		// Lane 1 has no run at site 1. Site 0: segment 0, max 4. Site 1:
+		// segments 31 and 32, counts 2 and 5. 4 + 2 + 5 = 11.
+		{"lane without run", [][]run{{{0, 4, 1}, {1000, 2, 1}}, {{8, 1, 1}}, {{16, 3, 1}, {1040, 5, 1}}}, 11},
+		// Only the last lane's stride differs: the whole site is charged
+		// uncoalesced, 4 + 4 + 4 + 5 = 17 instead of the coalesced 5.
+		{"last lane mixes strides", [][]run{{{0, 4, 1}}, {{1, 4, 1}}, {{2, 4, 1}}, {{3, 5, 2}}}, 17},
+	} {
+		buf := &Buffer{}
+		ctxs := make([]ThreadCtx, len(tc.lanes))
+		for i, runs := range tc.lanes {
+			for _, r := range runs {
+				ctxs[i].record(buf, r.start, r.count, r.stride, false)
+			}
+		}
+		if got, _ := warpTransactions(ctxs, new(accountScratch)); got != tc.want {
+			t.Errorf("%s: warpTransactions = %d, want %d", tc.name, got, tc.want)
+		}
+		if ref := refWarpTransactions(ctxs); ref != tc.want {
+			t.Errorf("%s: refWarpTransactions = %d, want %d", tc.name, ref, tc.want)
+		}
+	}
+}
+
+// BenchmarkAccumulateBlock folds a block shaped like a FusedHashTopS block:
+// 256 threads, each reading its two segment offsets, its segment of 2–12
+// contiguous values and writing its 8-word output row, so every site's
+// starts rise with the lane id.
+func BenchmarkAccumulateBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	off, data, out := &Buffer{base: 0}, &Buffer{base: 1 << 20}, &Buffer{base: 1 << 24}
+	const s = 8
+	ctxs := make([]ThreadCtx, 256)
+	pos := 0
+	for i := range ctxs {
+		n := 2 + rng.Intn(11)
+		ctxs[i].record(off, i, 2, 1, false)
+		ctxs[i].record(data, pos, n, 1, false)
+		ctxs[i].record(out, i*s, s, 1, true)
+		ctxs[i].Ops(6 * n)
+		pos += n
+	}
+	sc := new(accountScratch)
+	var st launchStats
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		accumulateBlock(&st, ctxs, 32, sc)
 	}
 }

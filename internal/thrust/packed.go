@@ -21,17 +21,6 @@ import (
 // packed image: bit-offset arithmetic, up to two shifts, an or and a mask.
 const unpackOps = 4
 
-// packedAt extracts value i from a bit-continuous little-endian image.
-func packedAt(w []uint32, i, nbits int, mask uint32) uint32 {
-	bit := i * nbits
-	word, off := bit/32, uint(bit%32)
-	v := w[word] >> off
-	if off+uint(nbits) > 32 {
-		v |= w[word+1] << (32 - off)
-	}
-	return v & mask
-}
-
 func packedMask(nbits int) uint32 {
 	if nbits >= 32 {
 		return 0xFFFFFFFF
@@ -39,12 +28,34 @@ func packedMask(nbits int) uint32 {
 	return 1<<uint(nbits) - 1
 }
 
+// imageWidth is the bit width at which the fused kernels walk a batch
+// image: dataBits for a packed image, 32 for full-width words, which are
+// the image at 32 bits per value. Together with bitValue it serves both.
+func imageWidth(dataBits int) uint {
+	if dataBits == 0 {
+		return 32
+	}
+	return uint(dataBits)
+}
+
+// bitValue extracts the value of the given width that starts at bit pos of
+// a bit-continuous little-endian image. The kernels walk an image by
+// advancing pos by the width per value, with no multiply or divide.
+func bitValue(w []uint32, pos, width uint, mask uint32) uint32 {
+	word, off := pos/32, pos%32
+	v := w[word] >> off
+	if off+width > 32 {
+		v |= w[word+1] << (32 - off)
+	}
+	return v & mask
+}
+
 // FusedHashTopS fuses TransformHash with SegmentedTopSAt into one launch:
 // for each segment the owning thread reads the segment's values — from the
 // packed image directly when dataBits > 0, from full-width words when
 // dataBits == 0 — applies the min-wise hash h to each,
-// and maintains the running s minima with the same insertion scan as
-// SegmentedTopSAt, writing them sentinel-padded at out[outBase+seg*s:...).
+// and maintains the running s minima, charged as SegmentedTopSAt's
+// insertion scan, writing them sentinel-padded at out[outBase+seg*s:...).
 // The fusion eliminates one kernel launch and the full-width hash buffer's
 // global write + re-read per trial; the price is that the hash work runs at
 // the top-s kernel's one-thread-per-segment occupancy instead of the
@@ -73,7 +84,12 @@ func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 		return nil
 	}
 	grid := (segs.NumSegs + blockDim - 1) / blockDim
-	mask := packedMask(max(dataBits, 1))
+	elemOps := hashOps
+	if dataBits > 0 {
+		elemOps += unpackOps
+	}
+	width := imageWidth(dataBits)
+	mask := packedMask(int(width))
 	d.NextKernelName("fused_hash_top_s")
 	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
@@ -84,24 +100,12 @@ func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 		lo, hi := int(off[seg]), int(off[seg+1])
 		n := hi - lo
 		ctx.GlobalRead(segs.Offsets, seg, 2, 1)
-		w := data.Words()
-		hash := func(i int) uint32 {
-			var v uint32
-			if dataBits > 0 {
-				v = packedAt(w, lo+i, dataBits, mask)
-			} else {
-				v = w[lo+i]
-			}
-			return h.Apply(v)
-		}
+		w, pos := data.Words(), uint(lo)*width
 		dst := out.Words()[outBase+seg*s : outBase+(seg+1)*s]
-		elemOps := hashOps
-		if dataBits > 0 {
-			elemOps += unpackOps
-		}
 		if n < s {
 			for i := 0; i < n; i++ {
-				dst[i] = hash(i)
+				dst[i] = h.Apply(bitValue(w, pos, width, mask))
+				pos += width
 			}
 			insertionSort(dst[:n])
 			for i := n; i < s; i++ {
@@ -114,39 +118,63 @@ func FusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 		}
 		ops := n * elemOps
 		// Seed with the first s hashes, insertion-sorted.
-		filled := 0
 		for i := 0; i < s; i++ {
-			x := hash(i)
-			j := filled
+			x := h.Apply(bitValue(w, pos, width, mask))
+			pos += width
+			j := i
 			for j > 0 && dst[j-1] > x {
 				dst[j] = dst[j-1]
 				j--
 				ops++
 			}
 			dst[j] = x
-			filled++
 			ops += 2
 		}
-		// Stream the remainder keeping the s minima.
+		// Stream the remainder keeping the s minima. Value i displaces
+		// one with probability about s/(i+1), so before i = 4s it is
+		// inserted without a data-dependent branch; after, the values
+		// that cannot displace one are skipped.
+		last := dst[s-1]
 		for i := s; i < n; i++ {
-			x := hash(i)
+			x := h.Apply(bitValue(w, pos, width, mask))
+			pos += width
 			ops++
-			if x >= dst[s-1] {
+			if i >= 4*s && x >= last {
 				continue
 			}
-			j := s - 1
-			for j > 0 && dst[j-1] > x {
-				dst[j] = dst[j-1]
-				j--
-				ops++
-			}
-			dst[j] = x
-			ops += 2
+			ops += insertMin(dst, x)
+			last = dst[s-1]
 		}
 		chargeSegmentRead(ctx, data, lo, n, dataBits)
 		ctx.GlobalWrite(out, outBase+seg*s, s, 1)
 		ctx.Ops(ops)
 	})
+}
+
+// insertMin inserts x into the ascending window dst, dropping the window's
+// largest value, without branching on the data: position k takes its left
+// neighbour when that exceeds x, x at the insertion point, and otherwise
+// keeps its value, so an x not below the largest value changes nothing. It
+// returns the operations the insertion scan charges: 2 plus one per
+// shifted value when x enters the window, none when it does not.
+func insertMin(dst []uint32, x uint32) int {
+	ops := 0
+	if x < dst[len(dst)-1] {
+		ops = 2
+	}
+	for k := len(dst) - 1; k > 0; k-- {
+		left, v := dst[k-1], dst[k]
+		if v > x {
+			v = x
+		}
+		if left > x {
+			v = left
+			ops++
+		}
+		dst[k] = v
+	}
+	dst[0] = min(dst[0], x)
+	return ops
 }
 
 // FusedHashSort fuses TransformHash with SegmentedSort for the full-sort
@@ -173,7 +201,8 @@ func FusedHashSort(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 			dst.Len(), off[segs.NumSegs])
 	}
 	grid := (segs.NumSegs + blockDim - 1) / blockDim
-	mask := packedMask(max(dataBits, 1))
+	width := imageWidth(dataBits)
+	mask := packedMask(int(width))
 	d.NextKernelName("fused_hash_sort")
 	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
@@ -186,16 +215,11 @@ func FusedHashSort(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dat
 		if n == 0 {
 			return
 		}
-		w := data.Words()
+		w, pos := data.Words(), uint(lo)*width
 		t := dst.Words()[lo:hi]
-		for i := 0; i < n; i++ {
-			var v uint32
-			if dataBits > 0 {
-				v = packedAt(w, lo+i, dataBits, mask)
-			} else {
-				v = w[lo+i]
-			}
-			t[i] = h.Apply(v)
+		for i := range t {
+			t[i] = h.Apply(bitValue(w, pos, width, mask))
+			pos += width
 		}
 		if n <= segSortThreshold {
 			insertionSort(t)

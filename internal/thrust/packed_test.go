@@ -1,6 +1,7 @@
 package thrust
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -239,4 +240,189 @@ func TestFusedHashSortMatchesSplit(t *testing.T) {
 	if err := d.LeakCheck(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// packedAt extracts value i from a bit-continuous little-endian image, as
+// the kernels did before they walked images with a running bit position.
+func packedAt(w []uint32, i, nbits int, mask uint32) uint32 {
+	bit := i * nbits
+	word, off := bit/32, uint(bit%32)
+	v := w[word] >> off
+	if off+uint(nbits) > 32 {
+		v |= w[word+1] << (32 - off)
+	}
+	return v & mask
+}
+
+// refFusedHashTopS is the FusedHashTopS kernel before its body streamed the
+// image: one packedAt call (a multiply, a divide and the width branch) per
+// value through a closure, and an insertion scan that branches on every
+// value. It is kept as the oracle for the streaming body, which must write
+// the same words and record the same ops and traffic.
+func refFusedHashTopS(d *gpusim.Device, st *gpusim.Stream, data *gpusim.Buffer, dataBits int,
+	segs Segments, s int, h minwise.HashPair, out *gpusim.Buffer, outBase int) error {
+
+	if s <= 0 {
+		return fmt.Errorf("thrust: refFusedHashTopS with s=%d", s)
+	}
+	if outBase < 0 {
+		return fmt.Errorf("thrust: refFusedHashTopS with outBase=%d", outBase)
+	}
+	if dataBits < 0 || dataBits > 32 {
+		return fmt.Errorf("thrust: refFusedHashTopS width %d outside [0,32]", dataBits)
+	}
+	if err := validatePackedSegments(segs, data, dataBits); err != nil {
+		return err
+	}
+	if out.Len() < outBase+segs.NumSegs*s {
+		return fmt.Errorf("thrust: refFusedHashTopS output of %d words, need %d", out.Len(), outBase+segs.NumSegs*s)
+	}
+	if segs.NumSegs == 0 {
+		return nil
+	}
+	grid := (segs.NumSegs + blockDim - 1) / blockDim
+	mask := packedMask(max(dataBits, 1))
+	d.NextKernelName("fused_hash_top_s")
+	return launch(d, st, grid, blockDim, func(ctx *gpusim.ThreadCtx) {
+		seg := ctx.GlobalID()
+		if seg >= segs.NumSegs {
+			return
+		}
+		off := segs.Offsets.Words()
+		lo, hi := int(off[seg]), int(off[seg+1])
+		n := hi - lo
+		ctx.GlobalRead(segs.Offsets, seg, 2, 1)
+		w := data.Words()
+		hash := func(i int) uint32 {
+			var v uint32
+			if dataBits > 0 {
+				v = packedAt(w, lo+i, dataBits, mask)
+			} else {
+				v = w[lo+i]
+			}
+			return h.Apply(v)
+		}
+		dst := out.Words()[outBase+seg*s : outBase+(seg+1)*s]
+		elemOps := hashOps
+		if dataBits > 0 {
+			elemOps += unpackOps
+		}
+		if n < s {
+			for i := 0; i < n; i++ {
+				dst[i] = hash(i)
+			}
+			insertionSort(dst[:n])
+			for i := n; i < s; i++ {
+				dst[i] = TopSSentinel
+			}
+			chargeSegmentRead(ctx, data, lo, n, dataBits)
+			ctx.GlobalWrite(out, outBase+seg*s, s, 1)
+			ctx.Ops(n*n/2 + s + n*elemOps)
+			return
+		}
+		ops := n * elemOps
+		// Seed with the first s hashes, insertion-sorted.
+		filled := 0
+		for i := 0; i < s; i++ {
+			x := hash(i)
+			j := filled
+			for j > 0 && dst[j-1] > x {
+				dst[j] = dst[j-1]
+				j--
+				ops++
+			}
+			dst[j] = x
+			filled++
+			ops += 2
+		}
+		// Stream the remainder keeping the s minima.
+		for i := s; i < n; i++ {
+			x := hash(i)
+			ops++
+			if x >= dst[s-1] {
+				continue
+			}
+			j := s - 1
+			for j > 0 && dst[j-1] > x {
+				dst[j] = dst[j-1]
+				j--
+				ops++
+			}
+			dst[j] = x
+			ops += 2
+		}
+		chargeSegmentRead(ctx, data, lo, n, dataBits)
+		ctx.GlobalWrite(out, outBase+seg*s, s, 1)
+		ctx.Ops(ops)
+	})
+}
+
+// FuzzFusedHashTopS checks FusedHashTopS against refFusedHashTopS on fuzzed
+// segments: every width from 0 (full words) to 32, segments empty, shorter
+// than s and longer, repeated values (equal hashes), and a nonzero outBase.
+// Each segment is a length byte followed by that many value bytes. The
+// output buffer, pre-filled, must match word for word, and the launch's
+// ThreadOps, WarpSerialOps and GlobalTransactions must be equal.
+func FuzzFusedHashTopS(f *testing.F) {
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 2, 9, 9, 0, 7, 7, 7, 1, 2, 3, 4, 5}, uint8(5), uint8(3), uint8(0))
+	f.Add([]byte{3, 255, 0, 128, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0), uint8(4), uint8(7))
+	f.Add([]byte{4, 1, 0, 1, 1, 6, 0, 0, 1, 1, 0, 1}, uint8(1), uint8(2), uint8(3))
+	f.Add([]byte{7, 200, 100, 50, 25, 12, 6, 3, 1, 33}, uint8(32), uint8(1), uint8(1))
+	f.Add([]byte{2, 40, 41, 9, 17, 18, 19, 20, 21, 22, 23, 24, 25}, uint8(17), uint8(5), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, width, sRaw, base uint8) {
+		nbits := int(width) % 33
+		s := 1 + int(sRaw)%8
+		outBase := int(base) % 16
+		mask := uint32(0xFFFFFFFF)
+		if nbits > 0 {
+			mask = packedMask(nbits)
+		}
+		var vals []uint32
+		offs := []uint32{0}
+		for i := 0; i < len(raw); {
+			n := int(raw[i]) % (6*s + 2)
+			i++
+			for ; n > 0 && i < len(raw); n-- {
+				vals = append(vals, uint32(raw[i])*2654435761&mask)
+				i++
+			}
+			offs = append(offs, uint32(len(vals)))
+		}
+		numSegs := len(offs) - 1
+		img := vals
+		if nbits > 0 {
+			img = gpusim.PackBits(vals, nbits)
+		}
+		h := minwise.HashPair{A: 48271, B: 7919}
+		run := func(kernel func(*gpusim.Device, *gpusim.Stream, *gpusim.Buffer, int, Segments, int,
+			minwise.HashPair, *gpusim.Buffer, int) error) ([]uint32, gpusim.Metrics) {
+			dev := gpusim.MustNew(gpusim.SmallConfig())
+			data := upload(t, dev, append(append([]uint32(nil), img...), 0))
+			segs := Segments{Offsets: upload(t, dev, offs), NumSegs: numSegs}
+			fill := make([]uint32, outBase+numSegs*s+1)
+			for i := range fill {
+				fill[i] = 0xA5A5A5A5
+			}
+			out := upload(t, dev, fill)
+			before := dev.Metrics()
+			if err := kernel(dev, nil, data, nbits, segs, s, h, out, outBase); err != nil {
+				t.Fatal(err)
+			}
+			return download(t, dev, out, len(fill)), dev.Metrics().Sub(before)
+		}
+		got, gm := run(FusedHashTopS)
+		want, wm := run(refFusedHashTopS)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("word %d = %#x, reference %#x (nbits=%d, s=%d, outBase=%d, offsets %v)",
+					i, got[i], want[i], nbits, s, outBase, offs)
+			}
+		}
+		if gm.ThreadOps != wm.ThreadOps || gm.WarpSerialOps != wm.WarpSerialOps ||
+			gm.GlobalTransactions != wm.GlobalTransactions {
+			t.Fatalf("launch records ops %d / warp %d / transactions %d, reference %d / %d / %d (nbits=%d, s=%d)",
+				gm.ThreadOps, gm.WarpSerialOps, gm.GlobalTransactions,
+				wm.ThreadOps, wm.WarpSerialOps, wm.GlobalTransactions, nbits, s)
+		}
+	})
 }

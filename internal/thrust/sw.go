@@ -198,9 +198,11 @@ func decodeResidues(dst []byte, seq []uint32, off, n, bits int) []byte {
 		}
 		return dst
 	}
-	mask := packedMask(bits)
+	width, mask := uint(bits), packedMask(bits)
+	pos := uint(off) * width
 	for i := range dst {
-		dst[i] = byte(packedAt(seq, off+i, bits, mask))
+		dst[i] = byte(bitValue(seq, pos, width, mask))
+		pos += width
 	}
 	return dst
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
 # full test suite, the benchmark module, the invariants-build sweep, the
-# Table I, LSH and serve goldens, the virtual-clock benchmark gates, fuzz smoke, and a race
-# sweep of the concurrent packages (host-parallel backend, pGraph worker
-# pool, device simulator). Run from the repository root; exits non-zero on
-# any failure.
+# Table I, LSH, serve and fault-recovery goldens, the virtual-clock
+# benchmark gates, fuzz smoke, and a race sweep of the concurrent packages
+# (host-parallel backend, pGraph worker pool, device simulator). Run from
+# the repository root; exits non-zero on any failure.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -81,10 +81,10 @@ go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/
 echo "== lsh filter equivalence gate (device LSH must match host, and so must the graphs it yields)"
 go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU' ./internal/pgraph/
 
-echo "== golden sections (-exp table1, lsh and serve must reproduce their experiments_output.txt sections)"
+echo "== golden sections (-exp table1, lsh, serve and faults must reproduce their experiments_output.txt sections)"
 # A section is the committed block that opens with the fresh output's first
 # line and runs to the next blank line, "== " heading or ablation title.
-for exp in table1 lsh serve; do
+for exp in table1 lsh serve faults; do
     go run ./cmd/experiments -exp "$exp" > "$tmp_dir/$exp.txt"
     awk -v h="$(head -n 1 "$tmp_dir/$exp.txt")" '
         $0 == h { on = 1; print; next }
@@ -150,6 +150,7 @@ go test -run='^$' -fuzz=FuzzRadixSort -fuzztime=10s ./internal/core/
 go test -run='^$' -fuzz=FuzzPlanBatches -fuzztime=10s ./internal/sched/
 go test -run='^$' -fuzz=FuzzSegmentedSort -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzPackResidues -fuzztime=10s ./internal/thrust/
+go test -run='^$' -fuzz=FuzzFusedHashTopS -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzSegmentedMinHash -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzSortPairs64 -fuzztime=10s ./internal/thrust/
 go test -run='^$' -fuzz=FuzzUnionFind -fuzztime=10s ./internal/unionfind/
