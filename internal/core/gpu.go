@@ -537,6 +537,7 @@ func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) 
 	// A local stream: the trials' slice headers share cache lines, which
 	// the pool's workers would otherwise write on every append.
 	stream := e.tuplesByTrial[trial]
+	th := trialHash(uint32(trial))
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
 		ops += int64(s)
@@ -548,7 +549,7 @@ func (e *passEnv) emitTrialTuples(plan *batchPlan, trial int, hostOut []uint32) 
 			continue // no shingle for short lists
 		}
 		stream = append(stream, tuple{
-			key:   shingleKey(uint32(trial), vals),
+			key:   shingleKeyFrom(th, vals),
 			owner: e.in.Owner(pc.list),
 		})
 		tuples++

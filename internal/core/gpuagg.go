@@ -146,6 +146,7 @@ func shingleKeyKernel(dev *gpusim.Device, st *gpusim.Stream, out, flags, owners 
 	numPieces, s int, trial uint32, keyHi, keyLo, val *gpusim.Buffer) error {
 	const bd = 256
 	grid := (numPieces + bd - 1) / bd
+	th := trialHash(trial)
 	dev.NextKernelName("shingle_key")
 	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
@@ -164,7 +165,7 @@ func shingleKeyKernel(dev *gpusim.Device, st *gpusim.Stream, out, flags, owners 
 			return
 		}
 		minima := out.Words()[seg*s : (seg+1)*s]
-		key := shingleKey(trial, minima)
+		key := shingleKeyFrom(th, minima)
 		keyHi.Words()[seg] = uint32(key >> 32)
 		keyLo.Words()[seg] = uint32(key)
 		val.Words()[seg] = owners.Words()[seg]

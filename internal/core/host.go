@@ -119,11 +119,11 @@ func runPassHost(in *SegGraph, fam minwise.Family, s, workers int, led *sched.Le
 	sched.ParallelFor(workers, c, func(_, j int) {
 		minima := getMinima(s)
 		defer putMinima(minima)
-		h := fam.Pairs[j]
+		h, th := fam.Pairs[j], trialHash(uint32(j))
 		ts := block[j*n : (j+1)*n : (j+1)*n]
 		for k, i := range long {
 			minwise.MinS(h, in.List(i), minima)
-			ts[k] = tuple{key: shingleKey(uint32(j), minima), owner: in.Owner(i)}
+			ts[k] = tuple{key: shingleKeyFrom(th, minima), owner: in.Owner(i)}
 		}
 		tuplesByTrial[j] = ts
 	})

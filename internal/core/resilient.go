@@ -257,13 +257,14 @@ func (e *passEnv) emitTrialAggHost(plan *batchPlan, trial int, hostOut []uint32)
 	s := e.s
 	var stream []tuple
 	var ops int64
+	th := trialHash(uint32(trial))
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
 		switch {
 		case !pc.isWhole(e.in):
 			ops += e.mergeSplitPiece(pc, trial, vals)
 		case pc.words() >= s:
-			stream = append(stream, tuple{key: shingleKey(uint32(trial), vals), owner: e.in.Owner(pc.list)})
+			stream = append(stream, tuple{key: shingleKeyFrom(th, vals), owner: e.in.Owner(pc.list)})
 		}
 	}
 	sortTuples(stream)

@@ -78,23 +78,33 @@ type tuple struct {
 	owner uint32
 }
 
+// fnvPrime64 is the 64-bit FNV-1a multiplier.
+const fnvPrime64 = 1099511628211
+
 // shingleKey hashes (trial, minima...) to the shingle's integer identity
 // (64-bit FNV-1a; the paper assumes "an integer representation obtained
 // using a hash function").
 func shingleKey(trial uint32, minima []uint32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	return shingleKeyFrom(trialHash(trial), minima)
+}
+
+// trialHash is the FNV-1a state after a trial's 4 bytes: the prefix every
+// shingle key of the trial shares, so emitters hash it once per trial.
+func trialHash(trial uint32) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
 	for sh := 0; sh < 32; sh += 8 {
 		h ^= uint64((trial >> sh) & 0xff)
-		h *= prime64
+		h *= fnvPrime64
 	}
+	return h
+}
+
+// shingleKeyFrom finishes a shingle key from its trial's trialHash.
+func shingleKeyFrom(h uint64, minima []uint32) uint64 {
 	for _, v := range minima {
 		for sh := 0; sh < 32; sh += 8 {
 			h ^= uint64((v >> sh) & 0xff)
-			h *= prime64
+			h *= fnvPrime64
 		}
 	}
 	return h

@@ -55,6 +55,35 @@ func TestOwnerDefaultsToIndex(t *testing.T) {
 	}
 }
 
+// refShingleKey is shingleKey's one-pass body: FNV-1a over the trial's
+// bytes, then the minima's.
+func refShingleKey(trial uint32, minima []uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range append([]uint32{trial}, minima...) {
+		for sh := 0; sh < 32; sh += 8 {
+			h ^= uint64((v >> sh) & 0xff)
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
+// TestShingleKeyFromTrialHash: a key finished from its trial's hoisted
+// prefix equals the one-pass hash.
+func TestShingleKeyFromTrialHash(t *testing.T) {
+	for _, trial := range []uint32{0, 1, 199, 1 << 31, ^uint32(0)} {
+		for _, minima := range [][]uint32{nil, {0}, {10, 20}, {7, 1 << 30, ^uint32(0)}} {
+			want := refShingleKey(trial, minima)
+			if got := shingleKeyFrom(trialHash(trial), minima); got != want {
+				t.Fatalf("trial %d minima %v: shingleKeyFrom = %#x, one-pass hash %#x", trial, minima, got, want)
+			}
+			if got := shingleKey(trial, minima); got != want {
+				t.Fatalf("trial %d minima %v: shingleKey = %#x, one-pass hash %#x", trial, minima, got, want)
+			}
+		}
+	}
+}
+
 func TestShingleKeyProperties(t *testing.T) {
 	a := shingleKey(3, []uint32{10, 20})
 	b := shingleKey(3, []uint32{10, 20})

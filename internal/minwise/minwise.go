@@ -26,9 +26,19 @@ type HashPair struct {
 	A, B uint64
 }
 
-// Apply maps a vertex id through the permutation.
+// Apply maps a vertex id through the permutation. P is a Mersenne prime,
+// so x mod P folds x's bits above 31 onto its low 31 (2^31 ≡ 1 mod P):
+// two folds bring any uint64 x to at most P+5, and one conditional
+// subtraction finishes — equal to x % P for every x, a wrapped product
+// included, without a division.
 func (h HashPair) Apply(v uint32) uint32 {
-	return uint32((h.A*uint64(v) + h.B) % Prime)
+	x := h.A*uint64(v) + h.B
+	x = (x & Prime) + (x >> 31)
+	x = (x & Prime) + (x >> 31)
+	if x >= Prime {
+		x -= Prime
+	}
+	return uint32(x)
 }
 
 // Family is a fixed set of c random hash pairs H = {h_1 … h_c}, shared by

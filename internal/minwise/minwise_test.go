@@ -18,6 +18,27 @@ func TestHashPairApplyInRange(t *testing.T) {
 	}
 }
 
+// refApply is Apply's reference body: the division it folds away.
+func refApply(h HashPair, v uint32) uint32 {
+	return uint32((h.A*uint64(v) + h.B) % Prime)
+}
+
+// FuzzHashPairApply checks the Mersenne fold against x % P for any pair,
+// including A and B outside [0, P), whose products wrap uint64.
+func FuzzHashPairApply(f *testing.F) {
+	for _, v := range []uint32{0, uint32(Prime - 1), uint32(Prime), math.MaxUint32} {
+		f.Add(Prime-1, Prime-1, v)
+		f.Add(Prime-1, uint64(0), v)
+	}
+	f.Add(uint64(math.MaxUint64), uint64(math.MaxUint64), uint32(math.MaxUint32))
+	f.Fuzz(func(t *testing.T, a, b uint64, v uint32) {
+		h := HashPair{A: a, B: b}
+		if got, want := h.Apply(v), refApply(h, v); got != want {
+			t.Fatalf("HashPair{%d, %d}.Apply(%d) = %d, want %d", a, b, v, got, want)
+		}
+	})
+}
+
 func TestNewFamilyDeterministic(t *testing.T) {
 	f1 := NewFamily(50, 7)
 	f2 := NewFamily(50, 7)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"gpclust/internal/minwise"
 	"gpclust/internal/pgraph"
@@ -19,8 +21,8 @@ import (
 // v ≥ 0 is that member, inline; a value v < 0 names lists[-v-1], the
 // members of a shared bucket in insertion order. Candidates therefore come
 // out in the order members were bucketed, and a singleton bucket costs one
-// map entry and nothing else (the index is most of serve's resident memory,
-// and grows with every insert).
+// 8-byte entry of its band and nothing else (the index is most of serve's
+// resident memory, and grows with every insert; see band).
 //
 // keys is pure and safe to call from any goroutine; everything else is
 // owned by the server's scheduler goroutine and not safe for concurrent use.
@@ -29,15 +31,16 @@ type lshIndex struct {
 	fam   minwise.Family
 	k     int // shingle length (Config.MinExactMatch)
 
-	buckets []map[uint32]int32 // one map per band
-	lists   [][]int32          // shared buckets' members, in insertion order
+	bands []band
+	lists [][]int32 // shared buckets' members, in insertion order
 
 	// undo logs every bucket change since the last mark, so a failed insert
 	// pass can be rolled back without rebuilding the index.
 	undo []undoRec
 }
 
-// bucketKey is a bucket's coordinates: its band and its key in that band.
+// bucketKey is a bucket's coordinates in the undo log: its band and its
+// key in that band.
 type bucketKey struct {
 	band int32
 	key  uint32
@@ -55,44 +58,126 @@ type undoRec struct {
 	prev int32
 }
 
-func newLSHIndex(shape pgraph.LSHShape, k int) *lshIndex {
-	ix := &lshIndex{shape: shape, fam: shape.Family(), k: k}
-	ix.buckets = make([]map[uint32]int32, shape.Bands)
-	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint32]int32)
-	}
-	return ix
+// band is one band's buckets, key → value. The bulk lives in base, sorted
+// by key, each bucket one word key<<32 | uint32(value): a hash map's empty
+// slots would double the index's memory just after every growth step, and
+// all bands grow in step. start indexes base by the keys' top bits (keys
+// are hashes): the buckets whose key>>shift is h are
+// base[start[h]:start[h+1]], four to eight of them on average, so a lookup
+// reads about two cache lines, not a binary search's dozen. Buckets made
+// since the last merge live in delta; commit merges delta into base once
+// it holds an eighth as many buckets, so each bucket is copied O(1) times
+// on average. A value can change in either part; a bucket never leaves
+// base.
+type band struct {
+	base  []uint64
+	start []int32
+	shift uint
+	delta map[uint32]int32
 }
 
-// keys returns the bucket coordinates of one residue string (nil: shorter
-// than the shingle length, so ineligible and never bucketed — exactly the
-// batch filter's treatment of short sequences). It reads only the index's
-// fixed shape, so a pass computes its sequences' keys on a worker pool.
-func (ix *lshIndex) keys(residues []byte) []bucketKey {
+// mergeShare is the delta size, as a fraction 1/mergeShare of base's, at
+// which commit merges a band.
+const mergeShare = 8
+
+// find returns the bucket's value and its slot in base (-1: in delta, or
+// absent when !ok). base is read first: it holds most buckets, and a
+// resident sequence's query finds its own in every band.
+func (b *band) find(key uint32) (slot int, v int32, ok bool) {
+	if len(b.base) > 0 {
+		h := key >> b.shift
+		for i := b.start[h]; i < b.start[h+1]; i++ {
+			if k := uint32(b.base[i] >> 32); k >= key {
+				if k == key {
+					return int(i), int32(uint32(b.base[i])), true
+				}
+				break
+			}
+		}
+	}
+	v, ok = b.delta[key]
+	return -1, v, ok
+}
+
+// set stores the bucket's value in the slot find returned for it.
+func (b *band) set(slot int, key uint32, v int32) {
+	if slot >= 0 {
+		b.base[slot] = uint64(key)<<32 | uint64(uint32(v))
+		return
+	}
+	if b.delta == nil {
+		b.delta = make(map[uint32]int32)
+	}
+	b.delta[key] = v
+}
+
+// merge folds delta into base (a new exact-size array) once delta holds
+// an eighth as many buckets as base.
+func (b *band) merge() {
+	if len(b.delta) == 0 || len(b.delta)*mergeShare < len(b.base) {
+		return
+	}
+	add := make([]uint64, 0, len(b.delta))
+	for k, v := range b.delta {
+		add = append(add, uint64(k)<<32|uint64(uint32(v)))
+	}
+	slices.Sort(add)
+	merged := make([]uint64, 0, len(b.base)+len(add))
+	i, j := 0, 0
+	for i < len(b.base) && j < len(add) {
+		if b.base[i] < add[j] {
+			merged = append(merged, b.base[i])
+			i++
+		} else {
+			merged = append(merged, add[j])
+			j++
+		}
+	}
+	merged = append(append(merged, b.base[i:]...), add[j:]...)
+	b.base, b.delta = merged, nil
+
+	// 2^top is in (n/8, n/4], so four to eight buckets per start entry; a
+	// shift of 32 (a tiny base) maps every key to entry 0.
+	top := bits.Len(uint(len(merged)) >> 3)
+	b.shift = uint(32 - top)
+	b.start = make([]int32, 1<<top+1)
+	for _, w := range merged {
+		b.start[uint32(w>>32)>>b.shift+1]++
+	}
+	for h := 1; h < len(b.start); h++ {
+		b.start[h] += b.start[h-1]
+	}
+}
+
+func newLSHIndex(shape pgraph.LSHShape, k int) *lshIndex {
+	return &lshIndex{shape: shape, fam: shape.Family(), k: k, bands: make([]band, shape.Bands)}
+}
+
+// keys returns the band keys of one residue string, band b's at index b
+// (nil: shorter than the shingle length, so ineligible and never bucketed —
+// exactly the batch filter's treatment of short sequences). It reads only
+// the index's fixed shape, so a pass computes its sequences' keys on a
+// worker pool, and the assign cache keeps them for the query's next pass.
+func (ix *lshIndex) keys(residues []byte) []uint32 {
 	set := pgraph.ShingleSet(residues, ix.k)
 	if len(set) == 0 {
 		return nil
 	}
-	keys := ix.shape.BandKeys(ix.fam, set)
-	bks := make([]bucketKey, len(keys))
-	for b, k := range keys {
-		bks[b] = bucketKey{band: int32(b), key: k}
-	}
-	return bks
+	return ix.shape.BandKeys(ix.fam, set)
 }
 
-// collect appends to out every member of the bucket with value v not yet
-// in seen.
-func (ix *lshIndex) collect(v int32, seen map[int32]bool, out []int32) []int32 {
+// collect appends to out every member ≥ from of the bucket with value v
+// not yet in seen.
+func (ix *lshIndex) collect(v, from int32, seen map[int32]bool, out []int32) []int32 {
 	if v >= 0 {
-		if !seen[v] {
+		if v >= from && !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
 		return out
 	}
 	for _, m := range ix.lists[-v-1] {
-		if !seen[m] {
+		if m >= from && !seen[m] {
 			seen[m] = true
 			out = append(out, m)
 		}
@@ -100,17 +185,19 @@ func (ix *lshIndex) collect(v int32, seen map[int32]bool, out []int32) []int32 {
 	return out
 }
 
-// candidates returns the distinct resident members sharing a bucket with
-// the keys, without inserting anything — the assign path.
-func (ix *lshIndex) candidates(bks []bucketKey) []int32 {
-	if len(bks) == 0 {
+// candidates returns the distinct resident members ≥ from sharing a bucket
+// with the keys, without inserting anything — the assign path. A query
+// whose best member among the first n residents is cached asks only for
+// from = n: inserts never take a member out of a bucket.
+func (ix *lshIndex) candidates(keys []uint32, from int32) []int32 {
+	if len(keys) == 0 {
 		return nil
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, bk := range bks {
-		if v, ok := ix.buckets[bk.band][bk.key]; ok {
-			out = ix.collect(v, seen, out)
+	for band, key := range keys {
+		if _, v, ok := ix.bands[band].find(key); ok {
+			out = ix.collect(v, from, seen, out)
 		}
 	}
 	return out
@@ -120,26 +207,26 @@ func (ix *lshIndex) candidates(bks []bucketKey) []int32 {
 // candidates among the members already resident (exactly the pairs the
 // batch filter would emit for it). Every bucket change is undo-logged;
 // empty keys insert nothing.
-func (ix *lshIndex) insert(id int32, bks []bucketKey) []int32 {
-	if len(bks) == 0 {
+func (ix *lshIndex) insert(id int32, keys []uint32) []int32 {
+	if len(keys) == 0 {
 		return nil
 	}
 	seen := make(map[int32]bool)
 	var out []int32
-	for _, bk := range bks {
-		b := ix.buckets[bk.band]
-		v, ok := b[bk.key]
-		rec := undoRec{bucketKey: bk, prev: absent}
+	for band, key := range keys {
+		b := &ix.bands[band]
+		slot, v, ok := b.find(key)
+		rec := undoRec{bucketKey: bucketKey{band: int32(band), key: key}, prev: absent}
 		switch {
 		case !ok:
-			b[bk.key] = id
+			b.set(slot, key, id)
 		case v >= 0:
-			out = ix.collect(v, seen, out)
+			out = ix.collect(v, 0, seen, out)
 			ix.lists = append(ix.lists, []int32{v, id})
-			b[bk.key] = -int32(len(ix.lists))
+			b.set(slot, key, -int32(len(ix.lists)))
 			rec.prev = v
 		default:
-			out = ix.collect(v, seen, out)
+			out = ix.collect(v, 0, seen, out)
 			ix.lists[-v-1] = append(ix.lists[-v-1], id)
 			rec.prev = v
 		}
@@ -155,17 +242,19 @@ func (ix *lshIndex) mark() int { return len(ix.undo) }
 func (ix *lshIndex) rollback(mark int) {
 	// Newest first, each record restores its bucket's previous value. A
 	// bucket that was a singleton got the newest list, so the lists made
-	// since mark come off the end in reverse order of their making.
+	// since mark come off the end in reverse order of their making. Only
+	// commit merges, so a bucket made since mark is still in delta.
 	for i := len(ix.undo) - 1; i >= mark; i-- {
 		r := ix.undo[i]
-		b := ix.buckets[r.band]
+		b := &ix.bands[r.band]
 		switch {
 		case r.prev == absent:
-			delete(b, r.key)
+			delete(b.delta, r.key)
 		case r.prev >= 0:
 			ix.lists[len(ix.lists)-1] = nil
 			ix.lists = ix.lists[:len(ix.lists)-1]
-			b[r.key] = r.prev
+			slot, _, _ := b.find(r.key)
+			b.set(slot, r.key, r.prev)
 		default:
 			l := -r.prev - 1
 			ix.lists[l] = ix.lists[l][:len(ix.lists[l])-1]
@@ -174,8 +263,13 @@ func (ix *lshIndex) rollback(mark int) {
 	ix.undo = ix.undo[:mark]
 }
 
-// commit makes the inserts since the last mark permanent and frees the
-// undo log: the next pass starts a log of its own size, so a large pass
-// (the bootstrap logs one record per band per sequence) leaves nothing
-// behind.
-func (ix *lshIndex) commit() { ix.undo = nil }
+// commit makes the inserts since the last mark permanent, merges each band
+// whose delta has grown enough, and frees the undo log: the next pass
+// starts a log of its own size, so a large pass (the bootstrap logs one
+// record per band per sequence) leaves nothing behind.
+func (ix *lshIndex) commit() {
+	for b := range ix.bands {
+		ix.bands[b].merge()
+	}
+	ix.undo = nil
+}

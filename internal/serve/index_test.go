@@ -13,8 +13,11 @@ import (
 // TestLSHIndexMatchesBucketScan checks the resident index against a plain
 // scan of every member's buckets, under the default banded shape and a
 // 16×2 one: candidates come out band by band, each bucket in insertion
-// order, a rolled-back pass leaves the index answering as if it never ran,
-// and a commit frees the undo log.
+// order, candidates from a member on are the scan's members from it on, a
+// rolled-back pass leaves the index answering as if it never ran, and a
+// commit frees the undo log. The stages hold buckets in base only, in base
+// and delta within a pass and after a commit too small to merge, and in
+// base again after a merge.
 func TestLSHIndexMatchesBucketScan(t *testing.T) {
 	corpus := testMetagenome(t, 60)
 	for _, bands := range [][2]int{{0, 0}, {16, 2}} {
@@ -26,13 +29,13 @@ func TestLSHIndexMatchesBucketScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix := newLSHIndex(shape, p.MinExactMatch)
-		var members [][]bucketKey // each member's buckets, by id
-		scan := func(bks []bucketKey) []int32 {
+		var members [][]uint32 // each member's band keys, by id
+		scan := func(keys []uint32, from int32) []int32 {
 			seen := make(map[int32]bool)
 			var out []int32
-			for _, bk := range bks {
-				for id, mbks := range members {
-					if m := int32(id); !seen[m] && slices.Contains(mbks, bk) {
+			for band, key := range keys {
+				for id, mkeys := range members {
+					if m := int32(id); m >= from && !seen[m] && len(mkeys) > 0 && mkeys[band] == key {
 						seen[m] = true
 						out = append(out, m)
 					}
@@ -43,7 +46,7 @@ func TestLSHIndexMatchesBucketScan(t *testing.T) {
 		insert := func(from, to int) {
 			for id := from; id < to; id++ {
 				bks := ix.keys(corpus[id].Residues)
-				want := scan(bks)
+				want := scan(bks, 0)
 				if got := ix.insert(int32(id), bks); !slices.Equal(got, want) {
 					t.Fatalf("%+v: insert %d: candidates %v, bucket scan %v", shape, id, got, want)
 				}
@@ -53,29 +56,38 @@ func TestLSHIndexMatchesBucketScan(t *testing.T) {
 		check := func(stage string) {
 			for id, q := range corpus {
 				bks := ix.keys(q.Residues)
-				if got, want := ix.candidates(bks), scan(bks); !slices.Equal(got, want) {
-					t.Fatalf("%+v %s: candidates of %d = %v, bucket scan %v", shape, stage, id, got, want)
+				for _, from := range []int32{0, 20} {
+					if got, want := ix.candidates(bks, from), scan(bks, from); !slices.Equal(got, want) {
+						t.Fatalf("%+v %s: candidates of %d from %d = %v, bucket scan %v", shape, stage, id, from, got, want)
+					}
 				}
 			}
 		}
-		commit := func() {
+		commit := func(wantDelta bool) {
 			ix.commit()
 			if cap(ix.undo) != 0 {
 				t.Fatalf("%+v: undo log keeps capacity %d after commit", shape, cap(ix.undo))
 			}
+			if inDelta := len(ix.bands[0].delta) > 0; inDelta != wantDelta {
+				t.Fatalf("%+v: after commit band 0 holds %d buckets in delta (want some: %v)", shape, len(ix.bands[0].delta), wantDelta)
+			}
 		}
 
-		insert(0, 30)
-		commit()
+		insert(0, 40)
+		commit(false)
 		check("after commit")
 		mark := ix.mark()
-		insert(30, 50)
-		members = members[:30]
+		insert(40, 50)
+		check("within a pass")
+		members = members[:40]
 		ix.rollback(mark)
 		check("after rollback")
-		insert(30, len(corpus))
-		commit()
-		check("after reinsert")
+		insert(40, 43)
+		commit(true)
+		check("after a commit too small to merge")
+		insert(43, len(corpus))
+		commit(false)
+		check("after a merge")
 	}
 	t.Run("bucket transitions", testBucketTransitions)
 }
@@ -84,20 +96,31 @@ func TestLSHIndexMatchesBucketScan(t *testing.T) {
 // insert makes, inside one marked pass: absent → singleton, singleton →
 // shared, append to a shared list made in the pass and to one made before
 // it. Candidates keep insertion order, and the rollback restores the index
-// exactly.
+// exactly. Keys are (band 0, band 1); the buckets under test are a = band
+// 0's 10, b = band 1's 10 and c = band 1's 20, and keys from 100 up are
+// each used once.
 func testBucketTransitions(t *testing.T) {
 	ix := newLSHIndex(pgraph.LSHShape{Bands: 2, Rows: 1}, 5)
-	a, b, c := bucketKey{0, 10}, bucketKey{1, 10}, bucketKey{1, 20}
-	ix.insert(0, []bucketKey{a, b})
-	ix.insert(1, []bucketKey{a})
+	ix.insert(0, []uint32{10, 10}) // a, b
+	ix.insert(1, []uint32{10, 101})
 	ix.commit()
-	if ix.buckets[1][b.key] != 0 || ix.buckets[0][a.key] >= 0 {
-		t.Fatalf("before the pass: want b inline (0) and a shared, got %v", ix.buckets)
+	buckets := func(band int) map[uint32]int32 {
+		m := maps.Clone(ix.bands[band].delta)
+		if m == nil {
+			m = make(map[uint32]int32)
+		}
+		for _, w := range ix.bands[band].base {
+			m[uint32(w>>32)] = int32(uint32(w))
+		}
+		return m
+	}
+	if buckets(1)[10] != 0 || buckets(0)[10] >= 0 {
+		t.Fatalf("before the pass: want b inline (0) and a shared, got %v and %v", buckets(0), buckets(1))
 	}
 	snapshot := func() ([]map[uint32]int32, [][]int32) {
-		bs := make([]map[uint32]int32, len(ix.buckets))
-		for i, m := range ix.buckets {
-			bs[i] = maps.Clone(m)
+		bs := make([]map[uint32]int32, len(ix.bands))
+		for i := range ix.bands {
+			bs[i] = buckets(i)
 		}
 		ls := make([][]int32, len(ix.lists))
 		for i, l := range ix.lists {
@@ -110,13 +133,13 @@ func testBucketTransitions(t *testing.T) {
 	mark := ix.mark()
 	steps := []struct {
 		id   int32
-		keys []bucketKey
+		keys []uint32
 		want []int32
 	}{
-		{2, []bucketKey{c}, nil},                    // c: absent → singleton
-		{3, []bucketKey{c}, []int32{2}},             // c: singleton → shared (made in the pass)
-		{4, []bucketKey{c, a}, []int32{2, 3, 0, 1}}, // append to c's new list and a's old one
-		{5, []bucketKey{b}, []int32{0}},             // b: singleton made before the pass → shared
+		{2, []uint32{102, 20}, nil},                // c: absent → singleton
+		{3, []uint32{103, 20}, []int32{2}},         // c: singleton → shared (made in the pass)
+		{4, []uint32{10, 20}, []int32{0, 1, 2, 3}}, // append to a's old list and c's new one
+		{5, []uint32{105, 10}, []int32{0}},         // b: singleton made before the pass → shared
 	}
 	for _, st := range steps {
 		if got := ix.insert(st.id, st.keys); !slices.Equal(got, st.want) {
@@ -124,16 +147,18 @@ func testBucketTransitions(t *testing.T) {
 		}
 	}
 	for _, q := range []struct {
-		keys []bucketKey
+		keys []uint32
+		from int32
 		want []int32
 	}{
-		{[]bucketKey{a}, []int32{0, 1, 4}},
-		{[]bucketKey{b}, []int32{0, 5}},
-		{[]bucketKey{c}, []int32{2, 3, 4}},
-		{[]bucketKey{{0, 99}}, nil},
+		{[]uint32{10, 199}, 0, []int32{0, 1, 4}}, // a
+		{[]uint32{199, 10}, 0, []int32{0, 5}},    // b
+		{[]uint32{199, 20}, 0, []int32{2, 3, 4}}, // c
+		{[]uint32{10, 20}, 3, []int32{4, 3}},     // a and c from member 3 on
+		{[]uint32{99, 199}, 0, nil},
 	} {
-		if got := ix.candidates(q.keys); !slices.Equal(got, q.want) {
-			t.Fatalf("candidates(%v) = %v, want %v", q.keys, got, q.want)
+		if got := ix.candidates(q.keys, q.from); !slices.Equal(got, q.want) {
+			t.Fatalf("candidates(%v, %d) = %v, want %v", q.keys, q.from, got, q.want)
 		}
 	}
 
@@ -142,8 +167,8 @@ func testBucketTransitions(t *testing.T) {
 		t.Fatalf("rollback left %d undo records, want %d", ix.mark(), mark)
 	}
 	for i := range wantBuckets {
-		if !maps.Equal(ix.buckets[i], wantBuckets[i]) {
-			t.Fatalf("band %d after rollback: %v, want %v", i, ix.buckets[i], wantBuckets[i])
+		if got := buckets(i); !maps.Equal(got, wantBuckets[i]) {
+			t.Fatalf("band %d after rollback: %v, want %v", i, got, wantBuckets[i])
 		}
 	}
 	if len(ix.lists) != len(wantLists) {
@@ -178,7 +203,7 @@ func BenchmarkLSHIndexInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	proto := newLSHIndex(shape, p.MinExactMatch)
-	keys := make([][]bucketKey, len(mg.Seqs))
+	keys := make([][]uint32, len(mg.Seqs))
 	for i, s := range mg.Seqs {
 		keys[i] = proto.keys(s.Residues)
 	}

@@ -18,8 +18,17 @@
 // the committed-state snapshot.
 //
 // The LSH index keeps a single-member bucket's member inline in its band
-// map and gives only shared buckets a member list, so a resident sequence
-// costs about 4.6 KB of index at gpbench's corpus shape.
+// and gives only shared buckets a member list; a band is a sorted array of
+// buckets plus a map of the newest, so a resident sequence costs about
+// 3 KB of index at gpbench's corpus shape.
+//
+// The assign cache keeps, per query, only what no commit can change: its
+// band keys, its best accepted member among the first n resident sequences,
+// and that n. Members are never removed and inserts only add members to
+// buckets, so while n equals the committed count the answer is the cached
+// member (its family root looked up afresh); once inserts have landed, the
+// query takes a pass that skips its shingles and signatures and scores only
+// its candidates ≥ n, extending the cached best.
 //
 // Incremental equals from-scratch: the LSH index emits exactly the batch
 // filter's pair set under insertion (per-sequence band keys), acceptance is
@@ -73,8 +82,9 @@ type Config struct {
 	// into a single device scoring call. 0 means DefaultMaxCoalesce.
 	MaxCoalesce int
 
-	// CacheCap bounds the assign cache (entries); 0 means DefaultCacheCap,
-	// negative disables caching.
+	// CacheCap bounds the assign cache (entries; about 1 KB of band keys
+	// each at the default shape); 0 means DefaultCacheCap, negative disables
+	// caching. A full cache admits a new query in place of an old one.
 	CacheCap int
 
 	// Obs receives the server's metrics (and the verifier's spans if
@@ -88,8 +98,8 @@ type AssignResult struct {
 	// threshold (Family and Member are then -1).
 	Assigned bool
 	// Family is the family's current root sequence index. Roots are stable
-	// between commits; a later merge can relabel the family (the epoch
-	// mechanism invalidates cached answers when that can have happened).
+	// between commits; a later merge can relabel the family, so even a
+	// cached answer looks its root up when it is served.
 	Family int
 	// Member is the best-scoring resident sequence, MemberID its FASTA id.
 	Member   int
@@ -128,6 +138,9 @@ type request struct {
 	seqs []seq.Sequence
 	resp chan response
 	sw   *sched.Stopwatch
+	// cached is an assign query's cache entry from before inserts landed
+	// (nil: a first-time query); its pass extends it by members ≥ n.
+	cached *cacheEntry
 }
 
 type response struct {
@@ -136,9 +149,14 @@ type response struct {
 	err     error
 }
 
+// cacheEntry is what no commit can change about one assign query: its band
+// keys (band b's at index b), and its best accepted member (-1: none) and
+// that member's score among the first n resident sequences.
 type cacheEntry struct {
-	res   AssignResult
-	epoch int64
+	keys   []uint32
+	member int
+	score  int32
+	n      int
 }
 
 // Server is the resident clustering service. Create with New, stop with
@@ -165,9 +183,11 @@ type Server struct {
 
 	// Shared state. uf supports concurrent Find against scheduler-side
 	// Grow/Union (see unionfind.Concurrent.Grow's contract); epoch counts
-	// commits that changed resident state.
-	uf    *unionfind.Concurrent
-	epoch atomic.Int64
+	// commits that changed resident state; resident is the committed
+	// sequence count, which a cache entry must equal to answer alone.
+	uf       *unionfind.Concurrent
+	epoch    atomic.Int64
+	resident atomic.Int64
 
 	mu        sync.RWMutex // guards committed, families, recovery
 	committed []seq.Sequence
@@ -242,18 +262,26 @@ func (s *Server) Close() {
 	}
 }
 
-// Assign reports which resident family the query belongs to. Identical
-// queries since the last state-changing commit are answered from the
-// assign cache without touching the scheduler.
+// Assign reports which resident family the query belongs to. A query
+// cached since the last insert commit is answered without touching the
+// scheduler: its cached member, in that member's current family. A query
+// cached before inserts landed takes a pass that reuses its band keys and
+// scores only the members added since (a cache miss, like a first-time
+// query).
 func (s *Server) Assign(q seq.Sequence) (AssignResult, error) {
 	sw := sched.NewStopwatch()
-	if res, ok := s.cacheGet(string(q.Residues)); ok {
+	e, ok := s.cacheGet(string(q.Residues))
+	if ok && e.n == int(s.resident.Load()) {
+		res := s.answer(e.member, e.score)
 		s.met.cacheHits.Inc()
 		s.met.assignLatency.Observe(float64(sw.Total()))
 		return res, nil
 	}
 	s.met.cacheMisses.Inc()
 	r := &request{kind: kindAssign, seqs: []seq.Sequence{q}, resp: make(chan response, 1), sw: sw}
+	if ok {
+		r.cached = &e
+	}
 	if err := s.submit(r); err != nil {
 		return AssignResult{}, err
 	}
@@ -342,36 +370,44 @@ func (s *Server) submit(r *request) error {
 	}
 }
 
-func (s *Server) cacheGet(key string) (AssignResult, bool) {
-	if s.cfg.CacheCap < 0 {
-		return AssignResult{}, false
+// answer is the assign result for a best member (-1: none) and its score,
+// in the member's current family.
+func (s *Server) answer(member int, score int32) AssignResult {
+	if member < 0 {
+		return AssignResult{Family: -1, Member: -1}
 	}
-	now := s.epoch.Load()
+	s.mu.RLock()
+	id := s.committed[member].ID
+	s.mu.RUnlock()
+	return AssignResult{Assigned: true, Family: s.uf.Find(member), Member: member, MemberID: id, Score: score}
+}
+
+func (s *Server) cacheGet(key string) (cacheEntry, bool) {
+	if s.cfg.CacheCap < 0 {
+		return cacheEntry{}, false
+	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	e, ok := s.cache[key]
-	if !ok {
-		return AssignResult{}, false
-	}
-	if e.epoch != now {
-		// A commit changed resident state since this answer was computed:
-		// the family may have merged or a closer member arrived. Drop it.
-		delete(s.cache, key)
-		return AssignResult{}, false
-	}
-	return e.res, true
+	return e, ok
 }
 
-func (s *Server) cachePut(key string, res AssignResult, epoch int64) {
+// cachePut stores a query's entry. Entries never go stale, so a full cache
+// admits a new query in place of an arbitrary one (the first map iteration
+// yields) rather than freezing on its first CacheCap queries.
+func (s *Server) cachePut(key string, e cacheEntry) {
 	if s.cfg.CacheCap < 0 {
 		return
 	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	if len(s.cache) >= s.cfg.CacheCap {
-		return
+	if _, ok := s.cache[key]; !ok && len(s.cache) >= s.cfg.CacheCap {
+		for k := range s.cache {
+			delete(s.cache, k)
+			break
+		}
 	}
-	s.cache[key] = cacheEntry{res: res, epoch: epoch}
+	s.cache[key] = e
 }
 
 // next blocks for the next request; false means quit was signalled.
@@ -423,19 +459,24 @@ func (s *Server) loop() {
 // passJob is one surviving request's staging record within a pass.
 type passJob struct {
 	req   *request
-	keys  [][]bucketKey // per sequence, its LSH bucket coordinates
-	ids   []int32       // verifier indices of the request's sequences
-	cands [][]int32     // per sequence, distinct candidate members
+	keys  [][]uint32 // per sequence, its band keys
+	ids   []int32    // verifier indices of the request's sequences
+	cands [][]int32  // per sequence, distinct candidate members
 }
 
-// bucketAll fills every job's keys on the worker pool, one sequence per
-// index. Shingling and MinHash signatures are a pure function of each
-// sequence and, after Smith–Waterman, most of a pass's work; the index
-// lookups and inserts that use the keys stay on the scheduler goroutine.
+// bucketAll fills the keys of every job without a cache entry on the
+// worker pool, one sequence per index. Shingling and MinHash signatures
+// are a pure function of each sequence and, after Smith–Waterman, most of
+// a pass's work; the index lookups and inserts that use the keys stay on
+// the scheduler goroutine.
 func (s *Server) bucketAll(jobs []*passJob) {
 	type ref struct{ j, i int }
 	var refs []ref
 	for ji, j := range jobs {
+		if j.req.cached != nil {
+			j.keys[0] = j.req.cached.keys
+			continue
+		}
 		for i := range j.keys {
 			refs = append(refs, ref{ji, i})
 		}
@@ -469,17 +510,22 @@ func (s *Server) runPass(reqs []*request) {
 			s.respond(r, response{err: fmt.Errorf("serve: %w", bad)})
 			continue
 		}
-		live = append(live, &passJob{req: r, keys: make([][]bucketKey, len(r.seqs))})
+		live = append(live, &passJob{req: r, keys: make([][]uint32, len(r.seqs))})
 	}
 	s.bucketAll(live)
 
 	// Assign candidates come from the pre-pass resident index (a valid
 	// serialization: queries run "before" this pass's inserts), so compute
-	// them before staging anything.
+	// them before staging anything. A cached query needs only the members
+	// added since its entry.
 	var assigns, clusters []*passJob
 	for _, j := range live {
 		if j.req.kind == kindAssign {
-			j.cands = [][]int32{s.index.candidates(j.keys[0])}
+			from := 0
+			if j.req.cached != nil {
+				from = j.req.cached.n
+			}
+			j.cands = [][]int32{s.index.candidates(j.keys[0], int32(from))}
 			assigns = append(assigns, j)
 		}
 	}
@@ -564,13 +610,16 @@ func (s *Server) runPass(reqs []*request) {
 			}
 		}
 	}
-	type best struct {
-		member int
-		score  int32
-	}
-	bests := make(map[*passJob]best, len(assigns))
+	// Each query's best accepted member among the n0 pre-pass residents:
+	// the cached best (members below its n) extended by the candidates
+	// scored here. A cached member is below every new one, so the tie rule
+	// keeps it on a tie, as a from-scratch scan would.
+	bests := make(map[*passJob]cacheEntry, len(assigns))
 	for _, j := range assigns {
-		b := best{member: -1}
+		b := cacheEntry{keys: j.keys[0], member: -1, n: n0}
+		if c := j.req.cached; c != nil {
+			b.member, b.score = c.member, c.score
+		}
 		for _, m := range j.cands[0] {
 			p, sc := pairs[pi], scores[pi]
 			pi++
@@ -578,7 +627,7 @@ func (s *Server) runPass(reqs []*request) {
 				continue
 			}
 			if b.member < 0 || sc > b.score || (sc == b.score && int(m) < b.member) {
-				b = best{member: int(m), score: sc}
+				b.member, b.score = int(m), sc
 			}
 		}
 		bests[j] = b
@@ -595,10 +644,9 @@ func (s *Server) runPass(reqs []*request) {
 	}
 	s.families = families
 	s.recovery = s.verifier.Recovery()
+	s.resident.Store(int64(n0 + nc))
 	s.mu.Unlock()
 	if nc > 0 || merges > 0 {
-		// Any resident-state change invalidates cached assignments (merges
-		// can relabel family roots; inserts can add closer members).
 		s.epoch.Add(1)
 	}
 
@@ -607,8 +655,8 @@ func (s *Server) runPass(reqs []*request) {
 	s.met.sequences.Set(float64(n0 + nc))
 	s.met.families.Set(float64(families))
 
-	// Respond after publication, caching assign answers at the new epoch.
-	epochNow := s.epoch.Load()
+	// Respond after publication, caching each query's best among the n0
+	// residents it was scored against.
 	for _, j := range clusters {
 		ids := make([]int, len(j.ids))
 		for i, id := range j.ids {
@@ -618,13 +666,8 @@ func (s *Server) runPass(reqs []*request) {
 	}
 	for _, j := range assigns {
 		b := bests[j]
-		res := AssignResult{Assigned: b.member >= 0, Family: -1, Member: b.member, Score: b.score}
-		if b.member >= 0 {
-			res.Family = s.uf.Find(b.member)
-			res.MemberID = s.committed[b.member].ID
-		}
-		s.cachePut(string(j.req.seqs[0].Residues), res, epochNow)
-		s.respond(j.req, response{assign: res})
+		s.cachePut(string(j.req.seqs[0].Residues), b)
+		s.respond(j.req, response{assign: s.answer(b.member, b.score)})
 	}
 }
 

@@ -183,8 +183,9 @@ func TestAssignMatchesResidentFamily(t *testing.T) {
 }
 
 // TestAssignCache: identical queries between commits are served from the
-// cache; any state-changing commit invalidates it and the fresh answer
-// reflects the current partition.
+// cache; after an insert commit the query is a miss (it takes a pass that
+// scores the members added since), and the refreshed answer reflects the
+// current partition.
 func TestAssignCache(t *testing.T) {
 	corpus := testMetagenome(t, 80)
 	cfg := serveConfig()
@@ -215,7 +216,8 @@ func TestAssignCache(t *testing.T) {
 		t.Fatalf("cached answer %+v differs from original %+v", second, first)
 	}
 
-	// A cluster commit (inserts, possibly merges) must invalidate the cache.
+	// A cluster commit (inserts, possibly merges) sends the query back
+	// through a pass.
 	if _, err := s.Cluster(corpus[60:]); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestAssignCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.met.cacheMisses.Value() != misses0+1 {
-		t.Fatal("post-commit query hit a stale cache entry")
+		t.Fatal("post-commit query was answered without a pass")
 	}
 	if !third.Assigned {
 		t.Fatal("query lost its family after more inserts")

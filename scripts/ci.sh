@@ -159,6 +159,7 @@ go test -run='^$' -fuzz=FuzzLSHCandidates -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzSuffixArray -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults/
 go test -run='^$' -fuzz=FuzzWarpTransactions -fuzztime=10s ./internal/gpusim/
+go test -run='^$' -fuzz=FuzzHashPairApply -fuzztime=10s ./internal/minwise/
 
 echo "== serve SLO smoke (1000 concurrent clients, race detector on)"
 go test -race -run TestServeSLO ./internal/serve/
