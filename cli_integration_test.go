@@ -225,6 +225,16 @@ func TestCLIFailurePaths(t *testing.T) {
 			`invalid value "conservative" for flag -bands`, 2},
 		{"pgraph bad batchwords", pgraphBin,
 			[]string{"-in", missing, "-gpu", "-batchwords", "lots"}, `-batchwords must be "auto"`, 2},
+		{"pgraph NaN score", pgraphBin,
+			[]string{"-in", missing, "-score", "NaN"}, "-score must be finite and >= 0 (got NaN)", 2},
+		{"pgraph infinite score", pgraphBin,
+			[]string{"-in", missing, "-gpu", "-score", "Inf"}, "-score must be finite and >= 0 (got +Inf)", 2},
+		{"pgraph negative score", pgraphBin,
+			[]string{"-in", missing, "-score=-0.5"}, "-score must be finite and >= 0 (got -0.5)", 2},
+		{"serve NaN score", serveBin,
+			[]string{"-in", missing, "-score", "nan"}, "-score must be finite and >= 0 (got NaN)", 2},
+		{"serve negative infinite score", serveBin,
+			[]string{"-in", missing, "-score=-Inf"}, "-score must be finite and >= 0 (got -Inf)", 2},
 		{"serve negative bands", serveBin,
 			[]string{"-in", missing, "-bands=-4"}, "-bands must be >= 0", 2},
 		{"serve negative rows", serveBin,

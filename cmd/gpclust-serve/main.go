@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -87,6 +88,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gpclust-serve: %s must be >= 0 (got %d; 0 means the tuned shape)\n", f.name, f.v)
 			os.Exit(2)
 		}
+	}
+
+	if math.IsNaN(*score) || math.IsInf(*score, 0) || *score < 0 {
+		fmt.Fprintf(os.Stderr, "gpclust-serve: -score must be finite and >= 0 (got %g)\n", *score)
+		os.Exit(2)
 	}
 
 	f, err := os.Open(*in)

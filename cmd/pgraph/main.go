@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -97,6 +98,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pgraph: %s must be >= 0 (got %d; 0 means the tuned shape)\n", f.name, f.v)
 			os.Exit(2)
 		}
+	}
+	if math.IsNaN(*score) || math.IsInf(*score, 0) || *score < 0 {
+		fmt.Fprintf(os.Stderr, "pgraph: -score must be finite and >= 0 (got %g)\n", *score)
+		os.Exit(2)
 	}
 	if *filter != pgraph.FilterExact && *filter != pgraph.FilterLSH {
 		fmt.Fprintf(os.Stderr, "pgraph: -filter must be %q or %q, got %q\n",

@@ -21,6 +21,8 @@
 package gpclust
 
 import (
+	"math"
+
 	"gpclust/internal/align"
 	"gpclust/internal/assemble"
 	"gpclust/internal/core"
@@ -209,7 +211,7 @@ func ORFsFromContigs(contigs []Contig, minLen int) []Sequence {
 // the verification scorer of the pGraph phase, exposed for direct use.
 func AlignScore(a, b []byte) int {
 	return int(align.ScoreCodes(align.Encode(a), align.Encode(b), align.Blosum62Table,
-		align.AlphabetSize, align.DefaultParams(), new(align.Scratch)))
+		align.AlphabetSize, align.DefaultParams(), math.MaxInt32, new(align.Scratch)))
 }
 
 // PGraphConfig configures homology-graph construction.

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,20 +9,35 @@ import (
 // FuzzScoreCodes checks the code-level scorer against ScoreOnly, the
 // letter-level oracle: both operands are arbitrary byte strings (unknown
 // letters score as X on both sides), encoded once and scored over
-// Blosum62Table under fuzzed gap penalties.
+// Blosum62Table under fuzzed gap penalties and a fuzzed limit, and the
+// result must be min(ScoreOnly, limit). The seeds put the limit at 0, at 1,
+// at the exact score (where the sweep may stop on the last row that reaches
+// it) and at math.MaxInt32 (the exact score).
 func FuzzScoreCodes(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(11), uint8(1))
-	f.Add([]byte{}, []byte("MKT"), uint8(11), uint8(1))
-	f.Add([]byte("W"), []byte("W"), uint8(11), uint8(1))
-	f.Add([]byte("W"), []byte("MKTAYIAKQR"), uint8(0), uint8(0))
-	f.Add([]byte("XXXXXXXX"), []byte("XXXX"), uint8(3), uint8(2))
-	f.Add([]byte("WWWWCCCCWWWW"), []byte("WWWWCCCCKKKWWWW"), uint8(11), uint8(1))
-	f.Add([]byte("mktayiakqr*zb"), []byte("MKTAYIAKQRQISF"), uint8(5), uint8(7))
-	f.Fuzz(func(t *testing.T, a, b []byte, open, ext uint8) {
+	seeds := []struct {
+		a, b      string
+		open, ext uint8
+	}{
+		{"", "", 11, 1},
+		{"", "MKT", 11, 1},
+		{"W", "W", 11, 1},
+		{"W", "MKTAYIAKQR", 0, 0},
+		{"XXXXXXXX", "XXXX", 3, 2},
+		{"WWWWCCCCWWWW", "WWWWCCCCKKKWWWW", 11, 1},
+		{"mktayiakqr*zb", "MKTAYIAKQRQISF", 5, 7},
+	}
+	for _, sd := range seeds {
+		exact := ScoreOnly([]byte(sd.a), []byte(sd.b), Params{GapOpen: int(sd.open), GapExtend: int(sd.ext)})
+		for _, limit := range []int32{0, 1, int32(exact), math.MaxInt32} {
+			f.Add([]byte(sd.a), []byte(sd.b), sd.open, sd.ext, limit)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte, open, ext uint8, limit int32) {
 		p := Params{GapOpen: int(open % 64), GapExtend: int(ext % 16)}
-		got := ScoreCodes(Encode(a), Encode(b), Blosum62Table, AlphabetSize, p, new(Scratch))
-		if want := ScoreOnly(a, b, p); int(got) != want {
-			t.Fatalf("ScoreCodes(%q, %q, %+v) = %d, ScoreOnly %d", a, b, p, got, want)
+		got := ScoreCodes(Encode(a), Encode(b), Blosum62Table, AlphabetSize, p, limit, new(Scratch))
+		if want := min(int32(ScoreOnly(a, b, p)), limit); got != want {
+			t.Fatalf("ScoreCodes(%q, %q, %+v, limit %d) = %d, want min(ScoreOnly, limit) %d",
+				a, b, p, limit, got, want)
 		}
 	})
 }
@@ -125,7 +141,7 @@ func FuzzScoreCodesTable(f *testing.F) {
 		table := randomTable(alphabet, seed)
 		a, b := toCodes(rawA, alphabet), toCodes(rawB, alphabet)
 		p := Params{GapOpen: int(open % 64), GapExtend: int(ext % 16)}
-		got := ScoreCodes(a, b, table, alphabet, p, new(Scratch))
+		got := ScoreCodes(a, b, table, alphabet, p, math.MaxInt32, new(Scratch))
 		if want := refScoreCodes(a, b, table, alphabet, p); got != want {
 			t.Fatalf("ScoreCodes(%v, %v, alphabet %d, seed %d, %+v) = %d, refScoreCodes %d",
 				a, b, alphabet, seed, p, got, want)
@@ -164,8 +180,8 @@ func TestScoreCodesScratchReuse(t *testing.T) {
 	var s Scratch
 	p := DefaultParams()
 	for i, st := range steps {
-		got := ScoreCodes(st.a, st.b, st.table, st.alphabet, p, &s)
-		want := ScoreCodes(st.a, st.b, st.table, st.alphabet, p, new(Scratch))
+		got := ScoreCodes(st.a, st.b, st.table, st.alphabet, p, math.MaxInt32, &s)
+		want := ScoreCodes(st.a, st.b, st.table, st.alphabet, p, math.MaxInt32, new(Scratch))
 		if got != want {
 			t.Fatalf("step %d: reused Scratch scored %d, fresh Scratch %d", i, got, want)
 		}

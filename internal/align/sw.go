@@ -82,19 +82,24 @@ type cell struct{ h, e int32 }
 // score, and one gap extension below it still fits an int32.
 const negInf = -1 << 30
 
-// ScoreCodes is ScoreOnly over residue codes in the query-profile form of
-// Nguyen & Lavenier. The table is a flat alphabet×alphabet matrix of int32
-// scores stored as uint32 words, codes x, y at x·alphabet+y; every code of a
-// and b must be below alphabet. For each residue of a, its table row is
-// copied into a 256-entry profile, which the byte codes of b index with no
-// bounds check, and sweepRow advances the DP by one row over b, keeping its
-// loop state in registers; H and E share one interleaved row.
+// ScoreCodes returns min(ScoreOnly's score, limit) over residue codes, in
+// the query-profile form of Nguyen & Lavenier. The table is a flat
+// alphabet×alphabet matrix of int32 scores stored as uint32 words, codes x, y
+// at x·alphabet+y; every code of a and b must be below alphabet. For each
+// residue of a, its table row is copied into a 256-entry profile, which the
+// byte codes of b index with no bounds check, and sweepRow advances the DP by
+// one row over b, keeping its loop state in registers; H and E share one
+// interleaved row. The best score never falls as rows are swept, so once it
+// reaches limit the answer is limit and no further row is swept: a caller
+// that only compares the score against a threshold passes the threshold, and
+// math.MaxInt32 asks for the exact score.
 // Clamps and tie order are ScoreOnly's, so over Encode and Blosum62Table it
-// returns ScoreOnly's score (every intermediate fits an int32: after the
-// first max, gap scores are bounded below by -(GapOpen+2·GapExtend)).
-func ScoreCodes(a, b []byte, table []uint32, alphabet int, p Params, s *Scratch) int32 {
+// returns ScoreOnly's score capped at limit (every intermediate fits an
+// int32: after the first max, gap scores are bounded below by
+// -(GapOpen+2·GapExtend)).
+func ScoreCodes(a, b []byte, table []uint32, alphabet int, p Params, limit int32, s *Scratch) int32 {
 	if len(a) == 0 || len(b) == 0 {
-		return 0
+		return min(0, limit)
 	}
 	if cap(s.row) < len(b) {
 		s.row = make([]cell, len(b))
@@ -108,13 +113,16 @@ func ScoreCodes(a, b []byte, table []uint32, alphabet int, p Params, s *Scratch)
 	width := min(alphabet, len(s.prof)) // byte codes never reach column 256
 	var best int32
 	for _, ca := range a {
+		if best >= limit {
+			break
+		}
 		base := int(ca) * alphabet
 		for y, w := range table[base : base+width] {
 			s.prof[y] = int32(w)
 		}
 		best = sweepRow(row, b, &s.prof, gapExt, gapOpenExt, best)
 	}
-	return best
+	return min(best, limit)
 }
 
 // sweepRow advances row from DP row i-1 to row i for the query residue whose

@@ -118,7 +118,7 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 		if scratch.CopyH2D(buf, 0, packSWBatch(p, enc, pairs, order, ly, nil)) != nil {
 			return
 		}
-		lc := swLaunchConfig(p, cfg, table, ly)
+		lc := swLaunchConfig(p, cfg, table, ly, cfg.scoreLimit)
 		lc.Obs = nil // scratch probe: never record
 		k0 := scratch.Metrics().KernelTimeNs
 		if thrust.SWScoreBatch(scratch, nil, buf, lc) != nil {

@@ -13,13 +13,16 @@ import (
 // FuzzSWBatch is the oracle for the whole GPU verification stack: random
 // sequence batches go through binning, Algorithm-2-style batch packing and
 // the device kernel, and every score must equal a per-pair
-// align.ScoreOnly on the host. This is the enforcement of the
-// bit-identical-edge-set contract at its root.
+// align.ScoreOnly on the host — or, in Build's capped launch, that score
+// capped at the pair's acceptance limit (rate/20 points per residue of the
+// shorter sequence). This is the enforcement of the bit-identical-edge-set
+// contract at its root.
 func FuzzSWBatch(f *testing.F) {
-	f.Add([]byte("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQV"), uint8(3), uint16(64))
-	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAWWWWWWWWWWVVVVVVVVVV"), uint8(5), uint16(0))
-	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 250, 251}, 40), uint8(2), uint16(900))
-	f.Fuzz(func(t *testing.T, data []byte, nseq uint8, extra uint16) {
+	f.Add([]byte("MKTAYIAKQRQISFVKSHFSRQLEERLGLIEVQAPILSRVGDGTQDNLSGAEKAVQV"), uint8(3), uint16(64), uint8(24))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAWWWWWWWWWWVVVVVVVVVV"), uint8(5), uint16(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 250, 251}, 40), uint8(2), uint16(900), uint8(24))
+	f.Add(bytes.Repeat([]byte{17, 17, 4, 18}, 60), uint8(1), uint16(300), uint8(120))
+	f.Fuzz(func(t *testing.T, data []byte, nseq uint8, extra uint16, rate uint8) {
 		n := 2 + int(nseq%6)
 		const maxLen = 300
 		seqs := make([]seq.Sequence, n)
@@ -42,49 +45,51 @@ func FuzzSWBatch(f *testing.F) {
 		}
 		enc := encodeSeqs(seqs)
 		prm := align.DefaultParams()
-		// Both residue layouts must reproduce the host scores: byte image
-		// and packed image decoded in place.
-		modes := []Config{
-			{Align: prm},
-			{Align: prm, Packed: true},
-		}
+		capped := Config{MinScorePerResidue: float64(rate) / 20}
 
 		for _, bin := range []bool{true, false} {
 			order := binPairs(enc, pairs, bin)
-			for _, cfg := range modes {
-				// Budget always admits the costliest pair under the bulkiest
-				// (byte) layout; extra varies how many pairs share a batch.
-				w := 2 * seqWords(make([]byte, longest))
-				budget := swTableLen + 5 + w + int(extra)
-				plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				devSeq := gpusim.MustNew(gpusim.SmallConfig())
-				table, err := uploadSWTable(devSeq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([]int32, len(pairs))
-				var data, out []uint32
-				led := sched.NewLedger(devSeq, nil)
-				for _, p := range plans {
-					data, out, err = runOneSWBatch(devSeq, led, table, p, enc, pairs, order, cfg, got, data, out)
+			// Both residue layouts must reproduce the host scores: byte image
+			// and packed image decoded in place; each runs exact and capped.
+			for _, packed := range []bool{false, true} {
+				for _, limit := range []func(int) int32{nil, capped.scoreLimit} {
+					cfg := Config{Align: prm, Packed: packed}
+					// Budget always admits the costliest pair under the bulkiest
+					// (byte) layout; extra varies how many pairs share a batch.
+					w := 2 * seqWords(make([]byte, longest))
+					budget := swTableLen + 5 + w + int(extra)
+					plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
 					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				table.Free()
-				for k, idx := range order {
-					a, b := pairs[idx].unpack()
-					want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
-					if int(got[k]) != want {
-						t.Fatalf("bin=%v packed=%v pair (%d,%d): sequential device score %d, ScoreOnly %d",
-							bin, cfg.Packed, a, b, got[k], want)
+					devSeq := gpusim.MustNew(gpusim.SmallConfig())
+					table, err := uploadSWTable(devSeq)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if err := devSeq.LeakCheck(); err != nil {
-					t.Fatal(err)
+					got := make([]int32, len(pairs))
+					env := &swEnv{dev: devSeq, led: sched.NewLedger(devSeq, nil), table: table, enc: enc,
+						pairs: pairs, order: order, cfg: cfg, limit: limit, scores: got}
+					for _, p := range plans {
+						if err := env.runOneSWBatch(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+					table.Free()
+					for k, idx := range order {
+						a, b := pairs[idx].unpack()
+						want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
+						if limit != nil {
+							want = min(want, int(limit(min(len(seqs[a].Residues), len(seqs[b].Residues)))))
+						}
+						if int(got[k]) != want {
+							t.Fatalf("bin=%v packed=%v capped=%v pair (%d,%d): sequential device score %d, want %d",
+								bin, packed, limit != nil, a, b, got[k], want)
+						}
+					}
+					if err := devSeq.LeakCheck(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}

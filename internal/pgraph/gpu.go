@@ -22,8 +22,9 @@ import (
 // bytes, or a 5-bit packed image the kernel decodes in place. The
 // substitution-score table is loop-invariant, so it is uploaded once per
 // build and stays device-resident across every batch. The scheduler produces
-// scores bit-identical to align.ScoreOnly, so the accepted edge set never
-// depends on the backend, batch budget or binning.
+// scores bit-identical to align.ScoreOnly capped at each pair's limit (the
+// host paths' limit), so the accepted edge set never depends on the
+// backend, batch budget or binning.
 
 // swTableLen is the word size of the substitution-score table (the BLOSUM62
 // query profile shared by every alignment in a batch).
@@ -272,9 +273,9 @@ func packSWBatch(p swBatch, enc [][]byte, pairs []pairKey, order []int, ly swLay
 
 // swLaunchConfig maps a staged batch onto the kernel's layout under the
 // resolved residue format; the resident table buffer supplies the
-// substitution scores. The packed layout hands the kernel the image to
-// decode in place (SeqBits).
-func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) thrust.SWConfig {
+// substitution scores and limit each pair's score limit (nil: exact). The
+// packed layout hands the kernel the image to decode in place (SeqBits).
+func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout, limit func(minLen int) int32) thrust.SWConfig {
 	np := p.hi - p.lo
 	return thrust.SWConfig{
 		NumPairs:  np,
@@ -288,53 +289,54 @@ func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout) th
 		SeqWords:  ly.residueWords(p.seqWords),
 		SeqBits:   ly.bits,
 		ScoreBase: ly.dataWords(p),
+		Limit:     limit,
 		Obs:       cfg.Obs,
 	}
 }
 
 // runOneSWBatch stages, uploads, launches and reads back one batch
-// synchronously against the resident table, charging the staging to led and
-// reusing the data/out scratch slices across calls. The score writes are
-// idempotent — scores[p.lo+i] depends only on the batch contents — so a
-// failed attempt needs no rollback before a retry.
-func runOneSWBatch(dev *gpusim.Device, led *sched.Ledger, table *gpusim.Buffer, p swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32, data, out []uint32) ([]uint32, []uint32, error) {
-
+// synchronously against the resident table, charging the staging to the
+// ledger and reusing the env's data/out scratch across calls. The score
+// writes are idempotent — scores[p.lo+i] depends only on the batch contents
+// — so a failed attempt needs no rollback before a retry.
+func (env *swEnv) runOneSWBatch(p swBatch) error {
+	dev, cfg := env.dev, env.cfg
 	np := p.hi - p.lo
 	ly := layoutFor(cfg.Packed)
 	var t0 float64
 	if cfg.Obs.Enabled() {
 		t0 = dev.HostTime()
 	}
-	data = packSWBatch(p, enc, pairs, order, ly, data)
-	led.Charge("pack", float64(ly.packWords(p))*packNsPerWord)
-	if cap(out) < np {
-		out = make([]uint32, np)
+	env.data = packSWBatch(p, env.enc, env.pairs, env.order, ly, env.data)
+	env.led.Charge("pack", float64(ly.packWords(p))*packNsPerWord)
+	if cap(env.out) < np {
+		env.out = make([]uint32, np)
 	}
+	out := env.out[:np]
 	if err := func() error {
 		buf, err := dev.Malloc(ly.deviceWords(p))
 		if err != nil {
 			return err
 		}
 		defer buf.Free()
-		if err := dev.CopyH2D(buf, 0, data); err != nil {
+		if err := dev.CopyH2D(buf, 0, env.data); err != nil {
 			return err
 		}
-		lc := swLaunchConfig(p, cfg, table, ly)
+		lc := swLaunchConfig(p, cfg, env.table, ly, env.limit)
 		if err := thrust.SWScoreBatch(dev, nil, buf, lc); err != nil {
 			return err
 		}
-		return dev.CopyD2H(out[:np], buf, lc.ScoreBase)
+		return dev.CopyD2H(out, buf, lc.ScoreBase)
 	}(); err != nil {
-		return data, out, err
+		return err
 	}
-	for i := 0; i < np; i++ {
-		scores[p.lo+i] = int32(out[i])
+	for i, w := range out {
+		env.scores[p.lo+i] = int32(w)
 	}
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Span(obs.TrackBatches, fmt.Sprintf("pairs%d-%d", p.lo, p.hi), t0, dev.HostTime())
 	}
-	return data, out, nil
+	return nil
 }
 
 // verifyGPU is the device-backed verification stage: it schedules every
@@ -382,8 +384,8 @@ func verifyGPU(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Conf
 		st.GPUBatches = len(plans)
 
 		scores := make([]int32, len(pairs))
-		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order,
-			cfg: cfg, scores: scores, rec: &st.Faults, workers: cfg.WorkerCount()}
+		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order, cfg: cfg,
+			limit: cfg.scoreLimit, scores: scores, rec: &st.Faults, workers: cfg.WorkerCount()}
 		schedT0 := dev.HostTime()
 		if err := cfg.runner(led, &st.Faults).Run(&swTableUpload{env: env}); err != nil {
 			return nil, err

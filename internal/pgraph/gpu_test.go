@@ -1,10 +1,14 @@
 package pgraph
 
 import (
+	"fmt"
 	"testing"
 
+	"gpclust/internal/align"
+	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/graph"
+	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
 
@@ -149,6 +153,77 @@ func BenchmarkPGraphGPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Build(seqs, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildLimitMatchesExactAcceptance: Build scores each pair only up to
+// its acceptance limit, yet its edge set must be exactly the candidates
+// whose full align.ScoreOnly score passes the float comparison
+// score >= MinScorePerResidue·minLen — on the host, on the device, and on
+// the device's host fallback, for both filters, at rate 0 (every
+// candidate), the default 1.2 and 6.0 (above most pairs' scores).
+func TestBuildLimitMatchesExactAcceptance(t *testing.T) {
+	seqs := testMetagenome(t, 120)
+	backends := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"host", func(c *Config) {}},
+		{"gpu", func(c *Config) { c.GPU = true }},
+		{"gpu-fallback", func(c *Config) {
+			c.GPU, c.FaultRetries = true, -1
+			c.Device = gpusim.MustNew(gpusim.K20Config())
+			sch, err := faults.Parse("kernel op=1 count=1000000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Device.SetFaultInjector(faults.NewInjector(sch))
+		}},
+	}
+	for _, filter := range []string{FilterExact, FilterLSH} {
+		cfg := DefaultConfig()
+		cfg.Filter = filter
+		var st Stats
+		pairs, err := runFilterHost(sched.NewLedger(nil, nil), seqs, cfg, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := make([]int, len(pairs))
+		for i, p := range pairs {
+			a, b := p.unpack()
+			exact[i] = align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, cfg.Align)
+		}
+		for _, rate := range []float64{0, 1.2, 6.0} {
+			eb := graph.NewBuilder(len(seqs))
+			for i, p := range pairs {
+				a, b := p.unpack()
+				minLen := min(len(seqs[a].Residues), len(seqs[b].Residues))
+				if float64(exact[i]) >= rate*float64(minLen) {
+					eb.AddEdge(uint32(a), uint32(b))
+				}
+			}
+			want := eb.Build()
+			if rate == 6.0 && 2*want.NumEdges() > int64(len(pairs)) {
+				t.Fatalf("%s: rate 6.0 accepts %d of %d candidates; it should reject most", filter, want.NumEdges(), len(pairs))
+			}
+			for _, be := range backends {
+				label := fmt.Sprintf("%s/%s/rate=%g", filter, be.name, rate)
+				c := cfg
+				c.MinScorePerResidue = rate
+				be.mut(&c)
+				g, st, err := Build(seqs, c)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if st.Candidates != len(pairs) {
+					t.Fatalf("%s: %d candidates, host filter %d", label, st.Candidates, len(pairs))
+				}
+				if be.name == "gpu-fallback" && st.Faults.HostFallbacks == 0 {
+					t.Fatalf("%s: no batch fell back to the host", label)
+				}
+				graphsEqual(t, label, want, g)
+			}
 		}
 	}
 }

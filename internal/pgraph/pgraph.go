@@ -2,6 +2,7 @@ package pgraph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"gpclust/internal/align"
@@ -213,6 +214,9 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	if cfg.Workers < 0 {
 		return nil, st, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)
 	}
+	if err := validateScoreRate(cfg.MinScorePerResidue); err != nil {
+		return nil, st, err
+	}
 	for i, s := range seqs {
 		if err := align.ValidateSequence(s.Residues); err != nil {
 			return nil, st, fmt.Errorf("pgraph: sequence %d (%s): %w", i, s.ID, err)
@@ -287,7 +291,7 @@ func verifyHost(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Con
 	enc := encodeSeqs(seqs)
 	order := binPairs(enc, pairs, false) // natural order: scores[k] is pairs[k]'s
 	scores := make([]int32, len(pairs))
-	cells := scoreHost(enc, pairs, order, cfg.Align, scores, st.Workers)
+	cells := scoreHost(enc, pairs, order, cfg.Align, cfg.scoreLimit, scores, st.Workers)
 	st.AlignNs = float64(cells) * HostAlignNsPerCell
 	led.Charge("host-align", st.AlignNs)
 	st.TotalNs = st.FilterNs + st.AlignNs
@@ -296,16 +300,22 @@ func verifyHost(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Con
 
 // scoreHost is the host Smith–Waterman scorer of every backend: it writes
 // the score of pairs[order[k]] to scores[k] with align.ScoreCodes over the
-// encoded sequences, on a pool of workers, and returns the DP cells it
-// computed. The cell count, and so its price, is the same for any worker
-// count.
-func scoreHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, scores []int32, workers int) int64 {
+// encoded sequences, capped at limit(shorter length) (nil scores exactly),
+// on a pool of workers, and returns the DP cells of the full matrices. The
+// cell count, and so its price, is the same for any worker count and limit.
+func scoreHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, limit func(minLen int) int32,
+	scores []int32, workers int) int64 {
+
 	dp := make([]align.Scratch, workers)
 	cellsPer := make([]int64, workers)
 	sched.ParallelFor(workers, len(order), func(w, k int) {
 		a, b := pairs[order[k]].unpack()
 		ea, eb := enc[a], enc[b]
-		scores[k] = align.ScoreCodes(ea, eb, align.Blosum62Table, align.AlphabetSize, p, &dp[w])
+		lim := int32(math.MaxInt32)
+		if limit != nil {
+			lim = limit(min(len(ea), len(eb)))
+		}
+		scores[k] = align.ScoreCodes(ea, eb, align.Blosum62Table, align.AlphabetSize, p, lim, &dp[w])
 		cellsPer[w] += int64(len(ea)) * int64(len(eb))
 	})
 	var cells int64
@@ -315,6 +325,36 @@ func scoreHost(enc [][]byte, pairs []pairKey, order []int, p align.Params, score
 	return cells
 }
 
+// validateScoreRate rejects a MinScorePerResidue that no integer limit
+// represents: NaN, an infinity or a negative rate.
+func validateScoreRate(rate float64) error {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+		return fmt.Errorf("pgraph: MinScorePerResidue %g must be finite and >= 0", rate)
+	}
+	return nil
+}
+
+// acceptLimit is the least score that accepts a pair whose shorter sequence
+// has minLen residues at rate points per residue (finite, >= 0): a score s
+// is an integer, so float64(s) >= rate·float64(minLen) holds iff s >=
+// ceil(rate·float64(minLen)), the product rounded as the comparison rounds
+// it. A limit past math.MaxInt32 is reached by no score and rejects every
+// pair.
+func acceptLimit(rate float64, minLen int) int64 {
+	x := math.Ceil(rate * float64(minLen))
+	if x > math.MaxInt32 {
+		return math.MaxInt32 + 1
+	}
+	return int64(x)
+}
+
+// scoreLimit is the limit Build scores a pair under: its acceptance limit,
+// where the sweep can stop because the answer is already yes. A limit past
+// int32 becomes math.MaxInt32, the exact score, which stays below it.
+func (c Config) scoreLimit(minLen int) int32 {
+	return int32(min(acceptLimit(c.MinScorePerResidue, minLen), math.MaxInt32))
+}
+
 // acceptedEdges thresholds the scores of the scheduled pairs (scores[k]
 // belongs to pairs[order[k]]) with the comparison every backend applies.
 func acceptedEdges(seqs []seq.Sequence, pairs []pairKey, order []int, scores []int32, cfg Config) []graph.Edge {
@@ -322,7 +362,7 @@ func acceptedEdges(seqs []seq.Sequence, pairs []pairKey, order []int, scores []i
 	for k, idx := range order {
 		a, b := pairs[idx].unpack()
 		minLen := min(len(seqs[a].Residues), len(seqs[b].Residues))
-		if float64(scores[k]) >= cfg.MinScorePerResidue*float64(minLen) {
+		if int64(scores[k]) >= acceptLimit(cfg.MinScorePerResidue, minLen) {
 			edges = append(edges, graph.Edge{U: uint32(a), V: uint32(b)})
 		}
 	}

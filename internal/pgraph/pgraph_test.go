@@ -214,6 +214,69 @@ func TestBuildRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestScoreRateValidation: a MinScorePerResidue that no integer limit
+// represents — NaN, an infinity, a negative rate — is rejected by Build on
+// either backend and by NewVerifier; 0 and a finite rate above every
+// reachable score are valid (they accept every pair and none).
+func TestScoreRateValidation(t *testing.T) {
+	seqs := mkSeqs("MKTAYIAKQRMKTAYIAKQR", "MKTAYIAKQRMKTAYIAKQR")
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, -math.SmallestNonzeroFloat64} {
+		for _, gpu := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.MinScorePerResidue, cfg.GPU = rate, gpu
+			if _, _, err := Build(seqs, cfg); err == nil || !strings.Contains(err.Error(), "MinScorePerResidue") {
+				t.Errorf("Build(rate %g, gpu %v) returned %v, want a MinScorePerResidue error", rate, gpu, err)
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Filter, cfg.MinScorePerResidue = FilterLSH, rate
+		if _, err := NewVerifier(cfg); err == nil || !strings.Contains(err.Error(), "MinScorePerResidue") {
+			t.Errorf("NewVerifier(rate %g) returned %v, want a MinScorePerResidue error", rate, err)
+		}
+	}
+	for _, tc := range []struct {
+		rate  float64
+		edges int64
+	}{{0, 1}, {1e300, 0}} {
+		cfg := DefaultConfig()
+		cfg.MinScorePerResidue = tc.rate
+		_, st, err := Build(seqs, cfg)
+		if err != nil || st.Edges != tc.edges {
+			t.Errorf("Build(rate %g) = %d edges, %v; want %d edges", tc.rate, st.Edges, err, tc.edges)
+		}
+	}
+}
+
+// TestAcceptLimitMatchesFloatComparison: for finite rates >= 0, an integer
+// score passes score >= acceptLimit(rate, minLen) exactly when it passes
+// the float comparison acceptance used to make, including at the limit
+// and one below it; scoreLimit caps the limit to int32.
+func TestAcceptLimitMatchesFloatComparison(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	rates := []float64{0, 0.1, 1.2, 1.25, 6.0, 1.0 / 3, 7.7, 1e9, 1e300}
+	for range 200 {
+		rates = append(rates, r.Float64()*8)
+	}
+	for _, rate := range rates {
+		for _, minLen := range []int{0, 1, 3, 10, 97, 210, 1000, 123457} {
+			lim := acceptLimit(rate, minLen)
+			for _, s := range []int64{lim - 1, lim, lim + 1, 0, math.MaxInt32} {
+				if s < math.MinInt32 || s > math.MaxInt32 {
+					continue
+				}
+				if got, want := s >= lim, float64(int32(s)) >= rate*float64(minLen); got != want {
+					t.Fatalf("rate %g minLen %d score %d: limit %d says %v, float comparison %v",
+						rate, minLen, s, lim, got, want)
+				}
+			}
+			cfg := Config{MinScorePerResidue: rate}
+			if got := cfg.scoreLimit(minLen); int64(got) != min(lim, math.MaxInt32) {
+				t.Fatalf("rate %g minLen %d: scoreLimit %d, limit %d", rate, minLen, got, lim)
+			}
+		}
+	}
+}
+
 func TestBuildEmpty(t *testing.T) {
 	g, st, err := Build(nil, DefaultConfig())
 	if err != nil {

@@ -49,8 +49,9 @@ func (c Config) runner(led *sched.Ledger, rec *faults.Recovery) *sched.Runner {
 
 // swEnv bundles the state the resilient scheduling adapters share: the
 // device and the run's ledger, the resident score table, the verification
-// inputs and the score output, the host fallback's pool size, plus the
-// sequential path's reusable staging scratch.
+// inputs, the per-pair score limit and the score output, the host
+// fallback's pool size, plus the sequential path's reusable staging
+// scratch.
 type swEnv struct {
 	dev     *gpusim.Device
 	led     *sched.Ledger
@@ -59,6 +60,7 @@ type swEnv struct {
 	pairs   []pairKey
 	order   []int
 	cfg     Config
+	limit   func(minLen int) int32 // Config.scoreLimit for Build; nil (exact) for a Verifier
 	scores  []int32
 	rec     *faults.Recovery
 	workers int // host-fallback scoring workers
@@ -97,12 +99,7 @@ type swGPUBatch struct {
 	p   swBatch
 }
 
-func (b swGPUBatch) Attempt() error {
-	var err error
-	b.env.data, b.env.out, err = runOneSWBatch(b.env.dev, b.env.led, b.env.table, b.p, b.env.enc,
-		b.env.pairs, b.env.order, b.env.cfg, b.env.scores, b.env.data, b.env.out)
-	return err
-}
+func (b swGPUBatch) Attempt() error { return b.env.runOneSWBatch(b.p) }
 
 // Split halves the pair range for OOM recovery. Each half re-derives its
 // distinct-sequence set and gets a fresh budget from the ladder.
@@ -162,7 +159,7 @@ func swBatchFor(lo, hi int, enc [][]byte, pairs []pairKey, order []int) swBatch 
 // is priced on the virtual clock at HostAlignNsPerCell like the host
 // backend.
 func (env *swEnv) scoreOnHost(p swBatch) {
-	cells := scoreHost(env.enc, env.pairs, env.order[p.lo:p.hi], env.cfg.Align,
+	cells := scoreHost(env.enc, env.pairs, env.order[p.lo:p.hi], env.cfg.Align, env.limit,
 		env.scores[p.lo:p.hi], env.workers)
 	env.led.Charge("host-align", float64(cells)*HostAlignNsPerCell)
 }

@@ -110,6 +110,9 @@ func NewVerifier(cfg Config) (*Verifier, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)
 	}
+	if err := validateScoreRate(cfg.MinScorePerResidue); err != nil {
+		return nil, err
+	}
 	v := &Verifier{cfg: cfg}
 	if cfg.GPU {
 		dev := cfg.Device
@@ -179,7 +182,9 @@ func (v *Verifier) Truncate(n int) {
 	v.seqs, v.enc = v.seqs[:n], v.enc[:n]
 }
 
-// Score returns each pair's Smith–Waterman score (in input order) and the
+// Score returns each pair's exact Smith–Waterman score (in input order: the
+// serving layer picks and reports a query's best member by score, so no
+// pair stops at its acceptance decision) and the
 // number of device batches the plan took (0 on host paths). On the GPU
 // backend the pairs are length-binned, packed through the batch planner
 // under the configured budget, and run through the per-batch resilience
@@ -206,7 +211,7 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	batches := 0
 	switch {
 	case v.dev == nil:
-		scoreHost(v.enc, pairs, order, v.cfg.Align, scores, env.workers)
+		scoreHost(v.enc, pairs, order, v.cfg.Align, nil, scores, env.workers)
 	case v.degraded:
 		env.scoreOnHost(swBatch{hi: len(order)})
 	default:
@@ -234,7 +239,7 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 // exact threshold Build applies on both backends.
 func (v *Verifier) Accept(score int32, a, b int) bool {
 	minLen := min(len(v.seqs[a].Residues), len(v.seqs[b].Residues))
-	return float64(score) >= v.cfg.MinScorePerResidue*float64(minLen)
+	return int64(score) >= acceptLimit(v.cfg.MinScorePerResidue, minLen)
 }
 
 // Recovery returns the fault-recovery actions taken across the Verifier's

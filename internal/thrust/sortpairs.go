@@ -56,40 +56,49 @@ func SortPairs64OnStream(d *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val 
 // radixSortPairs64 reorders the records (hi[i], lo[i], v[i]) ascending by
 // (hi, lo, v): an LSD radix sort, least significant digit first, moving the
 // three word streams together. Digits are 16 bits wide from 1<<16 records
-// up and 8 bits below, where clearing and scanning 1<<16 counters per pass
-// would cost more than the records. A pass whose digit is the same on every
-// record leaves the order as it is and is skipped.
+// up and 8 bits below, where clearing and scanning 1<<16 counters per digit
+// would cost more than the records. A digit's histogram does not depend on
+// the order earlier passes leave, so one read over the keys counts every
+// digit up front. A pass whose digit is the same on every record leaves the
+// order as it is and is skipped. The scratch is allocated per call, not
+// pooled: a pooled copy of the device LSH filter's band-sort scratch
+// (three words per record) stays live between builds and raises their peak
+// memory by about a fifth.
 func radixSortPairs64(hi, lo, v []uint32) {
 	n := len(hi)
 	width := uint(16)
 	if n < 1<<16 {
 		width = 8
 	}
-	mask := uint32(1)<<width - 1
+	radix := 1 << width
+	digits := int(32 / width) // per word
+	mask := uint32(radix - 1)
+
+	counts := make([]int32, 3*digits*radix)
 	src := [3][]uint32{hi, lo, v}
 	dst := [3][]uint32{make([]uint32, n), make([]uint32, n), make([]uint32, n)}
-	counts := make([]int32, 1<<width)
+	for word, key := range src {
+		histogram(counts[word*digits*radix:(word+1)*digits*radix], key, width)
+	}
 	for _, word := range [...]int{2, 1, 0} { // v, lo, hi
-		for shift := uint(0); shift < 32; shift += width {
+		for d := range digits {
+			shift := uint(d) * width
+			c := counts[(word*digits+d)*radix : (word*digits+d+1)*radix]
 			key := src[word]
-			clear(counts)
-			for _, w := range key {
-				counts[w>>shift&mask]++
-			}
-			if counts[key[0]>>shift&mask] == int32(n) {
+			if c[key[0]>>shift&mask] == int32(n) {
 				continue
 			}
 			sum := int32(0)
-			for i, c := range counts {
-				counts[i] = sum
-				sum += c
+			for i, k := range c {
+				c[i] = sum
+				sum += k
 			}
 			sh, sl, sv := src[0], src[1], src[2]
 			dh, dl, dv := dst[0], dst[1], dst[2]
 			for i, w := range key {
-				d := w >> shift & mask
-				j := counts[d]
-				counts[d]++
+				x := w >> shift & mask
+				j := c[x]
+				c[x]++
 				dh[j], dl[j], dv[j] = sh[i], sl[i], sv[i]
 			}
 			src, dst = dst, src
@@ -99,5 +108,27 @@ func radixSortPairs64(hi, lo, v []uint32) {
 		copy(hi, src[0])
 		copy(lo, src[1])
 		copy(v, src[2])
+	}
+}
+
+// histogram adds every digit of every word of key to c, whose counters for
+// the digit at bit width·d sit at c[d<<width:]: four 8-bit digits, or two
+// 16-bit digits.
+func histogram(c []int32, key []uint32, width uint) {
+	if width == 8 {
+		c0, c1 := (*[1 << 8]int32)(c[0<<8:]), (*[1 << 8]int32)(c[1<<8:])
+		c2, c3 := (*[1 << 8]int32)(c[2<<8:]), (*[1 << 8]int32)(c[3<<8:])
+		for _, x := range key {
+			c0[uint8(x)]++
+			c1[uint8(x>>8)]++
+			c2[uint8(x>>16)]++
+			c3[x>>24]++
+		}
+		return
+	}
+	c0, c1 := (*[1 << 16]int32)(c[0:]), (*[1 << 16]int32)(c[1<<16:])
+	for _, x := range key {
+		c0[uint16(x)]++
+		c1[x>>16]++
 	}
 }

@@ -2,6 +2,7 @@ package thrust
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"gpclust/internal/align"
@@ -74,6 +75,14 @@ type SWConfig struct {
 	// kernel's instruction count change.
 	SeqBits int
 
+	// Limit, when non-nil, gives each pair's score limit from the shorter
+	// operand's length: the thread returns min(score, Limit(min(aLen, bLen)))
+	// and stops its DP once the best score reaches that limit (pgraph's
+	// acceptance decision, which needs no more). Nil scores exactly. The
+	// kernel's charges price the full DP either way, as the one-alignment-
+	// per-thread kernel of the paper's era computes it.
+	Limit func(minLen int) int32
+
 	// Obs, when non-nil, counts launches and pairs (launch *attempts*: a
 	// launch that faults after enqueue still counts, matching what the
 	// schedulers asked of the device rather than what survived).
@@ -95,9 +104,9 @@ var swPool = sync.Pool{New: func() any { return new(swRows) }}
 // SWScoreBatch launches the batched score-only Smith–Waterman kernel over
 // cfg.NumPairs candidate pairs (nil stream = synchronous). Each thread
 // decodes its pair's residue codes and runs align.ScoreCodes over the
-// device table's words, so scores are bit-identical to align.ScoreOnly on
-// the same pairs. Codes are bytes: SeqBits is at most 8 and the alphabet at
-// most 256.
+// device table's words under the pair's limit, so scores are bit-identical
+// to min(align.ScoreOnly, limit) on the same pairs. Codes are bytes: SeqBits
+// is at most 8 and the alphabet at most 256.
 func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SWConfig) error {
 	if cfg.NumPairs < 0 || cfg.Alphabet <= 0 || cfg.Alphabet > 256 {
 		return fmt.Errorf("thrust: SWScoreBatch with %d pairs, alphabet %d", cfg.NumPairs, cfg.Alphabet)
@@ -148,8 +157,12 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 		bOff, bLen := int(rec[2]), int(rec[3])
 		ctx.GlobalRead(buf, cfg.PairBase+4*pair, 4, 1)
 		ctx.GlobalWrite(buf, cfg.ScoreBase+pair, 1, 1)
+		limit := int32(math.MaxInt32)
+		if cfg.Limit != nil {
+			limit = cfg.Limit(min(aLen, bLen))
+		}
 		if aLen == 0 || bLen == 0 {
-			w[cfg.ScoreBase+pair] = 0
+			w[cfg.ScoreBase+pair] = uint32(min(0, limit))
 			return
 		}
 		// Each sequence streams through registers once: one contiguous run of
@@ -168,7 +181,7 @@ func SWScoreBatch(d *gpusim.Device, s *gpusim.Stream, buf *gpusim.Buffer, cfg SW
 		rows.a = decodeResidues(rows.a, w[cfg.SeqBase:], aOff, aLen, cfg.SeqBits)
 		rows.b = decodeResidues(rows.b, w[cfg.SeqBase:], bOff, bLen, cfg.SeqBits)
 		tw := tblBuf.Words()[cfg.TableBase : cfg.TableBase+tbl]
-		best := align.ScoreCodes(rows.a, rows.b, tw, cfg.Alphabet, prm, &rows.dp)
+		best := align.ScoreCodes(rows.a, rows.b, tw, cfg.Alphabet, prm, limit, &rows.dp)
 		swPool.Put(rows)
 		w[cfg.ScoreBase+pair] = uint32(best)
 		cells := aLen * bLen

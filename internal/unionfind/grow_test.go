@@ -1,6 +1,7 @@
 package unionfind
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -61,6 +62,31 @@ func TestConcurrentGrowNoShrink(t *testing.T) {
 	c.Grow(10)
 	if c.Len() != 10 || !c.Same(2, 9) {
 		t.Fatal("no-op Grow disturbed the partition")
+	}
+}
+
+// TestConcurrentGrowAllocatesLogarithmically: 10,000 single-element Grows
+// (the serving layer's one Grow per committing pass) allocate O(log n)
+// times, not once per call, and leave every new element a singleton.
+func TestConcurrentGrowAllocatesLogarithmically(t *testing.T) {
+	const grows = 10_000
+	var c *Concurrent
+	allocs := testing.AllocsPerRun(1, func() {
+		c = NewConcurrent(1)
+		for n := 2; n <= grows+1; n++ {
+			c.Grow(n)
+		}
+	})
+	if limit := float64(3 * bits.Len(grows)); allocs > limit { // two per doubling, plus set-up
+		t.Fatalf("%d single-element Grows allocated %.0f times, want at most %.0f", grows, allocs, limit)
+	}
+	if c.Len() != grows+1 {
+		t.Fatalf("Len = %d, want %d", c.Len(), grows+1)
+	}
+	for i := 0; i <= grows; i++ {
+		if c.Find(i) != i {
+			t.Fatalf("element %d has root %d, want itself", i, c.Find(i))
+		}
 	}
 }
 

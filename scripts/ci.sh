@@ -76,7 +76,7 @@ go test -tags invariants ./internal/core/... ./internal/unionfind/... ./internal
 
 echo "== pgraph backend equivalence gate (GPU-SW must match host-SW bit for bit)"
 go test -run 'TestGoldenPipelineBackends' .
-go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit' ./internal/pgraph/
+go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit|TestBuildLimitMatchesExactAcceptance' ./internal/pgraph/
 
 echo "== lsh filter equivalence gate (device LSH must match host, and so must the graphs it yields)"
 go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU' ./internal/pgraph/
