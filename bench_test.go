@@ -28,7 +28,7 @@ func benchOptions() core.Options {
 // pClust vs gpClust on the 20K-shaped similarity graph.
 func BenchmarkTable1_20KGraph(b *testing.B) {
 	o := benchOptions()
-	o.UseFullSort = true // the paper's literal Algorithm 1 implementation
+	o.Plan.FullSort = true // the paper's literal Algorithm 1 implementation
 	g, _ := graph.Planted(bench.Paper20KConfig(0.5))
 	b.ResetTimer()
 	var row *bench.Table1Row
@@ -50,7 +50,7 @@ func BenchmarkTable1_20KGraph(b *testing.B) {
 // 44.86X → 373.71X progression (the occupancy effect of Section IV-C).
 func BenchmarkTable1_2MGraph(b *testing.B) {
 	o := benchOptions()
-	o.UseFullSort = true
+	o.Plan.FullSort = true
 	g, _ := graph.Planted(bench.Paper2MConfig(0.01))
 	b.ResetTimer()
 	var row *bench.Table1Row
@@ -150,7 +150,7 @@ func BenchmarkFig5b_SeqDist(b *testing.B) {
 // minutes".
 func BenchmarkLargeScale_PacificOcean(b *testing.B) {
 	o := benchOptions()
-	o.UseFullSort = true
+	o.Plan.FullSort = true
 	var r *bench.LargeScaleResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -259,7 +259,7 @@ func BenchmarkClusterParallel_W8(b *testing.B) { benchClusterHost(b, 8) }
 // the pipelined one must be lower (transfer coalescing + overlap).
 func BenchmarkGPU_PipelinedVsSequentialBatches(b *testing.B) {
 	o := benchOptions()
-	o.BatchWords = 20_000 // force several batches at this scale
+	o.Plan.BudgetWords = 20_000 // force several batches at this scale
 	g, _ := graph.Planted(bench.Paper20KConfig(0.5))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -271,7 +271,7 @@ func BenchmarkGPU_PipelinedVsSequentialBatches(b *testing.B) {
 			b.Fatal(err)
 		}
 		op := o
-		op.PipelineBatches = true
+		op.Plan.Lanes = 2
 		pipe, err = core.ClusterGPU(g, gpusim.MustNew(gpusim.K20Config()), op)
 		if err != nil {
 			b.Fatal(err)

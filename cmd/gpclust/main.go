@@ -21,105 +21,145 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"gpclust/internal/core"
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
 	"gpclust/internal/graph"
 	"gpclust/internal/obs"
+	"gpclust/internal/sched"
 )
 
+// cliFlags holds the command line.
+type cliFlags struct {
+	in, out, backend         string
+	s1, c1, s2, c2           int
+	seed                     int64
+	overlap                  bool
+	pipeline, gpuagg, packed bool
+	batch                    string
+	profile                  bool
+	trace, metrics           string
+	workers, minOut          int
+	faults                   string
+	retries                  int
+	noFB                     bool
+}
+
+// newFlags registers the command's flags on fs.
+func newFlags(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.in, "in", "", "input graph file (edge list or gpclust binary; required)")
+	fs.StringVar(&f.out, "out", "", "output cluster file (default stdout)")
+	fs.StringVar(&f.backend, "backend", "gpu", "clustering backend: gpu|serial|parallel")
+	fs.IntVar(&f.s1, "s1", 2, "first-level shingle size")
+	fs.IntVar(&f.c1, "c1", 200, "first-level shingle count")
+	fs.IntVar(&f.s2, "s2", 2, "second-level shingle size")
+	fs.IntVar(&f.c2, "c2", 100, "second-level shingle count")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed for the hash families")
+	fs.BoolVar(&f.overlap, "overlap", false, "report overlapping connected-component clusters instead of the union-find partition")
+	fs.BoolVar(&f.pipeline, "pipeline", false, "pipeline batches across two lanes with coalesced transfers (gpu backend)")
+	fs.BoolVar(&f.gpuagg, "gpuagg", false, "aggregate shingles on the device (gpu backend)")
+	fs.BoolVar(&f.profile, "profile", false, "print a per-kernel profile of the run (gpu backend)")
+	fs.StringVar(&f.trace, "trace", "", "write a merged chrome://tracing timeline (host phases + every device) to this file (gpu backend)")
+	fs.StringVar(&f.metrics, "metrics", "", "write OpenMetrics counters for the run to this file (any backend)")
+	fs.StringVar(&f.batch, "batch", "auto", "device batch budget in 32-bit words; \"auto\" lets the cost model pick budget and lanes, 0 is the largest budget that fits device memory")
+	fs.BoolVar(&f.packed, "packed", true, "stage adjacency batches as bit-packed device images (gpu backend)")
+	fs.IntVar(&f.workers, "workers", 0, "host worker-pool size of the parallel backend's shingling and the gpu backend's aggregation (0 = GOMAXPROCS)")
+	fs.IntVar(&f.minOut, "minsize", 1, "only print clusters with at least this many members")
+	fs.StringVar(&f.faults, "faults", "", "inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2' (gpu backend)")
+	fs.IntVar(&f.retries, "retries", 0, "per-batch fault retry budget (0 = library default; must be >= 0; gpu backend)")
+	fs.BoolVar(&f.noFB, "nofallback", false, "fail instead of degrading to host execution when the fault retry budget is exhausted (gpu backend)")
+	return f
+}
+
+// options maps the flags to the run's Options, or returns a usage error.
+// Each plan flag sets one Plan field: -batch the budget (or AutoTune),
+// -pipeline the lanes, -gpuagg device aggregation and -packed the image.
+func (f *cliFlags) options() (core.Options, error) {
+	if f.retries < 0 {
+		// Negative FaultRetries is the library's explicit disable-retries
+		// sentinel; from the command line it is almost always a typo, so
+		// reject it rather than silently turning recovery off.
+		return core.Options{}, fmt.Errorf("-retries must be >= 0 (got %d; 0 means the default budget)", f.retries)
+	}
+	switch f.backend {
+	case "gpu", "parallel":
+	case "serial":
+		if f.workers != 0 {
+			return core.Options{}, fmt.Errorf("-workers requires -backend parallel or gpu")
+		}
+	default:
+		return core.Options{}, fmt.Errorf("unknown backend %q", f.backend)
+	}
+	if f.backend != "gpu" {
+		for _, g := range []struct {
+			set  bool
+			name string
+		}{
+			{f.pipeline, "-pipeline"}, {f.gpuagg, "-gpuagg"},
+			{f.profile, "-profile"}, {f.trace != "", "-trace"},
+			{f.faults != "", "-faults"}, {f.retries != 0, "-retries"}, {f.noFB, "-nofallback"},
+			{!f.packed, "-packed=false"},
+		} {
+			if g.set {
+				return core.Options{}, fmt.Errorf("%s requires -backend gpu", g.name)
+			}
+		}
+	}
+	budget, auto, err := sched.ParseBudget("-batch", f.batch)
+	if err != nil {
+		return core.Options{}, err
+	}
+	o := core.Options{
+		S1: f.s1, C1: f.c1, S2: f.s2, C2: f.c2,
+		Seed:           f.seed,
+		Mode:           core.ReportUnionFind,
+		Plan:           sched.Plan{BudgetWords: budget, Packed: f.packed, DeviceAggregate: f.gpuagg},
+		AutoTune:       auto,
+		Workers:        f.workers,
+		FaultRetries:   f.retries,
+		NoHostFallback: f.noFB,
+	}
+	if f.pipeline {
+		o.Plan.Lanes = 2
+	}
+	if f.overlap {
+		o.Mode = core.ReportOverlapping
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		in       = flag.String("in", "", "input graph file (edge list or gpclust binary; required)")
-		out      = flag.String("out", "", "output cluster file (default stdout)")
-		backend  = flag.String("backend", "gpu", "clustering backend: gpu|serial|parallel")
-		s1       = flag.Int("s1", 2, "first-level shingle size")
-		c1       = flag.Int("c1", 200, "first-level shingle count")
-		s2       = flag.Int("s2", 2, "second-level shingle size")
-		c2       = flag.Int("c2", 100, "second-level shingle count")
-		seed     = flag.Int64("seed", 1, "random seed for the hash families")
-		overlap  = flag.Bool("overlap", false, "report overlapping connected-component clusters instead of the union-find partition")
-		pipeline = flag.Bool("pipeline", false, "double-buffer batches across streams with coalesced transfers (gpu backend)")
-		gpuagg   = flag.Bool("gpuagg", false, "aggregate shingles on the device (gpu backend)")
-		profile  = flag.Bool("profile", false, "print a per-kernel profile of the run (gpu backend)")
-		trace    = flag.String("trace", "", "write a merged chrome://tracing timeline (host phases + every device) to this file (gpu backend)")
-		metrics  = flag.String("metrics", "", "write OpenMetrics counters for the run to this file (any backend)")
-		batch    = flag.String("batch", "auto", "device batch budget in 32-bit words; \"auto\" lets the cost model pick budget and lanes, 0 derives from device memory")
-		packed   = flag.Bool("packed", true, "stage adjacency batches as bit-packed device images (gpu backend)")
-		workers  = flag.Int("workers", 0, "parallel backend: worker-pool size (0 = GOMAXPROCS); serial backend: cluster connected components in parallel with this many workers (0 = whole-graph run)")
-		minOut   = flag.Int("minsize", 1, "only print clusters with at least this many members")
-		faultSch = flag.String("faults", "", "inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2' (gpu backend)")
-		retries  = flag.Int("retries", 0, "per-batch fault retry budget (0 = library default; must be >= 0; gpu backend)")
-		noFB     = flag.Bool("nofallback", false, "fail instead of degrading to host execution when the fault retry budget is exhausted (gpu backend)")
-	)
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
-	if *in == "" {
+	if f.in == "" {
 		fmt.Fprintln(os.Stderr, "gpclust: -in is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *retries < 0 {
-		// Negative FaultRetries is the library's explicit disable-retries
-		// sentinel; from the command line it is almost always a typo, so
-		// reject it rather than silently turning recovery off.
-		fmt.Fprintf(os.Stderr, "gpclust: -retries must be >= 0 (got %d; 0 means the default budget)\n", *retries)
-		os.Exit(2)
-	}
-	if *backend != "gpu" {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipeline, "-pipeline"}, {*gpuagg, "-gpuagg"},
-			{*profile, "-profile"}, {*trace != "", "-trace"},
-			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
-			{!*packed, "-packed=false"},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "gpclust: %s requires -backend gpu\n", f.name)
-				os.Exit(2)
-			}
-		}
-	}
-	var inj *faults.Injector
-	if *faultSch != "" {
-		sched, err := faults.Parse(*faultSch)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gpclust:", err)
-			os.Exit(2)
-		}
-		inj = faults.NewInjector(sched)
-	}
-
-	g, err := loadGraph(*in)
-	fatal(err)
-	st := graph.ComputeStats(g)
-	fmt.Fprintf(os.Stderr, "gpclust: loaded %s\n", st)
-
-	batchWords, autoTune, err := parseBatchWords(*batch)
+	o, err := f.options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpclust:", err)
 		os.Exit(2)
 	}
-	o := core.Options{
-		S1: *s1, C1: *c1, S2: *s2, C2: *c2,
-		Seed:            *seed,
-		Mode:            core.ReportUnionFind,
-		PipelineBatches: *pipeline,
-		GPUAggregate:    *gpuagg,
-		BatchWords:      batchWords,
-		AutoTune:        autoTune,
-		Packed:          *packed,
-		FaultRetries:    *retries,
-		NoHostFallback:  *noFB,
+	var inj *faults.Injector
+	if f.faults != "" {
+		sch, err := faults.Parse(f.faults)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gpclust:", err)
+			os.Exit(2)
+		}
+		inj = faults.NewInjector(sch)
 	}
-	if *overlap {
-		o.Mode = core.ReportOverlapping
-	}
+
+	g, err := loadGraph(f.in)
+	fatal(err)
+	st := graph.ComputeStats(g)
+	fmt.Fprintf(os.Stderr, "gpclust: loaded %s\n", st)
+
 	var rec *obs.Recorder
-	if *trace != "" || *metrics != "" {
+	if f.trace != "" || f.metrics != "" {
 		rec = obs.New()
 		o.Obs = rec
 		if inj != nil {
@@ -128,15 +168,10 @@ func main() {
 	}
 
 	var res *core.Result
-	switch *backend {
+	switch f.backend {
 	case "serial":
-		if *workers > 0 {
-			res, err = core.ClusterByComponent(g, o, *workers)
-		} else {
-			res, err = core.ClusterSerial(g, o)
-		}
+		res, err = core.ClusterSerial(g, o)
 	case "parallel":
-		o.Workers = *workers
 		res, err = core.ClusterParallel(g, o)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "gpclust: parallel backend used %d workers\n", res.Workers)
@@ -146,37 +181,34 @@ func main() {
 		if inj != nil {
 			dev.SetFaultInjector(inj)
 		}
-		if *profile {
+		if f.profile {
 			dev.EnableProfiling()
 		}
-		if *trace != "" {
+		if f.trace != "" {
 			dev.EnableTracing()
 		}
 		res, err = core.ClusterGPU(g, dev, o)
-		if err == nil && *profile {
+		if err == nil && f.profile {
 			fmt.Fprintln(os.Stderr, "gpclust: kernel profile:")
 			dev.WriteProfile(os.Stderr)
 		}
-		if err == nil && *trace != "" {
+		if err == nil && f.trace != "" {
 			tl := []obs.DeviceTimeline{{Name: "device0", Events: dev.Trace()}}
-			tf, terr := os.Create(*trace)
+			tf, terr := os.Create(f.trace)
 			fatal(terr)
 			fatal(obs.WriteMergedTrace(tf, rec, tl))
 			fatal(tf.Close())
-			fmt.Fprintf(os.Stderr, "gpclust: merged timeline written to %s (open in chrome://tracing or Perfetto)\n", *trace)
+			fmt.Fprintf(os.Stderr, "gpclust: merged timeline written to %s (open in chrome://tracing or Perfetto)\n", f.trace)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "gpclust: unknown backend %q\n", *backend)
-		os.Exit(2)
 	}
 	fatal(err)
 
-	if *metrics != "" {
-		mf, merr := os.Create(*metrics)
+	if f.metrics != "" {
+		mf, merr := os.Create(f.metrics)
 		fatal(merr)
 		fatal(rec.WriteOpenMetrics(mf))
 		fatal(mf.Close())
-		fmt.Fprintf(os.Stderr, "gpclust: metrics written to %s\n", *metrics)
+		fmt.Fprintf(os.Stderr, "gpclust: metrics written to %s\n", f.metrics)
 	}
 
 	if inj != nil {
@@ -198,17 +230,17 @@ func main() {
 
 	w := io.Writer(os.Stdout)
 	closeOut := func() error { return nil }
-	if *out != "" {
-		f, err := os.Create(*out)
+	if f.out != "" {
+		of, err := os.Create(f.out)
 		fatal(err)
 		// Closed explicitly after the flush: on the write path a Close
 		// failure means lost output and must reach the user.
-		closeOut = f.Close
-		w = f
+		closeOut = of.Close
+		w = of
 	}
 	bw := bufio.NewWriter(w)
 	for _, cl := range res.Clustering.Clusters {
-		if len(cl) < *minOut {
+		if len(cl) < f.minOut {
 			continue
 		}
 		for i, v := range cl {
@@ -237,21 +269,6 @@ func loadGraph(path string) (*graph.Graph, error) {
 		return graph.ReadBinary(br)
 	}
 	return graph.ReadEdgeList(br)
-}
-
-// parseBatchWords maps the -batch value to (budget, autoTune): "auto" lets
-// the cost-model auto-tuner pick budget and lane count, "0" keeps the
-// legacy free-memory derivation, and a positive integer fixes the
-// per-batch budget.
-func parseBatchWords(s string) (int, bool, error) {
-	if s == "auto" {
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("-batch must be \"auto\" or a non-negative word count, got %q", s)
-	}
-	return n, false, nil
 }
 
 func fatal(err error) {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"gpclust/internal/faults"
@@ -39,134 +38,162 @@ import (
 	"gpclust/internal/graph"
 	"gpclust/internal/obs"
 	"gpclust/internal/pgraph"
+	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
 
+// cliFlags holds the command line.
+type cliFlags struct {
+	in, out        string
+	minMatch       int
+	score          float64
+	workers        int
+	gpu            bool
+	batchWords     string
+	packed, noBin  bool
+	filter         string
+	bands, rows    int
+	faults         string
+	retries        int
+	noFB           bool
+	trace, metrics string
+}
+
+// newFlags registers the command's flags on fs.
+func newFlags(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{}
+	fs.StringVar(&f.in, "in", "", "input FASTA file (required)")
+	fs.StringVar(&f.out, "out", "", "output graph path (default stdout; .bin suffix selects binary)")
+	fs.IntVar(&f.minMatch, "minmatch", 12, "exact-match seed length for candidate pairs")
+	fs.Float64Var(&f.score, "score", 1.2, "Smith-Waterman score threshold per residue of the shorter sequence")
+	fs.IntVar(&f.workers, "workers", 0, "alignment workers (0 = GOMAXPROCS)")
+	fs.BoolVar(&f.gpu, "gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
+	fs.StringVar(&f.batchWords, "batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick the budget, 0 is the largest budget that fits device memory")
+	fs.BoolVar(&f.packed, "packed", true, "with -gpu: stage batch residues as a 5-bit packed device image the SW kernel decodes in place (auto-tuned plans weigh it against the byte layout)")
+	fs.BoolVar(&f.noBin, "nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
+	fs.StringVar(&f.filter, "filter", "exact", "candidate filter: exact (suffix oracle) or lsh (MinHash banding in its place)")
+	fs.IntVar(&f.bands, "bands", 0, "with -filter lsh: band count (0 = the tuned shape)")
+	fs.IntVar(&f.rows, "rows", 0, "with -filter lsh: signature rows per band (0 = the tuned shape)")
+	fs.StringVar(&f.faults, "faults", "", "with -gpu: inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2'")
+	fs.IntVar(&f.retries, "retries", 0, "with -gpu: per-batch fault retry budget (0 = library default; must be >= 0)")
+	fs.BoolVar(&f.noFB, "nofallback", false, "with -gpu: fail instead of degrading to host scoring when the fault retry budget is exhausted")
+	fs.StringVar(&f.trace, "trace", "", "with -gpu: write a merged chrome://tracing timeline (host phases + device) to this file")
+	fs.StringVar(&f.metrics, "metrics", "", "write OpenMetrics counters for the build to this file (any backend)")
+	return f
+}
+
+// config maps the flags to the build's Config, or returns a usage error.
+// Each plan flag sets one Plan field: -batchwords the budget (or
+// AutoTune), -packed the residue image and -nobin length binning.
+func (f *cliFlags) config() (pgraph.Config, error) {
+	if f.retries < 0 {
+		// Negative FaultRetries is the library's explicit disable-retries
+		// sentinel; from the command line it is almost always a typo, so
+		// reject it rather than silently turning recovery off.
+		return pgraph.Config{}, fmt.Errorf("-retries must be >= 0 (got %d; 0 means the default budget)", f.retries)
+	}
+	if !f.gpu {
+		for _, g := range []struct {
+			set  bool
+			name string
+		}{
+			{f.batchWords != "auto", "-batchwords"}, {f.noBin, "-nobin"},
+			{f.faults != "", "-faults"}, {f.retries != 0, "-retries"}, {f.noFB, "-nofallback"},
+			{f.trace != "", "-trace"}, {!f.packed, "-packed=false"},
+		} {
+			if g.set {
+				return pgraph.Config{}, fmt.Errorf("%s requires -gpu", g.name)
+			}
+		}
+	}
+	for _, g := range []struct {
+		v    int
+		name string
+	}{{f.bands, "-bands"}, {f.rows, "-rows"}} {
+		if g.v < 0 {
+			return pgraph.Config{}, fmt.Errorf("%s must be >= 0 (got %d; 0 means the tuned shape)", g.name, g.v)
+		}
+	}
+	if math.IsNaN(f.score) || math.IsInf(f.score, 0) || f.score < 0 {
+		return pgraph.Config{}, fmt.Errorf("-score must be finite and >= 0 (got %g)", f.score)
+	}
+	if f.filter != pgraph.FilterExact && f.filter != pgraph.FilterLSH {
+		return pgraph.Config{}, fmt.Errorf("-filter must be %q or %q, got %q",
+			pgraph.FilterExact, pgraph.FilterLSH, f.filter)
+	}
+	if f.filter == pgraph.FilterExact {
+		// The library enforces the same rule; rejecting here names the flags.
+		for _, g := range []struct {
+			set  bool
+			name string
+		}{
+			{f.bands != 0, "-bands"}, {f.rows != 0, "-rows"},
+		} {
+			if g.set {
+				return pgraph.Config{}, fmt.Errorf("%s requires -filter lsh", g.name)
+			}
+		}
+	}
+	budget, auto, err := sched.ParseBudget("-batchwords", f.batchWords)
+	if err != nil {
+		return pgraph.Config{}, err
+	}
+	cfg := pgraph.DefaultConfig()
+	cfg.MinExactMatch = f.minMatch
+	cfg.MinScorePerResidue = f.score
+	cfg.Workers = f.workers
+	cfg.Filter = f.filter
+	cfg.LSHBands = f.bands
+	cfg.LSHRows = f.rows
+	cfg.GPU = f.gpu
+	cfg.Plan.BudgetWords, cfg.AutoTune = budget, auto
+	cfg.Plan.Packed = f.packed
+	cfg.Plan.LengthBin = !f.noBin
+	cfg.FaultRetries = f.retries
+	cfg.NoHostFallback = f.noFB
+	return cfg, nil
+}
+
 func main() {
-	var (
-		in       = flag.String("in", "", "input FASTA file (required)")
-		out      = flag.String("out", "", "output graph path (default stdout; .bin suffix selects binary)")
-		minMatch = flag.Int("minmatch", 12, "exact-match seed length for candidate pairs")
-		score    = flag.Float64("score", 1.2, "Smith-Waterman score threshold per residue of the shorter sequence")
-		workers  = flag.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
-		gpu      = flag.Bool("gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
-		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick the budget, 0 derives from device memory")
-		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image the SW kernel decodes in place (auto-tuned plans weigh it against the byte layout)")
-		noBin    = flag.Bool("nobin", false, "with -gpu: disable length binning of pairs (more warp divergence)")
-		filter   = flag.String("filter", "exact", "candidate filter: exact (suffix oracle) or lsh (MinHash banding in its place)")
-		bands    = flag.Int("bands", 0, "with -filter lsh: band count (0 = the tuned shape)")
-		rows     = flag.Int("rows", 0, "with -filter lsh: signature rows per band (0 = the tuned shape)")
-		faultSch = flag.String("faults", "", "with -gpu: inject device faults from this schedule, e.g. 'h2d op=3; malloc at=2ms count=2'")
-		retries  = flag.Int("retries", 0, "with -gpu: per-batch fault retry budget (0 = library default; must be >= 0)")
-		noFB     = flag.Bool("nofallback", false, "with -gpu: fail instead of degrading to host scoring when the fault retry budget is exhausted")
-		trace    = flag.String("trace", "", "with -gpu: write a merged chrome://tracing timeline (host phases + device) to this file")
-		metrics  = flag.String("metrics", "", "write OpenMetrics counters for the build to this file (any backend)")
-	)
+	f := newFlags(flag.CommandLine)
 	flag.Parse()
-	if *in == "" {
+	if f.in == "" {
 		fmt.Fprintln(os.Stderr, "pgraph: -in is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *retries < 0 {
-		// Negative FaultRetries is the library's explicit disable-retries
-		// sentinel; from the command line it is almost always a typo, so
-		// reject it rather than silently turning recovery off.
-		fmt.Fprintf(os.Stderr, "pgraph: -retries must be >= 0 (got %d; 0 means the default budget)\n", *retries)
-		os.Exit(2)
-	}
-	if !*gpu {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
-			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
-			{*trace != "", "-trace"}, {!*packed, "-packed=false"},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "pgraph: %s requires -gpu\n", f.name)
-				os.Exit(2)
-			}
-		}
-	}
-	for _, f := range []struct {
-		v    int
-		name string
-	}{{*bands, "-bands"}, {*rows, "-rows"}} {
-		if f.v < 0 {
-			fmt.Fprintf(os.Stderr, "pgraph: %s must be >= 0 (got %d; 0 means the tuned shape)\n", f.name, f.v)
-			os.Exit(2)
-		}
-	}
-	if math.IsNaN(*score) || math.IsInf(*score, 0) || *score < 0 {
-		fmt.Fprintf(os.Stderr, "pgraph: -score must be finite and >= 0 (got %g)\n", *score)
-		os.Exit(2)
-	}
-	if *filter != pgraph.FilterExact && *filter != pgraph.FilterLSH {
-		fmt.Fprintf(os.Stderr, "pgraph: -filter must be %q or %q, got %q\n",
-			pgraph.FilterExact, pgraph.FilterLSH, *filter)
-		os.Exit(2)
-	}
-	if *filter == pgraph.FilterExact {
-		// The library enforces the same rule; rejecting here names the flags.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*bands != 0, "-bands"}, {*rows != 0, "-rows"},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "pgraph: %s requires -filter lsh\n", f.name)
-				os.Exit(2)
-			}
-		}
-	}
-	batchWords, autoTune, err := parseBatchWords(*batchW)
+	cfg, err := f.config()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgraph:", err)
 		os.Exit(2)
 	}
 	var inj *faults.Injector
-	if *faultSch != "" {
-		sched, err := faults.Parse(*faultSch)
+	if f.faults != "" {
+		sch, err := faults.Parse(f.faults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pgraph:", err)
 			os.Exit(2)
 		}
-		inj = faults.NewInjector(sched)
+		inj = faults.NewInjector(sch)
 	}
 
-	f, err := os.Open(*in)
+	in, err := os.Open(f.in)
 	fatal(err)
-	seqs, err := seq.ReadFASTA(f)
-	fatal(f.Close())
+	seqs, err := seq.ReadFASTA(in)
+	fatal(in.Close())
 	fatal(err)
 
-	cfg := pgraph.DefaultConfig()
-	cfg.MinExactMatch = *minMatch
-	cfg.MinScorePerResidue = *score
-	cfg.Workers = *workers
-	cfg.Filter = *filter
-	cfg.LSHBands = *bands
-	cfg.LSHRows = *rows
-	cfg.GPU = *gpu
-	cfg.GPUBatchWords, cfg.AutoTune = batchWords, autoTune
-	cfg.Packed = *packed
-	cfg.NoLengthBin = *noBin
-	cfg.FaultRetries = *retries
-	cfg.NoHostFallback = *noFB
-	if inj != nil || (*gpu && *trace != "") {
+	if inj != nil || (f.gpu && f.trace != "") {
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		if inj != nil {
 			cfg.Device.SetFaultInjector(inj)
 		}
-		if *trace != "" {
+		if f.trace != "" {
 			cfg.Device.EnableTracing()
 		}
 	}
 	var rec *obs.Recorder
-	if *trace != "" || *metrics != "" {
+	if f.trace != "" || f.metrics != "" {
 		rec = obs.New()
 		cfg.Obs = rec
 		if inj != nil {
@@ -176,20 +203,20 @@ func main() {
 
 	g, st, err := pgraph.Build(seqs, cfg)
 	fatal(err)
-	if *trace != "" {
-		tf, terr := os.Create(*trace)
+	if f.trace != "" {
+		tf, terr := os.Create(f.trace)
 		fatal(terr)
 		fatal(obs.WriteMergedTrace(tf, rec,
 			[]obs.DeviceTimeline{{Name: "device0", Events: cfg.Device.Trace()}}))
 		fatal(tf.Close())
-		fmt.Fprintf(os.Stderr, "pgraph: merged timeline written to %s (open in chrome://tracing or Perfetto)\n", *trace)
+		fmt.Fprintf(os.Stderr, "pgraph: merged timeline written to %s (open in chrome://tracing or Perfetto)\n", f.trace)
 	}
-	if *metrics != "" {
-		mf, merr := os.Create(*metrics)
+	if f.metrics != "" {
+		mf, merr := os.Create(f.metrics)
 		fatal(merr)
 		fatal(rec.WriteOpenMetrics(mf))
 		fatal(mf.Close())
-		fmt.Fprintf(os.Stderr, "pgraph: metrics written to %s\n", *metrics)
+		fmt.Fprintf(os.Stderr, "pgraph: metrics written to %s\n", f.metrics)
 	}
 	if inj != nil {
 		fmt.Fprintf(os.Stderr, "pgraph: injected faults: %s; recovery: %s\n", inj, &st.Faults)
@@ -215,33 +242,18 @@ func main() {
 			st.FilterNs/1e9, st.AlignNs/1e9, st.Workers, st.TotalNs/1e9, st.WallNs/1e6)
 	}
 
-	if *out == "" {
+	if f.out == "" {
 		fatal(graph.WriteEdgeList(os.Stdout, g))
 		return
 	}
-	of, err := os.Create(*out)
+	of, err := os.Create(f.out)
 	fatal(err)
-	if strings.HasSuffix(*out, ".bin") {
+	if strings.HasSuffix(f.out, ".bin") {
 		fatal(graph.WriteBinary(of, g))
 	} else {
 		fatal(graph.WriteEdgeList(of, g))
 	}
 	fatal(of.Close())
-}
-
-// parseBatchWords maps the -batchwords value to (budget, autoTune):
-// "auto" lets the cost-model auto-tuner pick the budget, "0" keeps the
-// legacy free-memory derivation, and a positive integer fixes the
-// per-batch budget.
-func parseBatchWords(s string) (int, bool, error) {
-	if s == "auto" {
-		return 0, true, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("-batchwords must be \"auto\" or a non-negative word count, got %q", s)
-	}
-	return n, false, nil
 }
 
 // fatal exits 1 on a non-nil error, printed with one "pgraph:" prefix

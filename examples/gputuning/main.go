@@ -1,10 +1,11 @@
-// Gputuning explores the CPU-GPU pipeline knobs the paper discusses:
-// the device batch budget of Algorithm 2 (small device memory forces more
-// batches and more host↔device traffic) and the synchronous-vs-overlapped
-// transfer question the paper leaves as future work ("the data transfer
-// overhead ... can be eliminated through asynchronous data transfer
-// primitives provided by CUDA C/C++"), answered by the pipelined batch
-// executor. All timings are virtual-clock.
+// Gputuning explores two dimensions of the CPU-GPU pipeline's batch plan
+// (Options.Plan) that the paper discusses: the device batch budget of
+// Algorithm 2 (small device memory forces more batches and more
+// host↔device traffic) and the synchronous-vs-overlapped transfer question
+// the paper leaves as future work ("the data transfer overhead ... can be
+// eliminated through asynchronous data transfer primitives provided by
+// CUDA C/C++"), answered by a two-lane pipelined plan. All timings are
+// virtual-clock.
 package main
 
 import (
@@ -26,13 +27,13 @@ func main() {
 		"batch (words)", "batches", "splits", "GPU s", "H2D s", "D2H s", "total s")
 	for _, words := range []int{0, 4_000_000, 400_000, 80_000, 20_000} {
 		o := base
-		o.BatchWords = words
+		o.Plan.BudgetWords = words
 		dev := gpclust.NewK20()
 		res, err := gpclust.ClusterGPU(g, dev, o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		label := "auto"
+		label := "fit" // the largest budget that fits free device memory
 		if words > 0 {
 			label = fmt.Sprintf("%d", words)
 		}
@@ -45,7 +46,9 @@ func main() {
 	fmt.Println("\nsynchronous vs overlapped transfers:")
 	for _, pipeline := range []bool{false, true} {
 		o := base
-		o.PipelineBatches = pipeline
+		if pipeline {
+			o.Plan.Lanes = 2
+		}
 		dev := gpclust.NewK20()
 		res, err := gpclust.ClusterGPU(g, dev, o)
 		if err != nil {

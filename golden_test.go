@@ -45,7 +45,7 @@ func TestGoldenPipelineBackends(t *testing.T) {
 
 	gpuCfg := hostCfg
 	gpuCfg.GPU = true
-	gpuCfg.GPUBatchWords = 8_000 // force several batches through the scheduler
+	gpuCfg.Plan.BudgetWords = 8_000 // force several batches through the scheduler
 	gGPU, gpuStats, err := gpclust.BuildHomologyGraph(seqs, gpuCfg)
 	if err != nil {
 		t.Fatal(err)

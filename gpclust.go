@@ -117,13 +117,6 @@ func ClusterGPU(g *Graph, dev *Device, o Options) (*Result, error) {
 	return core.ClusterGPU(g, dev, o)
 }
 
-// ClusterByComponent decomposes the graph into connected components (the
-// pClust strategy of Section I-B) and shingles each independently on a
-// worker pool; clusters never span components, so decomposition is exact.
-func ClusterByComponent(g *Graph, o Options, workers int) (*Result, error) {
-	return core.ClusterByComponent(g, o, workers)
-}
-
 // Device is the simulated GPU; DeviceConfig describes its architecture.
 type Device = gpusim.Device
 

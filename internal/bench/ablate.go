@@ -29,7 +29,7 @@ func AblateBatchSize(scale float64, o core.Options, budgets []int) ([]AblationRo
 	var rows []AblationRow
 	for _, b := range budgets {
 		opt := o
-		opt.BatchWords = b
+		opt.Plan.BudgetWords = b
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
 		if err != nil {
@@ -54,14 +54,14 @@ func AblateBatchSize(scale float64, o core.Options, budgets []int) ([]AblationRo
 func AblateFullSort(scale float64, o core.Options) ([]AblationRow, error) {
 	g, _ := graph.Planted(Paper20KConfig(scale))
 	fused := o
-	fused.UseFullSort = false
+	fused.Plan.FullSort = false
 	devF := gpusim.MustNew(gpusim.K20Config())
 	rf, err := core.ClusterGPU(g, devF, fused)
 	if err != nil {
 		return nil, err
 	}
 	full := o
-	full.UseFullSort = true
+	full.Plan.FullSort = true
 	devS := gpusim.MustNew(gpusim.K20Config())
 	rs, err := core.ClusterGPU(g, devS, full)
 	if err != nil {
@@ -182,7 +182,7 @@ func AblateGPUAggregation(scale float64, o core.Options) ([]AblationRow, error) 
 		return nil, err
 	}
 	agg := o
-	agg.GPUAggregate = true
+	agg.Plan.DeviceAggregate = true
 	devAgg := gpusim.MustNew(gpusim.K20Config())
 	ra, err := core.ClusterGPU(g, devAgg, agg)
 	if err != nil {
@@ -219,7 +219,7 @@ func AblateHostParallel(scale float64, o core.Options, workers int) ([]AblationR
 		return nil, err
 	}
 	pipe := o
-	pipe.PipelineBatches = true
+	pipe.Plan.Lanes = 2
 	devPipe := gpusim.MustNew(gpusim.K20Config())
 	rpp, err := core.ClusterGPU(g, devPipe, pipe)
 	if err != nil {

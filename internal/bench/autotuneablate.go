@@ -50,10 +50,10 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		points []AutoTunePoint
 	)
 
-	// gpclust: the two legacy derivations (sequential and pipelined), two
-	// forced multi-batch budgets, and the auto-tuner. The auto-tuner's
-	// candidate sweep is a superset of both legacy derivations, so with an
-	// accurate model it can never lose to them.
+	// gpclust: the largest budget that fits (sequential, and halved for the
+	// pipelined plan), two forced multi-batch budgets, and the auto-tuner.
+	// The auto-tuner's candidate sweep is a superset of both derived plans,
+	// so with an accurate model it can never lose to them.
 	g, _ := graph.Planted(Paper20KConfig(scale))
 	type coreSetting struct {
 		label    string
@@ -71,8 +71,10 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	var goldenClusters [][]uint32
 	for _, cs := range coreSettings {
 		opt := o
-		opt.BatchWords = cs.budget
-		opt.PipelineBatches = cs.pipeline
+		opt.Plan.BudgetWords = cs.budget
+		if cs.pipeline {
+			opt.Plan.Lanes = 2
+		}
 		opt.AutoTune = cs.auto
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
@@ -99,8 +101,8 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		rows = append(rows, autoTuneRow(p, plan))
 	}
 
-	// pgraph: the single-whole-workload legacy batch, a forced multi-batch
-	// budget, and the auto-tuner.
+	// pgraph: the single whole-workload batch of the largest budget that
+	// fits, a forced multi-batch budget, and the auto-tuner.
 	if pgraphN <= 0 {
 		pgraphN = 1200
 	}
@@ -124,7 +126,7 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	for _, ps := range pgSettings {
 		cfg := pgraph.DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = ps.budget
+		cfg.Plan.BudgetWords = ps.budget
 		cfg.AutoTune = ps.auto
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		pg, st, err := pgraph.Build(mg.Seqs, cfg)

@@ -18,7 +18,7 @@ import (
 // errors out if one diverges — and the rows report what each recovery
 // cost on the virtual clock.
 func AblateFaults(scale float64, o core.Options) ([]AblationRow, error) {
-	o.BatchWords = 200_000 // several batches, so per-batch recovery has scope
+	o.Plan.BudgetWords = 200_000 // several batches, so per-batch recovery has scope
 	g, _ := graph.Planted(Paper20KConfig(scale))
 	devClean := gpusim.MustNew(gpusim.K20Config())
 	clean, err := core.ClusterGPU(g, devClean, o)

@@ -71,8 +71,8 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 	var goldenClusters [][]uint32
 	for _, ps := range packingSettings {
 		opt := o
-		opt.BatchWords = 200_000
-		opt.Packed = ps.packed
+		opt.Plan.BudgetWords = 200_000
+		opt.Plan.Packed = ps.packed
 		dev := gpusim.MustNew(gpusim.K20Config())
 		r, err := core.ClusterGPU(g, dev, opt)
 		if err != nil {
@@ -112,8 +112,8 @@ func AblatePacking(scale float64, o core.Options, pgraphN int) ([]AblationRow, [
 	for _, ps := range packingSettings {
 		cfg := pgraph.DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = 40_000
-		cfg.Packed = ps.packed
+		cfg.Plan.BudgetWords = 40_000
+		cfg.Plan.Packed = ps.packed
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		pg, st, err := pgraph.Build(mg.Seqs, cfg)
 		if err != nil {

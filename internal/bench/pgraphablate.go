@@ -56,12 +56,12 @@ func AblatePGraphBackend(n, batchWords int) ([]AblationRow, []PGraphBackendPoint
 		{"host pool x4", func(c *pgraph.Config) { c.Workers = 4 }},
 		{"gpu sequential", func(c *pgraph.Config) {
 			c.GPU = true
-			c.GPUBatchWords = batchWords
+			c.Plan.BudgetWords = batchWords
 		}},
 		{"gpu seq no-binning", func(c *pgraph.Config) {
 			c.GPU = true
-			c.GPUBatchWords = batchWords
-			c.NoLengthBin = true
+			c.Plan.BudgetWords = batchWords
+			c.Plan.LengthBin = false
 		}},
 		{"gpu single batch", func(c *pgraph.Config) {
 			c.GPU = true // budget 0: the whole workload resident at once

@@ -61,12 +61,12 @@ func RunTable1Row(name string, g *graph.Graph, o core.Options) (*Table1Row, erro
 
 // RunTable1 reproduces Table I: the 20K-shaped and 2M-shaped graphs, serial
 // vs gpClust, at the given scale of the paper's sizes. The GPU side runs
-// Algorithm 1 literally (per-trial segmented sort, UseFullSort) because that
+// Algorithm 1 literally (per-trial segmented sort, Plan.FullSort) because that
 // is what the paper's Thrust implementation does; the fused top-s selection
 // kernel is this repository's improvement and is quantified separately in
 // the ablations.
 func RunTable1(scale20K, scale2M float64, o core.Options) ([]*Table1Row, error) {
-	o.UseFullSort = true
+	o.Plan.FullSort = true
 	g20, _ := graph.Planted(Paper20KConfig(scale20K))
 	row20, err := RunTable1Row("20K", g20, o)
 	if err != nil {

@@ -2,17 +2,17 @@ package core
 
 import (
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/sched"
 	"gpclust/internal/thrust"
 )
 
-// Cost-model-driven batch auto-tuning for the shingling passes. With
-// Options.AutoTune (and no explicit BatchWords) the scheduler enumerates
-// candidate plans — a geometric sweep of word budgets crossed with the
-// feasible pipeline lane counts — predicts each candidate's virtual time by
-// replaying its exact operation sequence (stage, H2D, per-trial kernels,
-// D2H, CPU merge) through sched.Sim, and runs the argmin. Kernel throughput
+// Cost-model-driven batch planning for the shingling passes. With
+// Options.AutoTune (and no budget pinned by Options.Plan) the scheduler
+// enumerates candidate plans — a geometric sweep of word budgets crossed
+// with the feasible pipeline lane counts — predicts each candidate's
+// virtual time by replaying its exact operation sequence (stage, H2D,
+// per-trial kernels, D2H, CPU merge) through sched.Sim, and runs the
+// argmin; a fixed plan is priced the same way. Kernel throughput
 // is calibrated by probing the real thrust kernels on a *scratch* device
 // with the same gpusim.Config, so planning charges zero time on the run's
 // own virtual clock and the model tracks whatever the simulator charges,
@@ -37,14 +37,15 @@ func topsThreads(numSegs int) int {
 	return grid * 256
 }
 
-// calibrateShingleModel measures the simulator's charge for the pass's
-// kernels on a scratch device with the same config, normalized per data
-// word at full occupancy (sched.Model re-applies the occupancy penalty for
-// other launch shapes). The probe's segments are shaped like the input's
+// calibrate measures the simulator's charge for the pass's kernels on a
+// scratch device with the device's config, normalized per data word at
+// full occupancy (sched.Model re-applies the occupancy penalty for other
+// launch shapes). The probe's segments are shaped like the input's
 // average list. Probe failures leave the affected kernel uncalibrated
 // (predicted at launch cost only) — they cannot occur on a fresh
 // fault-free device.
-func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, s int, o Options) *sched.Model {
+func (e *passEnv) calibrate() *sched.Model {
+	cfg, in, s := e.dev.Config(), e.in, e.s
 	m := sched.NewModel(cfg)
 	n := min(len(in.Data), probeWords)
 	if n == 0 {
@@ -58,8 +59,8 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 	// The probe image is the one the lanes stage: packed at the pass's
 	// width, or plain words.
 	hostData := in.Data[:n]
-	if o.dataBits > 0 {
-		hostData = gpusim.PackBits(hostData, o.dataBits)
+	if e.bits > 0 {
+		hostData = gpusim.PackBits(hostData, e.bits)
 	}
 	dataBuf, err := scratch.Malloc(len(hostData))
 	if err != nil {
@@ -89,17 +90,17 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 		return m
 	}
 
-	h := fam.Pairs[0]
+	h := e.fam.Pairs[0]
 	segs := thrust.Segments{Offsets: offBuf, NumSegs: numSegs}
 	k0 := scratch.Metrics().KernelTimeNs
 	launches := 1.0
-	if !o.UseFullSort {
-		if thrust.FusedHashTopS(scratch, nil, dataBuf, o.dataBits, segs, s, h, outBuf, 0) != nil {
+	if !e.plan.FullSort {
+		if thrust.FusedHashTopS(scratch, nil, dataBuf, e.bits, segs, s, h, outBuf, 0) != nil {
 			return m
 		}
 	} else {
 		launches = 2 // fused sort + gather
-		if thrust.FusedHashSort(scratch, nil, dataBuf, o.dataBits, segs, h, hashBuf) != nil ||
+		if thrust.FusedHashSort(scratch, nil, dataBuf, e.bits, segs, h, hashBuf) != nil ||
 			gatherTopS(scratch, nil, hashBuf, segs, s, outBuf, 0) != nil {
 			return m
 		}
@@ -107,7 +108,7 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 	m.CalibrateKernel(kFused, scratch.Metrics().KernelTimeNs-k0-launches*cfg.KernelLaunchNs,
 		float64(n), topsThreads(numSegs))
 
-	if o.GPUAggregate {
+	if e.plan.DeviceAggregate {
 		// Lump the device aggregation tail (shingle_key + sort_by_key +
 		// pack) into one per-piece rate, launch overheads included — the
 		// radix sort's launch count is an implementation detail, and the
@@ -145,8 +146,8 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 
 // packNs is the host cost of packing one batch's data into the device
 // image; zero when the pass is unpacked.
-func packNs(o Options, words int) float64 {
-	if o.dataBits <= 0 {
+func (e *passEnv) packNs(words int) float64 {
+	if e.bits <= 0 {
 		return 0
 	}
 	return float64(words) * PackNsPerOp
@@ -154,10 +155,10 @@ func packNs(o Options, words int) float64 {
 
 // trialKernelsNs predicts one trial's device launches over words data
 // words in numSegs segments, mirroring trialKernels: the fused hash+select
-// launch, or the fused sort + gather pair under UseFullSort.
-func trialKernelsNs(m *sched.Model, o Options, words, numSegs int) float64 {
+// launch, or the fused sort + gather pair under Plan.FullSort.
+func (e *passEnv) trialKernelsNs(m *sched.Model, words, numSegs int) float64 {
 	launches := 1.0
-	if o.UseFullSort {
+	if e.plan.FullSort {
 		launches = 2
 	}
 	return launches*m.Cfg.KernelLaunchNs +
@@ -183,17 +184,15 @@ func emitNsPerTrial(in *SegGraph, plan *batchPlan, s int) float64 {
 	return float64(ops) * AggregateNsPerOp
 }
 
-// predictShinglePlans predicts the virtual time of the scheduler window —
-// everything between planning and the split-list merge — by replaying the
+// predict returns the virtual time of the scheduler window — everything
+// between planning and the split-list merge — by replaying the
 // executor's operation sequence for the plans on the given lane count: the
 // sched.RunLanes round-robin with each lane's staging and trial work, and
 // under one lane the synchronous default-stream sequence (lane −1), each
 // item's host merge right after its D2H.
-func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan, lanes int) float64 {
-
-	c := fam.Size()
-	sh := shapeLanes(plans, s, c, lanes, o.GPUAggregate)
+func (e *passEnv) predict(m *sched.Model, plans []batchPlan, lanes int) float64 {
+	in, s, c, agg := e.in, e.s, e.fam.Size(), e.plan.DeviceAggregate
+	sh := shapeLanes(plans, s, c, lanes, agg)
 	n := len(plans) * sh.groups(c)
 	sync := lanes < 2
 
@@ -205,12 +204,12 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 	}
 	// Per batch: the device aggregation shape and the host merge cost of
 	// one trial.
-	agg := make([]aggRows, len(plans))
+	rows := make([]aggRows, len(plans))
 	emitNs := make([]float64, len(plans))
 	for i := range plans {
-		if o.GPUAggregate {
-			agg[i] = aggShape(in, &plans[i], s)
-			emitNs[i] = float64(agg[i].valid+len(agg[i].splitRows)*2*s) * AggregateNsPerOp
+		if agg {
+			rows[i] = aggShape(in, &plans[i], s)
+			emitNs[i] = float64(rows[i].valid+len(rows[i].splitRows)*2*s) * AggregateNsPerOp
 		} else {
 			emitNs[i] = emitNsPerTrial(in, &plans[i], s)
 		}
@@ -233,7 +232,7 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 		plan := &plans[k]
 		np := len(plan.pieces)
 		if t0 == 0 && staged != k {
-			sim.HostWork(stageNs(plan) + packNs(o, plan.words))
+			sim.HostWork(stageNs(plan) + e.packNs(plan.words))
 			staged = k
 		}
 		lane, sl := item%lanes, item%lanes
@@ -242,31 +241,31 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 		}
 		drain(lane)
 		if laneBatch[lane] != k {
-			if !sync && laneBatch[lane] < 0 && o.residentParams == nil {
+			if !sync && laneBatch[lane] < 0 && e.params == nil {
 				sim.Copy(sl, 2*c, true) // params table
 			}
-			sim.CopyPacked(sl, plan.words, o.dataBits, true) // batch image
-			sim.Copy(sl, np+1, true)                         // offsets
-			if o.GPUAggregate {
+			sim.CopyPacked(sl, plan.words, e.bits, true) // batch image
+			sim.Copy(sl, np+1, true)                     // offsets
+			if agg {
 				sim.Copy(sl, np, true) // owners
 				sim.Copy(sl, np, true) // flags
 			}
 			laneBatch[lane] = k
 		}
 		for trial := t0; trial < t1; trial++ {
-			if sync && o.residentParams == nil {
+			if sync && e.params == nil {
 				sim.Copy(sl, 2, true) // <A_j, B_j>
 			}
-			sim.KernelRawNs(sl, trialKernelsNs(m, o, plan.words, np))
-			if o.GPUAggregate {
+			sim.KernelRawNs(sl, e.trialKernelsNs(m, plan.words, np))
+			if agg {
 				sim.KernelRawNs(sl, m.KernelNsPerUnit[kAggTail]*float64(np))
-				sim.Copy(sl, 3*agg[k].valid, false)
-				for range agg[k].splitRows {
+				sim.Copy(sl, 3*rows[k].valid, false)
+				for range rows[k].splitRows {
 					sim.Copy(sl, s, false)
 				}
 			}
 		}
-		if !o.GPUAggregate {
+		if !agg {
 			sim.Copy(sl, (t1-t0)*np*s, false)
 		}
 		inFlight[lane] = item
@@ -280,59 +279,40 @@ func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int
 	return sim.Host
 }
 
-// shingleLaneSet is the lane counts the auto-tuner may consider: an
-// explicit PipelineBatches pins a pipelined plan.
-func shingleLaneSet(o Options) []int {
-	if o.PipelineBatches {
+// maxLanes is the most pipeline lanes a plan may run.
+const maxLanes = 4
+
+// shingleLaneSet is the lane counts the auto-tuner may consider: a
+// pipelined plan keeps to pipelined lane counts.
+func shingleLaneSet(p sched.Plan) []int {
+	if p.Lanes >= 2 {
 		return []int{2, 3, 4}
 	}
 	return []int{1, 2, 3, 4}
 }
 
-// legacyShingleBudget is the pre-auto-tune budget derivation.
-func legacyShingleBudget(dev *gpusim.Device, o Options) int {
-	// data + hash copies, offsets and output must all fit with slack.
-	budget := int(dev.FreeMemory() / gpusim.WordBytes * 3 / 4)
-	if o.PipelineBatches {
-		// Two batches are resident at once (double-buffered staging),
-		// and each lane packs up to a batch's worth of output rows for
-		// coalesced transfers: halve the derived budget so both fit.
-		budget = budget / 2
+// feasible reports whether plan p's device footprint fits free memory: the
+// planner's budget is itself a conservative footprint bound for the
+// one-lane plan, and a pipelined plan keeps p.Lanes fully independent
+// stagings resident.
+func (e *passEnv) feasible(freeWords int, plans []batchPlan, p sched.Plan) bool {
+	if p.Lanes <= 1 {
+		return p.BudgetWords <= freeWords
 	}
-	return budget
+	sh := shapeLanes(plans, e.s, e.fam.Size(), p.Lanes, e.plan.DeviceAggregate)
+	return p.Lanes*e.laneWords(sh) <= freeWords
 }
 
-// shingleFeasible reports whether the candidate's device footprint fits
-// free memory: the planner's budget is itself a conservative footprint
-// bound for the one-lane plan, and a pipelined plan keeps `lanes` fully
-// independent stagings resident. o carries the resolved pass shape (packed
-// width, residency, device aggregation, full sort) whose buffers the lanes
-// actually allocate.
-func shingleFeasible(freeWords int, plans []batchPlan, cand sched.Candidate, s, c int, o Options) bool {
-	if cand.Lanes <= 1 {
-		return cand.BudgetWords <= freeWords
-	}
-	sh := shapeLanes(plans, s, c, cand.Lanes, o.GPUAggregate)
-	return cand.Lanes*sh.laneWords(s, c, o) <= freeWords
-}
-
-// autotunePass picks the batch budget and lane count for one shingling
-// pass by predicted virtual time, returning the chosen plan. When no
-// candidate is feasible it falls back to the legacy derivation (reported
-// with AutoTuned=false).
-func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
-	o Options) (sched.PlanReport, []batchPlan, int, error) {
-
-	freeWords := int(dev.FreeMemory() / gpusim.WordBytes)
-	maxB := freeWords * 3 / 4
-	minB := minShingleBudget(s, o.GPUAggregate)
-	m := calibrateShingleModel(dev.Config(), in, fam, s, o)
-	c := fam.Size()
-
-	var cands []sched.Candidate
-	for _, b := range sched.Budgets(maxB, minB) {
-		for _, l := range shingleLaneSet(o) {
-			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l})
+// tune picks the pass's word budget and lane count by predicted virtual
+// time: a geometric budget sweep down from sched.FitBudget, crossed with
+// shingleLaneSet. ok is false when no candidate is feasible.
+func (e *passEnv) tune(m *sched.Model, freeWords int) (sched.Plan, bool) {
+	var cands []sched.Plan
+	for _, b := range sched.Budgets(sched.FitBudget(freeWords), minShingleBudget(e.s, e.plan.DeviceAggregate)) {
+		for _, l := range shingleLaneSet(e.plan) {
+			p := e.plan
+			p.BudgetWords, p.Lanes = b, l
+			cands = append(cands, p)
 		}
 	}
 	planCache := map[int][]batchPlan{}
@@ -340,35 +320,45 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		if p, ok := planCache[b]; ok {
 			return p
 		}
-		p, err := planBatches(in, s, b, o.GPUAggregate)
+		p, err := planBatches(e.in, e.s, b, e.plan.DeviceAggregate)
 		if err != nil {
 			p = nil
 		}
 		planCache[b] = p
 		return p
 	}
-	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
-		plans := plansFor(cand.BudgetWords)
-		if plans == nil || !shingleFeasible(freeWords, plans, cand, s, c, o) {
+	best, _, ok := sched.Pick(cands, func(p sched.Plan) (float64, bool) {
+		plans := plansFor(p.BudgetWords)
+		if plans == nil || !e.feasible(freeWords, plans, p) {
 			return 0, false
 		}
-		return predictShinglePlans(m, in, fam, s, o, plans, cand.Lanes), true
+		return e.predict(m, plans, p.Lanes), true
 	})
-	if !ok {
-		budget := legacyShingleBudget(dev, o)
-		plans, err := planBatches(in, s, budget, o.GPUAggregate)
-		if err != nil {
-			return sched.PlanReport{}, nil, 0, err
+	return best, ok
+}
+
+// resolvePlan resolves the pass's plan into e.plan — the tuned plan when
+// Options.AutoTune leaves the budget unpinned, else Options.Plan at its
+// resolved budget (also when no tuned candidate is feasible) — plans its
+// batches and prices them on the calibrated model.
+func (e *passEnv) resolvePlan() ([]batchPlan, sched.PlanReport, error) {
+	m := e.calibrate()
+	freeWords := sched.FreeWords(e.dev)
+	tuned := false
+	if e.o.AutoTune && e.plan.BudgetWords == 0 {
+		var p sched.Plan
+		if p, tuned = e.tune(m, freeWords); tuned {
+			e.plan = p
 		}
-		lanes := 1
-		if o.PipelineBatches {
-			lanes = 2
-		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans)},
-			plans, lanes, nil
 	}
-	plans := plansFor(best.BudgetWords)
-	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,
-		Lanes: best.Lanes, Batches: len(plans), PredictedNs: predicted}
-	return rep, plans, best.Lanes, nil
+	if !tuned {
+		e.plan.BudgetWords = e.plan.Budget(freeWords)
+		e.plan.Lanes = max(e.plan.Lanes, 1)
+	}
+	plans, err := planBatches(e.in, e.s, e.plan.BudgetWords, e.plan.DeviceAggregate)
+	if err != nil {
+		return nil, sched.PlanReport{}, err
+	}
+	return plans, sched.PlanReport{AutoTuned: tuned, BudgetWords: e.plan.BudgetWords, Lanes: e.plan.Lanes,
+		Packed: e.bits > 0, Batches: len(plans), PredictedNs: e.predict(m, plans, e.plan.Lanes)}, nil
 }

@@ -69,9 +69,9 @@ func TestAutoTuneModeLanes(t *testing.T) {
 		minLane int
 		maxLane int
 	}{
-		{"pipelined", func(o *Options) { o.PipelineBatches = true }, 2, 4},
-		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 4},
-		{"gpuagg pipelined", func(o *Options) { o.GPUAggregate, o.PipelineBatches = true, true }, 2, 4},
+		{"pipelined", func(o *Options) { o.Plan.Lanes = 2 }, 2, 4},
+		{"gpuagg", func(o *Options) { o.Plan.DeviceAggregate = true }, 1, 4},
+		{"gpuagg pipelined", func(o *Options) { o.Plan.DeviceAggregate, o.Plan.Lanes = true, 2 }, 2, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,7 +105,7 @@ func TestAutoTuneModeLanes(t *testing.T) {
 func TestPredictCostFixedPlan(t *testing.T) {
 	g, _ := plantedTestGraph(400, 73)
 	o := testOptions()
-	o.BatchWords = 40_000
+	o.Plan.BudgetWords = 40_000
 	dev := gpusim.MustNew(gpusim.K20Config())
 	gpu, err := ClusterGPU(g, dev, o)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestPredictCostFixedPlan(t *testing.T) {
 	}
 
 	// The pipelined fixed path is priced by the lane-overlap predictor.
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	devPipe := gpusim.MustNew(gpusim.K20Config())
 	pipe, err := ClusterGPU(g, devPipe, o)
 	if err != nil {
@@ -130,9 +130,9 @@ func TestPredictCostFixedPlan(t *testing.T) {
 	}
 }
 
-// TestAutoTuneNotWorseThanLegacy: the candidate sweep is a superset of the
-// legacy budget derivation, so the tuned run can never be slower than the
-// legacy default on the same workload and mode.
+// TestAutoTuneNotWorseThanLegacy: the candidate sweep tops at the largest
+// budget that fits, the budget of the default fixed plan, so the tuned run
+// can never be slower than that plan on the same workload and mode.
 func TestAutoTuneNotWorseThanLegacy(t *testing.T) {
 	g, _ := plantedTestGraph(600, 7)
 	o := testOptions()
@@ -170,10 +170,10 @@ func TestAutoTuneGPUAggregateLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.GPUAggregate = true
+	o.Plan.DeviceAggregate = true
 	auto, fixed := o, o
 	auto.AutoTune = true
-	fixed.PipelineBatches, fixed.BatchWords = true, 20_000
+	fixed.Plan.Lanes, fixed.Plan.BudgetWords = 2, 20_000
 	for _, tc := range []struct {
 		name     string
 		o        Options
@@ -200,18 +200,19 @@ func TestAutoTuneGPUAggregateLanes(t *testing.T) {
 }
 
 func TestShingleLaneSet(t *testing.T) {
-	if got := shingleLaneSet(Options{}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("default lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{PipelineBatches: true}); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("pipelined lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{GPUAggregate: true}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("gpu-aggregate lane set %v", got)
-	}
-	agg := Options{GPUAggregate: true, PipelineBatches: true}
-	if got := shingleLaneSet(agg); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("pipelined gpu-aggregate lane set %v", got)
+	for _, tc := range []struct {
+		plan sched.Plan
+		want []int
+	}{
+		{sched.Plan{}, []int{1, 2, 3, 4}},
+		{sched.Plan{Lanes: 1}, []int{1, 2, 3, 4}},
+		{sched.Plan{Lanes: 2}, []int{2, 3, 4}},
+		{sched.Plan{DeviceAggregate: true}, []int{1, 2, 3, 4}},
+		{sched.Plan{DeviceAggregate: true, Lanes: 3}, []int{2, 3, 4}},
+	} {
+		if got := shingleLaneSet(tc.plan); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("lane set of %+v: %v, want %v", tc.plan, got, tc.want)
+		}
 	}
 }
 

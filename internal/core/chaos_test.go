@@ -36,13 +36,13 @@ func chaosBackends(batchWords int) []chaosBackend {
 		}
 	}
 	return []chaosBackend{
-		{"gpu", mk(func(o *Options) { o.BatchWords = batchWords })},
-		{"gpu agg", mk(func(o *Options) { o.BatchWords = batchWords; o.GPUAggregate = true })},
-		{"gpu pipelined", mk(func(o *Options) { o.BatchWords = batchWords; o.PipelineBatches = true })},
+		{"gpu", mk(func(o *Options) { o.Plan.BudgetWords = batchWords })},
+		{"gpu agg", mk(func(o *Options) { o.Plan.BudgetWords = batchWords; o.Plan.DeviceAggregate = true })},
+		{"gpu pipelined", mk(func(o *Options) { o.Plan.BudgetWords = batchWords; o.Plan.Lanes = 2 })},
 		{"gpu agg pipelined", mk(func(o *Options) {
-			o.BatchWords = batchWords
-			o.GPUAggregate = true
-			o.PipelineBatches = true
+			o.Plan.BudgetWords = batchWords
+			o.Plan.DeviceAggregate = true
+			o.Plan.Lanes = 2
 		})},
 	}
 }
@@ -89,7 +89,7 @@ func TestChaosSweepAllBackends(t *testing.T) {
 func TestChaosRecoveryLadder(t *testing.T) {
 	g, _ := plantedTestGraph(200, 3)
 	o := testOptions()
-	o.BatchWords = 2_000
+	o.Plan.BudgetWords = 2_000
 	clean, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestChaosRecoveryLadder(t *testing.T) {
 func TestChaosPipelinedRestartAndDegrade(t *testing.T) {
 	g, _ := plantedTestGraph(200, 7)
 	o := testOptions()
-	o.BatchWords = 2_000
-	o.PipelineBatches = true
+	o.Plan.BudgetWords = 2_000
+	o.Plan.Lanes = 2
 	serial, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestChaosPipelinedRestartAndDegrade(t *testing.T) {
 func TestChaosNoFallbackTypedError(t *testing.T) {
 	g, _ := plantedTestGraph(150, 19)
 	o := testOptions()
-	o.BatchWords = 2_000
+	o.Plan.BudgetWords = 2_000
 	o.NoHostFallback = true
 	o.FaultRetries = 2
 
@@ -247,7 +247,7 @@ func TestChaosNoFallbackTypedError(t *testing.T) {
 func TestChaosPropertyAnySchedule(t *testing.T) {
 	g, _ := plantedTestGraph(150, 23)
 	o := testOptions()
-	o.BatchWords = 1_500
+	o.Plan.BudgetWords = 1_500
 	clean, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)

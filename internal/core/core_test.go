@@ -6,6 +6,7 @@ import (
 
 	"gpclust/internal/gpusim"
 	"gpclust/internal/graph"
+	"gpclust/internal/sched"
 )
 
 // testOptions returns fast settings for unit tests (the paper's c1=200,
@@ -33,7 +34,9 @@ func TestOptionsValidate(t *testing.T) {
 		{S1: 1, C1: 1, S2: 0, C2: 1},
 		{S1: 1, C1: 1, S2: 1, C2: 0},
 		{S1: 65, C1: 1, S2: 1, C2: 1},
-		{S1: 1, C1: 1, S2: 1, C2: 1, BatchWords: -5},
+		{S1: 1, C1: 1, S2: 1, C2: 1, Plan: sched.Plan{BudgetWords: -5}},
+		{S1: 1, C1: 1, S2: 1, C2: 1, Plan: sched.Plan{Lanes: -1}},
+		{S1: 1, C1: 1, S2: 1, C2: 1, Plan: sched.Plan{Lanes: 5}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -42,6 +45,13 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("DefaultOptions invalid: %v", err)
+	}
+	for lanes := 0; lanes <= 4; lanes++ {
+		o := DefaultOptions()
+		o.Plan.Lanes = lanes
+		if err := o.Validate(); err != nil {
+			t.Errorf("%d lanes rejected: %v", lanes, err)
+		}
 	}
 }
 
@@ -213,21 +223,21 @@ func TestGPUMatchesSerialAcrossBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batchWords := range []int{0, 50_000, 5_000, 700, 24} {
-		o.BatchWords = batchWords
+		o.Plan.BudgetWords = batchWords
 		dev := gpusim.MustNew(gpusim.K20Config())
 		gpu, err := ClusterGPU(g, dev, o)
 		if err != nil {
-			t.Fatalf("BatchWords=%d: %v", batchWords, err)
+			t.Fatalf("budget=%d: %v", batchWords, err)
 		}
 		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
-			t.Fatalf("BatchWords=%d: clustering differs from serial (batches=%d splits=%d)",
+			t.Fatalf("budget=%d: clustering differs from serial (batches=%d splits=%d)",
 				batchWords, gpu.Pass1.Batches, gpu.Pass1.SplitLists)
 		}
 		if batchWords == 24 && gpu.Pass1.SplitLists == 0 {
 			t.Fatal("tiny batches produced no split lists; split-merge path untested")
 		}
 		if batchWords == 5_000 && gpu.Pass1.Batches < 2 {
-			t.Fatal("BatchWords=5000 did not force multiple batches")
+			t.Fatal("budget 5000 did not force multiple batches")
 		}
 	}
 }
@@ -265,7 +275,7 @@ func TestFullSortMatchesFused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.UseFullSort = true
+	o.Plan.FullSort = true
 	devB := gpusim.MustNew(gpusim.K20Config())
 	full, err := ClusterGPU(g, devB, o)
 	if err != nil {

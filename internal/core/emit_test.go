@@ -42,8 +42,8 @@ func TestClusterGPUEmitAnyWorkers(t *testing.T) {
 	auto := DefaultOptions()
 	auto.AutoTune = true
 	piped := testOptions()
-	piped.PipelineBatches = true
-	piped.BatchWords = 100
+	piped.Plan.Lanes = 2
+	piped.Plan.BudgetWords = 100
 
 	for _, tc := range []struct {
 		name  string

@@ -47,7 +47,7 @@ func TestGoldenVirtualTime(t *testing.T) {
 	g := plantedHubGraph()
 	fixed := func(mut func(*Options)) func(*Options) {
 		return func(o *Options) {
-			o.BatchWords = 5_000
+			o.Plan.BudgetWords = 5_000
 			mut(o)
 		}
 	}
@@ -58,25 +58,25 @@ func TestGoldenVirtualTime(t *testing.T) {
 				0x41e45604c45d1742, 0xe054, 0xfdde0, 0x2a8,
 				0x41d1b9f58be99f51, 0x41d1d3d315c23cda, 0x41daa046b7dba115, 0x41daa795918ba310,
 			}},
-		{name: "unpacked", mutate: fixed(func(o *Options) { o.Packed = false }),
+		{name: "unpacked", mutate: fixed(func(o *Options) { o.Plan.Packed = false }),
 			want: []uint64{
 				0x41e7584ba7241fd8, 0x41937e89e0000000, 0x4197aa49ec4ec531, 0x41aa3be254000000,
 				0x41e45604c45d1742, 0x20454, 0xfdde0, 0x2a8,
 				0x41d21f1a207377f0, 0x41d28b3a207377e3, 0x41dab29a812d2cf3, 0x41dafe219c8ba33b,
 			}},
-		{name: "full sort", mutate: fixed(func(o *Options) { o.UseFullSort = true }),
+		{name: "full sort", mutate: fixed(func(o *Options) { o.Plan.FullSort = true }),
 			want: []uint64{
 				0x41ecf7c01ce90c1b, 0x41938bd1c0000000, 0x41c971bb189d89f1, 0x41aa3abe54000000,
 				0x41e45604c45d1742, 0xe054, 0xfdde0, 0x550,
 				0x41d52707cf9ada78, 0x41db0422e34c151d, 0x41db257a320b225e, 0x41ddc421c53cde87,
 			}},
-		{name: "split lists", mutate: fixed(func(o *Options) { o.BatchWords = 2_000 }), splits: true,
+		{name: "split lists", mutate: fixed(func(o *Options) { o.Plan.BudgetWords = 2_000 }), splits: true,
 			want: []uint64{
 				0x41fa950d6047b57d, 0x41938cbfd8000000, 0x4181d25fcab62eb4, 0x41bf3c0b9c000000,
 				0x41f82cd3d7ffffed, 0xe138, 0xfdf20, 0x654,
 				0x41e4245bcdd7b857, 0x41e4316b7416422a, 0x41f02f924bc2e8bc, 0x41f03288c1ea4b44,
 			}},
-		{name: "pipelined", mutate: fixed(func(o *Options) { o.PipelineBatches = true }),
+		{name: "pipelined", mutate: fixed(func(o *Options) { o.Plan.Lanes = 2 }),
 			want: []uint64{
 				0x41e1e8439d906e7e, 0x41938bd1c0000000, 0x417b6462c4ec4ec0, 0x41b9fdb464000000,
 				0x41dc27b108ba2e84, 0x1bec8, 0xfdde0, 0x2a8,
@@ -89,14 +89,14 @@ func TestGoldenVirtualTime(t *testing.T) {
 				0x418892d1e8479bc1, 0x4188c4a0ad33ea86, 0x4198e298c0ba2e8a, 0x4198ea09fbcddfbc,
 			}},
 		{name: "gpu agg split lists", splits: true,
-			mutate: fixed(func(o *Options) { o.BatchWords = 2_000; o.GPUAggregate = true }),
+			mutate: fixed(func(o *Options) { o.Plan.BudgetWords = 2_000; o.Plan.DeviceAggregate = true }),
 			want: []uint64{
 				0x42043d84a801783f, 0x4171f57460000000, 0x41a46d6347e6abc9, 0x41d5c1a7c0000000,
 				0x4201294ee0e8b9e1, 0x19400, 0x168cd0, 0x2260,
 				0x41ecd3deb5c7d967, 0x41ed0edc97bd85a1, 0x41f98ed3eabd79d8, 0x41f9e1133a51e489,
 			}},
 		{name: "gpu agg params upload failed", faults: "malloc op=1",
-			mutate: fixed(func(o *Options) { o.GPUAggregate = true }),
+			mutate: fixed(func(o *Options) { o.Plan.DeviceAggregate = true }),
 			want: []uint64{
 				0x41fda130275eaba5, 0x4171f2d900000000, 0x419e2ddc20e9d985, 0x41ef3bb5cec00000,
 				0x41eaec13cdd17470, 0x1acec, 0x168c30, 0xe10,

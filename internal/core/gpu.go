@@ -38,16 +38,16 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	// Both passes' hash-pair tables <A_j, B_j> are loop-invariant for the
 	// whole run: stage them device-resident once, for every batch and lane
 	// of both passes. On allocation or transfer failure the run degrades to
-	// the per-batch upload path (residentParams == nil), mirroring the
-	// BLOSUM62 residency ladder in pgraph.
-	o.residentParams = uploadResidentParams(dev, fam1, fam2)
-	freeResident := func() {
-		if o.residentParams != nil {
-			o.residentParams.Free()
-			o.residentParams = nil
+	// the per-batch upload path (params == nil), mirroring the BLOSUM62
+	// residency ladder in pgraph.
+	params := uploadResidentParams(dev, fam1, fam2)
+	freeParams := func() {
+		if params != nil {
+			params.Free()
+			params = nil
 		}
 	}
-	defer freeResident()
+	defer freeParams()
 
 	// "CPU initiate[s] the task by loading graph into HM" (Algorithm 2).
 	ph := led.Phase(obs.NameRead)
@@ -57,7 +57,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	sw := sched.NewStopwatch()
 	in := FromGraph(g)
 	ph = led.Phase("shingle-pass1")
-	gi, err := runPassGPU(dev, led, in, fam1, o.S1, o, "pass1", &res.Pass1, &res.Faults)
+	gi, err := runPassGPU(dev, led, params, in, fam1, o.S1, o, "pass1", &res.Pass1, &res.Faults)
 	led.EndPhase(ph)
 	if err != nil {
 		return nil, fmt.Errorf("core: first-level shingling: %w", err)
@@ -73,7 +73,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	led.EndPhase(ph)
 
 	ph = led.Phase("shingle-pass2")
-	gii, err := runPassGPU(dev, led, pass2In, fam2, o.S2, o, "pass2", &res.Pass2, &res.Faults)
+	gii, err := runPassGPU(dev, led, params, pass2In, fam2, o.S2, o, "pass2", &res.Pass2, &res.Faults)
 	led.EndPhase(ph)
 	if err != nil {
 		return nil, fmt.Errorf("core: second-level shingling: %w", err)
@@ -89,7 +89,7 @@ func ClusterGPU(g *graph.Graph, dev *gpusim.Device, o Options) (*Result, error) 
 	res.Wall.ReportNs = sw.Lap()
 	res.Wall.TotalNs = sw.Total()
 
-	freeResident()
+	freeParams()
 	dev.Synchronize()
 	m := dev.Metrics()
 	host := led.Split()
@@ -247,8 +247,8 @@ func mergeTopS(acc []uint32, piece []uint32, s int) []uint32 {
 
 // passEnv is the state one shingling pass threads through its executor,
 // its recovery ladders and its host fallback: the device and the run's
-// ledger, the pass input and trial family, the resolved options, and the
-// aggregation outputs every batch appends to.
+// ledger, the pass input and trial family, the options, the resolved plan
+// and image, and the aggregation outputs every batch appends to.
 type passEnv struct {
 	dev *gpusim.Device
 	led *sched.Ledger
@@ -257,12 +257,23 @@ type passEnv struct {
 	s   int
 	o   Options
 
+	// plan is the pass's batch plan: Options.Plan until resolvePlan
+	// resolves its budget and lanes.
+	plan sched.Plan
+	// bits is the packed image width of the batch data (0 = plain words).
+	bits int
+	// params holds both trial families' hash parameters device-resident
+	// for the whole run ([2·c1 words of pass 1 | 2·c2 words of pass 2]),
+	// so no per-trial parameter upload is simulated; nil is the per-batch
+	// upload path.
+	params *gpusim.Buffer
+
 	tuplesByTrial [][]tuple
 	// tupleBlock is the capacity presizeTuples gave each trial's tuple
-	// stream, or -1 when the streams grow on demand (GPUAggregate).
+	// stream, or -1 when the streams grow on demand (DeviceAggregate).
 	tupleBlock int
 	// sortedByTrial holds device-sorted tuple runs per trial; non-nil only
-	// under GPUAggregate.
+	// under DeviceAggregate.
 	sortedByTrial [][][]tuple
 	pending       map[int]*pendingShingle
 	stats         *PassStats
@@ -271,16 +282,18 @@ type passEnv struct {
 
 // runPassGPU executes one shingling pass (Algorithm 1 inside Algorithm 2's
 // batch loop) on the device and aggregates the result into the next-level
-// shingle graph on the CPU.
-func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise.Family, s int,
-	o Options, label string, stats *PassStats, rec *faults.Recovery) (*SegGraph, error) {
+// shingle graph on the CPU: it resolves the pass's plan (tuned or given),
+// prices it and runs it.
+func runPassGPU(dev *gpusim.Device, led *sched.Ledger, params *gpusim.Buffer, in *SegGraph, fam minwise.Family,
+	s int, o Options, label string, stats *PassStats, rec *faults.Recovery) (*SegGraph, error) {
 
 	stats.Lists = in.NumLists()
 	stats.Elements = int64(len(in.Data))
 	c := fam.Size()
-	e := &passEnv{dev: dev, led: led, in: in, fam: fam, s: s, tuplesByTrial: make([][]tuple, c), tupleBlock: -1,
+	e := &passEnv{dev: dev, led: led, in: in, fam: fam, s: s, o: o, plan: o.Plan, params: params,
+		tuplesByTrial: make([][]tuple, c), tupleBlock: -1,
 		pending: make(map[int]*pendingShingle), stats: stats, rec: rec}
-	if o.GPUAggregate {
+	if e.plan.DeviceAggregate {
 		e.sortedByTrial = make([][][]tuple, c)
 	}
 
@@ -293,43 +306,18 @@ func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise
 			stats.SkippedShort++
 		}
 	}
-	if !o.GPUAggregate {
+	if !e.plan.DeviceAggregate {
 		e.presizeTuples(in.NumLists() - stats.SkippedShort)
 	}
 
 	// Resolve the pass's packed image width: every adjacency value at the
 	// smallest width that holds the pass's maximum. Planning-time host work,
 	// uncharged like the batch planner itself.
-	o.dataBits = packWidth(o, in)
-
-	lanes := 1
-	if o.PipelineBatches {
-		lanes = 2
+	e.bits = packWidth(e.plan.Packed, in)
+	plans, report, err := e.resolvePlan()
+	if err != nil {
+		return nil, err
 	}
-	var plans []batchPlan
-	var report sched.PlanReport
-	if o.BatchWords == 0 && o.AutoTune {
-		var err error
-		report, plans, lanes, err = autotunePass(dev, in, fam, s, o)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		budget := o.BatchWords
-		if budget == 0 {
-			budget = legacyShingleBudget(dev, o)
-		}
-		var err error
-		plans, err = planBatches(in, s, budget, o.GPUAggregate)
-		if err != nil {
-			return nil, err
-		}
-		m := calibrateShingleModel(dev.Config(), in, fam, s, o)
-		report = sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans),
-			PredictedNs: predictShinglePlans(m, in, fam, s, o, plans, lanes)}
-	}
-	report.Packed = o.dataBits > 0
-	e.o = o
 	stats.Batches = len(plans)
 
 	splitLists := make(map[int]bool)
@@ -343,9 +331,8 @@ func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise
 	stats.SplitLists = len(splitLists)
 
 	schedT0 := dev.HostTime()
-	var err error
-	if lanes >= 2 {
-		err = e.runPass(label, plans, lanes)
+	if e.plan.Lanes >= 2 {
+		err = e.runPass(label, plans, e.plan.Lanes)
 	} else {
 		err = e.runBatches(label, plans)
 	}
@@ -362,7 +349,7 @@ func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise
 
 	var out *SegGraph
 	var ops int64
-	if o.GPUAggregate {
+	if e.plan.DeviceAggregate {
 		out, ops = buildShingleGraphPresorted(e.sortedByTrial, e.tuplesByTrial, o.workerCount(), stats)
 	} else {
 		out, ops = buildShingleGraph(e.tuplesByTrial, o.workerCount(), stats)
@@ -376,7 +363,7 @@ func runPassGPU(dev *gpusim.Device, led *sched.Ledger, in *SegGraph, fam minwise
 // exactly one tuple per trial and a shorter one none, so the number of long
 // lists is every stream's final length: the streams never grow, and a
 // rolled-back attempt (resilient.go) truncates within its window. Only
-// whole-list streams are sized this way: under GPUAggregate the streams
+// whole-list streams are sized this way: under DeviceAggregate the streams
 // carry the residue of split lists, which an OOM split can add to mid-pass.
 func (e *passEnv) presizeTuples(long int) {
 	block := make([]tuple, len(e.tuplesByTrial)*long)
@@ -387,10 +374,10 @@ func (e *passEnv) presizeTuples(long int) {
 }
 
 // packWidth resolves a pass's packed image width: the smallest bit width
-// that holds every adjacency value, or 0 (unpacked) when Packed is off or
+// that holds every adjacency value, or 0 (unpacked) when packed is off or
 // the values need full words anyway.
-func packWidth(o Options, in *SegGraph) int {
-	if !o.Packed || len(in.Data) == 0 {
+func packWidth(packed bool, in *SegGraph) int {
+	if !packed || len(in.Data) == 0 {
 		return 0
 	}
 	if bits := gpusim.MinBits(in.Data); bits < 32 {
@@ -444,14 +431,14 @@ func imageWords(n, bits int) int {
 
 // trialKernels enqueues one trial's device work over the batch image: the
 // fused single launch (hash + top-s selection reading the image in place),
-// or under UseFullSort the fused sort + gather pair, which stages the sorted
+// or under fullSort the fused sort + gather pair, which stages the sorted
 // hashes in hashBuf. Both forms write the trial's sentinel-padded minima
 // rows at out[outBase:...] and are bit-identical.
 func trialKernels(dev *gpusim.Device, st *gpusim.Stream, img batchImage, hashBuf *gpusim.Buffer,
-	segs thrust.Segments, s int, o Options, h minwise.HashPair,
+	segs thrust.Segments, s int, fullSort bool, h minwise.HashPair,
 	outBuf *gpusim.Buffer, outBase int) error {
 
-	if !o.UseFullSort {
+	if !fullSort {
 		return thrust.FusedHashTopS(dev, st, img.buf, img.bits, segs, s, h, outBuf, outBase)
 	}
 	if err := thrust.FusedHashSort(dev, st, img.buf, img.bits, segs, h, hashBuf); err != nil {

@@ -11,7 +11,7 @@ import (
 // CPU-side aggregation dominating gpClust's runtime once the shingling
 // itself is accelerated (52.7s of 66.75s at 20K sequences); its heaviest
 // piece is the per-trial sorting that groups <shingle, owner> tuples. With
-// Options.GPUAggregate each executor item ends every trial with a device
+// Plan.DeviceAggregate each executor item ends every trial with a device
 // step: a shingle-key kernel over the trial's minima rows, a
 // thrust sort_by_key of the (key, owner) records, and a pack kernel that
 // interleaves the valid records for one D2H. Split pieces still return

@@ -14,7 +14,7 @@ func TestGPUAggregateOnTinyDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.GPUAggregate = true
+	o.Plan.DeviceAggregate = true
 	cfg := gpusim.SmallConfig()
 	cfg.GlobalMemBytes = 48 << 10 // 12K words: forces many batches
 	dev := gpusim.MustNew(cfg)

@@ -14,7 +14,7 @@ func TestGPUAggregateMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.GPUAggregate = true
+	o.Plan.DeviceAggregate = true
 	dev := gpusim.MustNew(gpusim.K20Config())
 	gpu, err := ClusterGPU(g, dev, o)
 	if err != nil {
@@ -39,16 +39,16 @@ func TestGPUAggregateAcrossBatchesWithSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.GPUAggregate = true
+	o.Plan.DeviceAggregate = true
 	for _, batchWords := range []int{5_000, 700, 24} {
-		o.BatchWords = batchWords
+		o.Plan.BudgetWords = batchWords
 		dev := gpusim.MustNew(gpusim.K20Config())
 		gpu, err := ClusterGPU(g, dev, o)
 		if err != nil {
-			t.Fatalf("BatchWords=%d: %v", batchWords, err)
+			t.Fatalf("budget=%d: %v", batchWords, err)
 		}
 		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
-			t.Fatalf("BatchWords=%d: GPU-aggregated clustering differs (batches=%d splits=%d)",
+			t.Fatalf("budget=%d: GPU-aggregated clustering differs (batches=%d splits=%d)",
 				batchWords, gpu.Pass1.Batches, gpu.Pass1.SplitLists)
 		}
 	}
@@ -62,7 +62,7 @@ func TestGPUAggregateReducesCPUTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.GPUAggregate = true
+	o.Plan.DeviceAggregate = true
 	devAgg := gpusim.MustNew(gpusim.K20Config())
 	agg, err := ClusterGPU(g, devAgg, o)
 	if err != nil {
@@ -85,10 +85,10 @@ func TestGPUAggregateReducesCPUTime(t *testing.T) {
 // split lists.
 func TestGPUAggregateFullSortMatchesSerial(t *testing.T) {
 	o := testOptions()
-	o.GPUAggregate = true
-	o.UseFullSort = true
+	o.Plan.DeviceAggregate = true
+	o.Plan.FullSort = true
 	checkGPUAggregatePlans(t, o)
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	checkGPUAggregatePlans(t, o)
 }
 
@@ -103,25 +103,25 @@ func checkGPUAggregatePlans(t *testing.T, o Options) {
 		t.Fatal(err)
 	}
 	for _, batchWords := range []int{0, 2_000} {
-		o.BatchWords = batchWords
+		o.Plan.BudgetWords = batchWords
 		dev := gpusim.MustNew(gpusim.K20Config())
 		gpu, err := ClusterGPU(g, dev, o)
 		if err != nil {
-			t.Fatalf("BatchWords=%d: %v", batchWords, err)
+			t.Fatalf("budget=%d: %v", batchWords, err)
 		}
 		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
-			t.Fatalf("BatchWords=%d: clustering differs from serial (batches=%d splits=%d)",
+			t.Fatalf("budget=%d: clustering differs from serial (batches=%d splits=%d)",
 				batchWords, gpu.Pass1.Batches, gpu.Pass1.SplitLists)
 		}
 		if gpu.Pass1.Tuples != serial.Pass1.Tuples || gpu.Pass2.Tuples != serial.Pass2.Tuples {
-			t.Fatalf("BatchWords=%d: tuple counts %d/%d, serial %d/%d", batchWords,
+			t.Fatalf("budget=%d: tuple counts %d/%d, serial %d/%d", batchWords,
 				gpu.Pass1.Tuples, gpu.Pass2.Tuples, serial.Pass1.Tuples, serial.Pass2.Tuples)
 		}
 		if batchWords == 2_000 && gpu.Pass1.SplitLists == 0 {
 			t.Fatal("the 2,000-word budget split no lists; the split-list merge is untested")
 		}
 		if dev.AllocatedBuffers() != 0 {
-			t.Fatalf("BatchWords=%d: %d device buffers leaked", batchWords, dev.AllocatedBuffers())
+			t.Fatalf("budget=%d: %d device buffers leaked", batchWords, dev.AllocatedBuffers())
 		}
 	}
 }

@@ -59,7 +59,7 @@ import (
 
 // shingleLane is one lane's device staging. `data` holds the batch image —
 // packed or plain words — that the fused kernels read in place. `hash`
-// exists only under UseFullSort, where the fused sort stages full-width
+// exists only under Plan.FullSort, where the fused sort stages full-width
 // hashes for the gather; `params` only when the hash-pair table is not
 // device-resident run-wide.
 type shingleLane struct {
@@ -116,18 +116,18 @@ func (sh laneShape) item(i, c int) (k, t0, t1 int) {
 	return k, t0, min(t0+sh.groupTrials, c)
 }
 
-// laneWords is the device footprint of one pipelined lane: what
-// allocLanes allocates for it.
-func (sh laneShape) laneWords(s, c int, o Options) int {
-	words := imageWords(sh.maxWords, o.dataBits)
-	if o.UseFullSort {
+// laneWords is the device footprint of one pipelined lane of shape sh:
+// what allocLanes allocates for it.
+func (e *passEnv) laneWords(sh laneShape) int {
+	words := imageWords(sh.maxWords, e.bits)
+	if e.plan.FullSort {
 		words += sh.maxWords
 	}
-	words += (sh.maxPieces + 1) + sh.groupTrials*sh.maxPieces*s
-	if o.residentParams == nil {
-		words += 2 * c
+	words += (sh.maxPieces + 1) + sh.groupTrials*sh.maxPieces*e.s
+	if e.params == nil {
+		words += 2 * e.fam.Size()
 	}
-	if o.GPUAggregate {
+	if e.plan.DeviceAggregate {
 		words += aggWordsPerPiece * sh.maxPieces
 	}
 	return words
@@ -161,7 +161,7 @@ func (e *passEnv) runLanes(label string, plans []batchPlan, lanes int) error {
 		return nil
 	}
 	c := e.fam.Size()
-	sh := shapeLanes(plans, e.s, c, lanes, e.o.GPUAggregate)
+	sh := shapeLanes(plans, e.s, c, lanes, e.plan.DeviceAggregate)
 	w := &shingleLanes{
 		passEnv: e, label: label, plans: plans, shape: sh, c: c, sync: lanes < 2,
 		lanes:      make([]*shingleLane, lanes),
@@ -170,7 +170,7 @@ func (e *passEnv) runLanes(label string, plans []batchPlan, lanes int) error {
 		hostOff:    make([]uint32, sh.maxPieces+1),
 		staged:     -1,
 	}
-	if e.o.GPUAggregate {
+	if e.plan.DeviceAggregate {
 		w.hostOwner = make([]uint32, sh.maxPieces)
 		w.hostFlag = make([]uint32, sh.maxPieces)
 	}
@@ -197,10 +197,10 @@ func (e *passEnv) runLanes(label string, plans []batchPlan, lanes int) error {
 // front for the plan's largest batch; the one-lane plan allocates per
 // batch, in stageBatch.
 func (w *shingleLanes) allocLanes() error {
-	sh, o := w.shape, w.o
+	sh := w.shape
 	for i := range w.lanes {
 		l := &shingleLane{batch: -1, hostOut: make([]uint32, sh.groupTrials*sh.maxPieces*w.s)}
-		if o.GPUAggregate {
+		if w.plan.DeviceAggregate {
 			l.hostRecs = make([]uint32, 3*sh.maxPieces)
 		}
 		w.lanes[i] = l
@@ -209,16 +209,16 @@ func (w *shingleLanes) allocLanes() error {
 		}
 		l.stream = w.dev.NewStream()
 		ch := &chain{dev: w.dev}
-		ch.buf(&l.data, imageWords(sh.maxWords, o.dataBits))
+		ch.buf(&l.data, imageWords(sh.maxWords, w.bits))
 		ch.buf(&l.off, sh.maxPieces+1)
-		if o.UseFullSort {
+		if w.plan.FullSort {
 			ch.buf(&l.hash, sh.maxWords)
 		}
 		ch.buf(&l.out, sh.groupTrials*sh.maxPieces*w.s)
-		if o.residentParams == nil {
+		if w.params == nil {
 			ch.buf(&l.params, 2*w.c)
 		}
-		if o.GPUAggregate {
+		if w.plan.DeviceAggregate {
 			l.agg.alloc(ch, sh.maxPieces)
 		}
 		if ch.err != nil {
@@ -242,11 +242,11 @@ func (w *shingleLanes) Prepare(item int) {
 	}
 	w.hostOff[0] = 0
 	w.led.Charge("stage", float64(len(w.hostData)+len(plan.pieces))*AggregateNsPerOp)
-	if w.o.dataBits > 0 {
-		w.hostPacked = gpusim.PackBits(w.hostData, w.o.dataBits)
+	if w.bits > 0 {
+		w.hostPacked = gpusim.PackBits(w.hostData, w.bits)
 		w.led.Charge("pack", float64(len(w.hostData))*PackNsPerOp)
 	}
-	if w.o.GPUAggregate {
+	if w.plan.DeviceAggregate {
 		stageAggRows(w.in, plan, w.s, w.hostOwner, w.hostFlag)
 	}
 	w.staged = k
@@ -269,21 +269,21 @@ func (w *shingleLanes) stageBatch(l *shingleLane, k int) error {
 		ch.h2d(l.stream, l.params, w.hostParams)
 	}
 	img := w.hostData
-	if w.o.dataBits > 0 {
+	if w.bits > 0 {
 		img = w.hostPacked
 	}
 	ch.buf(&l.data, len(img))
 	ch.h2d(l.stream, l.data, img)
 	ch.buf(&l.off, np+1)
 	ch.h2d(l.stream, l.off, w.hostOff[:np+1])
-	if w.o.UseFullSort {
+	if w.plan.FullSort {
 		ch.buf(&l.hash, words)
 	}
 	ch.buf(&l.out, np*w.s)
-	if w.o.residentParams == nil {
+	if w.params == nil {
 		ch.buf(&l.params, 2) // one trial's <A_j, B_j>
 	}
-	if w.o.GPUAggregate {
+	if w.plan.DeviceAggregate {
 		w.stageAgg(l, ch, plan)
 	}
 	if ch.err != nil {
@@ -304,7 +304,7 @@ func (w *shingleLanes) Enqueue(item, lane int) error {
 	plan := &w.plans[k]
 	np := len(plan.pieces)
 	segs := thrust.Segments{Offsets: l.off, NumSegs: np}
-	img := batchImage{buf: l.data, bits: w.o.dataBits}
+	img := batchImage{buf: l.data, bits: w.bits}
 	for trial := t0; trial < t1; trial++ {
 		// The one-lane plan moves the trial's hash-pair constants to the
 		// device each iteration (the functor state of the
@@ -314,17 +314,17 @@ func (w *shingleLanes) Enqueue(item, lane int) error {
 				return err
 			}
 		}
-		if err := trialKernels(w.dev, l.stream, img, l.hash, segs, w.s, w.o,
+		if err := trialKernels(w.dev, l.stream, img, l.hash, segs, w.s, w.plan.FullSort,
 			w.fam.Pairs[trial], l.out, (trial-t0)*np*w.s); err != nil {
 			return err
 		}
-		if w.o.GPUAggregate {
+		if w.plan.DeviceAggregate {
 			if err := w.aggregateTrial(l, np, trial); err != nil {
 				return err
 			}
 		}
 	}
-	if w.o.GPUAggregate {
+	if w.plan.DeviceAggregate {
 		return nil
 	}
 	return w.dev.CopyD2HAsync(l.stream, l.hostOut[:(t1-t0)*np*w.s], l.out, 0)
@@ -338,7 +338,7 @@ func (w *shingleLanes) Complete(item, lane int) {
 	}
 	plan := &w.plans[k]
 	var ops int64
-	if w.o.GPUAggregate {
+	if w.plan.DeviceAggregate {
 		for trial := t0; trial < t1; trial++ {
 			ops += w.collectAgg(l, plan, trial)
 		}

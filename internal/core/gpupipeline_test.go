@@ -14,26 +14,26 @@ func TestPipelinedMatchesSerialAcrossBatchSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	for _, batchWords := range []int{0, 50_000, 5_000, 700, 24} {
-		o.BatchWords = batchWords
+		o.Plan.BudgetWords = batchWords
 		dev := gpusim.MustNew(gpusim.K20Config())
 		gpu, err := ClusterGPU(g, dev, o)
 		if err != nil {
-			t.Fatalf("BatchWords=%d: %v", batchWords, err)
+			t.Fatalf("budget=%d: %v", batchWords, err)
 		}
 		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
-			t.Fatalf("BatchWords=%d: pipelined clustering differs from serial (batches=%d splits=%d)",
+			t.Fatalf("budget=%d: pipelined clustering differs from serial (batches=%d splits=%d)",
 				batchWords, gpu.Pass1.Batches, gpu.Pass1.SplitLists)
 		}
 		if gpu.Pass1.Tuples != serial.Pass1.Tuples {
-			t.Fatalf("BatchWords=%d: tuple count differs", batchWords)
+			t.Fatalf("budget=%d: tuple count differs", batchWords)
 		}
 		if batchWords == 24 && gpu.Pass1.SplitLists == 0 {
 			t.Fatal("tiny batches produced no split lists; pipelined split-merge untested")
 		}
 		if dev.AllocatedBuffers() != 0 {
-			t.Fatalf("BatchWords=%d: %d device buffers leaked", batchWords, dev.AllocatedBuffers())
+			t.Fatalf("budget=%d: %d device buffers leaked", batchWords, dev.AllocatedBuffers())
 		}
 	}
 }
@@ -41,14 +41,14 @@ func TestPipelinedMatchesSerialAcrossBatchSizes(t *testing.T) {
 func TestPipelinedReducesVirtualTime(t *testing.T) {
 	g, _ := plantedTestGraph(800, 79)
 	o := testOptions()
-	o.BatchWords = 6_000 // force a multi-batch plan so cross-batch overlap matters
+	o.Plan.BudgetWords = 6_000 // force a multi-batch plan so cross-batch overlap matters
 
 	devSeq := gpusim.MustNew(gpusim.K20Config())
 	seq, err := ClusterGPU(g, devSeq, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	devPipe := gpusim.MustNew(gpusim.K20Config())
 	pipe, err := ClusterGPU(g, devPipe, o)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestPipelinedSingleBatchStillOverlapsTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	devPipe := gpusim.MustNew(gpusim.K20Config())
 	pipe, err := ClusterGPU(g, devPipe, o)
 	if err != nil {
@@ -109,9 +109,9 @@ func TestPipelinedFullSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PipelineBatches = true
-	o.UseFullSort = true
-	o.BatchWords = 4_000
+	o.Plan.Lanes = 2
+	o.Plan.FullSort = true
+	o.Plan.BudgetWords = 4_000
 	dev := gpusim.MustNew(gpusim.K20Config())
 	gpu, err := ClusterGPU(g, dev, o)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestPipelinedSmallDevice(t *testing.T) {
 	// The derived budget must leave room for both lanes on a tiny device.
 	g, _ := plantedTestGraph(800, 97)
 	o := testOptions()
-	o.PipelineBatches = true
+	o.Plan.Lanes = 2
 	serial, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestPipelinedSmallDevice(t *testing.T) {
 // partition across batch sizes that split lists.
 func TestPipelinedGPUAggregateMatchesSerial(t *testing.T) {
 	o := testOptions()
-	o.GPUAggregate = true
-	o.PipelineBatches = true
+	o.Plan.DeviceAggregate = true
+	o.Plan.Lanes = 2
 	checkGPUAggregatePlans(t, o)
 }

@@ -31,10 +31,10 @@ func TestInvariantsGPUSweep(t *testing.T) {
 		mod  func(*Options)
 	}{
 		{"sync", func(o *Options) {}},
-		{"pipeline", func(o *Options) { o.PipelineBatches = true }},
-		{"gpuagg", func(o *Options) { o.GPUAggregate = true }},
-		{"gpuagg pipeline", func(o *Options) { o.GPUAggregate, o.PipelineBatches = true, true }},
-		{"smallbatch", func(o *Options) { o.BatchWords = 4096 }},
+		{"pipeline", func(o *Options) { o.Plan.Lanes = 2 }},
+		{"gpuagg", func(o *Options) { o.Plan.DeviceAggregate = true }},
+		{"gpuagg pipeline", func(o *Options) { o.Plan.DeviceAggregate, o.Plan.Lanes = true, 2 }},
+		{"smallbatch", func(o *Options) { o.Plan.BudgetWords = 4096 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

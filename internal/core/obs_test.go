@@ -18,7 +18,7 @@ func runObsGPU(t *testing.T, rec *obs.Recorder, inj gpusim.FaultInjector, mut fu
 	t.Helper()
 	g, _ := plantedTestGraph(400, 5)
 	o := testOptions()
-	o.BatchWords = 60_000 // force several batches
+	o.Plan.BudgetWords = 60_000 // force several batches
 	o.Obs = rec
 	if mut != nil {
 		mut(&o)
@@ -39,16 +39,16 @@ func runObsGPU(t *testing.T, rec *obs.Recorder, inj gpusim.FaultInjector, mut fu
 // contract: a run with a recorder attached must produce the exact same
 // clustering and virtual timings as a run without one.
 func TestObsDisabledBitIdentical(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		mut := func(o *Options) { o.PipelineBatches = pipeline }
+	for _, lanes := range []int{1, 2} {
+		mut := func(o *Options) { o.Plan.Lanes = lanes }
 		plain, _ := runObsGPU(t, nil, nil, mut)
 		traced, _ := runObsGPU(t, obs.New(), nil, mut)
 		if !reflect.DeepEqual(plain.Clustering, traced.Clustering) {
-			t.Fatalf("pipeline=%v: clustering differs with a recorder attached", pipeline)
+			t.Fatalf("lanes=%d: clustering differs with a recorder attached", lanes)
 		}
 		if plain.Timings != traced.Timings {
-			t.Fatalf("pipeline=%v: timings differ with a recorder attached:\nplain  %+v\ntraced %+v",
-				pipeline, plain.Timings, traced.Timings)
+			t.Fatalf("lanes=%d: timings differ with a recorder attached:\nplain  %+v\ntraced %+v",
+				lanes, plain.Timings, traced.Timings)
 		}
 	}
 }
@@ -62,9 +62,9 @@ func near(a, b float64) bool {
 // TestObsTableSplitMatchesTimings regenerates the Table-I component split
 // purely from spans + device trace and checks it against Timings.
 func TestObsTableSplitMatchesTimings(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
+	for _, lanes := range []int{1, 2} {
 		rec := obs.New()
-		res, tl := runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = pipeline })
+		res, tl := runObsGPU(t, rec, nil, func(o *Options) { o.Plan.Lanes = lanes })
 		sp := obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{tl})
 		tm := res.Timings
 		for _, c := range []struct {
@@ -79,8 +79,8 @@ func TestObsTableSplitMatchesTimings(t *testing.T) {
 			{"Total", sp.TotalNs, tm.TotalNs},
 		} {
 			if !near(c.span, c.accu) {
-				t.Errorf("pipeline=%v %s: span-derived %.3f != timings %.3f",
-					pipeline, c.name, c.span, c.accu)
+				t.Errorf("lanes=%d %s: span-derived %.3f != timings %.3f",
+					lanes, c.name, c.span, c.accu)
 			}
 		}
 	}
@@ -90,7 +90,7 @@ func TestObsTableSplitMatchesTimings(t *testing.T) {
 // the five host phases in order, per-batch spans, and both lane tracks.
 func TestObsPhasesAndLanes(t *testing.T) {
 	rec := obs.New()
-	runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = true })
+	runObsGPU(t, rec, nil, func(o *Options) { o.Plan.Lanes = 2 })
 	var phases []string
 	tracks := map[string]int{}
 	for _, s := range rec.Spans() {
@@ -125,7 +125,7 @@ func TestObsCountersMatchResult(t *testing.T) {
 	inj := faults.NewInjector(sched)
 	rec := obs.New()
 	inj.SetRecorder(rec)
-	res, _ := runObsGPU(t, rec, inj, func(o *Options) { o.PipelineBatches = true })
+	res, _ := runObsGPU(t, rec, inj, func(o *Options) { o.Plan.Lanes = 2 })
 	if !res.Faults.Any() {
 		t.Fatal("fault schedule fired nothing; test needs a faulted run")
 	}
@@ -205,7 +205,7 @@ func stripWall(t *testing.T, raw []byte) []byte {
 func TestObsExportsDeterministic(t *testing.T) {
 	export := func() ([]byte, []byte) {
 		rec := obs.New()
-		_, tl := runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = true })
+		_, tl := runObsGPU(t, rec, nil, func(o *Options) { o.Plan.Lanes = 2 })
 		var trace, metrics bytes.Buffer
 		if err := obs.WriteMergedTrace(&trace, rec, []obs.DeviceTimeline{tl}); err != nil {
 			t.Fatal(err)
@@ -230,7 +230,7 @@ func TestObsExportsDeterministic(t *testing.T) {
 // counters match the Result.
 func TestObsHostBackends(t *testing.T) {
 	g, _ := plantedTestGraph(400, 5)
-	for _, backend := range []string{"serial", "parallel", "decomposed"} {
+	for _, backend := range []string{"serial", "parallel"} {
 		rec := obs.New()
 		o := testOptions()
 		o.Obs = rec
@@ -240,8 +240,6 @@ func TestObsHostBackends(t *testing.T) {
 		case "parallel":
 			o.Workers = 3
 			res, err = ClusterParallel(g, o)
-		case "decomposed":
-			res, err = ClusterByComponent(g, o, 3)
 		default:
 			res, err = ClusterSerial(g, o)
 		}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"gpclust/internal/gpusim"
 	"gpclust/internal/minwise"
 	"gpclust/internal/obs"
+	"gpclust/internal/sched"
 )
 
 // ReportMode selects the Phase III cluster-enumeration strategy
@@ -57,42 +57,30 @@ type Options struct {
 	// Mode selects the Phase III reporting strategy.
 	Mode ReportMode
 
-	// BatchWords caps the device words a single batch of adjacency lists may
-	// occupy (0 = derive from the device's free memory, or auto-tune when
-	// AutoTune is set). Lists are split across batches when they do not fit,
-	// and the CPU merges the partial shingle results (Section III-C).
-	BatchWords int
+	// Plan is the GPU path's batch plan (sched.Plan): the per-batch word
+	// budget of adjacency lists (lists that do not fit are split across
+	// batches and the CPU merges their partial shingles, Section III-C),
+	// the pipeline lanes (at most 4), the packed batch image, Algorithm 1's
+	// full sort instead of the fused top-s selection, and device
+	// aggregation. Every plan gives the same clustering; only the virtual
+	// schedule changes. A budget of 0 is the largest that fits free device
+	// memory, halved under two or more lanes, unless AutoTune picks it.
+	Plan sched.Plan
 
-	// AutoTune lets the scheduler pick the batch word budget and pipeline
-	// lane count by predicted virtual time: candidate plans (a geometric
-	// budget sweep crossed with the feasible lane counts) are replayed
-	// through the calibrated cost model (internal/sched) and the argmin
-	// runs. Ignored when BatchWords is set explicitly. The clustering is
-	// bit-identical for every plan; only the virtual schedule changes.
-	// The chosen plan and its predicted-vs-actual cost are reported in
-	// PassStats.Plan; a fixed plan is priced by the same scratch-device
-	// model, so every GPU pass reports both.
+	// AutoTune lets the scheduler pick the plan's word budget and lane
+	// count by predicted virtual time when Plan pins no budget: candidate
+	// plans (a geometric budget sweep crossed with the lane counts, only
+	// pipelined ones when Plan.Lanes is 2 or more) are replayed through the
+	// calibrated cost model (internal/sched) and the argmin runs. The chosen
+	// plan and its predicted-vs-actual cost are reported in PassStats.Plan;
+	// a fixed plan is priced by the same scratch-device model, so every GPU
+	// pass reports both.
 	AutoTune bool
-
-	// UseFullSort makes the GPU path run Algorithm 1 literally — segmented
-	// sort of the whole permuted list, then select the top s — instead of
-	// the fused top-s selection kernel. Identical output, more device work;
-	// kept for the ablation study.
-	UseFullSort bool
-
-	// GPUAggregate moves the shingle-key computation and the per-trial
-	// tuple sorting onto the device (shingle-key kernel + sort_by_key),
-	// leaving the CPU a linear merge of pre-sorted streams — an extension
-	// beyond the paper targeting Table I's dominant CPU column. It is a
-	// per-trial step of every plan, so it combines with PipelineBatches,
-	// UseFullSort and any auto-tuned lane count. Output is bit-identical
-	// to the other backends.
-	GPUAggregate bool
 
 	// Workers sizes the host worker pool: ClusterParallel's per-trial
 	// shingling and tuple sorts, and ClusterGPU's per-trial aggregation (the
-	// tuple sorts, or the pre-sorted stream merges under GPUAggregate). 0
-	// means runtime.GOMAXPROCS(0). Output, virtual time and counters are
+	// tuple sorts, or the pre-sorted stream merges under
+	// Plan.DeviceAggregate). 0 means runtime.GOMAXPROCS(0). Output, virtual time and counters are
 	// identical for every worker count.
 	Workers int
 
@@ -126,34 +114,6 @@ type Options struct {
 	// whose retry budget is exhausted: the run then fails with an error
 	// wrapping ErrRetryBudget instead of degrading gracefully.
 	NoHostFallback bool
-
-	// PipelineBatches double-buffers the GPU path's device batches across
-	// two streams: batch k+1's host→device staging and kernels are enqueued
-	// while batch k-1's shingles are still in flight to the host and being
-	// merged by the CPU, so on the virtual clock the copy engine, the
-	// compute engine and host aggregation overlap across batch boundaries
-	// (the strictly sequential loop is the paper's stated bottleneck,
-	// Section III-C); this is the asynchronous operation the paper leaves
-	// as future work (Section V). Identical output.
-	PipelineBatches bool
-
-	// Packed ships each batch's adjacency data as a packed device image —
-	// every value at the pass's MinBits width instead of one per 32-bit
-	// word — cutting the bandwidth-proportional part of every H2D copy by
-	// the same ratio. The fused shingling kernels read the image in place.
-	// Bit-identical output; only bytes moved change.
-	Packed bool
-
-	// dataBits is the packed image width of the running pass (0 = unpacked).
-	// Set by runPassGPU from MinBits over the pass input when Packed is on.
-	dataBits int
-
-	// residentParams, when non-nil, holds the minwise hash parameters of
-	// both trial families device-resident for the whole run ([2·c1 words of
-	// pass 1 | 2·c2 words of pass 2]), so no per-trial parameter upload is
-	// simulated. Nil means the degraded per-batch upload path. Set by
-	// ClusterGPU; mirrors the BLOSUM62 residency ladder in pgraph.
-	residentParams *gpusim.Buffer
 }
 
 // DefaultOptions returns the parameter settings of Section III-D:
@@ -164,9 +124,9 @@ func DefaultOptions() Options {
 	return Options{
 		S1: 2, C1: 200,
 		S2: 2, C2: 100,
-		Seed:   1,
-		Mode:   ReportUnionFind,
-		Packed: true,
+		Seed: 1,
+		Mode: ReportUnionFind,
+		Plan: sched.Plan{Packed: true},
 	}
 }
 
@@ -181,8 +141,8 @@ func (o Options) Validate() error {
 	if o.S1 > 64 || o.S2 > 64 {
 		return fmt.Errorf("core: shingle sizes above 64 unsupported, got s1=%d s2=%d", o.S1, o.S2)
 	}
-	if o.BatchWords < 0 {
-		return fmt.Errorf("core: negative BatchWords %d", o.BatchWords)
+	if err := o.Plan.Validate(maxLanes); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)

@@ -31,7 +31,7 @@ func TestPackedEquivalenceAllBackends(t *testing.T) {
 	for _, b := range chaosBackends(batchWords) {
 		for _, m := range modes {
 			o := base
-			o.Packed = m.packed
+			o.Plan.Packed = m.packed
 			res, err := b.run(nil, g, o)
 			if err != nil {
 				t.Fatalf("%s %s: %v", b.name, m.name, err)
@@ -50,11 +50,11 @@ func TestPackedEquivalenceAllBackends(t *testing.T) {
 func TestPackedShrinksH2DVolume(t *testing.T) {
 	g, _ := plantedTestGraph(300, 5)
 	o := testOptions()
-	o.BatchWords = 4_000
+	o.Plan.BudgetWords = 4_000
 
 	run := func(packed bool) *Result {
 		oo := o
-		oo.Packed = packed
+		oo.Plan.Packed = packed
 		dev := gpusim.MustNew(gpusim.K20Config())
 		res, err := ClusterGPU(g, dev, oo)
 		if err != nil {
@@ -88,10 +88,10 @@ func TestPackedShrinksH2DVolume(t *testing.T) {
 func TestPackedChaosEquivalence(t *testing.T) {
 	g, _ := plantedTestGraph(200, 17)
 	o := testOptions()
-	o.BatchWords = 2_000
-	o.Packed = true
+	o.Plan.BudgetWords = 2_000
+	o.Plan.Packed = true
 
-	for _, b := range chaosBackends(o.BatchWords) {
+	for _, b := range chaosBackends(o.Plan.BudgetWords) {
 		clean, err := b.run(nil, g, o)
 		if err != nil {
 			t.Fatalf("%s clean run: %v", b.name, err)

@@ -68,9 +68,9 @@ func TestPropertyBackendsAgree(t *testing.T) {
 		o.Workers = 0
 
 		// GPU with a randomized batch budget (possibly forcing splits).
-		o.BatchWords = 0
+		o.Plan.BudgetWords = 0
 		if rawBatch%2 == 0 {
-			o.BatchWords = 64 + int(rawBatch)*8
+			o.Plan.BudgetWords = 64 + int(rawBatch)*8
 		}
 		dev := gpusim.MustNew(gpusim.K20Config())
 		gpu, err := ClusterGPU(g, dev, o)
@@ -79,12 +79,12 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			return false
 		}
 		if !reflect.DeepEqual(serial.Clustering, gpu.Clustering) {
-			t.Logf("gpu clustering differs (batch=%d)", o.BatchWords)
+			t.Logf("gpu clustering differs (batch=%d)", o.Plan.BudgetWords)
 			return false
 		}
 
 		// Batch-pipelined GPU variant on the same batch budget.
-		o.PipelineBatches = true
+		o.Plan.Lanes = 2
 		devP := gpusim.MustNew(gpusim.K20Config())
 		pipe, err := ClusterGPU(g, devP, o)
 		if err != nil {
@@ -92,12 +92,12 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			return false
 		}
 		if !reflect.DeepEqual(serial.Clustering, pipe.Clustering) {
-			t.Logf("pipelined clustering differs (batch=%d)", o.BatchWords)
+			t.Logf("pipelined clustering differs (batch=%d)", o.Plan.BudgetWords)
 			return false
 		}
 
 		// GPU aggregation variant, pipelined on the same batch budget.
-		o.GPUAggregate = true
+		o.Plan.DeviceAggregate = true
 		devA := gpusim.MustNew(gpusim.K20Config())
 		agg, err := ClusterGPU(g, devA, o)
 		if err != nil {

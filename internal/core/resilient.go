@@ -247,7 +247,7 @@ func (e *passEnv) runBatchHost(plan batchPlan) {
 	e.led.Charge(obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 }
 
-// emitTrialAggHost is the GPUAggregate-mode twin of emitTrialTuples for
+// emitTrialAggHost is the DeviceAggregate-mode twin of emitTrialTuples for
 // the host fallback: whole long pieces become one (key, owner)-sorted
 // stream appended to sortedByTrial — the order thrust.SortPairs64 would
 // have produced, so the pre-sorted stream merge sees identical input —

@@ -55,19 +55,6 @@ func LargestComponent(g *Graph) int {
 	return max
 }
 
-// ComponentMembers groups vertex ids by component label.
-func ComponentMembers(labels []int32, count int) [][]uint32 {
-	sizes := ComponentSizes(labels, count)
-	members := make([][]uint32, count)
-	for c, s := range sizes {
-		members[c] = make([]uint32, 0, s)
-	}
-	for v, l := range labels {
-		members[l] = append(members[l], uint32(v))
-	}
-	return members
-}
-
 // InducedSubgraph extracts the subgraph induced by the given vertex set,
 // returning the subgraph and the mapping from new ids to original ids.
 // pClust uses connected-component decomposition to break the input into

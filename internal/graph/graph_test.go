@@ -113,27 +113,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestComponentMembers(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {2, 3}})
-	labels, count := ConnectedComponents(g)
-	members := ComponentMembers(labels, count)
-	if len(members) != 3 {
-		t.Fatalf("len(members) = %d, want 3", len(members))
-	}
-	seen := 0
-	for _, m := range members {
-		seen += len(m)
-		for _, v := range m {
-			if labels[v] != labels[m[0]] {
-				t.Error("member with inconsistent label")
-			}
-		}
-	}
-	if seen != 5 {
-		t.Fatalf("members cover %d vertices, want 5", seen)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := FromEdges(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	sub, orig := InducedSubgraph(g, []uint32{0, 1, 2})

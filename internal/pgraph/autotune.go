@@ -6,10 +6,10 @@ import (
 	"gpclust/internal/thrust"
 )
 
-// Cost-model-driven batch auto-tuning for the verification stage. With
-// Config.AutoTune (and no explicit GPUBatchWords) the scheduler enumerates
-// candidate plans — a geometric sweep of word budgets, crossed under
-// Config.Packed with the byte layout and the packed image — predicts each
+// Cost-model-driven batch planning for the verification stage. With
+// Config.AutoTune (and no budget pinned by Config.Plan) the scheduler
+// enumerates candidate plans — a geometric sweep of word budgets, crossed
+// under Plan.Packed with the byte layout and the packed image — predicts each
 // candidate's virtual time by replaying its exact operation sequence (pack,
 // H2D, SW kernel, score readback) through sched.Sim, and runs the argmin.
 // Kernel throughput is calibrated by probing the real SW kernel on a
@@ -107,7 +107,7 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 	defer table.Free()
 
 	// One probe per layout the planner may price: the byte-layout SW
-	// launch, and under Packed the in-place packed decoder. Each probe
+	// launch, and under Plan.Packed the in-place packed decoder. Each probe
 	// stages its own image so the measured traffic matches the layout.
 	probeSW := func(ly swLayout) {
 		buf, err := scratch.Malloc(ly.deviceWords(p))
@@ -128,7 +128,7 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 		m.CalibrateKernel(swKernelName(ly), body, swUnits(enc, pairs, order, p), swThreads(end-lo))
 	}
 	probeSW(layoutFor(false))
-	if cfg.Packed {
+	if cfg.Plan.Packed {
 		probeSW(layoutFor(true))
 	}
 	return m
@@ -152,23 +152,14 @@ func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
 	return sim.Host
 }
 
-// legacySWBudget is the pre-auto-tune budget derivation of verifyGPU: leave
-// headroom on a shared device rather than sizing to the last free word.
-func legacySWBudget(dev *gpusim.Device) int {
-	return int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
-}
+// tuneSW picks the batch budget and — under Plan.Packed — whether the
+// batches stage the byte layout or the packed image the SW kernel decodes
+// in place, by predicted virtual time: a geometric budget sweep down from
+// sched.FitBudget, crossed with the layouts. ok is false when no candidate
+// is feasible.
+func tuneSW(m *sched.Model, freeWords int, enc [][]byte, pairs []pairKey, order []int,
+	cfg Config) (sched.Plan, bool) {
 
-// autotuneSW picks the batch budget and — under Config.Packed — whether
-// the batches stage the byte layout or the packed image the SW kernel
-// decodes in place, by predicted virtual time, returning the chosen plan
-// (the layout choice rides in PlanReport.Packed). When no candidate is
-// feasible it falls back to the legacy derivation (reported with
-// AutoTuned=false).
-func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
-	cfg Config) (sched.PlanReport, []swBatch, error) {
-
-	freeWords := int(dev.FreeMemory() / gpusim.WordBytes)
-	maxB := freeWords * 3 / 4
 	// The minimum budget must hold any single pair under the bulkiest
 	// layout in the sweep: the byte layout (the packed image is never
 	// larger).
@@ -180,18 +171,19 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		}
 	}
 	minB += swTableLen
-	m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
 
 	// The packed image is priced, not assumed: its per-cell decode
 	// instructions can outweigh the H2D bytes it saves.
 	packedSet := []bool{false}
-	if cfg.Packed {
+	if cfg.Plan.Packed {
 		packedSet = []bool{false, true}
 	}
-	var cands []sched.Candidate
-	for _, b := range sched.Budgets(maxB, minB) {
+	var cands []sched.Plan
+	for _, b := range sched.Budgets(sched.FitBudget(freeWords), minB) {
 		for _, packed := range packedSet {
-			cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: 1, Packed: packed})
+			p := cfg.Plan
+			p.BudgetWords, p.Packed = b, packed
+			cands = append(cands, p)
 		}
 	}
 	type planKey struct {
@@ -211,26 +203,43 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		planCache[key] = p
 		return p
 	}
-	best, predicted, ok := sched.Pick(cands, func(cand sched.Candidate) (float64, bool) {
-		plans := plansFor(cand.BudgetWords, cand.Packed)
+	best, _, ok := sched.Pick(cands, func(p sched.Plan) (float64, bool) {
+		plans := plansFor(p.BudgetWords, p.Packed)
 		// A batch's footprint (records + residues + scores) is exactly the
 		// planner's charge, so the budget bounds it.
-		if plans == nil || cand.BudgetWords > freeWords {
+		if plans == nil || p.BudgetWords > freeWords {
 			return 0, false
 		}
-		return predictSWPlans(m, enc, pairs, order, plans, layoutFor(cand.Packed)), true
+		return predictSWPlans(m, enc, pairs, order, plans, layoutFor(p.Packed)), true
 	})
-	if !ok {
-		budget := legacySWBudget(dev)
-		plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
-		if err != nil {
-			return sched.PlanReport{}, nil, err
+	return best, ok
+}
+
+// resolveSWPlan resolves the verification plan — the tuned plan when
+// Config.AutoTune leaves the budget unpinned, else Config.Plan at its
+// resolved budget (also when no tuned candidate is feasible) — plans its
+// batches and prices them on the calibrated model. It returns the layout
+// the batches stage, the batches and the plan's report.
+func resolveSWPlan(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
+	cfg Config) (swLayout, []swBatch, sched.PlanReport, error) {
+
+	m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
+	freeWords := sched.FreeWords(dev)
+	plan, tuned := cfg.Plan, false
+	if cfg.AutoTune && plan.BudgetWords == 0 {
+		var p sched.Plan
+		if p, tuned = tuneSW(m, freeWords, enc, pairs, order, cfg); tuned {
+			plan = p
 		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Packed: cfg.Packed},
-			plans, nil
 	}
-	plans := plansFor(best.BudgetWords, best.Packed)
-	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,
-		Lanes: 1, Batches: len(plans), PredictedNs: predicted, Packed: best.Packed}
-	return rep, plans, nil
+	if !tuned {
+		plan.BudgetWords = plan.Budget(freeWords)
+	}
+	ly := layoutFor(plan.Packed)
+	plans, err := planSWBatches(enc, pairs, order, plan.BudgetWords, ly)
+	if err != nil {
+		return ly, nil, sched.PlanReport{}, err
+	}
+	return ly, plans, sched.PlanReport{AutoTuned: tuned, BudgetWords: plan.BudgetWords, Lanes: 1,
+		Packed: plan.Packed, Batches: len(plans), PredictedNs: predictSWPlans(m, enc, pairs, order, plans, ly)}, nil
 }

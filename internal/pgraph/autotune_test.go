@@ -59,7 +59,7 @@ func TestPredictCostFixedSWPlan(t *testing.T) {
 	seqs := testMetagenome(t, 150)
 	cfg := DefaultConfig()
 	cfg.GPU = true
-	cfg.GPUBatchWords = 40_000
+	cfg.Plan.BudgetWords = 40_000
 	cfg.Device = gpusim.MustNew(gpusim.K20Config())
 	_, st, err := Build(seqs, cfg)
 	if err != nil {
@@ -71,9 +71,9 @@ func TestPredictCostFixedSWPlan(t *testing.T) {
 	}
 }
 
-// TestAutoTuneNotWorseThanLegacySW: the candidate sweep contains the legacy
-// budget derivation, so the tuned build can never be slower than the legacy
-// default.
+// TestAutoTuneNotWorseThanLegacySW: the candidate sweep tops at the largest
+// budget that fits, the budget of the default fixed plan, so the tuned build
+// can never be slower than that plan.
 func TestAutoTuneNotWorseThanLegacySW(t *testing.T) {
 	seqs := testMetagenome(t, 250)
 	legacyCfg := DefaultConfig()
@@ -98,11 +98,28 @@ func TestAutoTuneNotWorseThanLegacySW(t *testing.T) {
 	}
 }
 
+// TestLegacySWBudget pins the budget of a plan that pins none: the
+// verification batches of a fixed plan and the LSH filter's stage batches,
+// fixed or tuned, take sched.FitBudget of a fresh K20's free words.
 func TestLegacySWBudget(t *testing.T) {
-	dev := gpusim.MustNew(gpusim.K20Config())
-	defer dev.Synchronize()
-	if got := legacySWBudget(dev); got != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
-		t.Fatalf("legacy budget %d", got)
+	seqs := testMetagenome(t, 150)
+	want := sched.FitBudget(sched.FreeWords(gpusim.MustNew(gpusim.K20Config())))
+	if want != 1_006_632_960 {
+		t.Fatalf("fresh K20 fits %d words", want)
+	}
+	for _, auto := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.GPU, cfg.AutoTune, cfg.Filter = true, auto, FilterLSH
+		_, st, err := Build(seqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LSHPlan.BudgetWords != want {
+			t.Errorf("auto=%v: LSH filter planned at %d words, want %d", auto, st.LSHPlan.BudgetWords, want)
+		}
+		if !auto && st.Plan.BudgetWords != want {
+			t.Errorf("fixed verification planned at %d words, want %d", st.Plan.BudgetWords, want)
+		}
 	}
 }
 
@@ -136,7 +153,7 @@ func TestAutoTuneSWBeatsFixedLayouts(t *testing.T) {
 	autoG, auto := build(func(c *Config) { c.AutoTune = true })
 	checkSWPlan(t, "auto", auto.Plan, true)
 	for _, packed := range []bool{false, true} {
-		g, fixed := build(func(c *Config) { c.GPUBatchWords, c.Packed = auto.Plan.BudgetWords, packed })
+		g, fixed := build(func(c *Config) { c.Plan.BudgetWords, c.Plan.Packed = auto.Plan.BudgetWords, packed })
 		graphsEqual(t, "auto vs fixed", autoG, g)
 		if auto.TotalNs > fixed.TotalNs {
 			t.Errorf("auto plan (%s) took %.3fms virtual, fixed packed=%v at its budget %.3fms",

@@ -33,7 +33,7 @@ func TestChaosSweepBothSchedulers(t *testing.T) {
 			if auto {
 				cfg.AutoTune = true
 			} else {
-				cfg.GPUBatchWords = 6_000 // force several batches
+				cfg.Plan.BudgetWords = 6_000 // force several batches
 			}
 			cfg.Device = gpusim.MustNew(gpusim.K20Config())
 			cfg.Device.SetFaultInjector(inj)
@@ -75,7 +75,7 @@ func TestChaosSweepLSHFilter(t *testing.T) {
 		cfg.GPU = true
 		// Must hold the resident signature matrix (256 hashes × ~60 eligible
 		// sequences) while still forcing several band-stage spans.
-		cfg.GPUBatchWords = 40_000
+		cfg.Plan.BudgetWords = 40_000
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		cfg.Device.SetFaultInjector(inj)
 		g, st, err := Build(seqs, cfg)
@@ -143,7 +143,7 @@ func TestChaosSWRecoveryLadder(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			cfg.GPU = true
-			cfg.GPUBatchWords = 6_000
+			cfg.Plan.BudgetWords = 6_000
 			cfg.Device = gpusim.MustNew(gpusim.K20Config())
 			cfg.Device.SetFaultInjector(faults.NewInjector(sched))
 			g, st, err := Build(seqs, cfg)
@@ -175,7 +175,7 @@ func TestChaosSWNoFallbackTypedError(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = 6_000
+		cfg.Plan.BudgetWords = 6_000
 		cfg.FaultRetries = 2
 		cfg.NoHostFallback = true
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())

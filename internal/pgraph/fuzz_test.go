@@ -53,12 +53,13 @@ func FuzzSWBatch(f *testing.F) {
 			// and packed image decoded in place; each runs exact and capped.
 			for _, packed := range []bool{false, true} {
 				for _, limit := range []func(int) int32{nil, capped.scoreLimit} {
-					cfg := Config{Align: prm, Packed: packed}
+					cfg := Config{Align: prm}
+					ly := layoutFor(packed)
 					// Budget always admits the costliest pair under the bulkiest
 					// (byte) layout; extra varies how many pairs share a batch.
 					w := 2 * seqWords(make([]byte, longest))
 					budget := swTableLen + 5 + w + int(extra)
-					plans, err := planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
+					plans, err := planSWBatches(enc, pairs, order, budget, ly)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -69,7 +70,7 @@ func FuzzSWBatch(f *testing.F) {
 					}
 					got := make([]int32, len(pairs))
 					env := &swEnv{dev: devSeq, led: sched.NewLedger(devSeq, nil), table: table, enc: enc,
-						pairs: pairs, order: order, cfg: cfg, limit: limit, scores: got}
+						pairs: pairs, order: order, cfg: cfg, ly: ly, limit: limit, scores: got}
 					for _, p := range plans {
 						if err := env.runOneSWBatch(p); err != nil {
 							t.Fatal(err)

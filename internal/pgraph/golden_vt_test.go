@@ -59,13 +59,13 @@ func TestGoldenPGraphVirtualTime(t *testing.T) {
 			0x297, 0x5, 0x6f153a69,
 		}},
 		{name: "fixed 40K packed", filter: FilterExact, mutate: func(c *Config) {
-			c.AutoTune, c.GPUBatchWords = false, 40_000
+			c.AutoTune, c.Plan.BudgetWords = false, 40_000
 		}, want: []uint64{
 			0x418f885c5ef0ddeb, 0x415eeaf680000000, 0x415e932e80000000, 0x414eb5022e8ba2e9,
 			0x2ab, 0x1, 0x3d9a95a0,
 		}},
 		{name: "fixed 40K unpacked", filter: FilterExact, mutate: func(c *Config) {
-			c.AutoTune, c.GPUBatchWords, c.Packed = false, 40_000, false
+			c.AutoTune, c.Plan.BudgetWords, c.Plan.Packed = false, 40_000, false
 		}, want: []uint64{
 			0x418cd07f9a473d45, 0x415eeaf680000000, 0x415e984580000000, 0x414eb5022e8ba2e9,
 			0x2ab, 0x1, 0x3d9a95a0,

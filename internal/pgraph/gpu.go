@@ -301,8 +301,7 @@ func swLaunchConfig(p swBatch, cfg Config, table *gpusim.Buffer, ly swLayout, li
 // — so a failed attempt needs no rollback before a retry.
 func (env *swEnv) runOneSWBatch(p swBatch) error {
 	dev, cfg := env.dev, env.cfg
-	np := p.hi - p.lo
-	ly := layoutFor(cfg.Packed)
+	np, ly := p.hi-p.lo, env.ly
 	var t0 float64
 	if cfg.Obs.Enabled() {
 		t0 = dev.HostTime()
@@ -355,36 +354,16 @@ func verifyGPU(led *sched.Ledger, seqs []seq.Sequence, pairs []pairKey, cfg Conf
 	var edges []graph.Edge
 	if len(pairs) > 0 {
 		enc := encodeSeqs(seqs)
-		order := binPairs(enc, pairs, !cfg.NoLengthBin)
+		order := binPairs(enc, pairs, cfg.Plan.LengthBin)
 
-		var report sched.PlanReport
-		var plans []swBatch
-		var err error
-		if cfg.GPUBatchWords == 0 && cfg.AutoTune {
-			report, plans, err = autotuneSW(dev, enc, pairs, order, cfg)
-			if err != nil {
-				return nil, err
-			}
-			// The executors resolve the layout from cfg.Packed; pin the
-			// tuner's layout choice so they run the plans the sizer measured.
-			cfg.Packed = report.Packed
-		} else {
-			budget := cfg.GPUBatchWords
-			if budget == 0 {
-				budget = legacySWBudget(dev)
-			}
-			plans, err = planSWBatches(enc, pairs, order, budget, layoutFor(cfg.Packed))
-			if err != nil {
-				return nil, err
-			}
-			m := calibrateSWModel(dev.Config(), enc, pairs, order, cfg)
-			report = sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans),
-				Packed: cfg.Packed, PredictedNs: predictSWPlans(m, enc, pairs, order, plans, layoutFor(cfg.Packed))}
+		ly, plans, report, err := resolveSWPlan(dev, enc, pairs, order, cfg)
+		if err != nil {
+			return nil, err
 		}
 		st.GPUBatches = len(plans)
 
 		scores := make([]int32, len(pairs))
-		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order, cfg: cfg,
+		env := &swEnv{dev: dev, led: led, enc: enc, pairs: pairs, order: order, cfg: cfg, ly: ly,
 			limit: cfg.scoreLimit, scores: scores, rec: &st.Faults, workers: cfg.WorkerCount()}
 		schedT0 := dev.HostTime()
 		if err := cfg.runner(led, &st.Faults).Run(&swTableUpload{env: env}); err != nil {

@@ -59,9 +59,9 @@ func TestGPUMatchesHostEdges(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"default-budget", func(c *Config) {}},
-		{"small-batches", func(c *Config) { c.GPUBatchWords = 6_000 }},
-		{"tiny-batches", func(c *Config) { c.GPUBatchWords = 1_200 }},
-		{"no-binning", func(c *Config) { c.NoLengthBin = true; c.GPUBatchWords = 6_000 }},
+		{"small-batches", func(c *Config) { c.Plan.BudgetWords = 6_000 }},
+		{"tiny-batches", func(c *Config) { c.Plan.BudgetWords = 1_200 }},
+		{"no-binning", func(c *Config) { c.Plan.LengthBin = false; c.Plan.BudgetWords = 6_000 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,7 +116,7 @@ func TestGPUBudgetTooSmall(t *testing.T) {
 	seqs := testMetagenome(t, 40)
 	cfg := DefaultConfig()
 	cfg.GPU = true
-	cfg.GPUBatchWords = swTableLen + 8
+	cfg.Plan.BudgetWords = swTableLen + 8
 	if _, _, err := Build(seqs, cfg); err == nil {
 		t.Fatal("expected an error for a batch budget below one pair")
 	}
@@ -130,8 +130,8 @@ func TestGPUBinningReducesDivergence(t *testing.T) {
 	run := func(noBin bool) Stats {
 		cfg := DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = 30_000
-		cfg.NoLengthBin = noBin
+		cfg.Plan.BudgetWords = 30_000
+		cfg.Plan.LengthBin = !noBin
 		_, st, err := Build(seqs, cfg)
 		if err != nil {
 			t.Fatal(err)

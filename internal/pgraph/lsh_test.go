@@ -143,7 +143,7 @@ func TestLSHBudgetTooSmall(t *testing.T) {
 	seqs := testMetagenome(t, 60)
 	cfg := lshConfig(0, 0)
 	cfg.GPU = true
-	cfg.GPUBatchWords = 64
+	cfg.Plan.BudgetWords = 64
 	var st Stats
 	dev := gpusim.MustNew(gpusim.K20Config())
 	_, prm, err := resolveFilter(cfg)
@@ -257,7 +257,7 @@ func TestLSHSignatureSpansMatchHost(t *testing.T) {
 	}
 
 	cfg.GPU = true
-	cfg.GPUBatchWords = env.budget
+	cfg.Plan.BudgetWords = env.budget
 	var st Stats
 	dev2 := gpusim.MustNew(gpusim.K20Config())
 	pairs, err := lshDeviceFilter(dev2, sched.NewLedger(dev2, nil), seqs, cfg, prm, &st)

@@ -25,7 +25,7 @@ func TestObsRecorderGPUBuild(t *testing.T) {
 	base.GPU = true
 	// Small enough that even the packed layout (which fits more pairs
 	// per batch) schedules several batches.
-	base.GPUBatchWords = 3_000
+	base.Plan.BudgetWords = 3_000
 	base.Device = gpusim.MustNew(gpusim.K20Config())
 	gPlain, stPlain, err := Build(seqs, base)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestConfigRetryBackoff(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = 6_000
+		cfg.Plan.BudgetWords = 6_000
 		cfg.RetryBackoffNs = backoff
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		cfg.Device.SetFaultInjector(faults.NewInjector(sched))

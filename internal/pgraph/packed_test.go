@@ -30,8 +30,8 @@ func TestPackedShrinksH2D(t *testing.T) {
 	run := func(packed bool) (*graph.Graph, Stats) {
 		cfg := DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUBatchWords = 6_000
-		cfg.Packed = packed
+		cfg.Plan.BudgetWords = 6_000
+		cfg.Plan.Packed = packed
 		cfg.Device = gpusim.MustNew(gpusim.K20Config())
 		g, st, err := Build(seqs, cfg)
 		if err != nil {

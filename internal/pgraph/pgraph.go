@@ -60,36 +60,29 @@ type Config struct {
 	// fresh Tesla K20 for the build.
 	Device *gpusim.Device
 
-	// GPUBatchWords caps one batch's device footprint in words (score
-	// table + pair records + packed residues + scores). 0 sizes batches to
-	// the device's free memory.
-	GPUBatchWords int
+	// Plan is the GPU verification's batch plan (sched.Plan): the
+	// per-batch word budget (score table + pair records + residues +
+	// scores; 0 is the largest budget that fits free device memory, unless
+	// AutoTune picks it), the residue image, and length binning. Packed
+	// stages each batch's residues as a 5-bit packed image (align's 21-code
+	// alphabet fits 5 bits) that the SW kernel decodes in place, cutting
+	// the residue region's H2D bytes by ~37% for per-cell decode
+	// instructions. LengthBin orders candidate pairs by alignment cost
+	// before batching: the device serializes a warp at its slowest lane, so
+	// binning keeps warps converged. Verification runs one lane. The edge
+	// set is bit-identical for every plan. The LSH filter sizes its stage
+	// batches by the same budget.
+	Plan sched.Plan
 
-	// AutoTune, with GPUBatchWords == 0, lets the cost-model auto-tuner pick
-	// the batch budget: it calibrates a sched.Model against the device
-	// config with a kernel micro-probe on a scratch device, predicts the
-	// virtual time of each candidate plan (geometric budget sweep × residue
-	// layout under Packed), and runs the argmin. The edge set is
-	// bit-identical for every plan, so tuning only moves virtual time. A
-	// fixed plan is priced by the same scratch-device model, so Stats.Plan
-	// and Stats.LSHPlan always carry a predicted window.
+	// AutoTune lets the cost-model auto-tuner pick the plan's budget when
+	// Plan pins none: it calibrates a sched.Model against the device config
+	// with a kernel micro-probe on a scratch device, predicts the virtual
+	// time of each candidate plan (geometric budget sweep, crossed with the
+	// byte layout and the packed image when Plan.Packed allows packing),
+	// and runs the argmin. A fixed plan is priced by the same scratch-device
+	// model, so Stats.Plan and Stats.LSHPlan always carry a predicted
+	// window.
 	AutoTune bool
-
-	// Packed lets each batch stage its residues as a 5-bit packed device
-	// image (align's 21-code alphabet fits 5 bits) that the SW kernel
-	// decodes in place (SWConfig.SeqBits), instead of the byte layout. The
-	// image cuts the residue region's H2D bytes by ~37% at the price of
-	// per-cell decode instructions. Fixed plans use the packed image; under
-	// AutoTune the cost model prices it against the byte layout and runs
-	// the cheaper. Scores and the edge set are bit-identical either way.
-	// GPU backend only.
-	Packed bool
-
-	// NoLengthBin disables ordering candidate pairs by alignment cost
-	// before batching. Binning keeps warps converged — the device
-	// serializes a warp at its slowest lane — so this knob exists for the
-	// divergence ablation. The edge set is unaffected either way.
-	NoLengthBin bool
 
 	// FaultRetries bounds how often one verification batch is retried after
 	// a device fault before the scheduler degrades further — splitting the
@@ -123,7 +116,7 @@ func DefaultConfig() Config {
 		WindowCap:          24,
 		MinScorePerResidue: 1.2,
 		Align:              align.DefaultParams(),
-		Packed:             true,
+		Plan:               sched.Plan{Packed: true, LengthBin: true},
 	}
 }
 
@@ -208,8 +201,8 @@ func Build(seqs []seq.Sequence, cfg Config) (*graph.Graph, Stats, error) {
 	if cfg.RetryBackoffNs < 0 {
 		return nil, st, fmt.Errorf("pgraph: negative RetryBackoffNs %g", cfg.RetryBackoffNs)
 	}
-	if cfg.GPUBatchWords < 0 {
-		return nil, st, fmt.Errorf("pgraph: negative GPUBatchWords %d", cfg.GPUBatchWords)
+	if err := cfg.Plan.Validate(1); err != nil {
+		return nil, st, fmt.Errorf("pgraph: %w", err)
 	}
 	if cfg.Workers < 0 {
 		return nil, st, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)

@@ -188,9 +188,10 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsNegativeSizes: a negative batch budget or worker count is
-// a configuration error on either backend, never a silent fallback to the
-// legacy budget or the default pool.
+// TestBuildRejectsNegativeSizes: a negative batch budget or worker count,
+// or a lane count verification does not run, is a configuration error of
+// Build on either backend and of NewVerifier, never a silent fallback to
+// the largest budget that fits, one lane or the default pool.
 func TestBuildRejectsNegativeSizes(t *testing.T) {
 	seqs := mkSeqs("MKTAYIAKQRMKTAYIAKQR", "MKTAYIAKQRMKTAYIAKQR")
 	cases := []struct {
@@ -198,9 +199,11 @@ func TestBuildRejectsNegativeSizes(t *testing.T) {
 		mutate func(*Config)
 		want   string
 	}{
-		{"batch words auto-tuned", func(c *Config) { c.GPU, c.AutoTune, c.GPUBatchWords = true, true, -1 },
-			"negative GPUBatchWords"},
-		{"batch words fixed", func(c *Config) { c.GPU, c.GPUBatchWords = true, -1 }, "negative GPUBatchWords"},
+		{"batch words auto-tuned", func(c *Config) { c.GPU, c.AutoTune, c.Plan.BudgetWords = true, true, -1 },
+			"negative Plan.BudgetWords"},
+		{"batch words fixed", func(c *Config) { c.GPU, c.Plan.BudgetWords = true, -1 }, "negative Plan.BudgetWords"},
+		{"pipelined lanes", func(c *Config) { c.GPU, c.Plan.Lanes = true, 2 }, "Plan.Lanes 2 outside 0..1"},
+		{"negative lanes", func(c *Config) { c.Plan.Lanes = -1 }, "Plan.Lanes -1 outside 0..1"},
 		{"workers host", func(c *Config) { c.Workers = -1 }, "negative Workers"},
 		{"workers gpu", func(c *Config) { c.GPU, c.Workers = true, -2 }, "negative Workers"},
 	}
@@ -210,6 +213,10 @@ func TestBuildRejectsNegativeSizes(t *testing.T) {
 		_, _, err := Build(seqs, cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Build returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		cfg.Filter = FilterLSH
+		if _, err := NewVerifier(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewVerifier returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

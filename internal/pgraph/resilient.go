@@ -60,6 +60,7 @@ type swEnv struct {
 	pairs   []pairKey
 	order   []int
 	cfg     Config
+	ly      swLayout               // the plan's residue image
 	limit   func(minLen int) int32 // Config.scoreLimit for Build; nil (exact) for a Verifier
 	scores  []int32
 	rec     *faults.Recovery

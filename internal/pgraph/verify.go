@@ -110,6 +110,9 @@ func NewVerifier(cfg Config) (*Verifier, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("pgraph: negative Workers %d", cfg.Workers)
 	}
+	if err := cfg.Plan.Validate(1); err != nil {
+		return nil, fmt.Errorf("pgraph: %w", err)
+	}
 	if err := validateScoreRate(cfg.MinScorePerResidue); err != nil {
 		return nil, err
 	}
@@ -186,9 +189,10 @@ func (v *Verifier) Truncate(n int) {
 // serving layer picks and reports a query's best member by score, so no
 // pair stops at its acceptance decision) and the
 // number of device batches the plan took (0 on host paths). On the GPU
-// backend the pairs are length-binned, packed through the batch planner
-// under the configured budget, and run through the per-batch resilience
-// ladder against the resident table; host scoring runs on Config.Workers
+// backend the pairs run Config.Plan as given: length-binned under
+// LengthBin, packed through the batch planner under the plan's budget in
+// its residue image, and run through the per-batch resilience ladder
+// against the resident table; host scoring runs on Config.Workers
 // and is priced by DP cells, so neither the scores nor the virtual time
 // depend on the worker count. Duplicated pairs are allowed and score
 // identically.
@@ -205,9 +209,10 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 		pairs[i] = makePair(p.A, p.B)
 	}
 	scores := make([]int32, len(pairs))
-	order := binPairs(v.enc, pairs, !v.cfg.NoLengthBin)
+	order := binPairs(v.enc, pairs, v.cfg.Plan.LengthBin)
 	env := &swEnv{dev: v.dev, led: sched.NewLedger(v.dev, v.cfg.Obs), table: v.table, enc: v.enc,
-		pairs: pairs, order: order, cfg: v.cfg, scores: scores, rec: &v.rec, workers: v.cfg.WorkerCount()}
+		pairs: pairs, order: order, cfg: v.cfg, ly: layoutFor(v.cfg.Plan.Packed), scores: scores, rec: &v.rec,
+		workers: v.cfg.WorkerCount()}
 	batches := 0
 	switch {
 	case v.dev == nil:
@@ -215,11 +220,8 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	case v.degraded:
 		env.scoreOnHost(swBatch{hi: len(order)})
 	default:
-		budget := v.cfg.GPUBatchWords
-		if budget <= 0 {
-			budget = legacySWBudget(v.dev)
-		}
-		plans, err := planSWBatches(v.enc, pairs, order, budget, layoutFor(v.cfg.Packed))
+		budget := v.cfg.Plan.Budget(sched.FreeWords(v.dev))
+		plans, err := planSWBatches(v.enc, pairs, order, budget, env.ly)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -33,7 +33,7 @@ func TestVerifierScoresMatchScoreOnly(t *testing.T) {
 		if gpu {
 			name = "gpu"
 			cfg.GPU = true
-			cfg.GPUBatchWords = 2_000 // force several batches
+			cfg.Plan.BudgetWords = 2_000 // force several batches
 		}
 		v, err := NewVerifier(cfg)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestVerifierScoresMatchScoreOnly(t *testing.T) {
 			t.Fatalf("%s: Score: %v", name, err)
 		}
 		if gpu && batches < 2 {
-			t.Fatalf("%s: budget %d produced %d batches, want several", name, cfg.GPUBatchWords, batches)
+			t.Fatalf("%s: budget %d produced %d batches, want several", name, cfg.Plan.BudgetWords, batches)
 		}
 		for i, p := range reqs {
 			sa, sb := seqs[p.A].Residues, seqs[p.B].Residues
@@ -83,7 +83,7 @@ func TestVerifierFaultLadder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Filter = FilterLSH
 	cfg.GPU = true
-	cfg.GPUBatchWords = 2_000
+	cfg.Plan.BudgetWords = 2_000
 	cfg.Device = gpusim.MustNew(gpusim.K20Config())
 	sch, err := faults.Parse("kernel op=1 count=2")
 	if err != nil {

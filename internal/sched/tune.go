@@ -2,27 +2,95 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 
+	"gpclust/internal/gpusim"
 	"gpclust/internal/obs"
 )
 
-// The auto-tuner. A consumer enumerates candidate batch plans — a geometric
-// sweep of word budgets crossed with feasible lane counts — predicts each
+// The auto-tuner. A consumer enumerates candidate plans — a geometric sweep
+// of word budgets crossed with the dimensions it tunes — predicts each
 // candidate's virtual time by replaying its operation sequence through Sim,
 // and commits to the argmin. Prediction runs in plain Go against a scratch
 // calibration (never the real device), so planning itself charges zero
 // virtual time: the auto-tuned run's clock only ever pays for the plan it
 // chose.
 
-// Candidate is one batch plan under consideration.
-type Candidate struct {
-	BudgetWords int // per-batch device footprint cap
-	Lanes       int // 1 = sequential, ≥2 = pipelined across that many lanes
-	// Packed: the plan ships the batch's bit-packed image, which the
-	// kernels decode in place. pgraph's tuner weighs it against the byte
-	// residue layout; core's image is packed whenever Options.Packed finds a
-	// width below 32 bits.
+// Plan is one batch plan: every decision a device consumer makes before its
+// batch loop runs (the paper's Algorithm 2). A tuner enumerates plans and
+// Picks one; core.Options.Plan and pgraph.Config.Plan pin one. Each
+// consumer reads the dimensions it runs, and every plan yields the same
+// output: only the virtual schedule changes.
+type Plan struct {
+	// BudgetWords caps one batch's device footprint in words. 0 leaves it
+	// unpinned: the tuner picks it, or Budget sizes it from free memory.
+	BudgetWords int
+	// Lanes is 0 or 1 for sequential batches on the default stream, and
+	// 2 or more to pipeline them across that many lanes; a tuner given a
+	// pipelined plan keeps to pipelined lane counts.
+	Lanes int
+	// Packed ships each batch as a bit-packed image that the kernels decode
+	// in place. A tuner that prices both images (pgraph's) may pick the
+	// plain one instead.
 	Packed bool
+	// FullSort runs core's Algorithm 1 literally — a segmented sort of the
+	// whole permuted list, then the first s — instead of the fused top-s
+	// selection kernel.
+	FullSort bool
+	// DeviceAggregate moves core's shingle keys and per-trial tuple sorts
+	// onto the device, leaving the host a merge of pre-sorted streams.
+	DeviceAggregate bool
+	// LengthBin orders pgraph's candidate pairs by alignment cost before
+	// batching, which keeps a warp's lanes converged.
+	LengthBin bool
+}
+
+// FitBudget is the largest batch budget that fits freeWords of free device
+// memory: three quarters of it, leaving headroom for the consumer's other
+// buffers. It tops every tuner's budget sweep and sizes a plan that pins no
+// budget.
+func FitBudget(freeWords int) int { return freeWords * 3 / 4 }
+
+// FreeWords is the device's free memory in words.
+func FreeWords(dev *gpusim.Device) int { return int(dev.FreeMemory() / gpusim.WordBytes) }
+
+// Budget resolves the plan's batch budget with freeWords of free device
+// memory: the pinned BudgetWords, else FitBudget, halved for a pipelined
+// plan, whose lanes keep two batches resident at once.
+func (p Plan) Budget(freeWords int) int {
+	if p.BudgetWords > 0 {
+		return p.BudgetWords
+	}
+	if p.Lanes >= 2 {
+		return FitBudget(freeWords) / 2
+	}
+	return FitBudget(freeWords)
+}
+
+// Validate rejects a negative budget and a lane count outside 0..maxLanes,
+// the most the consumer runs.
+func (p Plan) Validate(maxLanes int) error {
+	if p.BudgetWords < 0 {
+		return fmt.Errorf("negative Plan.BudgetWords %d", p.BudgetWords)
+	}
+	if p.Lanes < 0 || p.Lanes > maxLanes {
+		return fmt.Errorf("Plan.Lanes %d outside 0..%d", p.Lanes, maxLanes)
+	}
+	return nil
+}
+
+// ParseBudget reads a budget flag named name: "auto" asks the tuner for
+// the budget (auto is true, words 0), and a word count pins it, 0 meaning
+// the largest budget that fits (Budget).
+func ParseBudget(name, s string) (words int, auto bool, err error) {
+	if s == "auto" {
+		return 0, true, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		return 0, false, fmt.Errorf("%s must be \"auto\" or a non-negative word count, got %q", name, s)
+	}
+	return n, false, nil
 }
 
 // PlanReport describes the batch plan a scheduling pass ran, for
@@ -31,7 +99,7 @@ type PlanReport struct {
 	AutoTuned   bool    `json:"auto_tuned"`
 	BudgetWords int     `json:"budget_words"`
 	Lanes       int     `json:"lanes"`
-	Packed      bool    `json:"packed"` // the batch image was bit-packed (see Candidate)
+	Packed      bool    `json:"packed"` // the batch image was bit-packed (see Plan)
 	Batches     int     `json:"batches"`
 	PredictedNs float64 `json:"predicted_ns"` // cost-model prediction for the chosen plan
 	ActualNs    float64 `json:"actual_ns"`    // measured virtual time of the scheduler window
@@ -81,22 +149,22 @@ func Budgets(maxB, minB int) []int {
 	return out
 }
 
-// Pick returns the candidate with the lowest predicted virtual time.
-// predict returns ok=false for an infeasible candidate (e.g. its lanes'
-// staging cannot fit device memory beside the budget). Ties keep the
-// earliest candidate, so the choice is a deterministic function of the
-// candidate order. ok is false when no candidate is feasible.
-func Pick(cands []Candidate, predict func(Candidate) (float64, bool)) (Candidate, float64, bool) {
-	var best Candidate
+// Pick returns the plan with the lowest predicted virtual time. predict
+// returns ok=false for an infeasible plan (e.g. its lanes' staging cannot
+// fit device memory beside the budget). Ties keep the earliest plan, so the
+// choice is a deterministic function of the plan order. ok is false when no
+// plan is feasible.
+func Pick(plans []Plan, predict func(Plan) (float64, bool)) (Plan, float64, bool) {
+	var best Plan
 	bestNs := 0.0
 	found := false
-	for _, c := range cands {
-		ns, ok := predict(c)
+	for _, p := range plans {
+		ns, ok := predict(p)
 		if !ok {
 			continue
 		}
 		if !found || ns < bestNs {
-			best, bestNs, found = c, ns, true
+			best, bestNs, found = p, ns, true
 		}
 	}
 	return best, bestNs, found

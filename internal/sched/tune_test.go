@@ -29,32 +29,109 @@ func TestBudgets(t *testing.T) {
 	}
 }
 
-// TestPick: argmin over feasible candidates, deterministic on ties, and
+// TestPick: argmin over feasible plans, deterministic on ties, and
 // ok=false when nothing is feasible.
 func TestPick(t *testing.T) {
-	cands := []Candidate{
+	cands := []Plan{
 		{BudgetWords: 100, Lanes: 1}, {BudgetWords: 100, Lanes: 2},
 		{BudgetWords: 50, Lanes: 1}, {BudgetWords: 50, Lanes: 2},
 	}
-	pred := func(c Candidate) (float64, bool) {
+	pred := func(c Plan) (float64, bool) {
 		if c.BudgetWords == 50 && c.Lanes == 2 {
 			return 0, false // infeasible
 		}
 		return float64(c.BudgetWords) / float64(c.Lanes), true
 	}
 	best, ns, ok := Pick(cands, pred)
-	if !ok || best != (Candidate{BudgetWords: 100, Lanes: 2}) || ns != 50 {
+	if !ok || best != (Plan{BudgetWords: 100, Lanes: 2}) || ns != 50 {
 		t.Fatalf("got %+v, %g, %v", best, ns, ok)
 	}
 	// Tie between {100,2} (50) and a hypothetical equal candidate keeps the
 	// earliest.
-	tied := []Candidate{{BudgetWords: 100, Lanes: 2}, {BudgetWords: 50, Lanes: 1}}
+	tied := []Plan{{BudgetWords: 100, Lanes: 2}, {BudgetWords: 50, Lanes: 1}}
 	best, _, _ = Pick(tied, pred)
-	if best != (Candidate{BudgetWords: 100, Lanes: 2}) {
+	if best != (Plan{BudgetWords: 100, Lanes: 2}) {
 		t.Fatalf("tie broke to %+v", best)
 	}
-	if _, _, ok := Pick(cands, func(Candidate) (float64, bool) { return 0, false }); ok {
+	if _, _, ok := Pick(cands, func(Plan) (float64, bool) { return 0, false }); ok {
 		t.Fatal("no feasible candidate still picked")
+	}
+}
+
+// TestFitBudget pins the largest budget that fits on a free word count
+// that is not a multiple of 4: three quarters, rounded down once.
+func TestFitBudget(t *testing.T) {
+	for _, tc := range []struct{ free, want int }{
+		{1_342_177_280, 1_006_632_960},
+		{1_342_176_839, 1_006_632_629}, // beside a 441-word resident table
+		{7, 5},
+		{0, 0},
+	} {
+		if got := FitBudget(tc.free); got != tc.want {
+			t.Errorf("FitBudget(%d) = %d, want %d", tc.free, got, tc.want)
+		}
+	}
+}
+
+// TestPlanBudget: a pinned budget wins; an unpinned one is FitBudget,
+// halved for a pipelined plan.
+func TestPlanBudget(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want int
+	}{
+		{Plan{BudgetWords: 5_000}, 5_000},
+		{Plan{BudgetWords: 5_000, Lanes: 2}, 5_000},
+		{Plan{}, 750},
+		{Plan{Lanes: 1}, 750},
+		{Plan{Lanes: 2}, 375},
+		{Plan{Lanes: 4}, 375},
+	} {
+		if got := tc.plan.Budget(1_001); got != tc.want {
+			t.Errorf("%+v.Budget(1001) = %d, want %d", tc.plan, got, tc.want)
+		}
+	}
+}
+
+// TestPlanValidate: a negative budget and lanes outside 0..maxLanes are
+// rejected; every other plan passes.
+func TestPlanValidate(t *testing.T) {
+	for _, tc := range []struct {
+		plan     Plan
+		maxLanes int
+		ok       bool
+	}{
+		{Plan{}, 1, true},
+		{Plan{BudgetWords: 1, Lanes: 1}, 1, true},
+		{Plan{Lanes: 4}, 4, true},
+		{Plan{BudgetWords: -1}, 4, false},
+		{Plan{Lanes: -1}, 4, false},
+		{Plan{Lanes: 2}, 1, false},
+		{Plan{Lanes: 5}, 4, false},
+	} {
+		if err := tc.plan.Validate(tc.maxLanes); (err == nil) != tc.ok {
+			t.Errorf("%+v.Validate(%d) = %v, want ok=%v", tc.plan, tc.maxLanes, err, tc.ok)
+		}
+	}
+}
+
+// TestParseBudget: "auto" asks the tuner, a word count pins the budget
+// (0 included), anything else is rejected under the flag's name.
+func TestParseBudget(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		words int
+		auto  bool
+	}{{"auto", 0, true}, {"0", 0, false}, {"5000", 5000, false}} {
+		words, auto, err := ParseBudget("-batch", tc.in)
+		if err != nil || words != tc.words || auto != tc.auto {
+			t.Errorf("ParseBudget(%q) = %d, %v, %v", tc.in, words, auto, err)
+		}
+	}
+	for _, in := range []string{"-1", "x", "", "AUTO"} {
+		if _, _, err := ParseBudget("-batch", in); err == nil || !strings.Contains(err.Error(), `-batch must be "auto"`) {
+			t.Errorf("ParseBudget(%q) error %v", in, err)
+		}
 	}
 }
 

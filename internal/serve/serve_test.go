@@ -134,7 +134,7 @@ func TestIncrementalEqualsFromScratchGPU(t *testing.T) {
 	corpus := testMetagenome(t, 60)
 	cfg := serveConfig()
 	cfg.Pgraph.GPU = true
-	cfg.Pgraph.GPUBatchWords = 2_000
+	cfg.Pgraph.Plan.BudgetWords = 2_000
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

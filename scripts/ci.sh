@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, vet, the gpclint static-analysis suite, build,
 # full test suite, the benchmark module, the invariants-build sweep, the
-# Table I, LSH, serve and fault-recovery goldens, the virtual-clock
+# Table I, LSH, serve, fault-recovery and ablation goldens, the virtual-clock
 # benchmark gates, fuzz smoke, and a race sweep of the concurrent packages
 # (host-parallel backend, pGraph worker pool, device simulator). Run from
 # the repository root; exits non-zero on any failure.
@@ -81,15 +81,20 @@ go test -run 'TestGPUMatchesHostEdges|TestGPUSmallDeviceMemoryLimit|TestBuildLim
 echo "== lsh filter equivalence gate (device LSH must match host, and so must the graphs it yields)"
 go test -run 'TestLSHDeviceMatchesHost|TestLSHFilterGraphsMatchHostGPU' ./internal/pgraph/
 
-echo "== golden sections (-exp table1, lsh, serve and faults must reproduce their experiments_output.txt sections)"
+echo "== golden sections (-exp table1, lsh, serve, faults and ablations must reproduce their experiments_output.txt sections)"
 # A section is the committed block that opens with the fresh output's first
-# line and runs to the next blank line, "== " heading or ablation title.
-for exp in table1 lsh serve faults; do
+# line and runs for the fresh output's line count; the committed line after
+# it must end the section (a blank line, a "== " heading, an ablation title
+# or the end of the file), so a fresh output that stops early fails too.
+# The ablations section covers every fixed and tuned batch plan the
+# experiments run.
+for exp in table1 lsh serve faults ablations; do
     go run ./cmd/experiments -exp "$exp" > "$tmp_dir/$exp.txt"
-    awk -v h="$(head -n 1 "$tmp_dir/$exp.txt")" '
-        $0 == h { on = 1; print; next }
-        on && (/^$/ || /^== / || /^Ablation — /) { exit }
-        on' experiments_output.txt > "$tmp_dir/$exp-want.txt"
+    awk -v h="$(head -n 1 "$tmp_dir/$exp.txt")" -v n="$(wc -l < "$tmp_dir/$exp.txt")" '
+        !on && $0 == h { on = 1 }
+        on && taken < n { print; taken++; next }
+        on { if ($0 != "" && $0 !~ /^== / && $0 !~ /^Ablation — /) print "(section continues) " $0; exit }
+    ' experiments_output.txt > "$tmp_dir/$exp-want.txt"
     test -s "$tmp_dir/$exp-want.txt"
     if ! cmp "$tmp_dir/$exp-want.txt" "$tmp_dir/$exp.txt"; then
         diff "$tmp_dir/$exp-want.txt" "$tmp_dir/$exp.txt" >&2 || true
